@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from qudual import (
-    density_from_params,
+    DensityMatrix,
     duality_report,
     fringe_probability,
     pure_state,
@@ -40,7 +40,7 @@ def main():
     pure = pure_state(0.9, theta=0.3)
     show("pure state, unbalanced populations", pure)
 
-    mixed = density_from_params(0.9, 0.5 * math.sqrt(0.09), theta=0.3)
+    mixed = DensityMatrix(0.9, 0.5 * math.sqrt(0.09), theta=0.3)
     show("same populations, half the coherence", mixed)
 
     print("brute-force check of the visibility on the pure state:")

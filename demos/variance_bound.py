@@ -13,8 +13,8 @@ import numpy as np
 
 from qudual import (
     ComplementaryFamily,
+    DensityMatrix,
     complementary_observable,
-    density_from_params,
     intelligent_state,
     is_residual,
     normalized_product_bounds,
@@ -34,7 +34,7 @@ def main():
     for _ in range(6):
         w = rng.uniform(0.1, 0.9)
         rho12 = rng.uniform(0.0, 1.0) * math.sqrt(w * (1.0 - w))
-        rho = density_from_params(w, rho12, theta=rng.uniform(0.0, 2.0 * math.pi))
+        rho = DensityMatrix(w, rho12, theta=rng.uniform(0.0, 2.0 * math.pi))
         rep = robertson(rho, A, B)
         print(
             f"  {w:.3f}  {rho12:.4f}   {rep.lhs:.8f}   {rep.rhs:.8f}   {rep.slack:+.2e}"

@@ -10,135 +10,20 @@ bound, redundant routes to the minimal variance product, and sampling
 oracles for the measurement statistics.
 """
 
-from .duality import (
-    DualityReport,
-    duality_report,
-    fringe_probability,
-    predictability,
-    predictability_of_b,
-    visibility,
-    visibility_of_b,
-    visibility_oracle,
-)
-from .errors import (
-    ContractViolationError,
-    ParameterError,
-    QudualError,
-    SingularConfigurationError,
-)
-from .linalg import assert_hermitian, assert_unitary, hermitian_eig, kron, trace_norm
-from .montecarlo import (
-    SampleReport,
-    sample_fringe,
-    sample_sharp,
-    sample_simultaneous,
-)
-from .simultaneous import (
-    EntangledState,
-    MeterProjectors,
-    MinimumProductReport,
-    distinguishability,
-    entangle,
-    entangled_visibility,
-    estimate_a,
-    estimate_b,
-    meter_projectors,
-    minimum_product_report,
-    minimum_simultaneous_product,
-    optimal_entanglement,
-    simultaneous_product,
-)
-from .states import (
-    ComplementaryFamily,
-    DensityMatrix,
-    Observable,
-    beam_splitter,
-    complementary_observable,
-    complementary_triplet,
-    density_from_params,
-    phase_difference_realization,
-    phase_shift,
-    pure_state,
-    symmetric_observable,
-)
-from .uncertainty import (
-    IS_FAMILIES,
-    IntelligentState,
-    RobertsonReport,
-    intelligent_state,
-    is_residual,
-    mean_var,
-    normalized_product_bounds,
-    robertson,
-)
-from .verify import SuiteResult, render_report, run_suites
+from . import duality, errors, linalg, montecarlo, simultaneous, states, uncertainty, verify
+from .duality import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .linalg import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
+from .simultaneous import *  # noqa: F403
+from .states import *  # noqa: F403
+from .uncertainty import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "QudualError",
-    "ContractViolationError",
-    "ParameterError",
-    "SingularConfigurationError",
-    # linear algebra
-    "assert_hermitian",
-    "assert_unitary",
-    "hermitian_eig",
-    "trace_norm",
-    "kron",
-    # states and observables
-    "DensityMatrix",
-    "Observable",
-    "ComplementaryFamily",
-    "density_from_params",
-    "pure_state",
-    "symmetric_observable",
-    "complementary_observable",
-    "complementary_triplet",
-    "phase_difference_realization",
-    "phase_shift",
-    "beam_splitter",
-    # duality
-    "DualityReport",
-    "duality_report",
-    "predictability",
-    "visibility",
-    "fringe_probability",
-    "visibility_oracle",
-    "predictability_of_b",
-    "visibility_of_b",
-    # variance bounds
-    "RobertsonReport",
-    "robertson",
-    "mean_var",
-    "normalized_product_bounds",
-    "IntelligentState",
-    "IS_FAMILIES",
-    "intelligent_state",
-    "is_residual",
-    # entangled readout
-    "EntangledState",
-    "entangle",
-    "distinguishability",
-    "entangled_visibility",
-    "MeterProjectors",
-    "meter_projectors",
-    "estimate_a",
-    "estimate_b",
-    "simultaneous_product",
-    "optimal_entanglement",
-    "MinimumProductReport",
-    "minimum_product_report",
-    "minimum_simultaneous_product",
-    # sampling oracles
-    "SampleReport",
-    "sample_sharp",
-    "sample_fringe",
-    "sample_simultaneous",
-    # self checks
-    "SuiteResult",
-    "run_suites",
-    "render_report",
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, linalg, states, duality, uncertainty, simultaneous, montecarlo, verify)
+    for name in module.__all__
 ]

@@ -213,20 +213,22 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     rho = pure_state(args.w_plus, args.theta)
     a_obs = symmetric_observable()
     b_obs = complementary_observable(ComplementaryFamily(a_obs, varrho))
+    psi = entangle(args.w_plus, args.theta, c)
 
-    print(f"sampling at w_plus={_fmt(args.w_plus)} theta={_fmt(args.theta)} varrho={_fmt(varrho)} c={_fmt(c)} seed={seed}")
+    # Draw every sample before printing, so a failed run writes no stdout; the
+    # joint readout goes first because it rejects a singular overlap.
+    joint = montecarlo.sample_simultaneous(psi, varrho, args.n, seed + 3)
     reports = [
         replace(montecarlo.sample_sharp(rho, a_obs, args.n, seed + 1), quantity="sharp_a"),
         replace(montecarlo.sample_sharp(rho, b_obs, args.n, seed + 2), quantity="sharp_b"),
+        *joint,
     ]
-    psi = entangle(args.w_plus, args.theta, c)
-    rep_a, rep_b = montecarlo.sample_simultaneous(psi, varrho, args.n, seed + 3)
-    reports += [rep_a, rep_b]
-    for rep in reports:
-        _print_sample(rep)
-
     phi_grid = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
     v_hat, _ = montecarlo.sample_fringe(rho, phi_grid, math.pi / 4.0, max(args.n // 16, 1), seed + 4)
+
+    print(f"sampling at w_plus={_fmt(args.w_plus)} theta={_fmt(args.theta)} varrho={_fmt(varrho)} c={_fmt(c)} seed={seed}")
+    for rep in reports:
+        _print_sample(rep)
     print(f"fringe     contrast={_fmt(v_hat)} (analytic {_fmt(visibility(rho))})")
 
     flagged = any(rep.flagged for rep in reports)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError
-from .states import DensityMatrix, beam_splitter, phase_shift
+from .states import DensityMatrix
 
 __all__ = [
     "predictability",
@@ -47,30 +47,18 @@ def fringe_probability(rho: DensityMatrix, phi, xi):
     """Detection probability for ``|plus>`` after a phase shift and a beam splitter.
 
     Computes ``<plus| U_bs(xi) U_ps(phi) rho U_ps(phi)^dagger U_bs(xi)^dagger |plus>``
-    by explicit matrix conjugation. ``phi`` and ``xi`` may be scalars or
-    broadcastable arrays; the result has the broadcast shape.
+    by explicit conjugation of ``rho`` with ``<plus| U_bs(xi) U_ps(phi) =
+    (cos xi, i sin xi exp(i phi))``, the one row of the unitaries that the
+    probability reads. ``phi`` and ``xi`` may be scalars or broadcastable
+    arrays; the result has the broadcast shape.
     """
-    phi_arr = np.asarray(phi, dtype=float)
-    xi_arr = np.asarray(xi, dtype=float)
-    shape = np.broadcast_shapes(phi_arr.shape, xi_arr.shape)
-    phi_b = np.broadcast_to(phi_arr, shape)
-    xi_b = np.broadcast_to(xi_arr, shape)
-
-    u_ps = np.zeros(shape + (2, 2), dtype=complex)
-    u_ps[..., 0, 0] = 1.0
-    u_ps[..., 1, 1] = np.exp(1j * phi_b)
-    u_bs = np.empty(shape + (2, 2), dtype=complex)
-    u_bs[..., 0, 0] = np.cos(xi_b)
-    u_bs[..., 0, 1] = 1j * np.sin(xi_b)
-    u_bs[..., 1, 0] = 1j * np.sin(xi_b)
-    u_bs[..., 1, 1] = np.cos(xi_b)
-
-    u = u_bs @ u_ps
-    rotated = u @ rho.matrix @ u.conj().swapaxes(-1, -2)
-    p = rotated[..., 0, 0].real
-    if shape == ():
-        return float(p)
-    return p
+    phi = np.asarray(phi, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    u0 = np.cos(xi) + 0j
+    u1 = 1j * np.sin(xi) * np.exp(1j * phi)
+    m = rho.matrix
+    p = ((u0 * m[0, 0] + u1 * m[1, 0]) * u0.conj() + (u0 * m[0, 1] + u1 * m[1, 1]) * u1.conj()).real
+    return float(p) if p.shape == () else p
 
 
 def visibility_oracle(rho: DensityMatrix, grid_n: int = 512) -> tuple[float, float]:

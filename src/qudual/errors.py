@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the scalar validation that raises them."""
+
+import math
+
+__all__ = ["QudualError", "ContractViolationError", "ParameterError", "SingularConfigurationError"]
 
 
 class QudualError(Exception):
@@ -9,8 +13,8 @@ class ContractViolationError(QudualError):
     """A matrix input or an internal identity violates a structural contract.
 
     Raised when an input fails a hermiticity, unitarity or normalization
-    check, and when two redundant computation routes that must agree
-    (closed form versus explicit projection) do not.
+    check, and when two redundant computation routes that must agree (the
+    routes of the minimum-product report) do not.
     """
 
 
@@ -27,3 +31,27 @@ class SingularConfigurationError(QudualError):
     Typical sources are the entanglement overlap endpoints c = 0 and c = 1,
     where one of the rescaled estimators loses meaning.
     """
+
+
+def check_scalar(
+    value: float,
+    name: str,
+    lo: float = -math.inf,
+    hi: float = math.inf,
+    *,
+    lo_open: bool = False,
+    slack: float = 0.0,
+) -> float:
+    """Return ``value`` as a finite float in ``[lo, hi]``, or raise a :class:`ParameterError`.
+
+    NaN and infinities are always rejected. ``lo_open`` excludes ``lo``
+    itself; ``slack`` widens both closed ends, and a value accepted inside
+    the slack is clamped onto ``[lo, hi]``. The message names the bound.
+    """
+    v = float(value)
+    below = v <= lo if lo_open else v < lo - slack
+    if not math.isfinite(v) or below or v > hi + slack:
+        left = "-inf <" if lo == -math.inf else f"{lo:g} {'<' if lo_open else '<='}"
+        right = "< inf" if hi == math.inf else f"<= {hi:g}"
+        raise ParameterError(f"{name} = {v!r} violates the bound {left} {name} {right}")
+    return min(max(v, lo), hi)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import fringe_probability
-from .errors import ParameterError
+from .errors import ParameterError, check_scalar
 from .simultaneous import EntangledState, estimate_a, estimate_b, meter_projectors
 from .states import ComplementaryFamily, DensityMatrix, Observable, symmetric_observable
 from .uncertainty import mean_var
@@ -164,6 +164,7 @@ def sample_fringe(
     n_per_point = int(n_per_point)
     if n_per_point < 1:
         raise ParameterError(f"n_per_point must be at least 1, got {n_per_point}")
+    xi = check_scalar(xi, "xi")
     p_hat = np.empty(phi_grid.size)
     for j, phi in enumerate(phi_grid):
         p = float(fringe_probability(rho, phi, xi))
@@ -195,9 +196,7 @@ def sample_simultaneous(
     n = int(n)
     if n < 1:
         raise ParameterError(f"sample size must be at least 1, got {n}")
-    b = float(b_value)
-    if b <= 0.0:
-        raise ParameterError(f"b_value must be positive, got {b!r}")
+    b = check_scalar(b_value, "b_value", 0.0, lo_open=True)
     mp = meter_projectors(psi_e.c, a_value)
     psi = psi_e.system_meter()
 

@@ -26,30 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, ParameterError, SingularConfigurationError
+from .errors import ContractViolationError, SingularConfigurationError, check_scalar
 from .linalg import trace_norm
-from .states import (
-    ComplementaryFamily,
-    DensityMatrix,
-    symmetric_observable,
-)
-
-TWO_PI = 2.0 * math.pi
-
-# Cross-check tolerance between the closed forms and the explicit
-# four-dimensional projection probabilities, relative to the value scale.
-CROSS_CHECK_TOL = 1e-12
+from .states import TWO_PI, DensityMatrix
 
 # Agreement tolerance between independent routes to the minimum product.
 ROUTE_AGREEMENT_TOL = 1e-9
 
-# Probe states used to fix the estimator sign branch: populations and phases
-# chosen so the mean is nonzero and sign-sensitive on the grid.
-_PROBE_W = (0.25, 0.5, 0.75)
-_PROBE_THETA = (0.0, 2.0, 4.0)
-
 __all__ = [
-    "CROSS_CHECK_TOL",
     "ROUTE_AGREEMENT_TOL",
     "EntangledState",
     "entangle",
@@ -100,13 +84,9 @@ class EntangledState:
 
 def entangle(w_plus: float, theta: float, c: float) -> EntangledState:
     """Couple the pure system state ``(w_plus, theta)`` to a meter with overlap ``c``."""
-    w = float(w_plus)
-    if math.isnan(w) or w < 0.0 or w > 1.0:
-        raise ParameterError(f"w_plus = {w!r} violates the bound 0 <= w_plus <= 1")
-    cc = float(c)
-    if math.isnan(cc) or cc < 0.0 or cc > 1.0:
-        raise ParameterError(f"c = {cc!r} violates the bound 0 <= c <= 1")
-    t = float(theta) % TWO_PI
+    w = check_scalar(w_plus, "w_plus", 0.0, 1.0)
+    cc = check_scalar(c, "c", 0.0, 1.0)
+    t = check_scalar(theta, "theta") % TWO_PI
     phase = np.exp(1j * t)
     amp = np.array(
         [
@@ -149,11 +129,10 @@ class MeterProjectors:
     """Rotated meter readout basis with the rescaled outcome values.
 
     ``m1 = (cos gamma, sin gamma)`` and ``m2 = (-sin gamma, cos gamma)`` in
-    the ``(|m+>, |m_perp>)`` basis (the extra phase ``kappa`` is fixed to 0;
-    other values break orthogonality). The outcome values ``value_m1`` and
-    ``value_m2`` are ``+-a_prime`` with the signs fixed by the unbiasedness
-    probe, so that the readout mean reproduces the sharp mean for every
-    input state.
+    the ``(|m+>, |m_perp>)`` basis. The outcome values are
+    ``value_m1 = -a_prime`` and ``value_m2 = +a_prime``, the sign assignment
+    under which the readout mean reproduces the sharp mean for every input
+    state.
     """
 
     gamma: float
@@ -162,14 +141,16 @@ class MeterProjectors:
     value_m2: float
     m1: np.ndarray = field(repr=False)
     m2: np.ndarray = field(repr=False)
-    kappa: float = 0.0
 
 
-def _meter_probabilities(psi_e: EntangledState, mp: MeterProjectors) -> tuple[float, float]:
-    psi = psi_e.system_meter()
-    amp1 = psi @ mp.m1.conj()
-    amp2 = psi @ mp.m2.conj()
-    return float(np.vdot(amp1, amp1).real), float(np.vdot(amp2, amp2).real)
+def _readout_overlap(c: float) -> float:
+    cc = check_scalar(c, "c")
+    if not 0.0 < cc < 1.0:
+        raise SingularConfigurationError(
+            f"meter readout requires 0 < c < 1, got c = {cc!r}: at c = 0 the rotation "
+            "angle equation degenerates and at c = 1 the rescaled value diverges"
+        )
+    return cc
 
 
 def meter_projectors(c: float, a_value: float = 0.5) -> MeterProjectors:
@@ -177,80 +158,38 @@ def meter_projectors(c: float, a_value: float = 0.5) -> MeterProjectors:
 
     The rotation angle solves ``cot(2 gamma) = -sqrt(1 - c**2) / c`` with the
     branch ``gamma = (pi - arcsin c) / 2`` in (pi/4, pi/2), and the rescaled
-    outcome magnitude is ``a_prime = a_value / sqrt(1 - c**2)``. Two outcome
-    sign assignments are compatible with the angle equation; the one whose
-    mean matches ``a_value (w+ - w-)`` on a 3x3 probe grid of states is
-    selected, and a contract violation is raised if the probe does not single
-    one out.
+    outcome magnitude is ``a_prime = a_value / sqrt(1 - c**2)``. Of the two
+    outcome sign assignments compatible with the angle equation, the one
+    reproducing the sharp mean ``a_value (w+ - w-)`` puts ``-a_prime`` on
+    ``m1``; the ``unbiasedness`` suite of :mod:`qudual.verify` checks that
+    choice by explicit projection.
     """
-    cc = float(c)
-    if not 0.0 < cc < 1.0:
-        raise SingularConfigurationError(
-            f"meter readout requires 0 < c < 1, got c = {cc!r}: at c = 0 the rotation "
-            "angle equation degenerates and at c = 1 the rescaled value diverges"
-        )
-    a = float(a_value)
-    if a <= 0.0:
-        raise ParameterError(f"a_value must be positive, got {a!r}")
+    cc = _readout_overlap(c)
+    a = check_scalar(a_value, "a_value", 0.0, lo_open=True)
     gamma = 0.5 * (math.pi - math.asin(cc))
     a_prime = a / math.sqrt(1.0 - cc * cc)
     m1 = np.array([math.cos(gamma), math.sin(gamma)], dtype=complex)
     m2 = np.array([-math.sin(gamma), math.cos(gamma)], dtype=complex)
     m1.setflags(write=False)
     m2.setflags(write=False)
-
-    selected = None
-    for value_m1 in (-a_prime, a_prime):
-        candidate = MeterProjectors(
-            gamma=gamma, a_prime=a_prime, value_m1=value_m1, value_m2=-value_m1, m1=m1, m2=m2
-        )
-        ok = True
-        for w in _PROBE_W:
-            for theta in _PROBE_THETA:
-                p1, p2 = _meter_probabilities(entangle(w, theta, cc), candidate)
-                mean = candidate.value_m1 * p1 + candidate.value_m2 * p2
-                if abs(mean - a * (2.0 * w - 1.0)) > CROSS_CHECK_TOL:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            if selected is not None:
-                raise ContractViolationError("both outcome sign assignments passed the probe")
-            selected = candidate
-    if selected is None:
-        raise ContractViolationError("no outcome sign assignment reproduces the sharp mean")
-    return selected
-
-
-def _agree(x: float, y: float, tol: float = CROSS_CHECK_TOL) -> bool:
-    return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
+    return MeterProjectors(
+        gamma=gamma, a_prime=a_prime, value_m1=-a_prime, value_m2=a_prime, m1=m1, m2=m2
+    )
 
 
 def estimate_a(psi_e: EntangledState, a_value: float = 0.5) -> tuple[float, float]:
     """Mean and variance of the rescaled first-observable readout.
 
     Returns the closed forms ``mean = a (w+ - w-)`` and
-    ``variance = a**2 (c**2 / (1 - c**2) + 4 w+ w-)`` after verifying both
-    against the explicit four-dimensional projection probabilities (within
-    1e-12 relative to scale). Requires ``0 < c < 1``; both endpoints are
-    singular for this readout.
+    ``variance = a**2 (c**2 / (1 - c**2) + 4 w+ w-)``. Requires ``0 < c < 1``;
+    both endpoints are singular for this readout. The explicit projection
+    route to both moments runs in :mod:`qudual.verify`.
     """
-    mp = meter_projectors(psi_e.c, a_value)
-    p1, p2 = _meter_probabilities(psi_e, mp)
-    mean_expl = mp.value_m1 * p1 + mp.value_m2 * p2
-    var_expl = mp.value_m1 ** 2 * p1 + mp.value_m2 ** 2 * p2 - mean_expl ** 2
-
-    a = float(a_value)
+    cc = _readout_overlap(psi_e.c)
+    a = check_scalar(a_value, "a_value", 0.0, lo_open=True)
     w = psi_e.w_plus
-    cc = psi_e.c
     mean = a * (2.0 * w - 1.0)
     var = a * a * (cc * cc / (1.0 - cc * cc) + 4.0 * w * (1.0 - w))
-    if not (_agree(mean, mean_expl) and _agree(var, var_expl)):
-        raise ContractViolationError(
-            "closed-form readout moments disagree with explicit projection: "
-            f"mean {mean!r} vs {mean_expl!r}, variance {var!r} vs {var_expl!r}"
-        )
     return mean, var
 
 
@@ -260,8 +199,10 @@ def estimate_b(psi_e: EntangledState, varrho: float, b_value: float = 0.5) -> tu
     The system is read in the complementary basis at phase ``varrho`` and the
     outcomes are rescaled to ``+-b_value / c``, which makes the mean equal to
     the sharp mean ``2 b sqrt(w+ w-) cos(theta - varrho)`` of the initial
-    pure state for every ``c``. Returns the closed forms after verifying them
-    against explicit projection probabilities. Requires ``c > 0``.
+    pure state for every ``c``. Returns the closed forms of that mean and of
+    ``variance = b**2 (1 / c**2 - 4 w+ w- cos(theta - varrho)**2)``. Requires
+    ``c > 0``. The explicit projection route to both moments runs in
+    :mod:`qudual.verify`.
     """
     cc = psi_e.c
     if cc <= 0.0:
@@ -269,30 +210,12 @@ def estimate_b(psi_e: EntangledState, varrho: float, b_value: float = 0.5) -> tu
             f"complementary readout requires c > 0, got c = {cc!r}: the rescaled "
             "outcome values +-b/c diverge"
         )
-    b = float(b_value)
-    if b <= 0.0:
-        raise ParameterError(f"b_value must be positive, got {b!r}")
-    family = ComplementaryFamily(symmetric_observable(b), varrho, b, -b)
-    vec_plus, vec_minus = family.member_vectors()
-    psi = psi_e.system_meter()
-    amp_plus = vec_plus.conj() @ psi
-    amp_minus = vec_minus.conj() @ psi
-    p_plus = float(np.vdot(amp_plus, amp_plus).real)
-    p_minus = float(np.vdot(amp_minus, amp_minus).real)
-    value = b / cc
-    mean_expl = value * (p_plus - p_minus)
-    var_expl = value * value * (p_plus + p_minus) - mean_expl ** 2
-
+    b = check_scalar(b_value, "b_value", 0.0, lo_open=True)
     w = psi_e.w_plus
-    delta = psi_e.theta - family.varrho
+    delta = psi_e.theta - check_scalar(varrho, "varrho") % TWO_PI
     root = math.sqrt(w * (1.0 - w))
     mean = 2.0 * b * root * math.cos(delta)
     var = b * b * (1.0 / (cc * cc) - 4.0 * w * (1.0 - w) * math.cos(delta) ** 2)
-    if not (_agree(mean, mean_expl) and _agree(var, var_expl)):
-        raise ContractViolationError(
-            "closed-form readout moments disagree with explicit projection: "
-            f"mean {mean!r} vs {mean_expl!r}, variance {var!r} vs {var_expl!r}"
-        )
     return mean, var
 
 
@@ -307,12 +230,8 @@ def simultaneous_product(w_plus: float, c: float) -> float:
     1/16 in the two finite corner cases (``c -> 0`` on an eigenstate,
     ``c -> 1`` at equal populations).
     """
-    w = float(w_plus)
-    if math.isnan(w) or w < 0.0 or w > 1.0:
-        raise ParameterError(f"w_plus = {w!r} violates the bound 0 <= w_plus <= 1")
-    cc = float(c)
-    if math.isnan(cc) or cc < 0.0 or cc > 1.0:
-        raise ParameterError(f"c = {cc!r} violates the bound 0 <= c <= 1")
+    w = check_scalar(w_plus, "w_plus", 0.0, 1.0)
+    cc = check_scalar(c, "c", 0.0, 1.0)
     k = w * (1.0 - w)
     if cc == 0.0:
         return 1.0 / 16.0 if k == 0.0 else math.inf
@@ -338,9 +257,7 @@ def optimal_entanglement(w_plus: float) -> float:
     limits where the minimum value is 1/16 but the configuration itself is
     singular for one of the readouts.
     """
-    w = float(w_plus)
-    if math.isnan(w) or w < 0.0 or w > 1.0:
-        raise ParameterError(f"w_plus = {w!r} violates the bound 0 <= w_plus <= 1")
+    w = check_scalar(w_plus, "w_plus", 0.0, 1.0)
     k = w * (1.0 - w)
     v = 2.0 * math.sqrt(k)
     p = math.sqrt(max(1.0 - 4.0 * k, 0.0))
@@ -393,7 +310,12 @@ class MinimumProductReport:
 
 
 def minimum_product_report(w_plus: float) -> MinimumProductReport:
-    """Cross-checked minimum of the simultaneous product at fixed populations."""
+    """Cross-checked minimum of the simultaneous product at fixed populations.
+
+    Runs every route and raises a contract violation if they disagree beyond
+    1e-9. A checking tool: :func:`minimum_simultaneous_product` returns the
+    same ``value`` without the other routes.
+    """
     w = float(w_plus)
     k = w * (1.0 - w)
     c_opt = optimal_entanglement(w)
@@ -451,8 +373,8 @@ def minimum_product_report(w_plus: float) -> MinimumProductReport:
 def minimum_simultaneous_product(w_plus: float) -> float:
     """Minimum over ``c`` of the simultaneous variance product.
 
-    Evaluates every available route and returns the value at the regularized
-    optimal overlap after verifying that all routes agree within 1e-9.
-    Equals 1/16 at ``w_plus in {0, 1/2, 1}``.
+    The product at the regularized optimal overlap, which equals 1/16 at
+    ``w_plus in {0, 1/2, 1}``. :func:`minimum_product_report` checks it
+    against the long closed form and a golden-section search.
     """
-    return minimum_product_report(w_plus).value
+    return simultaneous_product(w_plus, optimal_entanglement(w_plus))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, ParameterError
+from .errors import ContractViolationError, ParameterError, check_scalar
 from .linalg import assert_hermitian, assert_unitary
 
 TWO_PI = 2.0 * math.pi
@@ -32,7 +32,6 @@ __all__ = [
     "DensityMatrix",
     "Observable",
     "ComplementaryFamily",
-    "density_from_params",
     "pure_state",
     "symmetric_observable",
     "phase_shift",
@@ -41,13 +40,6 @@ __all__ = [
     "complementary_triplet",
     "phase_difference_realization",
 ]
-
-
-def _check_unit_interval(value: float, name: str) -> float:
-    value = float(value)
-    if math.isnan(value) or value < -POSITIVITY_TOL or value > 1.0 + POSITIVITY_TOL:
-        raise ParameterError(f"{name} = {value!r} violates the bound 0 <= {name} <= 1")
-    return min(max(value, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -68,7 +60,7 @@ class DensityMatrix:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        w = _check_unit_interval(self.w_plus, "w_plus")
+        w = check_scalar(self.w_plus, "w_plus", 0.0, 1.0, slack=POSITIVITY_TOL)
         r = float(self.rho12)
         bound = math.sqrt(w * (1.0 - w))
         if math.isnan(r) or r < -POSITIVITY_TOL or r > bound + POSITIVITY_TOL:
@@ -77,10 +69,10 @@ class DensityMatrix:
                 f"0 <= rho12 <= sqrt(w_plus * w_minus) = {bound!r}"
             )
         r = max(r, 0.0)
-        t = float(self.theta) % TWO_PI if r > 0.0 else 0.0
+        t = check_scalar(self.theta, "theta")
         object.__setattr__(self, "w_plus", w)
         object.__setattr__(self, "rho12", r)
-        object.__setattr__(self, "theta", t)
+        object.__setattr__(self, "theta", t % TWO_PI if r > 0.0 else 0.0)
 
     @property
     def w_minus(self) -> float:
@@ -124,14 +116,9 @@ class DensityMatrix:
         return cls(w, r, t)
 
 
-def density_from_params(w_plus: float, rho12: float, theta: float = 0.0) -> DensityMatrix:
-    """Build a :class:`DensityMatrix`, validating positivity of the parameters."""
-    return DensityMatrix(w_plus, rho12, theta)
-
-
 def pure_state(w_plus: float, theta: float = 0.0) -> DensityMatrix:
     """The pure state with populations ``(w_plus, 1 - w_plus)`` and phase ``theta``."""
-    w = _check_unit_interval(w_plus, "w_plus")
+    w = check_scalar(w_plus, "w_plus", 0.0, 1.0, slack=POSITIVITY_TOL)
     return DensityMatrix(w, math.sqrt(w * (1.0 - w)), theta)
 
 
@@ -158,8 +145,8 @@ class Observable:
             raise ContractViolationError(f"eigenbasis must be 2x2, got {basis.shape}")
         basis = basis.copy()
         basis.setflags(write=False)
-        object.__setattr__(self, "val_plus", float(self.val_plus))
-        object.__setattr__(self, "val_minus", float(self.val_minus))
+        object.__setattr__(self, "val_plus", check_scalar(self.val_plus, "val_plus"))
+        object.__setattr__(self, "val_minus", check_scalar(self.val_minus, "val_minus"))
         object.__setattr__(self, "basis", basis)
 
     @property
@@ -207,9 +194,9 @@ class ComplementaryFamily:
             raise ParameterError(
                 f"outcome values must be distinct, got b_plus = b_minus = {self.b_plus!r}"
             )
-        object.__setattr__(self, "varrho", float(self.varrho) % TWO_PI)
-        object.__setattr__(self, "b_plus", float(self.b_plus))
-        object.__setattr__(self, "b_minus", float(self.b_minus))
+        object.__setattr__(self, "varrho", check_scalar(self.varrho, "varrho") % TWO_PI)
+        object.__setattr__(self, "b_plus", check_scalar(self.b_plus, "b_plus"))
+        object.__setattr__(self, "b_minus", check_scalar(self.b_minus, "b_minus"))
 
     def member_vectors(self) -> tuple[np.ndarray, np.ndarray]:
         phase = np.exp(1j * self.varrho)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, ParameterError
+from .errors import ContractViolationError, ParameterError, check_scalar
 from .states import DensityMatrix, Observable, pure_state
 
 EQUALITY_TOL = 1e-10
@@ -124,9 +124,7 @@ def normalized_product_bounds(w_plus: float) -> tuple[float, float]:
     ``P**2 V**2 / 16``) and ``w+ w- / 4`` (coherence invisible to the member,
     by erasure phase or by a fully dephased state).
     """
-    w = float(w_plus)
-    if math.isnan(w) or w < 0.0 or w > 1.0:
-        raise ParameterError(f"w_plus = {w!r} violates the bound 0 <= w_plus <= 1")
+    w = check_scalar(w_plus, "w_plus", 0.0, 1.0)
     k = w * (1.0 - w)
     return k * (1.0 - 4.0 * k) / 4.0, k / 4.0
 
@@ -179,10 +177,9 @@ def intelligent_state(
         raise ParameterError(f"family must be one of {IS_FAMILIES}, got {family!r}")
     if branch not in (1, -1):
         raise ParameterError(f"branch must be +1 or -1, got {branch!r}")
-    a = float(a_value)
-    b = float(b_value)
-    if a <= 0.0 or b <= 0.0:
-        raise ParameterError(f"gauge values must be positive, got a = {a!r}, b = {b!r}")
+    a = check_scalar(a_value, "a_value", 0.0, lo_open=True)
+    b = check_scalar(b_value, "b_value", 0.0, lo_open=True)
+    varrho = check_scalar(varrho, "varrho")
 
     if family == "IS2a":
         beta = float(param)
@@ -193,11 +190,9 @@ def intelligent_state(
             lam = complex(branch * math.inf, 0.0)
         else:
             lam = complex(branch * a / (b * math.sin(beta)), 0.0)
-        return IntelligentState(family, state, lam, branch, float(varrho))
+        return IntelligentState(family, state, lam, branch, varrho)
 
-    w = float(param)
-    if math.isnan(w) or w < 0.0 or w > 1.0:
-        raise ParameterError(f"w_plus = {w!r} violates the bound 0 <= w_plus <= 1")
+    w = check_scalar(param, "w_plus", 0.0, 1.0)
     root = math.sqrt(w * (1.0 - w))
     if family == "IS1":
         state = pure_state(w, varrho if branch == 1 else varrho + math.pi)
@@ -208,11 +203,11 @@ def intelligent_state(
             lam = complex(0.0, math.inf)
         else:
             lam = complex(0.0, -branch * 2.0 * a * root / (b * (2.0 * w - 1.0)))
-        return IntelligentState(family, state, lam, branch, float(varrho))
+        return IntelligentState(family, state, lam, branch, varrho)
 
     state = pure_state(w, varrho + branch * math.pi / 2.0)
     lam = complex(branch * 2.0 * a * root / b, 0.0)
-    return IntelligentState(family, state, lam, branch, float(varrho))
+    return IntelligentState(family, state, lam, branch, varrho)
 
 
 def is_residual(state: DensityMatrix, lam: complex, a_obs: Observable, b_obs: Observable) -> float:

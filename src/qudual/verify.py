@@ -25,16 +25,19 @@ from .duality import (
 from .errors import ContractViolationError, ParameterError
 from .linalg import hermitian_eig, kron, trace_norm
 from .simultaneous import (
+    EntangledState,
     distinguishability,
     entangle,
     entangled_visibility,
     estimate_a,
     estimate_b,
+    meter_projectors,
     minimum_product_report,
     minimum_simultaneous_product,
     optimal_entanglement,
 )
 from .states import (
+    TWO_PI,
     ComplementaryFamily,
     DensityMatrix,
     complementary_observable,
@@ -52,7 +55,11 @@ from .uncertainty import (
 
 __all__ = ["SuiteResult", "run_suites", "render_report", "SUITE_NAMES"]
 
-_TWO_PI = 2.0 * math.pi
+# Probe states for the meter sign check: populations and phases chosen so
+# the readout mean is nonzero and sign-sensitive on the grid.
+_PROBE_W = (0.25, 0.5, 0.75)
+_PROBE_THETA = (0.0, 2.0, 4.0)
+_PROBE_C = (0.01, *(k / 10.0 for k in range(1, 10)), 0.99, 0.99999)
 
 # Sweep sizes per level. fast keeps each suite under a second; full uses the
 # sign-off sizes.
@@ -109,6 +116,10 @@ class _Tally:
     def close(self, value: float, target: float, tol: float, label: str) -> None:
         self.check(abs(value - target) <= tol, f"{label}: {value!r} vs {target!r}")
 
+    def agree(self, value: float, target: float, label: str, rel: float = 1e-12) -> None:
+        """Two routes agree within ``rel`` times ``max(1, |value|, |target|)``."""
+        self.close(value, target, rel * max(1.0, abs(value), abs(target)), label)
+
     def raises(self, exc: type, fn, label: str) -> None:
         try:
             fn()
@@ -127,16 +138,46 @@ def _random_mixed(rng: np.random.Generator) -> DensityMatrix:
     """Clearly mixed state: coherence and populations bounded away from purity."""
     w = rng.uniform(0.05, 0.95)
     u = rng.uniform(0.0, 0.99)
-    return DensityMatrix(w, u * math.sqrt(w * (1.0 - w)), rng.uniform(0.0, _TWO_PI))
+    return DensityMatrix(w, u * math.sqrt(w * (1.0 - w)), rng.uniform(0.0, TWO_PI))
 
 
 def _random_pure(rng: np.random.Generator) -> DensityMatrix:
     w = rng.uniform(0.0, 1.0)
-    return DensityMatrix(w, math.sqrt(w * (1.0 - w)), rng.uniform(0.0, _TWO_PI))
+    return DensityMatrix(w, math.sqrt(w * (1.0 - w)), rng.uniform(0.0, TWO_PI))
 
 
 def _random_state(rng: np.random.Generator, i: int) -> DensityMatrix:
     return _random_pure(rng) if i % 2 else _random_mixed(rng)
+
+
+def _weight(amp: np.ndarray) -> float:
+    return float(np.vdot(amp, amp).real)
+
+
+def projected_readout_moments(
+    psi_e: EntangledState, varrho: float, a_value: float = 0.5, b_value: float = 0.5
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Mean and variance of both rescaled readouts from explicit projections.
+
+    The meter readout projects the four-dimensional state on the rotated
+    meter vectors of :func:`meter_projectors` and weighs its outcome values;
+    the system readout projects it on the complementary family member at
+    ``varrho`` with outcome values ``+-b_value / c``. Returns
+    ``((mean_a, var_a), (mean_b, var_b))``, the independent route to the
+    closed forms of :func:`estimate_a` and :func:`estimate_b`.
+    """
+    psi = psi_e.system_meter()
+    mp = meter_projectors(psi_e.c, a_value)
+    p1, p2 = _weight(psi @ mp.m1.conj()), _weight(psi @ mp.m2.conj())
+    mean_a = mp.value_m1 * p1 + mp.value_m2 * p2
+    var_a = mp.value_m1 ** 2 * p1 + mp.value_m2 ** 2 * p2 - mean_a ** 2
+    b = float(b_value)
+    vec_plus, vec_minus = ComplementaryFamily(symmetric_observable(b), varrho, b, -b).member_vectors()
+    p_plus, p_minus = _weight(vec_plus.conj() @ psi), _weight(vec_minus.conj() @ psi)
+    value = b / psi_e.c
+    mean_b = value * (p_plus - p_minus)
+    var_b = value * value * (p_plus + p_minus) - mean_b ** 2
+    return (mean_a, var_a), (mean_b, var_b)
 
 
 def _suite_linalg_core(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool) -> None:
@@ -217,7 +258,7 @@ def _suite_duality(t: _Tally, size: dict, rng: np.random.Generator, corrupt: boo
 def _suite_complementary_family(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool) -> None:
     for i in range(1000):
         rho = _random_state(rng, i)
-        varrho = rng.uniform(0.0, _TWO_PI)
+        varrho = rng.uniform(0.0, TWO_PI)
         base = predictability(rho) ** 2 + visibility(rho) ** 2
         rotated = predictability_of_b(rho, varrho) ** 2 + visibility_of_b(rho, varrho) ** 2
         t.close(rotated, base, 1e-12, f"family invariance #{i}")
@@ -227,7 +268,7 @@ def _suite_complementary_family(t: _Tally, size: dict, rng: np.random.Generator,
         t.close(visibility_of_b(rho, rho.theta + math.pi / 2.0) ** 2, base, 1e-12, f"erasure moves everything into V_B #{i}")
 
     for i in range(50):
-        varrho = rng.uniform(0.0, _TWO_PI)
+        varrho = rng.uniform(0.0, TWO_PI)
         fam = ComplementaryFamily(symmetric_observable(), varrho)
         vp, vm = fam.member_vectors()
         t.check(float(np.abs(np.abs(vp) - math.sqrt(0.5)).max()) <= 1e-12, f"unbiased member magnitudes #{i}")
@@ -245,7 +286,7 @@ def _suite_complementary_family(t: _Tally, size: dict, rng: np.random.Generator,
 def _suite_fringe_oracle(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool) -> None:
     grid = size["fringe_grid"]
     tol = size["fringe_tol"]
-    step = _TWO_PI / grid
+    step = TWO_PI / grid
     states = [pure_state(0.9), pure_state(0.5), DensityMatrix(0.7, 0.0)]
     states += [_random_state(rng, i) for i in range(size["fringe_states"])]
     frozen = {0: 0.6, 1: 1.0, 2: 0.0}
@@ -264,7 +305,7 @@ def _suite_robertson(t: _Tally, size: dict, rng: np.random.Generator, corrupt: b
     a_obs = symmetric_observable()
     for i in range(size["robertson"]):
         rho = _random_state(rng, i)
-        varrho = rng.uniform(0.0, _TWO_PI)
+        varrho = rng.uniform(0.0, TWO_PI)
         b_obs = complementary_observable(ComplementaryFamily(a_obs, varrho))
         rep = robertson(rho, a_obs, b_obs)
         t.check(rep.slack >= -1e-12, f"robertson bound #{i}: {rep.slack!r}")
@@ -376,18 +417,34 @@ def _suite_unbiasedness(t: _Tally, size: dict, rng: np.random.Generator, corrupt
     for w in (k / 10.0 for k in range(1, 10)):
         sharp_a = 0.5 * (2.0 * w - 1.0)
         for j in range(8):
-            theta = _TWO_PI * j / 8.0
+            theta = TWO_PI * j / 8.0
             sharp_b, _ = mean_var(pure_state(w, theta), b_obs)
             for c in (k / 10.0 for k in range(1, 10)):
                 psi = entangle(w, theta, c)
-                try:
-                    mean_a, _ = estimate_a(psi)
-                    mean_b, _ = estimate_b(psi, varrho)
-                except ContractViolationError as exc:
-                    t.check(False, f"estimator cross-check w={w} theta={theta:.2f} c={c}: {exc}")
-                    continue
-                t.close(mean_a, sharp_a, 1e-12, f"meter readout unbiased w={w} theta={theta:.2f} c={c}")
-                t.close(mean_b, sharp_b, 1e-12, f"system readout unbiased w={w} theta={theta:.2f} c={c}")
+                at = f"w={w} theta={theta:.2f} c={c}"
+                (mean_a, var_a), (mean_b, var_b) = estimate_a(psi), estimate_b(psi, varrho)
+                (mean_ax, var_ax), (mean_bx, var_bx) = projected_readout_moments(psi, varrho)
+                t.agree(mean_a, mean_ax, f"meter readout mean by projection {at}")
+                t.agree(var_a, var_ax, f"meter readout variance by projection {at}")
+                t.agree(mean_b, mean_bx, f"system readout mean by projection {at}")
+                t.agree(var_b, var_bx, f"system readout variance by projection {at}")
+                t.close(mean_a, sharp_a, 1e-12, f"meter readout unbiased {at}")
+                t.close(mean_b, sharp_b, 1e-12, f"system readout unbiased {at}")
+
+    # The meter outcome signs: the assignment of meter_projectors (-a' on m1)
+    # reproduces the sharp mean on every probe state, and the flipped
+    # assignment fails on at least one.
+    for c in _PROBE_C:
+        mp = meter_projectors(c)
+        flipped_fails = False
+        for w in _PROBE_W:
+            for theta in _PROBE_THETA:
+                psi = entangle(w, theta, c).system_meter()
+                mean = mp.value_m1 * _weight(psi @ mp.m1.conj()) + mp.value_m2 * _weight(psi @ mp.m2.conj())
+                sharp = 0.5 * (2.0 * w - 1.0)
+                t.close(mean, sharp, 1e-12, f"meter signs reproduce the sharp mean w={w} theta={theta} c={c}")
+                flipped_fails |= abs(-mean - sharp) > 1e-12
+        t.check(flipped_fails, f"flipped meter signs rejected by some probe state at c={c}")
 
 
 def _suite_minimum_product(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool) -> None:
@@ -398,6 +455,7 @@ def _suite_minimum_product(t: _Tally, size: dict, rng: np.random.Generator, corr
         except ContractViolationError as exc:
             t.check(False, f"route disagreement at w={w:.4f}: {exc}")
             continue
+        t.check(minimum_simultaneous_product(w) == rep.value, f"minimum equals the report value at w={w:.4f}")
         t.check(rep.matches_plus, f"compact plus form matches at w={w:.4f}")
         vp = abs(2.0 * w - 1.0) * 2.0 * math.sqrt(w * (1.0 - w))
         if vp > 1e-3:
@@ -412,6 +470,7 @@ def _suite_minimum_product(t: _Tally, size: dict, rng: np.random.Generator, corr
             minimum_simultaneous_product(w) == 0.0625,
             f"limit value is exactly 1/16 at w={w}",
         )
+        t.check(minimum_simultaneous_product(w) == minimum_product_report(w).value, f"limit equals the report value at w={w}")
     t.close(optimal_entanglement(0.9), math.sqrt(3.0 / 7.0), 1e-12, "optimal overlap at w=0.9")
 
 
@@ -432,7 +491,7 @@ def _suite_monte_carlo(t: _Tally, size: dict, rng: np.random.Generator, corrupt:
     t.check(not rep_a.flagged and not rep_a.degenerate, f"meter readout z=({rep_a.z_mean:.2f},{rep_a.z_variance:.2f})")
     t.check(not rep_b.flagged and not rep_b.degenerate, f"system readout z=({rep_b.z_mean:.2f},{rep_b.z_variance:.2f})")
 
-    phi_grid = np.linspace(0.0, _TWO_PI, 16, endpoint=False)
+    phi_grid = np.linspace(0.0, TWO_PI, 16, endpoint=False)
     v_hat, _ = montecarlo.sample_fringe(pure_state(0.5), phi_grid, math.pi / 4.0, max(n // 20, 100), seed + 4)
     t.check(v_hat == 1.0, f"balanced pure state shows full contrast: {v_hat!r}")
     v_hat, _ = montecarlo.sample_fringe(pure_state(0.9, 0.7), phi_grid, math.pi / 4.0, max(n // 20, 100), seed + 5)

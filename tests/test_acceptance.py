@@ -14,8 +14,8 @@ import numpy as np
 
 from qudual import (
     ComplementaryFamily,
+    DensityMatrix,
     complementary_observable,
-    density_from_params,
     distinguishability,
     duality_report,
     entangle,
@@ -23,7 +23,6 @@ from qudual import (
     intelligent_state,
     is_residual,
     mean_var,
-    meter_projectors,
     minimum_product_report,
     minimum_simultaneous_product,
     normalized_product_bounds,
@@ -39,6 +38,7 @@ from qudual import (
     visibility_oracle,
 )
 from qudual.errors import QudualError
+from qudual.verify import projected_readout_moments
 
 TWO_PI = 2.0 * math.pi
 A = symmetric_observable()
@@ -55,7 +55,7 @@ def draw_state(rng, i):
         return pure_state(w, rng.uniform(0.0, TWO_PI))
     w = rng.uniform(0.05, 0.95)
     u = rng.uniform(0.0, 0.99)
-    return density_from_params(w, u * math.sqrt(w * (1.0 - w)), rng.uniform(0.0, TWO_PI))
+    return DensityMatrix(w, u * math.sqrt(w * (1.0 - w)), rng.uniform(0.0, TWO_PI))
 
 
 def test_criterion_01_duality_relation():
@@ -99,7 +99,7 @@ def test_criterion_03_fringe_extremum():
     for _ in range(20):
         w = rng.uniform(0.05, 0.95)
         u = rng.uniform(0.1, 1.0)
-        rho = density_from_params(w, u * math.sqrt(w * (1.0 - w)), rng.uniform(0.0, TWO_PI))
+        rho = DensityMatrix(w, u * math.sqrt(w * (1.0 - w)), rng.uniform(0.0, TWO_PI))
         v_hat, xi_hat = visibility_oracle(rho, grid_n=512)
         worst_v = max(worst_v, abs(v_hat - visibility(rho)))
         worst_xi = max(worst_xi, abs(xi_hat - math.pi / 4.0))
@@ -180,20 +180,6 @@ def test_criterion_06_entangled_duality():
     )
 
 
-def _explicit_readout_means(psi, varrho):
-    """Estimator means from explicit projection probabilities of the 4-dim state."""
-    grid = psi.system_meter()
-    mp = meter_projectors(psi.c)
-    p1 = float(np.linalg.norm(grid @ mp.m1.conj()) ** 2)
-    p2 = float(np.linalg.norm(grid @ mp.m2.conj()) ** 2)
-    mean_a = mp.value_m1 * p1 + mp.value_m2 * p2
-    vec_plus, vec_minus = ComplementaryFamily(A, varrho).member_vectors()
-    q_plus = float(np.linalg.norm(vec_plus.conj() @ grid) ** 2)
-    q_minus = float(np.linalg.norm(vec_minus.conj() @ grid) ** 2)
-    mean_b = (0.5 / psi.c) * (q_plus - q_minus)
-    return mean_a, mean_b
-
-
 def test_criterion_07_unbiasedness():
     varrho = math.pi / 5.0
     b_obs = complementary_observable(ComplementaryFamily(A, varrho))
@@ -204,7 +190,7 @@ def test_criterion_07_unbiasedness():
             theta = TWO_PI * j / 8.0
             sharp_b, _ = mean_var(pure_state(w, theta), b_obs)
             for c in (k / 10.0 for k in range(1, 10)):
-                mean_a, mean_b = _explicit_readout_means(entangle(w, theta, c), varrho)
+                (mean_a, _), (mean_b, _) = projected_readout_moments(entangle(w, theta, c), varrho)
                 worst_a = max(worst_a, abs(mean_a - sharp_a))
                 worst_b = max(worst_b, abs(mean_b - sharp_b))
     ok = worst_a <= 1e-12 and worst_b <= 1e-12

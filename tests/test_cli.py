@@ -1,7 +1,27 @@
 import math
+import sys
 
+import numpy as np
 import pytest
 
+from qudual import (
+    ComplementaryFamily,
+    DensityMatrix,
+    ParameterError,
+    entangle,
+    estimate_a,
+    estimate_b,
+    intelligent_state,
+    meter_projectors,
+    normalized_product_bounds,
+    optimal_entanglement,
+    pure_state,
+    sample_fringe,
+    sample_simultaneous,
+    simultaneous,
+    simultaneous_product,
+    symmetric_observable,
+)
 from qudual.cli import CSV_HEADER, main
 
 
@@ -150,3 +170,103 @@ def test_mc_subcommand_runs_clean(capsys):
     assert code == 0
     assert "sharp_a" in out and "readout_b" in out and "fringe" in out
     assert "FLAGGED" not in out
+
+
+@pytest.mark.parametrize("c", ["0.999999", "1e-06"])
+def test_compute_edge_overlaps(capsys, c):
+    code, out, err = run(capsys, "compute", "--w-plus", "0.9", "--pure", "--theta", "0.3", "--c", c)
+    assert code == 0, err
+    values = parse_pairs(out)
+    assert values["mean_A_readout"] == pytest.approx(0.4, abs=1e-12)
+    # varrho defaults to theta, so cos(theta - varrho) = 1
+    c_val = float(c)
+    assert values["var_B_readout"] == pytest.approx(0.25 * (1.0 / c_val**2 - 4.0 * 0.9 * 0.1), rel=1e-12)
+
+
+@pytest.mark.parametrize("name, value", [("theta", "inf"), ("theta", "nan"), ("c", "nan")])
+def test_compute_rejects_non_finite_scalars(capsys, name, value):
+    code, out, err = run(capsys, "compute", "--w-plus", "0.9", "--pure", f"--{name}", value)
+    assert code == 2
+    assert "nan" not in out
+    assert err.startswith(f"error: {name} = {value} violates the bound")
+
+
+@pytest.mark.parametrize(
+    "argv, name", [(("--w-plus", "0.5"), "c"), (("--theta", "nan"), "theta")], ids=["singular-c", "nan-theta"]
+)
+def test_mc_failure_writes_no_stdout(capsys, argv, name):
+    code, out, err = run(capsys, "mc", "--n", "1000", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and f"{name} = " in err
+
+
+_PSI = entangle(0.9, 0.3, 0.6)
+_FAMILY_REFERENCE = symmetric_observable()
+
+SCALAR_ENTRY_POINTS = {
+    "DensityMatrix.w_plus": lambda x: DensityMatrix(x, 0.0),
+    "DensityMatrix.rho12": lambda x: DensityMatrix(0.5, x),
+    "DensityMatrix.theta": lambda x: DensityMatrix(0.5, 0.5, x),
+    "DensityMatrix.theta-incoherent": lambda x: DensityMatrix(0.5, 0.0, x),
+    "pure_state.w_plus": lambda x: pure_state(x),
+    "pure_state.theta": lambda x: pure_state(0.5, x),
+    "symmetric_observable.value": lambda x: symmetric_observable(x),
+    "ComplementaryFamily.varrho": lambda x: ComplementaryFamily(_FAMILY_REFERENCE, x),
+    "ComplementaryFamily.b_plus": lambda x: ComplementaryFamily(_FAMILY_REFERENCE, 0.0, x),
+    "entangle.w_plus": lambda x: entangle(x, 0.0, 0.5),
+    "entangle.theta": lambda x: entangle(0.5, x, 0.5),
+    "entangle.c": lambda x: entangle(0.5, 0.0, x),
+    "meter_projectors.c": lambda x: meter_projectors(x),
+    "meter_projectors.a_value": lambda x: meter_projectors(0.5, x),
+    "estimate_a.a_value": lambda x: estimate_a(_PSI, x),
+    "estimate_b.varrho": lambda x: estimate_b(_PSI, x),
+    "estimate_b.b_value": lambda x: estimate_b(_PSI, 0.3, x),
+    "simultaneous_product.w_plus": lambda x: simultaneous_product(x, 0.5),
+    "simultaneous_product.c": lambda x: simultaneous_product(0.5, x),
+    "optimal_entanglement.w_plus": lambda x: optimal_entanglement(x),
+    "normalized_product_bounds.w_plus": lambda x: normalized_product_bounds(x),
+    "intelligent_state.w_plus": lambda x: intelligent_state("IS1", x, 0.9),
+    "intelligent_state.beta": lambda x: intelligent_state("IS2a", x, 0.9),
+    "intelligent_state.varrho": lambda x: intelligent_state("IS2b", 0.3, x),
+    "intelligent_state.a_value": lambda x: intelligent_state("IS1", 0.3, 0.9, a_value=x),
+    "intelligent_state.b_value": lambda x: intelligent_state("IS1", 0.3, 0.9, b_value=x),
+    "sample_simultaneous.varrho": lambda x: sample_simultaneous(_PSI, x, 10, 1),
+    "sample_simultaneous.a_value": lambda x: sample_simultaneous(_PSI, 0.3, 10, 1, a_value=x),
+    "sample_simultaneous.b_value": lambda x: sample_simultaneous(_PSI, 0.3, 10, 1, b_value=x),
+    "sample_fringe.xi": lambda x: sample_fringe(pure_state(0.5), np.linspace(0.0, 6.0, 4), x, 10, 1),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("entry", sorted(SCALAR_ENTRY_POINTS))
+def test_non_finite_scalars_raise_parameter_error(entry, value):
+    with pytest.raises(ParameterError):
+        SCALAR_ENTRY_POINTS[entry](value)
+
+
+def _count_calls(monkeypatch, name):
+    """Rebind ``simultaneous.<name>`` wherever qudual imported it; return the list of calls."""
+    original = getattr(simultaneous, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "qudual" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_compute_and_meter_readout_skip_the_cross_check_routes(capsys, monkeypatch):
+    entangles = _count_calls(monkeypatch, "entangle")
+    reports = _count_calls(monkeypatch, "minimum_product_report")
+    searches = _count_calls(monkeypatch, "_golden_minimize")
+    code, _, err = run(capsys, "compute", "--w-plus", "0.9", "--pure", "--theta", "0.3", "--c", "0.5")
+    assert code == 0, err
+    assert len(entangles) == 1
+    assert reports == [] and searches == []
+    meter_projectors(0.6)
+    assert len(entangles) == 1

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from qudual import (
     DensityMatrix,
     ParameterError,
-    density_from_params,
+    beam_splitter,
     duality_report,
     fringe_probability,
+    phase_shift,
     predictability,
     predictability_of_b,
     pure_state,
@@ -25,7 +26,7 @@ angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False)
 
 
 def draw_state(w, u, theta):
-    return density_from_params(w, u * math.sqrt(w * (1.0 - w)), theta)
+    return DensityMatrix(w, u * math.sqrt(w * (1.0 - w)), theta)
 
 
 def test_frozen_duality_values():
@@ -63,6 +64,14 @@ def test_fringe_probability_matches_closed_form(w, u, theta, phi, xi):
         - rho.rho12 * math.sin(2.0 * xi) * math.sin(rho.theta + phi)
     )
     assert fringe_probability(rho, phi, xi) == pytest.approx(direct, abs=1e-12)
+
+
+@given(w=w_values, u=fractions, theta=angles, phi=angles, xi=angles)
+def test_fringe_probability_matches_full_unitaries(w, u, theta, phi, xi):
+    rho = draw_state(w, u, theta)
+    unitary = beam_splitter(xi) @ phase_shift(phi)
+    full = (unitary @ rho.matrix @ unitary.conj().T)[0, 0].real
+    assert fringe_probability(rho, phi, xi) == pytest.approx(full, abs=1e-15)
 
 
 @given(w=w_values, theta=angles, phi=angles, xi=angles)
@@ -130,5 +139,5 @@ def test_equality_exactly_for_pure_states():
         assert abs(duality_report(rho).sum_sq - 1.0) <= 1e-10
     for _ in range(200):
         w = rng.uniform(0.05, 0.95)
-        rho = density_from_params(w, rng.uniform(0.0, 0.99) * math.sqrt(w * (1.0 - w)), 0.0)
+        rho = DensityMatrix(w, rng.uniform(0.0, 0.99) * math.sqrt(w * (1.0 - w)), 0.0)
         assert duality_report(rho).sum_sq < 1.0 - 1e-10

@@ -24,6 +24,7 @@ from qudual import (
     simultaneous_product,
     symmetric_observable,
 )
+from qudual.verify import projected_readout_moments
 
 w_values = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False)
@@ -81,7 +82,7 @@ def test_meter_projector_geometry():
     assert math.sin(2.0 * mp.gamma) == pytest.approx(0.6, abs=1e-12)
     assert math.pi / 4.0 < mp.gamma < math.pi / 2.0
     assert mp.a_prime == pytest.approx(0.625, abs=1e-12)
-    assert mp.kappa == 0.0
+    assert (mp.value_m1, mp.value_m2) == (-mp.a_prime, mp.a_prime)
     # analysis vectors form an orthonormal pair
     assert np.vdot(mp.m1, mp.m1).real == pytest.approx(1.0, abs=1e-14)
     assert np.vdot(mp.m2, mp.m2).real == pytest.approx(1.0, abs=1e-14)
@@ -103,12 +104,20 @@ def test_meter_projectors_singular_endpoints():
         meter_projectors(1.0)
 
 
+def assert_matches_projection(psi, varrho):
+    """The closed-form readout moments agree with explicit projection."""
+    closed = (estimate_a(psi), estimate_b(psi, varrho))
+    for moments, projected in zip(closed, projected_readout_moments(psi, varrho)):
+        for x, y in zip(moments, projected):
+            assert abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
+    return closed
+
+
 def test_readout_frozen_values():
     psi = entangle(0.9, 0.3, C_OPT_09)
-    mean_a, var_a = estimate_a(psi)
+    (mean_a, var_a), (mean_b, var_b) = assert_matches_projection(psi, 0.3)
     assert mean_a == pytest.approx(0.4, abs=1e-12)
     assert var_a == pytest.approx(0.2775, abs=1e-12)
-    mean_b, var_b = estimate_b(psi, 0.3)
     assert mean_b == pytest.approx(0.3, abs=1e-12)
     assert var_b == pytest.approx(0.1369 / 0.2775, abs=1e-12)
     assert var_a * var_b == pytest.approx(0.1369, abs=1e-12)
@@ -125,9 +134,8 @@ def test_readout_erasure_phase_variance():
 @given(w=interior, theta=angles, c=st.floats(min_value=0.05, max_value=0.95), varrho=angles)
 def test_readouts_are_unbiased(w, theta, c, varrho):
     psi = entangle(w, theta, c)
-    mean_a, _ = estimate_a(psi)
+    (mean_a, _), (mean_b, _) = assert_matches_projection(psi, varrho)
     assert mean_a == pytest.approx(0.5 * (2.0 * w - 1.0), abs=1e-12)
-    mean_b, _ = estimate_b(psi, varrho)
     b_obs = complementary_observable(ComplementaryFamily(symmetric_observable(), varrho))
     sharp_b, _ = mean_var(pure_state(w, theta), b_obs)
     assert mean_b == pytest.approx(sharp_b, abs=1e-12)
@@ -151,8 +159,7 @@ def test_product_frozen_values():
 @given(w=interior, c=st.floats(min_value=0.05, max_value=0.95))
 def test_product_matches_readout_variances(w, c):
     psi = entangle(w, 0.7, c)
-    _, var_a = estimate_a(psi)
-    _, var_b = estimate_b(psi, 0.7)
+    (_, var_a), (_, var_b) = assert_matches_projection(psi, 0.7)
     assert simultaneous_product(w, c) == pytest.approx(var_a * var_b, rel=1e-12)
 
 

@@ -14,7 +14,6 @@ from qudual import (
     beam_splitter,
     complementary_observable,
     complementary_triplet,
-    density_from_params,
     phase_difference_realization,
     phase_shift,
     pure_state,
@@ -66,7 +65,7 @@ def test_pure_state_vector():
 
 @given(w=w_values, u=fractions, theta=angles)
 def test_matrix_round_trip(w, u, theta):
-    rho = density_from_params(w, u * math.sqrt(w * (1.0 - w)), theta)
+    rho = DensityMatrix(w, u * math.sqrt(w * (1.0 - w)), theta)
     back = DensityMatrix.from_matrix(rho.matrix)
     assert back.w_plus == pytest.approx(rho.w_plus, abs=1e-12)
     assert back.rho12 == pytest.approx(rho.rho12, abs=1e-12)
@@ -76,7 +75,7 @@ def test_matrix_round_trip(w, u, theta):
 
 @given(w=w_values, u=fractions, theta=angles)
 def test_purity_matches_trace_of_square(w, u, theta):
-    rho = density_from_params(w, u * math.sqrt(w * (1.0 - w)), theta)
+    rho = DensityMatrix(w, u * math.sqrt(w * (1.0 - w)), theta)
     m = rho.matrix
     assert rho.purity == pytest.approx(float(np.trace(m @ m).real), abs=1e-12)
 

@@ -10,7 +10,6 @@ from qudual import (
     DensityMatrix,
     ParameterError,
     complementary_observable,
-    density_from_params,
     intelligent_state,
     is_residual,
     mean_var,
@@ -43,7 +42,7 @@ def test_moments_frozen_values():
 
 @given(w=w_values, u=fractions, theta=angles, varrho=angles)
 def test_moment_closed_forms(w, u, theta, varrho):
-    rho = density_from_params(w, u * math.sqrt(w * (1.0 - w)), theta)
+    rho = DensityMatrix(w, u * math.sqrt(w * (1.0 - w)), theta)
     mean_a, var_a = mean_var(rho, A)
     assert mean_a == pytest.approx(0.5 * (2.0 * rho.w_plus - 1.0), abs=1e-12)
     assert var_a == pytest.approx(rho.w_plus * rho.w_minus, abs=1e-12)
@@ -67,7 +66,7 @@ def test_bound_on_special_states():
 
 @given(w=w_values, u=fractions, theta=angles, varrho=angles)
 def test_bound_holds_with_closed_form_slack(w, u, theta, varrho):
-    rho = density_from_params(w, u * math.sqrt(w * (1.0 - w)), theta)
+    rho = DensityMatrix(w, u * math.sqrt(w * (1.0 - w)), theta)
     rep = robertson(rho, A, b_at(varrho))
     assert rep.slack >= -1e-12
     deficit = rho.w_plus * rho.w_minus - rho.rho12**2
