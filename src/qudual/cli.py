@@ -23,6 +23,7 @@ then 42.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -235,7 +236,9 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     return _EXIT_CHECK_FAILED if flagged else _EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="qudual",
         description="Two-path state duality, variance bounds, and unsharp joint readout.",
@@ -277,8 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except QudualError as exc:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError
-from .states import DensityMatrix
+from .states import DensityMatrix, purity
 
 __all__ = [
     "predictability",
@@ -29,6 +29,7 @@ __all__ = [
     "predictability_of_b",
     "visibility_of_b",
     "DualityReport",
+    "duality_arrays",
     "duality_report",
 ]
 
@@ -134,8 +135,24 @@ class DualityReport:
             )
 
 
+def duality_arrays(w_plus, rho12) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The duality relation for stacked valid state parameters, elementwise.
+
+    Returns ``(p, v, sum_sq, purity)``, the fields of :class:`DualityReport`,
+    as float arrays of the broadcast shape. An element that breaks the
+    report's contract raises its :class:`ContractViolationError`.
+    """
+    w, r = np.broadcast_arrays(np.asarray(w_plus, dtype=float), np.asarray(rho12, dtype=float))
+    p = np.abs(w - (1.0 - w))
+    v = 2.0 * r
+    sum_sq = p * p + v * v
+    fields = (p, v, sum_sq, purity(w, r))
+    suspect = (sum_sq > 1.0 + 1e-12) | (np.abs(sum_sq - (2.0 * fields[3] - 1.0)) > 1e-12)
+    for i in np.flatnonzero(suspect):
+        DualityReport(*(float(x.flat[i]) for x in fields))  # raises the report's contract error
+    return fields
+
+
 def duality_report(rho: DensityMatrix) -> DualityReport:
-    """Evaluate the duality relation for one state."""
-    p = predictability(rho)
-    v = visibility(rho)
-    return DualityReport(p=p, v=v, sum_sq=p * p + v * v, purity=rho.purity)
+    """Evaluate the duality relation for one state: :func:`duality_arrays` on its parameters."""
+    return DualityReport(*(float(x) for x in duality_arrays(rho.w_plus, rho.rho12)))

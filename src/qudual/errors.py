@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 __all__ = ["QudualError", "ContractViolationError", "ParameterError", "SingularConfigurationError"]
 
 
@@ -55,3 +57,25 @@ def check_scalar(
         right = "< inf" if hi == math.inf else f"<= {hi:g}"
         raise ParameterError(f"{name} = {v!r} violates the bound {left} {name} {right}")
     return min(max(v, lo), hi)
+
+
+def check_array(
+    values,
+    name: str,
+    lo: float = -math.inf,
+    hi: float = math.inf,
+    *,
+    lo_open: bool = False,
+    slack: float = 0.0,
+) -> np.ndarray:
+    """:func:`check_scalar` applied elementwise: ``values`` as a float array clamped onto ``[lo, hi]``.
+
+    The first value that :func:`check_scalar` rejects raises its
+    :class:`ParameterError`.
+    """
+    v = np.asarray(values, dtype=float)
+    below = v <= lo if lo_open else v < lo - slack
+    bad = ~np.isfinite(v) | below | (v > hi + slack)
+    if bad.any():
+        check_scalar(v[bad].flat[0], name, lo, hi, lo_open=lo_open, slack=slack)
+    return np.clip(v, lo, hi)

@@ -42,11 +42,15 @@ def assert_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "m
 
 
 def assert_unitary(m: np.ndarray, tol: float = UNITARITY_TOL, name: str = "matrix") -> np.ndarray:
-    """Return ``m`` as a complex array, raising if it is not unitary within ``tol``."""
+    """Return ``m`` as a complex array, raising if it is not unitary within ``tol``.
+
+    A stack of shape ``(..., n, n)`` is checked matrix by matrix; the message
+    reports the largest deviation in the stack.
+    """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ContractViolationError(f"{name} must be square, got shape {m.shape}")
-    dev = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+    dev = float(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])), initial=0.0))
     if dev > tol:
         raise ContractViolationError(
             f"{name} is not unitary: max |m^dagger m - 1| = {dev:.3e} exceeds {tol:.1e}"

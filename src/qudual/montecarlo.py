@@ -12,6 +12,7 @@ error is available in closed form).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +25,15 @@ from .uncertainty import mean_var
 
 Z_FLAG_THRESHOLD = 4.0
 
+# Largest outcome magnitude whose spread to the mean, to the fourth power,
+# is a finite double; the standard error of the sampled variance needs it.
+MAX_SAMPLED_VALUE = sys.float_info.max ** 0.25 / 2.0
+
 _MASK64 = (1 << 64) - 1
 
 __all__ = [
     "Z_FLAG_THRESHOLD",
+    "MAX_SAMPLED_VALUE",
     "SampleReport",
     "sample_sharp",
     "sample_fringe",
@@ -90,6 +96,12 @@ def _two_outcome_report(
     under test, which enter only the z numerators.
     """
     (v1, v2), (p1, p2) = values, probs
+    top = max(abs(v1), abs(v2))
+    if not top <= MAX_SAMPLED_VALUE:
+        raise ParameterError(
+            f"{quantity} outcome value magnitude {top!r} violates the bound |value| <= "
+            f"{MAX_SAMPLED_VALUE:.6g}: the fourth central moment of the samples would not be finite"
+        )
     n = counts[0] + counts[1]
     emp_mean = (counts[0] * v1 + counts[1] * v2) / n
     emp_second = (counts[0] * v1 * v1 + counts[1] * v2 * v2) / n

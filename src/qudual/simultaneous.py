@@ -22,19 +22,24 @@ slowest), matching :func:`qudual.linalg.kron`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, SingularConfigurationError, check_scalar
+from .errors import ContractViolationError, ParameterError, SingularConfigurationError, check_scalar
 from .linalg import trace_norm
 from .states import TWO_PI, DensityMatrix
 
 # Agreement tolerance between independent routes to the minimum product.
 ROUTE_AGREEMENT_TOL = 1e-9
 
+# Largest rescaled outcome value whose square is a finite double.
+MAX_RESCALED_VALUE = math.sqrt(sys.float_info.max)
+
 __all__ = [
     "ROUTE_AGREEMENT_TOL",
+    "MAX_RESCALED_VALUE",
     "EntangledState",
     "entangle",
     "distinguishability",
@@ -153,12 +158,24 @@ def _readout_overlap(c: float) -> float:
     return cc
 
 
+def _rescaled(value: float, name: str, scale: float, scale_name: str, c: float) -> float:
+    """The rescaled outcome value ``value / scale``, or a :class:`ParameterError` naming its bound."""
+    rescaled = value / scale
+    if not rescaled <= MAX_RESCALED_VALUE:
+        raise ParameterError(
+            f"{name} = {value!r} violates the bound {name} / {scale_name} <= {MAX_RESCALED_VALUE:.6g} "
+            f"at c = {c!r}: the rescaled outcome value or its square would not be finite"
+        )
+    return rescaled
+
+
 def meter_projectors(c: float, a_value: float = 0.5) -> MeterProjectors:
     """Meter readout basis making the first-observable estimate unbiased.
 
     The rotation angle solves ``cot(2 gamma) = -sqrt(1 - c**2) / c`` with the
     branch ``gamma = (pi - arcsin c) / 2`` in (pi/4, pi/2), and the rescaled
-    outcome magnitude is ``a_prime = a_value / sqrt(1 - c**2)``. Of the two
+    outcome magnitude is ``a_prime = a_value / sqrt(1 - c**2)``, at most
+    :data:`MAX_RESCALED_VALUE`. Of the two
     outcome sign assignments compatible with the angle equation, the one
     reproducing the sharp mean ``a_value (w+ - w-)`` puts ``-a_prime`` on
     ``m1``; the ``unbiasedness`` suite of :mod:`qudual.verify` checks that
@@ -167,7 +184,7 @@ def meter_projectors(c: float, a_value: float = 0.5) -> MeterProjectors:
     cc = _readout_overlap(c)
     a = check_scalar(a_value, "a_value", 0.0, lo_open=True)
     gamma = 0.5 * (math.pi - math.asin(cc))
-    a_prime = a / math.sqrt(1.0 - cc * cc)
+    a_prime = _rescaled(a, "a_value", math.sqrt(1.0 - cc * cc), "sqrt(1 - c**2)", cc)
     m1 = np.array([math.cos(gamma), math.sin(gamma)], dtype=complex)
     m2 = np.array([-math.sin(gamma), math.cos(gamma)], dtype=complex)
     m1.setflags(write=False)
@@ -182,11 +199,13 @@ def estimate_a(psi_e: EntangledState, a_value: float = 0.5) -> tuple[float, floa
 
     Returns the closed forms ``mean = a (w+ - w-)`` and
     ``variance = a**2 (c**2 / (1 - c**2) + 4 w+ w-)``. Requires ``0 < c < 1``;
-    both endpoints are singular for this readout. The explicit projection
-    route to both moments runs in :mod:`qudual.verify`.
+    both endpoints are singular for this readout. The rescaled outcome value
+    ``a / sqrt(1 - c**2)`` may not exceed :data:`MAX_RESCALED_VALUE`. The
+    explicit projection route to both moments runs in :mod:`qudual.verify`.
     """
     cc = _readout_overlap(psi_e.c)
     a = check_scalar(a_value, "a_value", 0.0, lo_open=True)
+    _rescaled(a, "a_value", math.sqrt(1.0 - cc * cc), "sqrt(1 - c**2)", cc)
     w = psi_e.w_plus
     mean = a * (2.0 * w - 1.0)
     var = a * a * (cc * cc / (1.0 - cc * cc) + 4.0 * w * (1.0 - w))
@@ -201,8 +220,9 @@ def estimate_b(psi_e: EntangledState, varrho: float, b_value: float = 0.5) -> tu
     the sharp mean ``2 b sqrt(w+ w-) cos(theta - varrho)`` of the initial
     pure state for every ``c``. Returns the closed forms of that mean and of
     ``variance = b**2 (1 / c**2 - 4 w+ w- cos(theta - varrho)**2)``. Requires
-    ``c > 0``. The explicit projection route to both moments runs in
-    :mod:`qudual.verify`.
+    ``c > 0``, and the rescaled outcome value ``b / c`` may not exceed
+    :data:`MAX_RESCALED_VALUE`. The explicit projection route to both moments
+    runs in :mod:`qudual.verify`.
     """
     cc = psi_e.c
     if cc <= 0.0:
@@ -211,6 +231,7 @@ def estimate_b(psi_e: EntangledState, varrho: float, b_value: float = 0.5) -> tu
             "outcome values +-b/c diverge"
         )
     b = check_scalar(b_value, "b_value", 0.0, lo_open=True)
+    _rescaled(b, "b_value", cc, "c", cc)
     w = psi_e.w_plus
     delta = psi_e.theta - check_scalar(varrho, "varrho") % TWO_PI
     root = math.sqrt(w * (1.0 - w))
@@ -233,7 +254,8 @@ def simultaneous_product(w_plus: float, c: float) -> float:
     w = check_scalar(w_plus, "w_plus", 0.0, 1.0)
     cc = check_scalar(c, "c", 0.0, 1.0)
     k = w * (1.0 - w)
-    if cc == 0.0:
+    if cc * cc == 0.0:
+        # c = 0, or so small that c**2 underflows: the c -> 0 limit.
         return 1.0 / 16.0 if k == 0.0 else math.inf
     if cc == 1.0:
         return 1.0 / 16.0 if k == 0.25 else math.inf

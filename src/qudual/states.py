@@ -8,6 +8,11 @@ two-outcome and carry their eigenbasis explicitly, which makes the
 complementary family (equal-weight superpositions of the reference basis at
 a relative phase ``varrho``) a first-class construction.
 
+A state or observable computes its matrix once and returns it read-only.
+:func:`validate_density`, :func:`density_matrix` and
+:func:`complementary_matrices` are the same rules and constructions applied
+elementwise to stacked parameters, for checks that sweep many states at once.
+
 Index 0 is ``|plus>`` and index 1 is ``|minus>`` everywhere.
 """
 
@@ -15,10 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractViolationError, ParameterError, check_scalar
+from .errors import ContractViolationError, ParameterError, check_array, check_scalar
 from .linalg import assert_hermitian, assert_unitary
 
 TWO_PI = 2.0 * math.pi
@@ -30,6 +36,9 @@ POSITIVITY_TOL = 1e-12
 __all__ = [
     "POSITIVITY_TOL",
     "DensityMatrix",
+    "validate_density",
+    "purity",
+    "density_matrix",
     "Observable",
     "ComplementaryFamily",
     "pure_state",
@@ -37,6 +46,7 @@ __all__ = [
     "phase_shift",
     "beam_splitter",
     "complementary_observable",
+    "complementary_matrices",
     "complementary_triplet",
     "phase_difference_realization",
 ]
@@ -81,15 +91,17 @@ class DensityMatrix:
     @property
     def purity(self) -> float:
         """Trace of the squared matrix, in [1/2, 1]."""
-        return 1.0 - 2.0 * self.w_plus * self.w_minus + 2.0 * self.rho12 ** 2
+        return float(purity(self.w_plus, self.rho12))
 
     def is_pure(self, tol: float = 1e-12) -> bool:
         return self.purity >= 1.0 - tol
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        off = self.rho12 * np.exp(-1j * self.theta)
-        return np.array([[self.w_plus, off], [np.conj(off), self.w_minus]])
+        """The 2x2 matrix, computed on first access; read-only."""
+        m = density_matrix(self.w_plus, self.rho12, self.theta)
+        m.setflags(write=False)
+        return m
 
     def state_vector(self, tol: float = 1e-12) -> np.ndarray:
         """Amplitudes ``(sqrt(w_plus), exp(i theta) sqrt(w_minus))`` of a pure state."""
@@ -114,6 +126,48 @@ class DensityMatrix:
         r = float(abs(m[1, 0]))
         t = float(np.angle(m[1, 0])) % TWO_PI if r > 0.0 else 0.0
         return cls(w, r, t)
+
+
+def validate_density(w_plus, rho12, theta=0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check and store stacked state parameters by the rules of :class:`DensityMatrix`.
+
+    The arguments broadcast together. Returns float arrays
+    ``(w_plus, rho12, theta)`` holding, element by element, the fields that
+    ``DensityMatrix`` stores; an element it would reject raises the same
+    :class:`ParameterError`.
+    """
+    w = check_array(w_plus, "w_plus", 0.0, 1.0, slack=POSITIVITY_TOL)
+    w, r, t = np.broadcast_arrays(w, np.asarray(rho12, dtype=float), check_array(theta, "theta"))
+    bad = np.isnan(r) | (r < -POSITIVITY_TOL) | (r > np.sqrt(w * (1.0 - w)) + POSITIVITY_TOL)
+    if bad.any():
+        i = np.argmax(bad)
+        DensityMatrix(w.flat[i], r.flat[i])  # raises the positivity bound's error
+    r = np.maximum(r, 0.0)
+    return w, r, np.where(r > 0.0, np.remainder(t, TWO_PI), 0.0)
+
+
+def purity(w_plus, rho12):
+    """Purity ``1 - 2 w+ w- + 2 rho12**2`` of valid state parameters, elementwise.
+
+    ``np.float_power`` squares through C ``pow``, as Python's ``x ** 2`` does,
+    so a stack and :attr:`DensityMatrix.purity` round alike.
+    """
+    return 1.0 - 2.0 * w_plus * (1.0 - w_plus) + 2.0 * np.float_power(rho12, 2)
+
+
+def density_matrix(w_plus, rho12, theta) -> np.ndarray:
+    """Matrices ``(..., 2, 2)`` of valid state parameters, elementwise.
+
+    :attr:`DensityMatrix.matrix` is this function on one state; check stacked
+    parameters with :func:`validate_density` first.
+    """
+    off = rho12 * np.exp(-1j * np.asarray(theta))
+    m = np.empty(np.shape(off) + (2, 2), dtype=complex)
+    m[..., 0, 0] = w_plus
+    m[..., 0, 1] = off
+    m[..., 1, 0] = np.conj(off)
+    m[..., 1, 1] = 1.0 - w_plus
+    return m
 
 
 def pure_state(w_plus: float, theta: float = 0.0) -> DensityMatrix:
@@ -157,9 +211,17 @@ class Observable:
     def vec_minus(self) -> np.ndarray:
         return self.basis[:, 1]
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        return (self.basis @ np.diag([self.val_plus, self.val_minus]) @ self.basis.conj().T)
+        """``basis @ diag(values) @ basis^dagger``, computed on first access; read-only."""
+        m = _spectral_matrix(self.basis, self.val_plus, self.val_minus)
+        m.setflags(write=False)
+        return m
+
+
+def _spectral_matrix(basis: np.ndarray, val_plus: float, val_minus: float) -> np.ndarray:
+    """``basis @ diag(val_plus, val_minus) @ basis^dagger`` for a basis or a stack of bases."""
+    return basis @ np.diag([val_plus, val_minus]) @ basis.conj().swapaxes(-1, -2)
 
 
 def symmetric_observable(value: float = 0.5) -> Observable:
@@ -199,18 +261,38 @@ class ComplementaryFamily:
         object.__setattr__(self, "b_minus", check_scalar(self.b_minus, "b_minus"))
 
     def member_vectors(self) -> tuple[np.ndarray, np.ndarray]:
-        phase = np.exp(1j * self.varrho)
-        a_plus = self.reference.vec_plus
-        a_minus = self.reference.vec_minus
-        b_plus = (a_plus + phase * a_minus) / math.sqrt(2.0)
-        b_minus = (a_plus - phase * a_minus) / math.sqrt(2.0)
-        return b_plus, b_minus
+        basis = _member_basis(self.reference, self.varrho)
+        return basis[:, 0], basis[:, 1]
+
+
+def _member_basis(reference: Observable, varrho) -> np.ndarray:
+    """Eigenbases ``(..., 2, 2)`` of the family members at wrapped phases ``varrho``.
+
+    Column 0 is ``|b+>`` and column 1 is ``|b->``.
+    """
+    phase = np.exp(1j * np.asarray(varrho))[..., None]
+    a_plus = reference.vec_plus
+    a_minus = reference.vec_minus
+    return np.stack([a_plus + phase * a_minus, a_plus - phase * a_minus], axis=-1) / math.sqrt(2.0)
 
 
 def complementary_observable(family: ComplementaryFamily) -> Observable:
     """The observable realizing a :class:`ComplementaryFamily` member."""
-    b_plus, b_minus = family.member_vectors()
-    return Observable(family.b_plus, family.b_minus, np.column_stack([b_plus, b_minus]))
+    return Observable(family.b_plus, family.b_minus, _member_basis(family.reference, family.varrho))
+
+
+def complementary_matrices(reference: Observable, varrho) -> np.ndarray:
+    """Matrices ``(..., 2, 2)`` of the family members at phases ``varrho``, elementwise.
+
+    The stacked form of ``complementary_observable(ComplementaryFamily(reference,
+    varrho)).matrix``, with the default outcome values ``+-1/2``: each phase is
+    checked and wrapped as :class:`ComplementaryFamily` does, and each member is
+    built from its eigenbasis, which must pass the unitarity check of
+    :class:`Observable`.
+    """
+    varrho = np.remainder(check_array(varrho, "varrho"), TWO_PI)
+    basis = assert_unitary(_member_basis(reference, varrho), name="eigenbasis")
+    return _spectral_matrix(basis, ComplementaryFamily.b_plus, ComplementaryFamily.b_minus)
 
 
 def phase_shift(phi: float) -> np.ndarray:

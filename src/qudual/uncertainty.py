@@ -11,6 +11,15 @@ structure is the families of pure states whose eigen-equation parameter
 ``lambda`` is purely real or purely imaginary. Those families trace the
 boundary of the reachable region of the normalized uncertainty product at
 fixed populations.
+
+The explicit route to both sides is one array kernel,
+:func:`robertson_arrays`. It takes state and observable matrices stacked as
+``(..., 2, 2)`` and returns the four fields of a :class:`RobertsonReport`
+(``var_a``, ``var_b``, ``c_mean``, ``f_mean``) as arrays, from batched
+products and traces. :func:`robertson` is that kernel on one state and pair,
+packed into a report; :func:`robertson_slack` is the report's ``slack``,
+elementwise. Both forms keep the report's contract: any element with
+``slack < -INEQUALITY_SLACK`` raises.
 """
 
 from __future__ import annotations
@@ -35,6 +44,8 @@ __all__ = [
     "IS_FAMILIES",
     "mean_var",
     "RobertsonReport",
+    "robertson_arrays",
+    "robertson_slack",
     "robertson",
     "normalized_product_bounds",
     "IntelligentState",
@@ -98,21 +109,52 @@ class RobertsonReport:
         return self.lhs - self.rhs
 
 
+def robertson_slack(var_a, var_b, c_mean, f_mean):
+    """``lhs - rhs`` of the bound, elementwise: :attr:`RobertsonReport.slack` over arrays.
+
+    ``np.float_power`` squares through C ``pow``, as Python's ``x ** 2`` in
+    :attr:`RobertsonReport.rhs` does, so a stack and a report round alike.
+    """
+    return var_a * var_b - 0.25 * (np.float_power(c_mean, 2) + np.float_power(f_mean, 2))
+
+
+def robertson_arrays(
+    rho_m: np.ndarray, a_m: np.ndarray, b_m: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Both sides of the strengthened bound for stacked states and pairs, by explicit matrix algebra.
+
+    ``rho_m``, ``a_m`` and ``b_m`` are state and observable matrices of shape
+    ``(..., 2, 2)`` that broadcast together. Returns ``(var_a, var_b, c_mean,
+    f_mean)``, the fields of :class:`RobertsonReport`, as float arrays of the
+    broadcast stack shape. An element with ``slack < -INEQUALITY_SLACK``
+    raises the report's :class:`ContractViolationError`.
+    """
+
+    def real_trace(op: np.ndarray) -> np.ndarray:
+        return np.trace(rho_m @ op, axis1=-2, axis2=-1).real
+
+    mean_a = real_trace(a_m)
+    mean_b = real_trace(b_m)
+    # float_power rounds the squares as Python's ** does, so one state keeps the scalar bits.
+    var_a = np.maximum(real_trace(a_m @ a_m) - np.float_power(mean_a, 2), 0.0)
+    var_b = np.maximum(real_trace(b_m @ b_m) - np.float_power(mean_b, 2), 0.0)
+    ab = a_m @ b_m
+    ba = b_m @ a_m
+    c_mean = real_trace(-1j * (ab - ba))
+    f_mean = real_trace(ab + ba) - 2.0 * mean_a * mean_b
+    sides = np.broadcast_arrays(var_a, var_b, c_mean, f_mean)
+    for i in np.flatnonzero(robertson_slack(*sides) < -INEQUALITY_SLACK):
+        RobertsonReport(*(float(x.flat[i]) for x in sides))  # raises the report's contract error
+    return tuple(sides)
+
+
 def robertson(rho: DensityMatrix, a_obs: Observable, b_obs: Observable) -> RobertsonReport:
-    """Evaluate the strengthened uncertainty bound by explicit matrix algebra."""
-    rho_m = rho.matrix
-    a_m = a_obs.matrix
-    b_m = b_obs.matrix
-    mean_a = _real_trace(rho_m, a_m)
-    mean_b = _real_trace(rho_m, b_m)
-    var_a = _real_trace(rho_m, a_m @ a_m) - mean_a ** 2
-    var_b = _real_trace(rho_m, b_m @ b_m) - mean_b ** 2
-    commutator = a_m @ b_m - b_m @ a_m
-    c_mean = _real_trace(rho_m, -1j * commutator)
-    f_mean = _real_trace(rho_m, a_m @ b_m + b_m @ a_m) - 2.0 * mean_a * mean_b
-    return RobertsonReport(
-        var_a=max(var_a, 0.0), var_b=max(var_b, 0.0), c_mean=c_mean, f_mean=f_mean
-    )
+    """Evaluate the strengthened uncertainty bound by explicit matrix algebra.
+
+    :func:`robertson_arrays` on one state and pair.
+    """
+    sides = robertson_arrays(rho.matrix, a_obs.matrix, b_obs.matrix)
+    return RobertsonReport(*(float(x) for x in sides))
 
 
 def normalized_product_bounds(w_plus: float) -> tuple[float, float]:

@@ -4,6 +4,11 @@ Each suite draws its inputs from a seeded counter-based generator, so a run
 is reproducible byte for byte given the seed and level. ``fast`` keeps every
 suite below a second; ``full`` runs the sizes used for sign-off, including a
 million-shot sampling pass.
+
+The ``duality`` and ``robertson`` suites draw their states as one batch and
+check them with one call of the array kernels ``duality_arrays`` and
+``robertson_arrays``; their tallies record the same checks, counts and notes
+as a loop over the states would.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from . import montecarlo
 from .duality import (
-    duality_report,
+    duality_arrays,
     predictability,
     predictability_of_b,
     visibility,
@@ -40,10 +45,14 @@ from .states import (
     TWO_PI,
     ComplementaryFamily,
     DensityMatrix,
+    complementary_matrices,
     complementary_observable,
     complementary_triplet,
+    density_matrix,
     pure_state,
+    purity,
     symmetric_observable,
+    validate_density,
 )
 from .uncertainty import (
     intelligent_state,
@@ -51,6 +60,8 @@ from .uncertainty import (
     mean_var,
     normalized_product_bounds,
     robertson,
+    robertson_arrays,
+    robertson_slack,
 )
 
 __all__ = ["SuiteResult", "run_suites", "render_report", "SUITE_NAMES"]
@@ -113,6 +124,29 @@ class _Tally:
             if len(self.notes) < self._MAX_NOTES:
                 self.notes.append(label)
 
+    def check_batch(self, *checks: tuple) -> None:
+        """Record one check per element for each ``(ok, label)`` or ``(ok, label, where)``.
+
+        ``ok`` and ``where`` are boolean arrays over the same elements; a check
+        counts only where ``where`` holds. ``label(i)`` formats the note of a
+        failure at element ``i``, and runs only for the notes kept, in the
+        order a loop over the elements would have made them: by element,
+        then in the order of ``checks``.
+        """
+        failed = []
+        for ok, label, *where in checks:
+            applies = where[0] if where else np.ones_like(ok)
+            self.checks += int(np.count_nonzero(applies))
+            failed.append(applies & ~ok)
+        failed = np.stack(failed, axis=-1)
+        self.failures += int(np.count_nonzero(failed))
+        room = self._MAX_NOTES - len(self.notes)
+        for i, k in zip(*np.nonzero(failed)):
+            if room <= 0:
+                break
+            self.notes.append(checks[k][1](int(i)))
+            room -= 1
+
     def close(self, value: float, target: float, tol: float, label: str) -> None:
         self.check(abs(value - target) <= tol, f"{label}: {value!r} vs {target!r}")
 
@@ -134,20 +168,40 @@ class _Tally:
         return SuiteResult(self.name, self.checks, self.failures, tuple(self.notes))
 
 
-def _random_mixed(rng: np.random.Generator) -> DensityMatrix:
-    """Clearly mixed state: coherence and populations bounded away from purity."""
-    w = rng.uniform(0.05, 0.95)
-    u = rng.uniform(0.0, 0.99)
-    return DensityMatrix(w, u * math.sqrt(w * (1.0 - w)), rng.uniform(0.0, TWO_PI))
+def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``rng.uniform(lo, hi)`` from the unit draws ``u`` of ``rng.random``, bit for bit."""
+    return lo + (hi - lo) * u
 
 
-def _random_pure(rng: np.random.Generator) -> DensityMatrix:
-    w = rng.uniform(0.0, 1.0)
-    return DensityMatrix(w, math.sqrt(w * (1.0 - w)), rng.uniform(0.0, TWO_PI))
+def _random_states(
+    rng: np.random.Generator, n: int, phases: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``n`` random states, alternately clearly mixed (even index) and pure (odd index).
+
+    A mixed state draws ``w_plus`` from [0.05, 0.95], its coherence as a
+    fraction in [0, 0.99) of the positivity bound, and ``theta`` from
+    [0, 2 pi); a pure state draws ``w_plus`` from [0, 1) and ``theta``. After
+    each state, ``phases`` more phases are drawn from [0, 2 pi). Every value
+    is one ``rng.uniform`` draw, in that order, so the batch consumes the
+    stream a loop over the states would. Returns the stored parameters
+    ``(w_plus, rho12, theta)``, checked by :func:`validate_density`, and the
+    phases as an ``(n, phases)`` array.
+    """
+    pure = np.arange(n) % 2 == 1
+    sizes = np.where(pure, 2, 3) + phases
+    start = np.cumsum(sizes) - sizes  # each state's first draw
+    u = rng.random(int(sizes.sum()))
+    w = np.where(pure, _uniform(u[start], 0.0, 1.0), _uniform(u[start], 0.05, 0.95))
+    fraction = np.where(pure, 1.0, _uniform(u[start + 1], 0.0, 0.99))
+    rho12 = fraction * np.sqrt(w * (1.0 - w))
+    after = start + np.where(pure, 1, 2)  # theta, then the extra phases
+    draws = _uniform(u[after[:, None] + np.arange(1 + phases)], 0.0, TWO_PI)
+    return (*validate_density(w, rho12, draws[:, 0]), draws[:, 1:])
 
 
-def _random_state(rng: np.random.Generator, i: int) -> DensityMatrix:
-    return _random_pure(rng) if i % 2 else _random_mixed(rng)
+def _random_density_matrices(rng: np.random.Generator, n: int) -> list[DensityMatrix]:
+    """The states of :func:`_random_states` as :class:`DensityMatrix` objects."""
+    return [DensityMatrix(*params) for params in zip(*_random_states(rng, n)[:3])]
 
 
 def _weight(amp: np.ndarray) -> float:
@@ -217,8 +271,7 @@ def _suite_linalg_core(t: _Tally, size: dict, rng: np.random.Generator, corrupt:
 
 
 def _suite_state_round_trip(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool) -> None:
-    for i in range(500):
-        rho = _random_state(rng, i)
+    for i, rho in enumerate(_random_density_matrices(rng, 500)):
         back = DensityMatrix.from_matrix(rho.matrix)
         t.close(back.w_plus, rho.w_plus, 1e-12, f"round trip w_plus #{i}")
         t.close(back.rho12, rho.rho12, 1e-12, f"round trip rho12 #{i}")
@@ -240,25 +293,27 @@ def _suite_duality(t: _Tally, size: dict, rng: np.random.Generator, corrupt: boo
     # The corrupt switch flips the upper bound to an impossible one; it exists
     # so the harness can confirm failures are actually reported.
     limit = -1.0 if corrupt else 1.0 + 1e-12
-    for i in range(size["duality"]):
-        rho = _random_state(rng, i)
-        try:
-            rep = duality_report(rho)
-        except ContractViolationError as exc:
-            t.check(False, f"duality report contract #{i}: {exc}")
-            continue
-        t.check(rep.sum_sq <= limit, f"sum of squares bound #{i}: {rep.sum_sq!r}")
-        t.check(0.0 <= rep.p <= 1.0 and 0.0 <= rep.v <= 1.0, f"P,V range #{i}")
-        if rho.purity >= 1.0 - 1e-12:
-            t.check(abs(rep.sum_sq - 1.0) <= 1e-10, f"pure saturation #{i}: {rep.sum_sq!r}")
-        else:
-            t.check(rep.sum_sq < 1.0 - 1e-10, f"mixed strict inequality #{i}: {rep.sum_sq!r}")
+    w, rho12, _, _ = _random_states(rng, size["duality"])
+    try:
+        p, v, sum_sq, pur = duality_arrays(w, rho12)
+    except ContractViolationError as exc:
+        t.check(False, f"duality report contract: {exc}")
+        return
+    pure = pur >= 1.0 - 1e-12
+    s = sum_sq.tolist()
+    t.check_batch(
+        (sum_sq <= limit, lambda i: f"sum of squares bound #{i}: {s[i]!r}"),
+        ((0.0 <= p) & (p <= 1.0) & (0.0 <= v) & (v <= 1.0), lambda i: f"P,V range #{i}"),
+        (np.abs(sum_sq - 1.0) <= 1e-10, lambda i: f"pure saturation #{i}: {s[i]!r}", pure),
+        (sum_sq < 1.0 - 1e-10, lambda i: f"mixed strict inequality #{i}: {s[i]!r}", ~pure),
+    )
 
 
 def _suite_complementary_family(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool) -> None:
+    w, rho12, theta, phases = _random_states(rng, 1000, phases=1)
     for i in range(1000):
-        rho = _random_state(rng, i)
-        varrho = rng.uniform(0.0, TWO_PI)
+        rho = DensityMatrix(w[i], rho12[i], theta[i])
+        varrho = float(phases[i, 0])
         base = predictability(rho) ** 2 + visibility(rho) ** 2
         rotated = predictability_of_b(rho, varrho) ** 2 + visibility_of_b(rho, varrho) ** 2
         t.close(rotated, base, 1e-12, f"family invariance #{i}")
@@ -288,7 +343,7 @@ def _suite_fringe_oracle(t: _Tally, size: dict, rng: np.random.Generator, corrup
     tol = size["fringe_tol"]
     step = TWO_PI / grid
     states = [pure_state(0.9), pure_state(0.5), DensityMatrix(0.7, 0.0)]
-    states += [_random_state(rng, i) for i in range(size["fringe_states"])]
+    states += _random_density_matrices(rng, size["fringe_states"])
     frozen = {0: 0.6, 1: 1.0, 2: 0.0}
     for i, rho in enumerate(states):
         v_hat, xi_hat = visibility_oracle(rho, grid_n=grid)
@@ -303,18 +358,18 @@ def _suite_fringe_oracle(t: _Tally, size: dict, rng: np.random.Generator, corrup
 
 def _suite_robertson(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool) -> None:
     a_obs = symmetric_observable()
-    for i in range(size["robertson"]):
-        rho = _random_state(rng, i)
-        varrho = rng.uniform(0.0, TWO_PI)
-        b_obs = complementary_observable(ComplementaryFamily(a_obs, varrho))
-        rep = robertson(rho, a_obs, b_obs)
-        t.check(rep.slack >= -1e-12, f"robertson bound #{i}: {rep.slack!r}")
-        # Slack has a closed form of its own for this pair: the coherence
-        # deficit (w+ w- - rho12^2) / 4 at unit eigenvalue gaps.
-        deficit = rho.w_plus * rho.w_minus - rho.rho12 * rho.rho12
-        t.close(rep.slack, deficit / 4.0, 1e-12, f"robertson slack identity #{i}")
-        if rho.purity >= 1.0 - 1e-12:
-            t.check(abs(rep.slack) <= 1e-10, f"pure state saturation #{i}: {rep.slack!r}")
+    w, rho12, theta, phases = _random_states(rng, size["robertson"], phases=1)
+    b_m = complementary_matrices(a_obs, phases[:, 0])
+    slack = robertson_slack(*robertson_arrays(density_matrix(w, rho12, theta), a_obs.matrix, b_m))
+    # Slack has a closed form of its own for this pair: the coherence
+    # deficit (w+ w- - rho12^2) / 4 at unit eigenvalue gaps.
+    target = (w * (1.0 - w) - rho12 * rho12) / 4.0
+    s, d = slack.tolist(), target.tolist()
+    t.check_batch(
+        (slack >= -1e-12, lambda i: f"robertson bound #{i}: {s[i]!r}"),
+        (np.abs(slack - target) <= 1e-12, lambda i: f"robertson slack identity #{i}: {s[i]!r} vs {d[i]!r}"),
+        (np.abs(slack) <= 1e-10, lambda i: f"pure state saturation #{i}: {s[i]!r}", purity(w, rho12) >= 1.0 - 1e-12),
+    )
 
 
 def _suite_intelligent_states(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool) -> None:

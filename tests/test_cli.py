@@ -1,5 +1,5 @@
 import math
-import sys
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from qudual import (
     simultaneous_product,
     symmetric_observable,
 )
-from qudual.cli import CSV_HEADER, main
+from qudual.cli import CSV_HEADER, _build_parser, main
 
 
 def run(capsys, *argv):
@@ -245,28 +245,62 @@ def test_non_finite_scalars_raise_parameter_error(entry, value):
         SCALAR_ENTRY_POINTS[entry](value)
 
 
-def _count_calls(monkeypatch, name):
-    """Rebind ``simultaneous.<name>`` wherever qudual imported it; return the list of calls."""
-    original = getattr(simultaneous, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for mod_name, module in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "qudual" and getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def test_compute_and_meter_readout_skip_the_cross_check_routes(capsys, monkeypatch):
-    entangles = _count_calls(monkeypatch, "entangle")
-    reports = _count_calls(monkeypatch, "minimum_product_report")
-    searches = _count_calls(monkeypatch, "_golden_minimize")
+def test_compute_and_meter_readout_skip_the_cross_check_routes(capsys, count_calls):
+    entangles = count_calls(simultaneous, "entangle")
+    reports = count_calls(simultaneous, "minimum_product_report")
+    searches = count_calls(simultaneous, "_golden_minimize")
     code, _, err = run(capsys, "compute", "--w-plus", "0.9", "--pure", "--theta", "0.3", "--c", "0.5")
     assert code == 0, err
     assert len(entangles) == 1
     assert reports == [] and searches == []
     meter_projectors(0.6)
     assert len(entangles) == 1
+
+
+HUGE_GAUGES = {
+    "meter_projectors.a_value": (lambda: meter_projectors(0.5, 1e308), "a_value / sqrt(1 - c**2)"),
+    "estimate_a.a_value": (lambda: estimate_a(_PSI, a_value=1e308), "a_value / sqrt(1 - c**2)"),
+    "estimate_b.b_value": (lambda: estimate_b(_PSI, 0.3, b_value=1e308), "b_value / c"),
+    "sample_simultaneous.a_value": (lambda: sample_simultaneous(_PSI, 0.3, 10, 1, a_value=1e308), "a_value / sqrt(1 - c**2)"),
+    "sample_simultaneous.b_value": (lambda: sample_simultaneous(_PSI, 0.3, 10, 1, b_value=1e308), "b_value / c"),
+    "estimate_b.underflowing_c": (lambda: estimate_b(entangle(0.9, 0.3, 1e-200), 0.3), "b_value / c"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(HUGE_GAUGES))
+def test_huge_gauges_raise_parameter_error(entry):
+    call, bound = HUGE_GAUGES[entry]
+    with pytest.raises(ParameterError, match=f"violates the bound {re.escape(bound)} <= 1.34078e\\+154"):
+        call()
+
+
+@pytest.mark.parametrize("gauge", ["a_value", "b_value"])
+def test_sampled_outcome_values_keep_a_finite_fourth_moment(gauge):
+    with pytest.raises(ParameterError, match=r"violates the bound \|value\| <= 5.7896e\+76"):
+        sample_simultaneous(_PSI, 0.3, 10, 1, **{gauge: 1e100})
+
+
+def test_product_at_an_underflowing_overlap_is_the_limit():
+    assert simultaneous_product(0.9, 1e-200) == math.inf
+    assert simultaneous_product(1.0, 1e-200) == 0.0625
+
+
+def test_compute_at_an_underflowing_overlap_exits_2(capsys):
+    code, out, err = run(capsys, "compute", "--w-plus", "0.9", "--pure", "--c", "1e-200")
+    assert code == 2 and out == ""
+    assert err.startswith("error: b_value = 0.5 violates the bound b_value / c")
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["compute", "--help"], ["compute"], ["sweep", "--figure", "2"], ["bogus"]]
+)
+def test_parser_is_built_once_and_answers_alike(capsys, argv):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        captured = capsys.readouterr()
+        texts.append((exit_info.value.code, captured.out, captured.err))
+    assert texts[0] == texts[1]
+    assert texts[0][1].startswith("usage: qudual") or texts[0][2].startswith("usage: qudual")
+    assert _build_parser() is _build_parser()

@@ -6,9 +6,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qudual import (
+    ContractViolationError,
     DensityMatrix,
     ParameterError,
     beam_splitter,
+    duality_arrays,
     duality_report,
     fringe_probability,
     phase_shift,
@@ -141,3 +143,21 @@ def test_equality_exactly_for_pure_states():
         w = rng.uniform(0.05, 0.95)
         rho = DensityMatrix(w, rng.uniform(0.0, 0.99) * math.sqrt(w * (1.0 - w)), 0.0)
         assert duality_report(rho).sum_sq < 1.0 - 1e-10
+
+
+def test_kernel_on_a_stack_matches_the_scalar_report():
+    rng = np.random.default_rng(17)
+    w = rng.uniform(0.0, 1.0, 500)
+    rho12 = rng.uniform(0.0, 1.0, 500) * np.sqrt(w * (1.0 - w))
+    p, v, sum_sq, purity = duality_arrays(w, rho12)
+    for i in range(w.size):
+        rho = DensityMatrix(w[i], rho12[i])
+        rep = duality_report(rho)
+        assert (rep.p, rep.v, rep.sum_sq, rep.purity) == (p[i], v[i], sum_sq[i], purity[i])
+        assert (rep.p, rep.v, rep.purity) == (predictability(rho), visibility(rho), rho.purity)
+
+
+def test_kernel_keeps_the_report_contract():
+    # rho12 = 0.9 at w_plus = 1/2 is past the positivity bound: P**2 + V**2 = 3.24.
+    with pytest.raises(ContractViolationError, match=r"P\*\*2 \+ V\*\*2 = 3.24 exceeds 1"):
+        duality_arrays([0.5, 0.5, 0.3], [0.1, 0.9, 0.0])

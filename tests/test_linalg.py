@@ -98,3 +98,13 @@ def test_contract_guards_raise_with_deviation():
         assert_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), name="probe")
     with pytest.raises(ContractViolationError, match="unitary"):
         assert_unitary(2.0 * np.eye(2, dtype=complex), name="probe")
+
+
+def test_unitarity_guard_checks_every_matrix_of_a_stack():
+    stack = np.stack([np.eye(2, dtype=complex), np.array([[0.0, 1j], [1j, 0.0]])] * 3)
+    assert assert_unitary(stack).shape == (6, 2, 2)
+    stack[4, 0, 0] = 1.0 + 1e-9
+    with pytest.raises(ContractViolationError, match="not unitary: max .* = 2.000e-09"):
+        assert_unitary(stack, name="probe")
+    with pytest.raises(ContractViolationError, match="square"):
+        assert_unitary(np.ones((3, 2, 4)), name="probe")

@@ -12,12 +12,15 @@ from qudual import (
     Observable,
     ParameterError,
     beam_splitter,
+    complementary_matrices,
     complementary_observable,
     complementary_triplet,
+    density_matrix,
     phase_difference_realization,
     phase_shift,
     pure_state,
     symmetric_observable,
+    validate_density,
 )
 
 w_values = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -78,6 +81,60 @@ def test_purity_matches_trace_of_square(w, u, theta):
     rho = DensityMatrix(w, u * math.sqrt(w * (1.0 - w)), theta)
     m = rho.matrix
     assert rho.purity == pytest.approx(float(np.trace(m @ m).real), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: DensityMatrix(0.7, 0.2, 0.5), lambda: complementary_observable(ComplementaryFamily(symmetric_observable(), 0.9))],
+    ids=["state", "observable"],
+)
+def test_matrix_is_computed_once_and_read_only(make):
+    obj = make()
+    m = obj.matrix
+    before = m.copy()
+    assert obj.matrix is m
+    with pytest.raises(ValueError):
+        m[0, 1] = 7.0
+    with pytest.raises(ValueError):
+        m += 1.0
+    np.testing.assert_array_equal(obj.matrix, before)
+
+
+def test_stacked_states_follow_the_scalar_rules():
+    rng = np.random.default_rng(5)
+    w = np.append(rng.uniform(0.0, 1.0, 200), [1.0 + 5e-13, -5e-13, 0.3])
+    rho12 = np.append(rng.uniform(0.0, 1.0, 200) * np.sqrt(w[:200] * (1.0 - w[:200])), [0.0, 1e-13, -1e-13])
+    theta = np.append(rng.uniform(-10.0, 10.0, 200), [3.0, 8.0, 2.0])
+    stored = validate_density(w, rho12, theta)
+    stack = density_matrix(*stored)
+    for i in range(w.size):
+        rho = DensityMatrix(w[i], rho12[i], theta[i])
+        assert (rho.w_plus, rho.rho12, rho.theta) == tuple(float(x[i]) for x in stored)
+        np.testing.assert_array_equal(stack[i], rho.matrix)
+
+
+@pytest.mark.parametrize(
+    "w, rho12, theta, match",
+    [
+        ([0.5, 1.5], [0.1, 0.0], [0.0, 0.0], "w_plus = 1.5 violates the bound 0 <= w_plus <= 1"),
+        ([0.5, 0.5], [0.1, 0.6], [0.0, 0.0], r"rho12 = 0.6 violates the positivity bound"),
+        ([0.5, 0.5], [0.1, np.nan], [0.0, 0.0], r"rho12 = nan violates the positivity bound"),
+        ([0.5, 0.5], [0.1, 0.1], [0.0, np.inf], "theta = inf violates the bound"),
+    ],
+)
+def test_stacked_states_raise_the_scalar_errors(w, rho12, theta, match):
+    with pytest.raises(ParameterError, match=match):
+        validate_density(w, rho12, theta)
+
+
+def test_stacked_family_members_match_the_scalar_observables():
+    a_obs = symmetric_observable()
+    varrho = np.linspace(-7.0, 13.0, 101)
+    stack = complementary_matrices(a_obs, varrho)
+    for i, phase in enumerate(varrho):
+        np.testing.assert_array_equal(stack[i], complementary_observable(ComplementaryFamily(a_obs, phase)).matrix)
+    with pytest.raises(ParameterError, match="varrho = nan"):
+        complementary_matrices(a_obs, [0.0, np.nan])
 
 
 def test_from_matrix_rejects_bad_input():

@@ -7,15 +7,20 @@ from hypothesis import strategies as st
 
 from qudual import (
     ComplementaryFamily,
+    ContractViolationError,
     DensityMatrix,
     ParameterError,
+    complementary_matrices,
     complementary_observable,
+    density_matrix,
     intelligent_state,
     is_residual,
     mean_var,
     normalized_product_bounds,
     pure_state,
     robertson,
+    robertson_arrays,
+    robertson_slack,
     symmetric_observable,
 )
 
@@ -77,6 +82,63 @@ def test_bound_holds_with_closed_form_slack(w, u, theta, varrho):
 def test_every_pure_state_saturates_the_bound(w, theta, varrho):
     rep = robertson(pure_state(w, theta), A, b_at(varrho))
     assert abs(rep.slack) <= 1e-10
+
+
+def test_kernel_on_a_stack_matches_the_scalar_route():
+    rng = np.random.default_rng(20261018)
+    n = 1000
+    w = rng.uniform(0.0, 1.0, n)
+    # even rows mixed, odd rows pure
+    rho12 = np.sqrt(w * (1.0 - w)) * np.where(np.arange(n) % 2, 1.0, rng.uniform(0.0, 0.99, n))
+    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    varrho = rng.uniform(0.0, 2.0 * math.pi, n)
+    stack = robertson_arrays(density_matrix(w, rho12, theta), A.matrix, complementary_matrices(A, varrho))
+    slack = robertson_slack(*stack)
+    for i in range(n):
+        rep = robertson(DensityMatrix(w[i], rho12[i], theta[i]), A, b_at(varrho[i]))
+        for value, x in zip((*stack, slack), (rep.var_a, rep.var_b, rep.c_mean, rep.f_mean, rep.slack)):
+            assert abs(value[i] - x) <= 1e-15 * max(1.0, abs(x))
+        assert float(robertson_slack(rep.var_a, rep.var_b, rep.c_mean, rep.f_mean)) == rep.slack
+
+
+def _loop_reference(rho, a_obs, b_obs):
+    """The explicit route for one state as a plain loop in Python floats: the reference arithmetic."""
+
+    def real_trace(op):
+        return float(np.trace(rho.matrix @ op).real)
+
+    a_m, b_m = a_obs.matrix, b_obs.matrix
+    mean_a, mean_b = real_trace(a_m), real_trace(b_m)
+    var_a = max(real_trace(a_m @ a_m) - mean_a**2, 0.0)
+    var_b = max(real_trace(b_m @ b_m) - mean_b**2, 0.0)
+    c_mean = real_trace(-1j * (a_m @ b_m - b_m @ a_m))
+    f_mean = real_trace(a_m @ b_m + b_m @ a_m) - 2.0 * mean_a * mean_b
+    return var_a, var_b, c_mean, f_mean, var_a * var_b - 0.25 * (c_mean**2 + f_mean**2)
+
+
+def test_scalar_route_keeps_the_loop_arithmetic():
+    rng = np.random.default_rng(7)
+    for _ in range(1500):
+        w = rng.uniform()
+        rho = DensityMatrix(w, rng.uniform() * math.sqrt(w * (1.0 - w)), rng.uniform(0.0, 7.0))
+        # a random member, and the proper one, whose mean is largest
+        for b_obs in (b_at(rng.uniform(0.0, 7.0)), b_at(rho.theta)):
+            rep = robertson(rho, A, b_obs)
+            fields = (rep.var_a, rep.var_b, rep.c_mean, rep.f_mean)
+            assert (*fields, float(robertson_slack(*fields))) == _loop_reference(rho, A, b_obs)
+
+
+def test_kernel_keeps_the_report_contract():
+    # A unit-trace Hermitian matrix with a negative eigenvalue is no state.
+    bad = np.array([[0.5, 0.9], [0.9, 0.5]], dtype=complex)
+    b_m = b_at(math.pi / 2.0).matrix
+    with pytest.raises(ContractViolationError) as single:
+        robertson_arrays(bad, A.matrix, b_m)
+    stack = np.stack([pure_state(0.3).matrix, bad, bad])
+    with pytest.raises(ContractViolationError) as stacked:
+        robertson_arrays(stack, A.matrix, b_m)
+    assert str(stacked.value) == str(single.value)
+    assert str(single.value).startswith("uncertainty bound violated: lhs - rhs = -0.1399")
 
 
 def test_product_bounds_frozen_values():
