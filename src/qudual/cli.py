@@ -210,7 +210,14 @@ def _print_sample(rep: montecarlo.SampleReport) -> None:
 def _cmd_mc(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     varrho = args.theta if args.varrho is None else args.varrho
-    c = optimal_entanglement(args.w_plus) if args.c is None else args.c
+    c = args.c
+    if c is None:
+        c = optimal_entanglement(args.w_plus)
+        if c in (0.0, 1.0):
+            raise ParameterError(
+                f"--c defaults to the optimal overlap, c = {c!r} at w_plus = {args.w_plus!r}, "
+                "where the meter readout is singular (it requires 0 < c < 1); pass --c"
+            )
     rho = pure_state(args.w_plus, args.theta)
     a_obs = symmetric_observable()
     b_obs = complementary_observable(ComplementaryFamily(a_obs, varrho))

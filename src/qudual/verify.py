@@ -5,6 +5,11 @@ is reproducible byte for byte given the seed and level. ``fast`` keeps every
 suite below a second; ``full`` runs the sizes used for sign-off, including a
 million-shot sampling pass.
 
+The suites named in :data:`SUITE_NAMES` are the one registry of sign-off
+checks. :func:`run_suite` runs one of them on its own stream of the seed;
+``qudual verify`` runs them all through :func:`run_suites`, and the
+acceptance tests run each at ``full`` through :func:`run_suite`.
+
 The ``duality`` and ``robertson`` suites draw their states as one batch and
 check them with one call of the array kernels ``duality_arrays`` and
 ``robertson_arrays``; their tallies record the same checks, counts and notes
@@ -64,7 +69,7 @@ from .uncertainty import (
     robertson_slack,
 )
 
-__all__ = ["SuiteResult", "run_suites", "render_report", "SUITE_NAMES"]
+__all__ = ["SuiteResult", "run_suite", "run_suites", "render_report", "SUITE_NAMES"]
 
 # Probe states for the meter sign check: populations and phases chosen so
 # the readout mean is nonzero and sign-sensitive on the grid.
@@ -234,7 +239,7 @@ def projected_readout_moments(
     return (mean_a, var_a), (mean_b, var_b)
 
 
-def _suite_linalg_core(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool) -> None:
+def _suite_linalg_core(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
     w, v = hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
     t.close(w[0], 1.0, 1e-14, "sigma_x top eigenvalue")
     t.close(w[1], -1.0, 1e-14, "sigma_x bottom eigenvalue")
@@ -270,7 +275,7 @@ def _suite_linalg_core(t: _Tally, size: dict, rng: np.random.Generator, corrupt:
         t.check(float(np.abs(lhs - rhs).max()) <= 1e-12 * max(1.0, float(np.abs(rhs).max())), f"kron mixed product #{i}")
 
 
-def _suite_state_round_trip(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool) -> None:
+def _suite_state_round_trip(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
     for i, rho in enumerate(_random_density_matrices(rng, 500)):
         back = DensityMatrix.from_matrix(rho.matrix)
         t.close(back.w_plus, rho.w_plus, 1e-12, f"round trip w_plus #{i}")
@@ -289,7 +294,7 @@ def _suite_state_round_trip(t: _Tally, size: dict, rng: np.random.Generator, cor
     )
 
 
-def _suite_duality(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool) -> None:
+def _suite_duality(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
     # The corrupt switch flips the upper bound to an impossible one; it exists
     # so the harness can confirm failures are actually reported.
     limit = -1.0 if corrupt else 1.0 + 1e-12
@@ -309,7 +314,7 @@ def _suite_duality(t: _Tally, size: dict, rng: np.random.Generator, corrupt: boo
     )
 
 
-def _suite_complementary_family(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool) -> None:
+def _suite_complementary_family(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
     w, rho12, theta, phases = _random_states(rng, 1000, phases=1)
     for i in range(1000):
         rho = DensityMatrix(w[i], rho12[i], theta[i])
@@ -338,7 +343,7 @@ def _suite_complementary_family(t: _Tally, size: dict, rng: np.random.Generator,
             )
 
 
-def _suite_fringe_oracle(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool) -> None:
+def _suite_fringe_oracle(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
     grid = size["fringe_grid"]
     tol = size["fringe_tol"]
     step = TWO_PI / grid
@@ -356,7 +361,7 @@ def _suite_fringe_oracle(t: _Tally, size: dict, rng: np.random.Generator, corrup
             )
 
 
-def _suite_robertson(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool) -> None:
+def _suite_robertson(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
     a_obs = symmetric_observable()
     w, rho12, theta, phases = _random_states(rng, size["robertson"], phases=1)
     b_m = complementary_matrices(a_obs, phases[:, 0])
@@ -372,7 +377,7 @@ def _suite_robertson(t: _Tally, size: dict, rng: np.random.Generator, corrupt: b
     )
 
 
-def _suite_intelligent_states(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool) -> None:
+def _suite_intelligent_states(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
     varrho = 0.9
     a_obs = symmetric_observable()
     b_obs = complementary_observable(ComplementaryFamily(a_obs, varrho))
@@ -423,7 +428,7 @@ def _suite_intelligent_states(t: _Tally, size: dict, rng: np.random.Generator, c
             t.close(va_v * vb_v, hi, 1e-12, f"IS2b product sits on the ceiling w={w:.2f}")
 
 
-def _suite_product_bounds(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool) -> None:
+def _suite_product_bounds(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
     a_obs = symmetric_observable()
     for alpha in np.linspace(0.0, math.pi / 2.0, 201):
         w = math.sin(float(alpha)) ** 2
@@ -451,7 +456,7 @@ def _suite_product_bounds(t: _Tally, size: dict, rng: np.random.Generator, corru
         t.close(va * vb, hi, 1e-12, f"erasure choice reaches the ceiling w={w:.3f}")
 
 
-def _suite_entangled_duality(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool) -> None:
+def _suite_entangled_duality(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
     theta = 0.7
     for w in np.linspace(0.0, 1.0, 51):
         for c in np.linspace(0.0, 1.0, 51):
@@ -465,7 +470,7 @@ def _suite_entangled_duality(t: _Tally, size: dict, rng: np.random.Generator, co
             t.close(marg.rho12, float(c) * math.sqrt(w * (1.0 - w)), 1e-12, f"marginal coherence w={w:.2f} c={c:.2f}")
 
 
-def _suite_unbiasedness(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool) -> None:
+def _suite_unbiasedness(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
     varrho = math.pi / 5.0
     a_obs = symmetric_observable()
     b_obs = complementary_observable(ComplementaryFamily(a_obs, varrho))
@@ -502,7 +507,7 @@ def _suite_unbiasedness(t: _Tally, size: dict, rng: np.random.Generator, corrupt
         t.check(flipped_fails, f"flipped meter signs rejected by some probe state at c={c}")
 
 
-def _suite_minimum_product(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool) -> None:
+def _suite_minimum_product(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
     for k in range(1, 52):
         w = k / 53.0
         try:
@@ -557,39 +562,44 @@ def _suite_monte_carlo(t: _Tally, size: dict, rng: np.random.Generator, corrupt:
     t.check(rep.degenerate and rep.empirical_variance == 0.0, "eigenstate sampling is degenerate")
 
 
-_SUITES = [
-    ("linalg_core", _suite_linalg_core),
-    ("state_round_trip", _suite_state_round_trip),
-    ("duality", _suite_duality),
-    ("complementary_family", _suite_complementary_family),
-    ("fringe_oracle", _suite_fringe_oracle),
-    ("robertson", _suite_robertson),
-    ("intelligent_states", _suite_intelligent_states),
-    ("product_bounds", _suite_product_bounds),
-    ("entangled_duality", _suite_entangled_duality),
-    ("unbiasedness", _suite_unbiasedness),
-    ("minimum_product", _suite_minimum_product),
-    ("monte_carlo", _suite_monte_carlo),
-]
+_SUITES = {
+    "linalg_core": _suite_linalg_core,
+    "state_round_trip": _suite_state_round_trip,
+    "duality": _suite_duality,
+    "complementary_family": _suite_complementary_family,
+    "fringe_oracle": _suite_fringe_oracle,
+    "robertson": _suite_robertson,
+    "intelligent_states": _suite_intelligent_states,
+    "product_bounds": _suite_product_bounds,
+    "entangled_duality": _suite_entangled_duality,
+    "unbiasedness": _suite_unbiasedness,
+    "minimum_product": _suite_minimum_product,
+    "monte_carlo": _suite_monte_carlo,
+}
 
-SUITE_NAMES = tuple(name for name, _ in _SUITES)
+SUITE_NAMES = tuple(_SUITES)
+
+
+def run_suite(name: str, level: str = "fast", seed: int = 42, corrupt: bool = False) -> SuiteResult:
+    """Run one named suite at the given level; deterministic for a given seed.
+
+    The suite draws from its own stream of the seed, fixed by its place in
+    :data:`SUITE_NAMES`, so it gives the same result alone as within
+    :func:`run_suites`.
+    """
+    if name not in _SUITES:
+        raise ParameterError(f"suite must be one of {list(SUITE_NAMES)}, got {name!r}")
+    if level not in _SIZES:
+        raise ParameterError(f"level must be one of {sorted(_SIZES)}, got {level!r}")
+    tally = _Tally(name)
+    rng = montecarlo._generator(seed, stream=1000 + SUITE_NAMES.index(name))
+    _SUITES[name](tally, _SIZES[level], rng, corrupt, seed)
+    return tally.result()
 
 
 def run_suites(level: str = "fast", seed: int = 42, corrupt: bool = False) -> list[SuiteResult]:
-    """Run every suite at the given level; deterministic for a given seed."""
-    if level not in _SIZES:
-        raise ParameterError(f"level must be one of {sorted(_SIZES)}, got {level!r}")
-    size = _SIZES[level]
-    results = []
-    for index, (name, fn) in enumerate(_SUITES):
-        tally = _Tally(name)
-        rng = montecarlo._generator(seed, stream=1000 + index)
-        if name == "monte_carlo":
-            fn(tally, size, rng, corrupt, seed)
-        else:
-            fn(tally, size, rng, corrupt)
-        results.append(tally.result())
-    return results
+    """Run every suite at the given level, in the order of :data:`SUITE_NAMES`."""
+    return [run_suite(name, level, seed, corrupt) for name in SUITE_NAMES]
 
 
 def render_report(results: list[SuiteResult], level: str, seed: int) -> str:

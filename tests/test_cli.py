@@ -159,12 +159,6 @@ def test_verify_rejects_bad_environment_seed(capsys, monkeypatch):
     assert "QUDUAL_SEED" in err
 
 
-def test_verify_corruption_is_detected(capsys):
-    code, out, _ = run(capsys, "verify", "--selftest-corrupt")
-    assert code == 1
-    assert "result: FAIL" in out
-
-
 def test_mc_subcommand_runs_clean(capsys):
     code, out, _ = run(capsys, "mc", "--n", "5000", "--seed", "42")
     assert code == 0
@@ -199,6 +193,13 @@ def test_mc_failure_writes_no_stdout(capsys, argv, name):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and f"{name} = " in err
+
+
+@pytest.mark.parametrize("w_plus", ["0", "0.5", "1"])
+def test_mc_default_overlap_at_a_singular_population_asks_for_c(capsys, w_plus):
+    code, out, err = run(capsys, "mc", "--n", "1000", "--w-plus", w_plus)
+    assert (code, out) == (2, "")
+    assert "--c defaults to the optimal overlap" in err and "pass --c" in err
 
 
 _PSI = entangle(0.9, 0.3, 0.6)

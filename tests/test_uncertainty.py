@@ -17,11 +17,13 @@ from qudual import (
     is_residual,
     mean_var,
     normalized_product_bounds,
+    predictability,
     pure_state,
     robertson,
     robertson_arrays,
     robertson_slack,
     symmetric_observable,
+    visibility,
 )
 
 w_values = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -145,6 +147,15 @@ def test_product_bounds_frozen_values():
     assert normalized_product_bounds(0.9) == pytest.approx((0.0144, 0.0225), abs=1e-15)
     assert normalized_product_bounds(0.5) == pytest.approx((0.0, 0.0625), abs=1e-15)
     assert normalized_product_bounds(1.0) == pytest.approx((0.0, 0.0), abs=1e-15)
+
+
+@given(w=w_values)
+def test_product_bounds_from_the_pure_state_duality_quantities(w):
+    rho = pure_state(w)
+    p, v = predictability(rho), visibility(rho)
+    lo, hi = normalized_product_bounds(w)
+    assert lo == pytest.approx(p * p * v * v / 16.0, abs=1e-12)
+    assert hi == pytest.approx(w * (1.0 - w) / 4.0, abs=1e-12)
 
 
 def test_intelligent_state_frozen_stretches():

@@ -6,6 +6,7 @@ import pytest
 
 from qudual import DensityMatrix, duality, montecarlo, states, uncertainty, verify
 from qudual.cli import main
+from qudual.errors import ParameterError
 from qudual.states import TWO_PI
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -75,10 +76,15 @@ def test_batched_suites_make_one_kernel_call_each(count_calls):
         count_calls(states.DensityMatrix, "__init__"),
     ]
     checks = {"robertson": 25000, "duality": 30000}
-    for name, suite in (("robertson", verify._suite_robertson), ("duality", verify._suite_duality)):
-        tally = verify._Tally(name)
-        rng = montecarlo._generator(42, stream=1000 + verify.SUITE_NAMES.index(name))
-        suite(tally, verify._SIZES["full"], rng, False)
-        assert (tally.checks, tally.failures) == (checks[name], 0)
+    for name in ("robertson", "duality"):
+        result = verify.run_suite(name, "full", 42)
+        assert (result.checks, result.failures) == (checks[name], 0)
         assert len(kernels[name]) == 1
     assert scalar_calls == [[], [], []]
+
+
+def test_run_suite_names_the_allowed_suites_and_levels():
+    with pytest.raises(ParameterError, match=r"suite must be one of \['linalg_core', .*'monte_carlo'\], got 'nope'"):
+        verify.run_suite("nope")
+    with pytest.raises(ParameterError, match=r"level must be one of \['fast', 'full'\], got 'medium'"):
+        verify.run_suite("duality", "medium")
