@@ -18,10 +18,10 @@ from qudual import (
     entangled_visibility,
     estimate_a,
     estimate_b,
-    minimum_product_report,
     optimal_entanglement,
     simultaneous_product,
 )
+from qudual.verify import minimum_product_report
 
 W_PLUS, THETA = 0.9, 0.3
 
@@ -56,7 +56,7 @@ def main():
     rep = minimum_product_report(W_PLUS)
     print("minimum of the product, three independent routes:")
     print(f"  closed form in the populations   {rep.long_form:.12f}")
-    print(f"  product at the optimal overlap   {rep.at_optimal_c:.12f}")
+    print(f"  product at the optimal overlap   {rep.value:.12f}")
     print(f"  golden-section search over c     {rep.numeric_min:.12f}")
     print(f"  compact form (1 + V P)^2 / 16    {rep.compact_plus:.12f}"
           f"  matches: {rep.matches_plus}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, ParameterError
+from .errors import ContractViolationError, ParameterError, check_scalar
 from .states import DensityMatrix, purity
 
 __all__ = [
@@ -74,7 +74,7 @@ def visibility_oracle(rho: DensityMatrix, grid_n: int = 512) -> tuple[float, flo
     Independent of the closed form: agrees with :func:`visibility` to
     O(1/grid_n**2) and the folded angle lands within one grid step of pi/4.
     """
-    grid_n = int(grid_n)
+    grid_n = int(check_scalar(grid_n, "grid_n"))
     if grid_n < 8:
         raise ParameterError(f"grid_n = {grid_n} violates the bound grid_n >= 8")
     phi = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)
@@ -116,41 +116,42 @@ def visibility_of_b(rho: DensityMatrix, varrho: float) -> float:
 
 @dataclass(frozen=True)
 class DualityReport:
-    """Predictability, visibility, their squared sum, and the state purity."""
+    """Predictability, visibility, their squared sum, and the state purity.
+
+    :func:`duality_arrays` enforces the duality contract; the report itself
+    does not.
+    """
 
     p: float
     v: float
     sum_sq: float
     purity: float
 
-    def __post_init__(self) -> None:
-        if self.sum_sq > 1.0 + 1e-12:
-            raise ContractViolationError(
-                f"P**2 + V**2 = {self.sum_sq!r} exceeds 1 beyond tolerance"
-            )
-        if abs(self.sum_sq - (2.0 * self.purity - 1.0)) > 1e-12:
-            raise ContractViolationError(
-                "P**2 + V**2 must equal 2 * purity - 1; got "
-                f"{self.sum_sq!r} versus {2.0 * self.purity - 1.0!r}"
-            )
-
 
 def duality_arrays(w_plus, rho12) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The duality relation for stacked valid state parameters, elementwise.
 
     Returns ``(p, v, sum_sq, purity)``, the fields of :class:`DualityReport`,
-    as float arrays of the broadcast shape. An element that breaks the
-    report's contract raises its :class:`ContractViolationError`.
+    as float arrays of the broadcast shape. The first element with
+    ``P**2 + V**2 > 1`` or ``P**2 + V**2 != 2 purity - 1`` beyond 1e-12
+    raises a :class:`ContractViolationError`.
     """
     w, r = np.broadcast_arrays(np.asarray(w_plus, dtype=float), np.asarray(rho12, dtype=float))
     p = np.abs(w - (1.0 - w))
     v = 2.0 * r
     sum_sq = p * p + v * v
-    fields = (p, v, sum_sq, purity(w, r))
-    suspect = (sum_sq > 1.0 + 1e-12) | (np.abs(sum_sq - (2.0 * fields[3] - 1.0)) > 1e-12)
-    for i in np.flatnonzero(suspect):
-        DualityReport(*(float(x.flat[i]) for x in fields))  # raises the report's contract error
-    return fields
+    pur = purity(w, r)
+    above = sum_sq > 1.0 + 1e-12
+    bad = np.flatnonzero(above | (np.abs(sum_sq - (2.0 * pur - 1.0)) > 1e-12))
+    if bad.size:
+        i = bad[0]
+        s = float(sum_sq.flat[i])
+        if above.flat[i]:
+            raise ContractViolationError(f"P**2 + V**2 = {s!r} exceeds 1 beyond tolerance")
+        raise ContractViolationError(
+            f"P**2 + V**2 must equal 2 * purity - 1; got {s!r} versus {2.0 * float(pur.flat[i]) - 1.0!r}"
+        )
+    return p, v, sum_sq, pur
 
 
 def duality_report(rho: DensityMatrix) -> DualityReport:

@@ -15,8 +15,9 @@ class ContractViolationError(QudualError):
     """A matrix input or an internal identity violates a structural contract.
 
     Raised when an input fails a hermiticity, unitarity or normalization
-    check, and when two redundant computation routes that must agree (the
-    routes of the minimum-product report) do not.
+    check, when a computed identity such as the duality relation or the
+    uncertainty bound fails beyond its tolerance, and when the independent
+    routes of a check in :mod:`qudual.verify` disagree.
     """
 
 

@@ -140,7 +140,7 @@ def sample_sharp(
     eigenvectors; the analytic claims under test come from the trace-based
     moments, so the two routes stay independent.
     """
-    n = int(n)
+    n = int(check_scalar(n, "n"))
     if n < 1:
         raise ParameterError(f"sample size must be at least 1, got {n}")
     p_plus = _outcome_probability(rho, obs.vec_plus)
@@ -173,7 +173,7 @@ def sample_fringe(
     phi_grid = np.asarray(phi_grid, dtype=float)
     if phi_grid.ndim != 1 or phi_grid.size < 2:
         raise ParameterError(f"phi_grid must hold at least 2 phases, got shape {phi_grid.shape}")
-    n_per_point = int(n_per_point)
+    n_per_point = int(check_scalar(n_per_point, "n_per_point"))
     if n_per_point < 1:
         raise ParameterError(f"n_per_point must be at least 1, got {n_per_point}")
     xi = check_scalar(xi, "xi")
@@ -205,7 +205,7 @@ def sample_simultaneous(
     the rescaled readout moments against :func:`estimate_a` and
     :func:`estimate_b`.
     """
-    n = int(n)
+    n = int(check_scalar(n, "n"))
     if n < 1:
         raise ParameterError(f"sample size must be at least 1, got {n}")
     b = check_scalar(b_value, "b_value", 0.0, lo_open=True)

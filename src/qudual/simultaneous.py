@@ -27,18 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, ParameterError, SingularConfigurationError, check_scalar
+from .errors import ParameterError, SingularConfigurationError, check_scalar
 from .linalg import trace_norm
 from .states import TWO_PI, DensityMatrix
-
-# Agreement tolerance between independent routes to the minimum product.
-ROUTE_AGREEMENT_TOL = 1e-9
 
 # Largest rescaled outcome value whose square is a finite double.
 MAX_RESCALED_VALUE = math.sqrt(sys.float_info.max)
 
 __all__ = [
-    "ROUTE_AGREEMENT_TOL",
     "MAX_RESCALED_VALUE",
     "EntangledState",
     "entangle",
@@ -50,8 +46,6 @@ __all__ = [
     "estimate_b",
     "simultaneous_product",
     "optimal_entanglement",
-    "MinimumProductReport",
-    "minimum_product_report",
     "minimum_simultaneous_product",
 ]
 
@@ -73,18 +67,17 @@ class EntangledState:
         """Amplitudes reshaped to ``psi[system, meter]``."""
         return self.amplitudes.reshape(2, 2)
 
+    def _system_matrix(self) -> np.ndarray:
+        """Partial trace over the meter, as an explicit 2x2 matrix."""
+        psi = self.system_meter()
+        return np.einsum("im,jm->ij", psi, psi.conj())
+
     def marginal_system(self) -> DensityMatrix:
         """Partial trace over the meter.
 
         Keeps the populations and shrinks the coherence to ``c sqrt(w+ w-)``.
         """
-        psi = self.system_meter()
-        return DensityMatrix.from_matrix(np.einsum("im,jm->ij", psi, psi.conj()))
-
-    def marginal_meter(self) -> np.ndarray:
-        """Partial trace over the system, as an explicit 2x2 matrix."""
-        psi = self.system_meter()
-        return np.einsum("im,in->mn", psi, psi.conj())
+        return DensityMatrix.from_matrix(self._system_matrix())
 
 
 def entangle(w_plus: float, theta: float, c: float) -> EntangledState:
@@ -124,9 +117,7 @@ def entangled_visibility(psi_e: EntangledState) -> float:
     Equals ``2 c sqrt(w+ w-)``; together with the distinguishability it
     saturates ``D**2 + V_e**2 = 1`` for every ``(w_plus, c)``.
     """
-    psi = psi_e.system_meter()
-    rho_s = np.einsum("im,jm->ij", psi, psi.conj())
-    return 2.0 * float(abs(rho_s[1, 0]))
+    return 2.0 * float(abs(psi_e._system_matrix()[1, 0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,117 +277,12 @@ def optimal_entanglement(w_plus: float) -> float:
     return math.sqrt(v / (p + v)) if v > 0.0 else 0.0
 
 
-def _golden_minimize(f, lo: float, hi: float, xtol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > xtol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-@dataclass(frozen=True)
-class MinimumProductReport:
-    """Minimum simultaneous variance product by every available route.
-
-    ``value`` is the product evaluated at the regularized optimal overlap.
-    ``long_form`` is the direct closed expression in the populations (NaN
-    where that representation is 0/0 ill-conditioned), ``numeric_min`` a
-    golden-section minimization of the product over ``c``. The two compact
-    candidates ``(1 +- V P)**2 / 16`` are both evaluated; the match flags
-    record which one the computed routes agree with at 1e-9.
-    """
-
-    w_plus: float
-    value: float
-    long_form: float
-    at_optimal_c: float
-    numeric_min: float
-    c_opt: float
-    c_numeric: float
-    compact_plus: float
-    compact_minus: float
-    matches_plus: bool
-    matches_minus: bool
-
-
-def minimum_product_report(w_plus: float) -> MinimumProductReport:
-    """Cross-checked minimum of the simultaneous product at fixed populations.
-
-    Runs every route and raises a contract violation if they disagree beyond
-    1e-9. A checking tool: :func:`minimum_simultaneous_product` returns the
-    same ``value`` without the other routes.
-    """
-    w = float(w_plus)
-    k = w * (1.0 - w)
-    c_opt = optimal_entanglement(w)
-    at_optimal = simultaneous_product(w, c_opt)
-
-    # Direct closed expression; its denominator vanishes at k = 1/8 (where
-    # the form is 0/0 with a finite limit) and at k in {0, 1/4}, so it is
-    # only evaluated where it is well-conditioned.
-    root = math.sqrt(max(k * (1.0 - 4.0 * k), 0.0))
-    den = 16.0 * (-4.0 * k * (1.0 - 4.0 * k) + root)
-    if abs(den) >= 1e-6:
-        num = -16.0 * k * k * (1.0 - 4.0 * k) ** 2 + (1.0 - 12.0 * k * (1.0 - 4.0 * k)) * root
-        long_form = num / den
-    else:
-        long_form = math.nan
-
-    if 0.0 < c_opt < 1.0:
-        c_numeric, numeric_min = _golden_minimize(
-            lambda c: simultaneous_product(w, c), 1e-9, 1.0 - 1e-9
-        )
-    else:
-        # Boundary populations: the optimum sits at an endpoint of c where the
-        # finite limit is known exactly, so the numeric route collapses to it.
-        c_numeric, numeric_min = c_opt, at_optimal
-
-    v = 2.0 * math.sqrt(k)
-    p = math.sqrt(max(1.0 - 4.0 * k, 0.0))
-    compact_plus = (1.0 + v * p) ** 2 / 16.0
-    compact_minus = (1.0 - v * p) ** 2 / 16.0
-
-    routes = [at_optimal, numeric_min]
-    if not math.isnan(long_form):
-        routes.append(long_form)
-    spread = max(routes) - min(routes)
-    if spread > ROUTE_AGREEMENT_TOL:
-        raise ContractViolationError(
-            f"independent minimum-product routes disagree by {spread!r} at w_plus = {w!r}"
-        )
-
-    return MinimumProductReport(
-        w_plus=w,
-        value=at_optimal,
-        long_form=long_form,
-        at_optimal_c=at_optimal,
-        numeric_min=numeric_min,
-        c_opt=c_opt,
-        c_numeric=c_numeric,
-        compact_plus=compact_plus,
-        compact_minus=compact_minus,
-        matches_plus=abs(at_optimal - compact_plus) <= ROUTE_AGREEMENT_TOL,
-        matches_minus=abs(at_optimal - compact_minus) <= ROUTE_AGREEMENT_TOL,
-    )
-
-
 def minimum_simultaneous_product(w_plus: float) -> float:
     """Minimum over ``c`` of the simultaneous variance product.
 
-    The product at the regularized optimal overlap, which equals 1/16 at
-    ``w_plus in {0, 1/2, 1}``. :func:`minimum_product_report` checks it
-    against the long closed form and a golden-section search.
+    The product at the regularized optimal overlap, ``(1 + V P)**2 / 16``,
+    which equals 1/16 at ``w_plus in {0, 1/2, 1}``. The long closed form
+    and a golden-section search over ``c`` check it in the
+    ``minimum_product`` suite of :mod:`qudual.verify`.
     """
     return simultaneous_product(w_plus, optimal_entanglement(w_plus))

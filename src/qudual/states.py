@@ -348,12 +348,4 @@ def phase_difference_realization(theta_val: float, varrho: float) -> Observable:
     family = ComplementaryFamily(
         symmetric_observable(0.5), varrho, theta_val, theta_val + math.pi
     )
-    obs = complementary_observable(family)
-    # Membership check: each eigenvector must be unbiased against the
-    # reference basis (squared overlap 1/2), which pins the family structure.
-    overlaps = np.abs(obs.basis) ** 2
-    if float(np.max(np.abs(overlaps - 0.5))) > 1e-12:
-        raise ContractViolationError(
-            "phase-difference eigenvectors are not mutually unbiased with the reference basis"
-        )
-    return obs
+    return complementary_observable(family)

@@ -18,7 +18,7 @@ The explicit route to both sides is one array kernel,
 (``var_a``, ``var_b``, ``c_mean``, ``f_mean``) as arrays, from batched
 products and traces. :func:`robertson` is that kernel on one state and pair,
 packed into a report; :func:`robertson_slack` is the report's ``slack``,
-elementwise. Both forms keep the report's contract: any element with
+elementwise. The kernel holds the contract: any element with
 ``slack < -INEQUALITY_SLACK`` raises.
 """
 
@@ -81,20 +81,14 @@ class RobertsonReport:
     ``lhs = var_a * var_b`` and ``rhs = (c_mean**2 + f_mean**2) / 4``, where
     ``c_mean`` is the mean of ``-i [A, B]`` and ``f_mean`` the symmetrized
     covariance. The slack ``lhs - rhs`` is nonnegative for every valid state
-    and vanishes on pure states.
+    and vanishes on pure states; :func:`robertson_arrays` enforces that, the
+    report itself does not.
     """
 
     var_a: float
     var_b: float
     c_mean: float
     f_mean: float
-
-    def __post_init__(self) -> None:
-        if self.slack < -INEQUALITY_SLACK:
-            raise ContractViolationError(
-                f"uncertainty bound violated: lhs - rhs = {self.slack!r}; "
-                "this indicates corrupted operator or state input"
-            )
 
     @property
     def lhs(self) -> float:
@@ -106,14 +100,14 @@ class RobertsonReport:
 
     @property
     def slack(self) -> float:
-        return self.lhs - self.rhs
+        return float(robertson_slack(self.var_a, self.var_b, self.c_mean, self.f_mean))
 
 
 def robertson_slack(var_a, var_b, c_mean, f_mean):
-    """``lhs - rhs`` of the bound, elementwise: :attr:`RobertsonReport.slack` over arrays.
+    """``lhs - rhs`` of the bound, elementwise; :attr:`RobertsonReport.slack` calls it.
 
     ``np.float_power`` squares through C ``pow``, as Python's ``x ** 2`` in
-    :attr:`RobertsonReport.rhs` does, so a stack and a report round alike.
+    :attr:`RobertsonReport.rhs` does, so the slack rounds as ``lhs - rhs``.
     """
     return var_a * var_b - 0.25 * (np.float_power(c_mean, 2) + np.float_power(f_mean, 2))
 
@@ -126,8 +120,8 @@ def robertson_arrays(
     ``rho_m``, ``a_m`` and ``b_m`` are state and observable matrices of shape
     ``(..., 2, 2)`` that broadcast together. Returns ``(var_a, var_b, c_mean,
     f_mean)``, the fields of :class:`RobertsonReport`, as float arrays of the
-    broadcast stack shape. An element with ``slack < -INEQUALITY_SLACK``
-    raises the report's :class:`ContractViolationError`.
+    broadcast stack shape. The first element with
+    ``slack < -INEQUALITY_SLACK`` raises a :class:`ContractViolationError`.
     """
 
     def real_trace(op: np.ndarray) -> np.ndarray:
@@ -143,8 +137,13 @@ def robertson_arrays(
     c_mean = real_trace(-1j * (ab - ba))
     f_mean = real_trace(ab + ba) - 2.0 * mean_a * mean_b
     sides = np.broadcast_arrays(var_a, var_b, c_mean, f_mean)
-    for i in np.flatnonzero(robertson_slack(*sides) < -INEQUALITY_SLACK):
-        RobertsonReport(*(float(x.flat[i]) for x in sides))  # raises the report's contract error
+    slack = robertson_slack(*sides)
+    bad = np.flatnonzero(slack < -INEQUALITY_SLACK)
+    if bad.size:
+        raise ContractViolationError(
+            f"uncertainty bound violated: lhs - rhs = {float(slack.flat[bad[0]])!r}; "
+            "this indicates corrupted operator or state input"
+        )
     return tuple(sides)
 
 

@@ -10,6 +10,12 @@ checks. :func:`run_suite` runs one of them on its own stream of the seed;
 ``qudual verify`` runs them all through :func:`run_suites`, and the
 acceptance tests run each at ``full`` through :func:`run_suite`.
 
+The library computes each closed form once; the independent routes to them
+live here. :func:`projected_readout_moments` reaches both readout moments by
+explicit projection, and :func:`minimum_product_report` reaches the minimum
+simultaneous product through the long closed form, a golden-section search
+over ``c`` and the two compact candidates. Neither is in ``__all__``.
+
 The ``duality`` and ``robertson`` suites draw their states as one batch and
 check them with one call of the array kernels ``duality_arrays`` and
 ``robertson_arrays``; their tallies record the same checks, counts and notes
@@ -42,9 +48,9 @@ from .simultaneous import (
     estimate_a,
     estimate_b,
     meter_projectors,
-    minimum_product_report,
     minimum_simultaneous_product,
     optimal_entanglement,
+    simultaneous_product,
 )
 from .states import (
     TWO_PI,
@@ -76,6 +82,11 @@ __all__ = ["SuiteResult", "run_suite", "run_suites", "render_report", "SUITE_NAM
 _PROBE_W = (0.25, 0.5, 0.75)
 _PROBE_THETA = (0.0, 2.0, 4.0)
 _PROBE_C = (0.01, *(k / 10.0 for k in range(1, 10)), 0.99, 0.99999)
+
+# Agreement tolerance between independent routes to the minimum product, and
+# the bracket width at which the golden-section search stops.
+ROUTE_AGREEMENT_TOL = 1e-9
+_GOLDEN_XTOL = 1e-10
 
 # Sweep sizes per level. fast keeps each suite under a second; full uses the
 # sign-off sizes.
@@ -237,6 +248,110 @@ def projected_readout_moments(
     mean_b = value * (p_plus - p_minus)
     var_b = value * value * (p_plus + p_minus) - mean_b ** 2
     return (mean_a, var_a), (mean_b, var_b)
+
+
+def _golden_minimize(f, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(lo), float(hi)
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > _GOLDEN_XTOL:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = f(x2)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+@dataclass(frozen=True)
+class MinimumProductReport:
+    """Minimum simultaneous variance product by every available route.
+
+    ``value`` is the product evaluated at the regularized optimal overlap.
+    ``long_form`` is the direct closed expression in the populations (NaN
+    where that representation is 0/0 ill-conditioned), ``numeric_min`` a
+    golden-section minimization of the product over ``c``. The two compact
+    candidates ``(1 +- V P)**2 / 16`` are both evaluated; the match flags
+    record which one the computed routes agree with at 1e-9.
+    """
+
+    w_plus: float
+    value: float
+    long_form: float
+    numeric_min: float
+    c_opt: float
+    c_numeric: float
+    compact_plus: float
+    compact_minus: float
+    matches_plus: bool
+    matches_minus: bool
+
+
+def minimum_product_report(w_plus: float) -> MinimumProductReport:
+    """Every route to the minimum of the simultaneous product at fixed populations.
+
+    Raises a :class:`ContractViolationError` if the routes disagree beyond
+    :data:`ROUTE_AGREEMENT_TOL`. ``value`` is the product at the optimal
+    overlap, the same number :func:`minimum_simultaneous_product` returns.
+    """
+    w = float(w_plus)
+    k = w * (1.0 - w)
+    c_opt = optimal_entanglement(w)
+    at_optimal = simultaneous_product(w, c_opt)
+
+    # Direct closed expression; its denominator vanishes at k = 1/8 (where
+    # the form is 0/0 with a finite limit) and at k in {0, 1/4}, so it is
+    # only evaluated where it is well-conditioned.
+    root = math.sqrt(max(k * (1.0 - 4.0 * k), 0.0))
+    den = 16.0 * (-4.0 * k * (1.0 - 4.0 * k) + root)
+    if abs(den) >= 1e-6:
+        num = -16.0 * k * k * (1.0 - 4.0 * k) ** 2 + (1.0 - 12.0 * k * (1.0 - 4.0 * k)) * root
+        long_form = num / den
+    else:
+        long_form = math.nan
+
+    if 0.0 < c_opt < 1.0:
+        c_numeric, numeric_min = _golden_minimize(
+            lambda c: simultaneous_product(w, c), 1e-9, 1.0 - 1e-9
+        )
+    else:
+        # Boundary populations: the optimum sits at an endpoint of c where the
+        # finite limit is known exactly, so the numeric route collapses to it.
+        c_numeric, numeric_min = c_opt, at_optimal
+
+    v = 2.0 * math.sqrt(k)
+    p = math.sqrt(max(1.0 - 4.0 * k, 0.0))
+    compact_plus = (1.0 + v * p) ** 2 / 16.0
+    compact_minus = (1.0 - v * p) ** 2 / 16.0
+
+    routes = [at_optimal, numeric_min]
+    if not math.isnan(long_form):
+        routes.append(long_form)
+    spread = max(routes) - min(routes)
+    if spread > ROUTE_AGREEMENT_TOL:
+        raise ContractViolationError(
+            f"independent minimum-product routes disagree by {spread!r} at w_plus = {w!r}"
+        )
+
+    return MinimumProductReport(
+        w_plus=w,
+        value=at_optimal,
+        long_form=long_form,
+        numeric_min=numeric_min,
+        c_opt=c_opt,
+        c_numeric=c_numeric,
+        compact_plus=compact_plus,
+        compact_minus=compact_minus,
+        matches_plus=abs(at_optimal - compact_plus) <= ROUTE_AGREEMENT_TOL,
+        matches_minus=abs(at_optimal - compact_minus) <= ROUTE_AGREEMENT_TOL,
+    )
 
 
 def _suite_linalg_core(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
@@ -495,12 +610,10 @@ def _suite_unbiasedness(t: _Tally, size: dict, rng: np.random.Generator, corrupt
     # reproduces the sharp mean on every probe state, and the flipped
     # assignment fails on at least one.
     for c in _PROBE_C:
-        mp = meter_projectors(c)
         flipped_fails = False
         for w in _PROBE_W:
             for theta in _PROBE_THETA:
-                psi = entangle(w, theta, c).system_meter()
-                mean = mp.value_m1 * _weight(psi @ mp.m1.conj()) + mp.value_m2 * _weight(psi @ mp.m2.conj())
+                (mean, _), _ = projected_readout_moments(entangle(w, theta, c), theta)
                 sharp = 0.5 * (2.0 * w - 1.0)
                 t.close(mean, sharp, 1e-12, f"meter signs reproduce the sharp mean w={w} theta={theta} c={c}")
                 flipped_fails |= abs(-mean - sharp) > 1e-12

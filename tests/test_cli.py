@@ -17,10 +17,13 @@ from qudual import (
     optimal_entanglement,
     pure_state,
     sample_fringe,
+    sample_sharp,
     sample_simultaneous,
     simultaneous,
     simultaneous_product,
     symmetric_observable,
+    verify,
+    visibility_oracle,
 )
 from qudual.cli import CSV_HEADER, _build_parser, main
 
@@ -236,6 +239,10 @@ SCALAR_ENTRY_POINTS = {
     "sample_simultaneous.a_value": lambda x: sample_simultaneous(_PSI, 0.3, 10, 1, a_value=x),
     "sample_simultaneous.b_value": lambda x: sample_simultaneous(_PSI, 0.3, 10, 1, b_value=x),
     "sample_fringe.xi": lambda x: sample_fringe(pure_state(0.5), np.linspace(0.0, 6.0, 4), x, 10, 1),
+    "sample_fringe.n_per_point": lambda x: sample_fringe(pure_state(0.5), np.linspace(0.0, 6.0, 4), 0.5, x, 1),
+    "sample_sharp.n": lambda x: sample_sharp(pure_state(0.5), _FAMILY_REFERENCE, x, 1),
+    "sample_simultaneous.n": lambda x: sample_simultaneous(_PSI, 0.3, x, 1),
+    "visibility_oracle.grid_n": lambda x: visibility_oracle(pure_state(0.5), x),
 }
 
 
@@ -248,8 +255,8 @@ def test_non_finite_scalars_raise_parameter_error(entry, value):
 
 def test_compute_and_meter_readout_skip_the_cross_check_routes(capsys, count_calls):
     entangles = count_calls(simultaneous, "entangle")
-    reports = count_calls(simultaneous, "minimum_product_report")
-    searches = count_calls(simultaneous, "_golden_minimize")
+    reports = count_calls(verify, "minimum_product_report")
+    searches = count_calls(verify, "_golden_minimize")
     code, _, err = run(capsys, "compute", "--w-plus", "0.9", "--pure", "--theta", "0.3", "--c", "0.5")
     assert code == 0, err
     assert len(entangles) == 1

@@ -17,14 +17,13 @@ from qudual import (
     estimate_b,
     mean_var,
     meter_projectors,
-    minimum_product_report,
     minimum_simultaneous_product,
     optimal_entanglement,
     pure_state,
     simultaneous_product,
     symmetric_observable,
 )
-from qudual.verify import projected_readout_moments
+from qudual.verify import minimum_product_report, projected_readout_moments
 
 w_values = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False)
@@ -185,7 +184,6 @@ def test_optimal_overlap_minimizes_the_product(w):
 def test_minimum_report_frozen_values():
     rep = minimum_product_report(0.9)
     assert rep.value == pytest.approx(0.1369, abs=1e-12)
-    assert rep.at_optimal_c == pytest.approx(0.1369, abs=1e-12)
     assert rep.numeric_min == pytest.approx(0.1369, abs=1e-9)
     # the messy closed expression evaluates to the same number
     assert rep.long_form == pytest.approx(0.02102784 / 0.1536, abs=1e-12)

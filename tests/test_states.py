@@ -201,3 +201,7 @@ def test_phase_difference_realization_frozen_matrix():
     assert obs.val_minus == pytest.approx(math.pi)
     sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
     np.testing.assert_allclose(obs.matrix, math.pi * (np.eye(2) - sigma_x) / 2.0, atol=1e-14)
+    # mutually unbiased with the reference basis: every squared overlap is 1/2
+    for varrho in (0.0, 1.3, 4.0):
+        basis = phase_difference_realization(0.7, varrho).basis
+        np.testing.assert_allclose(np.abs(basis) ** 2, 0.5, atol=1e-12)

@@ -9,6 +9,11 @@ vector, so the outputs of two checkouts compare with one ``diff``::
     python3 /path/to/other/checkout/tools/output_digest.py > old.txt
     diff old.txt new.txt
 
+``tools/output_digests.txt`` holds the digests of the current outputs, so one
+checkout proves byte identity on its own::
+
+    python3 tools/output_digest.py | diff tools/output_digests.txt -
+
 The list: the first 5 rounds of the benchmark's seeded ``compute`` stream at
 seeds 1-3, ``sweep`` of both figures at 2001 points, ``verify`` at both
 levels for seeds 1-10, 42 and 343578368, ``verify --selftest-corrupt`` at
