@@ -39,7 +39,7 @@ from .duality import (
     visibility,
     visibility_of_b,
 )
-from .errors import ParameterError, QudualError
+from .errors import ParameterError, QudualError, check_scalar
 from .simultaneous import (
     distinguishability,
     entangle,
@@ -55,12 +55,15 @@ from .uncertainty import mean_var, normalized_product_bounds, robertson
 
 CSV_HEADER = "w_plus,P,V,product_min,product_max,D,V_e,c_opt,sim_product_min"
 
+# Largest sweep: every row, about 0.6 kB of text, is built before any is written.
+MAX_SWEEP_POINTS = 10**5
+
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
 _EXIT_BAD_PARAMS = 2
 _EXIT_UNWRITABLE = 3
 
-__all__ = ["main", "CSV_HEADER"]
+__all__ = ["main", "CSV_HEADER", "MAX_SWEEP_POINTS"]
 
 
 def _fmt(x: float) -> str:
@@ -174,6 +177,7 @@ def _sweep_rows(figure: int, points: int) -> list[str]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.points < 2:
         raise ParameterError(f"--points must be at least 2, got {args.points}")
+    check_scalar(args.points, "--points", hi=MAX_SWEEP_POINTS)
     rows = _sweep_rows(args.figure, args.points)
     text = CSV_HEADER + "\n" + "\n".join(rows) + "\n"
     if args.out is not None:

@@ -21,7 +21,11 @@ import numpy as np
 from .errors import ContractViolationError, ParameterError, check_scalar
 from .states import DensityMatrix, purity
 
+# Largest oracle grid: the scan peaks near 64 * grid_n**2 bytes, 256 MB here.
+MAX_GRID_N = 2048
+
 __all__ = [
+    "MAX_GRID_N",
     "predictability",
     "visibility",
     "fringe_probability",
@@ -74,7 +78,7 @@ def visibility_oracle(rho: DensityMatrix, grid_n: int = 512) -> tuple[float, flo
     Independent of the closed form: agrees with :func:`visibility` to
     O(1/grid_n**2) and the folded angle lands within one grid step of pi/4.
     """
-    grid_n = int(check_scalar(grid_n, "grid_n"))
+    grid_n = int(check_scalar(grid_n, "grid_n", hi=MAX_GRID_N))
     if grid_n < 8:
         raise ParameterError(f"grid_n = {grid_n} violates the bound grid_n >= 8")
     phi = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)

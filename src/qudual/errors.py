@@ -36,6 +36,23 @@ class SingularConfigurationError(QudualError):
     """
 
 
+def as_float(value) -> float:
+    """``float(value)``, with an integer beyond the double range taken as an infinity of its sign."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def as_float_array(values) -> np.ndarray:
+    """:func:`as_float` elementwise: ``values`` as a float array."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        items = np.asarray(values, dtype=object)
+        return np.array([as_float(x) for x in items.flat], dtype=float).reshape(items.shape)
+
+
 def check_scalar(
     value: float,
     name: str,
@@ -49,9 +66,10 @@ def check_scalar(
 
     NaN and infinities are always rejected. ``lo_open`` excludes ``lo``
     itself; ``slack`` widens both closed ends, and a value accepted inside
-    the slack is clamped onto ``[lo, hi]``. The message names the bound.
+    the slack is clamped onto ``[lo, hi]``. An integer beyond the double
+    range counts as an infinity of its sign. The message names the bound.
     """
-    v = float(value)
+    v = as_float(value)
     below = v <= lo if lo_open else v < lo - slack
     if not math.isfinite(v) or below or v > hi + slack:
         left = "-inf <" if lo == -math.inf else f"{lo:g} {'<' if lo_open else '<='}"
@@ -74,7 +92,7 @@ def check_array(
     The first value that :func:`check_scalar` rejects raises its
     :class:`ParameterError`.
     """
-    v = np.asarray(values, dtype=float)
+    v = as_float_array(values)
     below = v <= lo if lo_open else v < lo - slack
     bad = ~np.isfinite(v) | below | (v > hi + slack)
     if bad.any():

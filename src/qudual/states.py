@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractViolationError, ParameterError, check_array, check_scalar
+from .errors import ContractViolationError, ParameterError, as_float, as_float_array, check_array, check_scalar
 from .linalg import assert_hermitian, assert_unitary
 
 TWO_PI = 2.0 * math.pi
@@ -71,7 +71,7 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         w = check_scalar(self.w_plus, "w_plus", 0.0, 1.0, slack=POSITIVITY_TOL)
-        r = float(self.rho12)
+        r = as_float(self.rho12)
         bound = math.sqrt(w * (1.0 - w))
         if math.isnan(r) or r < -POSITIVITY_TOL or r > bound + POSITIVITY_TOL:
             raise ParameterError(
@@ -137,7 +137,7 @@ def validate_density(w_plus, rho12, theta=0.0) -> tuple[np.ndarray, np.ndarray, 
     :class:`ParameterError`.
     """
     w = check_array(w_plus, "w_plus", 0.0, 1.0, slack=POSITIVITY_TOL)
-    w, r, t = np.broadcast_arrays(w, np.asarray(rho12, dtype=float), check_array(theta, "theta"))
+    w, r, t = np.broadcast_arrays(w, as_float_array(rho12), check_array(theta, "theta"))
     bad = np.isnan(r) | (r < -POSITIVITY_TOL) | (r > np.sqrt(w * (1.0 - w)) + POSITIVITY_TOL)
     if bad.any():
         i = np.argmax(bad)
@@ -190,7 +190,7 @@ class Observable:
     basis: np.ndarray = field(default_factory=lambda: np.eye(2, dtype=complex))
 
     def __post_init__(self) -> None:
-        if float(self.val_plus) == float(self.val_minus):
+        if as_float(self.val_plus) == as_float(self.val_minus):
             raise ParameterError(
                 f"outcome values must be distinct, got val_plus = val_minus = {self.val_plus!r}"
             )
@@ -252,7 +252,7 @@ class ComplementaryFamily:
     b_minus: float = -0.5
 
     def __post_init__(self) -> None:
-        if float(self.b_plus) == float(self.b_minus):
+        if as_float(self.b_plus) == as_float(self.b_minus):
             raise ParameterError(
                 f"outcome values must be distinct, got b_plus = b_minus = {self.b_plus!r}"
             )

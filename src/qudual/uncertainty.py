@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, ParameterError, check_scalar
+from .errors import ContractViolationError, ParameterError, as_float, check_scalar
 from .states import DensityMatrix, Observable, pure_state
 
 EQUALITY_TOL = 1e-10
@@ -223,7 +223,7 @@ def intelligent_state(
     varrho = check_scalar(varrho, "varrho")
 
     if family == "IS2a":
-        beta = float(param)
+        beta = as_float(param)
         if math.isnan(beta) or beta < 0.0 or beta > math.pi / 2.0 + 1e-15:
             raise ParameterError(f"beta = {beta!r} violates the bound 0 <= beta <= pi/2")
         state = pure_state(0.5, varrho + branch * beta)

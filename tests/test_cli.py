@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from qudual import (
+    MAX_GRID_N,
+    MAX_SHOTS,
     ComplementaryFamily,
     DensityMatrix,
     ParameterError,
@@ -25,7 +27,7 @@ from qudual import (
     verify,
     visibility_oracle,
 )
-from qudual.cli import CSV_HEADER, _build_parser, main
+from qudual.cli import CSV_HEADER, MAX_SWEEP_POINTS, _build_parser, main
 
 
 def run(capsys, *argv):
@@ -246,11 +248,43 @@ SCALAR_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "+inf", "-inf", "10**400"])
 @pytest.mark.parametrize("entry", sorted(SCALAR_ENTRY_POINTS))
 def test_non_finite_scalars_raise_parameter_error(entry, value):
     with pytest.raises(ParameterError):
         SCALAR_ENTRY_POINTS[entry](value)
+
+
+# Each value fails its bound before any draw or allocation.
+SIZE_BOUNDS = {
+    "sample_sharp.n": (SCALAR_ENTRY_POINTS["sample_sharp.n"], MAX_SHOTS, "n"),
+    "sample_simultaneous.n": (SCALAR_ENTRY_POINTS["sample_simultaneous.n"], MAX_SHOTS, "n"),
+    "sample_fringe.n_per_point": (SCALAR_ENTRY_POINTS["sample_fringe.n_per_point"], MAX_SHOTS, "n_per_point"),
+    "visibility_oracle.grid_n": (SCALAR_ENTRY_POINTS["visibility_oracle.grid_n"], MAX_GRID_N, "grid_n"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SIZE_BOUNDS))
+def test_sizes_past_their_bound_raise_parameter_error(entry):
+    call, bound, name = SIZE_BOUNDS[entry]
+    with pytest.raises(ParameterError, match=re.escape(f"violates the bound -inf < {name} <= {bound:g}") + "$"):
+        call(bound + 1)
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (("mc", "--c", "0.5", "--n", str(MAX_SHOTS + 1)), f"n <= {MAX_SHOTS:g}"),
+        (("mc", "--c", "0.5", "--n", str(10**30)), f"n <= {MAX_SHOTS:g}"),
+        (("mc", "--c", "0.5", "--n", str(10**400)), f"n <= {MAX_SHOTS:g}"),
+        (("sweep", "--figure", "1", "--points", str(MAX_SWEEP_POINTS + 1)), f"--points <= {MAX_SWEEP_POINTS:g}"),
+    ],
+    ids=["mc-n", "mc-n-1e30", "mc-n-1e400", "sweep-points"],
+)
+def test_cli_sizes_past_their_bound_exit_2(capsys, argv, bound):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.rstrip().endswith(bound)
 
 
 def test_compute_and_meter_readout_skip_the_cross_check_routes(capsys, count_calls):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qudual import (
     sample_simultaneous,
     symmetric_observable,
 )
+from qudual.montecarlo import _CHUNK, _count_below, _count_joint, _generator, _generator_after
 
 A = symmetric_observable()
 PHI_GRID = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
@@ -112,3 +114,57 @@ def test_simultaneous_multiple_seeds_stay_within_gates():
         rep_a, rep_b = sample_simultaneous(psi, 1.0, 20000, seed=seed)
         assert not rep_a.flagged
         assert not rep_b.flagged
+
+
+COUNT_SIZES = [1, 5, 6, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3, 10**6 + 3]
+
+
+@pytest.mark.parametrize("n", COUNT_SIZES)
+def test_chunked_sharp_count_equals_one_shot_draw(n):
+    p = 0.37
+    reference = int(np.count_nonzero(_generator(11, stream=2).random(n) < p))
+    assert _count_below(_generator(11, stream=2), n, p) == reference
+
+
+@pytest.mark.parametrize("n", COUNT_SIZES)
+def test_chunked_joint_counts_equal_one_shot_draws(n):
+    p1, q = 0.62, np.array([0.81, 0.23])
+    # the one-shot route: n meter uniforms, then n system uniforms, on stream 0
+    rng = _generator(13, stream=0)
+    u_meter = rng.random(n)
+    u_system = rng.random(n)
+    took_m1 = u_meter < p1
+    b_plus = u_system < np.where(took_m1, q[0], q[1])
+    reference = (int(np.count_nonzero(took_m1)), int(np.count_nonzero(b_plus)))
+    assert _count_joint(13, n, p1, q) == reference
+
+
+@pytest.mark.parametrize("n", [0, 4, 5, 6, 7, 1001, _CHUNK + 1, 10**6 + 3])
+def test_skipped_generator_continues_where_n_draws_end(n):
+    # the skip counts four doubles per Philox counter step, so it breaks if a
+    # double ever takes other than one 64-bit word
+    tail = _generator(17, stream=3).random(2 * n)[n:]
+    np.testing.assert_array_equal(_generator_after(17, 3, n).random(n), tail)
+
+
+def _allocation_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("sampler", ["sharp", "simultaneous"])
+def test_sampler_memory_does_not_grow_with_n(sampler):
+    rho, psi = pure_state(0.9, 0.3), entangle(0.9, 0.3, 0.6)
+    run = {
+        "sharp": lambda n: sample_sharp(rho, A, n, seed=3),
+        "simultaneous": lambda n: sample_simultaneous(psi, 0.3, n, seed=3),
+    }[sampler]
+    run(1)  # warm any lazy set-up outside the measurement
+    small = _allocation_peak(lambda: run(2 * 10**5))
+    large = _allocation_peak(lambda: run(2 * 10**6))
+    assert large <= small
+    assert large < 2 * 2**20

@@ -120,6 +120,9 @@ def test_stacked_states_follow_the_scalar_rules():
         ([0.5, 0.5], [0.1, 0.6], [0.0, 0.0], r"rho12 = 0.6 violates the positivity bound"),
         ([0.5, 0.5], [0.1, np.nan], [0.0, 0.0], r"rho12 = nan violates the positivity bound"),
         ([0.5, 0.5], [0.1, 0.1], [0.0, np.inf], "theta = inf violates the bound"),
+        ([0.5, 10**400], [0.1, 0.0], [0.0, 0.0], "w_plus = inf violates the bound 0 <= w_plus <= 1"),
+        ([0.5, 0.5], [0.1, 10**400], [0.0, 0.0], r"rho12 = inf violates the positivity bound"),
+        ([0.5, 0.5], [0.1, 0.1], [0.0, -(10**400)], "theta = -inf violates the bound"),
     ],
 )
 def test_stacked_states_raise_the_scalar_errors(w, rho12, theta, match):
@@ -135,6 +138,8 @@ def test_stacked_family_members_match_the_scalar_observables():
         np.testing.assert_array_equal(stack[i], complementary_observable(ComplementaryFamily(a_obs, phase)).matrix)
     with pytest.raises(ParameterError, match="varrho = nan"):
         complementary_matrices(a_obs, [0.0, np.nan])
+    with pytest.raises(ParameterError, match="varrho = inf"):
+        complementary_matrices(a_obs, [0.0, 10**400])
 
 
 def test_from_matrix_rejects_bad_input():

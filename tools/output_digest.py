@@ -17,7 +17,8 @@ checkout proves byte identity on its own::
 The list: the first 5 rounds of the benchmark's seeded ``compute`` stream at
 seeds 1-3, ``sweep`` of both figures at 2001 points, ``verify`` at both
 levels for seeds 1-10, 42 and 343578368, ``verify --selftest-corrupt`` at
-both levels, and ``mc --n 100000`` at three settings. It takes about a minute.
+both levels, and ``mc`` at three settings for each of ``MC_SHOTS``. It takes
+about a minute.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ MC_SETTINGS = (
     ("--w-plus", "0.2", "--theta", "1.7", "--seed", "7"),
     ("--w-plus", "0.7", "--theta", "4.0", "--c", "0.35", "--varrho", "2.5", "--seed", "343578368"),
 )
+# 65537 and 200003 cross the samplers' chunk boundaries at n % 4 = 1 and 3.
+MC_SHOTS = ("100000", "65537", "200003")
 
 
 def calls() -> list[tuple[str, ...]]:
@@ -54,7 +57,7 @@ def calls() -> list[tuple[str, ...]]:
     for level in ("fast", "full"):
         argvs += [("verify", "--level", level, "--seed", str(seed)) for seed in VERIFY_SEEDS]
         argvs.append(("verify", "--level", level, "--selftest-corrupt"))
-    argvs += [("mc", "--n", "100000", *setting) for setting in MC_SETTINGS]
+    argvs += [("mc", "--n", n, *setting) for n in MC_SHOTS for setting in MC_SETTINGS]
     return argvs
 
 
