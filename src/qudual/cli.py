@@ -43,6 +43,7 @@ from .errors import ParameterError, QudualError, check_scalar
 from .simultaneous import (
     distinguishability,
     entangle,
+    entangled_arrays,
     entangled_visibility,
     estimate_a,
     estimate_b,
@@ -158,26 +159,21 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _sweep_rows(figure: int, points: int) -> list[str]:
+    w = [math.sin(float(alpha)) ** 2 for alpha in np.linspace(0.0, math.pi / 2.0, points)]
+    c_opt = [optimal_entanglement(x) for x in w]
+    d, ve = entangled_arrays(w, 0.0, 1.0 if figure == 1 else c_opt)[:2]
     rows = []
-    for alpha in np.linspace(0.0, math.pi / 2.0, points):
-        w = math.sin(float(alpha)) ** 2
-        p = abs(2.0 * w - 1.0)
-        v = 2.0 * math.sqrt(w * (1.0 - w))
-        lo, hi = normalized_product_bounds(w)
-        c_opt = optimal_entanglement(w)
-        c_row = 1.0 if figure == 1 else c_opt
-        psi = entangle(w, 0.0, c_row)
-        d = distinguishability(psi)
-        ve = entangled_visibility(psi)
-        sim_min = minimum_simultaneous_product(w)
-        rows.append(",".join(_fmt(x) for x in (w, p, v, lo, hi, d, ve, c_opt, sim_min)))
+    for i, x in enumerate(w):
+        p = abs(2.0 * x - 1.0)
+        v = 2.0 * math.sqrt(x * (1.0 - x))
+        lo, hi = normalized_product_bounds(x)
+        sim_min = minimum_simultaneous_product(x)
+        rows.append(",".join(_fmt(y) for y in (x, p, v, lo, hi, d[i], ve[i], c_opt[i], sim_min)))
     return rows
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.points < 2:
-        raise ParameterError(f"--points must be at least 2, got {args.points}")
-    check_scalar(args.points, "--points", hi=MAX_SWEEP_POINTS)
+    check_scalar(args.points, "--points", 2, MAX_SWEEP_POINTS)
     rows = _sweep_rows(args.figure, args.points)
     text = CSV_HEADER + "\n" + "\n".join(rows) + "\n"
     if args.out is not None:

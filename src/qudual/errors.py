@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the scalar validation that raises them."""
 
 import math
+import numbers
 
 import numpy as np
 
@@ -67,14 +68,16 @@ def check_scalar(
     NaN and infinities are always rejected. ``lo_open`` excludes ``lo``
     itself; ``slack`` widens both closed ends, and a value accepted inside
     the slack is clamped onto ``[lo, hi]``. An integer beyond the double
-    range counts as an infinity of its sign. The message names the bound.
+    range counts as an infinity of its sign. The message names the bound and
+    shows an integer as an integer.
     """
     v = as_float(value)
     below = v <= lo if lo_open else v < lo - slack
     if not math.isfinite(v) or below or v > hi + slack:
         left = "-inf <" if lo == -math.inf else f"{lo:g} {'<' if lo_open else '<='}"
         right = "< inf" if hi == math.inf else f"<= {hi:g}"
-        raise ParameterError(f"{name} = {v!r} violates the bound {left} {name} {right}")
+        shown = int(value) if isinstance(value, numbers.Integral) and math.isfinite(v) else v
+        raise ParameterError(f"{name} = {shown!r} violates the bound {left} {name} {right}")
     return min(max(v, lo), hi)
 
 

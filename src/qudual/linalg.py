@@ -29,11 +29,15 @@ __all__ = [
 
 
 def assert_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
-    """Return ``m`` as a complex array, raising if it is not Hermitian within ``tol``."""
+    """Return ``m`` as a complex array, raising if it is not Hermitian within ``tol``.
+
+    A stack of shape ``(..., n, n)`` is checked matrix by matrix; the message
+    reports the largest deviation in the stack.
+    """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ContractViolationError(f"{name} must be square, got shape {m.shape}")
-    dev = float(np.max(np.abs(m - m.conj().T)))
+    dev = float(np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0))
     if dev > tol:
         raise ContractViolationError(
             f"{name} is not Hermitian: max |m - m^dagger| = {dev:.3e} exceeds {tol:.1e}"
@@ -58,6 +62,24 @@ def assert_unitary(m: np.ndarray, tol: float = UNITARITY_TOL, name: str = "matri
     return m
 
 
+def _mean_half_gap(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and half gap of the two eigenvalues of stacked Hermitian 2x2 matrices ``(..., 2, 2)``.
+
+    The half gap is ``hypot((a - d) / 2, |b|)`` with ``b`` the upper
+    off-diagonal entry. ``|b|`` is ``np.hypot`` of its parts, which rounds as
+    the scalar ``abs`` does (NumPy's complex ``abs`` on arrays does not), and
+    the outer ``hypot`` is ``math.hypot`` per element, which ``np.hypot``
+    does not always match in the last bit; so a stack rounds as one matrix.
+    """
+    a = m[..., 0, 0].real
+    d = m[..., 1, 1].real
+    b = m[..., 0, 1]  # the upper triangle fixes the off-diagonal convention
+    mean = 0.5 * (a + d)
+    legs = zip(np.ravel(0.5 * (a - d)).tolist(), np.ravel(np.hypot(b.real, b.imag)).tolist())
+    half_gap = np.reshape([math.hypot(x, y) for x, y in legs], np.shape(mean))
+    return mean, half_gap
+
+
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of a Hermitian 2x2 matrix, in closed form.
 
@@ -69,9 +91,8 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ContractViolationError(f"hermitian_eig expects a 2x2 matrix, got {m.shape}")
     a = m[0, 0].real
     d = m[1, 1].real
-    b = m[0, 1]  # the upper triangle fixes the off-diagonal convention
-    mean = 0.5 * (a + d)
-    half_gap = math.hypot(0.5 * (a - d), abs(b))
+    b = m[0, 1]
+    mean, half_gap = _mean_half_gap(m)
     w = np.array([mean + half_gap, mean - half_gap])
     if half_gap == 0.0:
         return w, np.eye(2, dtype=complex)
@@ -91,10 +112,20 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, np.column_stack([v_plus, v_minus])
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Trace norm (sum of absolute eigenvalues) of a Hermitian 2x2 matrix."""
-    w, _ = hermitian_eig(m)
-    return float(np.sum(np.abs(w)))
+def trace_norm(m: np.ndarray):
+    """Trace norm (sum of absolute eigenvalues) of a Hermitian 2x2 matrix, or of each in a stack.
+
+    ``m`` has shape ``(..., 2, 2)``; every matrix must pass
+    :func:`assert_hermitian`. Returns a float for one matrix and an array of
+    the stack shape otherwise, from the eigenvalues ``mean +- half_gap`` of
+    :func:`hermitian_eig` without its eigenvectors.
+    """
+    m = assert_hermitian(m)
+    if m.shape[-2:] != (2, 2):
+        raise ContractViolationError(f"trace_norm expects 2x2 matrices, got {m.shape}")
+    mean, half_gap = _mean_half_gap(m)
+    norm = np.abs(mean + half_gap) + np.abs(mean - half_gap)
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -221,9 +221,7 @@ def sample_sharp(
     eigenvectors; the analytic claims under test come from the trace-based
     moments, so the two routes stay independent.
     """
-    n = int(check_scalar(n, "n", hi=MAX_SHOTS))
-    if n < 1:
-        raise ParameterError(f"sample size must be at least 1, got {n}")
+    n = int(check_scalar(n, "n", 1, MAX_SHOTS))
     p_plus = _outcome_probability(rho, obs.vec_plus)
     k_plus = _count_below(_generator(seed, stream), n, p_plus)
     return _two_outcome_report(
@@ -253,9 +251,7 @@ def sample_fringe(
     phi_grid = np.asarray(phi_grid, dtype=float)
     if phi_grid.ndim != 1 or phi_grid.size < 2:
         raise ParameterError(f"phi_grid must hold at least 2 phases, got shape {phi_grid.shape}")
-    n_per_point = int(check_scalar(n_per_point, "n_per_point", hi=MAX_SHOTS))
-    if n_per_point < 1:
-        raise ParameterError(f"n_per_point must be at least 1, got {n_per_point}")
+    n_per_point = int(check_scalar(n_per_point, "n_per_point", 1, MAX_SHOTS))
     xi = check_scalar(xi, "xi")
     p_hat = np.empty(phi_grid.size)
     for j, phi in enumerate(phi_grid):
@@ -285,9 +281,7 @@ def sample_simultaneous(
     the rescaled readout moments against :func:`estimate_a` and
     :func:`estimate_b`.
     """
-    n = int(check_scalar(n, "n", hi=MAX_SHOTS))
-    if n < 1:
-        raise ParameterError(f"sample size must be at least 1, got {n}")
+    n = int(check_scalar(n, "n", 1, MAX_SHOTS))
     b = check_scalar(b_value, "b_value", 0.0, lo_open=True)
     mp = meter_projectors(psi_e.c, a_value)
     psi = psi_e.system_meter()

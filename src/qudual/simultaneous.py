@@ -14,6 +14,12 @@ once, at the price of rescaled outcome values and hence inflated variances.
 The product of the two estimator variances has a state-dependent minimum
 over ``c``, reached at ``c**2 = V / (P + V)``.
 
+The which-way quantities come from one array kernel,
+:func:`entangled_arrays`, for stacked ``(w_plus, theta, c)``;
+:func:`entangle`, :func:`distinguishability`, :func:`entangled_visibility`
+and :meth:`EntangledState.marginal_system` run its steps on one state and
+round alike.
+
 Basis order of the composite amplitudes is
 ``|plus m+>, |plus m_perp>, |minus m+>, |minus m_perp>`` (system index
 slowest), matching :func:`qudual.linalg.kron`.
@@ -27,9 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, SingularConfigurationError, check_scalar
+from .errors import ParameterError, SingularConfigurationError, check_array, check_scalar
 from .linalg import trace_norm
-from .states import TWO_PI, DensityMatrix
+from .states import TWO_PI, DensityMatrix, density_params, validate_density
 
 # Largest rescaled outcome value whose square is a finite double.
 MAX_RESCALED_VALUE = math.sqrt(sys.float_info.max)
@@ -40,6 +46,7 @@ __all__ = [
     "entangle",
     "distinguishability",
     "entangled_visibility",
+    "entangled_arrays",
     "MeterProjectors",
     "meter_projectors",
     "estimate_a",
@@ -67,17 +74,40 @@ class EntangledState:
         """Amplitudes reshaped to ``psi[system, meter]``."""
         return self.amplitudes.reshape(2, 2)
 
-    def _system_matrix(self) -> np.ndarray:
-        """Partial trace over the meter, as an explicit 2x2 matrix."""
-        psi = self.system_meter()
-        return np.einsum("im,jm->ij", psi, psi.conj())
-
     def marginal_system(self) -> DensityMatrix:
         """Partial trace over the meter.
 
         Keeps the populations and shrinks the coherence to ``c sqrt(w+ w-)``.
         """
-        return DensityMatrix.from_matrix(self._system_matrix())
+        return DensityMatrix.from_matrix(_reduced(self.system_meter()))
+
+
+def _amplitudes(w, t, c) -> np.ndarray:
+    """Amplitudes ``psi[..., system, meter]`` of valid stacked parameters, with ``t`` wrapped to [0, 2 pi)."""
+    phase = np.exp(1j * t)
+    root = np.sqrt(1.0 - w)
+    psi = np.zeros(np.shape(phase) + (2, 2), dtype=complex)
+    psi[..., 0, 0] = np.sqrt(w)
+    psi[..., 1, 0] = phase * root * c
+    psi[..., 1, 1] = phase * root * np.sqrt(1.0 - c * c)
+    return psi
+
+
+def _distinguishability(psi: np.ndarray):
+    """Trace-norm distance of the meter blocks ``psi[..., s, :] psi[..., s, :]^dagger`` of the two system states."""
+    blocks = psi[..., :, :, None] * psi[..., :, None, :].conj()
+    return trace_norm(blocks[..., 0, :, :] - blocks[..., 1, :, :])
+
+
+def _reduced(psi: np.ndarray) -> np.ndarray:
+    """System matrices ``(..., 2, 2)`` left by tracing the meter out of ``psi[..., system, meter]``."""
+    return np.einsum("...im,...jm->...ij", psi, psi.conj())
+
+
+def _visibility(m: np.ndarray):
+    """Fringe visibility ``2 |m[..., 1, 0]|`` of system matrices; ``np.hypot`` rounds as the scalar ``abs``."""
+    off = m[..., 1, 0]
+    return 2.0 * np.hypot(off.real, off.imag)
 
 
 def entangle(w_plus: float, theta: float, c: float) -> EntangledState:
@@ -85,15 +115,7 @@ def entangle(w_plus: float, theta: float, c: float) -> EntangledState:
     w = check_scalar(w_plus, "w_plus", 0.0, 1.0)
     cc = check_scalar(c, "c", 0.0, 1.0)
     t = check_scalar(theta, "theta") % TWO_PI
-    phase = np.exp(1j * t)
-    amp = np.array(
-        [
-            math.sqrt(w),
-            0.0,
-            phase * math.sqrt(1.0 - w) * cc,
-            phase * math.sqrt(1.0 - w) * math.sqrt(1.0 - cc * cc),
-        ]
-    )
+    amp = _amplitudes(w, t, cc).reshape(4)
     amp.setflags(write=False)
     return EntangledState(w_plus=w, theta=t, c=cc, amplitudes=amp)
 
@@ -105,10 +127,7 @@ def distinguishability(psi_e: EntangledState) -> float:
     space; equals ``sqrt(1 - 4 c**2 w+ w-)``, which never falls below the
     predictability of the system state.
     """
-    psi = psi_e.system_meter()
-    block_plus = np.outer(psi[0], psi[0].conj())
-    block_minus = np.outer(psi[1], psi[1].conj())
-    return trace_norm(block_plus - block_minus)
+    return _distinguishability(psi_e.system_meter())
 
 
 def entangled_visibility(psi_e: EntangledState) -> float:
@@ -117,7 +136,31 @@ def entangled_visibility(psi_e: EntangledState) -> float:
     Equals ``2 c sqrt(w+ w-)``; together with the distinguishability it
     saturates ``D**2 + V_e**2 = 1`` for every ``(w_plus, c)``.
     """
-    return 2.0 * float(abs(psi_e._system_matrix()[1, 0]))
+    return float(_visibility(_reduced(psi_e.system_meter())))
+
+
+def entangled_arrays(
+    w_plus, theta, c
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Which-way quantities of stacked entangled states, elementwise.
+
+    ``w_plus``, ``theta`` and ``c`` broadcast together; an element that
+    :func:`entangle` would reject raises the same :class:`ParameterError`.
+    Returns float arrays ``(d, v_e, w_marg, rho12_marg, theta_marg)``: the
+    :func:`distinguishability` and :func:`entangled_visibility` of each
+    state, and the fields of its :meth:`EntangledState.marginal_system`. The
+    amplitudes are :func:`entangle`'s, the distinguishability is the stacked
+    trace norm of the two meter blocks, and the visibility and the marginal
+    come from the stacked partial trace, the marginal read by
+    :func:`density_params` and checked by :func:`validate_density`.
+    Each element rounds as the scalar functions do on that one state.
+    """
+    w = check_array(w_plus, "w_plus", 0.0, 1.0)
+    cc = check_array(c, "c", 0.0, 1.0)
+    t = np.remainder(check_array(theta, "theta"), TWO_PI)
+    psi = _amplitudes(*np.broadcast_arrays(w, t, cc))
+    m = _reduced(psi)
+    return _distinguishability(psi), _visibility(m), *validate_density(*density_params(m))
 
 
 @dataclass(frozen=True, eq=False)

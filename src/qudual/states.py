@@ -12,6 +12,8 @@ A state or observable computes its matrix once and returns it read-only.
 :func:`validate_density`, :func:`density_matrix` and
 :func:`complementary_matrices` are the same rules and constructions applied
 elementwise to stacked parameters, for checks that sweep many states at once.
+:func:`density_params` reads the parameters off stacked matrices;
+:meth:`DensityMatrix.from_matrix` is that function on one matrix.
 
 Index 0 is ``|plus>`` and index 1 is ``|minus>`` everywhere.
 """
@@ -37,6 +39,7 @@ __all__ = [
     "POSITIVITY_TOL",
     "DensityMatrix",
     "validate_density",
+    "density_params",
     "purity",
     "density_matrix",
     "Observable",
@@ -115,17 +118,8 @@ class DensityMatrix:
 
     @classmethod
     def from_matrix(cls, m: np.ndarray, tol: float = 1e-10) -> "DensityMatrix":
-        """Extract parameters from an explicit 2x2 density matrix."""
-        m = assert_hermitian(m, name="density matrix")
-        if m.shape != (2, 2):
-            raise ContractViolationError(f"density matrix must be 2x2, got {m.shape}")
-        tr = float(m[0, 0].real + m[1, 1].real)
-        if abs(tr - 1.0) > tol:
-            raise ContractViolationError(f"density matrix trace = {tr!r} differs from 1 beyond {tol:.1e}")
-        w = float(m[0, 0].real)
-        r = float(abs(m[1, 0]))
-        t = float(np.angle(m[1, 0])) % TWO_PI if r > 0.0 else 0.0
-        return cls(w, r, t)
+        """Extract parameters from an explicit 2x2 density matrix: :func:`density_params` on one matrix."""
+        return cls(*(float(x) for x in density_params(m, tol)))
 
 
 def validate_density(w_plus, rho12, theta=0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -144,6 +138,31 @@ def validate_density(w_plus, rho12, theta=0.0) -> tuple[np.ndarray, np.ndarray, 
         DensityMatrix(w.flat[i], r.flat[i])  # raises the positivity bound's error
     r = np.maximum(r, 0.0)
     return w, r, np.where(r > 0.0, np.remainder(t, TWO_PI), 0.0)
+
+
+def density_params(m: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parameters ``(w_plus, rho12, theta)`` read off explicit density matrices ``(..., 2, 2)``.
+
+    Every matrix must be Hermitian within :data:`qudual.linalg.HERMITICITY_TOL`
+    and have unit trace within ``tol``, or a :class:`ContractViolationError`
+    names the first failure. Returns the populations and the magnitude and
+    wrapped phase of the lower off-diagonal entry, as float arrays; their
+    range checks are :class:`DensityMatrix`'s, or :func:`validate_density`'s
+    for a stack.
+    """
+    m = assert_hermitian(m, name="density matrix")
+    if m.shape[-2:] != (2, 2):
+        raise ContractViolationError(f"density matrix must be 2x2, got {m.shape}")
+    tr = m[..., 0, 0].real + m[..., 1, 1].real
+    bad = np.abs(tr - 1.0) > tol
+    if bad.any():
+        raise ContractViolationError(
+            f"density matrix trace = {float(tr[bad].flat[0])!r} differs from 1 beyond {tol:.1e}"
+        )
+    off = m[..., 1, 0]
+    # np.hypot of the parts rounds as the scalar abs does; NumPy's complex abs on arrays does not.
+    r = np.hypot(off.real, off.imag)
+    return m[..., 0, 0].real, r, np.where(r > 0.0, np.remainder(np.angle(off), TWO_PI), 0.0)
 
 
 def purity(w_plus, rho12):

@@ -18,8 +18,10 @@ over ``c`` and the two compact candidates. Neither is in ``__all__``.
 
 The ``duality`` and ``robertson`` suites draw their states as one batch and
 check them with one call of the array kernels ``duality_arrays`` and
-``robertson_arrays``; their tallies record the same checks, counts and notes
-as a loop over the states would.
+``robertson_arrays``, and the ``entangled_duality`` suite checks its
+51 x 51 grid of ``(w_plus, c)`` with one call of ``entangled_arrays``; their
+tallies record the same checks, counts and notes as a loop over the states
+would.
 """
 
 from __future__ import annotations
@@ -42,9 +44,8 @@ from .errors import ContractViolationError, ParameterError
 from .linalg import hermitian_eig, kron, trace_norm
 from .simultaneous import (
     EntangledState,
-    distinguishability,
     entangle,
-    entangled_visibility,
+    entangled_arrays,
     estimate_a,
     estimate_b,
     meter_projectors,
@@ -572,17 +573,22 @@ def _suite_product_bounds(t: _Tally, size: dict, rng: np.random.Generator, corru
 
 
 def _suite_entangled_duality(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
-    theta = 0.7
-    for w in np.linspace(0.0, 1.0, 51):
-        for c in np.linspace(0.0, 1.0, 51):
-            psi = entangle(float(w), theta, float(c))
-            d = distinguishability(psi)
-            ve = entangled_visibility(psi)
-            t.close(d * d + ve * ve, 1.0, 1e-12, f"erasure-free duality w={w:.2f} c={c:.2f}")
-            t.check(abs(2.0 * w - 1.0) <= d + 1e-12, f"predictability below distinguishability w={w:.2f} c={c:.2f}")
-            marg = psi.marginal_system()
-            t.close(marg.w_plus, float(w), 1e-12, f"marginal populations w={w:.2f} c={c:.2f}")
-            t.close(marg.rho12, float(c) * math.sqrt(w * (1.0 - w)), 1e-12, f"marginal coherence w={w:.2f} c={c:.2f}")
+    grid = np.linspace(0.0, 1.0, 51)
+    w, c = (x.ravel() for x in np.meshgrid(grid, grid, indexing="ij"))
+    d, ve, w_marg, rho12_marg, _ = entangled_arrays(w, 0.7, c)
+    sum_sq = d * d + ve * ve
+    coherence = c * np.sqrt(w * (1.0 - w))
+    s, wm, rm, wl, cl = (x.tolist() for x in (sum_sq, w_marg, rho12_marg, w, coherence))
+
+    def at(i: int) -> str:
+        return f"w={w[i]:.2f} c={c[i]:.2f}"
+
+    t.check_batch(
+        (np.abs(sum_sq - 1.0) <= 1e-12, lambda i: f"erasure-free duality {at(i)}: {s[i]!r} vs 1.0"),
+        (np.abs(2.0 * w - 1.0) <= d + 1e-12, lambda i: f"predictability below distinguishability {at(i)}"),
+        (np.abs(w_marg - w) <= 1e-12, lambda i: f"marginal populations {at(i)}: {wm[i]!r} vs {wl[i]!r}"),
+        (np.abs(rho12_marg - coherence) <= 1e-12, lambda i: f"marginal coherence {at(i)}: {rm[i]!r} vs {cl[i]!r}"),
+    )
 
 
 def _suite_unbiasedness(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:

@@ -138,7 +138,7 @@ def test_sweep_unwritable_path(capsys):
 def test_sweep_rejects_tiny_grid(capsys):
     code, _, err = run(capsys, "sweep", "--figure", "1", "--points", "1")
     assert code == 2
-    assert "--points" in err
+    assert err == f"error: --points = 1 violates the bound 2 <= --points <= {MAX_SWEEP_POINTS:g}\n"
 
 
 def test_verify_fast_passes_and_is_deterministic(capsys):
@@ -257,34 +257,39 @@ def test_non_finite_scalars_raise_parameter_error(entry, value):
 
 # Each value fails its bound before any draw or allocation.
 SIZE_BOUNDS = {
-    "sample_sharp.n": (SCALAR_ENTRY_POINTS["sample_sharp.n"], MAX_SHOTS, "n"),
-    "sample_simultaneous.n": (SCALAR_ENTRY_POINTS["sample_simultaneous.n"], MAX_SHOTS, "n"),
-    "sample_fringe.n_per_point": (SCALAR_ENTRY_POINTS["sample_fringe.n_per_point"], MAX_SHOTS, "n_per_point"),
-    "visibility_oracle.grid_n": (SCALAR_ENTRY_POINTS["visibility_oracle.grid_n"], MAX_GRID_N, "grid_n"),
+    "sample_sharp.n": (SCALAR_ENTRY_POINTS["sample_sharp.n"], 1, MAX_SHOTS, "n"),
+    "sample_simultaneous.n": (SCALAR_ENTRY_POINTS["sample_simultaneous.n"], 1, MAX_SHOTS, "n"),
+    "sample_fringe.n_per_point": (SCALAR_ENTRY_POINTS["sample_fringe.n_per_point"], 1, MAX_SHOTS, "n_per_point"),
+    "visibility_oracle.grid_n": (SCALAR_ENTRY_POINTS["visibility_oracle.grid_n"], 8, MAX_GRID_N, "grid_n"),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(SIZE_BOUNDS))
 def test_sizes_past_their_bound_raise_parameter_error(entry):
-    call, bound, name = SIZE_BOUNDS[entry]
-    with pytest.raises(ParameterError, match=re.escape(f"violates the bound -inf < {name} <= {bound:g}") + "$"):
-        call(bound + 1)
+    call, low, bound, name = SIZE_BOUNDS[entry]
+    for value in (bound + 1, low - 1):
+        message = f"{name} = {value} violates the bound {low} <= {name} <= {bound:g}"
+        with pytest.raises(ParameterError, match=re.escape(message) + "$"):
+            call(value)
 
 
 @pytest.mark.parametrize(
-    "argv, bound",
+    "argv, message",
     [
-        (("mc", "--c", "0.5", "--n", str(MAX_SHOTS + 1)), f"n <= {MAX_SHOTS:g}"),
-        (("mc", "--c", "0.5", "--n", str(10**30)), f"n <= {MAX_SHOTS:g}"),
-        (("mc", "--c", "0.5", "--n", str(10**400)), f"n <= {MAX_SHOTS:g}"),
-        (("sweep", "--figure", "1", "--points", str(MAX_SWEEP_POINTS + 1)), f"--points <= {MAX_SWEEP_POINTS:g}"),
+        (("mc", "--c", "0.5", "--n", str(MAX_SHOTS + 1)), f"n = {MAX_SHOTS + 1} violates the bound 1 <= n <= {MAX_SHOTS:g}"),
+        (("mc", "--c", "0.5", "--n", str(10**30)), f"n = {10**30} violates the bound 1 <= n <= {MAX_SHOTS:g}"),
+        (("mc", "--c", "0.5", "--n", str(10**400)), f"n = inf violates the bound 1 <= n <= {MAX_SHOTS:g}"),
+        (
+            ("sweep", "--figure", "1", "--points", str(MAX_SWEEP_POINTS + 1)),
+            f"--points = {MAX_SWEEP_POINTS + 1} violates the bound 2 <= --points <= {MAX_SWEEP_POINTS:g}",
+        ),
     ],
     ids=["mc-n", "mc-n-1e30", "mc-n-1e400", "sweep-points"],
 )
-def test_cli_sizes_past_their_bound_exit_2(capsys, argv, bound):
+def test_cli_sizes_past_their_bound_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.rstrip().endswith(bound)
+    assert err == f"error: {message}\n"
 
 
 def test_compute_and_meter_readout_skip_the_cross_check_routes(capsys, count_calls):

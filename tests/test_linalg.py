@@ -78,6 +78,22 @@ def test_trace_norm_matches_singular_values(a, d, br, bi):
     assert trace_norm(m) == pytest.approx(sv, abs=1e-12 * scale)
 
 
+def test_trace_norm_takes_stacks():
+    rng = np.random.default_rng(11)
+    m = rng.normal(size=(40, 2, 2)) + 1j * rng.normal(size=(40, 2, 2))
+    m = m + m.conj().swapaxes(-1, -2)
+    norms = trace_norm(m.reshape(5, 8, 2, 2))
+    assert norms.shape == (5, 8)
+    # one matrix at a time, and the absolute eigenvalues of hermitian_eig, bit for bit
+    assert norms.ravel().tolist() == [trace_norm(x) for x in m]
+    assert norms.ravel().tolist() == [float(np.sum(np.abs(hermitian_eig(x)[0]))) for x in m]
+    m[17, 0, 1] += 1e-9
+    with pytest.raises(ContractViolationError, match="not Hermitian: max .* = 1.000e-09"):
+        trace_norm(m)
+    with pytest.raises(ContractViolationError, match="2x2"):
+        trace_norm(np.eye(3, dtype=complex))
+
+
 def test_kron_mixed_product_identity():
     rng = np.random.default_rng(7)
     for _ in range(25):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qudual import (
     complementary_observable,
     distinguishability,
     entangle,
+    entangled_arrays,
     entangled_visibility,
     estimate_a,
     estimate_b,
@@ -73,6 +75,52 @@ def test_which_path_duality_is_tight(w, theta, c):
     ve = entangled_visibility(psi)
     assert d * d + ve * ve == pytest.approx(1.0, abs=1e-12)
     assert abs(2.0 * w - 1.0) <= d + 1e-12
+
+
+def _scalar_which_way(w, theta, c):
+    psi = entangle(w, theta, c)
+    marg = psi.marginal_system()
+    return distinguishability(psi), entangled_visibility(psi), marg.w_plus, marg.rho12, marg.theta
+
+
+def assert_stack_matches_scalars(w, theta, c):
+    """Every element of ``entangled_arrays`` equals the scalar functions on that state, bit for bit."""
+    w, theta, c = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (w, theta, c)))
+    stacked = [x.ravel().tolist() for x in entangled_arrays(w, theta, c)]
+    for i, args in enumerate(zip(w.ravel().tolist(), theta.ravel().tolist(), c.ravel().tolist())):
+        assert tuple(x[i] for x in stacked) == _scalar_which_way(*args), args
+
+
+def test_stacked_which_way_matches_scalars_on_the_suite_grid():
+    grid = np.linspace(0.0, 1.0, 51)
+    assert_stack_matches_scalars(grid[:, None], 0.7, grid[None, :])
+
+
+def test_stacked_which_way_matches_scalars_on_the_optimal_overlap_sweep():
+    w = [math.sin(float(alpha)) ** 2 for alpha in np.linspace(0.0, math.pi / 2.0, 2001)]
+    assert_stack_matches_scalars(w, 0.0, [optimal_entanglement(x) for x in w])
+
+
+@given(st.lists(st.tuples(w_values, st.floats(min_value=-1e3, max_value=1e3), overlaps), min_size=1, max_size=16))
+def test_stacked_which_way_matches_scalars(states):
+    assert_stack_matches_scalars(*zip(*states))
+
+
+# (argument slot, value): non-finite values everywhere, out-of-range ones where a range applies.
+REJECTED = [(slot, bad) for slot in (0, 1, 2) for bad in (math.nan, math.inf, -math.inf, 10**400)]
+REJECTED += [(slot, bad) for slot in (0, 2) for bad in (-0.1, 1.2)]
+
+
+@pytest.mark.parametrize(
+    "slot, bad", REJECTED, ids=[f"{('w_plus', 'theta', 'c')[k]}={'1e400' if v == 10**400 else v}" for k, v in REJECTED]
+)
+def test_stacked_which_way_rejects_as_entangle(slot, bad):
+    args = [[0.3, 0.5, 0.7], [0.1, 0.2, 0.3], [0.2, 0.4, 0.6]]
+    args[slot][1] = bad
+    with pytest.raises(ParameterError) as scalar:
+        entangle(*(a[1] for a in args))
+    with pytest.raises(ParameterError, match=re.escape(str(scalar.value)) + "$"):
+        entangled_arrays(*args)
 
 
 def test_meter_projector_geometry():

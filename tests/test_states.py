@@ -16,6 +16,7 @@ from qudual import (
     complementary_observable,
     complementary_triplet,
     density_matrix,
+    density_params,
     phase_difference_realization,
     phase_shift,
     pure_state,
@@ -147,6 +148,22 @@ def test_from_matrix_rejects_bad_input():
         DensityMatrix.from_matrix(np.array([[0.5, 0.1j], [0.1j, 0.5]]))
     with pytest.raises(ContractViolationError, match="trace"):
         DensityMatrix.from_matrix(np.eye(2, dtype=complex))
+
+
+def test_density_params_read_stacks_as_from_matrix():
+    rng = np.random.default_rng(9)
+    w = rng.uniform(0.0, 1.0, 100)
+    stack = density_matrix(*validate_density(w, rng.uniform(0.0, 1.0, 100) * np.sqrt(w * (1.0 - w)), rng.uniform(-9.0, 9.0, 100)))
+    stored = [x.tolist() for x in validate_density(*density_params(stack))]
+    for i, m in enumerate(stack):
+        rho = DensityMatrix.from_matrix(m)
+        assert (rho.w_plus, rho.rho12, rho.theta) == tuple(x[i] for x in stored)
+    stack[3] *= 1.5
+    with pytest.raises(ContractViolationError, match=r"trace = 1.5 differs from 1"):
+        density_params(stack)
+    stack[3] = [[0.5, 0.1j], [0.1j, 0.5]]
+    with pytest.raises(ContractViolationError, match="Hermitian"):
+        density_params(stack)
 
 
 def test_symmetric_observable_matrix():

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qudual import DensityMatrix, duality, montecarlo, states, uncertainty, verify
+from qudual import DensityMatrix, duality, montecarlo, simultaneous, states, uncertainty, verify
 from qudual.cli import main
 from qudual.errors import ParameterError
 from qudual.states import TWO_PI
@@ -69,18 +69,30 @@ def test_batched_suites_make_one_kernel_call_each(count_calls):
     kernels = {
         "robertson": count_calls(uncertainty, "robertson_arrays"),
         "duality": count_calls(duality, "duality_arrays"),
+        "entangled_duality": count_calls(simultaneous, "entangled_arrays"),
     }
     scalar_calls = [
         count_calls(uncertainty, "robertson"),
         count_calls(duality, "duality_report"),
+        count_calls(simultaneous, "entangle"),
+        count_calls(simultaneous, "distinguishability"),
+        count_calls(simultaneous, "entangled_visibility"),
         count_calls(states.DensityMatrix, "__init__"),
     ]
-    checks = {"robertson": 25000, "duality": 30000}
-    for name in ("robertson", "duality"):
+    checks = {"robertson": 25000, "duality": 30000, "entangled_duality": 10404}
+    for name in ("robertson", "duality", "entangled_duality"):
         result = verify.run_suite(name, "full", 42)
         assert (result.checks, result.failures) == (checks[name], 0)
         assert len(kernels[name]) == 1
-    assert scalar_calls == [[], [], []]
+    assert scalar_calls == [[]] * 6
+
+    # The fringe oracle scans one row of the unitaries per state, never the full matrices.
+    scans = count_calls(duality, "fringe_probability")
+    unitaries = [count_calls(states, "beam_splitter"), count_calls(states, "phase_shift")]
+    result = verify.run_suite("fringe_oracle", "full", 42)
+    assert (result.checks, result.failures) == (45, 0)
+    assert len(scans) == 23
+    assert unitaries == [[], []]
 
 
 def test_run_suite_names_the_allowed_suites_and_levels():

@@ -15,10 +15,10 @@ checkout proves byte identity on its own::
     python3 tools/output_digest.py | diff tools/output_digests.txt -
 
 The list: the first 5 rounds of the benchmark's seeded ``compute`` stream at
-seeds 1-3, ``sweep`` of both figures at 2001 points, ``verify`` at both
-levels for seeds 1-10, 42 and 343578368, ``verify --selftest-corrupt`` at
-both levels, and ``mc`` at three settings for each of ``MC_SHOTS``. It takes
-about a minute.
+seeds 1-3, the ``compute --c`` calls of ``ROUNDING_EDGES``, ``sweep`` of both
+figures at 2001 points, ``verify`` at both levels for seeds 1-10, 42 and
+343578368, ``verify --selftest-corrupt`` at both levels, and ``mc`` at three
+settings for each of ``MC_SHOTS``. It takes about ten seconds.
 """
 
 from __future__ import annotations
@@ -43,6 +43,18 @@ MC_SETTINGS = (
 )
 # 65537 and 200003 cross the samplers' chunk boundaries at n % 4 = 1 and 3.
 MC_SHOTS = ("100000", "65537", "200003")
+# (w_plus, theta, c) of pure states whose printed D or V_e changes in the last
+# digit if a stacked evaluation rounds differently from one state: the first
+# three where np.hypot differs from math.hypot in the half gap of D, the last
+# three where NumPy's complex abs on an array differs from the scalar abs in V_e.
+ROUNDING_EDGES = (
+    ("0.288792", "2.2086", "0.774382"),
+    ("0.418558", "0.551", "0.747826"),
+    ("0.321433", "1.8208", "0.670108"),
+    ("0.178935", "3.9675", "0.467268"),
+    ("0.277899", "1.4033", "0.525817"),
+    ("0.430912", "4.1117", "0.01284"),
+)
 
 
 def calls() -> list[tuple[str, ...]]:
@@ -53,6 +65,7 @@ def calls() -> list[tuple[str, ...]]:
     for seed in COMPUTE_SEEDS:
         for ops in itertools.islice(workloads.rounds("compute", seed), COMPUTE_ROUNDS):
             argvs += [op.argv for op in ops]
+    argvs += [("compute", "--w-plus", w, "--pure", "--theta", theta, "--c", c) for w, theta, c in ROUNDING_EDGES]
     argvs += [("sweep", "--figure", figure, "--points", "2001") for figure in ("1", "3")]
     for level in ("fast", "full"):
         argvs += [("verify", "--level", level, "--seed", str(seed)) for seed in VERIFY_SEEDS]
