@@ -33,8 +33,8 @@ import numpy as np
 
 from . import montecarlo, verify
 from .duality import (
+    duality_arrays,
     duality_report,
-    predictability,
     predictability_of_b,
     visibility,
     visibility_of_b,
@@ -159,17 +159,13 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _sweep_rows(figure: int, points: int) -> list[str]:
-    w = [math.sin(float(alpha)) ** 2 for alpha in np.linspace(0.0, math.pi / 2.0, points)]
+    w = np.array([math.sin(float(alpha)) ** 2 for alpha in np.linspace(0.0, math.pi / 2.0, points)])
     c_opt = [optimal_entanglement(x) for x in w]
+    p, v = duality_arrays(w, np.sqrt(w * (1.0 - w)))[:2]
+    lo, hi = zip(*map(normalized_product_bounds, w))
     d, ve = entangled_arrays(w, 0.0, 1.0 if figure == 1 else c_opt)[:2]
-    rows = []
-    for i, x in enumerate(w):
-        p = abs(2.0 * x - 1.0)
-        v = 2.0 * math.sqrt(x * (1.0 - x))
-        lo, hi = normalized_product_bounds(x)
-        sim_min = minimum_simultaneous_product(x)
-        rows.append(",".join(_fmt(y) for y in (x, p, v, lo, hi, d[i], ve[i], c_opt[i], sim_min)))
-    return rows
+    sim_min = map(minimum_simultaneous_product, w)
+    return [",".join(map(_fmt, row)) for row in zip(w, p, v, lo, hi, d, ve, c_opt, sim_min)]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

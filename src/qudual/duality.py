@@ -42,9 +42,18 @@ __all__ = [
 ]
 
 
+def _imbalance(w):
+    """``P = |2 w - 1|`` of populations ``(w, 1 - w)``, for a float or an array alike."""
+    return abs(2.0 * w - 1.0)
+
+
 def predictability(rho: DensityMatrix) -> float:
-    """Population imbalance ``|w_plus - w_minus|``."""
-    return abs(rho.w_plus - rho.w_minus)
+    """Population imbalance ``P = |w_plus - w_minus|``, evaluated as ``|2 w_plus - 1|``.
+
+    Doubling is exact and, for ``w_plus >= 1/4``, so is the subtraction (Sterbenz): one
+    rounding at most, where ``sqrt(1 - 4 w+ w-)`` loses half its digits near ``w_plus = 1/2``.
+    """
+    return _imbalance(rho.w_plus)
 
 
 def visibility(rho: DensityMatrix) -> float:
@@ -120,7 +129,7 @@ def visibility_of_b(rho: DensityMatrix, varrho: float) -> float:
     ``(P_B, V_B)`` carries the same squared sum as ``(P, V)`` for every
     ``varrho``.
     """
-    p = rho.w_plus - rho.w_minus
+    p = _imbalance(rho.w_plus)
     s = math.sin(rho.theta - varrho)
     return math.sqrt(p * p + 4.0 * rho.rho12 ** 2 * s * s)
 
@@ -148,7 +157,7 @@ def duality_arrays(w_plus, rho12) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     raises a :class:`ContractViolationError`.
     """
     w, r = np.broadcast_arrays(np.asarray(w_plus, dtype=float), np.asarray(rho12, dtype=float))
-    p = np.abs(w - (1.0 - w))
+    p = _imbalance(w)
     v = 2.0 * r
     sum_sq = p * p + v * v
     pur = purity(w, r)

@@ -20,9 +20,10 @@ The which-way quantities come from one array kernel,
 and :meth:`EntangledState.marginal_system` run its steps on one state and
 round alike.
 
-Basis order of the composite amplitudes is
-``|plus m+>, |plus m_perp>, |minus m+>, |minus m_perp>`` (system index
-slowest), matching :func:`qudual.linalg.kron`.
+Every ``1 - c**2`` is evaluated as ``(1 - c)(1 + c)``, which keeps its
+relative accuracy as ``c -> 1`` where ``1 - c*c`` cancels. Basis order of
+the composite amplitudes is ``|plus m+>, |plus m_perp>, |minus m+>,
+|minus m_perp>`` (system index slowest), matching :func:`qudual.linalg.kron`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .duality import _imbalance
 from .errors import ParameterError, SingularConfigurationError, check_array, check_scalar
 from .linalg import trace_norm
 from .states import TWO_PI, DensityMatrix, density_params, validate_density
@@ -66,10 +68,6 @@ class EntangledState:
     c: float
     amplitudes: np.ndarray = field(repr=False)
 
-    @property
-    def w_minus(self) -> float:
-        return 1.0 - self.w_plus
-
     def system_meter(self) -> np.ndarray:
         """Amplitudes reshaped to ``psi[system, meter]``."""
         return self.amplitudes.reshape(2, 2)
@@ -82,6 +80,10 @@ class EntangledState:
         return DensityMatrix.from_matrix(_reduced(self.system_meter()))
 
 
+def _one_minus_sq(c):
+    return (1.0 - c) * (1.0 + c)
+
+
 def _amplitudes(w, t, c) -> np.ndarray:
     """Amplitudes ``psi[..., system, meter]`` of valid stacked parameters, with ``t`` wrapped to [0, 2 pi)."""
     phase = np.exp(1j * t)
@@ -89,7 +91,7 @@ def _amplitudes(w, t, c) -> np.ndarray:
     psi = np.zeros(np.shape(phase) + (2, 2), dtype=complex)
     psi[..., 0, 0] = np.sqrt(w)
     psi[..., 1, 0] = phase * root * c
-    psi[..., 1, 1] = phase * root * np.sqrt(1.0 - c * c)
+    psi[..., 1, 1] = phase * root * np.sqrt(_one_minus_sq(c))
     return psi
 
 
@@ -218,7 +220,7 @@ def meter_projectors(c: float, a_value: float = 0.5) -> MeterProjectors:
     cc = _readout_overlap(c)
     a = check_scalar(a_value, "a_value", 0.0, lo_open=True)
     gamma = 0.5 * (math.pi - math.asin(cc))
-    a_prime = _rescaled(a, "a_value", math.sqrt(1.0 - cc * cc), "sqrt(1 - c**2)", cc)
+    a_prime = _rescaled(a, "a_value", math.sqrt(_one_minus_sq(cc)), "sqrt(1 - c**2)", cc)
     m1 = np.array([math.cos(gamma), math.sin(gamma)], dtype=complex)
     m2 = np.array([-math.sin(gamma), math.cos(gamma)], dtype=complex)
     m1.setflags(write=False)
@@ -239,10 +241,11 @@ def estimate_a(psi_e: EntangledState, a_value: float = 0.5) -> tuple[float, floa
     """
     cc = _readout_overlap(psi_e.c)
     a = check_scalar(a_value, "a_value", 0.0, lo_open=True)
-    _rescaled(a, "a_value", math.sqrt(1.0 - cc * cc), "sqrt(1 - c**2)", cc)
+    s = _one_minus_sq(cc)
+    _rescaled(a, "a_value", math.sqrt(s), "sqrt(1 - c**2)", cc)
     w = psi_e.w_plus
     mean = a * (2.0 * w - 1.0)
-    var = a * a * (cc * cc / (1.0 - cc * cc) + 4.0 * w * (1.0 - w))
+    var = a * a * (cc * cc / s + 4.0 * w * (1.0 - w))
     return mean, var
 
 
@@ -294,13 +297,10 @@ def simultaneous_product(w_plus: float, c: float) -> float:
     if cc == 1.0:
         return 1.0 / 16.0 if k == 0.25 else math.inf
     c2 = cc * cc
-    # Evaluated in the factored form
-    #   (c^2 + 4K(1-c^2)) ((1-c^2) + c^2 P^2) / (16 c^2 (1-c^2)),
-    # whose numerator terms are all nonnegative. The direct brackets lose all
-    # precision near c = 1, where 1/(4c^2) - K cancels catastrophically.
-    s = (1.0 - cc) * (1.0 + cc)
-    p2 = (2.0 * w - 1.0) ** 2
-    return (c2 + 4.0 * k * s) * (s + c2 * p2) / (16.0 * c2 * s)
+    # The factored form (c^2 + 4K(1-c^2)) ((1-c^2) + c^2 P^2) / (16 c^2 (1-c^2)) adds
+    # only nonnegative terms; the direct brackets cancel catastrophically near c = 1.
+    s = _one_minus_sq(cc)
+    return (c2 + 4.0 * k * s) * (s + c2 * _imbalance(w) ** 2) / (16.0 * c2 * s)
 
 
 def optimal_entanglement(w_plus: float) -> float:
@@ -314,10 +314,8 @@ def optimal_entanglement(w_plus: float) -> float:
     singular for one of the readouts.
     """
     w = check_scalar(w_plus, "w_plus", 0.0, 1.0)
-    k = w * (1.0 - w)
-    v = 2.0 * math.sqrt(k)
-    p = math.sqrt(max(1.0 - 4.0 * k, 0.0))
-    return math.sqrt(v / (p + v)) if v > 0.0 else 0.0
+    v = 2.0 * math.sqrt(w * (1.0 - w))
+    return math.sqrt(v / (_imbalance(w) + v)) if v > 0.0 else 0.0
 
 
 def minimum_simultaneous_product(w_plus: float) -> float:

@@ -54,21 +54,25 @@ __all__ = [
 ]
 
 
-def _real_trace(rho_m: np.ndarray, op: np.ndarray) -> float:
-    value = np.trace(rho_m @ op)
-    return float(value.real)
+def _mean(rho_m: np.ndarray, op_m: np.ndarray) -> np.ndarray:
+    """``Re tr(rho op)`` of stacked ``(..., 2, 2)`` matrices: ``np.trace``'s sum, without its overhead."""
+    m = rho_m @ op_m
+    return (m[..., 0, 0] + m[..., 1, 1]).real
+
+
+def _moments(rho_m: np.ndarray, op_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and unclipped variance of stacked observables; the mean is squared through C ``pow``."""
+    mean = _mean(rho_m, op_m)
+    return mean, _mean(rho_m, op_m @ op_m) - np.float_power(mean, 2)
 
 
 def mean_var(rho: DensityMatrix, obs: Observable) -> tuple[float, float]:
-    """Mean and variance of an observable, from explicit traces.
+    """Mean and variance of an observable: :func:`_moments` on one state.
 
     The variance is clipped to 0 when rounding drives it within 1e-12 below
     zero; a larger negative value raises, since it signals corrupted inputs.
     """
-    rho_m = rho.matrix
-    m = obs.matrix
-    mean = _real_trace(rho_m, m)
-    var = _real_trace(rho_m, m @ m) - mean * mean
+    mean, var = (float(x) for x in _moments(rho.matrix, obs.matrix))
     if var < -INEQUALITY_SLACK:
         raise ContractViolationError(f"variance evaluated to {var!r} < 0 beyond tolerance")
     return mean, max(var, 0.0)
@@ -123,20 +127,13 @@ def robertson_arrays(
     broadcast stack shape. The first element with
     ``slack < -INEQUALITY_SLACK`` raises a :class:`ContractViolationError`.
     """
-
-    def real_trace(op: np.ndarray) -> np.ndarray:
-        return np.trace(rho_m @ op, axis1=-2, axis2=-1).real
-
-    mean_a = real_trace(a_m)
-    mean_b = real_trace(b_m)
-    # float_power rounds the squares as Python's ** does, so one state keeps the scalar bits.
-    var_a = np.maximum(real_trace(a_m @ a_m) - np.float_power(mean_a, 2), 0.0)
-    var_b = np.maximum(real_trace(b_m @ b_m) - np.float_power(mean_b, 2), 0.0)
+    mean_a, var_a = _moments(rho_m, a_m)
+    mean_b, var_b = _moments(rho_m, b_m)
     ab = a_m @ b_m
     ba = b_m @ a_m
-    c_mean = real_trace(-1j * (ab - ba))
-    f_mean = real_trace(ab + ba) - 2.0 * mean_a * mean_b
-    sides = np.broadcast_arrays(var_a, var_b, c_mean, f_mean)
+    c_mean = _mean(rho_m, -1j * (ab - ba))
+    f_mean = _mean(rho_m, ab + ba) - 2.0 * mean_a * mean_b
+    sides = np.broadcast_arrays(np.maximum(var_a, 0.0), np.maximum(var_b, 0.0), c_mean, f_mean)
     slack = robertson_slack(*sides)
     bad = np.flatnonzero(slack < -INEQUALITY_SLACK)
     if bad.size:

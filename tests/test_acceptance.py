@@ -34,64 +34,36 @@ def report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def check_criterion(criterion):
-    suites, gate = CRITERIA[criterion]
-    start = time.perf_counter()
-    results = [verify.run_suite(name, "full", 42) for name in suites]
-    elapsed = time.perf_counter() - start
-    ok = all(r.failures == 0 and r.checks == suites[r.name] for r in results)
-    detail = "; ".join(
-        f"{r.name} {r.checks} checks (pinned {suites[r.name]}), {r.failures} failures{''.join(f' [{n}]' for n in r.notes)}"
-        for r in results
-    )
-    if gate is not None:
-        ok = ok and elapsed < gate
-        detail += f"; {elapsed:.2f}s (< {gate:g}s)"
-    number, _, title = criterion.partition("_")
-    report(f"criterion-{number} {title.replace('_', ' ')}", ok, detail)
+def criterion_test(criterion):
+    """The sign-off test of one criterion: run its suites, pin their counts, apply its gate."""
+
+    def test():
+        suites, gate = CRITERIA[criterion]
+        start = time.perf_counter()
+        results = [verify.run_suite(name, "full", 42) for name in suites]
+        elapsed = time.perf_counter() - start
+        ok = all(r.failures == 0 and r.checks == suites[r.name] for r in results)
+        detail = "; ".join(
+            f"{r.name} {r.checks} checks (pinned {suites[r.name]}), {r.failures} failures{''.join(f' [{n}]' for n in r.notes)}"
+            for r in results
+        )
+        if gate is not None:
+            ok = ok and elapsed < gate
+            detail += f"; {elapsed:.2f}s (< {gate:g}s)"
+        number, _, title = criterion.partition("_")
+        report(f"criterion-{number} {title.replace('_', ' ')}", ok, detail)
+
+    return test
 
 
-def test_criterion_01_duality_relation():
-    check_criterion("01_duality_relation")
-
-
-def test_criterion_02_basis_invariance():
-    check_criterion("02_basis_invariance")
-
-
-def test_criterion_03_fringe_extremum():
-    check_criterion("03_fringe_extremum")
-
-
-def test_criterion_04_robertson_and_intelligent_states():
-    check_criterion("04_robertson_and_intelligent_states")
-
-
-def test_criterion_05_product_bound_curves():
-    check_criterion("05_product_bound_curves")
-
-
-def test_criterion_06_entangled_duality():
-    check_criterion("06_entangled_duality")
-
-
-def test_criterion_07_unbiasedness():
-    check_criterion("07_unbiasedness")
-
-
-def test_criterion_08_simultaneous_minimum():
-    check_criterion("08_simultaneous_minimum")
-
-
-def test_criterion_09_monte_carlo_oracle():
-    check_criterion("09_monte_carlo_oracle")
+# One body for criteria 01-09, collected as test_criterion_01_duality_relation and so on.
+globals().update({f"test_criterion_{criterion}": criterion_test(criterion) for criterion in CRITERIA})
 
 
 def test_every_suite_signs_off_exactly_one_criterion():
     named = [name for suites, _ in CRITERIA.values() for name in suites]
     assert sorted(named) == sorted(verify.SUITE_NAMES)
     assert sum(checks for suites, _ in CRITERIA.values() for checks in suites.values()) == 79658
-    assert all(f"test_criterion_{criterion}" in globals() for criterion in CRITERIA)
 
 
 def test_criterion_10_determinism():

@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qudual import (
     ComplementaryFamily,
     DensityMatrix,
     ParameterError,
+    duality_report,
     entangle,
     estimate_a,
     estimate_b,
@@ -17,6 +19,7 @@ from qudual import (
     meter_projectors,
     normalized_product_bounds,
     optimal_entanglement,
+    predictability,
     pure_state,
     sample_fringe,
     sample_sharp,
@@ -110,6 +113,29 @@ def test_sweep_figures_differ_in_the_middle(capsys):
     # full entanglement shows D = P; the optimal overlap shows a larger D
     assert float(row3[5]) > float(row1[5])
     assert row1[0] == row3[0]
+
+
+def sweep_rows(capsys, figure):
+    code, out, _ = run(capsys, "sweep", "--figure", figure, "--points", "2001")
+    assert code == 0
+    return [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+
+
+@pytest.mark.parametrize("figure", ["1", "3"])
+def test_sweep_predictability_is_the_library_predictability(capsys, figure):
+    for w, p, *_ in sweep_rows(capsys, figure):
+        rho = pure_state(w)
+        assert p == predictability(rho) == duality_report(rho).p, w
+
+
+def test_sweep_distinguishability_one_ulp_below_half(capsys):
+    w, _, _, _, _, d, _, c, _ = next(row for row in sweep_rows(capsys, "3") if row[0] == 0.49999999999999989)
+    # Here P = |2 w+ - 1| = 2**-52, and c_opt = sqrt(V / (P + V)) = 1 - P/2 + O(P**2) rounds to
+    # 1 - 2**-53, not to 1; at that overlap D = sqrt(1 - 4 c**2 w+ w-) is about 1.5e-8, not 0.
+    assert c == 1.0 - 2.0**-53
+    with localcontext(Context(prec=50)):
+        w, c = Decimal(w), Decimal(c)
+        assert abs(Decimal(d) - (1 - 4 * c * c * w * (1 - w)).sqrt()) <= Decimal("1e-15")
 
 
 def test_sweep_is_deterministic(capsys):

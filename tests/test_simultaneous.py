@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -201,6 +202,10 @@ def test_product_frozen_values():
     assert simultaneous_product(0.5, 1.0) == pytest.approx(0.0625, abs=0.0)
     assert simultaneous_product(1.0, 0.0) == pytest.approx(0.0625, abs=0.0)
     assert simultaneous_product(0.9, 0.0) == math.inf
+    # One part in 1e9 below c = 1, where 1 - c*c keeps only about half its digits.
+    psi = entangle(0.9, 0.3, 0.999999999)
+    readouts = estimate_a(psi)[1] * estimate_b(psi, 0.3)[1]
+    assert simultaneous_product(0.9, 0.999999999) == pytest.approx(readouts, rel=1e-15, abs=0.0)
 
 
 @given(w=interior, c=st.floats(min_value=0.05, max_value=0.95))
@@ -219,6 +224,22 @@ def test_optimal_overlap_frozen_values():
     # the regularized form gives overlap 1/sqrt(2)
     w_eighth = (1.0 + math.sqrt(0.5)) / 2.0
     assert optimal_entanglement(w_eighth) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+
+
+def c_opt_reference(w):
+    """``sqrt(V / (P + V))`` at the double ``w``, to 50 digits."""
+    with localcontext(Context(prec=50)):
+        x = Decimal(w)
+        v = 2 * (x * (1 - x)).sqrt()
+        return (v / (abs(2 * x - 1) + v)).sqrt()
+
+
+def test_optimal_overlap_to_the_last_digit():
+    sweep_grid = [math.sin(float(alpha)) ** 2 for alpha in np.linspace(0.0, math.pi / 2.0, 2001)]
+    # Next to 1/2, sqrt(1 - 4 w+ w-) would lose half the digits of P = |2 w+ - 1|.
+    near_half = [0.5 + sign * k * 2.0**-53 for k in range(1, 9) for sign in (1, -1)]
+    for w in sweep_grid + near_half:
+        assert abs(Decimal(optimal_entanglement(w)) - c_opt_reference(w)) <= Decimal("2e-16"), w
 
 
 @given(w=st.floats(min_value=0.01, max_value=0.99, allow_nan=False))

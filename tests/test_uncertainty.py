@@ -130,6 +130,16 @@ def test_scalar_route_keeps_the_loop_arithmetic():
             assert (*fields, float(robertson_slack(*fields))) == _loop_reference(rho, A, b_obs)
 
 
+def test_robertson_variances_are_the_mean_var_variances():
+    # Both read the one moments routine, so the report's lhs is var_A * var_B of the same bits.
+    rng = np.random.default_rng(20261018)
+    for w, theta in zip(rng.uniform(0.0, 1.0, 20000), rng.uniform(0.0, 2.0 * math.pi, 20000)):
+        rho = pure_state(w, theta)
+        b_obs = b_at(rho.theta)
+        rep = robertson(rho, A, b_obs)
+        assert (rep.var_a, rep.var_b) == (mean_var(rho, A)[1], mean_var(rho, b_obs)[1])
+
+
 def test_kernel_keeps_the_report_contract():
     # A unit-trace Hermitian matrix with a negative eigenvalue is no state.
     bad = np.array([[0.5, 0.9], [0.9, 0.5]], dtype=complex)

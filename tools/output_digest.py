@@ -15,10 +15,11 @@ checkout proves byte identity on its own::
     python3 tools/output_digest.py | diff tools/output_digests.txt -
 
 The list: the first 5 rounds of the benchmark's seeded ``compute`` stream at
-seeds 1-3, the ``compute --c`` calls of ``ROUNDING_EDGES``, ``sweep`` of both
-figures at 2001 points, ``verify`` at both levels for seeds 1-10, 42 and
-343578368, ``verify --selftest-corrupt`` at both levels, and ``mc`` at three
-settings for each of ``MC_SHOTS``. It takes about ten seconds.
+seeds 1-3, the ``compute --c`` calls of ``ROUNDING_EDGES`` and
+``CONDITIONING_EDGES``, ``sweep`` of both figures at 2001 points, ``verify``
+at both levels for seeds 1-10, 42 and 343578368, ``verify --selftest-corrupt``
+at both levels, and ``mc`` at three settings for each of ``MC_SHOTS``. It
+takes about ten seconds.
 """
 
 from __future__ import annotations
@@ -55,6 +56,17 @@ ROUNDING_EDGES = (
     ("0.277899", "1.4033", "0.525817"),
     ("0.430912", "4.1117", "0.01284"),
 )
+# compute calls whose printed digits depend on the form of a closed form:
+# w_plus one ulp below 1/2, where sqrt(1 - 4 w+ w-) cancels to 0 but
+# |2 w+ - 1| does not; c one part in 1e9 below 1, where 1 - c*c and
+# (1 - c)(1 + c) differ in the 10th digit; and the state whose c_opt moves
+# most between those two forms of P.
+CONDITIONING_EDGES = (
+    ("compute", "--w-plus", "0.49999999999999989", "--pure", "--c", "0.5"),
+    ("compute", "--w-plus", "0.9", "--pure", "--theta", "0.3", "--c", "0.999999999"),
+    ("compute", "--w-plus", "0.5001147906073556", "--pure", "--theta", "0.04722784725952158",
+     "--c", "0.33351442252195146"),
+)
 
 
 def calls() -> list[tuple[str, ...]]:
@@ -66,6 +78,7 @@ def calls() -> list[tuple[str, ...]]:
         for ops in itertools.islice(workloads.rounds("compute", seed), COMPUTE_ROUNDS):
             argvs += [op.argv for op in ops]
     argvs += [("compute", "--w-plus", w, "--pure", "--theta", theta, "--c", c) for w, theta, c in ROUNDING_EDGES]
+    argvs += CONDITIONING_EDGES
     argvs += [("sweep", "--figure", figure, "--points", "2001") for figure in ("1", "3")]
     for level in ("fast", "full"):
         argvs += [("verify", "--level", level, "--seed", str(seed)) for seed in VERIFY_SEEDS]
