@@ -16,12 +16,16 @@ explicit projection, and :func:`minimum_product_report` reaches the minimum
 simultaneous product through the long closed form, a golden-section search
 over ``c`` and the two compact candidates. Neither is in ``__all__``.
 
-The ``duality`` and ``robertson`` suites draw their states as one batch and
-check them with one call of the array kernels ``duality_arrays`` and
-``robertson_arrays``, and the ``entangled_duality`` suite checks its
-51 x 51 grid of ``(w_plus, c)`` with one call of ``entangled_arrays``; their
-tallies record the same checks, counts and notes as a loop over the states
-would.
+Seven suites make one stacked pass per grid, with the checks, counts and
+notes of a loop over its states: ``duality``, ``robertson``,
+``entangled_duality``, ``product_bounds`` (kernels ``duality_arrays``,
+``robertson_arrays``, ``entangled_arrays``), ``state_round_trip`` (one
+``density_params`` read), ``unbiasedness`` (one projection of the grid, one
+of the probes) and ``linalg_core`` (stacked references). Functions under
+test stay per state: ``hermitian_eig``, ``trace_norm``, ``kron``,
+``entangle``, ``estimate_a``, ``estimate_b``, ``intelligent_state`` and
+``is_residual``. ``complementary_family`` loops because ``predictability_of_b``
+and ``visibility_of_b`` take one state.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .duality import (
 from .errors import ContractViolationError, ParameterError
 from .linalg import hermitian_eig, kron, trace_norm
 from .simultaneous import (
-    EntangledState,
     entangle,
     entangled_arrays,
     estimate_a,
@@ -61,6 +64,7 @@ from .states import (
     complementary_observable,
     complementary_triplet,
     density_matrix,
+    density_params,
     pure_state,
     purity,
     symmetric_observable,
@@ -167,10 +171,6 @@ class _Tally:
     def close(self, value: float, target: float, tol: float, label: str) -> None:
         self.check(abs(value - target) <= tol, f"{label}: {value!r} vs {target!r}")
 
-    def agree(self, value: float, target: float, label: str, rel: float = 1e-12) -> None:
-        """Two routes agree within ``rel`` times ``max(1, |value|, |target|)``."""
-        self.close(value, target, rel * max(1.0, abs(value), abs(target)), label)
-
     def raises(self, exc: type, fn, label: str) -> None:
         try:
             fn()
@@ -216,38 +216,49 @@ def _random_states(
     return (*validate_density(w, rho12, draws[:, 0]), draws[:, 1:])
 
 
-def _random_density_matrices(rng: np.random.Generator, n: int) -> list[DensityMatrix]:
-    """The states of :func:`_random_states` as :class:`DensityMatrix` objects."""
-    return [DensityMatrix(*params) for params in zip(*_random_states(rng, n)[:3])]
+def _close_entry(value, target, tol, label) -> tuple:
+    """:meth:`_Tally.close` over broadcast arrays, as a :meth:`_Tally.check_batch` entry; notes show Python floats."""
+    value, target = np.broadcast_arrays(value, target)
+    return np.abs(value - target) <= tol, lambda i: f"{label(i)}: {value[i].item()!r} vs {target[i].item()!r}"
 
 
-def _weight(amp: np.ndarray) -> float:
-    return float(np.vdot(amp, amp).real)
+def _agree_entry(value, target, label, rel: float = 1e-12) -> tuple:
+    """:func:`_close_entry` within ``rel`` times ``max(1, |value|, |target|)``."""
+    return _close_entry(value, target, rel * np.maximum(1.0, np.maximum(np.abs(value), np.abs(target))), label)
 
 
-def projected_readout_moments(
-    psi_e: EntangledState, varrho: float, a_value: float = 0.5, b_value: float = 0.5
-) -> tuple[tuple[float, float], tuple[float, float]]:
+def _weight(amp: np.ndarray) -> np.ndarray:
+    """Squared norms of stacked vectors ``(..., 2)``."""
+    return (amp.real * amp.real + amp.imag * amp.imag).sum(axis=-1)
+
+
+def projected_readout_moments(psi: np.ndarray, c, varrho, a_value: float = 0.5, b_value: float = 0.5) -> tuple:
     """Mean and variance of both rescaled readouts from explicit projections.
 
-    The meter readout projects the four-dimensional state on the rotated
-    meter vectors of :func:`meter_projectors` and weighs its outcome values;
-    the system readout projects it on the complementary family member at
-    ``varrho`` with outcome values ``+-b_value / c``. Returns
-    ``((mean_a, var_a), (mean_b, var_b))``, the independent route to the
-    closed forms of :func:`estimate_a` and :func:`estimate_b`.
+    ``psi`` holds the amplitudes ``psi[..., system, meter]`` of one
+    :meth:`EntangledState.system_meter` or a stack, with meter overlaps ``c``
+    and phases ``varrho`` broadcast to it. The meter readout projects on the
+    vectors of :func:`meter_projectors`, the system readout on the family
+    member at ``varrho`` with outcome values ``+-b_value / c``; each is built
+    once per distinct ``c`` or ``varrho``. Returns ``((mean_a, var_a),
+    (mean_b, var_b))`` as arrays, the independent route to :func:`estimate_a`
+    and :func:`estimate_b`; an element rounds as that state alone does.
     """
-    psi = psi_e.system_meter()
-    mp = meter_projectors(psi_e.c, a_value)
-    p1, p2 = _weight(psi @ mp.m1.conj()), _weight(psi @ mp.m2.conj())
-    mean_a = mp.value_m1 * p1 + mp.value_m2 * p2
-    var_a = mp.value_m1 ** 2 * p1 + mp.value_m2 ** 2 * p2 - mean_a ** 2
+    c, varrho = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(varrho, dtype=float))
     b = float(b_value)
-    vec_plus, vec_minus = ComplementaryFamily(symmetric_observable(b), varrho, b, -b).member_vectors()
-    p_plus, p_minus = _weight(vec_plus.conj() @ psi), _weight(vec_minus.conj() @ psi)
-    value = b / psi_e.c
-    mean_b = value * (p_plus - p_minus)
-    var_b = value * value * (p_plus + p_minus) - mean_b ** 2
+    meters = {x: meter_projectors(x, a_value) for x in set(c.flat)}
+    members = {x: ComplementaryFamily(symmetric_observable(b), x, b, -b).member_vectors() for x in set(varrho.flat)}
+    # Outcome k of each readout: row k of the meter vectors, of the member vectors.
+    m = np.array([(meters[x].m1, meters[x].m2) for x in c.flat]).reshape(c.shape + (2, 2))
+    values = np.array([(meters[x].value_m1, meters[x].value_m2) for x in c.flat]).reshape(c.shape + (2,))
+    vecs = np.array([members[x] for x in varrho.flat]).reshape(c.shape + (2, 2))
+    p_a = _weight((psi[..., None, :, :] * m.conj()[..., :, None, :]).sum(axis=-1))
+    p_b = _weight((vecs.conj()[..., :, :, None] * psi[..., None, :, :]).sum(axis=-2))
+    mean_a = (values * p_a).sum(axis=-1)
+    var_a = (np.float_power(values, 2) * p_a).sum(axis=-1) - np.float_power(mean_a, 2)
+    value = b / c
+    mean_b = value * (p_b[..., 0] - p_b[..., 1])
+    var_b = value * value * p_b.sum(axis=-1) - np.float_power(mean_b, 2)
     return (mean_a, var_a), (mean_b, var_b)
 
 
@@ -368,39 +379,48 @@ def _suite_linalg_core(t: _Tally, size: dict, rng: np.random.Generator, corrupt:
     diff = np.outer(psi0, psi0.conj()) - np.outer(psi1, psi1.conj())
     t.close(trace_norm(diff), 1.6, 1e-12, "trace norm of projector difference")
 
-    for i in range(200):
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        m = m + m.conj().T
-        w, v = hermitian_eig(m)
-        scale = max(1.0, float(np.abs(m).max()))
-        recon = v @ np.diag(w) @ v.conj().T
-        t.check(float(np.abs(recon - m).max()) <= 1e-10 * scale, f"eig reconstruction #{i}")
-        t.check(w[0] >= w[1], f"eig ordering #{i}")
-        gram = v.conj().T @ v
-        t.check(float(np.abs(gram - np.eye(2)).max()) <= 1e-12, f"eig orthonormality #{i}")
-        ref = np.linalg.eigvalsh(m)[::-1]
-        t.check(float(np.abs(w - ref).max()) <= 1e-10 * scale, f"eig against lapack #{i}")
-        sv = float(np.linalg.svd(m, compute_uv=False).sum())
-        t.close(trace_norm(m), sv, 1e-10 * scale, f"trace norm against svd #{i}")
+    # One draw each of the normals the per-matrix loops drew: real parts, then imaginary parts.
+    normals = rng.normal(size=(200, 2, 2, 2))
+    m = normals[:, 0] + 1j * normals[:, 1]
+    m = m + m.conj().swapaxes(-1, -2)
+    eigs = [hermitian_eig(x) for x in m]
+    w = np.array([e[0] for e in eigs])
+    v = np.array([e[1] for e in eigs])
+    v_dag = v.conj().swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    recon = (v * w[:, None, :]) @ v_dag
+    gram = v_dag @ v
+    ref = np.linalg.eigvalsh(m)[:, ::-1]
+    sv = np.linalg.svd(m, compute_uv=False).sum(axis=-1)
+    t.check_batch(
+        (np.abs(recon - m).max(axis=(-2, -1)) <= 1e-10 * scale, lambda i: f"eig reconstruction #{i}"),
+        (w[:, 0] >= w[:, 1], lambda i: f"eig ordering #{i}"),
+        (np.abs(gram - np.eye(2)).max(axis=(-2, -1)) <= 1e-12, lambda i: f"eig orthonormality #{i}"),
+        (np.abs(w - ref).max(axis=-1) <= 1e-10 * scale, lambda i: f"eig against lapack #{i}"),
+        _close_entry(np.array([trace_norm(x) for x in m]), sv, 1e-10 * scale, lambda i: f"trace norm against svd #{i}"),
+    )
 
-    for i in range(50):
-        mats = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
-        a, b, c, d = mats
+    quads = rng.normal(size=(50, 2, 4, 2, 2))
+    for i, (a, b, c, d) in enumerate(quads[:, 0] + 1j * quads[:, 1]):
         lhs = kron(a, b) @ kron(c, d)
         rhs = kron(a @ c, b @ d)
         t.check(float(np.abs(lhs - rhs).max()) <= 1e-12 * max(1.0, float(np.abs(rhs).max())), f"kron mixed product #{i}")
 
 
 def _suite_state_round_trip(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
-    for i, rho in enumerate(_random_density_matrices(rng, 500)):
-        back = DensityMatrix.from_matrix(rho.matrix)
-        t.close(back.w_plus, rho.w_plus, 1e-12, f"round trip w_plus #{i}")
-        t.close(back.rho12, rho.rho12, 1e-12, f"round trip rho12 #{i}")
-        if rho.rho12 > 1e-9:
-            phase_gap = abs(np.exp(1j * back.theta) - np.exp(1j * rho.theta))
-            t.check(phase_gap <= 1e-9, f"round trip theta #{i}")
-        m = rho.matrix
-        t.close(float(np.trace(m @ m).real), rho.purity, 1e-12, f"purity trace identity #{i}")
+    w, rho12, theta, _ = _random_states(rng, 500)
+    m = density_matrix(w, rho12, theta)
+    back_w, back_rho12, back_theta = validate_density(*density_params(m))
+    squared = m @ m
+    phase_gap = np.abs(np.exp(1j * back_theta) - np.exp(1j * theta))
+    t.check_batch(
+        _close_entry(back_w, w, 1e-12, lambda i: f"round trip w_plus #{i}"),
+        _close_entry(back_rho12, rho12, 1e-12, lambda i: f"round trip rho12 #{i}"),
+        (phase_gap <= 1e-9, lambda i: f"round trip theta #{i}", rho12 > 1e-9),
+        _close_entry(
+            (squared[:, 0, 0] + squared[:, 1, 1]).real, purity(w, rho12), 1e-12, lambda i: f"purity trace identity #{i}"
+        ),
+    )
     t.raises(ParameterError, lambda: DensityMatrix(1.2, 0.0), "w_plus above 1 rejected")
     t.raises(ParameterError, lambda: DensityMatrix(0.5, 0.6), "coherence above bound rejected")
     t.raises(
@@ -464,7 +484,7 @@ def _suite_fringe_oracle(t: _Tally, size: dict, rng: np.random.Generator, corrup
     tol = size["fringe_tol"]
     step = TWO_PI / grid
     states = [pure_state(0.9), pure_state(0.5), DensityMatrix(0.7, 0.0)]
-    states += _random_density_matrices(rng, size["fringe_states"])
+    states += [DensityMatrix(*params) for params in zip(*_random_states(rng, size["fringe_states"])[:3])]
     frozen = {0: 0.6, 1: 1.0, 2: 0.0}
     for i, rho in enumerate(states):
         v_hat, xi_hat = visibility_oracle(rho, grid_n=grid)
@@ -485,10 +505,10 @@ def _suite_robertson(t: _Tally, size: dict, rng: np.random.Generator, corrupt: b
     # Slack has a closed form of its own for this pair: the coherence
     # deficit (w+ w- - rho12^2) / 4 at unit eigenvalue gaps.
     target = (w * (1.0 - w) - rho12 * rho12) / 4.0
-    s, d = slack.tolist(), target.tolist()
+    s = slack.tolist()
     t.check_batch(
         (slack >= -1e-12, lambda i: f"robertson bound #{i}: {s[i]!r}"),
-        (np.abs(slack - target) <= 1e-12, lambda i: f"robertson slack identity #{i}: {s[i]!r} vs {d[i]!r}"),
+        _close_entry(slack, target, 1e-12, lambda i: f"robertson slack identity #{i}"),
         (np.abs(slack) <= 1e-10, lambda i: f"pure state saturation #{i}: {s[i]!r}", purity(w, rho12) >= 1.0 - 1e-12),
     )
 
@@ -498,22 +518,22 @@ def _suite_intelligent_states(t: _Tally, size: dict, rng: np.random.Generator, c
     a_obs = symmetric_observable()
     b_obs = complementary_observable(ComplementaryFamily(a_obs, varrho))
 
-    def common_checks(tag: str, st) -> None:
+    def common_checks(tag: str, st) -> float:
+        """The checks every family shares; returns the variance product ``Var(A) Var(B)``."""
         rep = robertson(st.state, a_obs, b_obs)
         t.check(abs(rep.slack) <= 1e-10, f"{tag} saturates the bound: {rep.slack!r}")
         lam = st.lam
         if math.isinf(abs(lam)):
             t.check(True, f"{tag} infinite stretch accepted at singular point")
-            return
+            return rep.lhs
         res = is_residual(st.state, lam, a_obs, b_obs)
         t.check(res <= 1e-10, f"{tag} eigen-equation residual: {res!r}")
-        _, va_v = mean_var(st.state, a_obs)
-        _, vb_v = mean_var(st.state, b_obs)
         lam_sq = abs(lam) ** 2
         t.check(
-            abs(lam_sq * vb_v - va_v) <= 1e-10 * max(1.0, lam_sq),
+            abs(lam_sq * rep.var_b - rep.var_a) <= 1e-10 * max(1.0, lam_sq),
             f"{tag} stretch matches variance ratio",
         )
+        return rep.lhs
 
     for branch in (1, -1):
         for w in np.linspace(0.0, 1.0, 21):
@@ -521,11 +541,9 @@ def _suite_intelligent_states(t: _Tally, size: dict, rng: np.random.Generator, c
             if float(w) == 0.5:
                 t.check(math.isinf(abs(st.lam)), "IS1 central point has infinite stretch")
             t.check(st.lam.real == 0.0, "IS1 stretch is imaginary")
-            common_checks(f"IS1 w={w:.2f} br={branch}", st)
-            _, va_v = mean_var(st.state, a_obs)
-            _, vb_v = mean_var(st.state, b_obs)
+            product = common_checks(f"IS1 w={w:.2f} br={branch}", st)
             lo, hi = normalized_product_bounds(float(w))
-            t.close(va_v * vb_v, lo, 1e-12, f"IS1 product sits on the floor w={w:.2f}")
+            t.close(product, lo, 1e-12, f"IS1 product sits on the floor w={w:.2f}")
 
         for beta in np.linspace(0.0, math.pi / 2.0, 21):
             st = intelligent_state("IS2a", float(beta), varrho, branch)
@@ -537,11 +555,9 @@ def _suite_intelligent_states(t: _Tally, size: dict, rng: np.random.Generator, c
         for w in np.linspace(0.0, 1.0, 21):
             st = intelligent_state("IS2b", float(w), varrho, branch)
             t.check(st.lam.imag == 0.0, "IS2b stretch is real")
-            common_checks(f"IS2b w={w:.2f} br={branch}", st)
-            _, va_v = mean_var(st.state, a_obs)
-            _, vb_v = mean_var(st.state, b_obs)
+            product = common_checks(f"IS2b w={w:.2f} br={branch}", st)
             lo, hi = normalized_product_bounds(float(w))
-            t.close(va_v * vb_v, hi, 1e-12, f"IS2b product sits on the ceiling w={w:.2f}")
+            t.close(product, hi, 1e-12, f"IS2b product sits on the ceiling w={w:.2f}")
 
 
 def _suite_product_bounds(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
@@ -555,21 +571,26 @@ def _suite_product_bounds(t: _Tally, size: dict, rng: np.random.Generator, corru
         t.close(lo, p * p * v * v / 16.0, 1e-12, f"floor matches P^2 V^2 / 16 at w={w:.4f}")
         t.close(hi, k / 4.0, 1e-12, f"ceiling matches K/4 at w={w:.4f}")
 
-    for w in np.linspace(0.08, 0.92, size["extremality_w"]):
-        rho = pure_state(float(w), theta=0.6)
-        lo, hi = normalized_product_bounds(float(w))
-        for delta in np.linspace(0.0, math.pi / 2.0, 33):
-            b_obs = complementary_observable(ComplementaryFamily(a_obs, 0.6 - float(delta)))
-            _, va = mean_var(rho, a_obs)
-            _, vb = mean_var(rho, b_obs)
-            prod = va * vb
-            t.check(lo - 1e-12 <= prod <= hi + 1e-12, f"product within bounds w={w:.3f} d={delta:.3f}")
-            if float(delta) == 0.0:
-                t.close(prod, lo, 1e-12, f"proper choice reaches the floor w={w:.3f}")
-        b_obs = complementary_observable(ComplementaryFamily(a_obs, 0.6 - math.pi / 2.0))
-        _, vb = mean_var(rho, b_obs)
-        _, va = mean_var(rho, a_obs)
-        t.close(va * vb, hi, 1e-12, f"erasure choice reaches the ceiling w={w:.3f}")
+    # Every (w, delta) pair of pure states at theta = 0.6, and each w's erasure
+    # member in the last column, in one kernel call over contiguous stacks.
+    ws = np.linspace(0.08, 0.92, size["extremality_w"])
+    deltas = np.linspace(0.0, math.pi / 2.0, 33).tolist()
+    varrho = [0.6 - delta for delta in deltas] + [0.6 - math.pi / 2.0]
+    w = np.repeat(ws, len(varrho))
+    rho_m = density_matrix(*validate_density(w, np.sqrt(w * (1.0 - w)), 0.6))
+    b_m = complementary_matrices(a_obs, np.tile(varrho, ws.size))
+    var_a, var_b, _, _ = robertson_arrays(rho_m, a_obs.matrix, b_m)
+    prod = (var_a * var_b).reshape(ws.size, len(varrho))
+    lo, hi = np.array([normalized_product_bounds(x) for x in ws.tolist()]).T
+
+    checks = []
+    for j, delta in enumerate(deltas):
+        inside = (lo - 1e-12 <= prod[:, j]) & (prod[:, j] <= hi + 1e-12)
+        checks.append((inside, lambda i, delta=delta: f"product within bounds w={ws[i]:.3f} d={delta:.3f}"))
+        if delta == 0.0:
+            checks.append(_close_entry(prod[:, j], lo, 1e-12, lambda i: f"proper choice reaches the floor w={ws[i]:.3f}"))
+    checks.append(_close_entry(prod[:, -1], hi, 1e-12, lambda i: f"erasure choice reaches the ceiling w={ws[i]:.3f}"))
+    t.check_batch(*checks)
 
 
 def _suite_entangled_duality(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
@@ -578,16 +599,15 @@ def _suite_entangled_duality(t: _Tally, size: dict, rng: np.random.Generator, co
     d, ve, w_marg, rho12_marg, _ = entangled_arrays(w, 0.7, c)
     sum_sq = d * d + ve * ve
     coherence = c * np.sqrt(w * (1.0 - w))
-    s, wm, rm, wl, cl = (x.tolist() for x in (sum_sq, w_marg, rho12_marg, w, coherence))
 
     def at(i: int) -> str:
         return f"w={w[i]:.2f} c={c[i]:.2f}"
 
     t.check_batch(
-        (np.abs(sum_sq - 1.0) <= 1e-12, lambda i: f"erasure-free duality {at(i)}: {s[i]!r} vs 1.0"),
+        _close_entry(sum_sq, 1.0, 1e-12, lambda i: f"erasure-free duality {at(i)}"),
         (np.abs(2.0 * w - 1.0) <= d + 1e-12, lambda i: f"predictability below distinguishability {at(i)}"),
-        (np.abs(w_marg - w) <= 1e-12, lambda i: f"marginal populations {at(i)}: {wm[i]!r} vs {wl[i]!r}"),
-        (np.abs(rho12_marg - coherence) <= 1e-12, lambda i: f"marginal coherence {at(i)}: {rm[i]!r} vs {cl[i]!r}"),
+        _close_entry(w_marg, w, 1e-12, lambda i: f"marginal populations {at(i)}"),
+        _close_entry(rho12_marg, coherence, 1e-12, lambda i: f"marginal coherence {at(i)}"),
     )
 
 
@@ -595,35 +615,50 @@ def _suite_unbiasedness(t: _Tally, size: dict, rng: np.random.Generator, corrupt
     varrho = math.pi / 5.0
     a_obs = symmetric_observable()
     b_obs = complementary_observable(ComplementaryFamily(a_obs, varrho))
-    for w in (k / 10.0 for k in range(1, 10)):
-        sharp_a = 0.5 * (2.0 * w - 1.0)
-        for j in range(8):
-            theta = TWO_PI * j / 8.0
-            sharp_b, _ = mean_var(pure_state(w, theta), b_obs)
-            for c in (k / 10.0 for k in range(1, 10)):
-                psi = entangle(w, theta, c)
-                at = f"w={w} theta={theta:.2f} c={c}"
-                (mean_a, var_a), (mean_b, var_b) = estimate_a(psi), estimate_b(psi, varrho)
-                (mean_ax, var_ax), (mean_bx, var_bx) = projected_readout_moments(psi, varrho)
-                t.agree(mean_a, mean_ax, f"meter readout mean by projection {at}")
-                t.agree(var_a, var_ax, f"meter readout variance by projection {at}")
-                t.agree(mean_b, mean_bx, f"system readout mean by projection {at}")
-                t.agree(var_b, var_bx, f"system readout variance by projection {at}")
-                t.close(mean_a, sharp_a, 1e-12, f"meter readout unbiased {at}")
-                t.close(mean_b, sharp_b, 1e-12, f"system readout unbiased {at}")
+    tenths = [k / 10.0 for k in range(1, 10)]
+    thetas = [TWO_PI * j / 8.0 for j in range(8)]
+    grid = [(w, theta, c) for w in tenths for theta in thetas for c in tenths]
+    sharp_b = {(w, theta): mean_var(pure_state(w, theta), b_obs)[0] for w in tenths for theta in thetas}
+    amplitudes = np.empty((len(grid), 2, 2), dtype=complex)
+    closed = np.empty((len(grid), 4))
+    for i, (w, theta, c) in enumerate(grid):
+        psi = entangle(w, theta, c)
+        amplitudes[i] = psi.system_meter()
+        closed[i] = (*estimate_a(psi), *estimate_b(psi, varrho))
+    mean_a, var_a, mean_b, var_b = closed.T
+    (mean_ax, var_ax), (mean_bx, var_bx) = projected_readout_moments(amplitudes, [c for _, _, c in grid], varrho)
+
+    def at(i: int) -> str:
+        w, theta, c = grid[i]
+        return f"w={w} theta={theta:.2f} c={c}"
+
+    t.check_batch(
+        _agree_entry(mean_a, mean_ax, lambda i: f"meter readout mean by projection {at(i)}"),
+        _agree_entry(var_a, var_ax, lambda i: f"meter readout variance by projection {at(i)}"),
+        _agree_entry(mean_b, mean_bx, lambda i: f"system readout mean by projection {at(i)}"),
+        _agree_entry(var_b, var_bx, lambda i: f"system readout variance by projection {at(i)}"),
+        _close_entry(mean_a, [0.5 * (2.0 * w - 1.0) for w, _, _ in grid], 1e-12, lambda i: f"meter readout unbiased {at(i)}"),
+        _close_entry(mean_b, [sharp_b[w, theta] for w, theta, _ in grid], 1e-12, lambda i: f"system readout unbiased {at(i)}"),
+    )
 
     # The meter outcome signs: the assignment of meter_projectors (-a' on m1)
     # reproduces the sharp mean on every probe state, and the flipped
-    # assignment fails on at least one.
-    for c in _PROBE_C:
-        flipped_fails = False
-        for w in _PROBE_W:
-            for theta in _PROBE_THETA:
-                (mean, _), _ = projected_readout_moments(entangle(w, theta, c), theta)
-                sharp = 0.5 * (2.0 * w - 1.0)
-                t.close(mean, sharp, 1e-12, f"meter signs reproduce the sharp mean w={w} theta={theta} c={c}")
-                flipped_fails |= abs(-mean - sharp) > 1e-12
-        t.check(flipped_fails, f"flipped meter signs rejected by some probe state at c={c}")
+    # assignment fails on at least one. Each probe c is one element.
+    probes = [(w, theta) for w in _PROBE_W for theta in _PROBE_THETA]
+    grid = [(w, theta, c) for c in _PROBE_C for w, theta in probes]
+    amplitudes = np.array([entangle(*point).system_meter() for point in grid])
+    (mean, _), _ = projected_readout_moments(amplitudes, [c for _, _, c in grid], [theta for _, theta, _ in grid])
+    mean = mean.reshape(len(_PROBE_C), len(probes))
+    sharp = np.array([0.5 * (2.0 * w - 1.0) for w, _ in probes])
+    checks = [
+        _close_entry(mean[:, k], sharp[k], 1e-12, lambda i, w=w, theta=theta: (
+            f"meter signs reproduce the sharp mean w={w} theta={theta} c={_PROBE_C[i]}"
+        ))
+        for k, (w, theta) in enumerate(probes)
+    ]
+    flipped_fails = (np.abs(-mean - sharp) > 1e-12).any(axis=1)
+    checks.append((flipped_fails, lambda i: f"flipped meter signs rejected by some probe state at c={_PROBE_C[i]}"))
+    t.check_batch(*checks)
 
 
 def _suite_minimum_product(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:

@@ -155,7 +155,7 @@ def test_meter_projectors_singular_endpoints():
 def assert_matches_projection(psi, varrho):
     """The closed-form readout moments agree with explicit projection."""
     closed = (estimate_a(psi), estimate_b(psi, varrho))
-    for moments, projected in zip(closed, projected_readout_moments(psi, varrho)):
+    for moments, projected in zip(closed, projected_readout_moments(psi.system_meter(), psi.c, varrho)):
         for x, y in zip(moments, projected):
             assert abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
     return closed

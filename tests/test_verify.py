@@ -1,15 +1,21 @@
+import importlib.util
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qudual import DensityMatrix, duality, montecarlo, simultaneous, states, uncertainty, verify
+from qudual import DensityMatrix, duality, linalg, montecarlo, simultaneous, states, uncertainty, verify
 from qudual.cli import main
 from qudual.errors import ParameterError
-from qudual.states import TWO_PI
+from qudual.simultaneous import entangle, estimate_a, estimate_b
+from qudual.states import TWO_PI, ComplementaryFamily, complementary_observable, pure_state, symmetric_observable
 
+ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
+TENTHS = [k / 10.0 for k in range(1, 10)]
+# The unbiasedness grid in loop order: w, then theta, then c.
+READOUT_GRID = [(w, TWO_PI * j / 8.0, c) for w in TENTHS for j in range(8) for c in TENTHS]
 
 
 def _loop_state(rng, i):
@@ -70,21 +76,57 @@ def test_batched_suites_make_one_kernel_call_each(count_calls):
         "robertson": count_calls(uncertainty, "robertson_arrays"),
         "duality": count_calls(duality, "duality_arrays"),
         "entangled_duality": count_calls(simultaneous, "entangled_arrays"),
+        "state_round_trip": count_calls(states, "density_params"),
     }
     scalar_calls = [
         count_calls(uncertainty, "robertson"),
+        count_calls(uncertainty, "mean_var"),
         count_calls(duality, "duality_report"),
         count_calls(simultaneous, "entangle"),
         count_calls(simultaneous, "distinguishability"),
         count_calls(simultaneous, "entangled_visibility"),
         count_calls(states.DensityMatrix, "__init__"),
+        count_calls(states.DensityMatrix, "from_matrix"),
     ]
     checks = {"robertson": 25000, "duality": 30000, "entangled_duality": 10404}
     for name in ("robertson", "duality", "entangled_duality"):
         result = verify.run_suite(name, "full", 42)
         assert (result.checks, result.failures) == (checks[name], 0)
         assert len(kernels[name]) == 1
-    assert scalar_calls == [[]] * 6
+    assert scalar_calls == [[]] * 8
+
+    # The round trip reads all 500 matrices back in one call; the only
+    # single-matrix read is the rejection check of a non-Hermitian matrix.
+    for calls in kernels.values():
+        calls.clear()
+    from_matrix = scalar_calls.pop()
+    result = verify.run_suite("state_round_trip", "full", 42)
+    assert (result.checks, result.failures) == (2003, 0)
+    assert [np.shape(call[0]) for call in kernels["state_round_trip"]] == [(500, 2, 2), (2, 2)]
+    assert [np.shape(call[0]) for call in from_matrix] == [(2, 2)]
+    for calls in scalar_calls:
+        calls.clear()
+
+    # Every variance of the extremality grid comes from one kernel call.
+    result = verify.run_suite("product_bounds", "full", 42)
+    assert (result.checks, result.failures) == (1137, 0)
+    assert len(kernels["robertson"]) == 1
+    assert scalar_calls[1] == []
+
+    # Both projection routes run once each, over the grid and over the probes.
+    projections = count_calls(verify, "projected_readout_moments")
+    result = verify.run_suite("unbiasedness", "full", 42)
+    assert (result.checks, result.failures) == (4008, 0)
+    assert len(projections) == 2
+
+    # The intelligent states read both variances off their one robertson report.
+    residuals = count_calls(uncertainty, "is_residual")
+    for calls in scalar_calls:
+        calls.clear()
+    result = verify.run_suite("intelligent_states", "full", 42)
+    assert (result.checks, result.failures) == (588, 0)
+    assert len(scalar_calls[0]) == 126
+    assert len(scalar_calls[1]) == 2 * len(residuals) > 0
 
     # The fringe oracle scans one row of the unitaries per state, never the full matrices.
     scans = count_calls(duality, "fringe_probability")
@@ -93,6 +135,130 @@ def test_batched_suites_make_one_kernel_call_each(count_calls):
     assert (result.checks, result.failures) == (45, 0)
     assert len(scans) == 23
     assert unitaries == [[], []]
+
+
+def test_stacked_projection_matches_one_state_calls():
+    psi = [entangle(w, theta, c) for w, theta, c in READOUT_GRID]
+    varrho = [0.3 * k for k in range(len(psi))]  # a distinct member for every state
+    stacked = verify.projected_readout_moments(np.stack([p.system_meter() for p in psi]), [p.c for p in psi], varrho)
+    stacked = np.array(stacked).reshape(4, -1)
+    for i, (p, v) in enumerate(zip(psi, varrho)):
+        single = np.array(verify.projected_readout_moments(p.system_meter(), p.c, v)).ravel()
+        assert stacked[:, i].tolist() == single.tolist()
+        closed = (*estimate_a(p), *estimate_b(p, v))
+        assert np.abs(single - closed).max() <= 1e-12 * max(1.0, *np.abs(closed))
+
+
+def test_linalg_core_draws_reproduce_the_matrix_loop(count_calls):
+    eigs = count_calls(linalg, "hermitian_eig")
+    krons = count_calls(linalg, "kron")
+    result = verify.run_suite("linalg_core", "full", 42)
+    assert (result.checks, result.failures) == (1055, 0)
+
+    def loop_draws(rng):
+        herm = []
+        for _ in range(200):
+            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            herm.append(m + m.conj().T)
+        quads = [rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2)) for _ in range(50)]
+        return herm, quads
+
+    stream = 1000 + verify.SUITE_NAMES.index("linalg_core")
+    loop_rng = montecarlo._generator(42, stream=stream)
+    herm, quads = loop_draws(loop_rng)
+    # the sigma_x check comes first; then one eigen-solve per drawn matrix
+    assert all(np.array_equal(call[0], m) for call, m in zip(eigs[1:], herm, strict=True))
+    # each quadruple (a, b, c, d) enters as kron(a, b), kron(c, d), then the products
+    assert all(
+        np.array_equal(krons[3 * i][0], a) and np.array_equal(krons[3 * i][1], b)
+        and np.array_equal(krons[3 * i + 1][0], c) and np.array_equal(krons[3 * i + 1][1], d)
+        for i, (a, b, c, d) in enumerate(quads)
+    )
+    batch_rng = montecarlo._generator(42, stream=stream)
+    normals = batch_rng.normal(size=(200, 2, 2, 2))
+    quad_normals = batch_rng.normal(size=(50, 2, 4, 2, 2))
+    m = normals[:, 0] + 1j * normals[:, 1]
+    assert np.array_equal(m + m.conj().swapaxes(-1, -2), herm)
+    assert np.array_equal(quad_normals[:, 0] + 1j * quad_normals[:, 1], quads)
+    # both generators stop at the same point of the stream
+    assert loop_rng.random() == batch_rng.random()
+
+
+@pytest.mark.parametrize("faulty_c", [(0.3,), (0.3, 0.7)])
+def test_planted_readout_fault_keeps_the_loop_notes(monkeypatch, faulty_c):
+    """A fault at each faulty c fails 72 checks; the six notes come in grid order: w, then theta, then c."""
+    varrho = math.pi / 5.0
+    exact = verify.estimate_b
+
+    def planted(psi, phase, b_value=0.5):
+        mean, var = exact(psi, phase, b_value)
+        return mean, var + 1e-9 if psi.c in faulty_c else var
+
+    monkeypatch.setattr(verify, "estimate_b", planted)
+    result = verify.run_suite("unbiasedness", "full", 42)
+    notes = []
+    for w, theta, c in READOUT_GRID:
+        if c in faulty_c and len(notes) < 6:
+            psi = entangle(w, theta, c)
+            (_, var), (_, var_x) = planted(psi, varrho), verify.projected_readout_moments(psi.system_meter(), c, varrho)[1]
+            notes.append(f"system readout variance by projection w={w} theta={theta:.2f} c={c}: {var!r} vs {float(var_x)!r}")
+    assert (result.checks, result.failures) == (4008, 72 * len(faulty_c))
+    assert list(result.notes) == notes
+
+
+def test_planted_floor_fault_keeps_the_loop_notes(monkeypatch):
+    """A floor raised by 1e-9 at four grid points fails two checks at each, noted in loop order."""
+    grid = np.linspace(0.08, 0.92, 21).tolist()
+    faulty = {grid[2], grid[5], grid[9], grid[14]}
+    exact = verify.normalized_product_bounds
+
+    def planted(w):
+        lo, hi = exact(w)
+        return (lo + 1e-9 if w in faulty else lo), hi
+
+    monkeypatch.setattr(verify, "normalized_product_bounds", planted)
+    result = verify.run_suite("product_bounds", "full", 42)
+    a_obs = symmetric_observable()
+    b_obs = complementary_observable(ComplementaryFamily(a_obs, 0.6))
+    notes = []
+    for w in sorted(faulty):
+        rho = pure_state(w, 0.6)
+        product = uncertainty.mean_var(rho, a_obs)[1] * uncertainty.mean_var(rho, b_obs)[1]
+        notes.append(f"product within bounds w={w:.3f} d=0.000")
+        notes.append(f"proper choice reaches the floor w={w:.3f}: {product!r} vs {planted(w)[0]!r}")
+    assert (result.checks, result.failures) == (1137, 8)
+    assert list(result.notes) == notes[:6]
+
+
+def test_planted_round_trip_fault_keeps_the_loop_notes(monkeypatch):
+    """Coherence read back 1e-9 short above w_plus = 0.9 fails there, noted by state index."""
+    exact = verify.density_params
+
+    def planted(m):
+        w, rho12, theta = exact(m)
+        return w, np.where((w > 0.9) & (rho12 > 1e-9), rho12 - 1e-9, rho12), theta
+
+    monkeypatch.setattr(verify, "density_params", planted)
+    result = verify.run_suite("state_round_trip", "full", 42)
+    rng = montecarlo._generator(42, stream=1000 + verify.SUITE_NAMES.index("state_round_trip"))
+    w, rho12, _, _ = verify._random_states(rng, 500)
+    faulty = [(i, r) for i, (x, r) in enumerate(zip(w.tolist(), rho12.tolist())) if x > 0.9 and r > 1e-9]
+    assert (result.checks, result.failures) == (2003, len(faulty))
+    assert list(result.notes) == [f"round trip rho12 #{i}: {r - 1e-9!r} vs {r!r}" for i, r in faulty[:6]]
+
+
+@pytest.mark.parametrize("level", ["fast", "full"])
+@pytest.mark.parametrize("seed", ["42", "343578368"])
+def test_verify_report_keeps_its_pinned_digest(monkeypatch, level, seed):
+    # full at seed 343578368 is the FAIL report with a monte_carlo note.
+    spec = importlib.util.spec_from_file_location("output_digest", ROOT / "tools" / "output_digest.py")
+    digest_tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest_tool)
+    pinned = {line.split("  ", 2)[2]: line for line in (ROOT / "tools" / "output_digests.txt").read_text().splitlines()}
+    monkeypatch.delenv("QUDUAL_SEED", raising=False)
+    argv = ("verify", "--level", level, "--seed", seed)
+    code, digest = digest_tool.run(argv)
+    assert f"{digest}  {code}  {' '.join(argv)}" == pinned[" ".join(argv)]
 
 
 def test_run_suite_names_the_allowed_suites_and_levels():
