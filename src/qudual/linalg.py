@@ -1,7 +1,7 @@
 """Small dense linear algebra for two-level problems.
 
-Everything in this package is 2x2, or 4x4 after adjoining a meter, so the
-eigenproblem is solved in closed form with the quadratic formula. No
+Every operator in this package is 2x2, so its two eigenvalues come in
+closed form from the quadratic formula, as ``mean +- half_gap``. No
 iterative solver is used anywhere; results are reproducible to the last bit
 across runs.
 """
@@ -22,9 +22,7 @@ __all__ = [
     "UNITARITY_TOL",
     "assert_hermitian",
     "assert_unitary",
-    "hermitian_eig",
     "trace_norm",
-    "kron",
 ]
 
 
@@ -80,45 +78,13 @@ def _mean_half_gap(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, half_gap
 
 
-def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a Hermitian 2x2 matrix, in closed form.
-
-    Returns ``(w, v)`` with the real eigenvalues ``w`` in descending order and
-    the matching orthonormal eigenvectors as the columns of ``v``.
-    """
-    m = assert_hermitian(m)
-    if m.shape != (2, 2):
-        raise ContractViolationError(f"hermitian_eig expects a 2x2 matrix, got {m.shape}")
-    a = m[0, 0].real
-    d = m[1, 1].real
-    b = m[0, 1]
-    mean, half_gap = _mean_half_gap(m)
-    w = np.array([mean + half_gap, mean - half_gap])
-    if half_gap == 0.0:
-        return w, np.eye(2, dtype=complex)
-    # Two algebraically equivalent eigenvector forms; pick the one whose norm
-    # is bounded below by the spectral half-gap so it never degenerates.
-    if a >= d:
-        v_plus = np.array([w[0] - d, np.conj(b)])
-    else:
-        v_plus = np.array([b, w[0] - a])
-    # rescale before normalizing: squaring subnormal components underflows.
-    # divide the real and imaginary parts separately; complex division by a
-    # subnormal scalar overflows in the intermediate |denominator|^2
-    scale = np.abs(v_plus).max()
-    v_plus = v_plus.real / scale + 1j * (v_plus.imag / scale)
-    v_plus = v_plus / np.linalg.norm(v_plus)
-    v_minus = np.array([-np.conj(v_plus[1]), np.conj(v_plus[0])])
-    return w, np.column_stack([v_plus, v_minus])
-
-
 def trace_norm(m: np.ndarray):
     """Trace norm (sum of absolute eigenvalues) of a Hermitian 2x2 matrix, or of each in a stack.
 
     ``m`` has shape ``(..., 2, 2)``; every matrix must pass
     :func:`assert_hermitian`. Returns a float for one matrix and an array of
     the stack shape otherwise, from the eigenvalues ``mean +- half_gap`` of
-    :func:`hermitian_eig` without its eigenvectors.
+    :func:`_mean_half_gap`.
     """
     m = assert_hermitian(m)
     if m.shape[-2:] != (2, 2):
@@ -126,13 +92,3 @@ def trace_norm(m: np.ndarray):
     mean, half_gap = _mean_half_gap(m)
     norm = np.abs(mean + half_gap) + np.abs(mean - half_gap)
     return float(norm) if norm.ndim == 0 else norm
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product with the first factor varying slowest.
-
-    Composite indices are ordered (first factor, second factor); with a
-    system in the first slot and a meter in the second, basis order is
-    ``|s0 m0>, |s0 m1>, |s1 m0>, |s1 m1>``.
-    """
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))

@@ -23,7 +23,7 @@ round alike.
 Every ``1 - c**2`` is evaluated as ``(1 - c)(1 + c)``, which keeps its
 relative accuracy as ``c -> 1`` where ``1 - c*c`` cancels. Basis order of
 the composite amplitudes is ``|plus m+>, |plus m_perp>, |minus m+>,
-|minus m_perp>`` (system index slowest), matching :func:`qudual.linalg.kron`.
+|minus m_perp>``: the system index varies slowest, the meter index fastest.
 """
 
 from __future__ import annotations

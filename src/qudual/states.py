@@ -46,12 +46,9 @@ __all__ = [
     "ComplementaryFamily",
     "pure_state",
     "symmetric_observable",
-    "phase_shift",
-    "beam_splitter",
     "complementary_observable",
     "complementary_matrices",
     "complementary_triplet",
-    "phase_difference_realization",
 ]
 
 
@@ -306,26 +303,12 @@ def complementary_matrices(reference: Observable, varrho) -> np.ndarray:
     The stacked form of ``complementary_observable(ComplementaryFamily(reference,
     varrho)).matrix``, with the default outcome values ``+-1/2``: each phase is
     checked and wrapped as :class:`ComplementaryFamily` does, and each member is
-    built from its eigenbasis, which must pass the unitarity check of
-    :class:`Observable`.
+    built from its eigenbasis. That basis is unitary by construction from the
+    checked basis of ``reference``, so it is not checked again.
     """
     varrho = np.remainder(check_array(varrho, "varrho"), TWO_PI)
-    basis = assert_unitary(_member_basis(reference, varrho), name="eigenbasis")
+    basis = _member_basis(reference, varrho)
     return _spectral_matrix(basis, ComplementaryFamily.b_plus, ComplementaryFamily.b_minus)
-
-
-def phase_shift(phi: float) -> np.ndarray:
-    """Unitary adding a relative phase ``phi`` to ``|minus>``."""
-    return np.array([[1.0, 0.0], [0.0, np.exp(1j * phi)]])
-
-
-def beam_splitter(xi: float) -> np.ndarray:
-    """Variable-transmittivity beam splitter mixing the two basis modes.
-
-    ``xi = pi/4`` is the balanced (50 percent) splitter.
-    """
-    c, s = math.cos(xi), math.sin(xi)
-    return np.array([[c, 1j * s], [1j * s, c]])
 
 
 def complementary_triplet(
@@ -353,18 +336,3 @@ def complementary_triplet(
         )
     )
     return reference, first, second
-
-
-def phase_difference_realization(theta_val: float, varrho: float) -> Observable:
-    """Two-outcome phase-difference operator with eigenvalues ``theta_val`` and ``theta_val + pi``.
-
-    The eigenvectors are the complementary-family member at phase ``varrho``
-    relative to the mode-number-difference operator (the reference-basis
-    observable with outcomes +-1/2), so the returned observable is mutually
-    unbiased with respect to the reference basis. ``theta_val`` names the
-    eigenvalue offset; it is unrelated to a state's coherence phase.
-    """
-    family = ComplementaryFamily(
-        symmetric_observable(0.5), varrho, theta_val, theta_val + math.pi
-    )
-    return complementary_observable(family)

@@ -33,13 +33,11 @@ import numpy as np
 from .errors import ContractViolationError, ParameterError, as_float, check_scalar
 from .states import DensityMatrix, Observable, pure_state
 
-EQUALITY_TOL = 1e-10
 INEQUALITY_SLACK = 1e-12
 
 IS_FAMILIES = ("IS1", "IS2a", "IS2b")
 
 __all__ = [
-    "EQUALITY_TOL",
     "INEQUALITY_SLACK",
     "IS_FAMILIES",
     "mean_var",

@@ -21,11 +21,12 @@ notes of a loop over its states: ``duality``, ``robertson``,
 ``entangled_duality``, ``product_bounds`` (kernels ``duality_arrays``,
 ``robertson_arrays``, ``entangled_arrays``), ``state_round_trip`` (one
 ``density_params`` read), ``unbiasedness`` (one projection of the grid, one
-of the probes) and ``linalg_core`` (stacked references). Functions under
-test stay per state: ``hermitian_eig``, ``trace_norm``, ``kron``,
-``entangle``, ``estimate_a``, ``estimate_b``, ``intelligent_state`` and
-``is_residual``. ``complementary_family`` loops because ``predictability_of_b``
-and ``visibility_of_b`` take one state.
+of the probes) and ``linalg_core`` (one ``trace_norm`` call and one
+eigenvalue pass over its 200 matrices, against LAPACK's ``eigvalsh`` and
+``svd``). Functions under test stay per state: ``entangle``,
+``estimate_a``, ``estimate_b``, ``intelligent_state`` and ``is_residual``.
+``complementary_family`` loops because ``predictability_of_b`` and
+``visibility_of_b`` take one state.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .duality import (
     visibility_oracle,
 )
 from .errors import ContractViolationError, ParameterError
-from .linalg import hermitian_eig, kron, trace_norm
+from .linalg import _mean_half_gap, trace_norm
 from .simultaneous import (
     entangle,
     entangled_arrays,
@@ -367,11 +368,6 @@ def minimum_product_report(w_plus: float) -> MinimumProductReport:
 
 
 def _suite_linalg_core(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
-    w, v = hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
-    t.close(w[0], 1.0, 1e-14, "sigma_x top eigenvalue")
-    t.close(w[1], -1.0, 1e-14, "sigma_x bottom eigenvalue")
-    overlap = abs(np.vdot(v[:, 0], np.array([1.0, 1.0]) / math.sqrt(2.0)))
-    t.close(overlap, 1.0, 1e-12, "sigma_x eigenvector alignment")
     t.close(trace_norm(np.diag([0.5, -0.5]).astype(complex)), 1.0, 1e-14, "trace norm diag")
 
     psi0 = np.array([1.0, 0.0], dtype=complex)
@@ -379,32 +375,19 @@ def _suite_linalg_core(t: _Tally, size: dict, rng: np.random.Generator, corrupt:
     diff = np.outer(psi0, psi0.conj()) - np.outer(psi1, psi1.conj())
     t.close(trace_norm(diff), 1.6, 1e-12, "trace norm of projector difference")
 
-    # One draw each of the normals the per-matrix loops drew: real parts, then imaginary parts.
+    # Real parts, then imaginary parts, of 200 random Hermitian matrices.
     normals = rng.normal(size=(200, 2, 2, 2))
     m = normals[:, 0] + 1j * normals[:, 1]
     m = m + m.conj().swapaxes(-1, -2)
-    eigs = [hermitian_eig(x) for x in m]
-    w = np.array([e[0] for e in eigs])
-    v = np.array([e[1] for e in eigs])
-    v_dag = v.conj().swapaxes(-1, -2)
+    mean, half_gap = _mean_half_gap(m)
+    w = np.stack([mean + half_gap, mean - half_gap], axis=-1)
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-    recon = (v * w[:, None, :]) @ v_dag
-    gram = v_dag @ v
     ref = np.linalg.eigvalsh(m)[:, ::-1]
     sv = np.linalg.svd(m, compute_uv=False).sum(axis=-1)
     t.check_batch(
-        (np.abs(recon - m).max(axis=(-2, -1)) <= 1e-10 * scale, lambda i: f"eig reconstruction #{i}"),
-        (w[:, 0] >= w[:, 1], lambda i: f"eig ordering #{i}"),
-        (np.abs(gram - np.eye(2)).max(axis=(-2, -1)) <= 1e-12, lambda i: f"eig orthonormality #{i}"),
         (np.abs(w - ref).max(axis=-1) <= 1e-10 * scale, lambda i: f"eig against lapack #{i}"),
-        _close_entry(np.array([trace_norm(x) for x in m]), sv, 1e-10 * scale, lambda i: f"trace norm against svd #{i}"),
+        _close_entry(trace_norm(m), sv, 1e-10 * scale, lambda i: f"trace norm against svd #{i}"),
     )
-
-    quads = rng.normal(size=(50, 2, 4, 2, 2))
-    for i, (a, b, c, d) in enumerate(quads[:, 0] + 1j * quads[:, 1]):
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        t.check(float(np.abs(lhs - rhs).max()) <= 1e-12 * max(1.0, float(np.abs(rhs).max())), f"kron mixed product #{i}")
 
 
 def _suite_state_round_trip(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
@@ -435,11 +418,7 @@ def _suite_duality(t: _Tally, size: dict, rng: np.random.Generator, corrupt: boo
     # so the harness can confirm failures are actually reported.
     limit = -1.0 if corrupt else 1.0 + 1e-12
     w, rho12, _, _ = _random_states(rng, size["duality"])
-    try:
-        p, v, sum_sq, pur = duality_arrays(w, rho12)
-    except ContractViolationError as exc:
-        t.check(False, f"duality report contract: {exc}")
-        return
+    p, v, sum_sq, pur = duality_arrays(w, rho12)
     pure = pur >= 1.0 - 1e-12
     s = sum_sq.tolist()
     t.check_batch(
@@ -739,7 +718,9 @@ def run_suite(name: str, level: str = "fast", seed: int = 42, corrupt: bool = Fa
 
     The suite draws from its own stream of the seed, fixed by its place in
     :data:`SUITE_NAMES`, so it gives the same result alone as within
-    :func:`run_suites`.
+    :func:`run_suites`. An exception that escapes the suite body counts as
+    one more failed check, after the checks made before it, and its type and
+    message are always noted.
     """
     if name not in _SUITES:
         raise ParameterError(f"suite must be one of {list(SUITE_NAMES)}, got {name!r}")
@@ -747,7 +728,13 @@ def run_suite(name: str, level: str = "fast", seed: int = 42, corrupt: bool = Fa
         raise ParameterError(f"level must be one of {sorted(_SIZES)}, got {level!r}")
     tally = _Tally(name)
     rng = montecarlo._generator(seed, stream=1000 + SUITE_NAMES.index(name))
-    _SUITES[name](tally, _SIZES[level], rng, corrupt, seed)
+    try:
+        _SUITES[name](tally, _SIZES[level], rng, corrupt, seed)
+    except Exception as exc:
+        # One failed check, noted even past the note limit: it says why the suite stopped.
+        tally.checks += 1
+        tally.failures += 1
+        tally.notes.append(f"suite raised {type(exc).__name__}: {exc}")
     return tally.result()
 
 

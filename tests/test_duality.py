@@ -9,11 +9,9 @@ from qudual import (
     ContractViolationError,
     DensityMatrix,
     ParameterError,
-    beam_splitter,
     duality_arrays,
     duality_report,
     fringe_probability,
-    phase_shift,
     predictability,
     predictability_of_b,
     pure_state,
@@ -68,10 +66,16 @@ def test_fringe_probability_matches_closed_form(w, u, theta, phi, xi):
     assert fringe_probability(rho, phi, xi) == pytest.approx(direct, abs=1e-12)
 
 
+def interferometer(phi, xi):
+    """The two-arm unitary: a relative phase ``phi`` on ``|minus>``, then a beam splitter of angle ``xi``."""
+    c, s = math.cos(xi), math.sin(xi)
+    return np.array([[c, 1j * s], [1j * s, c]]) @ np.diag([1.0, np.exp(1j * phi)])
+
+
 @given(w=w_values, u=fractions, theta=angles, phi=angles, xi=angles)
 def test_fringe_probability_matches_full_unitaries(w, u, theta, phi, xi):
     rho = draw_state(w, u, theta)
-    unitary = beam_splitter(xi) @ phase_shift(phi)
+    unitary = interferometer(phi, xi)
     full = (unitary @ rho.matrix @ unitary.conj().T)[0, 0].real
     assert fringe_probability(rho, phi, xi) == pytest.approx(full, abs=1e-15)
 

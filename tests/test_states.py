@@ -11,14 +11,11 @@ from qudual import (
     DensityMatrix,
     Observable,
     ParameterError,
-    beam_splitter,
     complementary_matrices,
     complementary_observable,
     complementary_triplet,
     density_matrix,
     density_params,
-    phase_difference_realization,
-    phase_shift,
     pure_state,
     symmetric_observable,
     validate_density,
@@ -208,22 +205,3 @@ def test_triplet_commutators_close(varrho):
 def test_triplet_rejects_bad_handedness():
     with pytest.raises(ParameterError, match="handedness"):
         complementary_triplet(symmetric_observable(), 0.0, 2)
-
-
-def test_interferometer_elements():
-    np.testing.assert_allclose(phase_shift(0.7), np.diag([1.0, np.exp(0.7j)]), atol=1e-15)
-    half = beam_splitter(math.pi / 4.0)
-    r = math.sqrt(0.5)
-    np.testing.assert_allclose(half, np.array([[r, 1j * r], [1j * r, r]]), atol=1e-15)
-
-
-def test_phase_difference_realization_frozen_matrix():
-    obs = phase_difference_realization(0.0, 0.0)
-    assert obs.val_plus == pytest.approx(0.0)
-    assert obs.val_minus == pytest.approx(math.pi)
-    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_allclose(obs.matrix, math.pi * (np.eye(2) - sigma_x) / 2.0, atol=1e-14)
-    # mutually unbiased with the reference basis: every squared overlap is 1/2
-    for varrho in (0.0, 1.3, 4.0):
-        basis = phase_difference_realization(0.7, varrho).basis
-        np.testing.assert_allclose(np.abs(basis) ** 2, 0.5, atol=1e-12)
