@@ -220,15 +220,16 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     psi = entangle(args.w_plus, args.theta, c)
 
     # Draw every sample before printing, so a failed run writes no stdout; the
-    # joint readout goes first because it rejects a singular overlap.
-    joint = montecarlo.sample_simultaneous(psi, varrho, args.n, seed + 3)
+    # joint readout goes first because it rejects a singular overlap. Each
+    # sampler has its own streams of the seed: 1, 2, 3, and 4-19 for the scan.
+    joint = montecarlo.sample_simultaneous(psi, varrho, args.n, seed, stream=3)
     reports = [
-        replace(montecarlo.sample_sharp(rho, a_obs, args.n, seed + 1), quantity="sharp_a"),
-        replace(montecarlo.sample_sharp(rho, b_obs, args.n, seed + 2), quantity="sharp_b"),
+        replace(montecarlo.sample_sharp(rho, a_obs, args.n, seed, stream=1), quantity="sharp_a"),
+        replace(montecarlo.sample_sharp(rho, b_obs, args.n, seed, stream=2), quantity="sharp_b"),
         *joint,
     ]
     phi_grid = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
-    v_hat, _ = montecarlo.sample_fringe(rho, phi_grid, math.pi / 4.0, max(args.n // 16, 1), seed + 4)
+    v_hat, _ = montecarlo.sample_fringe(rho, phi_grid, math.pi / 4.0, max(args.n // 16, 1), seed, stream=4)
 
     print(f"sampling at w_plus={_fmt(args.w_plus)} theta={_fmt(args.theta)} varrho={_fmt(varrho)} c={_fmt(c)} seed={seed}")
     for rep in reports:

@@ -8,17 +8,10 @@ built from the exact sampling distribution of the estimator (two-outcome
 distributions, so the fourth central moment entering the variance standard
 error is available in closed form).
 
-The sharp and joint samplers never hold all ``n`` shots: they draw and count
-``_CHUNK`` uniforms at a time into buffers allocated once, so their memory
-does not depend on ``n``. Chunking changes no bit, because ``random`` takes
-one 64-bit Philox word per double whatever the request size. The joint
-readout's system uniforms are the doubles that follow its ``n`` meter
-uniforms on the same stream; they come from a second generator on the same
-key whose counter is moved past them. Philox yields four words per counter
-value and ``advance`` moves the counter directly (Salmon, Moraes, Dror and
-Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11), so the skip is
-``advance(n // 4)`` followed by ``n % 4`` discarded doubles, exact at any
-``n``.
+Each readout has two outcomes and its report uses only the count ``k`` of one
+of them, so the samplers draw ``k`` itself, exactly: ``Generator.binomial``
+uses BTPE (Kachitvichyanukul and Schmeiser, Commun. ACM 31, 216, 1988), with
+inversion for small ``n p``. Their time and memory do not depend on ``n``.
 """
 
 from __future__ import annotations
@@ -41,11 +34,10 @@ Z_FLAG_THRESHOLD = 4.0
 # is a finite double; the standard error of the sampled variance needs it.
 MAX_SAMPLED_VALUE = sys.float_info.max ** 0.25 / 2.0
 
-# Largest sample size: about a day of drawing at 10**7 shots per second.
+# Largest sample size, a round number below 2**53: check_scalar returns a
+# float, so n is exact only below 2**53, and at 2**53 + 1 the int(float(n))
+# round trip would silently sample a different n.
 MAX_SHOTS = 10**12
-
-# Uniforms drawn and counted per step; sets the samplers' working memory.
-_CHUNK = 1 << 16
 
 _MASK64 = (1 << 64) - 1
 
@@ -64,68 +56,6 @@ def _generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator keyed by (seed, stream); counter-based and splittable."""
     key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _generator_after(seed: int, stream: int, n: int) -> np.random.Generator:
-    """The (seed, stream) generator moved past its first ``n`` doubles.
-
-    Philox gives four 64-bit words per counter value and ``random`` takes one
-    word per double, so ``n // 4`` counter steps plus ``n % 4`` discarded
-    doubles land exactly where ``n`` draws from a fresh generator end.
-    """
-    rng = _generator(seed, stream)
-    rng.bit_generator.advance(n // 4)
-    rng.random(n % 4)
-    return rng
-
-
-def _chunks(n: int):
-    """Sizes of the successive draws that make up ``n`` shots."""
-    for start in range(0, n, _CHUNK):
-        yield min(_CHUNK, n - start)
-
-
-def _count_below(rng: np.random.Generator, n: int, p: float) -> int:
-    """How many of the next ``n`` uniforms of ``rng`` fall below ``p``.
-
-    Equals ``count_nonzero(rng.random(n) < p)`` without holding the ``n`` draws.
-    """
-    u = np.empty(min(n, _CHUNK))
-    hit = np.empty(u.size, dtype=bool)
-    k = 0
-    for m in _chunks(n):
-        rng.random(out=u[:m])
-        k += int(np.count_nonzero(np.less(u[:m], p, out=hit[:m])))
-    return k
-
-
-def _count_joint(seed: int, n: int, p1: float, q: np.ndarray) -> tuple[int, int]:
-    """Counts of meter outcome 1 and of system outcome + over ``n`` sequential shots.
-
-    Shot i takes meter outcome 1 when ``u_meter[i] < p1`` and system outcome +
-    when ``u_system[i] < q[0]`` after outcome 1, ``< q[1]`` otherwise, where
-    ``u_meter`` and ``u_system`` are the first and second ``n`` doubles of
-    stream 0. The two runs are walked in step by two generators.
-    """
-    rng_meter = _generator(seed, stream=0)
-    rng_system = _generator_after(seed, 0, n)
-    u_meter = np.empty(min(n, _CHUNK))
-    u_system = np.empty_like(u_meter)
-    q_shot = np.empty_like(u_meter)
-    took_m1 = np.empty(u_meter.size, dtype=bool)
-    b_plus = np.empty_like(took_m1)
-    n_m1 = n_b_plus = 0
-    for m in _chunks(n):
-        rng_meter.random(out=u_meter[:m])
-        rng_system.random(out=u_system[:m])
-        np.less(u_meter[:m], p1, out=took_m1[:m])
-        # q_shot = np.where(took_m1, q[0], q[1]), written into the buffer
-        np.copyto(q_shot[:m], q[1])
-        np.copyto(q_shot[:m], q[0], where=took_m1[:m])
-        np.less(u_system[:m], q_shot[:m], out=b_plus[:m])
-        n_m1 += int(np.count_nonzero(took_m1[:m]))
-        n_b_plus += int(np.count_nonzero(b_plus[:m]))
-    return n_m1, n_b_plus
 
 
 @dataclass(frozen=True)
@@ -223,7 +153,7 @@ def sample_sharp(
     """
     n = int(check_scalar(n, "n", 1, MAX_SHOTS))
     p_plus = _outcome_probability(rho, obs.vec_plus)
-    k_plus = _count_below(_generator(seed, stream), n, p_plus)
+    k_plus = int(_generator(seed, stream).binomial(n, p_plus))
     return _two_outcome_report(
         quantity="sharp",
         values=(obs.val_plus, obs.val_minus),
@@ -240,11 +170,12 @@ def sample_fringe(
     xi: float,
     n_per_point: int,
     seed: int,
+    stream: int = 0,
 ) -> tuple[float, np.ndarray]:
     """Empirical fringe contrast from binomial counts along a phase scan.
 
-    Each phase point is sampled on its own generator stream (indexed by grid
-    position), so the scan can be sharded without changing the result.
+    Phase point ``j`` is sampled on its own stream ``stream + j``, so the
+    scan can be sharded without changing the result.
     Returns the contrast ``(max - min) / (max + min)`` of the empirical
     probabilities together with the probabilities themselves.
     """
@@ -257,8 +188,7 @@ def sample_fringe(
     for j, phi in enumerate(phi_grid):
         p = float(fringe_probability(rho, phi, xi))
         p = min(max(p, 0.0), 1.0)
-        rng = _generator(seed, stream=j)
-        p_hat[j] = rng.binomial(n_per_point, p) / n_per_point
+        p_hat[j] = _generator(seed, stream + j).binomial(n_per_point, p) / n_per_point
     top = float(p_hat.max() - p_hat.min())
     bottom = float(p_hat.max() + p_hat.min())
     v_hat = top / bottom if bottom > 0.0 else 0.0
@@ -272,13 +202,18 @@ def sample_simultaneous(
     seed: int,
     a_value: float = 0.5,
     b_value: float = 0.5,
+    stream: int = 0,
 ) -> tuple[SampleReport, SampleReport]:
     """Sample the sequential meter-then-system readout ``n`` times.
 
     Per shot the meter outcome is drawn first, the system state is updated by
     projecting the composite state on that outcome, and the complementary
-    basis outcome is drawn from the conditioned state. The reports compare
-    the rescaled readout moments against :func:`estimate_a` and
+    basis outcome is drawn from the conditioned state. The two counts of
+    those ``n`` shots are drawn stage by stage, with exactly their law, from
+    the (seed, stream) generator: ``n_m1 ~ Bin(n, p1)`` meter outcomes 1, then
+    ``Bin(n_m1, q0) + Bin(n - n_m1, q1)`` system outcomes +, where ``q`` is
+    the + probability given each meter outcome. The reports compare the
+    rescaled readout moments against :func:`estimate_a` and
     :func:`estimate_b`.
     """
     n = int(check_scalar(n, "n", 1, MAX_SHOTS))
@@ -303,7 +238,9 @@ def sample_simultaneous(
         overlap = float(abs(np.vdot(vec_plus, amp)) ** 2)
         q[k] = min(overlap / p, 1.0) if p > 0.0 else 0.0
 
-    n_m1, n_b_plus = _count_joint(seed, n, p1, q)
+    rng = _generator(seed, stream)
+    n_m1 = int(rng.binomial(n, p1))
+    n_b_plus = int(rng.binomial(n_m1, q[0])) + int(rng.binomial(n - n_m1, q[1]))
 
     report_a = _two_outcome_report(
         quantity="readout_a",

@@ -674,24 +674,26 @@ def _suite_monte_carlo(t: _Tally, size: dict, rng: np.random.Generator, corrupt:
     b_obs = complementary_observable(ComplementaryFamily(a_obs, theta))
     rho = pure_state(0.9, theta)
 
-    rep = montecarlo.sample_sharp(rho, a_obs, n, seed + 1)
+    # Each sampler has its own streams of the seed: 1, 2, 3, 4-19 and 20-35
+    # for the two scans, and 36; the suites' own draws take streams from 1000.
+    rep = montecarlo.sample_sharp(rho, a_obs, n, seed, stream=1)
     t.check(not rep.flagged and not rep.degenerate, f"sharp reference readout z=({rep.z_mean:.2f},{rep.z_variance:.2f})")
-    rep = montecarlo.sample_sharp(rho, b_obs, n, seed + 2)
+    rep = montecarlo.sample_sharp(rho, b_obs, n, seed, stream=2)
     t.check(not rep.flagged and not rep.degenerate, f"sharp complementary readout z=({rep.z_mean:.2f},{rep.z_variance:.2f})")
 
     psi = entangle(0.9, theta, math.sqrt(3.0 / 7.0))
-    rep_a, rep_b = montecarlo.sample_simultaneous(psi, theta, n, seed + 3)
+    rep_a, rep_b = montecarlo.sample_simultaneous(psi, theta, n, seed, stream=3)
     t.check(not rep_a.flagged and not rep_a.degenerate, f"meter readout z=({rep_a.z_mean:.2f},{rep_a.z_variance:.2f})")
     t.check(not rep_b.flagged and not rep_b.degenerate, f"system readout z=({rep_b.z_mean:.2f},{rep_b.z_variance:.2f})")
 
     phi_grid = np.linspace(0.0, TWO_PI, 16, endpoint=False)
-    v_hat, _ = montecarlo.sample_fringe(pure_state(0.5), phi_grid, math.pi / 4.0, max(n // 20, 100), seed + 4)
+    v_hat, _ = montecarlo.sample_fringe(pure_state(0.5), phi_grid, math.pi / 4.0, max(n // 20, 100), seed, stream=4)
     t.check(v_hat == 1.0, f"balanced pure state shows full contrast: {v_hat!r}")
-    v_hat, _ = montecarlo.sample_fringe(pure_state(0.9, 0.7), phi_grid, math.pi / 4.0, max(n // 20, 100), seed + 5)
+    v_hat, _ = montecarlo.sample_fringe(pure_state(0.9, 0.7), phi_grid, math.pi / 4.0, max(n // 20, 100), seed, stream=20)
     tol = 0.1 if n < 100000 else 0.02
     t.close(v_hat, 0.6, tol, "sampled contrast tracks the coherence")
 
-    rep = montecarlo.sample_sharp(DensityMatrix(1.0, 0.0), a_obs, 5, seed + 6)
+    rep = montecarlo.sample_sharp(DensityMatrix(1.0, 0.0), a_obs, 5, seed, stream=36)
     t.check(rep.degenerate and rep.empirical_variance == 0.0, "eigenstate sampling is degenerate")
 
 

@@ -1,23 +1,29 @@
+import itertools
 import math
+import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from qudual import (
+    MAX_SHOTS,
     ComplementaryFamily,
     DensityMatrix,
     ParameterError,
     complementary_observable,
     entangle,
     mean_var,
+    meter_projectors,
     pure_state,
     sample_fringe,
     sample_sharp,
     sample_simultaneous,
     symmetric_observable,
 )
-from qudual.montecarlo import _CHUNK, _count_below, _count_joint, _generator, _generator_after
+from qudual import montecarlo, verify
+from qudual.cli import main
 
 A = symmetric_observable()
 PHI_GRID = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
@@ -116,35 +122,127 @@ def test_simultaneous_multiple_seeds_stay_within_gates():
         assert not rep_b.flagged
 
 
-COUNT_SIZES = [1, 5, 6, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3, 10**6 + 3]
+def _count(rep, v_plus, v_minus):
+    """The count of outcome ``v_plus`` behind a report's empirical mean."""
+    return round(rep.n * (rep.empirical_mean - v_minus) / (v_plus - v_minus))
+
+
+def _chi_square_z(observed: Counter, pmf: dict) -> float:
+    """Pearson's statistic of ``observed`` against ``pmf``, as a Wilson-Hilferty z.
+
+    Outcomes expected fewer than 5 times are pooled into one cell, so the
+    chi-square law holds; the cube-root transform makes the threshold the
+    same whatever the number of cells.
+    """
+    assert set(observed) <= set(pmf), "a count outside the support"
+    total = sum(observed.values())
+    cells, rest_obs, rest_exp = [], 0, 0.0
+    for outcome, p in pmf.items():
+        if total * p >= 5.0:
+            cells.append((observed[outcome], total * p))
+        else:
+            rest_obs, rest_exp = rest_obs + observed[outcome], rest_exp + total * p
+    cells.append((rest_obs, rest_exp))
+    stat = sum((o - e) ** 2 / e for o, e in cells if e > 0.0)
+    df = len(cells) - 1
+    return ((stat / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
+
+
+def _binomial_pmf(n: int, p: float) -> list:
+    return [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
+
+
+DRAWS, SMALL_N = 4000, 20
+
+
+def test_sharp_count_follows_the_binomial_law():
+    rho = pure_state(0.64, 0.9)
+    p_plus = float(np.vdot(A.vec_plus, rho.matrix @ A.vec_plus).real)
+    counts = Counter(
+        _count(sample_sharp(rho, A, SMALL_N, seed), A.val_plus, A.val_minus) for seed in range(DRAWS)
+    )
+    pmf = dict(enumerate(_binomial_pmf(SMALL_N, p_plus)))
+    assert _chi_square_z(counts, pmf) < 4.0
+
+
+def test_joint_counts_follow_the_meter_by_system_table():
+    # (n_m1, n_b+) = (N11 + N12, N11 + N21) for the multinomial 2x2 table of
+    # meter outcome by system outcome, with cell probabilities p1 q0, p1 (1 - q0),
+    # (1 - p1) q1 and (1 - p1)(1 - q1) from explicit projections
+    c, varrho, b = 0.5, 1.0, 0.5
+    psi_e = entangle(0.7, 1.0, c)
+    mp = meter_projectors(c)
+    vec_plus, _ = ComplementaryFamily(A, varrho, b, -b).member_vectors()
+    amps = [psi_e.system_meter() @ m.conj() for m in (mp.m1, mp.m2)]
+    p1 = float(np.vdot(amps[0], amps[0]).real)
+    q0, q1 = (abs(np.vdot(vec_plus, amp)) ** 2 / float(np.vdot(amp, amp).real) for amp in amps)
+    counts = Counter()
+    for seed in range(DRAWS):
+        rep_a, rep_b = sample_simultaneous(psi_e, varrho, SMALL_N, seed)
+        counts[_count(rep_a, mp.value_m1, mp.value_m2), _count(rep_b, b / c, -b / c)] += 1
+    meter = _binomial_pmf(SMALL_N, p1)
+    pmf = {}
+    for m1 in range(SMALL_N + 1):
+        from_m1, from_m2 = _binomial_pmf(m1, q0), _binomial_pmf(SMALL_N - m1, q1)
+        for plus in range(SMALL_N + 1):
+            pmf[m1, plus] = meter[m1] * sum(
+                from_m1[j] * from_m2[plus - j] for j in range(max(0, plus - (SMALL_N - m1)), min(m1, plus) + 1)
+            )
+    assert math.isclose(sum(pmf.values()), 1.0, rel_tol=1e-12)
+    assert _chi_square_z(counts, pmf) < 4.0
+
+
+# Sizes on both sides of 2**16, the chunk the uniforms were once counted in,
+# so the names and cases of these two tests carry over to the drawn counts.
+COUNT_SIZES = [1, 5, 6, 7, 2**16 - 1, 2**16, 2**16 + 1, 2 * 2**16 + 3, 10**6 + 3]
 
 
 @pytest.mark.parametrize("n", COUNT_SIZES)
 def test_chunked_sharp_count_equals_one_shot_draw(n):
-    p = 0.37
-    reference = int(np.count_nonzero(_generator(11, stream=2).random(n) < p))
-    assert _count_below(_generator(11, stream=2), n, p) == reference
+    # the count is one Bin(n, p+) draw from the (seed, stream) generator
+    rho = pure_state(0.37, 1.1)
+    p_plus = montecarlo._outcome_probability(rho, A.vec_plus)
+    reference = int(montecarlo._generator(11, stream=2).binomial(n, p_plus))
+    rep = sample_sharp(rho, A, n, seed=11, stream=2)
+    assert _count(rep, A.val_plus, A.val_minus) == reference
+
+
+class _BinomialLog:
+    """A generator that logs the (n, p) of each binomial draw it makes."""
+
+    def __init__(self, rng, log):
+        self._rng, self._log = rng, log
+
+    def binomial(self, n, p):
+        self._log.append((int(n), float(p)))
+        return self._rng.binomial(n, p)
 
 
 @pytest.mark.parametrize("n", COUNT_SIZES)
-def test_chunked_joint_counts_equal_one_shot_draws(n):
-    p1, q = 0.62, np.array([0.81, 0.23])
-    # the one-shot route: n meter uniforms, then n system uniforms, on stream 0
-    rng = _generator(13, stream=0)
-    u_meter = rng.random(n)
-    u_system = rng.random(n)
-    took_m1 = u_meter < p1
-    b_plus = u_system < np.where(took_m1, q[0], q[1])
-    reference = (int(np.count_nonzero(took_m1)), int(np.count_nonzero(b_plus)))
-    assert _count_joint(13, n, p1, q) == reference
+def test_chunked_joint_counts_equal_one_shot_draws(n, monkeypatch):
+    # the counts are Bin(n, p1), then Bin(n_m1, q0) + Bin(n - n_m1, q1), drawn
+    # in that order from the one (seed, stream) generator
+    c, varrho, b = 0.62, 1.3, 0.5
+    psi_e = entangle(0.8, 0.4, c)
+    log = []
+    real = montecarlo._generator
+    monkeypatch.setattr(montecarlo, "_generator", lambda seed, stream=0: _BinomialLog(real(seed, stream), log))
+    rep_a, rep_b = sample_simultaneous(psi_e, varrho, n, seed=13, b_value=b, stream=4)
+    mp = meter_projectors(c)
+    n_m1 = _count(rep_a, mp.value_m1, mp.value_m2)
+    n_b_plus = _count(rep_b, b / c, -b / c)
+    assert [trials for trials, _ in log] == [n, n_m1, n - n_m1]
 
+    # p1 and q from explicit projections, independent of the sampler's arithmetic
+    vec_plus, _ = ComplementaryFamily(symmetric_observable(b), varrho, b, -b).member_vectors()
+    amps = [psi_e.system_meter() @ m.conj() for m in (mp.m1, mp.m2)]
+    p1 = float(np.vdot(amps[0], amps[0]).real)
+    q = [abs(np.vdot(vec_plus, amp)) ** 2 / float(np.vdot(amp, amp).real) for amp in amps]
+    np.testing.assert_allclose([p for _, p in log], [p1, *q], rtol=1e-12)
 
-@pytest.mark.parametrize("n", [0, 4, 5, 6, 7, 1001, _CHUNK + 1, 10**6 + 3])
-def test_skipped_generator_continues_where_n_draws_end(n):
-    # the skip counts four doubles per Philox counter step, so it breaks if a
-    # double ever takes other than one 64-bit word
-    tail = _generator(17, stream=3).random(2 * n)[n:]
-    np.testing.assert_array_equal(_generator_after(17, 3, n).random(n), tail)
+    rng = real(13, stream=4)
+    reference = [int(rng.binomial(trials, p)) for trials, p in log]
+    assert (n_m1, n_b_plus) == (reference[0], reference[1] + reference[2])
 
 
 def _allocation_peak(call) -> int:
@@ -158,13 +256,46 @@ def _allocation_peak(call) -> int:
 
 @pytest.mark.parametrize("sampler", ["sharp", "simultaneous"])
 def test_sampler_memory_does_not_grow_with_n(sampler):
+    # at the largest n the call takes milliseconds and little memory: its
+    # cost is flat in n
     rho, psi = pure_state(0.9, 0.3), entangle(0.9, 0.3, 0.6)
     run = {
         "sharp": lambda n: sample_sharp(rho, A, n, seed=3),
         "simultaneous": lambda n: sample_simultaneous(psi, 0.3, n, seed=3),
     }[sampler]
     run(1)  # warm any lazy set-up outside the measurement
-    small = _allocation_peak(lambda: run(2 * 10**5))
-    large = _allocation_peak(lambda: run(2 * 10**6))
-    assert large <= small
-    assert large < 2 * 2**20
+    start = time.perf_counter()
+    run(MAX_SHOTS)
+    assert time.perf_counter() - start < 0.05
+    assert _allocation_peak(lambda: run(MAX_SHOTS)) < 2 * 2**20
+
+
+def _generator_keys(monkeypatch, run) -> list:
+    """The (seed, stream) keys of every generator that ``run`` makes."""
+    keys = []
+    real = montecarlo._generator
+
+    def recording(seed, stream=0):
+        keys.append((int(seed), int(stream)))
+        return real(seed, stream)
+
+    with monkeypatch.context() as m:
+        m.setattr(montecarlo, "_generator", recording)
+        run()
+    return keys
+
+
+def test_runs_at_adjacent_seeds_share_no_generator_key(monkeypatch, capsys):
+    monkeypatch.delenv("QUDUAL_SEED", raising=False)
+    runs = [
+        _generator_keys(monkeypatch, lambda: main(["mc", "--n", "1000", "--seed", "5"])),
+        _generator_keys(monkeypatch, lambda: main(["mc", "--n", "1000", "--seed", "6"])),
+        _generator_keys(monkeypatch, lambda: verify.run_suite("monte_carlo", "fast", 42)),
+        _generator_keys(monkeypatch, lambda: verify.run_suite("monte_carlo", "fast", 43)),
+    ]
+    capsys.readouterr()
+    assert [len(keys) for keys in runs] == [19, 19, 37, 37]
+    for keys in runs:
+        assert len(set(keys)) == len(keys)
+    for i, j in itertools.combinations(range(len(runs)), 2):
+        assert not set(runs[i]) & set(runs[j])

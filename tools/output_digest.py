@@ -17,7 +17,7 @@ checkout proves byte identity on its own::
 The list: the first 5 rounds of the benchmark's seeded ``compute`` stream at
 seeds 1-3, the ``compute --c`` calls of ``ROUNDING_EDGES`` and
 ``CONDITIONING_EDGES``, ``sweep`` of both figures at 2001 points, ``verify``
-at both levels for seeds 1-10, 42 and 343578368, ``verify --selftest-corrupt``
+at both levels for seeds 1-10, 42, 343578368 and 11705, ``verify --selftest-corrupt``
 at both levels, and ``mc`` at three settings for each of ``MC_SHOTS``. It
 takes about ten seconds.
 """
@@ -36,13 +36,16 @@ ROOT = Path(__file__).resolve().parents[1]
 
 COMPUTE_SEEDS = (1, 2, 3)
 COMPUTE_ROUNDS = 5
-VERIFY_SEEDS = (*range(1, 11), 42, 343578368)
+# 343578368 FAILed at full when the counts were counted uniforms and passes on
+# the drawn counts; 11705 is the first seed from 1 whose full report FAILs on a
+# correct sampler.
+VERIFY_SEEDS = (*range(1, 11), 42, 343578368, 11705)
 MC_SETTINGS = (
     ("--w-plus", "0.9", "--theta", "0.3", "--seed", "42"),
     ("--w-plus", "0.2", "--theta", "1.7", "--seed", "7"),
     ("--w-plus", "0.7", "--theta", "4.0", "--c", "0.35", "--varrho", "2.5", "--seed", "343578368"),
 )
-# 65537 and 200003 cross the samplers' chunk boundaries at n % 4 = 1 and 3.
+# Three sizes for the readout counts, and so three n // 16 shots per fringe point.
 MC_SHOTS = ("100000", "65537", "200003")
 # (w_plus, theta, c) of pure states whose printed D or V_e changes in the last
 # digit if a stacked evaluation rounds differently from one state: the first
