@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from qudual import (
-    ComplementaryFamily,
     complementary_observable,
     complementary_triplet,
     duality_report,
@@ -44,7 +43,7 @@ def main():
     print()
 
     a_obs = symmetric_observable()
-    b_obs = complementary_observable(ComplementaryFamily(a_obs, rho.theta))
+    b_obs = complementary_observable(a_obs, rho.theta)
     a_hat, b_hat, c_hat = (obs.matrix for obs in complementary_triplet(a_obs, rho.theta))
     comm = a_hat @ b_hat - b_hat @ a_hat
     print("closing the algebra with the proper member:")

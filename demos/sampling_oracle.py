@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from qudual import (
-    ComplementaryFamily,
     complementary_observable,
     entangle,
     optimal_entanglement,
@@ -39,7 +38,7 @@ def show(rep):
 
 def main():
     a_obs = symmetric_observable()
-    b_obs = complementary_observable(ComplementaryFamily(a_obs, THETA))
+    b_obs = complementary_observable(a_obs, THETA)
     rho = pure_state(W_PLUS, THETA)
     print(f"state: w+ = {W_PLUS}, theta = {THETA}; n = {N}, seed = {SEED}")
     print()

@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from qudual import (
-    ComplementaryFamily,
     DensityMatrix,
     complementary_observable,
     intelligent_state,
@@ -24,7 +23,7 @@ from qudual import (
 
 VARRHO = 0.9
 A = symmetric_observable()
-B = complementary_observable(ComplementaryFamily(A, VARRHO))
+B = complementary_observable(A, VARRHO)
 
 
 def main():

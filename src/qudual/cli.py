@@ -51,7 +51,7 @@ from .simultaneous import (
     optimal_entanglement,
     simultaneous_product,
 )
-from .states import ComplementaryFamily, DensityMatrix, complementary_observable, pure_state, symmetric_observable
+from .states import DensityMatrix, complementary_observable, pure_state, symmetric_observable
 from .uncertainty import mean_var, normalized_product_bounds, robertson
 
 CSV_HEADER = "w_plus,P,V,product_min,product_max,D,V_e,c_opt,sim_product_min"
@@ -102,7 +102,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
     rep = duality_report(rho)
     a_obs = symmetric_observable()
-    b_obs = complementary_observable(ComplementaryFamily(a_obs, varrho))
+    b_obs = complementary_observable(a_obs, varrho)
     mean_a, var_a = mean_var(rho, a_obs)
     mean_b, var_b = mean_var(rho, b_obs)
     bound = robertson(rho, a_obs, b_obs)
@@ -216,7 +216,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
             )
     rho = pure_state(args.w_plus, args.theta)
     a_obs = symmetric_observable()
-    b_obs = complementary_observable(ComplementaryFamily(a_obs, varrho))
+    b_obs = complementary_observable(a_obs, varrho)
     psi = entangle(args.w_plus, args.theta, c)
 
     # Draw every sample before printing, so a failed run writes no stdout; the

@@ -25,7 +25,7 @@ import numpy as np
 from .duality import fringe_probability
 from .errors import ParameterError, check_scalar
 from .simultaneous import EntangledState, estimate_a, estimate_b, meter_projectors
-from .states import ComplementaryFamily, DensityMatrix, Observable, symmetric_observable
+from .states import GAUGE, DensityMatrix, Observable, complementary_observable, symmetric_observable
 from .uncertainty import mean_var
 
 Z_FLAG_THRESHOLD = 4.0
@@ -77,7 +77,6 @@ class SampleReport:
     analytic_variance: float
     z_mean: float
     z_variance: float
-    seed: int
     degenerate: bool
 
     @property
@@ -96,7 +95,6 @@ def _two_outcome_report(
     values: tuple[float, float],
     probs: tuple[float, float],
     counts: tuple[int, int],
-    seed: int,
     analytic: tuple[float, float],
 ) -> SampleReport:
     """Report for a two-outcome estimator.
@@ -132,7 +130,6 @@ def _two_outcome_report(
         analytic_variance=analytic[1],
         z_mean=_z(emp_mean - analytic[0], se_mean),
         z_variance=_z(emp_var - analytic[1], se_var),
-        seed=int(seed),
         degenerate=(n < 2 or se_mean == 0.0 or se_var == 0.0),
     )
 
@@ -159,7 +156,6 @@ def sample_sharp(
         values=(obs.val_plus, obs.val_minus),
         probs=(p_plus, 1.0 - p_plus),
         counts=(k_plus, n - k_plus),
-        seed=seed,
         analytic=mean_var(rho, obs),
     )
 
@@ -200,8 +196,6 @@ def sample_simultaneous(
     varrho: float,
     n: int,
     seed: int,
-    a_value: float = 0.5,
-    b_value: float = 0.5,
     stream: int = 0,
 ) -> tuple[SampleReport, SampleReport]:
     """Sample the sequential meter-then-system readout ``n`` times.
@@ -217,8 +211,7 @@ def sample_simultaneous(
     :func:`estimate_b`.
     """
     n = int(check_scalar(n, "n", 1, MAX_SHOTS))
-    b = check_scalar(b_value, "b_value", 0.0, lo_open=True)
-    mp = meter_projectors(psi_e.c, a_value)
+    mp = meter_projectors(psi_e.c)
     psi = psi_e.system_meter()
 
     # Meter stage: outcome probabilities and conditioned system vectors.
@@ -231,8 +224,7 @@ def sample_simultaneous(
 
     # System stage: conditional probability of the + outcome of the
     # complementary member, given each meter outcome.
-    family = ComplementaryFamily(symmetric_observable(b), varrho, b, -b)
-    vec_plus, _ = family.member_vectors()
+    vec_plus = complementary_observable(symmetric_observable(), varrho).vec_plus
     q = np.empty(2)
     for k, (p, amp) in enumerate(cond):
         overlap = float(abs(np.vdot(vec_plus, amp)) ** 2)
@@ -247,17 +239,15 @@ def sample_simultaneous(
         values=(mp.value_m1, mp.value_m2),
         probs=(p1, 1.0 - p1),
         counts=(n_m1, n - n_m1),
-        seed=seed,
-        analytic=estimate_a(psi_e, a_value),
+        analytic=estimate_a(psi_e),
     )
     p_b_plus = p1 * q[0] + (1.0 - p1) * q[1]
-    value_b = b / psi_e.c
+    value_b = GAUGE / psi_e.c
     report_b = _two_outcome_report(
         quantity="readout_b",
         values=(value_b, -value_b),
         probs=(p_b_plus, 1.0 - p_b_plus),
         counts=(n_b_plus, n - n_b_plus),
-        seed=seed,
-        analytic=estimate_b(psi_e, varrho, b),
+        analytic=estimate_b(psi_e, varrho),
     )
     return report_a, report_b

@@ -37,7 +37,7 @@ import numpy as np
 from .duality import _imbalance
 from .errors import ParameterError, SingularConfigurationError, check_array, check_scalar
 from .linalg import trace_norm
-from .states import TWO_PI, DensityMatrix, density_params, validate_density
+from .states import GAUGE, TWO_PI, DensityMatrix, density_params, validate_density
 
 # Largest rescaled outcome value whose square is a finite double.
 MAX_RESCALED_VALUE = math.sqrt(sys.float_info.max)
@@ -194,33 +194,20 @@ def _readout_overlap(c: float) -> float:
     return cc
 
 
-def _rescaled(value: float, name: str, scale: float, scale_name: str, c: float) -> float:
-    """The rescaled outcome value ``value / scale``, or a :class:`ParameterError` naming its bound."""
-    rescaled = value / scale
-    if not rescaled <= MAX_RESCALED_VALUE:
-        raise ParameterError(
-            f"{name} = {value!r} violates the bound {name} / {scale_name} <= {MAX_RESCALED_VALUE:.6g} "
-            f"at c = {c!r}: the rescaled outcome value or its square would not be finite"
-        )
-    return rescaled
-
-
-def meter_projectors(c: float, a_value: float = 0.5) -> MeterProjectors:
+def meter_projectors(c: float) -> MeterProjectors:
     """Meter readout basis making the first-observable estimate unbiased.
 
     The rotation angle solves ``cot(2 gamma) = -sqrt(1 - c**2) / c`` with the
     branch ``gamma = (pi - arcsin c) / 2`` in (pi/4, pi/2), and the rescaled
-    outcome magnitude is ``a_prime = a_value / sqrt(1 - c**2)``, at most
-    :data:`MAX_RESCALED_VALUE`. Of the two
-    outcome sign assignments compatible with the angle equation, the one
-    reproducing the sharp mean ``a_value (w+ - w-)`` puts ``-a_prime`` on
-    ``m1``; the ``unbiasedness`` suite of :mod:`qudual.verify` checks that
-    choice by explicit projection.
+    outcome magnitude is ``a_prime = GAUGE / sqrt(1 - c**2)``, below 3.4e7
+    for every double ``c < 1``. Of the two outcome sign assignments
+    compatible with the angle equation, the one reproducing the sharp mean
+    ``GAUGE (w+ - w-)`` puts ``-a_prime`` on ``m1``; the ``unbiasedness``
+    suite of :mod:`qudual.verify` checks that choice by explicit projection.
     """
     cc = _readout_overlap(c)
-    a = check_scalar(a_value, "a_value", 0.0, lo_open=True)
     gamma = 0.5 * (math.pi - math.asin(cc))
-    a_prime = _rescaled(a, "a_value", math.sqrt(_one_minus_sq(cc)), "sqrt(1 - c**2)", cc)
+    a_prime = GAUGE / math.sqrt(_one_minus_sq(cc))
     m1 = np.array([math.cos(gamma), math.sin(gamma)], dtype=complex)
     m2 = np.array([-math.sin(gamma), math.cos(gamma)], dtype=complex)
     m1.setflags(write=False)
@@ -230,36 +217,33 @@ def meter_projectors(c: float, a_value: float = 0.5) -> MeterProjectors:
     )
 
 
-def estimate_a(psi_e: EntangledState, a_value: float = 0.5) -> tuple[float, float]:
+def estimate_a(psi_e: EntangledState) -> tuple[float, float]:
     """Mean and variance of the rescaled first-observable readout.
 
-    Returns the closed forms ``mean = a (w+ - w-)`` and
-    ``variance = a**2 (c**2 / (1 - c**2) + 4 w+ w-)``. Requires ``0 < c < 1``;
-    both endpoints are singular for this readout. The rescaled outcome value
-    ``a / sqrt(1 - c**2)`` may not exceed :data:`MAX_RESCALED_VALUE`. The
-    explicit projection route to both moments runs in :mod:`qudual.verify`.
+    With outcome values ``+-a``, ``a = GAUGE``, returns the closed forms
+    ``mean = a (w+ - w-)`` and ``variance = a**2 (c**2 / (1 - c**2) + 4 w+ w-)``.
+    Requires ``0 < c < 1``; both endpoints are singular for this readout.
+    The explicit projection route to both moments runs in :mod:`qudual.verify`.
     """
     cc = _readout_overlap(psi_e.c)
-    a = check_scalar(a_value, "a_value", 0.0, lo_open=True)
-    s = _one_minus_sq(cc)
-    _rescaled(a, "a_value", math.sqrt(s), "sqrt(1 - c**2)", cc)
+    a = GAUGE
     w = psi_e.w_plus
     mean = a * (2.0 * w - 1.0)
-    var = a * a * (cc * cc / s + 4.0 * w * (1.0 - w))
+    var = a * a * (cc * cc / _one_minus_sq(cc) + 4.0 * w * (1.0 - w))
     return mean, var
 
 
-def estimate_b(psi_e: EntangledState, varrho: float, b_value: float = 0.5) -> tuple[float, float]:
+def estimate_b(psi_e: EntangledState, varrho: float) -> tuple[float, float]:
     """Mean and variance of the rescaled complementary-observable readout.
 
     The system is read in the complementary basis at phase ``varrho`` and the
-    outcomes are rescaled to ``+-b_value / c``, which makes the mean equal to
-    the sharp mean ``2 b sqrt(w+ w-) cos(theta - varrho)`` of the initial
-    pure state for every ``c``. Returns the closed forms of that mean and of
-    ``variance = b**2 (1 / c**2 - 4 w+ w- cos(theta - varrho)**2)``. Requires
-    ``c > 0``, and the rescaled outcome value ``b / c`` may not exceed
-    :data:`MAX_RESCALED_VALUE`. The explicit projection route to both moments
-    runs in :mod:`qudual.verify`.
+    outcomes ``+-b``, ``b = GAUGE``, are rescaled to ``+-b / c``, which makes
+    the mean equal to the sharp mean ``2 b sqrt(w+ w-) cos(theta - varrho)``
+    of the initial pure state for every ``c``. Returns the closed forms of
+    that mean and of ``variance = b**2 (1 / c**2 - 4 w+ w- cos(theta - varrho)**2)``.
+    Requires ``c > 0``, and the rescaled outcome value ``b / c`` may not
+    exceed :data:`MAX_RESCALED_VALUE`, which an underflowing ``c`` would. The
+    explicit projection route to both moments runs in :mod:`qudual.verify`.
     """
     cc = psi_e.c
     if cc <= 0.0:
@@ -267,8 +251,12 @@ def estimate_b(psi_e: EntangledState, varrho: float, b_value: float = 0.5) -> tu
             f"complementary readout requires c > 0, got c = {cc!r}: the rescaled "
             "outcome values +-b/c diverge"
         )
-    b = check_scalar(b_value, "b_value", 0.0, lo_open=True)
-    _rescaled(b, "b_value", cc, "c", cc)
+    b = GAUGE
+    if not b / cc <= MAX_RESCALED_VALUE:
+        raise ParameterError(
+            f"c = {cc!r} violates the bound {b} / c <= {MAX_RESCALED_VALUE:.6g}: "
+            "the rescaled outcome value or its square would not be finite"
+        )
     w = psi_e.w_plus
     delta = psi_e.theta - check_scalar(varrho, "varrho") % TWO_PI
     root = math.sqrt(w * (1.0 - w))

@@ -6,7 +6,10 @@ it: populations ``w_plus`` and ``w_minus = 1 - w_plus`` of a reference basis
 ``sqrt(w_plus * w_minus)``, and a coherence phase ``theta``. Observables are
 two-outcome and carry their eigenbasis explicitly, which makes the
 complementary family (equal-weight superpositions of the reference basis at
-a relative phase ``varrho``) a first-class construction.
+a relative phase ``varrho``) a first-class construction. A family member
+carries the outcome values of its reference observable; the symmetric
+reference has outcomes ``+-GAUGE``, and every other two-outcome gauge is an
+affine relabelling of those.
 
 A state or observable computes its matrix once and returns it read-only.
 :func:`validate_density`, :func:`density_matrix` and
@@ -31,11 +34,17 @@ from .linalg import assert_hermitian, assert_unitary
 
 TWO_PI = 2.0 * math.pi
 
+# Outcome magnitude of the symmetric reference observable: outcomes +-1/2, a
+# spin component in units where hbar = 1. The readouts of
+# :mod:`qudual.simultaneous` rescale these same values.
+GAUGE = 0.5
+
 # Absolute slack accepted on the positivity bound rho12 <= sqrt(w+ w-) and on
 # range checks of probabilities; values inside the slack are kept as given.
 POSITIVITY_TOL = 1e-12
 
 __all__ = [
+    "GAUGE",
     "POSITIVITY_TOL",
     "DensityMatrix",
     "validate_density",
@@ -43,7 +52,6 @@ __all__ = [
     "purity",
     "density_matrix",
     "Observable",
-    "ComplementaryFamily",
     "pure_state",
     "symmetric_observable",
     "complementary_observable",
@@ -240,45 +248,9 @@ def _spectral_matrix(basis: np.ndarray, val_plus: float, val_minus: float) -> np
     return basis @ np.diag([val_plus, val_minus]) @ basis.conj().swapaxes(-1, -2)
 
 
-def symmetric_observable(value: float = 0.5) -> Observable:
-    """Reference-basis observable with outcomes ``+value`` and ``-value``.
-
-    The default gauge ``value = 1/2`` makes the observable a spin component
-    in units where hbar = 1.
-    """
-    return Observable(value, -value)
-
-
-@dataclass(frozen=True)
-class ComplementaryFamily:
-    """The equal-weight family complementary to a reference observable.
-
-    For a reference observable with eigenvectors ``|a+>, |a->``, the family
-    member at relative phase ``varrho`` has eigenvectors::
-
-        |b+-> = (|a+> +- exp(i varrho) |a->) / sqrt(2)
-
-    with outcome values ``b_plus`` and ``b_minus``. Every member is mutually
-    unbiased with respect to the reference basis.
-    """
-
-    reference: Observable
-    varrho: float
-    b_plus: float = 0.5
-    b_minus: float = -0.5
-
-    def __post_init__(self) -> None:
-        if as_float(self.b_plus) == as_float(self.b_minus):
-            raise ParameterError(
-                f"outcome values must be distinct, got b_plus = b_minus = {self.b_plus!r}"
-            )
-        object.__setattr__(self, "varrho", check_scalar(self.varrho, "varrho") % TWO_PI)
-        object.__setattr__(self, "b_plus", check_scalar(self.b_plus, "b_plus"))
-        object.__setattr__(self, "b_minus", check_scalar(self.b_minus, "b_minus"))
-
-    def member_vectors(self) -> tuple[np.ndarray, np.ndarray]:
-        basis = _member_basis(self.reference, self.varrho)
-        return basis[:, 0], basis[:, 1]
+def symmetric_observable() -> Observable:
+    """Reference-basis observable with outcomes ``+GAUGE`` and ``-GAUGE``."""
+    return Observable(GAUGE, -GAUGE)
 
 
 def _member_basis(reference: Observable, varrho) -> np.ndarray:
@@ -292,23 +264,33 @@ def _member_basis(reference: Observable, varrho) -> np.ndarray:
     return np.stack([a_plus + phase * a_minus, a_plus - phase * a_minus], axis=-1) / math.sqrt(2.0)
 
 
-def complementary_observable(family: ComplementaryFamily) -> Observable:
-    """The observable realizing a :class:`ComplementaryFamily` member."""
-    return Observable(family.b_plus, family.b_minus, _member_basis(family.reference, family.varrho))
+def complementary_observable(reference: Observable, varrho: float) -> Observable:
+    """The family member complementary to ``reference`` at relative phase ``varrho``.
+
+    For a reference observable with eigenvectors ``|a+>, |a->``, the member
+    at phase ``varrho`` (wrapped to [0, 2 pi)) has eigenvectors::
+
+        |b+-> = (|a+> +- exp(i varrho) |a->) / sqrt(2)
+
+    and the outcome values of ``reference``. Every member is mutually
+    unbiased with respect to the reference basis.
+    """
+    varrho = check_scalar(varrho, "varrho") % TWO_PI
+    return Observable(reference.val_plus, reference.val_minus, _member_basis(reference, varrho))
 
 
 def complementary_matrices(reference: Observable, varrho) -> np.ndarray:
     """Matrices ``(..., 2, 2)`` of the family members at phases ``varrho``, elementwise.
 
-    The stacked form of ``complementary_observable(ComplementaryFamily(reference,
-    varrho)).matrix``, with the default outcome values ``+-1/2``: each phase is
-    checked and wrapped as :class:`ComplementaryFamily` does, and each member is
-    built from its eigenbasis. That basis is unitary by construction from the
-    checked basis of ``reference``, so it is not checked again.
+    The stacked form of ``complementary_observable(reference, varrho).matrix``:
+    each phase is checked and wrapped as that function does, and each member
+    is built from its eigenbasis and the outcome values of ``reference``.
+    That basis is unitary by construction from the checked basis of
+    ``reference``, so it is not checked again.
     """
     varrho = np.remainder(check_array(varrho, "varrho"), TWO_PI)
     basis = _member_basis(reference, varrho)
-    return _spectral_matrix(basis, ComplementaryFamily.b_plus, ComplementaryFamily.b_minus)
+    return _spectral_matrix(basis, reference.val_plus, reference.val_minus)
 
 
 def complementary_triplet(
@@ -316,23 +298,14 @@ def complementary_triplet(
 ) -> tuple[Observable, Observable, Observable]:
     """Reference observable plus two complementary partners a quarter turn apart.
 
-    Returns ``(A, B(varrho), B(varrho + handedness * pi/2))`` where the
-    partners inherit the outcome values of ``A``. With the ``+-1/2`` gauge the
+    Returns ``(A, B(varrho), B(varrho + handedness * pi/2))``; the partners
+    carry the outcome values of ``A``. With the ``+-GAUGE`` outcomes the
     triplet closes the angular momentum algebra
     ``[T2, T3] = i T1, [T3, T1] = i T2, [T1, T2] = i T3`` for ``handedness = +1``,
     and ``handedness = -1`` flips the sign of the cyclic commutator.
     """
     if handedness not in (1, -1):
         raise ParameterError(f"handedness must be +1 or -1, got {handedness!r}")
-    first = complementary_observable(
-        ComplementaryFamily(reference, varrho, reference.val_plus, reference.val_minus)
-    )
-    second = complementary_observable(
-        ComplementaryFamily(
-            reference,
-            varrho + handedness * math.pi / 2.0,
-            reference.val_plus,
-            reference.val_minus,
-        )
-    )
+    first = complementary_observable(reference, varrho)
+    second = complementary_observable(reference, varrho + handedness * math.pi / 2.0)
     return reference, first, second

@@ -176,45 +176,33 @@ class IntelligentState:
     ratio diverges and ``lam`` is returned with infinite magnitude.
     """
 
-    family: str
     state: DensityMatrix
     lam: complex
-    branch: int
-    varrho: float
 
 
-def intelligent_state(
-    family: str,
-    param: float,
-    varrho: float,
-    branch: int = 1,
-    a_value: float = 0.5,
-    b_value: float = 0.5,
-) -> IntelligentState:
+def intelligent_state(family: str, param: float, varrho: float, branch: int = 1) -> IntelligentState:
     """Construct a member of one of the three intelligent-state families.
 
-    ``family`` selects the parameterization:
+    ``A`` is :func:`qudual.states.symmetric_observable` and ``B`` its family
+    member at ``varrho``; both have outcomes ``+-GAUGE``, so ``lam`` carries
+    no ratio of outcome spreads. ``family`` selects the parameterization:
 
     - ``"IS1"``: ``param = w_plus`` in [0, 1]; amplitudes
       ``sqrt(w+) |plus> +- exp(i varrho) sqrt(w-) |minus>``; imaginary ``lam``.
       These run along the lower boundary of the normalized product.
     - ``"IS2a"``: ``param = beta`` in [0, pi/2]; equal populations with phase
-      ``varrho + branch * beta``; real ``lam = branch * a / (b sin beta)``.
+      ``varrho + branch * beta``; real ``lam = branch / sin beta``.
     - ``"IS2b"``: ``param = w_plus`` in [0, 1]; amplitudes
       ``sqrt(w+) |plus> +- i exp(i varrho) sqrt(w-) |minus>``; real
-      ``lam = branch * 2 sqrt(w+ w-) a / b``. These run along the upper
+      ``lam = branch * 2 sqrt(w+ w-)``. These run along the upper
       boundary of the normalized product.
 
-    ``branch`` (+1 or -1) picks the sign branch of the family; ``a_value``
-    and ``b_value`` set the outcome gauge ``a+- = +-a_value``,
-    ``b+- = +-b_value`` that ``lam`` refers to.
+    ``branch`` (+1 or -1) picks the sign branch of the family.
     """
     if family not in IS_FAMILIES:
         raise ParameterError(f"family must be one of {IS_FAMILIES}, got {family!r}")
     if branch not in (1, -1):
         raise ParameterError(f"branch must be +1 or -1, got {branch!r}")
-    a = check_scalar(a_value, "a_value", 0.0, lo_open=True)
-    b = check_scalar(b_value, "b_value", 0.0, lo_open=True)
     varrho = check_scalar(varrho, "varrho")
 
     if family == "IS2a":
@@ -225,8 +213,8 @@ def intelligent_state(
         if beta == 0.0:
             lam = complex(branch * math.inf, 0.0)
         else:
-            lam = complex(branch * a / (b * math.sin(beta)), 0.0)
-        return IntelligentState(family, state, lam, branch, varrho)
+            lam = complex(branch / math.sin(beta), 0.0)
+        return IntelligentState(state, lam)
 
     w = check_scalar(param, "w_plus", 0.0, 1.0)
     root = math.sqrt(w * (1.0 - w))
@@ -238,12 +226,12 @@ def intelligent_state(
             # flips across w_plus = 1/2 so only the magnitude is meaningful.
             lam = complex(0.0, math.inf)
         else:
-            lam = complex(0.0, -branch * 2.0 * a * root / (b * (2.0 * w - 1.0)))
-        return IntelligentState(family, state, lam, branch, varrho)
+            lam = complex(0.0, -branch * 2.0 * root / (2.0 * w - 1.0))
+        return IntelligentState(state, lam)
 
     state = pure_state(w, varrho + branch * math.pi / 2.0)
-    lam = complex(branch * 2.0 * a * root / b, 0.0)
-    return IntelligentState(family, state, lam, branch, varrho)
+    lam = complex(branch * 2.0 * root, 0.0)
+    return IntelligentState(state, lam)
 
 
 def is_residual(state: DensityMatrix, lam: complex, a_obs: Observable, b_obs: Observable) -> float:

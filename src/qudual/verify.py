@@ -58,8 +58,8 @@ from .simultaneous import (
     simultaneous_product,
 )
 from .states import (
+    GAUGE,
     TWO_PI,
-    ComplementaryFamily,
     DensityMatrix,
     complementary_matrices,
     complementary_observable,
@@ -233,22 +233,21 @@ def _weight(amp: np.ndarray) -> np.ndarray:
     return (amp.real * amp.real + amp.imag * amp.imag).sum(axis=-1)
 
 
-def projected_readout_moments(psi: np.ndarray, c, varrho, a_value: float = 0.5, b_value: float = 0.5) -> tuple:
+def projected_readout_moments(psi: np.ndarray, c, varrho) -> tuple:
     """Mean and variance of both rescaled readouts from explicit projections.
 
     ``psi`` holds the amplitudes ``psi[..., system, meter]`` of one
     :meth:`EntangledState.system_meter` or a stack, with meter overlaps ``c``
     and phases ``varrho`` broadcast to it. The meter readout projects on the
     vectors of :func:`meter_projectors`, the system readout on the family
-    member at ``varrho`` with outcome values ``+-b_value / c``; each is built
+    member at ``varrho`` with outcome values ``+-GAUGE / c``; each is built
     once per distinct ``c`` or ``varrho``. Returns ``((mean_a, var_a),
     (mean_b, var_b))`` as arrays, the independent route to :func:`estimate_a`
     and :func:`estimate_b`; an element rounds as that state alone does.
     """
     c, varrho = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(varrho, dtype=float))
-    b = float(b_value)
-    meters = {x: meter_projectors(x, a_value) for x in set(c.flat)}
-    members = {x: ComplementaryFamily(symmetric_observable(b), x, b, -b).member_vectors() for x in set(varrho.flat)}
+    meters = {x: meter_projectors(x) for x in set(c.flat)}
+    members = {x: complementary_observable(symmetric_observable(), x).basis.T for x in set(varrho.flat)}
     # Outcome k of each readout: row k of the meter vectors, of the member vectors.
     m = np.array([(meters[x].m1, meters[x].m2) for x in c.flat]).reshape(c.shape + (2, 2))
     values = np.array([(meters[x].value_m1, meters[x].value_m2) for x in c.flat]).reshape(c.shape + (2,))
@@ -257,7 +256,7 @@ def projected_readout_moments(psi: np.ndarray, c, varrho, a_value: float = 0.5, 
     p_b = _weight((vecs.conj()[..., :, :, None] * psi[..., None, :, :]).sum(axis=-2))
     mean_a = (values * p_a).sum(axis=-1)
     var_a = (np.float_power(values, 2) * p_a).sum(axis=-1) - np.float_power(mean_a, 2)
-    value = b / c
+    value = GAUGE / c
     mean_b = value * (p_b[..., 0] - p_b[..., 1])
     var_b = value * value * p_b.sum(axis=-1) - np.float_power(mean_b, 2)
     return (mean_a, var_a), (mean_b, var_b)
@@ -444,8 +443,8 @@ def _suite_complementary_family(t: _Tally, size: dict, rng: np.random.Generator,
 
     for i in range(50):
         varrho = rng.uniform(0.0, TWO_PI)
-        fam = ComplementaryFamily(symmetric_observable(), varrho)
-        vp, vm = fam.member_vectors()
+        member = complementary_observable(symmetric_observable(), varrho)
+        vp, vm = member.vec_plus, member.vec_minus
         t.check(float(np.abs(np.abs(vp) - math.sqrt(0.5)).max()) <= 1e-12, f"unbiased member magnitudes #{i}")
         t.close(abs(np.vdot(vp, vm)), 0.0, 1e-12, f"member orthogonality #{i}")
         for handedness in (1, -1):
@@ -495,7 +494,7 @@ def _suite_robertson(t: _Tally, size: dict, rng: np.random.Generator, corrupt: b
 def _suite_intelligent_states(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
     varrho = 0.9
     a_obs = symmetric_observable()
-    b_obs = complementary_observable(ComplementaryFamily(a_obs, varrho))
+    b_obs = complementary_observable(a_obs, varrho)
 
     def common_checks(tag: str, st) -> float:
         """The checks every family shares; returns the variance product ``Var(A) Var(B)``."""
@@ -593,7 +592,7 @@ def _suite_entangled_duality(t: _Tally, size: dict, rng: np.random.Generator, co
 def _suite_unbiasedness(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
     varrho = math.pi / 5.0
     a_obs = symmetric_observable()
-    b_obs = complementary_observable(ComplementaryFamily(a_obs, varrho))
+    b_obs = complementary_observable(a_obs, varrho)
     tenths = [k / 10.0 for k in range(1, 10)]
     thetas = [TWO_PI * j / 8.0 for j in range(8)]
     grid = [(w, theta, c) for w in tenths for theta in thetas for c in tenths]
@@ -616,7 +615,7 @@ def _suite_unbiasedness(t: _Tally, size: dict, rng: np.random.Generator, corrupt
         _agree_entry(var_a, var_ax, lambda i: f"meter readout variance by projection {at(i)}"),
         _agree_entry(mean_b, mean_bx, lambda i: f"system readout mean by projection {at(i)}"),
         _agree_entry(var_b, var_bx, lambda i: f"system readout variance by projection {at(i)}"),
-        _close_entry(mean_a, [0.5 * (2.0 * w - 1.0) for w, _, _ in grid], 1e-12, lambda i: f"meter readout unbiased {at(i)}"),
+        _close_entry(mean_a, [GAUGE * (2.0 * w - 1.0) for w, _, _ in grid], 1e-12, lambda i: f"meter readout unbiased {at(i)}"),
         _close_entry(mean_b, [sharp_b[w, theta] for w, theta, _ in grid], 1e-12, lambda i: f"system readout unbiased {at(i)}"),
     )
 
@@ -628,7 +627,7 @@ def _suite_unbiasedness(t: _Tally, size: dict, rng: np.random.Generator, corrupt
     amplitudes = np.array([entangle(*point).system_meter() for point in grid])
     (mean, _), _ = projected_readout_moments(amplitudes, [c for _, _, c in grid], [theta for _, theta, _ in grid])
     mean = mean.reshape(len(_PROBE_C), len(probes))
-    sharp = np.array([0.5 * (2.0 * w - 1.0) for w, _ in probes])
+    sharp = np.array([GAUGE * (2.0 * w - 1.0) for w, _ in probes])
     checks = [
         _close_entry(mean[:, k], sharp[k], 1e-12, lambda i, w=w, theta=theta: (
             f"meter signs reproduce the sharp mean w={w} theta={theta} c={_PROBE_C[i]}"
@@ -671,7 +670,7 @@ def _suite_monte_carlo(t: _Tally, size: dict, rng: np.random.Generator, corrupt:
     n = size["mc_n"]
     theta = 0.3
     a_obs = symmetric_observable()
-    b_obs = complementary_observable(ComplementaryFamily(a_obs, theta))
+    b_obs = complementary_observable(a_obs, theta)
     rho = pure_state(0.9, theta)
 
     # Each sampler has its own streams of the seed: 1, 2, 3, 4-19 and 20-35

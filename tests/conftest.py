@@ -1,4 +1,6 @@
+import importlib.util
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -26,3 +28,17 @@ def count_calls(monkeypatch):
         return calls
 
     return count
+
+
+@pytest.fixture
+def output_digests(monkeypatch):
+    """``(tool, pinned)``: ``tools/output_digest.py`` as a module, and the lines of ``tools/output_digests.txt`` by argument vector."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("output_digest", root / "tools" / "output_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    pinned = {line.split("  ", 2)[2]: line for line in (root / "tools" / "output_digests.txt").read_text().splitlines()}
+    monkeypatch.delenv("QUDUAL_SEED", raising=False)
+    # calls() reads the benchmark's seeded compute stream
+    monkeypatch.syspath_prepend(str(root))
+    return tool, pinned

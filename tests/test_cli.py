@@ -8,12 +8,12 @@ import pytest
 from qudual import (
     MAX_GRID_N,
     MAX_SHOTS,
-    ComplementaryFamily,
     DensityMatrix,
+    Observable,
     ParameterError,
+    complementary_observable,
     duality_report,
     entangle,
-    estimate_a,
     estimate_b,
     intelligent_state,
     meter_projectors,
@@ -243,17 +243,14 @@ SCALAR_ENTRY_POINTS = {
     "DensityMatrix.theta-incoherent": lambda x: DensityMatrix(0.5, 0.0, x),
     "pure_state.w_plus": lambda x: pure_state(x),
     "pure_state.theta": lambda x: pure_state(0.5, x),
-    "symmetric_observable.value": lambda x: symmetric_observable(x),
-    "ComplementaryFamily.varrho": lambda x: ComplementaryFamily(_FAMILY_REFERENCE, x),
-    "ComplementaryFamily.b_plus": lambda x: ComplementaryFamily(_FAMILY_REFERENCE, 0.0, x),
+    "Observable.val_plus": lambda x: Observable(x, -0.5),
+    "Observable.val_minus": lambda x: Observable(0.5, x),
+    "complementary_observable.varrho": lambda x: complementary_observable(_FAMILY_REFERENCE, x),
     "entangle.w_plus": lambda x: entangle(x, 0.0, 0.5),
     "entangle.theta": lambda x: entangle(0.5, x, 0.5),
     "entangle.c": lambda x: entangle(0.5, 0.0, x),
     "meter_projectors.c": lambda x: meter_projectors(x),
-    "meter_projectors.a_value": lambda x: meter_projectors(0.5, x),
-    "estimate_a.a_value": lambda x: estimate_a(_PSI, x),
     "estimate_b.varrho": lambda x: estimate_b(_PSI, x),
-    "estimate_b.b_value": lambda x: estimate_b(_PSI, 0.3, x),
     "simultaneous_product.w_plus": lambda x: simultaneous_product(x, 0.5),
     "simultaneous_product.c": lambda x: simultaneous_product(0.5, x),
     "optimal_entanglement.w_plus": lambda x: optimal_entanglement(x),
@@ -261,11 +258,7 @@ SCALAR_ENTRY_POINTS = {
     "intelligent_state.w_plus": lambda x: intelligent_state("IS1", x, 0.9),
     "intelligent_state.beta": lambda x: intelligent_state("IS2a", x, 0.9),
     "intelligent_state.varrho": lambda x: intelligent_state("IS2b", 0.3, x),
-    "intelligent_state.a_value": lambda x: intelligent_state("IS1", 0.3, 0.9, a_value=x),
-    "intelligent_state.b_value": lambda x: intelligent_state("IS1", 0.3, 0.9, b_value=x),
     "sample_simultaneous.varrho": lambda x: sample_simultaneous(_PSI, x, 10, 1),
-    "sample_simultaneous.a_value": lambda x: sample_simultaneous(_PSI, 0.3, 10, 1, a_value=x),
-    "sample_simultaneous.b_value": lambda x: sample_simultaneous(_PSI, 0.3, 10, 1, b_value=x),
     "sample_fringe.xi": lambda x: sample_fringe(pure_state(0.5), np.linspace(0.0, 6.0, 4), x, 10, 1),
     "sample_fringe.n_per_point": lambda x: sample_fringe(pure_state(0.5), np.linspace(0.0, 6.0, 4), 0.5, x, 1),
     "sample_sharp.n": lambda x: sample_sharp(pure_state(0.5), _FAMILY_REFERENCE, x, 1),
@@ -330,13 +323,10 @@ def test_compute_and_meter_readout_skip_the_cross_check_routes(capsys, count_cal
     assert len(entangles) == 1
 
 
+# The complementary readout's rescaled gauge 0.5 / c is huge at an underflowing c.
 HUGE_GAUGES = {
-    "meter_projectors.a_value": (lambda: meter_projectors(0.5, 1e308), "a_value / sqrt(1 - c**2)"),
-    "estimate_a.a_value": (lambda: estimate_a(_PSI, a_value=1e308), "a_value / sqrt(1 - c**2)"),
-    "estimate_b.b_value": (lambda: estimate_b(_PSI, 0.3, b_value=1e308), "b_value / c"),
-    "sample_simultaneous.a_value": (lambda: sample_simultaneous(_PSI, 0.3, 10, 1, a_value=1e308), "a_value / sqrt(1 - c**2)"),
-    "sample_simultaneous.b_value": (lambda: sample_simultaneous(_PSI, 0.3, 10, 1, b_value=1e308), "b_value / c"),
-    "estimate_b.underflowing_c": (lambda: estimate_b(entangle(0.9, 0.3, 1e-200), 0.3), "b_value / c"),
+    "estimate_b.underflowing_c": (lambda: estimate_b(entangle(0.9, 0.3, 1e-200), 0.3), "0.5 / c"),
+    "sample_simultaneous.underflowing_c": (lambda: sample_simultaneous(entangle(0.9, 0.3, 1e-200), 0.3, 10, 1), "0.5 / c"),
 }
 
 
@@ -347,10 +337,10 @@ def test_huge_gauges_raise_parameter_error(entry):
         call()
 
 
-@pytest.mark.parametrize("gauge", ["a_value", "b_value"])
-def test_sampled_outcome_values_keep_a_finite_fourth_moment(gauge):
-    with pytest.raises(ParameterError, match=r"violates the bound \|value\| <= 5.7896e\+76"):
-        sample_simultaneous(_PSI, 0.3, 10, 1, **{gauge: 1e100})
+def test_sampled_outcome_values_keep_a_finite_fourth_moment():
+    # 0.5 / c = 5e99 passes the rescale bound, 1.34e154, but not this one
+    with pytest.raises(ParameterError, match=r"readout_b outcome value magnitude 5e\+99 violates the bound \|value\| <= 5.7896e\+76"):
+        sample_simultaneous(entangle(0.9, 0.3, 1e-100), 0.3, 10, 1)
 
 
 def test_product_at_an_underflowing_overlap_is_the_limit():
@@ -361,7 +351,7 @@ def test_product_at_an_underflowing_overlap_is_the_limit():
 def test_compute_at_an_underflowing_overlap_exits_2(capsys):
     code, out, err = run(capsys, "compute", "--w-plus", "0.9", "--pure", "--c", "1e-200")
     assert code == 2 and out == ""
-    assert err.startswith("error: b_value = 0.5 violates the bound b_value / c")
+    assert err.startswith("error: c = 1e-200 violates the bound 0.5 / c <= 1.34078e+154: ")
 
 
 @pytest.mark.parametrize(
@@ -377,3 +367,15 @@ def test_parser_is_built_once_and_answers_alike(capsys, argv):
     assert texts[0] == texts[1]
     assert texts[0][1].startswith("usage: qudual") or texts[0][2].startswith("usage: qudual")
     assert _build_parser() is _build_parser()
+
+
+def test_compute_sweep_and_mc_outputs_keep_their_pinned_digests(output_digests):
+    # every call of tools/output_digest.py but verify, whose reports test_verify pins
+    digest_tool, pinned = output_digests
+    argvs = [argv for argv in digest_tool.calls() if argv[0] != "verify"]
+    assert len(argvs) == 320
+    lines = []
+    for argv in argvs:
+        code, digest = digest_tool.run(argv)
+        lines.append(f"{digest}  {code}  {' '.join(argv)}")
+    assert lines == [pinned[" ".join(argv)] for argv in argvs]

@@ -9,7 +9,6 @@ import pytest
 
 from qudual import (
     MAX_SHOTS,
-    ComplementaryFamily,
     DensityMatrix,
     ParameterError,
     complementary_observable,
@@ -95,7 +94,7 @@ def test_fringe_contrast_tracks_coherence():
 
 def test_complementary_sharp_sampling():
     rho = pure_state(0.9, 0.3)
-    b_obs = complementary_observable(ComplementaryFamily(A, 0.3))
+    b_obs = complementary_observable(A, 0.3)
     rep = sample_sharp(rho, b_obs, 100000, seed=11)
     assert rep.analytic_variance == pytest.approx(0.16, abs=1e-15)
     assert not rep.flagged
@@ -172,7 +171,7 @@ def test_joint_counts_follow_the_meter_by_system_table():
     c, varrho, b = 0.5, 1.0, 0.5
     psi_e = entangle(0.7, 1.0, c)
     mp = meter_projectors(c)
-    vec_plus, _ = ComplementaryFamily(A, varrho, b, -b).member_vectors()
+    vec_plus = complementary_observable(A, varrho).vec_plus
     amps = [psi_e.system_meter() @ m.conj() for m in (mp.m1, mp.m2)]
     p1 = float(np.vdot(amps[0], amps[0]).real)
     q0, q1 = (abs(np.vdot(vec_plus, amp)) ** 2 / float(np.vdot(amp, amp).real) for amp in amps)
@@ -227,14 +226,14 @@ def test_chunked_joint_counts_equal_one_shot_draws(n, monkeypatch):
     log = []
     real = montecarlo._generator
     monkeypatch.setattr(montecarlo, "_generator", lambda seed, stream=0: _BinomialLog(real(seed, stream), log))
-    rep_a, rep_b = sample_simultaneous(psi_e, varrho, n, seed=13, b_value=b, stream=4)
+    rep_a, rep_b = sample_simultaneous(psi_e, varrho, n, seed=13, stream=4)
     mp = meter_projectors(c)
     n_m1 = _count(rep_a, mp.value_m1, mp.value_m2)
     n_b_plus = _count(rep_b, b / c, -b / c)
     assert [trials for trials, _ in log] == [n, n_m1, n - n_m1]
 
     # p1 and q from explicit projections, independent of the sampler's arithmetic
-    vec_plus, _ = ComplementaryFamily(symmetric_observable(b), varrho, b, -b).member_vectors()
+    vec_plus = complementary_observable(A, varrho).vec_plus
     amps = [psi_e.system_meter() @ m.conj() for m in (mp.m1, mp.m2)]
     p1 = float(np.vdot(amps[0], amps[0]).real)
     q = [abs(np.vdot(vec_plus, amp)) ** 2 / float(np.vdot(amp, amp).real) for amp in amps]

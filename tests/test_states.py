@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qudual import (
-    ComplementaryFamily,
     ContractViolationError,
     DensityMatrix,
     Observable,
@@ -83,7 +82,7 @@ def test_purity_matches_trace_of_square(w, u, theta):
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: DensityMatrix(0.7, 0.2, 0.5), lambda: complementary_observable(ComplementaryFamily(symmetric_observable(), 0.9))],
+    [lambda: DensityMatrix(0.7, 0.2, 0.5), lambda: complementary_observable(symmetric_observable(), 0.9)],
     ids=["state", "observable"],
 )
 def test_matrix_is_computed_once_and_read_only(make):
@@ -129,11 +128,14 @@ def test_stacked_states_raise_the_scalar_errors(w, rho12, theta, match):
 
 
 def test_stacked_family_members_match_the_scalar_observables():
-    a_obs = symmetric_observable()
     varrho = np.linspace(-7.0, 13.0, 101)
-    stack = complementary_matrices(a_obs, varrho)
-    for i, phase in enumerate(varrho):
-        np.testing.assert_array_equal(stack[i], complementary_observable(ComplementaryFamily(a_obs, phase)).matrix)
+    # members carry the outcome values of their reference, the +-1/2 or others
+    for a_obs in (symmetric_observable(), Observable(2.0, -1.0)):
+        stack = complementary_matrices(a_obs, varrho)
+        for i, phase in enumerate(varrho):
+            np.testing.assert_array_equal(stack[i], complementary_observable(a_obs, phase).matrix)
+        np.testing.assert_allclose(np.linalg.eigvalsh(stack), np.tile([a_obs.val_minus, a_obs.val_plus], (varrho.size, 1)))
+    a_obs = symmetric_observable()
     with pytest.raises(ParameterError, match="varrho = nan"):
         complementary_matrices(a_obs, [0.0, np.nan])
     with pytest.raises(ParameterError, match="varrho = inf"):
@@ -177,8 +179,8 @@ def test_observable_rejects_equal_values_and_bad_basis():
 
 
 def test_family_members_are_unbiased_superpositions():
-    fam = ComplementaryFamily(symmetric_observable(), 0.9)
-    vp, vm = fam.member_vectors()
+    obs = complementary_observable(symmetric_observable(), 0.9)
+    vp, vm = obs.vec_plus, obs.vec_minus
     np.testing.assert_allclose(vp, np.array([1.0, np.exp(0.9j)]) / math.sqrt(2.0), atol=1e-15)
     np.testing.assert_allclose(vm, np.array([1.0, -np.exp(0.9j)]) / math.sqrt(2.0), atol=1e-15)
     assert abs(np.vdot(vp, vm)) < 1e-15
@@ -189,7 +191,7 @@ def test_family_members_are_unbiased_superpositions():
 
 
 def test_complementary_observable_matrix():
-    obs = complementary_observable(ComplementaryFamily(symmetric_observable(), 0.9))
+    obs = complementary_observable(symmetric_observable(), 0.9)
     target = 0.5 * np.array([[0.0, np.exp(-0.9j)], [np.exp(0.9j), 0.0]])
     np.testing.assert_allclose(obs.matrix, target, atol=1e-15)
 
@@ -200,6 +202,9 @@ def test_triplet_commutators_close(varrho):
         a_obs, b_obs, c_obs = complementary_triplet(symmetric_observable(), varrho, handedness)
         comm = a_obs.matrix @ b_obs.matrix - b_obs.matrix @ a_obs.matrix
         np.testing.assert_allclose(comm, 1j * handedness * c_obs.matrix, atol=1e-14)
+        # both partners carry the outcome values of the reference
+        _, *partners = complementary_triplet(Observable(2.0, -1.0), varrho, handedness)
+        assert [(obs.val_plus, obs.val_minus) for obs in partners] == [(2.0, -1.0)] * 2
 
 
 def test_triplet_rejects_bad_handedness():

@@ -6,7 +6,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qudual import (
-    ComplementaryFamily,
     ContractViolationError,
     DensityMatrix,
     ParameterError,
@@ -34,7 +33,7 @@ A = symmetric_observable()
 
 
 def b_at(varrho):
-    return complementary_observable(ComplementaryFamily(A, varrho))
+    return complementary_observable(A, varrho)
 
 
 def test_moments_frozen_values():
@@ -181,6 +180,8 @@ def test_intelligent_state_frozen_stretches():
 def test_intelligent_state_singular_points():
     assert math.isinf(abs(intelligent_state("IS1", 0.5, 0.0).lam))
     assert math.isinf(abs(intelligent_state("IS2a", 0.0, 0.0).lam))
+    # the smallest offset, where sin(beta) is subnormal, stretches to infinity too
+    assert intelligent_state("IS2a", 5e-324, 0.0).lam == complex(math.inf, 0.0)
     with pytest.raises(ParameterError, match="family"):
         intelligent_state("IS9", 0.5, 0.0)
 

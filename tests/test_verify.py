@@ -1,4 +1,3 @@
-import importlib.util
 import math
 from pathlib import Path
 
@@ -9,9 +8,8 @@ from qudual import DensityMatrix, duality, linalg, montecarlo, simultaneous, sta
 from qudual.cli import main
 from qudual.errors import ParameterError
 from qudual.simultaneous import entangle, estimate_a, estimate_b
-from qudual.states import TWO_PI, ComplementaryFamily, complementary_observable, pure_state, symmetric_observable
+from qudual.states import TWO_PI, complementary_observable, pure_state, symmetric_observable
 
-ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
 TENTHS = [k / 10.0 for k in range(1, 10)]
 # The unbiasedness grid in loop order: w, then theta, then c.
@@ -168,8 +166,8 @@ def test_planted_readout_fault_keeps_the_loop_notes(monkeypatch, faulty_c):
     varrho = math.pi / 5.0
     exact = verify.estimate_b
 
-    def planted(psi, phase, b_value=0.5):
-        mean, var = exact(psi, phase, b_value)
+    def planted(psi, phase):
+        mean, var = exact(psi, phase)
         return mean, var + 1e-9 if psi.c in faulty_c else var
 
     monkeypatch.setattr(verify, "estimate_b", planted)
@@ -197,7 +195,7 @@ def test_planted_floor_fault_keeps_the_loop_notes(monkeypatch):
     monkeypatch.setattr(verify, "normalized_product_bounds", planted)
     result = verify.run_suite("product_bounds", "full", 42)
     a_obs = symmetric_observable()
-    b_obs = complementary_observable(ComplementaryFamily(a_obs, 0.6))
+    b_obs = complementary_observable(a_obs, 0.6)
     notes = []
     for w in sorted(faulty):
         rho = pure_state(w, 0.6)
@@ -227,14 +225,10 @@ def test_planted_round_trip_fault_keeps_the_loop_notes(monkeypatch):
 
 @pytest.mark.parametrize("level", ["fast", "full"])
 @pytest.mark.parametrize("seed", ["42", "343578368", "11705"])
-def test_verify_report_keeps_its_pinned_digest(monkeypatch, level, seed):
+def test_verify_report_keeps_its_pinned_digest(output_digests, level, seed):
     # full at seed 11705 is the FAIL report with a monte_carlo note; 343578368,
     # the FAIL seed of the counted uniforms, pins its PASS on the drawn counts.
-    spec = importlib.util.spec_from_file_location("output_digest", ROOT / "tools" / "output_digest.py")
-    digest_tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest_tool)
-    pinned = {line.split("  ", 2)[2]: line for line in (ROOT / "tools" / "output_digests.txt").read_text().splitlines()}
-    monkeypatch.delenv("QUDUAL_SEED", raising=False)
+    digest_tool, pinned = output_digests
     argv = ("verify", "--level", level, "--seed", seed)
     code, digest = digest_tool.run(argv)
     assert f"{digest}  {code}  {' '.join(argv)}" == pinned[" ".join(argv)]
