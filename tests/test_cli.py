@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from qudual import (
+    GAUGE,
     MAX_GRID_N,
+    MAX_RESCALED_VALUE,
+    MAX_SAMPLED_VALUE,
     MAX_SHOTS,
     DensityMatrix,
     Observable,
     ParameterError,
+    complementary_matrices,
     complementary_observable,
     duality_report,
     entangle,
@@ -246,6 +250,9 @@ SCALAR_ENTRY_POINTS = {
     "Observable.val_plus": lambda x: Observable(x, -0.5),
     "Observable.val_minus": lambda x: Observable(0.5, x),
     "complementary_observable.varrho": lambda x: complementary_observable(_FAMILY_REFERENCE, x),
+    # the stacked family: each phase is checked, and every member takes the reference's values
+    "ComplementaryFamily.varrho": lambda x: complementary_matrices(_FAMILY_REFERENCE, [0.0, x]),
+    "ComplementaryFamily.b_plus": lambda x: complementary_matrices(Observable(x, -0.5), [0.0, 0.3]),
     "entangle.w_plus": lambda x: entangle(x, 0.0, 0.5),
     "entangle.theta": lambda x: entangle(0.5, x, 0.5),
     "entangle.c": lambda x: entangle(0.5, 0.0, x),
@@ -323,8 +330,13 @@ def test_compute_and_meter_readout_skip_the_cross_check_routes(capsys, count_cal
     assert len(entangles) == 1
 
 
-# The complementary readout's rescaled gauge 0.5 / c is huge at an underflowing c.
+# The complementary readout's rescaled outcome value 0.5 / c is huge at an underflowing c;
+# the b_value rows put it just past its bound.
+_PAST_RESCALE_BOUND = entangle(0.9, 0.3, 0.99 * GAUGE / MAX_RESCALED_VALUE)
+
 HUGE_GAUGES = {
+    "estimate_b.b_value": (lambda: estimate_b(_PAST_RESCALE_BOUND, 0.3), "0.5 / c"),
+    "sample_simultaneous.b_value": (lambda: sample_simultaneous(_PAST_RESCALE_BOUND, 0.3, 10, 1), "0.5 / c"),
     "estimate_b.underflowing_c": (lambda: estimate_b(entangle(0.9, 0.3, 1e-200), 0.3), "0.5 / c"),
     "sample_simultaneous.underflowing_c": (lambda: sample_simultaneous(entangle(0.9, 0.3, 1e-200), 0.3, 10, 1), "0.5 / c"),
 }
@@ -337,10 +349,12 @@ def test_huge_gauges_raise_parameter_error(entry):
         call()
 
 
-def test_sampled_outcome_values_keep_a_finite_fourth_moment():
-    # 0.5 / c = 5e99 passes the rescale bound, 1.34e154, but not this one
-    with pytest.raises(ParameterError, match=r"readout_b outcome value magnitude 5e\+99 violates the bound \|value\| <= 5.7896e\+76"):
-        sample_simultaneous(entangle(0.9, 0.3, 1e-100), 0.3, 10, 1)
+# The b-side outcome value 0.5 / c passes the rescale bound, 1.34e154, but not this one.
+@pytest.mark.parametrize("c", [1e-100, 0.99 * GAUGE / MAX_SAMPLED_VALUE], ids=["b_value", "b_value-just-past"])
+def test_sampled_outcome_values_keep_a_finite_fourth_moment(c):
+    message = f"readout_b outcome value magnitude {GAUGE / c!r} violates the bound |value| <= 5.7896e+76"
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        sample_simultaneous(entangle(0.9, 0.3, c), 0.3, 10, 1)
 
 
 def test_product_at_an_underflowing_overlap_is_the_limit():
