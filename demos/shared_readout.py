@@ -8,8 +8,6 @@ the system side. Sweeps c to locate the overlap minimizing the joint
 variance product and compares every route to the closed minimum.
 """
 
-import math
-
 import numpy as np
 
 from qudual import (

@@ -164,7 +164,7 @@ def _sweep_rows(figure: int, points: int) -> list[str]:
     p, v = duality_arrays(w, np.sqrt(w * (1.0 - w)))[:2]
     lo, hi = zip(*map(normalized_product_bounds, w))
     d, ve = entangled_arrays(w, 0.0, 1.0 if figure == 1 else c_opt)[:2]
-    sim_min = map(minimum_simultaneous_product, w)
+    sim_min = map(simultaneous_product, w, c_opt)
     return [",".join(map(_fmt, row)) for row in zip(w, p, v, lo, hi, d, ve, c_opt, sim_min)]
 
 

@@ -60,21 +60,18 @@ def check_scalar(
     lo: float = -math.inf,
     hi: float = math.inf,
     *,
-    lo_open: bool = False,
     slack: float = 0.0,
 ) -> float:
     """Return ``value`` as a finite float in ``[lo, hi]``, or raise a :class:`ParameterError`.
 
-    NaN and infinities are always rejected. ``lo_open`` excludes ``lo``
-    itself; ``slack`` widens both closed ends, and a value accepted inside
-    the slack is clamped onto ``[lo, hi]``. An integer beyond the double
-    range counts as an infinity of its sign. The message names the bound and
-    shows an integer as an integer.
+    NaN and infinities are always rejected. ``slack`` widens both ends, and a
+    value accepted inside the slack is clamped onto ``[lo, hi]``. An integer
+    beyond the double range counts as an infinity of its sign. The message
+    names the bound and shows an integer as an integer.
     """
     v = as_float(value)
-    below = v <= lo if lo_open else v < lo - slack
-    if not math.isfinite(v) or below or v > hi + slack:
-        left = "-inf <" if lo == -math.inf else f"{lo:g} {'<' if lo_open else '<='}"
+    if not math.isfinite(v) or v < lo - slack or v > hi + slack:
+        left = "-inf <" if lo == -math.inf else f"{lo:g} <="
         right = "< inf" if hi == math.inf else f"<= {hi:g}"
         shown = int(value) if isinstance(value, numbers.Integral) and math.isfinite(v) else v
         raise ParameterError(f"{name} = {shown!r} violates the bound {left} {name} {right}")
@@ -87,7 +84,6 @@ def check_array(
     lo: float = -math.inf,
     hi: float = math.inf,
     *,
-    lo_open: bool = False,
     slack: float = 0.0,
 ) -> np.ndarray:
     """:func:`check_scalar` applied elementwise: ``values`` as a float array clamped onto ``[lo, hi]``.
@@ -96,8 +92,7 @@ def check_array(
     :class:`ParameterError`.
     """
     v = as_float_array(values)
-    below = v <= lo if lo_open else v < lo - slack
-    bad = ~np.isfinite(v) | below | (v > hi + slack)
+    bad = ~np.isfinite(v) | (v < lo - slack) | (v > hi + slack)
     if bad.any():
-        check_scalar(v[bad].flat[0], name, lo, hi, lo_open=lo_open, slack=slack)
+        check_scalar(v[bad].flat[0], name, lo, hi, slack=slack)
     return np.clip(v, lo, hi)

@@ -26,8 +26,8 @@ __all__ = [
 ]
 
 
-def assert_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
-    """Return ``m`` as a complex array, raising if it is not Hermitian within ``tol``.
+def assert_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Return ``m`` as a complex array, raising if it is not Hermitian within :data:`HERMITICITY_TOL`.
 
     A stack of shape ``(..., n, n)`` is checked matrix by matrix; the message
     reports the largest deviation in the stack.
@@ -36,15 +36,15 @@ def assert_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "m
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ContractViolationError(f"{name} must be square, got shape {m.shape}")
     dev = float(np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0))
-    if dev > tol:
+    if dev > HERMITICITY_TOL:
         raise ContractViolationError(
-            f"{name} is not Hermitian: max |m - m^dagger| = {dev:.3e} exceeds {tol:.1e}"
+            f"{name} is not Hermitian: max |m - m^dagger| = {dev:.3e} exceeds {HERMITICITY_TOL:.1e}"
         )
     return m
 
 
-def assert_unitary(m: np.ndarray, tol: float = UNITARITY_TOL, name: str = "matrix") -> np.ndarray:
-    """Return ``m`` as a complex array, raising if it is not unitary within ``tol``.
+def assert_unitary(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Return ``m`` as a complex array, raising if it is not unitary within :data:`UNITARITY_TOL`.
 
     A stack of shape ``(..., n, n)`` is checked matrix by matrix; the message
     reports the largest deviation in the stack.
@@ -53,9 +53,9 @@ def assert_unitary(m: np.ndarray, tol: float = UNITARITY_TOL, name: str = "matri
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ContractViolationError(f"{name} must be square, got shape {m.shape}")
     dev = float(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])), initial=0.0))
-    if dev > tol:
+    if dev > UNITARITY_TOL:
         raise ContractViolationError(
-            f"{name} is not unitary: max |m^dagger m - 1| = {dev:.3e} exceeds {tol:.1e}"
+            f"{name} is not unitary: max |m^dagger m - 1| = {dev:.3e} exceeds {UNITARITY_TOL:.1e}"
         )
     return m
 

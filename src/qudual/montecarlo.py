@@ -216,7 +216,7 @@ def sample_simultaneous(
 
     # Meter stage: outcome probabilities and conditioned system vectors.
     cond = []
-    for m_vec in (mp.m1, mp.m2):
+    for m_vec in (mp.vec_plus, mp.vec_minus):
         amp = psi @ m_vec.conj()
         p = float(np.vdot(amp, amp).real)
         cond.append((min(max(p, 0.0), 1.0), amp))
@@ -236,7 +236,7 @@ def sample_simultaneous(
 
     report_a = _two_outcome_report(
         quantity="readout_a",
-        values=(mp.value_m1, mp.value_m2),
+        values=(mp.val_plus, mp.val_minus),
         probs=(p1, 1.0 - p1),
         counts=(n_m1, n - n_m1),
         analytic=estimate_a(psi_e),

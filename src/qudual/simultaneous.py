@@ -16,9 +16,10 @@ over ``c``, reached at ``c**2 = V / (P + V)``.
 
 The which-way quantities come from one array kernel,
 :func:`entangled_arrays`, for stacked ``(w_plus, theta, c)``;
-:func:`entangle`, :func:`distinguishability`, :func:`entangled_visibility`
-and :meth:`EntangledState.marginal_system` run its steps on one state and
-round alike.
+:func:`entangle`, :func:`distinguishability` and :func:`entangled_visibility`
+run its steps on one state and round alike. The meter readout is an
+:class:`~qudual.states.Observable` on the meter qubit, built by
+:func:`meter_projectors`.
 
 Every ``1 - c**2`` is evaluated as ``(1 - c)(1 + c)``, which keeps its
 relative accuracy as ``c -> 1`` where ``1 - c*c`` cancels. Basis order of
@@ -37,7 +38,7 @@ import numpy as np
 from .duality import _imbalance
 from .errors import ParameterError, SingularConfigurationError, check_array, check_scalar
 from .linalg import trace_norm
-from .states import GAUGE, TWO_PI, DensityMatrix, density_params, validate_density
+from .states import GAUGE, TWO_PI, Observable, density_params, validate_density
 
 # Largest rescaled outcome value whose square is a finite double.
 MAX_RESCALED_VALUE = math.sqrt(sys.float_info.max)
@@ -49,7 +50,6 @@ __all__ = [
     "distinguishability",
     "entangled_visibility",
     "entangled_arrays",
-    "MeterProjectors",
     "meter_projectors",
     "estimate_a",
     "estimate_b",
@@ -71,13 +71,6 @@ class EntangledState:
     def system_meter(self) -> np.ndarray:
         """Amplitudes reshaped to ``psi[system, meter]``."""
         return self.amplitudes.reshape(2, 2)
-
-    def marginal_system(self) -> DensityMatrix:
-        """Partial trace over the meter.
-
-        Keeps the populations and shrinks the coherence to ``c sqrt(w+ w-)``.
-        """
-        return DensityMatrix.from_matrix(_reduced(self.system_meter()))
 
 
 def _one_minus_sq(c):
@@ -150,12 +143,14 @@ def entangled_arrays(
     :func:`entangle` would reject raises the same :class:`ParameterError`.
     Returns float arrays ``(d, v_e, w_marg, rho12_marg, theta_marg)``: the
     :func:`distinguishability` and :func:`entangled_visibility` of each
-    state, and the fields of its :meth:`EntangledState.marginal_system`. The
-    amplitudes are :func:`entangle`'s, the distinguishability is the stacked
-    trace norm of the two meter blocks, and the visibility and the marginal
-    come from the stacked partial trace, the marginal read by
-    :func:`density_params` and checked by :func:`validate_density`.
-    Each element rounds as the scalar functions do on that one state.
+    state, and the fields of the system state left by tracing out the meter,
+    which keeps the populations and shrinks the coherence to
+    ``c sqrt(w+ w-)``. The amplitudes are :func:`entangle`'s, the
+    distinguishability is the stacked trace norm of the two meter blocks, and
+    the visibility and the marginal come from the stacked partial trace, the
+    marginal read by :func:`density_params` and checked by
+    :func:`validate_density`. Each element rounds as the scalar functions do
+    on that one state.
     """
     w = check_array(w_plus, "w_plus", 0.0, 1.0)
     cc = check_array(c, "c", 0.0, 1.0)
@@ -163,25 +158,6 @@ def entangled_arrays(
     psi = _amplitudes(*np.broadcast_arrays(w, t, cc))
     m = _reduced(psi)
     return _distinguishability(psi), _visibility(m), *validate_density(*density_params(m))
-
-
-@dataclass(frozen=True, eq=False)
-class MeterProjectors:
-    """Rotated meter readout basis with the rescaled outcome values.
-
-    ``m1 = (cos gamma, sin gamma)`` and ``m2 = (-sin gamma, cos gamma)`` in
-    the ``(|m+>, |m_perp>)`` basis. The outcome values are
-    ``value_m1 = -a_prime`` and ``value_m2 = +a_prime``, the sign assignment
-    under which the readout mean reproduces the sharp mean for every input
-    state.
-    """
-
-    gamma: float
-    a_prime: float
-    value_m1: float
-    value_m2: float
-    m1: np.ndarray = field(repr=False)
-    m2: np.ndarray = field(repr=False)
 
 
 def _readout_overlap(c: float) -> float:
@@ -194,27 +170,27 @@ def _readout_overlap(c: float) -> float:
     return cc
 
 
-def meter_projectors(c: float) -> MeterProjectors:
-    """Meter readout basis making the first-observable estimate unbiased.
+def meter_projectors(c: float) -> Observable:
+    """Meter readout making the first-observable estimate unbiased, as an observable on the meter.
 
-    The rotation angle solves ``cot(2 gamma) = -sqrt(1 - c**2) / c`` with the
-    branch ``gamma = (pi - arcsin c) / 2`` in (pi/4, pi/2), and the rescaled
-    outcome magnitude is ``a_prime = GAUGE / sqrt(1 - c**2)``, below 3.4e7
-    for every double ``c < 1``. Of the two outcome sign assignments
-    compatible with the angle equation, the one reproducing the sharp mean
-    ``GAUGE (w+ - w-)`` puts ``-a_prime`` on ``m1``; the ``unbiasedness``
-    suite of :mod:`qudual.verify` checks that choice by explicit projection.
+    Its eigenbasis is the ``(|m+>, |m_perp>)`` basis rotated by ``gamma``:
+    column 0 is ``m1 = (cos gamma, sin gamma)`` and column 1 is
+    ``m2 = (-sin gamma, cos gamma)``. The rotation angle solves
+    ``cot(2 gamma) = -sqrt(1 - c**2) / c`` with the branch
+    ``gamma = (pi - arcsin c) / 2`` in (pi/4, pi/2), and the rescaled outcome
+    magnitude is ``a_prime = GAUGE / sqrt(1 - c**2)``, below 3.4e7 for every
+    double ``c < 1``. Of the two outcome sign assignments compatible with the
+    angle equation, the one under which the readout mean reproduces the sharp
+    mean ``GAUGE (w+ - w-)`` for every input state puts ``-a_prime`` on
+    ``m1`` (``val_plus``) and ``+a_prime`` on ``m2`` (``val_minus``); the
+    ``unbiasedness`` suite of :mod:`qudual.verify` checks that choice by
+    explicit projection.
     """
     cc = _readout_overlap(c)
     gamma = 0.5 * (math.pi - math.asin(cc))
     a_prime = GAUGE / math.sqrt(_one_minus_sq(cc))
-    m1 = np.array([math.cos(gamma), math.sin(gamma)], dtype=complex)
-    m2 = np.array([-math.sin(gamma), math.cos(gamma)], dtype=complex)
-    m1.setflags(write=False)
-    m2.setflags(write=False)
-    return MeterProjectors(
-        gamma=gamma, a_prime=a_prime, value_m1=-a_prime, value_m2=a_prime, m1=m1, m2=m2
-    )
+    cos, sin = math.cos(gamma), math.sin(gamma)
+    return Observable(-a_prime, a_prime, np.array([[cos, -sin], [sin, cos]], dtype=complex))
 
 
 def estimate_a(psi_e: EntangledState) -> tuple[float, float]:

@@ -15,8 +15,7 @@ A state or observable computes its matrix once and returns it read-only.
 :func:`validate_density`, :func:`density_matrix` and
 :func:`complementary_matrices` are the same rules and constructions applied
 elementwise to stacked parameters, for checks that sweep many states at once.
-:func:`density_params` reads the parameters off stacked matrices;
-:meth:`DensityMatrix.from_matrix` is that function on one matrix.
+:func:`density_params` reads the parameters off one matrix or a stack.
 
 Index 0 is ``|plus>`` and index 1 is ``|minus>`` everywhere.
 """
@@ -40,8 +39,14 @@ TWO_PI = 2.0 * math.pi
 GAUGE = 0.5
 
 # Absolute slack accepted on the positivity bound rho12 <= sqrt(w+ w-) and on
-# range checks of probabilities; values inside the slack are kept as given.
+# range checks of probabilities; a value inside the slack is clamped onto its
+# range.
 POSITIVITY_TOL = 1e-12
+
+# Rounding allowances: how far below 1 the purity of a pure state, and how far
+# from 1 the trace of a density matrix, may fall.
+PURITY_TOL = 1e-12
+TRACE_TOL = 1e-10
 
 __all__ = [
     "GAUGE",
@@ -86,7 +91,7 @@ class DensityMatrix:
                 f"rho12 = {r!r} violates the positivity bound "
                 f"0 <= rho12 <= sqrt(w_plus * w_minus) = {bound!r}"
             )
-        r = max(r, 0.0)
+        r = min(max(r, 0.0), bound)
         t = check_scalar(self.theta, "theta")
         object.__setattr__(self, "w_plus", w)
         object.__setattr__(self, "rho12", r)
@@ -101,8 +106,8 @@ class DensityMatrix:
         """Trace of the squared matrix, in [1/2, 1]."""
         return float(purity(self.w_plus, self.rho12))
 
-    def is_pure(self, tol: float = 1e-12) -> bool:
-        return self.purity >= 1.0 - tol
+    def is_pure(self) -> bool:
+        return self.purity >= 1.0 - PURITY_TOL
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -111,20 +116,15 @@ class DensityMatrix:
         m.setflags(write=False)
         return m
 
-    def state_vector(self, tol: float = 1e-12) -> np.ndarray:
+    def state_vector(self) -> np.ndarray:
         """Amplitudes ``(sqrt(w_plus), exp(i theta) sqrt(w_minus))`` of a pure state."""
-        if not self.is_pure(tol):
+        if not self.is_pure():
             raise ParameterError(
-                f"state_vector requires a pure state: purity = {self.purity!r} < 1 - {tol:.1e}"
+                f"state_vector requires a pure state: purity = {self.purity!r} < 1 - {PURITY_TOL:.1e}"
             )
         return np.array(
             [math.sqrt(self.w_plus), np.exp(1j * self.theta) * math.sqrt(self.w_minus)]
         )
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray, tol: float = 1e-10) -> "DensityMatrix":
-        """Extract parameters from an explicit 2x2 density matrix: :func:`density_params` on one matrix."""
-        return cls(*(float(x) for x in density_params(m, tol)))
 
 
 def validate_density(w_plus, rho12, theta=0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -137,32 +137,33 @@ def validate_density(w_plus, rho12, theta=0.0) -> tuple[np.ndarray, np.ndarray, 
     """
     w = check_array(w_plus, "w_plus", 0.0, 1.0, slack=POSITIVITY_TOL)
     w, r, t = np.broadcast_arrays(w, as_float_array(rho12), check_array(theta, "theta"))
-    bad = np.isnan(r) | (r < -POSITIVITY_TOL) | (r > np.sqrt(w * (1.0 - w)) + POSITIVITY_TOL)
+    bound = np.sqrt(w * (1.0 - w))
+    bad = np.isnan(r) | (r < -POSITIVITY_TOL) | (r > bound + POSITIVITY_TOL)
     if bad.any():
         i = np.argmax(bad)
         DensityMatrix(w.flat[i], r.flat[i])  # raises the positivity bound's error
-    r = np.maximum(r, 0.0)
+    r = np.clip(r, 0.0, bound)
     return w, r, np.where(r > 0.0, np.remainder(t, TWO_PI), 0.0)
 
 
-def density_params(m: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def density_params(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Parameters ``(w_plus, rho12, theta)`` read off explicit density matrices ``(..., 2, 2)``.
 
     Every matrix must be Hermitian within :data:`qudual.linalg.HERMITICITY_TOL`
-    and have unit trace within ``tol``, or a :class:`ContractViolationError`
-    names the first failure. Returns the populations and the magnitude and
-    wrapped phase of the lower off-diagonal entry, as float arrays; their
-    range checks are :class:`DensityMatrix`'s, or :func:`validate_density`'s
-    for a stack.
+    and have unit trace within :data:`TRACE_TOL`, or a
+    :class:`ContractViolationError` names the first failure. Returns the
+    populations and the magnitude and wrapped phase of the lower off-diagonal
+    entry, as float arrays; their range checks are :class:`DensityMatrix`'s,
+    or :func:`validate_density`'s for a stack.
     """
     m = assert_hermitian(m, name="density matrix")
     if m.shape[-2:] != (2, 2):
         raise ContractViolationError(f"density matrix must be 2x2, got {m.shape}")
     tr = m[..., 0, 0].real + m[..., 1, 1].real
-    bad = np.abs(tr - 1.0) > tol
+    bad = np.abs(tr - 1.0) > TRACE_TOL
     if bad.any():
         raise ContractViolationError(
-            f"density matrix trace = {float(tr[bad].flat[0])!r} differs from 1 beyond {tol:.1e}"
+            f"density matrix trace = {float(tr[bad].flat[0])!r} differs from 1 beyond {TRACE_TOL:.1e}"
         )
     off = m[..., 1, 0]
     # np.hypot of the parts rounds as the scalar abs does; NumPy's complex abs on arrays does not.

@@ -239,7 +239,7 @@ def projected_readout_moments(psi: np.ndarray, c, varrho) -> tuple:
     ``psi`` holds the amplitudes ``psi[..., system, meter]`` of one
     :meth:`EntangledState.system_meter` or a stack, with meter overlaps ``c``
     and phases ``varrho`` broadcast to it. The meter readout projects on the
-    vectors of :func:`meter_projectors`, the system readout on the family
+    eigenvectors of :func:`meter_projectors`, the system readout on the family
     member at ``varrho`` with outcome values ``+-GAUGE / c``; each is built
     once per distinct ``c`` or ``varrho``. Returns ``((mean_a, var_a),
     (mean_b, var_b))`` as arrays, the independent route to :func:`estimate_a`
@@ -249,8 +249,8 @@ def projected_readout_moments(psi: np.ndarray, c, varrho) -> tuple:
     meters = {x: meter_projectors(x) for x in set(c.flat)}
     members = {x: complementary_observable(symmetric_observable(), x).basis.T for x in set(varrho.flat)}
     # Outcome k of each readout: row k of the meter vectors, of the member vectors.
-    m = np.array([(meters[x].m1, meters[x].m2) for x in c.flat]).reshape(c.shape + (2, 2))
-    values = np.array([(meters[x].value_m1, meters[x].value_m2) for x in c.flat]).reshape(c.shape + (2,))
+    m = np.array([meters[x].basis.T for x in c.flat]).reshape(c.shape + (2, 2))
+    values = np.array([(meters[x].val_plus, meters[x].val_minus) for x in c.flat]).reshape(c.shape + (2,))
     vecs = np.array([members[x] for x in varrho.flat]).reshape(c.shape + (2, 2))
     p_a = _weight((psi[..., None, :, :] * m.conj()[..., :, None, :]).sum(axis=-1))
     p_b = _weight((vecs.conj()[..., :, :, None] * psi[..., None, :, :]).sum(axis=-2))
@@ -407,7 +407,7 @@ def _suite_state_round_trip(t: _Tally, size: dict, rng: np.random.Generator, cor
     t.raises(ParameterError, lambda: DensityMatrix(0.5, 0.6), "coherence above bound rejected")
     t.raises(
         ContractViolationError,
-        lambda: DensityMatrix.from_matrix(np.array([[0.5, 0.1j], [0.1j, 0.5]])),
+        lambda: density_params(np.array([[0.5, 0.1j], [0.1j, 0.5]])),
         "non-hermitian matrix rejected",
     )
 

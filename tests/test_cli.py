@@ -75,6 +75,16 @@ def test_compute_rejects_excess_coherence(capsys):
     assert "sqrt(w_plus * w_minus)" in err
 
 
+@pytest.mark.parametrize("rho12", ["0.5000000000001", "0.500000000001"])
+def test_compute_clamps_coherence_inside_the_positivity_slack(capsys, rho12):
+    # rho12 within POSITIVITY_TOL above sqrt(w+ w-) = 1/2 is clamped onto the bound
+    code, out, _ = run(capsys, "compute", "--w-plus", "0.5", "--rho12", rho12)
+    assert code == 0
+    values = parse_pairs(out)
+    assert values["rho12"] == 0.5
+    assert values["V"] == values["purity"] == values["P2_plus_V2"] == 1.0
+
+
 def test_compute_entangled_block(capsys):
     code, out, _ = run(capsys, "compute", "--w-plus", "0.9", "--pure", "--c", str(math.sqrt(3.0 / 7.0)))
     assert code == 0

@@ -172,13 +172,13 @@ def test_joint_counts_follow_the_meter_by_system_table():
     psi_e = entangle(0.7, 1.0, c)
     mp = meter_projectors(c)
     vec_plus = complementary_observable(A, varrho).vec_plus
-    amps = [psi_e.system_meter() @ m.conj() for m in (mp.m1, mp.m2)]
+    amps = [psi_e.system_meter() @ m.conj() for m in (mp.vec_plus, mp.vec_minus)]
     p1 = float(np.vdot(amps[0], amps[0]).real)
     q0, q1 = (abs(np.vdot(vec_plus, amp)) ** 2 / float(np.vdot(amp, amp).real) for amp in amps)
     counts = Counter()
     for seed in range(DRAWS):
         rep_a, rep_b = sample_simultaneous(psi_e, varrho, SMALL_N, seed)
-        counts[_count(rep_a, mp.value_m1, mp.value_m2), _count(rep_b, b / c, -b / c)] += 1
+        counts[_count(rep_a, mp.val_plus, mp.val_minus), _count(rep_b, b / c, -b / c)] += 1
     meter = _binomial_pmf(SMALL_N, p1)
     pmf = {}
     for m1 in range(SMALL_N + 1):
@@ -228,13 +228,13 @@ def test_chunked_joint_counts_equal_one_shot_draws(n, monkeypatch):
     monkeypatch.setattr(montecarlo, "_generator", lambda seed, stream=0: _BinomialLog(real(seed, stream), log))
     rep_a, rep_b = sample_simultaneous(psi_e, varrho, n, seed=13, stream=4)
     mp = meter_projectors(c)
-    n_m1 = _count(rep_a, mp.value_m1, mp.value_m2)
+    n_m1 = _count(rep_a, mp.val_plus, mp.val_minus)
     n_b_plus = _count(rep_b, b / c, -b / c)
     assert [trials for trials, _ in log] == [n, n_m1, n - n_m1]
 
     # p1 and q from explicit projections, independent of the sampler's arithmetic
     vec_plus = complementary_observable(A, varrho).vec_plus
-    amps = [psi_e.system_meter() @ m.conj() for m in (mp.m1, mp.m2)]
+    amps = [psi_e.system_meter() @ m.conj() for m in (mp.vec_plus, mp.vec_minus)]
     p1 = float(np.vdot(amps[0], amps[0]).real)
     q = [abs(np.vdot(vec_plus, amp)) ** 2 / float(np.vdot(amp, amp).real) for amp in amps]
     np.testing.assert_allclose([p for _, p in log], [p1, *q], rtol=1e-12)

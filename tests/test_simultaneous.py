@@ -8,9 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qudual import (
+    DensityMatrix,
+    Observable,
     ParameterError,
     SingularConfigurationError,
     complementary_observable,
+    density_params,
     distinguishability,
     entangle,
     entangled_arrays,
@@ -54,12 +57,11 @@ def test_entangle_rejects_bad_parameters():
 
 @given(w=w_values, theta=angles, c=overlaps)
 def test_marginal_coherence_is_scaled_by_overlap(w, theta, c):
-    psi = entangle(w, theta, c)
-    marg = psi.marginal_system()
-    assert marg.w_plus == pytest.approx(w, abs=1e-12)
-    assert marg.rho12 == pytest.approx(c * math.sqrt(w * (1.0 - w)), abs=1e-12)
-    if marg.rho12 > 1e-9:
-        assert abs(np.exp(1j * marg.theta) - np.exp(1j * theta)) < 1e-9
+    w_marg, rho12_marg, theta_marg = (float(x) for x in entangled_arrays(w, theta, c)[2:])
+    assert w_marg == pytest.approx(w, abs=1e-12)
+    assert rho12_marg == pytest.approx(c * math.sqrt(w * (1.0 - w)), abs=1e-12)
+    if rho12_marg > 1e-9:
+        assert abs(np.exp(1j * theta_marg) - np.exp(1j * theta)) < 1e-9
 
 
 def test_which_path_frozen_values():
@@ -79,12 +81,12 @@ def test_which_path_duality_is_tight(w, theta, c):
 
 def _scalar_which_way(w, theta, c):
     psi = entangle(w, theta, c)
-    marg = psi.marginal_system()
-    return distinguishability(psi), entangled_visibility(psi), marg.w_plus, marg.rho12, marg.theta
+    marginal = (float(x) for x in entangled_arrays(w, theta, c)[2:])
+    return distinguishability(psi), entangled_visibility(psi), *marginal
 
 
 def assert_stack_matches_scalars(w, theta, c):
-    """Every element of ``entangled_arrays`` equals the scalar functions on that state, bit for bit."""
+    """Every element of ``entangled_arrays`` equals the scalar functions, and the kernel, on that one state, bit for bit."""
     w, theta, c = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (w, theta, c)))
     stacked = [x.ravel().tolist() for x in entangled_arrays(w, theta, c)]
     for i, args in enumerate(zip(w.ravel().tolist(), theta.ravel().tolist(), c.ravel().tolist())):
@@ -125,23 +127,45 @@ def test_stacked_which_way_rejects_as_entangle(slot, bad):
 
 def test_meter_projector_geometry():
     mp = meter_projectors(0.6)
-    assert math.cos(2.0 * mp.gamma) == pytest.approx(-0.8, abs=1e-12)
-    assert math.sin(2.0 * mp.gamma) == pytest.approx(0.6, abs=1e-12)
-    assert math.pi / 4.0 < mp.gamma < math.pi / 2.0
-    assert mp.a_prime == pytest.approx(0.625, abs=1e-12)
-    assert (mp.value_m1, mp.value_m2) == (-mp.a_prime, mp.a_prime)
+    assert isinstance(mp, Observable)
+    # column m1 = (cos gamma, sin gamma), column m2 = (-sin gamma, cos gamma)
+    (cos, sin), m2 = mp.vec_plus.real, mp.vec_minus
+    assert not mp.basis.imag.any()
+    np.testing.assert_array_equal(m2, [-sin, cos])
+    assert cos * cos - sin * sin == pytest.approx(-0.8, abs=1e-12)
+    assert 2.0 * cos * sin == pytest.approx(0.6, abs=1e-12)
+    # pi/4 < gamma < pi/2
+    assert 0.0 < cos < sin
+    assert mp.val_plus == -mp.val_minus == pytest.approx(-0.625, abs=1e-12)
     # analysis vectors form an orthonormal pair
-    assert np.vdot(mp.m1, mp.m1).real == pytest.approx(1.0, abs=1e-14)
-    assert np.vdot(mp.m2, mp.m2).real == pytest.approx(1.0, abs=1e-14)
-    assert abs(np.vdot(mp.m1, mp.m2)) < 1e-14
+    np.testing.assert_allclose(mp.basis.conj().T @ mp.basis, np.eye(2), atol=1e-14)
 
 
 def test_meter_projectors_weak_coupling_limit():
     mp = meter_projectors(1e-6)
-    # gamma approaches pi/2 from below and the outcome values stay finite
-    assert mp.gamma < math.pi / 2.0
-    assert math.pi / 2.0 - mp.gamma == pytest.approx(5e-7, rel=1e-3)
-    assert mp.a_prime == pytest.approx(0.5, rel=1e-9)
+    # gamma approaches pi/2 from below, so cos gamma = sin(pi/2 - gamma) -> 0+,
+    # and the outcome values stay finite
+    cos, sin = mp.vec_plus.real
+    assert 0.0 < cos < sin
+    assert cos == pytest.approx(5e-7, rel=1e-3)
+    assert mp.val_plus == -mp.val_minus == pytest.approx(-0.5, rel=1e-9)
+
+
+def test_meter_marginal_moments_match_estimate_a():
+    # The meter readout is an observable on the meter: its moments in the
+    # meter state left by tracing out the system are the readout moments.
+    rng = np.random.default_rng(14)
+    for w, theta, c in zip(rng.uniform(0.0, 1.0, 200), rng.uniform(0.0, 2.0 * math.pi, 200), rng.uniform(0.01, 0.99, 200)):
+        psi_e = entangle(w, theta, c)
+        psi = psi_e.system_meter()
+        meter = DensityMatrix(*(float(x) for x in density_params(np.einsum("sm,sn->mn", psi, psi.conj()))))
+        obs = meter_projectors(c)
+        mean, var = mean_var(meter, obs)
+        mean_a, var_a = estimate_a(psi_e)
+        # relative to the outcome magnitude a_prime, since the mean may vanish
+        a_prime = obs.val_minus
+        assert abs(mean - mean_a) <= 1e-12 * a_prime
+        assert abs(var - var_a) <= 1e-12 * a_prime * a_prime
 
 
 def test_meter_projectors_singular_endpoints():

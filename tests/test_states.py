@@ -66,7 +66,7 @@ def test_pure_state_vector():
 @given(w=w_values, u=fractions, theta=angles)
 def test_matrix_round_trip(w, u, theta):
     rho = DensityMatrix(w, u * math.sqrt(w * (1.0 - w)), theta)
-    back = DensityMatrix.from_matrix(rho.matrix)
+    back = DensityMatrix(*(float(x) for x in density_params(rho.matrix)))
     assert back.w_plus == pytest.approx(rho.w_plus, abs=1e-12)
     assert back.rho12 == pytest.approx(rho.rho12, abs=1e-12)
     if rho.rho12 > 1e-9:
@@ -99,10 +99,12 @@ def test_matrix_is_computed_once_and_read_only(make):
 
 def test_stacked_states_follow_the_scalar_rules():
     rng = np.random.default_rng(5)
-    w = np.append(rng.uniform(0.0, 1.0, 200), [1.0 + 5e-13, -5e-13, 0.3])
-    rho12 = np.append(rng.uniform(0.0, 1.0, 200) * np.sqrt(w[:200] * (1.0 - w[:200])), [0.0, 1e-13, -1e-13])
-    theta = np.append(rng.uniform(-10.0, 10.0, 200), [3.0, 8.0, 2.0])
+    # the appended states lie inside the positivity slack, each in one direction
+    w = np.append(rng.uniform(0.0, 1.0, 200), [1.0 + 5e-13, -5e-13, 0.3, 0.5])
+    rho12 = np.append(rng.uniform(0.0, 1.0, 200) * np.sqrt(w[:200] * (1.0 - w[:200])), [0.0, 1e-13, -1e-13, 0.5 + 5e-13])
+    theta = np.append(rng.uniform(-10.0, 10.0, 200), [3.0, 8.0, 2.0, 1.0])
     stored = validate_density(w, rho12, theta)
+    assert stored[1][-4:].tolist() == [0.0, 0.0, 0.0, 0.5]
     stack = density_matrix(*stored)
     for i in range(w.size):
         rho = DensityMatrix(w[i], rho12[i], theta[i])
@@ -142,20 +144,20 @@ def test_stacked_family_members_match_the_scalar_observables():
         complementary_matrices(a_obs, [0.0, 10**400])
 
 
-def test_from_matrix_rejects_bad_input():
+def test_density_params_rejects_bad_input():
     with pytest.raises(ContractViolationError, match="Hermitian"):
-        DensityMatrix.from_matrix(np.array([[0.5, 0.1j], [0.1j, 0.5]]))
+        density_params(np.array([[0.5, 0.1j], [0.1j, 0.5]]))
     with pytest.raises(ContractViolationError, match="trace"):
-        DensityMatrix.from_matrix(np.eye(2, dtype=complex))
+        density_params(np.eye(2, dtype=complex))
 
 
-def test_density_params_read_stacks_as_from_matrix():
+def test_density_params_read_stacks_as_single_matrices():
     rng = np.random.default_rng(9)
     w = rng.uniform(0.0, 1.0, 100)
     stack = density_matrix(*validate_density(w, rng.uniform(0.0, 1.0, 100) * np.sqrt(w * (1.0 - w)), rng.uniform(-9.0, 9.0, 100)))
     stored = [x.tolist() for x in validate_density(*density_params(stack))]
     for i, m in enumerate(stack):
-        rho = DensityMatrix.from_matrix(m)
+        rho = DensityMatrix(*(float(x) for x in density_params(m)))
         assert (rho.w_plus, rho.rho12, rho.theta) == tuple(x[i] for x in stored)
     stack[3] *= 1.5
     with pytest.raises(ContractViolationError, match=r"trace = 1.5 differs from 1"):

@@ -84,24 +84,21 @@ def test_batched_suites_make_one_kernel_call_each(count_calls):
         count_calls(simultaneous, "distinguishability"),
         count_calls(simultaneous, "entangled_visibility"),
         count_calls(states.DensityMatrix, "__init__"),
-        count_calls(states.DensityMatrix, "from_matrix"),
     ]
     checks = {"robertson": 25000, "duality": 30000, "entangled_duality": 10404}
     for name in ("robertson", "duality", "entangled_duality"):
         result = verify.run_suite(name, "full", 42)
         assert (result.checks, result.failures) == (checks[name], 0)
         assert len(kernels[name]) == 1
-    assert scalar_calls == [[]] * 8
+    assert scalar_calls == [[]] * 7
 
     # The round trip reads all 500 matrices back in one call; the only
     # single-matrix read is the rejection check of a non-Hermitian matrix.
     for calls in kernels.values():
         calls.clear()
-    from_matrix = scalar_calls.pop()
     result = verify.run_suite("state_round_trip", "full", 42)
     assert (result.checks, result.failures) == (2003, 0)
     assert [np.shape(call[0]) for call in kernels["state_round_trip"]] == [(500, 2, 2), (2, 2)]
-    assert [np.shape(call[0]) for call in from_matrix] == [(2, 2)]
     for calls in scalar_calls:
         calls.clear()
 

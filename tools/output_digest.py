@@ -19,7 +19,7 @@ seeds 1-3, the ``compute --c`` calls of ``ROUNDING_EDGES`` and
 ``CONDITIONING_EDGES``, ``sweep`` of both figures at 2001 points, ``verify``
 at both levels for seeds 1-10, 42, 343578368 and 11705, ``verify --selftest-corrupt``
 at both levels, and ``mc`` at three settings for each of ``MC_SHOTS``. It
-takes about ten seconds.
+takes a few seconds.
 """
 
 from __future__ import annotations
