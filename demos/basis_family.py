@@ -13,13 +13,12 @@ import math
 import numpy as np
 
 from qudual import (
+    REFERENCE,
     complementary_observable,
     complementary_triplet,
     duality_report,
-    predictability_of_b,
+    family_arrays,
     pure_state,
-    symmetric_observable,
-    visibility_of_b,
 )
 
 
@@ -31,9 +30,8 @@ def main():
     print()
 
     print(" varrho     P_B       V_B     P_B^2+V_B^2")
-    for varrho in np.linspace(0.0, math.pi, 13):
-        p_b = predictability_of_b(rho, float(varrho))
-        v_b = visibility_of_b(rho, float(varrho))
+    phases = np.linspace(0.0, math.pi, 13)
+    for varrho, p_b, v_b in zip(phases, *family_arrays(rho.w_plus, rho.rho12, rho.theta, phases)):
         mark = ""
         if abs(varrho - rho.theta) < 1e-9:
             mark = "  <- proper member (varrho = theta)"
@@ -42,9 +40,8 @@ def main():
         print(f"  {varrho:5.3f}  {p_b:8.5f}  {v_b:8.5f}   {p_b**2 + v_b**2:.9f}{mark}")
     print()
 
-    a_obs = symmetric_observable()
-    b_obs = complementary_observable(a_obs, rho.theta)
-    a_hat, b_hat, c_hat = (obs.matrix for obs in complementary_triplet(a_obs, rho.theta))
+    b_obs = complementary_observable(REFERENCE, rho.theta)
+    a_hat, b_hat, c_hat = (obs.matrix for obs in complementary_triplet(REFERENCE, rho.theta))
     comm = a_hat @ b_hat - b_hat @ a_hat
     print("closing the algebra with the proper member:")
     print(f"  B eigenvalues          {np.linalg.eigvalsh(b_obs.matrix).round(12)}")

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from qudual import (
+    REFERENCE,
     complementary_observable,
     entangle,
     optimal_entanglement,
@@ -19,7 +20,6 @@ from qudual import (
     sample_fringe,
     sample_sharp,
     sample_simultaneous,
-    symmetric_observable,
     visibility,
 )
 
@@ -37,14 +37,13 @@ def show(rep):
 
 
 def main():
-    a_obs = symmetric_observable()
-    b_obs = complementary_observable(a_obs, THETA)
+    b_obs = complementary_observable(REFERENCE, THETA)
     rho = pure_state(W_PLUS, THETA)
     print(f"state: w+ = {W_PLUS}, theta = {THETA}; n = {N}, seed = {SEED}")
     print()
 
     print("sharp projective sampling:")
-    show(sample_sharp(rho, a_obs, N, SEED, stream=1))
+    show(sample_sharp(rho, REFERENCE, N, SEED, stream=1))
     show(sample_sharp(rho, b_obs, N, SEED, stream=2))
     print()
 

@@ -12,17 +12,17 @@ import math
 import numpy as np
 
 from qudual import (
+    REFERENCE,
     DensityMatrix,
     complementary_observable,
     intelligent_state,
     is_residual,
     normalized_product_bounds,
     robertson,
-    symmetric_observable,
 )
 
 VARRHO = 0.9
-A = symmetric_observable()
+A = REFERENCE
 B = complementary_observable(A, VARRHO)
 
 

@@ -32,13 +32,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import montecarlo, verify
-from .duality import (
-    duality_arrays,
-    duality_report,
-    predictability_of_b,
-    visibility,
-    visibility_of_b,
-)
+from .duality import duality_arrays, duality_report, family_arrays, visibility
 from .errors import ParameterError, QudualError, check_scalar
 from .simultaneous import (
     distinguishability,
@@ -51,7 +45,7 @@ from .simultaneous import (
     optimal_entanglement,
     simultaneous_product,
 )
-from .states import DensityMatrix, complementary_observable, pure_state, symmetric_observable
+from .states import REFERENCE, DensityMatrix, complementary_observable, pure_state
 from .uncertainty import mean_var, normalized_product_bounds, robertson
 
 CSV_HEADER = "w_plus,P,V,product_min,product_max,D,V_e,c_opt,sim_product_min"
@@ -101,11 +95,11 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     varrho = rho.theta if args.varrho is None else args.varrho
 
     rep = duality_report(rho)
-    a_obs = symmetric_observable()
-    b_obs = complementary_observable(a_obs, varrho)
-    mean_a, var_a = mean_var(rho, a_obs)
+    b_obs = complementary_observable(REFERENCE, varrho)
+    p_b, v_b = family_arrays(rho.w_plus, rho.rho12, rho.theta, varrho)
+    mean_a, var_a = mean_var(rho, REFERENCE)
     mean_b, var_b = mean_var(rho, b_obs)
-    bound = robertson(rho, a_obs, b_obs)
+    bound = robertson(rho, REFERENCE, b_obs)
     lo, hi = normalized_product_bounds(rho.w_plus)
 
     pairs = [
@@ -117,8 +111,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         ("V", rep.v),
         ("P2_plus_V2", rep.sum_sq),
         ("varrho", varrho),
-        ("P_B", predictability_of_b(rho, varrho)),
-        ("V_B", visibility_of_b(rho, varrho)),
+        ("P_B", p_b),
+        ("V_B", v_b),
         ("mean_A", mean_a),
         ("var_A", var_a),
         ("mean_B", mean_b),
@@ -215,8 +209,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
                 "where the meter readout is singular (it requires 0 < c < 1); pass --c"
             )
     rho = pure_state(args.w_plus, args.theta)
-    a_obs = symmetric_observable()
-    b_obs = complementary_observable(a_obs, varrho)
+    b_obs = complementary_observable(REFERENCE, varrho)
     psi = entangle(args.w_plus, args.theta, c)
 
     # Draw every sample before printing, so a failed run writes no stdout; the
@@ -224,7 +217,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     # sampler has its own streams of the seed: 1, 2, 3, and 4-19 for the scan.
     joint = montecarlo.sample_simultaneous(psi, varrho, args.n, seed, stream=3)
     reports = [
-        replace(montecarlo.sample_sharp(rho, a_obs, args.n, seed, stream=1), quantity="sharp_a"),
+        replace(montecarlo.sample_sharp(rho, REFERENCE, args.n, seed, stream=1), quantity="sharp_a"),
         replace(montecarlo.sample_sharp(rho, b_obs, args.n, seed, stream=2), quantity="sharp_b"),
         *joint,
     ]

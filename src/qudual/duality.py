@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, check_scalar
+from .errors import ContractViolationError, check_array, check_scalar
 from .states import DensityMatrix, purity
 
 # Largest oracle grid: the scan peaks near 8 * grid_n**2 bytes, 34 MB here.
@@ -34,8 +34,7 @@ __all__ = [
     "visibility",
     "fringe_probability",
     "visibility_oracle",
-    "predictability_of_b",
-    "visibility_of_b",
+    "family_arrays",
     "DualityReport",
     "duality_arrays",
     "duality_report",
@@ -112,26 +111,23 @@ def visibility_oracle(rho: DensityMatrix, grid_n: int = 512) -> tuple[float, flo
     return v_hat, xi_hat
 
 
-def predictability_of_b(rho: DensityMatrix, varrho: float) -> float:
-    """Predictability of the complementary family member at phase ``varrho``.
+def family_arrays(w_plus, rho12, theta, varrho) -> tuple[np.ndarray, np.ndarray]:
+    """Predictability and visibility ``(P_B, V_B)`` of the family member at phase ``varrho``, elementwise.
 
-    Equals ``2 * rho12 * |cos(theta - varrho)|``; largest for the proper
-    member ``varrho = theta``, zero at the erasure phases
-    ``varrho = theta +- pi/2``.
+    Takes valid state parameters, as :func:`duality_arrays` does, and phases
+    that broadcast with them; a non-finite phase raises a :class:`ParameterError`.
+    ``P_B = 2 rho12 |cos(theta - varrho)|`` is largest for the proper member
+    ``varrho = theta`` and zero at the erasure phases ``varrho = theta +- pi/2``;
+    ``V_B = sqrt(P**2 + 4 rho12**2 sin(theta - varrho)**2)``, so ``(P_B, V_B)``
+    carries the squared sum of ``(P, V)`` for every ``varrho``. ``np.float_power``
+    squares through C ``pow``, as Python's ``x ** 2`` does, so a stack and one
+    state round alike.
     """
-    return 2.0 * rho.rho12 * abs(math.cos(rho.theta - varrho))
-
-
-def visibility_of_b(rho: DensityMatrix, varrho: float) -> float:
-    """Visibility of the complementary family member at phase ``varrho``.
-
-    Equals ``sqrt(P**2 + 4 rho12**2 sin(theta - varrho)**2)``, so the pair
-    ``(P_B, V_B)`` carries the same squared sum as ``(P, V)`` for every
-    ``varrho``.
-    """
-    p = _imbalance(rho.w_plus)
-    s = math.sin(rho.theta - varrho)
-    return math.sqrt(p * p + 4.0 * rho.rho12 ** 2 * s * s)
+    w, r, t = (np.asarray(x, dtype=float) for x in (w_plus, rho12, theta))
+    delta = t - check_array(varrho, "varrho")
+    p = _imbalance(w)
+    s = np.sin(delta)
+    return 2.0 * r * np.abs(np.cos(delta)), np.sqrt(p * p + 4.0 * np.float_power(r, 2) * s * s)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ def assert_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ContractViolationError(f"{name} must be square, got shape {m.shape}")
     dev = float(np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0))
-    if dev > HERMITICITY_TOL:
+    if not dev <= HERMITICITY_TOL:  # NaN fails too
         raise ContractViolationError(
             f"{name} is not Hermitian: max |m - m^dagger| = {dev:.3e} exceeds {HERMITICITY_TOL:.1e}"
         )
@@ -53,7 +53,7 @@ def assert_unitary(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ContractViolationError(f"{name} must be square, got shape {m.shape}")
     dev = float(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])), initial=0.0))
-    if dev > UNITARITY_TOL:
+    if not dev <= UNITARITY_TOL:  # NaN fails too
         raise ContractViolationError(
             f"{name} is not unitary: max |m^dagger m - 1| = {dev:.3e} exceeds {UNITARITY_TOL:.1e}"
         )

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import fringe_probability
-from .errors import ParameterError, check_scalar
+from .errors import ParameterError, check_array, check_scalar
 from .simultaneous import EntangledState, estimate_a, estimate_b, meter_projectors
-from .states import GAUGE, DensityMatrix, Observable, complementary_observable, symmetric_observable
+from .states import GAUGE, REFERENCE, DensityMatrix, Observable, complementary_observable
 from .uncertainty import mean_var
 
 Z_FLAG_THRESHOLD = 4.0
@@ -175,7 +175,7 @@ def sample_fringe(
     Returns the contrast ``(max - min) / (max + min)`` of the empirical
     probabilities together with the probabilities themselves.
     """
-    phi_grid = np.asarray(phi_grid, dtype=float)
+    phi_grid = check_array(phi_grid, "phi_grid")
     if phi_grid.ndim != 1 or phi_grid.size < 2:
         raise ParameterError(f"phi_grid must hold at least 2 phases, got shape {phi_grid.shape}")
     n_per_point = int(check_scalar(n_per_point, "n_per_point", 1, MAX_SHOTS))
@@ -224,7 +224,7 @@ def sample_simultaneous(
 
     # System stage: conditional probability of the + outcome of the
     # complementary member, given each meter outcome.
-    vec_plus = complementary_observable(symmetric_observable(), varrho).vec_plus
+    vec_plus = complementary_observable(REFERENCE, varrho).vec_plus
     q = np.empty(2)
     for k, (p, amp) in enumerate(cond):
         overlap = float(abs(np.vdot(vec_plus, amp)) ** 2)

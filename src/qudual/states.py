@@ -8,8 +8,8 @@ two-outcome and carry their eigenbasis explicitly, which makes the
 complementary family (equal-weight superpositions of the reference basis at
 a relative phase ``varrho``) a first-class construction. A family member
 carries the outcome values of its reference observable; the symmetric
-reference has outcomes ``+-GAUGE``, and every other two-outcome gauge is an
-affine relabelling of those.
+reference :data:`REFERENCE` has outcomes ``+-GAUGE``, and every other
+two-outcome gauge is an affine relabelling of those.
 
 A state or observable computes its matrix once and returns it read-only.
 :func:`validate_density`, :func:`density_matrix` and
@@ -58,7 +58,7 @@ __all__ = [
     "density_matrix",
     "Observable",
     "pure_state",
-    "symmetric_observable",
+    "REFERENCE",
     "complementary_observable",
     "complementary_matrices",
     "complementary_triplet",
@@ -160,7 +160,7 @@ def density_params(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if m.shape[-2:] != (2, 2):
         raise ContractViolationError(f"density matrix must be 2x2, got {m.shape}")
     tr = m[..., 0, 0].real + m[..., 1, 1].real
-    bad = np.abs(tr - 1.0) > TRACE_TOL
+    bad = ~(np.abs(tr - 1.0) <= TRACE_TOL)  # NaN fails too
     if bad.any():
         raise ContractViolationError(
             f"density matrix trace = {float(tr[bad].flat[0])!r} differs from 1 beyond {TRACE_TOL:.1e}"
@@ -249,9 +249,10 @@ def _spectral_matrix(basis: np.ndarray, val_plus: float, val_minus: float) -> np
     return basis @ np.diag([val_plus, val_minus]) @ basis.conj().swapaxes(-1, -2)
 
 
-def symmetric_observable() -> Observable:
-    """Reference-basis observable with outcomes ``+GAUGE`` and ``-GAUGE``."""
-    return Observable(GAUGE, -GAUGE)
+# Reference-basis observable with outcomes +GAUGE and -GAUGE, built and
+# checked once: it is frozen and its basis and matrix are read-only, so every
+# caller shares this instance.
+REFERENCE = Observable(GAUGE, -GAUGE)
 
 
 def _member_basis(reference: Observable, varrho) -> np.ndarray:

@@ -183,7 +183,7 @@ class IntelligentState:
 def intelligent_state(family: str, param: float, varrho: float, branch: int = 1) -> IntelligentState:
     """Construct a member of one of the three intelligent-state families.
 
-    ``A`` is :func:`qudual.states.symmetric_observable` and ``B`` its family
+    ``A`` is :data:`qudual.states.REFERENCE` and ``B`` its family
     member at ``varrho``; both have outcomes ``+-GAUGE``, so ``lam`` carries
     no ratio of outcome spreads. ``family`` selects the parameterization:
 

@@ -16,17 +16,19 @@ explicit projection, and :func:`minimum_product_report` reaches the minimum
 simultaneous product through the long closed form, a golden-section search
 over ``c`` and the two compact candidates. Neither is in ``__all__``.
 
-Seven suites make one stacked pass per grid, with the checks, counts and
+Eight suites make one stacked pass per grid, with the checks, counts and
 notes of a loop over its states: ``duality``, ``robertson``,
 ``entangled_duality``, ``product_bounds`` (kernels ``duality_arrays``,
-``robertson_arrays``, ``entangled_arrays``), ``state_round_trip`` (one
-``density_params`` read), ``unbiasedness`` (one projection of the grid, one
-of the probes) and ``linalg_core`` (one ``trace_norm`` call and one
-eigenvalue pass over its 200 matrices, against LAPACK's ``eigvalsh`` and
-``svd``). Functions under test stay per state: ``entangle``,
-``estimate_a``, ``estimate_b``, ``intelligent_state`` and ``is_residual``.
-``complementary_family`` loops because ``predictability_of_b`` and
-``visibility_of_b`` take one state.
+``robertson_arrays``, ``entangled_arrays``), ``complementary_family`` (one
+``duality_arrays`` call and ``family_arrays`` at the random, proper and
+erasure phases), ``state_round_trip`` (one ``density_params`` read),
+``unbiasedness`` (one projection of the grid, one of the probes) and
+``linalg_core`` (one ``trace_norm`` call and one eigenvalue pass over its
+200 matrices, against LAPACK's ``eigvalsh`` and ``svd``). Functions under
+test stay per state or per phase: ``entangle``, ``estimate_a``,
+``estimate_b``, ``intelligent_state``, ``is_residual``, and
+``complementary_observable`` and ``complementary_triplet`` over the 50
+phases of ``complementary_family``.
 """
 
 from __future__ import annotations
@@ -37,14 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import montecarlo
-from .duality import (
-    duality_arrays,
-    predictability,
-    predictability_of_b,
-    visibility,
-    visibility_of_b,
-    visibility_oracle,
-)
+from .duality import duality_arrays, family_arrays, visibility, visibility_oracle
 from .errors import ContractViolationError, ParameterError
 from .linalg import _mean_half_gap, trace_norm
 from .simultaneous import (
@@ -59,6 +54,7 @@ from .simultaneous import (
 )
 from .states import (
     GAUGE,
+    REFERENCE,
     TWO_PI,
     DensityMatrix,
     complementary_matrices,
@@ -68,7 +64,6 @@ from .states import (
     density_params,
     pure_state,
     purity,
-    symmetric_observable,
     validate_density,
 )
 from .uncertainty import (
@@ -247,7 +242,7 @@ def projected_readout_moments(psi: np.ndarray, c, varrho) -> tuple:
     """
     c, varrho = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(varrho, dtype=float))
     meters = {x: meter_projectors(x) for x in set(c.flat)}
-    members = {x: complementary_observable(symmetric_observable(), x).basis.T for x in set(varrho.flat)}
+    members = {x: complementary_observable(REFERENCE, x).basis.T for x in set(varrho.flat)}
     # Outcome k of each readout: row k of the meter vectors, of the member vectors.
     m = np.array([meters[x].basis.T for x in c.flat]).reshape(c.shape + (2, 2))
     values = np.array([(meters[x].val_plus, meters[x].val_minus) for x in c.flat]).reshape(c.shape + (2,))
@@ -430,25 +425,26 @@ def _suite_duality(t: _Tally, size: dict, rng: np.random.Generator, corrupt: boo
 
 def _suite_complementary_family(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
     w, rho12, theta, phases = _random_states(rng, 1000, phases=1)
-    for i in range(1000):
-        rho = DensityMatrix(w[i], rho12[i], theta[i])
-        varrho = float(phases[i, 0])
-        base = predictability(rho) ** 2 + visibility(rho) ** 2
-        rotated = predictability_of_b(rho, varrho) ** 2 + visibility_of_b(rho, varrho) ** 2
-        t.close(rotated, base, 1e-12, f"family invariance #{i}")
-        t.close(predictability_of_b(rho, rho.theta), visibility(rho), 1e-12, f"proper choice swaps V into P_B #{i}")
-        t.close(visibility_of_b(rho, rho.theta), predictability(rho), 1e-12, f"proper choice swaps P into V_B #{i}")
-        t.close(predictability_of_b(rho, rho.theta + math.pi / 2.0), 0.0, 1e-12, f"erasure kills P_B #{i}")
-        t.close(visibility_of_b(rho, rho.theta + math.pi / 2.0) ** 2, base, 1e-12, f"erasure moves everything into V_B #{i}")
+    p, v, base, _ = duality_arrays(w, rho12)
+    p_b, v_b = family_arrays(w, rho12, theta, phases[:, 0])
+    proper_p, proper_v = family_arrays(w, rho12, theta, theta)
+    erased_p, erased_v = family_arrays(w, rho12, theta, theta + math.pi / 2.0)
+    t.check_batch(
+        _close_entry(p_b * p_b + v_b * v_b, base, 1e-12, lambda i: f"family invariance #{i}"),
+        _close_entry(proper_p, v, 1e-12, lambda i: f"proper choice swaps V into P_B #{i}"),
+        _close_entry(proper_v, p, 1e-12, lambda i: f"proper choice swaps P into V_B #{i}"),
+        _close_entry(erased_p, 0.0, 1e-12, lambda i: f"erasure kills P_B #{i}"),
+        _close_entry(erased_v * erased_v, base, 1e-12, lambda i: f"erasure moves everything into V_B #{i}"),
+    )
 
     for i in range(50):
         varrho = rng.uniform(0.0, TWO_PI)
-        member = complementary_observable(symmetric_observable(), varrho)
+        member = complementary_observable(REFERENCE, varrho)
         vp, vm = member.vec_plus, member.vec_minus
         t.check(float(np.abs(np.abs(vp) - math.sqrt(0.5)).max()) <= 1e-12, f"unbiased member magnitudes #{i}")
         t.close(abs(np.vdot(vp, vm)), 0.0, 1e-12, f"member orthogonality #{i}")
         for handedness in (1, -1):
-            a_obs, b_obs, c_obs = complementary_triplet(symmetric_observable(), varrho, handedness)
+            a_obs, b_obs, c_obs = complementary_triplet(REFERENCE, varrho, handedness)
             comm = a_obs.matrix @ b_obs.matrix - b_obs.matrix @ a_obs.matrix
             target = 1j * handedness * c_obs.matrix
             t.check(
@@ -476,10 +472,9 @@ def _suite_fringe_oracle(t: _Tally, size: dict, rng: np.random.Generator, corrup
 
 
 def _suite_robertson(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
-    a_obs = symmetric_observable()
     w, rho12, theta, phases = _random_states(rng, size["robertson"], phases=1)
-    b_m = complementary_matrices(a_obs, phases[:, 0])
-    slack = robertson_slack(*robertson_arrays(density_matrix(w, rho12, theta), a_obs.matrix, b_m))
+    b_m = complementary_matrices(REFERENCE, phases[:, 0])
+    slack = robertson_slack(*robertson_arrays(density_matrix(w, rho12, theta), REFERENCE.matrix, b_m))
     # Slack has a closed form of its own for this pair: the coherence
     # deficit (w+ w- - rho12^2) / 4 at unit eigenvalue gaps.
     target = (w * (1.0 - w) - rho12 * rho12) / 4.0
@@ -493,18 +488,17 @@ def _suite_robertson(t: _Tally, size: dict, rng: np.random.Generator, corrupt: b
 
 def _suite_intelligent_states(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
     varrho = 0.9
-    a_obs = symmetric_observable()
-    b_obs = complementary_observable(a_obs, varrho)
+    b_obs = complementary_observable(REFERENCE, varrho)
 
     def common_checks(tag: str, st) -> float:
         """The checks every family shares; returns the variance product ``Var(A) Var(B)``."""
-        rep = robertson(st.state, a_obs, b_obs)
+        rep = robertson(st.state, REFERENCE, b_obs)
         t.check(abs(rep.slack) <= 1e-10, f"{tag} saturates the bound: {rep.slack!r}")
         lam = st.lam
         if math.isinf(abs(lam)):
             t.check(True, f"{tag} infinite stretch accepted at singular point")
             return rep.lhs
-        res = is_residual(st.state, lam, a_obs, b_obs)
+        res = is_residual(st.state, lam, REFERENCE, b_obs)
         t.check(res <= 1e-10, f"{tag} eigen-equation residual: {res!r}")
         lam_sq = abs(lam) ** 2
         t.check(
@@ -539,7 +533,6 @@ def _suite_intelligent_states(t: _Tally, size: dict, rng: np.random.Generator, c
 
 
 def _suite_product_bounds(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
-    a_obs = symmetric_observable()
     for alpha in np.linspace(0.0, math.pi / 2.0, 201):
         w = math.sin(float(alpha)) ** 2
         k = w * (1.0 - w)
@@ -556,8 +549,8 @@ def _suite_product_bounds(t: _Tally, size: dict, rng: np.random.Generator, corru
     varrho = [0.6 - delta for delta in deltas] + [0.6 - math.pi / 2.0]
     w = np.repeat(ws, len(varrho))
     rho_m = density_matrix(*validate_density(w, np.sqrt(w * (1.0 - w)), 0.6))
-    b_m = complementary_matrices(a_obs, np.tile(varrho, ws.size))
-    var_a, var_b, _, _ = robertson_arrays(rho_m, a_obs.matrix, b_m)
+    b_m = complementary_matrices(REFERENCE, np.tile(varrho, ws.size))
+    var_a, var_b, _, _ = robertson_arrays(rho_m, REFERENCE.matrix, b_m)
     prod = (var_a * var_b).reshape(ws.size, len(varrho))
     lo, hi = np.array([normalized_product_bounds(x) for x in ws.tolist()]).T
 
@@ -591,8 +584,7 @@ def _suite_entangled_duality(t: _Tally, size: dict, rng: np.random.Generator, co
 
 def _suite_unbiasedness(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
     varrho = math.pi / 5.0
-    a_obs = symmetric_observable()
-    b_obs = complementary_observable(a_obs, varrho)
+    b_obs = complementary_observable(REFERENCE, varrho)
     tenths = [k / 10.0 for k in range(1, 10)]
     thetas = [TWO_PI * j / 8.0 for j in range(8)]
     grid = [(w, theta, c) for w in tenths for theta in thetas for c in tenths]
@@ -669,13 +661,12 @@ def _suite_minimum_product(t: _Tally, size: dict, rng: np.random.Generator, corr
 def _suite_monte_carlo(t: _Tally, size: dict, rng: np.random.Generator, corrupt: bool, seed: int) -> None:
     n = size["mc_n"]
     theta = 0.3
-    a_obs = symmetric_observable()
-    b_obs = complementary_observable(a_obs, theta)
+    b_obs = complementary_observable(REFERENCE, theta)
     rho = pure_state(0.9, theta)
 
     # Each sampler has its own streams of the seed: 1, 2, 3, 4-19 and 20-35
     # for the two scans, and 36; the suites' own draws take streams from 1000.
-    rep = montecarlo.sample_sharp(rho, a_obs, n, seed, stream=1)
+    rep = montecarlo.sample_sharp(rho, REFERENCE, n, seed, stream=1)
     t.check(not rep.flagged and not rep.degenerate, f"sharp reference readout z=({rep.z_mean:.2f},{rep.z_variance:.2f})")
     rep = montecarlo.sample_sharp(rho, b_obs, n, seed, stream=2)
     t.check(not rep.flagged and not rep.degenerate, f"sharp complementary readout z=({rep.z_mean:.2f},{rep.z_variance:.2f})")
@@ -692,7 +683,7 @@ def _suite_monte_carlo(t: _Tally, size: dict, rng: np.random.Generator, corrupt:
     tol = 0.1 if n < 100000 else 0.02
     t.close(v_hat, 0.6, tol, "sampled contrast tracks the coherence")
 
-    rep = montecarlo.sample_sharp(DensityMatrix(1.0, 0.0), a_obs, 5, seed, stream=36)
+    rep = montecarlo.sample_sharp(DensityMatrix(1.0, 0.0), REFERENCE, 5, seed, stream=36)
     t.check(rep.degenerate and rep.empirical_variance == 0.0, "eigenstate sampling is degenerate")
 
 

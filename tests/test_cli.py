@@ -11,6 +11,7 @@ from qudual import (
     MAX_RESCALED_VALUE,
     MAX_SAMPLED_VALUE,
     MAX_SHOTS,
+    REFERENCE,
     DensityMatrix,
     Observable,
     ParameterError,
@@ -30,7 +31,6 @@ from qudual import (
     sample_simultaneous,
     simultaneous,
     simultaneous_product,
-    symmetric_observable,
     verify,
     visibility_oracle,
 )
@@ -248,7 +248,6 @@ def test_mc_default_overlap_at_a_singular_population_asks_for_c(capsys, w_plus):
 
 
 _PSI = entangle(0.9, 0.3, 0.6)
-_FAMILY_REFERENCE = symmetric_observable()
 
 SCALAR_ENTRY_POINTS = {
     "DensityMatrix.w_plus": lambda x: DensityMatrix(x, 0.0),
@@ -259,9 +258,9 @@ SCALAR_ENTRY_POINTS = {
     "pure_state.theta": lambda x: pure_state(0.5, x),
     "Observable.val_plus": lambda x: Observable(x, -0.5),
     "Observable.val_minus": lambda x: Observable(0.5, x),
-    "complementary_observable.varrho": lambda x: complementary_observable(_FAMILY_REFERENCE, x),
+    "complementary_observable.varrho": lambda x: complementary_observable(REFERENCE, x),
     # the stacked family: each phase is checked, and every member takes the reference's values
-    "ComplementaryFamily.varrho": lambda x: complementary_matrices(_FAMILY_REFERENCE, [0.0, x]),
+    "ComplementaryFamily.varrho": lambda x: complementary_matrices(REFERENCE, [0.0, x]),
     "ComplementaryFamily.b_plus": lambda x: complementary_matrices(Observable(x, -0.5), [0.0, 0.3]),
     "entangle.w_plus": lambda x: entangle(x, 0.0, 0.5),
     "entangle.theta": lambda x: entangle(0.5, x, 0.5),
@@ -278,7 +277,7 @@ SCALAR_ENTRY_POINTS = {
     "sample_simultaneous.varrho": lambda x: sample_simultaneous(_PSI, x, 10, 1),
     "sample_fringe.xi": lambda x: sample_fringe(pure_state(0.5), np.linspace(0.0, 6.0, 4), x, 10, 1),
     "sample_fringe.n_per_point": lambda x: sample_fringe(pure_state(0.5), np.linspace(0.0, 6.0, 4), 0.5, x, 1),
-    "sample_sharp.n": lambda x: sample_sharp(pure_state(0.5), _FAMILY_REFERENCE, x, 1),
+    "sample_sharp.n": lambda x: sample_sharp(pure_state(0.5), REFERENCE, x, 1),
     "sample_simultaneous.n": lambda x: sample_simultaneous(_PSI, 0.3, x, 1),
     "visibility_oracle.grid_n": lambda x: visibility_oracle(pure_state(0.5), x),
 }

@@ -11,12 +11,12 @@ from qudual import (
     ParameterError,
     duality_arrays,
     duality_report,
+    family_arrays,
     fringe_probability,
     predictability,
-    predictability_of_b,
     pure_state,
+    validate_density,
     visibility,
-    visibility_of_b,
     visibility_oracle,
 )
 
@@ -114,19 +114,40 @@ def test_oracle_tracks_coherence(w, u, theta):
 def test_family_frozen_values():
     rho = pure_state(0.9, 0.3)
     # proper phase choice swaps the roles of P and V
-    assert predictability_of_b(rho, 0.3) == pytest.approx(0.6, abs=1e-15)
-    assert visibility_of_b(rho, 0.3) == pytest.approx(0.8, abs=1e-15)
+    p_b, v_b = family_arrays(rho.w_plus, rho.rho12, rho.theta, 0.3)
+    assert p_b == pytest.approx(0.6, abs=1e-15)
+    assert v_b == pytest.approx(0.8, abs=1e-15)
     # erasure choice erases all predictability of the member outcome
-    assert predictability_of_b(rho, 0.3 + math.pi / 2.0) == pytest.approx(0.0, abs=1e-15)
-    assert visibility_of_b(rho, 0.3 + math.pi / 2.0) == pytest.approx(1.0, abs=1e-15)
+    p_b, v_b = family_arrays(rho.w_plus, rho.rho12, rho.theta, 0.3 + math.pi / 2.0)
+    assert p_b == pytest.approx(0.0, abs=1e-15)
+    assert v_b == pytest.approx(1.0, abs=1e-15)
 
 
 @given(w=w_values, u=fractions, theta=angles, varrho=angles)
 def test_family_rotation_preserves_the_sum(w, u, theta, varrho):
     rho = draw_state(w, u, theta)
     base = predictability(rho) ** 2 + visibility(rho) ** 2
-    rotated = predictability_of_b(rho, varrho) ** 2 + visibility_of_b(rho, varrho) ** 2
-    assert rotated == pytest.approx(base, abs=1e-12)
+    p_b, v_b = family_arrays(rho.w_plus, rho.rho12, rho.theta, varrho)
+    assert p_b**2 + v_b**2 == pytest.approx(base, abs=1e-12)
+
+
+def test_family_stack_matches_each_state_alone():
+    rng = np.random.default_rng(4)
+    w = rng.uniform(0.0, 1.0, 300)
+    w, rho12, theta = validate_density(w, rng.uniform(0.0, 1.0, 300) * np.sqrt(w * (1.0 - w)), rng.uniform(0.0, 7.0, 300))
+    varrho = rng.uniform(-20.0, 20.0, 300)
+    stack = [x.tolist() for x in family_arrays(w, rho12, theta, varrho)]
+    for i in range(w.size):
+        alone = family_arrays(float(w[i]), float(rho12[i]), float(theta[i]), float(varrho[i]))
+        assert tuple(float(x) for x in alone) == (stack[0][i], stack[1][i])
+
+
+@pytest.mark.parametrize("varrho", [math.nan, math.inf, -math.inf])
+def test_family_rejects_a_non_finite_phase(varrho):
+    with pytest.raises(ParameterError, match="varrho = "):
+        family_arrays(0.9, 0.3, 0.3, varrho)
+    with pytest.raises(ParameterError, match="varrho = "):
+        family_arrays([0.9, 0.5], [0.3, 0.5], [0.3, 1.0], [0.2, varrho])
 
 
 @given(w=w_values, u=fractions, theta=angles)

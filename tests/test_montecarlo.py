@@ -9,6 +9,7 @@ import pytest
 
 from qudual import (
     MAX_SHOTS,
+    REFERENCE,
     DensityMatrix,
     ParameterError,
     complementary_observable,
@@ -19,12 +20,11 @@ from qudual import (
     sample_fringe,
     sample_sharp,
     sample_simultaneous,
-    symmetric_observable,
 )
 from qudual import montecarlo, verify
 from qudual.cli import main
 
-A = symmetric_observable()
+A = REFERENCE
 PHI_GRID = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
 
 
@@ -77,6 +77,9 @@ def test_sample_size_validation():
         sample_fringe(pure_state(0.5), PHI_GRID, math.pi / 4.0, 0, seed=1)
     with pytest.raises(ParameterError, match="phi_grid"):
         sample_fringe(pure_state(0.5), np.array([0.0]), math.pi / 4.0, 10, seed=1)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ParameterError, match="phi_grid = "):
+            sample_fringe(pure_state(0.5), np.append(PHI_GRID, bad), math.pi / 4.0, 10, seed=1)
 
 
 def test_balanced_pure_state_gives_exact_full_contrast():

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qudual import (
+    REFERENCE,
     DensityMatrix,
     Observable,
     ParameterError,
@@ -26,7 +27,6 @@ from qudual import (
     optimal_entanglement,
     pure_state,
     simultaneous_product,
-    symmetric_observable,
 )
 from qudual.verify import minimum_product_report, projected_readout_moments
 
@@ -207,7 +207,7 @@ def test_readouts_are_unbiased(w, theta, c, varrho):
     psi = entangle(w, theta, c)
     (mean_a, _), (mean_b, _) = assert_matches_projection(psi, varrho)
     assert mean_a == pytest.approx(0.5 * (2.0 * w - 1.0), abs=1e-12)
-    b_obs = complementary_observable(symmetric_observable(), varrho)
+    b_obs = complementary_observable(REFERENCE, varrho)
     sharp_b, _ = mean_var(pure_state(w, theta), b_obs)
     assert mean_b == pytest.approx(sharp_b, abs=1e-12)
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qudual import (
+    REFERENCE,
     ContractViolationError,
     DensityMatrix,
     Observable,
@@ -16,7 +17,6 @@ from qudual import (
     density_matrix,
     density_params,
     pure_state,
-    symmetric_observable,
     validate_density,
 )
 
@@ -82,8 +82,8 @@ def test_purity_matches_trace_of_square(w, u, theta):
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: DensityMatrix(0.7, 0.2, 0.5), lambda: complementary_observable(symmetric_observable(), 0.9)],
-    ids=["state", "observable"],
+    [lambda: DensityMatrix(0.7, 0.2, 0.5), lambda: complementary_observable(REFERENCE, 0.9), lambda: REFERENCE],
+    ids=["state", "observable", "reference"],
 )
 def test_matrix_is_computed_once_and_read_only(make):
     obj = make()
@@ -132,16 +132,15 @@ def test_stacked_states_raise_the_scalar_errors(w, rho12, theta, match):
 def test_stacked_family_members_match_the_scalar_observables():
     varrho = np.linspace(-7.0, 13.0, 101)
     # members carry the outcome values of their reference, the +-1/2 or others
-    for a_obs in (symmetric_observable(), Observable(2.0, -1.0)):
+    for a_obs in (REFERENCE, Observable(2.0, -1.0)):
         stack = complementary_matrices(a_obs, varrho)
         for i, phase in enumerate(varrho):
             np.testing.assert_array_equal(stack[i], complementary_observable(a_obs, phase).matrix)
         np.testing.assert_allclose(np.linalg.eigvalsh(stack), np.tile([a_obs.val_minus, a_obs.val_plus], (varrho.size, 1)))
-    a_obs = symmetric_observable()
     with pytest.raises(ParameterError, match="varrho = nan"):
-        complementary_matrices(a_obs, [0.0, np.nan])
+        complementary_matrices(REFERENCE, [0.0, np.nan])
     with pytest.raises(ParameterError, match="varrho = inf"):
-        complementary_matrices(a_obs, [0.0, 10**400])
+        complementary_matrices(REFERENCE, [0.0, 10**400])
 
 
 def test_density_params_rejects_bad_input():
@@ -149,6 +148,9 @@ def test_density_params_rejects_bad_input():
         density_params(np.array([[0.5, 0.1j], [0.1j, 0.5]]))
     with pytest.raises(ContractViolationError, match="trace"):
         density_params(np.eye(2, dtype=complex))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ContractViolationError):
+            density_params(np.array([[bad, 0.0], [0.0, 0.5]]))
 
 
 def test_density_params_read_stacks_as_single_matrices():
@@ -167,8 +169,8 @@ def test_density_params_read_stacks_as_single_matrices():
         density_params(stack)
 
 
-def test_symmetric_observable_matrix():
-    obs = symmetric_observable()
+def test_reference_matrix():
+    obs = REFERENCE
     np.testing.assert_allclose(obs.matrix, np.diag([0.5, -0.5]), atol=1e-15)
     assert obs.val_plus == 0.5 and obs.val_minus == -0.5
 
@@ -178,10 +180,15 @@ def test_observable_rejects_equal_values_and_bad_basis():
         Observable(1.0, 1.0)
     with pytest.raises(ContractViolationError, match="unitary"):
         Observable(1.0, -1.0, basis=np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ContractViolationError, match="unitary"):
+            Observable(0.5, -0.5, np.full((2, 2), bad))
+        with pytest.raises(ContractViolationError, match="unitary"):
+            Observable(0.5, -0.5, np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 def test_family_members_are_unbiased_superpositions():
-    obs = complementary_observable(symmetric_observable(), 0.9)
+    obs = complementary_observable(REFERENCE, 0.9)
     vp, vm = obs.vec_plus, obs.vec_minus
     np.testing.assert_allclose(vp, np.array([1.0, np.exp(0.9j)]) / math.sqrt(2.0), atol=1e-15)
     np.testing.assert_allclose(vm, np.array([1.0, -np.exp(0.9j)]) / math.sqrt(2.0), atol=1e-15)
@@ -193,7 +200,7 @@ def test_family_members_are_unbiased_superpositions():
 
 
 def test_complementary_observable_matrix():
-    obs = complementary_observable(symmetric_observable(), 0.9)
+    obs = complementary_observable(REFERENCE, 0.9)
     target = 0.5 * np.array([[0.0, np.exp(-0.9j)], [np.exp(0.9j), 0.0]])
     np.testing.assert_allclose(obs.matrix, target, atol=1e-15)
 
@@ -201,7 +208,7 @@ def test_complementary_observable_matrix():
 @given(varrho=angles)
 def test_triplet_commutators_close(varrho):
     for handedness in (1, -1):
-        a_obs, b_obs, c_obs = complementary_triplet(symmetric_observable(), varrho, handedness)
+        a_obs, b_obs, c_obs = complementary_triplet(REFERENCE, varrho, handedness)
         comm = a_obs.matrix @ b_obs.matrix - b_obs.matrix @ a_obs.matrix
         np.testing.assert_allclose(comm, 1j * handedness * c_obs.matrix, atol=1e-14)
         # both partners carry the outcome values of the reference
@@ -211,4 +218,4 @@ def test_triplet_commutators_close(varrho):
 
 def test_triplet_rejects_bad_handedness():
     with pytest.raises(ParameterError, match="handedness"):
-        complementary_triplet(symmetric_observable(), 0.0, 2)
+        complementary_triplet(REFERENCE, 0.0, 2)

@@ -6,6 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qudual import (
+    REFERENCE,
     ContractViolationError,
     DensityMatrix,
     ParameterError,
@@ -21,7 +22,6 @@ from qudual import (
     robertson,
     robertson_arrays,
     robertson_slack,
-    symmetric_observable,
     visibility,
 )
 
@@ -29,7 +29,7 @@ w_values = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 fractions = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False)
 
-A = symmetric_observable()
+A = REFERENCE
 
 
 def b_at(varrho):

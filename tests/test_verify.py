@@ -8,7 +8,7 @@ from qudual import DensityMatrix, duality, linalg, montecarlo, simultaneous, sta
 from qudual.cli import main
 from qudual.errors import ParameterError
 from qudual.simultaneous import entangle, estimate_a, estimate_b
-from qudual.states import TWO_PI, complementary_observable, pure_state, symmetric_observable
+from qudual.states import REFERENCE, TWO_PI, complementary_observable, pure_state
 
 GOLDEN = Path(__file__).parent / "golden"
 TENTHS = [k / 10.0 for k in range(1, 10)]
@@ -191,12 +191,11 @@ def test_planted_floor_fault_keeps_the_loop_notes(monkeypatch):
 
     monkeypatch.setattr(verify, "normalized_product_bounds", planted)
     result = verify.run_suite("product_bounds", "full", 42)
-    a_obs = symmetric_observable()
-    b_obs = complementary_observable(a_obs, 0.6)
+    b_obs = complementary_observable(REFERENCE, 0.6)
     notes = []
     for w in sorted(faulty):
         rho = pure_state(w, 0.6)
-        product = uncertainty.mean_var(rho, a_obs)[1] * uncertainty.mean_var(rho, b_obs)[1]
+        product = uncertainty.mean_var(rho, REFERENCE)[1] * uncertainty.mean_var(rho, b_obs)[1]
         notes.append(f"product within bounds w={w:.3f} d=0.000")
         notes.append(f"proper choice reaches the floor w={w:.3f}: {product!r} vs {planted(w)[0]!r}")
     assert (result.checks, result.failures) == (1137, 8)
