@@ -1,5 +1,7 @@
 import math
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -217,6 +219,121 @@ def test_planted_round_trip_fault_keeps_the_loop_notes(monkeypatch):
     faulty = [(i, r) for i, (x, r) in enumerate(zip(w.tolist(), rho12.tolist())) if x > 0.9 and r > 1e-9]
     assert (result.checks, result.failures) == (2003, len(faulty))
     assert list(result.notes) == [f"round trip rho12 #{i}: {r - 1e-9!r} vs {r!r}" for i, r in faulty[:6]]
+
+
+def _shift(outputs, *deltas):
+    """``outputs`` with ``deltas`` added to its leading entries."""
+    return (*(x + d for x, d in zip(outputs, deltas)), *outputs[len(deltas):])
+
+
+def _skewed_member(exact):
+    """``complementary_observable`` whose minus vector leans 1e-9 toward its plus vector."""
+
+    def planted(reference, varrho):
+        member = exact(reference, varrho)
+        return SimpleNamespace(vec_plus=member.vec_plus, vec_minus=member.vec_minus + 1e-9 * member.vec_plus)
+
+    return planted
+
+
+# One planted fault per suite, as (suite, name rebound in verify, fault built
+# from the exact function, checks, failures, notes of verify at full, seed 42).
+PLANTED_FAULTS = [
+    pytest.param(
+        "linalg_core", "trace_norm", lambda exact: lambda m: exact(m) * (1.0 + 1e-9), 402, 202,
+        [
+            "trace norm diag: 1.000000001 vs 1.0",
+            "trace norm of projector difference: 1.6000000016000002 vs 1.6",
+            "trace norm against svd #0: 3.741526240145674 vs 3.741526236404147",
+            "trace norm against svd #1: 3.210621993193396 vs 3.2106219899827737",
+            "trace norm against svd #2: 5.523417154210724 vs 5.523417148687306",
+            "trace norm against svd #3: 8.837885687078417 vs 8.83788567824053",
+        ],
+        id="linalg_core",
+    ),
+    pytest.param(
+        "complementary_family", "complementary_observable", _skewed_member, 5200, 50,
+        [
+            "member orthogonality #0: np.float64(9.999999786569624e-10) vs 0.0",
+            "member orthogonality #1: np.float64(1.000000082740371e-09) vs 0.0",
+            "member orthogonality #2: np.float64(1.0000000272292212e-09) vs 0.0",
+            "member orthogonality #3: np.float64(1.0000001243737344e-09) vs 0.0",
+            "member orthogonality #4: np.float64(1.000000082740371e-09) vs 0.0",
+            "member orthogonality #5: np.float64(1.0000000688625836e-09) vs 0.0",
+        ],
+        id="complementary_family-members",
+    ),
+    pytest.param(
+        "complementary_family", "family_arrays", lambda exact: lambda w, *a: _shift(exact(w, *a), 1e-9 * (w > 0.9)),
+        5200, 207,
+        [
+            "family invariance #21: 1.0000000001314702 vs 1.0",
+            "proper choice swaps V into P_B #21: 0.44638982955987 vs 0.44638982855986997",
+            "erasure kills P_B #21: 1.0000000273334937e-09 vs 0.0",
+            "family invariance #54: 0.7234672464213551 vs 0.7234672464198065",
+            "proper choice swaps V into P_B #54: 0.0011402730523328468 vs 0.001140272052332847",
+            "erasure kills P_B #54: 1.0000000000698216e-09 vs 0.0",
+        ],
+        id="complementary_family-stack",
+    ),
+    pytest.param(
+        "fringe_oracle", "visibility_oracle", lambda exact: lambda rho, grid_n: _shift(exact(rho, grid_n=grid_n), 0.01, 0.1),
+        45, 45,
+        [
+            "oracle contrast state #0: 0.6099999999999999 vs 0.6",
+            "oracle coupling angle state #0: 0.8853981633974483",
+            "oracle contrast state #1: 1.01 vs 1.0",
+            "oracle coupling angle state #1: 0.8853981633974483",
+            "oracle contrast state #2: 0.01 vs 0.0",
+            "oracle contrast state #3: 0.6013817599255521 vs 0.5913835645638575",
+        ],
+        id="fringe_oracle",
+    ),
+    pytest.param(
+        "robertson", "robertson_slack", lambda exact: lambda *a: exact(*a) - 1e-9, 25000, 20000,
+        [
+            "robertson slack identity #0: 0.050612339327984174 vs 0.0506123403279842",
+            "robertson bound #1: -1.0000000017347235e-09",
+            "robertson slack identity #1: -1.0000000017347235e-09 vs 1.734723475976807e-18",
+            "pure state saturation #1: -1.0000000017347235e-09",
+            "robertson slack identity #2: 0.04411957450851235 vs 0.044119575508512365",
+            "robertson bound #3: -9.999999843874888e-10",
+        ],
+        id="robertson",
+    ),
+    pytest.param(
+        "intelligent_states", "intelligent_state", lambda exact: lambda *a: replace(exact(*a), lam=exact(*a).lam + 1e-9),
+        588, 219,
+        [
+            "IS1 stretch is imaginary",
+            "IS1 w=0.00 br=1 eigen-equation residual: 4.999999999999999e-10",
+            "IS1 stretch is imaginary",
+            "IS1 w=0.05 br=1 eigen-equation residual: 4.4999998002413533e-10",
+            "IS1 stretch is imaginary",
+            "IS1 w=0.10 br=1 eigen-equation residual: 3.9999996308211083e-10",
+        ],
+        id="intelligent_states",
+    ),
+    pytest.param(
+        "entangled_duality", "entangled_arrays", lambda exact: lambda *a: _shift(exact(*a), -1e-9), 10404, 2751,
+        [
+            "erasure-free duality w=0.00 c=0.00: 0.9999999980000001 vs 1.0",
+            "predictability below distinguishability w=0.00 c=0.00",
+            "erasure-free duality w=0.00 c=0.02: 0.9999999980000005 vs 1.0",
+            "predictability below distinguishability w=0.00 c=0.02",
+            "erasure-free duality w=0.00 c=0.04: 0.9999999980000001 vs 1.0",
+            "predictability below distinguishability w=0.00 c=0.04",
+        ],
+        id="entangled_duality",
+    ),
+]
+
+
+@pytest.mark.parametrize("suite, name, plant, checks, failures, notes", PLANTED_FAULTS)
+def test_planted_fault_keeps_its_notes(monkeypatch, suite, name, plant, checks, failures, notes):
+    monkeypatch.setattr(verify, name, plant(getattr(verify, name)))
+    result = verify.run_suite(suite, "full", 42)
+    assert (result.checks, result.failures, list(result.notes)) == (checks, failures, notes)
 
 
 @pytest.mark.parametrize("level", ["fast", "full"])
