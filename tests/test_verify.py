@@ -44,21 +44,23 @@ def test_batched_draw_reproduces_the_state_loop(n, phases):
 
 def test_batch_tally_matches_a_loop_over_the_elements():
     rng = np.random.default_rng(3)
-    ok = [rng.random(50) > 0.8, rng.random(50) > 0.5, rng.random(50) > 0.3]
+    # Each element passes where its draw reaches the threshold; a NaN fails.
+    deviation = [-rng.random(50), -rng.random(50), -rng.random(50)]
+    deviation[1][::7] = np.nan
     where = rng.random(50) > 0.4
     loop, batch = verify._Tally("loop"), verify._Tally("batch")
     for tally in (loop, batch):
-        tally.check(False, "earlier note")
-        tally.check(False, "another earlier note")
+        tally.check((1.0, 0.0, "earlier note"))
+        tally.check((math.nan, 0.0, "another earlier note"))
     for i in range(50):
-        loop.check(bool(ok[0][i]), f"first #{i}")
-        loop.check(bool(ok[1][i]), f"second #{i}")
+        loop.check((deviation[0][i], -0.8, f"first #{i}"))
+        loop.check((deviation[1][i], -0.5, f"second #{i}"))
         if where[i]:
-            loop.check(bool(ok[2][i]), f"third #{i}")
-    batch.check_batch(
-        (ok[0], lambda i: f"first #{i}"),
-        (ok[1], lambda i: f"second #{i}"),
-        (ok[2], lambda i: f"third #{i}", where),
+            loop.check((deviation[2][i], -0.3, f"third #{i}"))
+    batch.check(
+        (deviation[0], -0.8, lambda i: f"first #{i}"),
+        (deviation[1], np.full(50, -0.5), lambda i: f"second #{i}"),
+        (deviation[2], -0.3, lambda i: f"third #{i}", where),
     )
     assert (batch.checks, batch.failures, batch.notes) == (loop.checks, loop.failures, loop.notes)
     assert len(batch.notes) == verify._Tally._MAX_NOTES
@@ -254,12 +256,12 @@ PLANTED_FAULTS = [
     pytest.param(
         "complementary_family", "complementary_observable", _skewed_member, 5200, 50,
         [
-            "member orthogonality #0: np.float64(9.999999786569624e-10) vs 0.0",
-            "member orthogonality #1: np.float64(1.000000082740371e-09) vs 0.0",
-            "member orthogonality #2: np.float64(1.0000000272292212e-09) vs 0.0",
-            "member orthogonality #3: np.float64(1.0000001243737344e-09) vs 0.0",
-            "member orthogonality #4: np.float64(1.000000082740371e-09) vs 0.0",
-            "member orthogonality #5: np.float64(1.0000000688625836e-09) vs 0.0",
+            "member orthogonality #0: 9.999999786569624e-10 vs 0.0",
+            "member orthogonality #1: 1.000000082740371e-09 vs 0.0",
+            "member orthogonality #2: 1.0000000272292212e-09 vs 0.0",
+            "member orthogonality #3: 1.0000001243737344e-09 vs 0.0",
+            "member orthogonality #4: 1.000000082740371e-09 vs 0.0",
+            "member orthogonality #5: 1.0000000688625836e-09 vs 0.0",
         ],
         id="complementary_family-members",
     ),
