@@ -26,15 +26,23 @@ __all__ = [
 ]
 
 
+def _finite_square(m: np.ndarray, name: str, contract: str) -> np.ndarray:
+    """``m`` as a complex array, raising before any arithmetic unless it is square with finite entries."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ContractViolationError(f"{name} must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ContractViolationError(f"{name} is not {contract}: it has a NaN or infinite entry")
+    return m
+
+
 def assert_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Return ``m`` as a complex array, raising if it is not Hermitian within :data:`HERMITICITY_TOL`.
 
     A stack of shape ``(..., n, n)`` is checked matrix by matrix; the message
     reports the largest deviation in the stack.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ContractViolationError(f"{name} must be square, got shape {m.shape}")
+    m = _finite_square(m, name, "Hermitian")
     dev = float(np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0))
     if not dev <= HERMITICITY_TOL:  # NaN fails too
         raise ContractViolationError(
@@ -49,9 +57,7 @@ def assert_unitary(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     A stack of shape ``(..., n, n)`` is checked matrix by matrix; the message
     reports the largest deviation in the stack.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ContractViolationError(f"{name} must be square, got shape {m.shape}")
+    m = _finite_square(m, name, "unitary")
     dev = float(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])), initial=0.0))
     if not dev <= UNITARITY_TOL:  # NaN fails too
         raise ContractViolationError(

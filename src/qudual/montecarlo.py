@@ -53,7 +53,9 @@ __all__ = [
 
 
 def _generator(seed: int, stream: int = 0) -> np.random.Generator:
-    """Philox generator keyed by (seed, stream); counter-based and splittable."""
+    """Philox generator keyed by (seed, stream), each an integer taken modulo 2**64; counter-based and splittable."""
+    if not (isinstance(seed, (int, np.integer)) and isinstance(stream, (int, np.integer))):
+        raise ParameterError(f"seed and stream must be integers, got seed = {seed!r}, stream = {stream!r}")
     key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -72,14 +72,16 @@ def test_contract_guards_raise_with_deviation():
         assert_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), name="probe")
     with pytest.raises(ContractViolationError, match="unitary"):
         assert_unitary(2.0 * np.eye(2, dtype=complex), name="probe")
-    # a non-finite entry fails the contract rather than slipping past the comparison
+    # a non-finite entry fails the contract before any arithmetic, so NumPy warns of nothing
     for bad in (np.nan, np.inf):
-        with pytest.raises(ContractViolationError, match="Hermitian"):
-            assert_hermitian(np.array([[bad, 0.0], [0.0, 0.5]]), name="probe")
-        with pytest.raises(ContractViolationError, match="Hermitian"):
-            trace_norm(np.full((2, 2), bad))
-        with pytest.raises(ContractViolationError, match="unitary"):
-            assert_unitary(np.array([[1.0, 0.0], [0.0, bad]]), name="probe")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError, match="probe is not Hermitian: it has a NaN or infinite entry"):
+                assert_hermitian(np.array([[bad, 0.0], [0.0, 0.5]]), name="probe")
+            with pytest.raises(ContractViolationError, match="Hermitian"):
+                trace_norm(np.full((2, 2), bad))
+            with pytest.raises(ContractViolationError, match="probe is not unitary: it has a NaN or infinite entry"):
+                assert_unitary(np.array([[1.0, 0.0], [0.0, bad]]), name="probe")
 
 
 def test_unitarity_guard_checks_every_matrix_of_a_stack():

@@ -82,6 +82,22 @@ def test_sample_size_validation():
             sample_fringe(pure_state(0.5), np.append(PHI_GRID, bad), math.pi / 4.0, 10, seed=1)
 
 
+@pytest.mark.parametrize("seed", [math.inf, math.nan, 1.5])
+def test_a_seed_that_is_not_an_integer_is_rejected(seed):
+    with pytest.raises(ParameterError, match=f"seed and stream must be integers, got seed = {seed!r}"):
+        verify.run_suite("duality", "fast", seed)
+    with pytest.raises(ParameterError, match=f"seed and stream must be integers, got seed = {seed!r}"):
+        sample_sharp(DensityMatrix(0.5, 0.0), A, 10, seed=seed)
+
+
+def test_integer_seeds_keep_their_64_bit_keys():
+    # numpy integers, negative seeds and seeds past 2**64 key the generator modulo 2**64, as before
+    draw = montecarlo._generator(5, stream=7).random()
+    assert montecarlo._generator(np.int64(5), stream=np.uint8(7)).random() == draw
+    assert montecarlo._generator(5 + 2**64, stream=7 - 2**64).random() == draw
+    assert montecarlo._generator(-1, 0).random() == montecarlo._generator(2**64 - 1, 0).random()
+
+
 def test_balanced_pure_state_gives_exact_full_contrast():
     # the scan hits probabilities exactly 0 and 1, so the empirical contrast
     # is exactly 1 whatever the seed
