@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from qudual import (
-    REFERENCE,
     complementary_observable,
     complementary_triplet,
     duality_report,
@@ -40,8 +39,8 @@ def main():
         print(f"  {varrho:5.3f}  {p_b:8.5f}  {v_b:8.5f}   {p_b**2 + v_b**2:.9f}{mark}")
     print()
 
-    b_obs = complementary_observable(REFERENCE, rho.theta)
-    a_hat, b_hat, c_hat = (obs.matrix for obs in complementary_triplet(REFERENCE, rho.theta))
+    b_obs = complementary_observable(rho.theta)
+    a_hat, b_hat, c_hat = (obs.matrix for obs in complementary_triplet(rho.theta))
     comm = a_hat @ b_hat - b_hat @ a_hat
     print("closing the algebra with the proper member:")
     print(f"  B eigenvalues          {np.linalg.eigvalsh(b_obs.matrix).round(12)}")

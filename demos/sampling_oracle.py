@@ -7,10 +7,6 @@ standardize the gap between empirical and predicted moments. Honest agreement
 means z-scores of order one; anything past |z| = 4 is flagged.
 """
 
-import math
-
-import numpy as np
-
 from qudual import (
     REFERENCE,
     complementary_observable,
@@ -37,7 +33,7 @@ def show(rep):
 
 
 def main():
-    b_obs = complementary_observable(REFERENCE, THETA)
+    b_obs = complementary_observable(THETA)
     rho = pure_state(W_PLUS, THETA)
     print(f"state: w+ = {W_PLUS}, theta = {THETA}; n = {N}, seed = {SEED}")
     print()
@@ -48,8 +44,7 @@ def main():
     print()
 
     print("fringe contrast from binomial counts along a 16-point phase scan:")
-    v_hat, _ = sample_fringe(rho, np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False),
-                             math.pi / 4.0, N // 16, SEED, stream=4)
+    v_hat = sample_fringe(rho, N // 16, SEED, stream=4)
     print(f"  empirical V = {v_hat:.5f} vs closed form {visibility(rho):.5f}")
     print()
 

@@ -23,7 +23,7 @@ from qudual import (
 
 VARRHO = 0.9
 A = REFERENCE
-B = complementary_observable(A, VARRHO)
+B = complementary_observable(VARRHO)
 
 
 def main():

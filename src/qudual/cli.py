@@ -95,7 +95,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     varrho = rho.theta if args.varrho is None else args.varrho
 
     rep = duality_report(rho)
-    b_obs = complementary_observable(REFERENCE, varrho)
+    b_obs = complementary_observable(varrho)
     p_b, v_b = family_arrays(rho.w_plus, rho.rho12, rho.theta, varrho)
     mean_a, var_a = mean_var(rho, REFERENCE)
     mean_b, var_b = mean_var(rho, b_obs)
@@ -209,20 +209,19 @@ def _cmd_mc(args: argparse.Namespace) -> int:
                 "where the meter readout is singular (it requires 0 < c < 1); pass --c"
             )
     rho = pure_state(args.w_plus, args.theta)
-    b_obs = complementary_observable(REFERENCE, varrho)
+    b_obs = complementary_observable(varrho)
     psi = entangle(args.w_plus, args.theta, c)
 
     # Draw every sample before printing, so a failed run writes no stdout; the
     # joint readout goes first because it rejects a singular overlap. Each
-    # sampler has its own streams of the seed: 1, 2, 3, and 4-19 for the scan.
+    # sampler has its own stream of the seed: 1, 2, 3, and 4 for the scan.
     joint = montecarlo.sample_simultaneous(psi, varrho, args.n, seed, stream=3)
     reports = [
         replace(montecarlo.sample_sharp(rho, REFERENCE, args.n, seed, stream=1), quantity="sharp_a"),
         replace(montecarlo.sample_sharp(rho, b_obs, args.n, seed, stream=2), quantity="sharp_b"),
         *joint,
     ]
-    phi_grid = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
-    v_hat, _ = montecarlo.sample_fringe(rho, phi_grid, math.pi / 4.0, max(args.n // 16, 1), seed, stream=4)
+    v_hat = montecarlo.sample_fringe(rho, max(args.n // 16, 1), seed, stream=4)
 
     print(f"sampling at w_plus={_fmt(args.w_plus)} theta={_fmt(args.theta)} varrho={_fmt(varrho)} c={_fmt(c)} seed={seed}")
     for rep in reports:

@@ -70,10 +70,11 @@ def fringe_probability(rho: DensityMatrix, phi, xi):
     ``p = cos(xi)**2 m00 + sin(xi)**2 m11 - 2 cos(xi) sin(xi) Im(m10 exp(i phi))``:
     the one complex factor depends on ``phi`` alone, so each ``(phi, xi)``
     point costs a few real multiply-adds. ``phi`` and ``xi`` may be scalars
-    or broadcastable arrays; the result has the broadcast shape.
+    or broadcastable arrays; the result has the broadcast shape. A NaN or
+    infinite phase or angle raises a :class:`ParameterError`.
     """
-    phi = np.asarray(phi, dtype=float)
-    xi = np.asarray(xi, dtype=float)
+    phi = check_array(phi, "phi")
+    xi = check_array(xi, "xi")
     m = rho.matrix
     cos_xi = np.cos(xi)
     sin_xi = np.sin(xi)

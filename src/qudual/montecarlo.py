@@ -1,8 +1,8 @@
 """Sampling oracles that check the closed forms against simulated experiments.
 
-Every sampler draws from a counter-based generator (Philox) keyed by a seed
-and a stream index, so runs are reproducible bit for bit and shards drawn on
-independent streams can be merged without coordination. Reports compare the
+Every sampler draws from one counter-based generator (Philox) keyed by a seed
+and a stream index, so runs are reproducible bit for bit and samplers on
+different streams draw independently of each other. Reports compare the
 empirical mean and variance against the analytic values through z-scores
 built from the exact sampling distribution of the estimator (two-outcome
 distributions, so the fourth central moment entering the variance standard
@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import fringe_probability
-from .errors import ParameterError, check_array, check_scalar
+from .errors import ParameterError, check_scalar
 from .simultaneous import EntangledState, estimate_a, estimate_b, meter_projectors
-from .states import GAUGE, REFERENCE, DensityMatrix, Observable, complementary_observable
+from .states import GAUGE, DensityMatrix, Observable, complementary_observable
 from .uncertainty import mean_var
 
 Z_FLAG_THRESHOLD = 4.0
@@ -40,6 +40,11 @@ MAX_SAMPLED_VALUE = sys.float_info.max ** 0.25 / 2.0
 MAX_SHOTS = 10**12
 
 _MASK64 = (1 << 64) - 1
+
+# The phase scan of sample_fringe: 16 phases over [0, 2 pi) behind the
+# balanced splitter.
+_SCAN_PHI = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+_SCAN_XI = math.pi / 4.0
 
 __all__ = [
     "Z_FLAG_THRESHOLD",
@@ -162,35 +167,19 @@ def sample_sharp(
     )
 
 
-def sample_fringe(
-    rho: DensityMatrix,
-    phi_grid: np.ndarray,
-    xi: float,
-    n_per_point: int,
-    seed: int,
-    stream: int = 0,
-) -> tuple[float, np.ndarray]:
-    """Empirical fringe contrast from binomial counts along a phase scan.
+def sample_fringe(rho: DensityMatrix, n_per_point: int, seed: int, stream: int = 0) -> float:
+    """Empirical fringe contrast from binomial counts along the phase scan.
 
-    Phase point ``j`` is sampled on its own stream ``stream + j``, so the
-    scan can be sharded without changing the result.
-    Returns the contrast ``(max - min) / (max + min)`` of the empirical
-    probabilities together with the probabilities themselves.
+    The scan is 16 phases over [0, 2 pi) behind the balanced splitter,
+    ``xi = pi/4``. Phase ``j`` gets one ``Bin(n_per_point, p_j)`` count, and
+    the 16 counts are one draw from the (seed, stream) generator. Returns
+    their contrast ``(max - min) / (max + min)``, 0 when every count is 0.
     """
-    phi_grid = check_array(phi_grid, "phi_grid")
-    if phi_grid.ndim != 1 or phi_grid.size < 2:
-        raise ParameterError(f"phi_grid must hold at least 2 phases, got shape {phi_grid.shape}")
     n_per_point = int(check_scalar(n_per_point, "n_per_point", 1, MAX_SHOTS))
-    xi = check_scalar(xi, "xi")
-    p_hat = np.empty(phi_grid.size)
-    for j, phi in enumerate(phi_grid):
-        p = float(fringe_probability(rho, phi, xi))
-        p = min(max(p, 0.0), 1.0)
-        p_hat[j] = _generator(seed, stream + j).binomial(n_per_point, p) / n_per_point
-    top = float(p_hat.max() - p_hat.min())
-    bottom = float(p_hat.max() + p_hat.min())
-    v_hat = top / bottom if bottom > 0.0 else 0.0
-    return v_hat, p_hat
+    p = np.clip(fringe_probability(rho, _SCAN_PHI, _SCAN_XI), 0.0, 1.0)
+    k = _generator(seed, stream).binomial(n_per_point, p)
+    top, bottom = int(k.max() - k.min()), int(k.max() + k.min())
+    return top / bottom if bottom > 0 else 0.0
 
 
 def sample_simultaneous(
@@ -226,7 +215,7 @@ def sample_simultaneous(
 
     # System stage: conditional probability of the + outcome of the
     # complementary member, given each meter outcome.
-    vec_plus = complementary_observable(REFERENCE, varrho).vec_plus
+    vec_plus = complementary_observable(varrho).vec_plus
     q = np.empty(2)
     for k, (p, amp) in enumerate(cond):
         overlap = float(abs(np.vdot(vec_plus, amp)) ** 2)

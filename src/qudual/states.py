@@ -6,10 +6,10 @@ it: populations ``w_plus`` and ``w_minus = 1 - w_plus`` of a reference basis
 ``sqrt(w_plus * w_minus)``, and a coherence phase ``theta``. Observables are
 two-outcome and carry their eigenbasis explicitly, which makes the
 complementary family (equal-weight superpositions of the reference basis at
-a relative phase ``varrho``) a first-class construction. A family member
-carries the outcome values of its reference observable; the symmetric
-reference :data:`REFERENCE` has outcomes ``+-GAUGE``, and every other
-two-outcome gauge is an affine relabelling of those.
+a relative phase ``varrho``) a first-class construction. Family members
+carry the outcome values ``+-GAUGE`` of the symmetric reference
+:data:`REFERENCE`, and every other two-outcome gauge is an affine
+relabelling of those.
 
 A state or observable computes its matrix once and returns it read-only.
 :func:`validate_density`, :func:`density_matrix` and
@@ -255,59 +255,56 @@ def _spectral_matrix(basis: np.ndarray, val_plus: float, val_minus: float) -> np
 REFERENCE = Observable(GAUGE, -GAUGE)
 
 
-def _member_basis(reference: Observable, varrho) -> np.ndarray:
+def _member_basis(varrho) -> np.ndarray:
     """Eigenbases ``(..., 2, 2)`` of the family members at wrapped phases ``varrho``.
 
     Column 0 is ``|b+>`` and column 1 is ``|b->``.
     """
     phase = np.exp(1j * np.asarray(varrho))[..., None]
-    a_plus = reference.vec_plus
-    a_minus = reference.vec_minus
+    a_plus = REFERENCE.vec_plus
+    a_minus = REFERENCE.vec_minus
     return np.stack([a_plus + phase * a_minus, a_plus - phase * a_minus], axis=-1) / math.sqrt(2.0)
 
 
-def complementary_observable(reference: Observable, varrho: float) -> Observable:
-    """The family member complementary to ``reference`` at relative phase ``varrho``.
+def complementary_observable(varrho: float) -> Observable:
+    """The family member complementary to :data:`REFERENCE` at relative phase ``varrho``.
 
-    For a reference observable with eigenvectors ``|a+>, |a->``, the member
-    at phase ``varrho`` (wrapped to [0, 2 pi)) has eigenvectors::
+    With the reference eigenvectors ``|a+>, |a->``, the member at phase
+    ``varrho`` (wrapped to [0, 2 pi)) has eigenvectors::
 
         |b+-> = (|a+> +- exp(i varrho) |a->) / sqrt(2)
 
-    and the outcome values of ``reference``. Every member is mutually
-    unbiased with respect to the reference basis.
+    and the outcome values ``+-GAUGE`` of the reference. Every member is
+    mutually unbiased with respect to the reference basis.
     """
     varrho = check_scalar(varrho, "varrho") % TWO_PI
-    return Observable(reference.val_plus, reference.val_minus, _member_basis(reference, varrho))
+    return Observable(REFERENCE.val_plus, REFERENCE.val_minus, _member_basis(varrho))
 
 
-def complementary_matrices(reference: Observable, varrho) -> np.ndarray:
+def complementary_matrices(varrho) -> np.ndarray:
     """Matrices ``(..., 2, 2)`` of the family members at phases ``varrho``, elementwise.
 
-    The stacked form of ``complementary_observable(reference, varrho).matrix``:
-    each phase is checked and wrapped as that function does, and each member
-    is built from its eigenbasis and the outcome values of ``reference``.
-    That basis is unitary by construction from the checked basis of
-    ``reference``, so it is not checked again.
+    The stacked form of ``complementary_observable(varrho).matrix``: each
+    phase is checked and wrapped as that function does, and each member is
+    built from its eigenbasis and the outcome values of :data:`REFERENCE`.
+    That basis is unitary by construction from the checked reference basis,
+    so it is not checked again.
     """
     varrho = np.remainder(check_array(varrho, "varrho"), TWO_PI)
-    basis = _member_basis(reference, varrho)
-    return _spectral_matrix(basis, reference.val_plus, reference.val_minus)
+    return _spectral_matrix(_member_basis(varrho), REFERENCE.val_plus, REFERENCE.val_minus)
 
 
-def complementary_triplet(
-    reference: Observable, varrho: float, handedness: int = 1
-) -> tuple[Observable, Observable, Observable]:
-    """Reference observable plus two complementary partners a quarter turn apart.
+def complementary_triplet(varrho: float, handedness: int = 1) -> tuple[Observable, Observable, Observable]:
+    """:data:`REFERENCE` plus two complementary partners a quarter turn apart.
 
-    Returns ``(A, B(varrho), B(varrho + handedness * pi/2))``; the partners
-    carry the outcome values of ``A``. With the ``+-GAUGE`` outcomes the
-    triplet closes the angular momentum algebra
+    Returns ``(A, B(varrho), B(varrho + handedness * pi/2))`` with
+    ``A = REFERENCE``. With the ``+-GAUGE`` outcomes the triplet closes the
+    angular momentum algebra
     ``[T2, T3] = i T1, [T3, T1] = i T2, [T1, T2] = i T3`` for ``handedness = +1``,
     and ``handedness = -1`` flips the sign of the cyclic commutator.
     """
     if handedness not in (1, -1):
         raise ParameterError(f"handedness must be +1 or -1, got {handedness!r}")
-    first = complementary_observable(reference, varrho)
-    second = complementary_observable(reference, varrho + handedness * math.pi / 2.0)
-    return reference, first, second
+    first = complementary_observable(varrho)
+    second = complementary_observable(varrho + handedness * math.pi / 2.0)
+    return REFERENCE, first, second

@@ -2,7 +2,6 @@ import math
 import re
 from decimal import Context, Decimal, localcontext
 
-import numpy as np
 import pytest
 
 from qudual import (
@@ -20,6 +19,7 @@ from qudual import (
     duality_report,
     entangle,
     estimate_b,
+    fringe_probability,
     intelligent_state,
     meter_projectors,
     normalized_product_bounds,
@@ -258,10 +258,9 @@ SCALAR_ENTRY_POINTS = {
     "pure_state.theta": lambda x: pure_state(0.5, x),
     "Observable.val_plus": lambda x: Observable(x, -0.5),
     "Observable.val_minus": lambda x: Observable(0.5, x),
-    "complementary_observable.varrho": lambda x: complementary_observable(REFERENCE, x),
-    # the stacked family: each phase is checked, and every member takes the reference's values
-    "ComplementaryFamily.varrho": lambda x: complementary_matrices(REFERENCE, [0.0, x]),
-    "ComplementaryFamily.b_plus": lambda x: complementary_matrices(Observable(x, -0.5), [0.0, 0.3]),
+    "complementary_observable.varrho": lambda x: complementary_observable(x),
+    # the stacked family: each phase is checked
+    "ComplementaryFamily.varrho": lambda x: complementary_matrices([0.0, x]),
     "entangle.w_plus": lambda x: entangle(x, 0.0, 0.5),
     "entangle.theta": lambda x: entangle(0.5, x, 0.5),
     "entangle.c": lambda x: entangle(0.5, 0.0, x),
@@ -275,8 +274,9 @@ SCALAR_ENTRY_POINTS = {
     "intelligent_state.beta": lambda x: intelligent_state("IS2a", x, 0.9),
     "intelligent_state.varrho": lambda x: intelligent_state("IS2b", 0.3, x),
     "sample_simultaneous.varrho": lambda x: sample_simultaneous(_PSI, x, 10, 1),
-    "sample_fringe.xi": lambda x: sample_fringe(pure_state(0.5), np.linspace(0.0, 6.0, 4), x, 10, 1),
-    "sample_fringe.n_per_point": lambda x: sample_fringe(pure_state(0.5), np.linspace(0.0, 6.0, 4), 0.5, x, 1),
+    "fringe_probability.phi": lambda x: fringe_probability(pure_state(0.5), [0.0, x], 0.3),
+    "fringe_probability.xi": lambda x: fringe_probability(pure_state(0.5), 0.3, x),
+    "sample_fringe.n_per_point": lambda x: sample_fringe(pure_state(0.5), x, 1),
     "sample_sharp.n": lambda x: sample_sharp(pure_state(0.5), REFERENCE, x, 1),
     "sample_simultaneous.n": lambda x: sample_simultaneous(_PSI, 0.3, x, 1),
     "visibility_oracle.grid_n": lambda x: visibility_oracle(pure_state(0.5), x),

@@ -1,4 +1,4 @@
-"""Every name a module imports is read somewhere in that module."""
+"""Every name a module imports is read somewhere in that module, and every library parameter in its function's body."""
 
 import ast
 from pathlib import Path
@@ -7,6 +7,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(p for d in ("src", "demos", "tools", "tests") for p in (ROOT / d).rglob("*.py"))
+LIBRARY = sorted((ROOT / "src" / "qudual").glob("*.py"))
+
+# The suite protocol of qudual.verify: every suite takes these, and reads what it needs.
+SUITE_PARAMETERS = ["t", "run", "rng"]
 
 
 def unread_imports(source: str) -> list[str]:
@@ -38,3 +42,51 @@ def test_the_scan_sees_an_unread_import():
 @pytest.mark.parametrize("path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES])
 def test_no_unread_imports(path):
     assert unread_imports(path.read_text()) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters of the functions and lambdas of ``source`` that their bodies never read.
+
+    A body includes the functions nested in it, so a closure's read counts.
+    A ``_suite_*`` function with exactly the suite protocol's parameters is
+    skipped.
+    """
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *(p for p in (a.vararg, a.kwarg) if p)]
+        name = getattr(node, "name", "lambda")
+        if name.startswith("_suite_") and [p.arg for p in params] == SUITE_PARAMETERS:
+            continue
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for part in body for n in ast.walk(part) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"line {p.lineno}: {name}.{p.arg}" for p in params if p.arg not in read]
+    return unread
+
+
+def test_the_scan_sees_an_unread_parameter():
+    source = (
+        "def f(a, b=1, *args, c, **kw):\n"
+        "    g = lambda x, y: x\n"
+        "    return a + c\n"
+        "def _suite_x(t, run, rng):\n"
+        "    pass\n"
+        "def _suite_y(t, run, rng, extra):\n"
+        "    return t\n"
+    )
+    assert unread_parameters(source) == [
+        "line 1: f.b",
+        "line 1: f.args",
+        "line 1: f.kw",
+        "line 6: _suite_y.run",
+        "line 6: _suite_y.rng",
+        "line 6: _suite_y.extra",
+        "line 2: lambda.y",
+    ]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=[str(p.relative_to(ROOT)) for p in LIBRARY])
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text()) == []

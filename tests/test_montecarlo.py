@@ -21,11 +21,10 @@ from qudual import (
     sample_sharp,
     sample_simultaneous,
 )
-from qudual import montecarlo, verify
+from qudual import duality, montecarlo, verify
 from qudual.cli import main
 
 A = REFERENCE
-PHI_GRID = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
 
 
 def test_same_seed_reproduces_bit_identical_reports():
@@ -39,10 +38,7 @@ def test_same_seed_reproduces_bit_identical_reports():
 
 def test_fringe_streams_are_reproducible():
     rho = pure_state(0.8, 0.4)
-    v1, p1 = sample_fringe(rho, PHI_GRID, math.pi / 4.0, 2000, seed=9)
-    v2, p2 = sample_fringe(rho, PHI_GRID, math.pi / 4.0, 2000, seed=9)
-    assert v1 == v2
-    np.testing.assert_array_equal(p1, p2)
+    assert sample_fringe(rho, 2000, seed=9) == sample_fringe(rho, 2000, seed=9)
 
 
 def test_sharp_report_moments_and_z_definition():
@@ -74,12 +70,7 @@ def test_sample_size_validation():
     with pytest.raises(ParameterError, match=r"n = 0 violates the bound 1 <= n <= 1e\+12$"):
         sample_sharp(DensityMatrix(0.5, 0.0), A, 0, seed=1)
     with pytest.raises(ParameterError, match=r"n_per_point = 0 violates the bound 1 <= n_per_point"):
-        sample_fringe(pure_state(0.5), PHI_GRID, math.pi / 4.0, 0, seed=1)
-    with pytest.raises(ParameterError, match="phi_grid"):
-        sample_fringe(pure_state(0.5), np.array([0.0]), math.pi / 4.0, 10, seed=1)
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ParameterError, match="phi_grid = "):
-            sample_fringe(pure_state(0.5), np.append(PHI_GRID, bad), math.pi / 4.0, 10, seed=1)
+        sample_fringe(pure_state(0.5), 0, seed=1)
 
 
 @pytest.mark.parametrize("seed", [math.inf, math.nan, 1.5])
@@ -101,19 +92,29 @@ def test_integer_seeds_keep_their_64_bit_keys():
 def test_balanced_pure_state_gives_exact_full_contrast():
     # the scan hits probabilities exactly 0 and 1, so the empirical contrast
     # is exactly 1 whatever the seed
-    v_hat, p_hat = sample_fringe(pure_state(0.5), PHI_GRID, math.pi / 4.0, 400, seed=77)
-    assert v_hat == 1.0
-    assert p_hat.min() == 0.0 and p_hat.max() == 1.0
+    assert sample_fringe(pure_state(0.5), 400, seed=77) == 1.0
 
 
 def test_fringe_contrast_tracks_coherence():
-    v_hat, _ = sample_fringe(pure_state(0.9, 0.7), PHI_GRID, math.pi / 4.0, 50000, seed=5)
-    assert v_hat == pytest.approx(0.6, abs=0.02)
+    assert sample_fringe(pure_state(0.9, 0.7), 50000, seed=5) == pytest.approx(0.6, abs=0.02)
+
+
+def test_fringe_scan_is_one_draw_from_one_generator(count_calls):
+    # the 16 counts are one Bin(n, p) vector draw from the (seed, stream) generator
+    rho, n = pure_state(0.8, 0.4), 3000
+    generators = count_calls(montecarlo, "_generator")
+    scans = count_calls(montecarlo, "fringe_probability")
+    v_hat = sample_fringe(rho, n, seed=9, stream=4)
+    assert (len(generators), len(scans)) == (1, 1)
+    phi = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    p = np.clip(duality.fringe_probability(rho, phi, math.pi / 4.0), 0.0, 1.0)
+    k = montecarlo._generator(9, stream=4).binomial(n, p)
+    assert v_hat == (k.max() - k.min()) / (k.max() + k.min())
 
 
 def test_complementary_sharp_sampling():
     rho = pure_state(0.9, 0.3)
-    b_obs = complementary_observable(A, 0.3)
+    b_obs = complementary_observable(0.3)
     rep = sample_sharp(rho, b_obs, 100000, seed=11)
     assert rep.analytic_variance == pytest.approx(0.16, abs=1e-15)
     assert not rep.flagged
@@ -190,7 +191,7 @@ def test_joint_counts_follow_the_meter_by_system_table():
     c, varrho, b = 0.5, 1.0, 0.5
     psi_e = entangle(0.7, 1.0, c)
     mp = meter_projectors(c)
-    vec_plus = complementary_observable(A, varrho).vec_plus
+    vec_plus = complementary_observable(varrho).vec_plus
     amps = [psi_e.system_meter() @ m.conj() for m in (mp.vec_plus, mp.vec_minus)]
     p1 = float(np.vdot(amps[0], amps[0]).real)
     q0, q1 = (abs(np.vdot(vec_plus, amp)) ** 2 / float(np.vdot(amp, amp).real) for amp in amps)
@@ -252,7 +253,7 @@ def test_chunked_joint_counts_equal_one_shot_draws(n, monkeypatch):
     assert [trials for trials, _ in log] == [n, n_m1, n - n_m1]
 
     # p1 and q from explicit projections, independent of the sampler's arithmetic
-    vec_plus = complementary_observable(A, varrho).vec_plus
+    vec_plus = complementary_observable(varrho).vec_plus
     amps = [psi_e.system_meter() @ m.conj() for m in (mp.vec_plus, mp.vec_minus)]
     p1 = float(np.vdot(amps[0], amps[0]).real)
     q = [abs(np.vdot(vec_plus, amp)) ** 2 / float(np.vdot(amp, amp).real) for amp in amps]
@@ -312,7 +313,7 @@ def test_runs_at_adjacent_seeds_share_no_generator_key(monkeypatch, capsys):
         _generator_keys(monkeypatch, lambda: verify.run_suite("monte_carlo", "fast", 43)),
     ]
     capsys.readouterr()
-    assert [len(keys) for keys in runs] == [19, 19, 37, 37]
+    assert [len(keys) for keys in runs] == [4, 4, 7, 7]
     for keys in runs:
         assert len(set(keys)) == len(keys)
     for i, j in itertools.combinations(range(len(runs)), 2):

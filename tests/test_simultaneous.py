@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qudual import (
-    REFERENCE,
     DensityMatrix,
     Observable,
     ParameterError,
@@ -207,7 +206,7 @@ def test_readouts_are_unbiased(w, theta, c, varrho):
     psi = entangle(w, theta, c)
     (mean_a, _), (mean_b, _) = assert_matches_projection(psi, varrho)
     assert mean_a == pytest.approx(0.5 * (2.0 * w - 1.0), abs=1e-12)
-    b_obs = complementary_observable(REFERENCE, varrho)
+    b_obs = complementary_observable(varrho)
     sharp_b, _ = mean_var(pure_state(w, theta), b_obs)
     assert mean_b == pytest.approx(sharp_b, abs=1e-12)
 

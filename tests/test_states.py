@@ -82,7 +82,7 @@ def test_purity_matches_trace_of_square(w, u, theta):
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: DensityMatrix(0.7, 0.2, 0.5), lambda: complementary_observable(REFERENCE, 0.9), lambda: REFERENCE],
+    [lambda: DensityMatrix(0.7, 0.2, 0.5), lambda: complementary_observable(0.9), lambda: REFERENCE],
     ids=["state", "observable", "reference"],
 )
 def test_matrix_is_computed_once_and_read_only(make):
@@ -131,16 +131,15 @@ def test_stacked_states_raise_the_scalar_errors(w, rho12, theta, match):
 
 def test_stacked_family_members_match_the_scalar_observables():
     varrho = np.linspace(-7.0, 13.0, 101)
-    # members carry the outcome values of their reference, the +-1/2 or others
-    for a_obs in (REFERENCE, Observable(2.0, -1.0)):
-        stack = complementary_matrices(a_obs, varrho)
-        for i, phase in enumerate(varrho):
-            np.testing.assert_array_equal(stack[i], complementary_observable(a_obs, phase).matrix)
-        np.testing.assert_allclose(np.linalg.eigvalsh(stack), np.tile([a_obs.val_minus, a_obs.val_plus], (varrho.size, 1)))
+    # members carry the outcome values of the reference
+    stack = complementary_matrices(varrho)
+    for i, phase in enumerate(varrho):
+        np.testing.assert_array_equal(stack[i], complementary_observable(phase).matrix)
+    np.testing.assert_allclose(np.linalg.eigvalsh(stack), np.tile([REFERENCE.val_minus, REFERENCE.val_plus], (varrho.size, 1)))
     with pytest.raises(ParameterError, match="varrho = nan"):
-        complementary_matrices(REFERENCE, [0.0, np.nan])
+        complementary_matrices([0.0, np.nan])
     with pytest.raises(ParameterError, match="varrho = inf"):
-        complementary_matrices(REFERENCE, [0.0, 10**400])
+        complementary_matrices([0.0, 10**400])
 
 
 def test_density_params_rejects_bad_input():
@@ -188,7 +187,7 @@ def test_observable_rejects_equal_values_and_bad_basis():
 
 
 def test_family_members_are_unbiased_superpositions():
-    obs = complementary_observable(REFERENCE, 0.9)
+    obs = complementary_observable(0.9)
     vp, vm = obs.vec_plus, obs.vec_minus
     np.testing.assert_allclose(vp, np.array([1.0, np.exp(0.9j)]) / math.sqrt(2.0), atol=1e-15)
     np.testing.assert_allclose(vm, np.array([1.0, -np.exp(0.9j)]) / math.sqrt(2.0), atol=1e-15)
@@ -200,7 +199,7 @@ def test_family_members_are_unbiased_superpositions():
 
 
 def test_complementary_observable_matrix():
-    obs = complementary_observable(REFERENCE, 0.9)
+    obs = complementary_observable(0.9)
     target = 0.5 * np.array([[0.0, np.exp(-0.9j)], [np.exp(0.9j), 0.0]])
     np.testing.assert_allclose(obs.matrix, target, atol=1e-15)
 
@@ -208,14 +207,14 @@ def test_complementary_observable_matrix():
 @given(varrho=angles)
 def test_triplet_commutators_close(varrho):
     for handedness in (1, -1):
-        a_obs, b_obs, c_obs = complementary_triplet(REFERENCE, varrho, handedness)
+        a_obs, b_obs, c_obs = complementary_triplet(varrho, handedness)
         comm = a_obs.matrix @ b_obs.matrix - b_obs.matrix @ a_obs.matrix
         np.testing.assert_allclose(comm, 1j * handedness * c_obs.matrix, atol=1e-14)
-        # both partners carry the outcome values of the reference
-        _, *partners = complementary_triplet(Observable(2.0, -1.0), varrho, handedness)
-        assert [(obs.val_plus, obs.val_minus) for obs in partners] == [(2.0, -1.0)] * 2
+        # the triplet starts at the reference, and both partners carry its outcome values
+        assert a_obs is REFERENCE
+        assert [(obs.val_plus, obs.val_minus) for obs in (b_obs, c_obs)] == [(REFERENCE.val_plus, REFERENCE.val_minus)] * 2
 
 
 def test_triplet_rejects_bad_handedness():
     with pytest.raises(ParameterError, match="handedness"):
-        complementary_triplet(REFERENCE, 0.0, 2)
+        complementary_triplet(0.0, 2)

@@ -33,7 +33,7 @@ A = REFERENCE
 
 
 def b_at(varrho):
-    return complementary_observable(A, varrho)
+    return complementary_observable(varrho)
 
 
 def test_moments_frozen_values():
@@ -93,7 +93,7 @@ def test_kernel_on_a_stack_matches_the_scalar_route():
     rho12 = np.sqrt(w * (1.0 - w)) * np.where(np.arange(n) % 2, 1.0, rng.uniform(0.0, 0.99, n))
     theta = rng.uniform(0.0, 2.0 * math.pi, n)
     varrho = rng.uniform(0.0, 2.0 * math.pi, n)
-    stack = robertson_arrays(density_matrix(w, rho12, theta), A.matrix, complementary_matrices(A, varrho))
+    stack = robertson_arrays(density_matrix(w, rho12, theta), A.matrix, complementary_matrices(varrho))
     slack = robertson_slack(*stack)
     for i in range(n):
         rep = robertson(DensityMatrix(w[i], rho12[i], theta[i]), A, b_at(varrho[i]))

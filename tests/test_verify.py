@@ -195,7 +195,7 @@ def test_planted_floor_fault_keeps_the_loop_notes(monkeypatch):
 
     monkeypatch.setattr(verify, "normalized_product_bounds", planted)
     result = verify.run_suite("product_bounds", "full", 42)
-    b_obs = complementary_observable(REFERENCE, 0.6)
+    b_obs = complementary_observable(0.6)
     notes = []
     for w in sorted(faulty):
         rho = pure_state(w, 0.6)
@@ -231,8 +231,8 @@ def _shift(outputs, *deltas):
 def _skewed_member(exact):
     """``complementary_observable`` whose minus vector leans 1e-9 toward its plus vector."""
 
-    def planted(reference, varrho):
-        member = exact(reference, varrho)
+    def planted(varrho):
+        member = exact(varrho)
         return SimpleNamespace(vec_plus=member.vec_plus, vec_minus=member.vec_minus + 1e-9 * member.vec_plus)
 
     return planted
@@ -336,6 +336,30 @@ def test_planted_fault_keeps_its_notes(monkeypatch, suite, name, plant, checks, 
     monkeypatch.setattr(verify, name, plant(getattr(verify, name)))
     result = verify.run_suite(suite, "full", 42)
     assert (result.checks, result.failures, list(result.notes)) == (checks, failures, notes)
+
+
+def test_singular_intelligent_states_must_be_member_eigenstates(monkeypatch):
+    """IS2a's singular state off its phase keeps its infinite stretch but not Var(B) = 0, and only the eigenstate check sees it."""
+    exact = verify.intelligent_state
+    planted_lams = []
+
+    def planted(family, param, varrho, branch):
+        st = exact(family, param, varrho, branch)
+        if family == "IS2a" and math.isinf(abs(st.lam)):
+            planted_lams.append(st.lam)
+            return replace(st, state=pure_state(0.5, st.state.theta + 1e-3))
+        return st
+
+    monkeypatch.setattr(verify, "intelligent_state", planted)
+    result = verify.run_suite("intelligent_states", "full", 42)
+    # both singular points keep the infinite stretch that was all the check read before
+    assert len(planted_lams) == 2 and all(math.isinf(abs(lam)) for lam in planted_lams)
+    b_obs = complementary_observable(0.9)
+    notes = []
+    for branch in (1, -1):
+        var_b = uncertainty.mean_var(pure_state(0.5, exact("IS2a", 0.0, 0.9, branch).state.theta + 1e-3), b_obs)[1]
+        notes.append(f"IS2a beta=0.00 br={branch} singular point is an eigenstate of the member: {var_b!r}")
+    assert (result.checks, result.failures, list(result.notes)) == (588, 2, notes)
 
 
 @pytest.mark.parametrize("level", ["fast", "full"])
