@@ -19,7 +19,7 @@ from qudual import (
     optimal_entanglement,
     simultaneous_product,
 )
-from qudual.verify import minimum_product_report
+from qudual.verify import ROUTE_AGREEMENT_TOL, minimum_product_routes
 
 W_PLUS, THETA = 0.9, 0.3
 
@@ -51,15 +51,15 @@ def main():
         print(f"  {c:.3f}   {simultaneous_product(W_PLUS, float(c)):.6f}")
     print()
 
-    rep = minimum_product_report(W_PLUS)
+    value, long_form, numeric_min, compact_plus, compact_minus = minimum_product_routes(W_PLUS)
     print("minimum of the product, three independent routes:")
-    print(f"  closed form in the populations   {rep.long_form:.12f}")
-    print(f"  product at the optimal overlap   {rep.value:.12f}")
-    print(f"  golden-section search over c     {rep.numeric_min:.12f}")
-    print(f"  compact form (1 + V P)^2 / 16    {rep.compact_plus:.12f}"
-          f"  matches: {rep.matches_plus}")
-    print(f"  sign-flipped (1 - V P)^2 / 16    {rep.compact_minus:.12f}"
-          f"  matches: {rep.matches_minus}")
+    print(f"  closed form in the populations   {long_form:.12f}")
+    print(f"  product at the optimal overlap   {value:.12f}")
+    print(f"  golden-section search over c     {numeric_min:.12f}")
+    print(f"  compact form (1 + V P)^2 / 16    {compact_plus:.12f}"
+          f"  matches: {abs(value - compact_plus) <= ROUTE_AGREEMENT_TOL}")
+    print(f"  sign-flipped (1 - V P)^2 / 16    {compact_minus:.12f}"
+          f"  matches: {abs(value - compact_minus) <= ROUTE_AGREEMENT_TOL}")
 
 
 if __name__ == "__main__":

@@ -41,7 +41,6 @@ from .simultaneous import (
     entangled_visibility,
     estimate_a,
     estimate_b,
-    minimum_simultaneous_product,
     optimal_entanglement,
     simultaneous_product,
 )
@@ -142,10 +141,11 @@ def _cmd_compute(args: argparse.Namespace) -> int:
                 ("mean_B_readout", mean_br),
                 ("var_B_readout", var_br),
             ]
+        c_opt = optimal_entanglement(rho.w_plus)
         pairs += [
             ("sim_product", simultaneous_product(rho.w_plus, args.c)),
-            ("c_opt", optimal_entanglement(rho.w_plus)),
-            ("sim_product_min", minimum_simultaneous_product(rho.w_plus)),
+            ("c_opt", c_opt),
+            ("sim_product_min", simultaneous_product(rho.w_plus, c_opt)),
         ]
 
     _print_pairs(pairs)

@@ -133,7 +133,7 @@ def family_arrays(w_plus, rho12, theta, varrho) -> tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True)
 class DualityReport:
-    """Predictability, visibility, their squared sum, and the state purity.
+    """Predictability, visibility and their squared sum.
 
     :func:`duality_arrays` enforces the duality contract; the report itself
     does not.
@@ -142,16 +142,15 @@ class DualityReport:
     p: float
     v: float
     sum_sq: float
-    purity: float
 
 
 def duality_arrays(w_plus, rho12) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The duality relation for stacked valid state parameters, elementwise.
 
-    Returns ``(p, v, sum_sq, purity)``, the fields of :class:`DualityReport`,
-    as float arrays of the broadcast shape. The first element with
-    ``P**2 + V**2 > 1`` or ``P**2 + V**2 != 2 purity - 1`` beyond 1e-12
-    raises a :class:`ContractViolationError`.
+    Returns ``(p, v, sum_sq, purity)``, the fields of :class:`DualityReport`
+    and the state purity, as float arrays of the broadcast shape. The first
+    element with ``P**2 + V**2 > 1`` or ``P**2 + V**2 != 2 purity - 1``
+    beyond 1e-12 raises a :class:`ContractViolationError`.
     """
     w, r = np.broadcast_arrays(np.asarray(w_plus, dtype=float), np.asarray(rho12, dtype=float))
     p = _imbalance(w)
@@ -173,4 +172,4 @@ def duality_arrays(w_plus, rho12) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
 
 def duality_report(rho: DensityMatrix) -> DualityReport:
     """Evaluate the duality relation for one state: :func:`duality_arrays` on its parameters."""
-    return DualityReport(*(float(x) for x in duality_arrays(rho.w_plus, rho.rho12)))
+    return DualityReport(*(float(x) for x in duality_arrays(rho.w_plus, rho.rho12)[:3]))

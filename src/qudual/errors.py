@@ -16,9 +16,8 @@ class ContractViolationError(QudualError):
     """A matrix input or an internal identity violates a structural contract.
 
     Raised when an input fails a hermiticity, unitarity or normalization
-    check, when a computed identity such as the duality relation or the
-    uncertainty bound fails beyond its tolerance, and when the independent
-    routes of a check in :mod:`qudual.verify` disagree.
+    check, and when a computed identity such as the duality relation or the
+    uncertainty bound fails beyond its tolerance.
     """
 
 

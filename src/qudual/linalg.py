@@ -9,6 +9,7 @@ across runs.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -16,6 +17,12 @@ from .errors import ContractViolationError
 
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-12
+
+# Largest real or imaginary part of an entry that trace_norm accepts. With
+# every part at most B, the largest intermediate is an eigenvalue magnitude
+# |mean| + half_gap <= B + hypot(B, sqrt(2) B) = (1 + sqrt(3)) B, and
+# |l1| + |l2| <= 2 (1 + sqrt(3)) B < 8 B; m - m^dagger stays below 2 sqrt(2) B.
+_TRACE_NORM_MAX_PART = sys.float_info.max / 8.0
 
 __all__ = [
     "HERMITICITY_TOL",
@@ -26,13 +33,24 @@ __all__ = [
 ]
 
 
-def _finite_square(m: np.ndarray, name: str, contract: str) -> np.ndarray:
-    """``m`` as a complex array, raising before any arithmetic unless it is square with finite entries."""
+def _finite_square(m: np.ndarray, name: str, contract: str, max_part: float = math.inf) -> np.ndarray:
+    """``m`` as a complex array, raising before any arithmetic unless it is square with finite entries.
+
+    With a finite ``max_part``, the real and imaginary part of every entry
+    must also be at most ``max_part`` in magnitude.
+    """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ContractViolationError(f"{name} must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ContractViolationError(f"{name} is not {contract}: it has a NaN or infinite entry")
+    if max_part < math.inf:
+        part = max(float(np.abs(m.real).max(initial=0.0)), float(np.abs(m.imag).max(initial=0.0)))
+        if part > max_part:
+            raise ContractViolationError(
+                f"{name} has an entry part of magnitude {part!r}, past the bound "
+                f"|Re m|, |Im m| <= {max_part!r} beyond which its trace norm overflows"
+            )
     return m
 
 
@@ -88,11 +106,13 @@ def trace_norm(m: np.ndarray):
     """Trace norm (sum of absolute eigenvalues) of a Hermitian 2x2 matrix, or of each in a stack.
 
     ``m`` has shape ``(..., 2, 2)``; every matrix must pass
-    :func:`assert_hermitian`. Returns a float for one matrix and an array of
-    the stack shape otherwise, from the eigenvalues ``mean +- half_gap`` of
-    :func:`_mean_half_gap`.
+    :func:`assert_hermitian`, and the real and imaginary part of every entry
+    must be at most ``sys.float_info.max / 8`` in magnitude, which keeps every
+    intermediate and the result finite. Returns a float for one matrix and an
+    array of the stack shape otherwise, from the eigenvalues
+    ``mean +- half_gap`` of :func:`_mean_half_gap`.
     """
-    m = assert_hermitian(m)
+    m = assert_hermitian(_finite_square(m, "matrix", "Hermitian", _TRACE_NORM_MAX_PART))
     if m.shape[-2:] != (2, 2):
         raise ContractViolationError(f"trace_norm expects 2x2 matrices, got {m.shape}")
     mean, half_gap = _mean_half_gap(m)

@@ -203,7 +203,7 @@ def sample_simultaneous(
     """
     n = int(check_scalar(n, "n", 1, MAX_SHOTS))
     mp = meter_projectors(psi_e.c)
-    psi = psi_e.system_meter()
+    psi = psi_e.amplitudes
 
     # Meter stage: outcome probabilities and conditioned system vectors.
     cond = []

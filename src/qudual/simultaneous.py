@@ -22,9 +22,9 @@ run its steps on one state and round alike. The meter readout is an
 :func:`meter_projectors`.
 
 Every ``1 - c**2`` is evaluated as ``(1 - c)(1 + c)``, which keeps its
-relative accuracy as ``c -> 1`` where ``1 - c*c`` cancels. Basis order of
-the composite amplitudes is ``|plus m+>, |plus m_perp>, |minus m+>,
-|minus m_perp>``: the system index varies slowest, the meter index fastest.
+relative accuracy as ``c -> 1`` where ``1 - c*c`` cancels. The composite
+amplitudes are stored as ``psi[system, meter]``: rows ``plus, minus``,
+columns ``m+, m_perp``.
 """
 
 from __future__ import annotations
@@ -55,22 +55,17 @@ __all__ = [
     "estimate_b",
     "simultaneous_product",
     "optimal_entanglement",
-    "minimum_simultaneous_product",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class EntangledState:
-    """System-meter pure state with meter overlap ``c``."""
+    """System-meter pure state with meter overlap ``c`` and read-only amplitudes ``psi[system, meter]``."""
 
     w_plus: float
     theta: float
     c: float
     amplitudes: np.ndarray = field(repr=False)
-
-    def system_meter(self) -> np.ndarray:
-        """Amplitudes reshaped to ``psi[system, meter]``."""
-        return self.amplitudes.reshape(2, 2)
 
 
 def _one_minus_sq(c):
@@ -110,7 +105,7 @@ def entangle(w_plus: float, theta: float, c: float) -> EntangledState:
     w = check_scalar(w_plus, "w_plus", 0.0, 1.0)
     cc = check_scalar(c, "c", 0.0, 1.0)
     t = check_scalar(theta, "theta") % TWO_PI
-    amp = _amplitudes(w, t, cc).reshape(4)
+    amp = _amplitudes(w, t, cc)
     amp.setflags(write=False)
     return EntangledState(w_plus=w, theta=t, c=cc, amplitudes=amp)
 
@@ -122,7 +117,7 @@ def distinguishability(psi_e: EntangledState) -> float:
     space; equals ``sqrt(1 - 4 c**2 w+ w-)``, which never falls below the
     predictability of the system state.
     """
-    return _distinguishability(psi_e.system_meter())
+    return _distinguishability(psi_e.amplitudes)
 
 
 def entangled_visibility(psi_e: EntangledState) -> float:
@@ -131,7 +126,7 @@ def entangled_visibility(psi_e: EntangledState) -> float:
     Equals ``2 c sqrt(w+ w-)``; together with the distinguishability it
     saturates ``D**2 + V_e**2 = 1`` for every ``(w_plus, c)``.
     """
-    return float(_visibility(_reduced(psi_e.system_meter())))
+    return float(_visibility(_reduced(psi_e.amplitudes)))
 
 
 def entangled_arrays(
@@ -272,22 +267,14 @@ def optimal_entanglement(w_plus: float) -> float:
 
     Uses the regularized form ``c**2 = V / (P + V)`` with the predictability
     and visibility of the initial pure state, which stays finite at
-    ``w+ w- = 1/8`` where the direct expression is 0/0. Returns 1 at
-    ``w_plus = 1/2`` and 0 at the boundary ``w_plus in {0, 1}``; both are
+    ``w+ w- = 1/8`` where the direct expression is 0/0. The minimum,
+    :func:`simultaneous_product` at this overlap, is ``(1 + V P)**2 / 16``;
+    the ``minimum_product`` suite of :mod:`qudual.verify` checks it against
+    the long closed form and a golden-section search over ``c``. Returns 1
+    at ``w_plus = 1/2`` and 0 at the boundary ``w_plus in {0, 1}``; both are
     limits where the minimum value is 1/16 but the configuration itself is
     singular for one of the readouts.
     """
     w = check_scalar(w_plus, "w_plus", 0.0, 1.0)
     v = 2.0 * math.sqrt(w * (1.0 - w))
     return math.sqrt(v / (_imbalance(w) + v)) if v > 0.0 else 0.0
-
-
-def minimum_simultaneous_product(w_plus: float) -> float:
-    """Minimum over ``c`` of the simultaneous variance product.
-
-    The product at the regularized optimal overlap, ``(1 + V P)**2 / 16``,
-    which equals 1/16 at ``w_plus in {0, 1/2, 1}``. The long closed form
-    and a golden-section search over ``c`` check it in the
-    ``minimum_product`` suite of :mod:`qudual.verify`.
-    """
-    return simultaneous_product(w_plus, optimal_entanglement(w_plus))

@@ -215,7 +215,9 @@ class Observable:
     basis: np.ndarray = field(default_factory=lambda: np.eye(2, dtype=complex))
 
     def __post_init__(self) -> None:
-        if as_float(self.val_plus) == as_float(self.val_minus):
+        val_plus = check_scalar(self.val_plus, "val_plus")
+        val_minus = check_scalar(self.val_minus, "val_minus")
+        if val_plus == val_minus:
             raise ParameterError(
                 f"outcome values must be distinct, got val_plus = val_minus = {self.val_plus!r}"
             )
@@ -224,8 +226,8 @@ class Observable:
             raise ContractViolationError(f"eigenbasis must be 2x2, got {basis.shape}")
         basis = basis.copy()
         basis.setflags(write=False)
-        object.__setattr__(self, "val_plus", check_scalar(self.val_plus, "val_plus"))
-        object.__setattr__(self, "val_minus", check_scalar(self.val_minus, "val_minus"))
+        object.__setattr__(self, "val_plus", val_plus)
+        object.__setattr__(self, "val_minus", val_minus)
         object.__setattr__(self, "basis", basis)
 
     @property

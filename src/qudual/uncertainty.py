@@ -15,11 +15,10 @@ fixed populations.
 The explicit route to both sides is one array kernel,
 :func:`robertson_arrays`. It takes state and observable matrices stacked as
 ``(..., 2, 2)`` and returns the four fields of a :class:`RobertsonReport`
-(``var_a``, ``var_b``, ``c_mean``, ``f_mean``) as arrays, from batched
-products and traces. :func:`robertson` is that kernel on one state and pair,
-packed into a report; :func:`robertson_slack` is the report's ``slack``,
-elementwise. The kernel holds the contract: any element with
-``slack < -INEQUALITY_SLACK`` raises.
+(``var_a``, ``var_b``, ``c_mean``, ``f_mean``, ``slack``) as arrays, from
+batched products and traces. :func:`robertson` is that kernel on one state
+and pair, packed into a report. The kernel holds the contract: any element
+with ``slack < -INEQUALITY_SLACK`` raises.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ __all__ = [
     "mean_var",
     "RobertsonReport",
     "robertson_arrays",
-    "robertson_slack",
     "robertson",
     "normalized_product_bounds",
     "IntelligentState",
@@ -82,8 +80,9 @@ class RobertsonReport:
 
     ``lhs = var_a * var_b`` and ``rhs = (c_mean**2 + f_mean**2) / 4``, where
     ``c_mean`` is the mean of ``-i [A, B]`` and ``f_mean`` the symmetrized
-    covariance. The slack ``lhs - rhs`` is nonnegative for every valid state
-    and vanishes on pure states; :func:`robertson_arrays` enforces that, the
+    covariance. ``slack`` is :func:`robertson_arrays`' ``lhs - rhs``, of the
+    same bits as ``lhs - rhs`` here; it is nonnegative for every valid state
+    and vanishes on pure states. :func:`robertson_arrays` enforces that, the
     report itself does not.
     """
 
@@ -91,6 +90,7 @@ class RobertsonReport:
     var_b: float
     c_mean: float
     f_mean: float
+    slack: float
 
     @property
     def lhs(self) -> float:
@@ -100,30 +100,20 @@ class RobertsonReport:
     def rhs(self) -> float:
         return 0.25 * (self.c_mean ** 2 + self.f_mean ** 2)
 
-    @property
-    def slack(self) -> float:
-        return float(robertson_slack(self.var_a, self.var_b, self.c_mean, self.f_mean))
-
-
-def robertson_slack(var_a, var_b, c_mean, f_mean):
-    """``lhs - rhs`` of the bound, elementwise; :attr:`RobertsonReport.slack` calls it.
-
-    ``np.float_power`` squares through C ``pow``, as Python's ``x ** 2`` in
-    :attr:`RobertsonReport.rhs` does, so the slack rounds as ``lhs - rhs``.
-    """
-    return var_a * var_b - 0.25 * (np.float_power(c_mean, 2) + np.float_power(f_mean, 2))
-
 
 def robertson_arrays(
     rho_m: np.ndarray, a_m: np.ndarray, b_m: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Both sides of the strengthened bound for stacked states and pairs, by explicit matrix algebra.
 
     ``rho_m``, ``a_m`` and ``b_m`` are state and observable matrices of shape
     ``(..., 2, 2)`` that broadcast together. Returns ``(var_a, var_b, c_mean,
-    f_mean)``, the fields of :class:`RobertsonReport`, as float arrays of the
-    broadcast stack shape. The first element with
-    ``slack < -INEQUALITY_SLACK`` raises a :class:`ContractViolationError`.
+    f_mean, slack)``, the fields of :class:`RobertsonReport`, as float arrays
+    of the broadcast stack shape. ``slack`` is ``lhs - rhs``; ``np.float_power``
+    squares through C ``pow``, as Python's ``x ** 2`` in
+    :attr:`RobertsonReport.rhs` does, so it rounds as ``lhs - rhs``. The first
+    element with ``slack < -INEQUALITY_SLACK`` raises a
+    :class:`ContractViolationError`.
     """
     mean_a, var_a = _moments(rho_m, a_m)
     mean_b, var_b = _moments(rho_m, b_m)
@@ -131,15 +121,15 @@ def robertson_arrays(
     ba = b_m @ a_m
     c_mean = _mean(rho_m, -1j * (ab - ba))
     f_mean = _mean(rho_m, ab + ba) - 2.0 * mean_a * mean_b
-    sides = np.broadcast_arrays(np.maximum(var_a, 0.0), np.maximum(var_b, 0.0), c_mean, f_mean)
-    slack = robertson_slack(*sides)
+    var_a, var_b, c_mean, f_mean = np.broadcast_arrays(np.maximum(var_a, 0.0), np.maximum(var_b, 0.0), c_mean, f_mean)
+    slack = var_a * var_b - 0.25 * (np.float_power(c_mean, 2) + np.float_power(f_mean, 2))
     bad = np.flatnonzero(slack < -INEQUALITY_SLACK)
     if bad.size:
         raise ContractViolationError(
             f"uncertainty bound violated: lhs - rhs = {float(slack.flat[bad[0]])!r}; "
             "this indicates corrupted operator or state input"
         )
-    return tuple(sides)
+    return var_a, var_b, c_mean, f_mean, slack
 
 
 def robertson(rho: DensityMatrix, a_obs: Observable, b_obs: Observable) -> RobertsonReport:
@@ -147,8 +137,7 @@ def robertson(rho: DensityMatrix, a_obs: Observable, b_obs: Observable) -> Rober
 
     :func:`robertson_arrays` on one state and pair.
     """
-    sides = robertson_arrays(rho.matrix, a_obs.matrix, b_obs.matrix)
-    return RobertsonReport(*(float(x) for x in sides))
+    return RobertsonReport(*(float(x) for x in robertson_arrays(rho.matrix, a_obs.matrix, b_obs.matrix)))
 
 
 def normalized_product_bounds(w_plus: float) -> tuple[float, float]:

@@ -20,9 +20,10 @@ number behind it, and a strict check needs a negative deviation.
 
 The library computes each closed form once; the independent routes to them
 live here. :func:`projected_readout_moments` reaches both readout moments by
-explicit projection, and :func:`minimum_product_report` reaches the minimum
+explicit projection, and :func:`minimum_product_routes` reaches the minimum
 simultaneous product through the long closed form, a golden-section search
-over ``c`` and the two compact candidates. Neither is in ``__all__``.
+over ``c`` and the two compact candidates, each route one entry of its tuple
+for the ``minimum_product`` suite to check. Neither is in ``__all__``.
 
 Most suites check a stacked grid in one pass, with the checks, counts and
 notes of a loop over its states; the functions under test that take one
@@ -46,7 +47,6 @@ from .simultaneous import (
     estimate_a,
     estimate_b,
     meter_projectors,
-    minimum_simultaneous_product,
     optimal_entanglement,
     simultaneous_product,
 )
@@ -71,7 +71,6 @@ from .uncertainty import (
     normalized_product_bounds,
     robertson,
     robertson_arrays,
-    robertson_slack,
 )
 
 __all__ = ["SuiteResult", "run_suite", "run_suites", "render_report", "SUITE_NAMES"]
@@ -232,7 +231,7 @@ def projected_readout_moments(psi: np.ndarray, c, varrho) -> tuple:
     """Mean and variance of both rescaled readouts from explicit projections.
 
     ``psi`` holds the amplitudes ``psi[..., system, meter]`` of one
-    :meth:`EntangledState.system_meter` or a stack, with meter overlaps ``c``
+    :attr:`EntangledState.amplitudes` or a stack, with meter overlaps ``c``
     and phases ``varrho`` broadcast to it. The meter readout projects on the
     eigenvectors of :func:`meter_projectors`, the system readout on the family
     member at ``varrho`` with outcome values ``+-GAUGE / c``; each is built
@@ -257,8 +256,8 @@ def projected_readout_moments(psi: np.ndarray, c, varrho) -> tuple:
     return (mean_a, var_a), (mean_b, var_b)
 
 
-def _golden_minimize(f, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
+def _golden_minimize(f, lo: float, hi: float) -> float:
+    """Golden-section minimum value of a unimodal scalar function on [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
     x1 = b - invphi * (b - a)
@@ -273,45 +272,24 @@ def _golden_minimize(f, lo: float, hi: float) -> tuple[float, float]:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
             f2 = f(x2)
-    x = 0.5 * (a + b)
-    return x, f(x)
+    return f(0.5 * (a + b))
 
 
-@dataclass(frozen=True)
-class MinimumProductReport:
-    """Minimum simultaneous variance product by every available route.
+def minimum_product_routes(w_plus: float) -> tuple[float, float, float, float, float]:
+    """Every route to the minimum over ``c`` of the simultaneous product at fixed populations.
 
-    ``value`` is the product evaluated at the regularized optimal overlap.
-    ``long_form`` is the direct closed expression in the populations (NaN
-    where that representation is 0/0 ill-conditioned), ``numeric_min`` a
-    golden-section minimization of the product over ``c``. The two compact
-    candidates ``(1 +- V P)**2 / 16`` are both evaluated; the match flags
-    record which one the computed routes agree with at 1e-9.
-    """
-
-    w_plus: float
-    value: float
-    long_form: float
-    numeric_min: float
-    c_opt: float
-    c_numeric: float
-    compact_plus: float
-    compact_minus: float
-    matches_plus: bool
-    matches_minus: bool
-
-
-def minimum_product_report(w_plus: float) -> MinimumProductReport:
-    """Every route to the minimum of the simultaneous product at fixed populations.
-
-    Raises a :class:`ContractViolationError` if the routes disagree beyond
-    :data:`ROUTE_AGREEMENT_TOL`. ``value`` is the product at the optimal
-    overlap, the same number :func:`minimum_simultaneous_product` returns.
+    Returns ``(value, long_form, numeric_min, compact_plus, compact_minus)``:
+    the product at the regularized optimal overlap; the direct closed
+    expression in the populations, NaN where that representation is 0/0
+    ill-conditioned; a golden-section minimization of the product over
+    ``c``; and the two compact candidates ``(1 +- V P)**2 / 16``. Nothing
+    is compared here: the ``minimum_product`` suite checks each route
+    against the others within :data:`ROUTE_AGREEMENT_TOL`.
     """
     w = float(w_plus)
     k = w * (1.0 - w)
     c_opt = optimal_entanglement(w)
-    at_optimal = simultaneous_product(w, c_opt)
+    value = simultaneous_product(w, c_opt)
 
     # Direct closed expression; its denominator vanishes at k = 1/8 (where
     # the form is 0/0 with a finite limit) and at k in {0, 1/4}, so it is
@@ -325,40 +303,15 @@ def minimum_product_report(w_plus: float) -> MinimumProductReport:
         long_form = math.nan
 
     if 0.0 < c_opt < 1.0:
-        c_numeric, numeric_min = _golden_minimize(
-            lambda c: simultaneous_product(w, c), 1e-9, 1.0 - 1e-9
-        )
+        numeric_min = _golden_minimize(lambda c: simultaneous_product(w, c), 1e-9, 1.0 - 1e-9)
     else:
         # Boundary populations: the optimum sits at an endpoint of c where the
         # finite limit is known exactly, so the numeric route collapses to it.
-        c_numeric, numeric_min = c_opt, at_optimal
+        numeric_min = value
 
     v = 2.0 * math.sqrt(k)
     p = math.sqrt(max(1.0 - 4.0 * k, 0.0))
-    compact_plus = (1.0 + v * p) ** 2 / 16.0
-    compact_minus = (1.0 - v * p) ** 2 / 16.0
-
-    routes = [at_optimal, numeric_min]
-    if not math.isnan(long_form):
-        routes.append(long_form)
-    spread = max(routes) - min(routes)
-    if spread > ROUTE_AGREEMENT_TOL:
-        raise ContractViolationError(
-            f"independent minimum-product routes disagree by {spread!r} at w_plus = {w!r}"
-        )
-
-    return MinimumProductReport(
-        w_plus=w,
-        value=at_optimal,
-        long_form=long_form,
-        numeric_min=numeric_min,
-        c_opt=c_opt,
-        c_numeric=c_numeric,
-        compact_plus=compact_plus,
-        compact_minus=compact_minus,
-        matches_plus=abs(at_optimal - compact_plus) <= ROUTE_AGREEMENT_TOL,
-        matches_minus=abs(at_optimal - compact_minus) <= ROUTE_AGREEMENT_TOL,
-    )
+    return value, long_form, numeric_min, (1.0 + v * p) ** 2 / 16.0, (1.0 - v * p) ** 2 / 16.0
 
 
 def _suite_linalg_core(t: _Tally, run: dict, rng: np.random.Generator) -> None:
@@ -466,7 +419,7 @@ def _suite_fringe_oracle(t: _Tally, run: dict, rng: np.random.Generator) -> None
 def _suite_robertson(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     w, rho12, theta, phases = _random_states(rng, run["robertson"], phases=1)
     b_m = complementary_matrices(phases[:, 0])
-    slack = robertson_slack(*robertson_arrays(density_matrix(w, rho12, theta), REFERENCE.matrix, b_m))
+    slack = robertson_arrays(density_matrix(w, rho12, theta), REFERENCE.matrix, b_m)[4]
     # Slack has a closed form of its own for this pair: the coherence
     # deficit (w+ w- - rho12^2) / 4 at unit eigenvalue gaps.
     target = (w * (1.0 - w) - rho12 * rho12) / 4.0
@@ -543,7 +496,7 @@ def _suite_product_bounds(t: _Tally, run: dict, rng: np.random.Generator) -> Non
     w = np.repeat(ws, len(varrho))
     rho_m = density_matrix(*validate_density(w, np.sqrt(w * (1.0 - w)), 0.6))
     b_m = complementary_matrices(np.tile(varrho, ws.size))
-    var_a, var_b, _, _ = robertson_arrays(rho_m, REFERENCE.matrix, b_m)
+    var_a, var_b = robertson_arrays(rho_m, REFERENCE.matrix, b_m)[:2]
     prod = (var_a * var_b).reshape(ws.size, len(varrho))
     lo, hi = np.array([normalized_product_bounds(x) for x in ws.tolist()]).T
 
@@ -587,7 +540,7 @@ def _suite_unbiasedness(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     sharp = np.empty((len(grid), 2))  # the sharp means of A and B
     for i, (w, theta, c) in enumerate(grid):
         psi = entangle(w, theta, c)
-        amplitudes[i] = psi.system_meter()
+        amplitudes[i] = psi.amplitudes
         closed[i] = (*estimate_a(psi), *estimate_b(psi, varrho))
         sharp[i] = (GAUGE * (2.0 * w - 1.0), sharp_b[w, theta])
     projected = np.ravel(projected_readout_moments(amplitudes, [c for _, _, c in grid], varrho)).reshape(4, -1)
@@ -611,7 +564,7 @@ def _suite_unbiasedness(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     # c is one element.
     probes = [(w, theta) for w in _PROBE_W for theta in _PROBE_THETA]
     grid = [(w, theta, c) for c in _PROBE_C for w, theta in probes]
-    amplitudes = np.array([entangle(*point).system_meter() for point in grid])
+    amplitudes = np.array([entangle(*point).amplitudes for point in grid])
     (mean, _), _ = projected_readout_moments(amplitudes, [c for _, _, c in grid], [theta for _, theta, _ in grid])
     mean = mean.reshape(len(_PROBE_C), len(probes))
     sharp = np.array([GAUGE * (2.0 * w - 1.0) for w, _ in probes])
@@ -629,26 +582,26 @@ def _suite_unbiasedness(t: _Tally, run: dict, rng: np.random.Generator) -> None:
 def _suite_minimum_product(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     for k in range(1, 52):
         w = k / 53.0
-        try:
-            rep = minimum_product_report(w)
-        except ContractViolationError as exc:
-            t.check((math.inf, ROUTE_AGREEMENT_TOL, f"route disagreement at w={w:.4f}: {exc}"))
-            continue
+        value, long_form, numeric_min, compact_plus, compact_minus = minimum_product_routes(w)
+        routes = [value, numeric_min] + ([] if math.isnan(long_form) else [long_form])
+        spread = float(np.ptp(routes))
         t.check(
-            (abs(minimum_simultaneous_product(w) - rep.value), _EXACT, f"minimum equals the report value at w={w:.4f}"),
-            (abs(rep.value - rep.compact_plus), ROUTE_AGREEMENT_TOL, f"compact plus form matches at w={w:.4f}"),
+            (spread, ROUTE_AGREEMENT_TOL, f"routes agree at w={w:.4f}: spread {spread!r}"),
+            (abs(value - compact_plus), ROUTE_AGREEMENT_TOL, f"compact plus form matches at w={w:.4f}"),
         )
         vp = abs(2.0 * w - 1.0) * 2.0 * math.sqrt(w * (1.0 - w))
         if vp > 1e-3:
-            minus = ROUTE_AGREEMENT_TOL - abs(rep.value - rep.compact_minus)
+            minus = ROUTE_AGREEMENT_TOL - abs(value - compact_minus)
             t.check((minus, _STRICT, f"compact minus form rejected at w={w:.4f}"))
-        if math.isfinite(rep.long_form):
-            tol = ROUTE_AGREEMENT_TOL * max(1.0, abs(rep.value))
-            t.check((abs(rep.long_form - rep.value), tol, f"long route agrees at w={w:.4f}"))
+        if math.isfinite(long_form):
+            tol = ROUTE_AGREEMENT_TOL * max(1.0, abs(value))
+            t.check((abs(long_form - value), tol, f"long route agrees at w={w:.4f}"))
     for w in (0.0, 0.5, 1.0):
-        t.check((abs(minimum_simultaneous_product(w) - 0.0625), _EXACT, f"limit value is exactly 1/16 at w={w}"))
-        limit = minimum_simultaneous_product(w) - minimum_product_report(w).value
-        t.check((abs(limit), _EXACT, f"limit equals the report value at w={w}"))
+        value, _, _, compact_plus, _ = minimum_product_routes(w)
+        t.check(
+            (abs(value - 0.0625), _EXACT, f"limit value is exactly 1/16 at w={w}"),
+            (abs(compact_plus - value), _EXACT, f"compact form equals the limit at w={w}"),
+        )
     t.check(_near(optimal_entanglement(0.9), math.sqrt(3.0 / 7.0), _ROUNDOFF, "optimal overlap at w=0.9"))
 
 

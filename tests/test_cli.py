@@ -329,7 +329,7 @@ def test_cli_sizes_past_their_bound_exit_2(capsys, argv, message):
 
 def test_compute_and_meter_readout_skip_the_cross_check_routes(capsys, count_calls):
     entangles = count_calls(simultaneous, "entangle")
-    reports = count_calls(verify, "minimum_product_report")
+    reports = count_calls(verify, "minimum_product_routes")
     searches = count_calls(verify, "_golden_minimize")
     code, _, err = run(capsys, "compute", "--w-plus", "0.9", "--pure", "--theta", "0.3", "--c", "0.5")
     assert code == 0, err

@@ -178,8 +178,8 @@ def test_kernel_on_a_stack_matches_the_scalar_report():
     for i in range(w.size):
         rho = DensityMatrix(w[i], rho12[i])
         rep = duality_report(rho)
-        assert (rep.p, rep.v, rep.sum_sq, rep.purity) == (p[i], v[i], sum_sq[i], purity[i])
-        assert (rep.p, rep.v, rep.purity) == (predictability(rho), visibility(rho), rho.purity)
+        assert (rep.p, rep.v, rep.sum_sq) == (p[i], v[i], sum_sq[i])
+        assert (rep.p, rep.v, purity[i]) == (predictability(rho), visibility(rho), rho.purity)
 
 
 def test_kernel_keeps_the_report_contract():

@@ -1,3 +1,6 @@
+import math
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -82,6 +85,22 @@ def test_contract_guards_raise_with_deviation():
                 trace_norm(np.full((2, 2), bad))
             with pytest.raises(ContractViolationError, match="probe is not unitary: it has a NaN or infinite entry"):
                 assert_unitary(np.array([[1.0, 0.0], [0.0, bad]]), name="probe")
+
+
+def test_trace_norm_rejects_entries_past_its_overflow_bound():
+    # every part at the bound still gives a finite norm; one part past it raises before any arithmetic
+    bound = sys.float_info.max / 8.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert trace_norm(hermitian(bound, bound, bound, bound)) == pytest.approx(2.0 * math.sqrt(2.0) * bound, rel=1e-15)
+        assert trace_norm(hermitian(bound, -bound, bound, bound)) == pytest.approx(2.0 * math.sqrt(3.0) * bound, rel=1e-15)
+        for m in (
+            [[1e308, -1.0], [-1.0, -1e308]],
+            hermitian(0.0, 0.0, 0.0, math.nextafter(bound, math.inf)),
+            np.stack([hermitian(1.0, 0.0, 0.0, 0.0), hermitian(0.0, 0.0, -1e308, 0.0)]),
+        ):
+            with pytest.raises(ContractViolationError, match=re.escape(f"past the bound |Re m|, |Im m| <= {bound!r}")):
+                trace_norm(m)
 
 
 def test_unitarity_guard_checks_every_matrix_of_a_stack():

@@ -192,7 +192,7 @@ def test_joint_counts_follow_the_meter_by_system_table():
     psi_e = entangle(0.7, 1.0, c)
     mp = meter_projectors(c)
     vec_plus = complementary_observable(varrho).vec_plus
-    amps = [psi_e.system_meter() @ m.conj() for m in (mp.vec_plus, mp.vec_minus)]
+    amps = [psi_e.amplitudes @ m.conj() for m in (mp.vec_plus, mp.vec_minus)]
     p1 = float(np.vdot(amps[0], amps[0]).real)
     q0, q1 = (abs(np.vdot(vec_plus, amp)) ** 2 / float(np.vdot(amp, amp).real) for amp in amps)
     counts = Counter()
@@ -254,7 +254,7 @@ def test_chunked_joint_counts_equal_one_shot_draws(n, monkeypatch):
 
     # p1 and q from explicit projections, independent of the sampler's arithmetic
     vec_plus = complementary_observable(varrho).vec_plus
-    amps = [psi_e.system_meter() @ m.conj() for m in (mp.vec_plus, mp.vec_minus)]
+    amps = [psi_e.amplitudes @ m.conj() for m in (mp.vec_plus, mp.vec_minus)]
     p1 = float(np.vdot(amps[0], amps[0]).real)
     q = [abs(np.vdot(vec_plus, amp)) ** 2 / float(np.vdot(amp, amp).real) for amp in amps]
     np.testing.assert_allclose([p for _, p in log], [p1, *q], rtol=1e-12)

@@ -22,12 +22,11 @@ from qudual import (
     estimate_b,
     mean_var,
     meter_projectors,
-    minimum_simultaneous_product,
     optimal_entanglement,
     pure_state,
     simultaneous_product,
 )
-from qudual.verify import minimum_product_report, projected_readout_moments
+from qudual.verify import ROUTE_AGREEMENT_TOL, minimum_product_routes, projected_readout_moments
 
 w_values = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False)
@@ -40,11 +39,13 @@ C_OPT_09 = math.sqrt(3.0 / 7.0)
 def test_entangled_amplitudes():
     psi = entangle(0.9, 0.3, 0.6)
     phase = np.exp(0.3j)
+    # psi[system, meter]
     target = np.array(
-        [math.sqrt(0.9), 0.0, phase * math.sqrt(0.1) * 0.6, phase * math.sqrt(0.1) * 0.8]
+        [[math.sqrt(0.9), 0.0], [phase * math.sqrt(0.1) * 0.6, phase * math.sqrt(0.1) * 0.8]]
     )
     np.testing.assert_allclose(psi.amplitudes, target, atol=1e-15)
     assert np.vdot(psi.amplitudes, psi.amplitudes).real == pytest.approx(1.0, abs=1e-14)
+    assert not psi.amplitudes.flags.writeable
 
 
 def test_entangle_rejects_bad_parameters():
@@ -156,7 +157,7 @@ def test_meter_marginal_moments_match_estimate_a():
     rng = np.random.default_rng(14)
     for w, theta, c in zip(rng.uniform(0.0, 1.0, 200), rng.uniform(0.0, 2.0 * math.pi, 200), rng.uniform(0.01, 0.99, 200)):
         psi_e = entangle(w, theta, c)
-        psi = psi_e.system_meter()
+        psi = psi_e.amplitudes
         meter = DensityMatrix(*(float(x) for x in density_params(np.einsum("sm,sn->mn", psi, psi.conj()))))
         obs = meter_projectors(c)
         mean, var = mean_var(meter, obs)
@@ -177,7 +178,7 @@ def test_meter_projectors_singular_endpoints():
 def assert_matches_projection(psi, varrho):
     """The closed-form readout moments agree with explicit projection."""
     closed = (estimate_a(psi), estimate_b(psi, varrho))
-    for moments, projected in zip(closed, projected_readout_moments(psi.system_meter(), psi.c, varrho)):
+    for moments, projected in zip(closed, projected_readout_moments(psi.amplitudes, psi.c, varrho)):
         for x, y in zip(moments, projected):
             assert abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
     return closed
@@ -272,22 +273,22 @@ def test_optimal_overlap_minimizes_the_product(w):
         assert best <= simultaneous_product(w, float(c)) + 1e-12
 
 
-def test_minimum_report_frozen_values():
-    rep = minimum_product_report(0.9)
-    assert rep.value == pytest.approx(0.1369, abs=1e-12)
-    assert rep.numeric_min == pytest.approx(0.1369, abs=1e-9)
+def test_minimum_routes_frozen_values():
+    value, long_form, numeric_min, compact_plus, compact_minus = minimum_product_routes(0.9)
+    assert value == pytest.approx(0.1369, abs=1e-12)
+    assert value == simultaneous_product(0.9, optimal_entanglement(0.9))
+    assert numeric_min == pytest.approx(0.1369, abs=1e-9)
     # the messy closed expression evaluates to the same number
-    assert rep.long_form == pytest.approx(0.02102784 / 0.1536, abs=1e-12)
-    assert rep.compact_plus == pytest.approx(0.1369, abs=1e-15)
-    assert rep.compact_minus == pytest.approx(0.0169, abs=1e-15)
-    assert rep.matches_plus and not rep.matches_minus
-    assert rep.c_opt == pytest.approx(C_OPT_09, abs=1e-12)
-    assert abs(rep.c_numeric - rep.c_opt) < 1e-3
+    assert long_form == pytest.approx(0.02102784 / 0.1536, abs=1e-12)
+    assert compact_plus == pytest.approx(0.1369, abs=1e-15)
+    assert compact_minus == pytest.approx(0.0169, abs=1e-15)
+    assert abs(value - compact_plus) <= ROUTE_AGREEMENT_TOL < abs(value - compact_minus)
 
 
-def test_minimum_report_limits_are_exact():
+def test_minimum_routes_limits_are_exact():
     for w in (0.0, 0.5, 1.0):
-        assert minimum_simultaneous_product(w) == 0.0625
+        value, _, numeric_min, compact_plus, _ = minimum_product_routes(w)
+        assert value == numeric_min == compact_plus == 0.0625
 
 
 def _vp(w):
@@ -297,15 +298,15 @@ def _vp(w):
 def test_minimum_report_conditioning_guard():
     # at w+ w- = 1/8 the messy expression is 0/0 and must be reported as nan
     w_eighth = (1.0 + math.sqrt(0.5)) / 2.0
-    rep = minimum_product_report(w_eighth)
-    assert math.isnan(rep.long_form)
-    assert rep.value == pytest.approx((1.0 + _vp(w_eighth)) ** 2 / 16.0, abs=1e-12)
+    value, long_form, _, _, _ = minimum_product_routes(w_eighth)
+    assert math.isnan(long_form)
+    assert value == pytest.approx((1.0 + _vp(w_eighth)) ** 2 / 16.0, abs=1e-12)
 
 
 @given(w=st.floats(min_value=0.02, max_value=0.98, allow_nan=False))
 def test_minimum_matches_compact_plus_form(w):
-    rep = minimum_product_report(w)
-    assert rep.value == pytest.approx((1.0 + _vp(w)) ** 2 / 16.0, rel=1e-9)
-    assert rep.matches_plus
+    value, _, _, compact_plus, compact_minus = minimum_product_routes(w)
+    assert value == pytest.approx((1.0 + _vp(w)) ** 2 / 16.0, rel=1e-9)
+    assert abs(value - compact_plus) <= ROUTE_AGREEMENT_TOL
     if _vp(w) > 1e-3:
-        assert not rep.matches_minus
+        assert abs(value - compact_minus) > ROUTE_AGREEMENT_TOL

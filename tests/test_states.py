@@ -177,6 +177,10 @@ def test_reference_matrix():
 def test_observable_rejects_equal_values_and_bad_basis():
     with pytest.raises(ParameterError, match="distinct"):
         Observable(1.0, 1.0)
+    # equal values past the finite range name the bound, not the distinctness
+    for value, shown in ((math.inf, "inf"), (-math.inf, "-inf"), (10**400, "inf"), (math.nan, "nan")):
+        with pytest.raises(ParameterError, match=f"^val_plus = {shown} violates the bound -inf < val_plus < inf$"):
+            Observable(value, value)
     with pytest.raises(ContractViolationError, match="unitary"):
         Observable(1.0, -1.0, basis=np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
     for bad in (np.nan, np.inf):

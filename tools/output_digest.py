@@ -17,7 +17,7 @@ checkout proves byte identity on its own::
 The list: the first 5 rounds of the benchmark's seeded ``compute`` stream at
 seeds 1-3, the ``compute --c`` calls of ``ROUNDING_EDGES`` and
 ``CONDITIONING_EDGES``, ``sweep`` of both figures at 2001 points, ``verify``
-at both levels for seeds 1-10, 42, 343578368 and 11705, ``verify --selftest-corrupt``
+at both levels for seeds 1-10, 42, 343578368, 11705 and 1796, ``verify --selftest-corrupt``
 at both levels, and ``mc`` at three settings for each of ``MC_SHOTS``. It
 takes a few seconds.
 """
@@ -38,8 +38,8 @@ COMPUTE_SEEDS = (1, 2, 3)
 COMPUTE_ROUNDS = 5
 # 343578368 FAILed at full when the counts were counted uniforms and passes on
 # the drawn counts; 11705 is the first seed from 1 whose full report FAILs on a
-# correct sampler.
-VERIFY_SEEDS = (*range(1, 11), 42, 343578368, 11705)
+# correct sampler, and 1796 the only seed from 1 to 2000 whose fast report does.
+VERIFY_SEEDS = (*range(1, 11), 42, 343578368, 11705, 1796)
 MC_SETTINGS = (
     ("--w-plus", "0.9", "--theta", "0.3", "--seed", "42"),
     ("--w-plus", "0.2", "--theta", "1.7", "--seed", "7"),
