@@ -12,7 +12,8 @@ detection probabilities, which is what an experiment would do. The
 conjugation is expanded term by term over the entries of the density
 matrix, never through ``P``, ``V`` or the state's parameters; the one
 complex factor depends on the phase alone, so a grid point costs a few real
-multiply-adds.
+multiply-adds, and each splitter angle is read at the two phases where that
+factor is least and greatest.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ import numpy as np
 from .errors import ContractViolationError, check_array, check_scalar
 from .states import DensityMatrix, purity
 
-# Largest oracle grid: the scan peaks near 8 * grid_n**2 bytes, 34 MB here.
+# Largest oracle grid. Past it a finer grid buys no accuracy a check can use:
+# here the contrast is within about 1e-6 of V. The scan is linear in grid_n,
+# about 0.5 ms and a peak near 113 * grid_n bytes (0.23 MB) at the bound.
 MAX_GRID_N = 2048
 
 __all__ = [
@@ -60,6 +63,11 @@ def visibility(rho: DensityMatrix) -> float:
     return 2.0 * rho.rho12
 
 
+def _phase_factor(m10, phi):
+    """``Im(m10 exp(i phi))``, the one phase-dependent factor of :func:`fringe_probability`."""
+    return (m10 * np.exp(1j * phi)).imag
+
+
 def fringe_probability(rho: DensityMatrix, phi, xi):
     """Detection probability for ``|plus>`` after a phase shift and a beam splitter.
 
@@ -78,7 +86,7 @@ def fringe_probability(rho: DensityMatrix, phi, xi):
     m = rho.matrix
     cos_xi = np.cos(xi)
     sin_xi = np.sin(xi)
-    p = np.asarray((2.0 * cos_xi * sin_xi) * (m[1, 0] * np.exp(1j * phi)).imag)
+    p = np.asarray((2.0 * cos_xi * sin_xi) * _phase_factor(m[1, 0], phi))
     # In place: a second temporary of the broadcast shape costs more than the arithmetic.
     np.subtract(cos_xi * cos_xi * m[0, 0].real + sin_xi * sin_xi * m[1, 1].real, p, out=p)
     return float(p) if p.shape == () else p
@@ -93,13 +101,24 @@ def visibility_oracle(rho: DensityMatrix, grid_n: int = 512) -> tuple[float, flo
     ``(p_max - p_min) / (p_max + p_min)`` is evaluated at the angle with the
     largest amplitude, and that angle is returned folded to [0, pi/2).
 
+    The sweep reads two phases per angle, not ``grid_n``. At angle ``xi``
+    the probability is ``A(xi) - fl(B(xi) s)`` with ``s = Im(m10 exp(i phi))``,
+    which alone depends on the phase. Rounding to nearest is monotone, so
+    ``fl(B s)`` is monotone in ``s`` for a fixed ``B`` (rising for ``B >= 0``,
+    falling otherwise), and so is ``fl(A - x)`` in ``x``: every grid value
+    of a row lies between its values at ``argmin s`` and ``argmax s``, and
+    its max and min are those two values, bit for bit. Scanning the
+    ``(grid_n, 2)`` grid of those phases gives what the full
+    ``(grid_n, grid_n)`` scan gives, in O(grid_n) time and memory.
+
     Independent of the closed form: agrees with :func:`visibility` to
     O(1/grid_n**2) and the folded angle lands within one grid step of pi/4.
     """
     grid_n = int(check_scalar(grid_n, "grid_n", 8, MAX_GRID_N))
     phi = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)
     xi = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)
-    p = fringe_probability(rho, phi[None, :], xi[:, None])
+    s = _phase_factor(rho.matrix[1, 0], phi)
+    p = fringe_probability(rho, phi[[np.argmin(s), np.argmax(s)]], xi[:, None])
     p_max = p.max(axis=1)
     p_min = p.min(axis=1)
     amplitude = p_max - p_min

@@ -122,9 +122,7 @@ class DensityMatrix:
             raise ParameterError(
                 f"state_vector requires a pure state: purity = {self.purity!r} < 1 - {PURITY_TOL:.1e}"
             )
-        return np.array(
-            [math.sqrt(self.w_plus), np.exp(1j * self.theta) * math.sqrt(self.w_minus)]
-        )
+        return _pure_amplitudes(self.w_plus, self.theta)
 
 
 def validate_density(w_plus, rho12, theta=0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -178,6 +176,15 @@ def purity(w_plus, rho12):
     so a stack and :attr:`DensityMatrix.purity` round alike.
     """
     return 1.0 - 2.0 * w_plus * (1.0 - w_plus) + 2.0 * np.float_power(rho12, 2)
+
+
+def _pure_amplitudes(w_plus, theta) -> np.ndarray:
+    """Amplitudes ``(..., 2)`` of the pure states with populations ``w_plus`` and phases ``theta``, elementwise.
+
+    :meth:`DensityMatrix.state_vector` is this function on one state; it
+    checks purity first, this function does not.
+    """
+    return np.stack([np.sqrt(w_plus) + 0j, np.exp(1j * np.asarray(theta)) * np.sqrt(1.0 - w_plus)], axis=-1)
 
 
 def density_matrix(w_plus, rho12, theta) -> np.ndarray:

@@ -223,6 +223,25 @@ def intelligent_state(family: str, param: float, varrho: float, branch: int = 1)
     return IntelligentState(state, lam)
 
 
+def _eigen_residuals(rho_m: np.ndarray, psi: np.ndarray, lam, a_m: np.ndarray, b_m: np.ndarray) -> np.ndarray:
+    """Norms of ``(A + i lam B) psi - (<A> + i lam <B>) psi`` for stacked pure states and finite ``lam``.
+
+    ``rho_m`` ``(..., 2, 2)`` and ``psi`` ``(..., 2)`` are each state's
+    matrix and amplitudes, ``lam`` has the stack shape, and ``a_m``, ``b_m``
+    broadcast with ``rho_m``. A squared norm is the dot product of the real
+    parts plus that of the imaginary parts, each a row times a column, which
+    NumPy computes with the BLAS dot that ``np.linalg.norm`` uses on one
+    vector; so every norm rounds as ``np.linalg.norm`` of that state's
+    defect, whether the state comes alone (:func:`is_residual`) or in a stack.
+    """
+    i_lam = 1j * np.asarray(lam, dtype=complex)
+    shift = _mean(rho_m, a_m) + i_lam * _mean(rho_m, b_m)
+    defect = ((a_m + i_lam[..., None, None] * b_m) @ psi[..., None])[..., 0] - shift[..., None] * psi
+    re = defect.real[..., None, :]
+    im = defect.imag[..., None, :]
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+
+
 def is_residual(state: DensityMatrix, lam: complex, a_obs: Observable, b_obs: Observable) -> float:
     """Euclidean norm of the eigen-equation defect for a pure state.
 
@@ -235,10 +254,4 @@ def is_residual(state: DensityMatrix, lam: complex, a_obs: Observable, b_obs: Ob
             "lam must be finite; an infinite lam marks an eigenvector of the "
             "complementary observable, where the eigen-equation degenerates"
         )
-    psi = state.state_vector()
-    mean_a, _ = mean_var(state, a_obs)
-    mean_b, _ = mean_var(state, b_obs)
-    lam = complex(lam)
-    op = a_obs.matrix + 1j * lam * b_obs.matrix
-    defect = op @ psi - (mean_a + 1j * lam * mean_b) * psi
-    return float(np.linalg.norm(defect))
+    return float(_eigen_residuals(state.matrix, state.state_vector(), complex(lam), a_obs.matrix, b_obs.matrix))

@@ -55,6 +55,7 @@ from .states import (
     REFERENCE,
     TWO_PI,
     DensityMatrix,
+    _pure_amplitudes,
     complementary_matrices,
     complementary_observable,
     complementary_triplet,
@@ -65,11 +66,10 @@ from .states import (
     validate_density,
 )
 from .uncertainty import (
+    _eigen_residuals,
     intelligent_state,
-    is_residual,
     mean_var,
     normalized_product_bounds,
-    robertson,
     robertson_arrays,
 )
 
@@ -433,49 +433,63 @@ def _suite_robertson(t: _Tally, run: dict, rng: np.random.Generator) -> None:
 
 def _suite_intelligent_states(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     varrho = 0.9
-    b_obs = complementary_observable(varrho)
-    # An infinite stretch is -|lam| <= -inf.
+    b_m = complementary_observable(varrho).matrix
+    ws = np.linspace(0.0, 1.0, 21).tolist()
+    grids = {"IS1": ("w", ws), "IS2a": ("beta", np.linspace(0.0, math.pi / 2.0, 21).tolist()), "IS2b": ("w", ws)}
+    # One row per state, (family, parameter, branch), in the order of a loop over branches, then families.
+    rows = [(f, p, branch) for branch in (1, -1) for f, (_, grid) in grids.items() for p in grid]
+    family, param, _ = zip(*rows)
+    tag = [f"{f} {grids[f][0]}={p:.2f} br={b}" for f, p, b in rows]
+    states = [intelligent_state(f, p, varrho, b) for f, p, b in rows]
+    w, rho12, theta = np.array([(st.state.w_plus, st.state.rho12, st.state.theta) for st in states]).T
+    rho_m = density_matrix(w, rho12, theta)
+    var_a, var_b, _, _, slack = robertson_arrays(rho_m, REFERENCE.matrix, b_m)
+    # An infinite stretch marks an eigenvector of the member, where the
+    # eigen-equation degenerates: that state is checked for Var(B) = 0
+    # instead, and a zero stretch stands in for it in the arithmetic.
+    lam = np.array([st.lam for st in states])
+    lam_abs = np.hypot(lam.real, lam.imag)  # rounds as the scalar abs does
+    finite = np.isfinite(lam_abs)
+    lam_sq = np.float_power(np.where(finite, lam_abs, 0.0), 2)
+    res = _eigen_residuals(rho_m, _pure_amplitudes(w, theta), np.where(finite, lam, 0.0), REFERENCE.matrix, b_m)
+    is1 = np.array(family) == "IS1"
+    central = {("IS1", 0.5): "IS1 central point", ("IS2a", 0.0): "IS2a zero offset"}
+    # IS1 runs along the floor of the normalized product, IS2b along its ceiling.
+    side = {"IS1": (0, "floor"), "IS2b": (1, "ceiling")}
+    target = np.array([normalized_product_bounds(p)[side[f][0]] if f in side else math.nan for f, p, _ in rows])
+    s, vb, r = slack.tolist(), var_b.tolist(), res.tolist()
 
-    def common_checks(tag: str, st) -> float:
-        """The checks every family shares; returns the variance product ``Var(A) Var(B)``."""
-        rep = robertson(st.state, REFERENCE, b_obs)
-        t.check((abs(rep.slack), _SATURATION, f"{tag} saturates the bound: {rep.slack!r}"))
-        lam = st.lam
-        if math.isinf(abs(lam)):
-            # The singular point is an eigenvector of the member: Var(B) = 0.
-            t.check((abs(rep.var_b), _ROUNDOFF, f"{tag} singular point is an eigenstate of the member: {rep.var_b!r}"))
-            return rep.lhs
-        res = is_residual(st.state, lam, REFERENCE, b_obs)
-        lam_sq = abs(lam) ** 2
-        t.check(
-            (res, _EIGEN, f"{tag} eigen-equation residual: {res!r}"),
-            (abs(lam_sq * rep.var_b - rep.var_a), _EIGEN * max(1.0, lam_sq), f"{tag} stretch matches variance ratio"),
-        )
-        return rep.lhs
+    def product_label(i: int) -> str:
+        return f"{family[i]} product sits on the {side[family[i]][1]} w={param[i]:.2f}"
 
-    for branch in (1, -1):
-        for w in np.linspace(0.0, 1.0, 21):
-            st = intelligent_state("IS1", float(w), varrho, branch)
-            if float(w) == 0.5:
-                t.check((-abs(st.lam), -math.inf, "IS1 central point has infinite stretch"))
-            t.check((abs(st.lam.real), _EXACT, "IS1 stretch is imaginary"))
-            product = common_checks(f"IS1 w={w:.2f} br={branch}", st)
-            lo, hi = normalized_product_bounds(float(w))
-            t.check(_near(product, lo, _ROUNDOFF, f"IS1 product sits on the floor w={w:.2f}"))
-
-        for beta in np.linspace(0.0, math.pi / 2.0, 21):
-            st = intelligent_state("IS2a", float(beta), varrho, branch)
-            if float(beta) == 0.0:
-                t.check((-abs(st.lam), -math.inf, "IS2a zero offset has infinite stretch"))
-            t.check((abs(st.lam.imag), _EXACT, "IS2a stretch is real"))
-            common_checks(f"IS2a beta={beta:.2f} br={branch}", st)
-
-        for w in np.linspace(0.0, 1.0, 21):
-            st = intelligent_state("IS2b", float(w), varrho, branch)
-            t.check((abs(st.lam.imag), _EXACT, "IS2b stretch is real"))
-            product = common_checks(f"IS2b w={w:.2f} br={branch}", st)
-            lo, hi = normalized_product_bounds(float(w))
-            t.check(_near(product, hi, _ROUNDOFF, f"IS2b product sits on the ceiling w={w:.2f}"))
+    t.check(
+        (
+            -lam_abs,
+            -math.inf,
+            lambda i: f"{central[family[i], param[i]]} has infinite stretch",
+            np.array([key in central for key in zip(family, param)]),
+        ),
+        (
+            np.abs(np.where(is1, lam.real, lam.imag)),
+            _EXACT,
+            lambda i: f"{family[i]} stretch is {'imaginary' if is1[i] else 'real'}",
+        ),
+        (np.abs(slack), _SATURATION, lambda i: f"{tag[i]} saturates the bound: {s[i]!r}"),
+        (
+            np.abs(var_b),
+            _ROUNDOFF,
+            lambda i: f"{tag[i]} singular point is an eigenstate of the member: {vb[i]!r}",
+            ~finite,
+        ),
+        (res, _EIGEN, lambda i: f"{tag[i]} eigen-equation residual: {r[i]!r}", finite),
+        (
+            np.abs(lam_sq * var_b - var_a),
+            _EIGEN * np.maximum(1.0, lam_sq),
+            lambda i: f"{tag[i]} stretch matches variance ratio",
+            finite,
+        ),
+        (*_near(var_a * var_b, target, _ROUNDOFF, product_label), ~np.isnan(target)),
+    )
 
 
 def _suite_product_bounds(t: _Tally, run: dict, rng: np.random.Generator) -> None:

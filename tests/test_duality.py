@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qudual import (
+    MAX_GRID_N,
     ContractViolationError,
     DensityMatrix,
     ParameterError,
@@ -100,6 +102,50 @@ def test_oracle_frozen_cases():
 def test_oracle_rejects_tiny_grid():
     with pytest.raises(ParameterError, match="grid_n"):
         visibility_oracle(pure_state(0.5), grid_n=4)
+
+
+def full_grid_oracle(rho, grid_n):
+    """The oracle as a scan of every grid point: the reference for the two-phase scan."""
+    phi = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)
+    xi = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)
+    p = fringe_probability(rho, phi[None, :], xi[:, None])
+    p_max = p.max(axis=1)
+    p_min = p.min(axis=1)
+    amplitude = p_max - p_min
+    k = int(np.argmax(amplitude))
+    xi_hat = float(xi[k] % (math.pi / 2.0))
+    if amplitude[k] <= 0.0:
+        return 0.0, xi_hat
+    return float((p_max[k] - p_min[k]) / (p_max[k] + p_min[k])), xi_hat
+
+
+@given(
+    kind=st.sampled_from(["pure", "mixed", "diagonal"]),
+    w=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), w_values),
+    u=fractions,
+    theta=angles,
+    grid_n=st.sampled_from([8, 97, 96, 512]),
+)
+def test_oracle_matches_the_full_grid_scan_bit_for_bit(kind, w, u, theta, grid_n):
+    fraction = {"pure": 1.0, "mixed": u, "diagonal": 0.0}[kind]
+    rho = draw_state(w, fraction, theta)
+    got = np.array(visibility_oracle(rho, grid_n))
+    want = np.array(full_grid_oracle(rho, grid_n))
+    # the bytes compare the sign of a zero too
+    assert got.tobytes() == want.tobytes(), (got, want)
+
+
+def test_oracle_memory_stays_linear_in_the_grid():
+    rho = pure_state(0.9, 0.3)
+    visibility_oracle(rho, MAX_GRID_N)  # first call: caches the state's matrix
+    tracemalloc.start()
+    try:
+        visibility_oracle(rho, MAX_GRID_N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the full MAX_GRID_N**2 grid alone would take 32 MiB
+    assert peak < 1_000_000
 
 
 @given(w=w_values, u=fractions, theta=angles)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qudual import ContractViolationError, assert_hermitian, assert_unitary, trace_norm
+from qudual import ContractViolationError, Observable, assert_hermitian, assert_unitary, trace_norm
 from qudual.linalg import _mean_half_gap
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -101,6 +101,28 @@ def test_trace_norm_rejects_entries_past_its_overflow_bound():
         ):
             with pytest.raises(ContractViolationError, match=re.escape(f"past the bound |Re m|, |Im m| <= {bound!r}")):
                 trace_norm(m)
+
+
+def test_contract_guards_reject_entries_past_their_overflow_bounds():
+    # a finite entry whose check would overflow raises, naming the bound, before any arithmetic
+    hermitian_bound = sys.float_info.max / 8.0
+    unitary_bound = math.sqrt(sys.float_info.max) / 2.0**17
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check, m, bound in (
+            (assert_hermitian, [[0.0, 1e308], [-1e308, 0.0]], hermitian_bound),
+            (assert_hermitian, hermitian(0.0, 0.0, 0.0, math.nextafter(hermitian_bound, math.inf)), hermitian_bound),
+            (assert_unitary, np.diag([1e200, 1.0]), unitary_bound),
+            (assert_unitary, np.diag([1.0, 1j * math.nextafter(unitary_bound, math.inf)]), unitary_bound),
+            (lambda m: Observable(1.0, -1.0, m), np.diag([1e200, 1.0]), unitary_bound),
+        ):
+            with pytest.raises(ContractViolationError, match=re.escape(f"past the bound |Re m|, |Im m| <= {bound!r}")):
+                check(m)
+        # at the bound each check runs its arithmetic to a finite deviation, and fails on it
+        with pytest.raises(ContractViolationError, match=re.escape(f"= {math.sqrt(8.0) * hermitian_bound:.3e} exceeds")):
+            assert_hermitian(hermitian_bound * np.array([[0.0, 1.0 + 1j], [-1.0 + 1j, 0.0]]))
+        with pytest.raises(ContractViolationError, match=re.escape(f"= {4.0 * unitary_bound**2:.3e} exceeds")):
+            assert_unitary(np.full((2, 2), unitary_bound * (1.0 - 1j)))
 
 
 def test_unitarity_guard_checks_every_matrix_of_a_stack():

@@ -23,6 +23,8 @@ from qudual import (
     robertson_arrays,
     visibility,
 )
+from qudual.states import _pure_amplitudes
+from qudual.uncertainty import _eigen_residuals
 
 w_values = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 fractions = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -224,6 +226,40 @@ def test_families_pin_the_product_extremes():
         _, va = mean_var(st2.state, A)
         _, vb = mean_var(st2.state, b_at(0.7))
         assert va * vb == pytest.approx(hi, abs=1e-12)
+
+
+def _residual_reference(rho, lam, a_obs, b_obs):
+    """The eigen-equation defect's norm for one state as a plain computation: the reference arithmetic."""
+    psi = np.array([math.sqrt(rho.w_plus), np.exp(1j * rho.theta) * math.sqrt(rho.w_minus)])
+    mean_a, mean_b = mean_var(rho, a_obs)[0], mean_var(rho, b_obs)[0]
+    defect = (a_obs.matrix + 1j * lam * b_obs.matrix) @ psi - (mean_a + 1j * lam * mean_b) * psi
+    return float(np.linalg.norm(defect))
+
+
+def test_residual_keeps_the_loop_arithmetic():
+    # is_residual on each state, and the stacked pass of the intelligent-states suite, bit for bit
+    rng = np.random.default_rng(11)
+    cases = []
+    for i in range(600):
+        w = [0.0, 0.5, 1.0][i % 3] if i % 7 == 0 else rng.uniform()
+        lam = complex(*(rng.normal(size=2) * 10.0 ** rng.uniform(-3.0, 3.0, size=2)))
+        cases.append((pure_state(w, rng.uniform(0.0, 7.0)), lam, b_at(rng.uniform(0.0, 7.0))))
+    for family, grid in (("IS1", np.linspace(0.0, 1.0, 21)), ("IS2a", np.linspace(0.0, math.pi / 2.0, 21))):
+        for param in grid:
+            st_obj = intelligent_state(family, float(param), 0.9)
+            if math.isfinite(abs(st_obj.lam)):
+                cases += [(st_obj.state, st_obj.lam, b_at(0.9)), (st_obj.state, st_obj.lam + 1e-9, b_at(0.9))]
+    want = [_residual_reference(rho, lam, A, b_obs) for rho, lam, b_obs in cases]
+    assert [is_residual(rho, lam, A, b_obs) for rho, lam, b_obs in cases] == want
+    rhos, lams, members = zip(*cases)
+    stacked = _eigen_residuals(
+        np.stack([rho.matrix for rho in rhos]),
+        _pure_amplitudes(np.array([rho.w_plus for rho in rhos]), np.array([rho.theta for rho in rhos])),
+        np.array(lams),
+        A.matrix,
+        np.stack([b_obs.matrix for b_obs in members]),
+    )
+    assert stacked.tolist() == want
 
 
 def test_residual_rejects_bad_inputs():

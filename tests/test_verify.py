@@ -118,20 +118,21 @@ def test_batched_suites_make_one_kernel_call_each(count_calls):
     assert (result.checks, result.failures) == (4008, 0)
     assert len(projections) == 2
 
-    # The intelligent states read both variances off their one robertson report.
+    # The 126 intelligent states take one kernel call, and their residuals one stacked pass.
     residuals = count_calls(uncertainty, "is_residual")
-    for calls in scalar_calls:
+    for calls in (*kernels.values(), *scalar_calls):
         calls.clear()
     result = verify.run_suite("intelligent_states", "full", 42)
     assert (result.checks, result.failures) == (588, 0)
-    assert len(scalar_calls[0]) == 126
-    assert len(scalar_calls[1]) == 2 * len(residuals) > 0
+    assert [np.shape(call[0]) for call in kernels["robertson"]] == [(126, 2, 2)]
+    assert scalar_calls[:2] == [[], []] and residuals == []
 
-    # The fringe oracle scans one row of the unitaries per state, never the full matrices.
+    # The fringe oracle scans one row of the unitaries per state, at two phases per
+    # splitter angle: 2 * grid_n points a scan, never the grid_n**2 of the full grid.
     scans = count_calls(duality, "fringe_probability")
     result = verify.run_suite("fringe_oracle", "full", 42)
     assert (result.checks, result.failures) == (45, 0)
-    assert len(scans) == 23
+    assert [np.broadcast(*call[1:]).size for call in scans] == [2 * 512] * 23
 
 
 def test_stacked_projection_matches_one_state_calls():
