@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from qudual import (
+    REFERENCE,
     complementary_observable,
-    complementary_triplet,
     duality_report,
     family_arrays,
     pure_state,
@@ -40,7 +40,8 @@ def main():
     print()
 
     b_obs = complementary_observable(rho.theta)
-    a_hat, b_hat, c_hat = (obs.matrix for obs in complementary_triplet(rho.theta))
+    a_hat, b_hat = REFERENCE.matrix, b_obs.matrix
+    c_hat = complementary_observable(rho.theta + math.pi / 2.0).matrix  # the quarter-turn partner
     comm = a_hat @ b_hat - b_hat @ a_hat
     print("closing the algebra with the proper member:")
     print(f"  B eigenvalues          {np.linalg.eigvalsh(b_obs.matrix).round(12)}")

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, check_array, check_scalar
-from .states import DensityMatrix, purity
+from .errors import ContractViolationError, check_array, check_count
+from .linalg import _square
+from .states import TWO_PI, DensityMatrix, purity
 
 # Largest oracle grid. Past it a finer grid buys no accuracy a check can use:
 # here the contrast is within about 1e-6 of V. The scan is linear in grid_n,
@@ -114,16 +115,15 @@ def visibility_oracle(rho: DensityMatrix, grid_n: int = 512) -> tuple[float, flo
     Independent of the closed form: agrees with :func:`visibility` to
     O(1/grid_n**2) and the folded angle lands within one grid step of pi/4.
     """
-    grid_n = int(check_scalar(grid_n, "grid_n", 8, MAX_GRID_N))
-    phi = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)
-    xi = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)
-    s = _phase_factor(rho.matrix[1, 0], phi)
-    p = fringe_probability(rho, phi[[np.argmin(s), np.argmax(s)]], xi[:, None])
+    grid_n = check_count(grid_n, "grid_n", 8, MAX_GRID_N)
+    grid = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)  # the phases, and the splitter angles
+    s = _phase_factor(rho.matrix[1, 0], grid)
+    p = fringe_probability(rho, grid[[np.argmin(s), np.argmax(s)]], grid[:, None])
     p_max = p.max(axis=1)
     p_min = p.min(axis=1)
     amplitude = p_max - p_min
     k = int(np.argmax(amplitude))
-    xi_hat = float(xi[k] % (math.pi / 2.0))
+    xi_hat = float(grid[k] % (math.pi / 2.0))
     if amplitude[k] <= 0.0:
         # No fringe at any splitter setting: zero contrast, angle meaningless.
         return 0.0, xi_hat
@@ -139,15 +139,13 @@ def family_arrays(w_plus, rho12, theta, varrho) -> tuple[np.ndarray, np.ndarray]
     ``P_B = 2 rho12 |cos(theta - varrho)|`` is largest for the proper member
     ``varrho = theta`` and zero at the erasure phases ``varrho = theta +- pi/2``;
     ``V_B = sqrt(P**2 + 4 rho12**2 sin(theta - varrho)**2)``, so ``(P_B, V_B)``
-    carries the squared sum of ``(P, V)`` for every ``varrho``. ``np.float_power``
-    squares through C ``pow``, as Python's ``x ** 2`` does, so a stack and one
-    state round alike.
+    carries the squared sum of ``(P, V)`` for every ``varrho``.
     """
     w, r, t = (np.asarray(x, dtype=float) for x in (w_plus, rho12, theta))
     delta = t - check_array(varrho, "varrho")
     p = _imbalance(w)
     s = np.sin(delta)
-    return 2.0 * r * np.abs(np.cos(delta)), np.sqrt(p * p + 4.0 * np.float_power(r, 2) * s * s)
+    return 2.0 * r * np.abs(np.cos(delta)), np.sqrt(p * p + 4.0 * _square(r) * s * s)
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,14 @@ def check_scalar(
     return min(max(v, lo), hi)
 
 
+def check_count(value, name: str, lo: int, hi: int) -> int:
+    """:func:`check_scalar` for a count: ``value`` as an int in ``[lo, hi]``; ``4.0`` is 4, and ``2.9`` raises."""
+    v = check_scalar(value, name, lo, hi)
+    if not v.is_integer():
+        raise ParameterError(f"{name} = {v!r} violates the bound {name} in {{{lo:g}, ..., {hi:g}}}")
+    return int(v)
+
+
 def check_array(
     values,
     name: str,

@@ -93,20 +93,33 @@ def assert_unitary(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
+# A stack rounds as one value: NumPy's complex ``abs`` on arrays and its ``x ** 2`` do not always give the bits
+# of Python's scalar ``abs(z)`` and ``x ** 2``, and these two helpers do, element by element.
+
+
+def _modulus(z):
+    """``abs(z)`` of complex values, elementwise: ``np.hypot`` of the parts."""
+    return np.hypot(z.real, z.imag)
+
+
+def _square(x):
+    """``x ** 2`` elementwise, through C ``pow``."""
+    return np.float_power(x, 2)
+
+
 def _mean_half_gap(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and half gap of the two eigenvalues of stacked Hermitian 2x2 matrices ``(..., 2, 2)``.
 
     The half gap is ``hypot((a - d) / 2, |b|)`` with ``b`` the upper
-    off-diagonal entry. ``|b|`` is ``np.hypot`` of its parts, which rounds as
-    the scalar ``abs`` does (NumPy's complex ``abs`` on arrays does not), and
-    the outer ``hypot`` is ``math.hypot`` per element, which ``np.hypot``
-    does not always match in the last bit; so a stack rounds as one matrix.
+    off-diagonal entry. ``|b|`` is :func:`_modulus`, and the outer ``hypot``
+    is ``math.hypot`` per element, which ``np.hypot`` does not always match
+    in the last bit; so a stack rounds as one matrix.
     """
     a = m[..., 0, 0].real
     d = m[..., 1, 1].real
     b = m[..., 0, 1]  # the upper triangle fixes the off-diagonal convention
     mean = 0.5 * (a + d)
-    legs = zip(np.ravel(0.5 * (a - d)).tolist(), np.ravel(np.hypot(b.real, b.imag)).tolist())
+    legs = zip(np.ravel(0.5 * (a - d)).tolist(), np.ravel(_modulus(b)).tolist())
     half_gap = np.reshape([math.hypot(x, y) for x, y in legs], np.shape(mean))
     return mean, half_gap
 

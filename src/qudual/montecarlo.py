@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import fringe_probability
-from .errors import ParameterError, check_scalar
+from .errors import ParameterError, check_count
 from .simultaneous import EntangledState, estimate_a, estimate_b, meter_projectors
 from .states import GAUGE, DensityMatrix, Observable, complementary_observable
 from .uncertainty import mean_var
@@ -34,7 +34,7 @@ Z_FLAG_THRESHOLD = 4.0
 # is a finite double; the standard error of the sampled variance needs it.
 MAX_SAMPLED_VALUE = sys.float_info.max ** 0.25 / 2.0
 
-# Largest sample size, a round number below 2**53: check_scalar returns a
+# Largest sample size, a round number below 2**53: check_count reads n as a
 # float, so n is exact only below 2**53, and at 2**53 + 1 the int(float(n))
 # round trip would silently sample a different n.
 MAX_SHOTS = 10**12
@@ -155,7 +155,7 @@ def sample_sharp(
     eigenvectors; the analytic claims under test come from the trace-based
     moments, so the two routes stay independent.
     """
-    n = int(check_scalar(n, "n", 1, MAX_SHOTS))
+    n = check_count(n, "n", 1, MAX_SHOTS)
     p_plus = _outcome_probability(rho, obs.vec_plus)
     k_plus = int(_generator(seed, stream).binomial(n, p_plus))
     return _two_outcome_report(
@@ -175,7 +175,7 @@ def sample_fringe(rho: DensityMatrix, n_per_point: int, seed: int, stream: int =
     the 16 counts are one draw from the (seed, stream) generator. Returns
     their contrast ``(max - min) / (max + min)``, 0 when every count is 0.
     """
-    n_per_point = int(check_scalar(n_per_point, "n_per_point", 1, MAX_SHOTS))
+    n_per_point = check_count(n_per_point, "n_per_point", 1, MAX_SHOTS)
     p = np.clip(fringe_probability(rho, _SCAN_PHI, _SCAN_XI), 0.0, 1.0)
     k = _generator(seed, stream).binomial(n_per_point, p)
     top, bottom = int(k.max() - k.min()), int(k.max() + k.min())
@@ -201,7 +201,7 @@ def sample_simultaneous(
     rescaled readout moments against :func:`estimate_a` and
     :func:`estimate_b`.
     """
-    n = int(check_scalar(n, "n", 1, MAX_SHOTS))
+    n = check_count(n, "n", 1, MAX_SHOTS)
     mp = meter_projectors(psi_e.c)
     psi = psi_e.amplitudes
 

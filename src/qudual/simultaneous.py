@@ -37,7 +37,7 @@ import numpy as np
 
 from .duality import _imbalance
 from .errors import ParameterError, SingularConfigurationError, check_array, check_scalar
-from .linalg import trace_norm
+from .linalg import _modulus, trace_norm
 from .states import GAUGE, TWO_PI, Observable, density_params, validate_density
 
 # Largest rescaled outcome value whose square is a finite double.
@@ -95,9 +95,8 @@ def _reduced(psi: np.ndarray) -> np.ndarray:
 
 
 def _visibility(m: np.ndarray):
-    """Fringe visibility ``2 |m[..., 1, 0]|`` of system matrices; ``np.hypot`` rounds as the scalar ``abs``."""
-    off = m[..., 1, 0]
-    return 2.0 * np.hypot(off.real, off.imag)
+    """Fringe visibility ``2 |m[..., 1, 0]|`` of system matrices."""
+    return 2.0 * _modulus(m[..., 1, 0])
 
 
 def entangle(w_plus: float, theta: float, c: float) -> EntangledState:

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError, as_float, as_float_array, check_array, check_scalar
-from .linalg import assert_hermitian, assert_unitary
+from .linalg import _modulus, _square, assert_hermitian, assert_unitary
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,7 +61,6 @@ __all__ = [
     "REFERENCE",
     "complementary_observable",
     "complementary_matrices",
-    "complementary_triplet",
 ]
 
 
@@ -164,18 +163,13 @@ def density_params(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"density matrix trace = {float(tr[bad].flat[0])!r} differs from 1 beyond {TRACE_TOL:.1e}"
         )
     off = m[..., 1, 0]
-    # np.hypot of the parts rounds as the scalar abs does; NumPy's complex abs on arrays does not.
-    r = np.hypot(off.real, off.imag)
+    r = _modulus(off)
     return m[..., 0, 0].real, r, np.where(r > 0.0, np.remainder(np.angle(off), TWO_PI), 0.0)
 
 
 def purity(w_plus, rho12):
-    """Purity ``1 - 2 w+ w- + 2 rho12**2`` of valid state parameters, elementwise.
-
-    ``np.float_power`` squares through C ``pow``, as Python's ``x ** 2`` does,
-    so a stack and :attr:`DensityMatrix.purity` round alike.
-    """
-    return 1.0 - 2.0 * w_plus * (1.0 - w_plus) + 2.0 * np.float_power(rho12, 2)
+    """Purity ``1 - 2 w+ w- + 2 rho12**2`` of valid state parameters, elementwise."""
+    return 1.0 - 2.0 * w_plus * (1.0 - w_plus) + 2.0 * _square(rho12)
 
 
 def _pure_amplitudes(w_plus, theta) -> np.ndarray:
@@ -284,7 +278,8 @@ def complementary_observable(varrho: float) -> Observable:
         |b+-> = (|a+> +- exp(i varrho) |a->) / sqrt(2)
 
     and the outcome values ``+-GAUGE`` of the reference. Every member is
-    mutually unbiased with respect to the reference basis.
+    mutually unbiased with respect to the reference basis, and
+    ``[REFERENCE, B(varrho)] = i B(varrho + pi/2)`` closes su(2).
     """
     varrho = check_scalar(varrho, "varrho") % TWO_PI
     return Observable(REFERENCE.val_plus, REFERENCE.val_minus, _member_basis(varrho))
@@ -301,19 +296,3 @@ def complementary_matrices(varrho) -> np.ndarray:
     """
     varrho = np.remainder(check_array(varrho, "varrho"), TWO_PI)
     return _spectral_matrix(_member_basis(varrho), REFERENCE.val_plus, REFERENCE.val_minus)
-
-
-def complementary_triplet(varrho: float, handedness: int = 1) -> tuple[Observable, Observable, Observable]:
-    """:data:`REFERENCE` plus two complementary partners a quarter turn apart.
-
-    Returns ``(A, B(varrho), B(varrho + handedness * pi/2))`` with
-    ``A = REFERENCE``. With the ``+-GAUGE`` outcomes the triplet closes the
-    angular momentum algebra
-    ``[T2, T3] = i T1, [T3, T1] = i T2, [T1, T2] = i T3`` for ``handedness = +1``,
-    and ``handedness = -1`` flips the sign of the cyclic commutator.
-    """
-    if handedness not in (1, -1):
-        raise ParameterError(f"handedness must be +1 or -1, got {handedness!r}")
-    first = complementary_observable(varrho)
-    second = complementary_observable(varrho + handedness * math.pi / 2.0)
-    return REFERENCE, first, second

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError, as_float, check_scalar
+from .linalg import _square
 from .states import DensityMatrix, Observable, pure_state
 
 INEQUALITY_SLACK = 1e-12
@@ -57,9 +58,9 @@ def _mean(rho_m: np.ndarray, op_m: np.ndarray) -> np.ndarray:
 
 
 def _moments(rho_m: np.ndarray, op_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and unclipped variance of stacked observables; the mean is squared through C ``pow``."""
+    """Mean and unclipped variance of stacked observables."""
     mean = _mean(rho_m, op_m)
-    return mean, _mean(rho_m, op_m @ op_m) - np.float_power(mean, 2)
+    return mean, _mean(rho_m, op_m @ op_m) - _square(mean)
 
 
 def mean_var(rho: DensityMatrix, obs: Observable) -> tuple[float, float]:
@@ -109,11 +110,9 @@ def robertson_arrays(
     ``rho_m``, ``a_m`` and ``b_m`` are state and observable matrices of shape
     ``(..., 2, 2)`` that broadcast together. Returns ``(var_a, var_b, c_mean,
     f_mean, slack)``, the fields of :class:`RobertsonReport`, as float arrays
-    of the broadcast stack shape. ``slack`` is ``lhs - rhs``; ``np.float_power``
-    squares through C ``pow``, as Python's ``x ** 2`` in
-    :attr:`RobertsonReport.rhs` does, so it rounds as ``lhs - rhs``. The first
-    element with ``slack < -INEQUALITY_SLACK`` raises a
-    :class:`ContractViolationError`.
+    of the broadcast stack shape. ``slack`` rounds as the report's
+    ``lhs - rhs``. The first element with ``slack < -INEQUALITY_SLACK``
+    raises a :class:`ContractViolationError`.
     """
     mean_a, var_a = _moments(rho_m, a_m)
     mean_b, var_b = _moments(rho_m, b_m)
@@ -122,7 +121,7 @@ def robertson_arrays(
     c_mean = _mean(rho_m, -1j * (ab - ba))
     f_mean = _mean(rho_m, ab + ba) - 2.0 * mean_a * mean_b
     var_a, var_b, c_mean, f_mean = np.broadcast_arrays(np.maximum(var_a, 0.0), np.maximum(var_b, 0.0), c_mean, f_mean)
-    slack = var_a * var_b - 0.25 * (np.float_power(c_mean, 2) + np.float_power(f_mean, 2))
+    slack = var_a * var_b - 0.25 * (_square(c_mean) + _square(f_mean))
     bad = np.flatnonzero(slack < -INEQUALITY_SLACK)
     if bad.size:
         raise ContractViolationError(

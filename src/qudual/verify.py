@@ -25,9 +25,9 @@ simultaneous product through the long closed form, a golden-section search
 over ``c`` and the two compact candidates, each route one entry of its tuple
 for the ``minimum_product`` suite to check. Neither is in ``__all__``.
 
-Most suites check a stacked grid in one pass, with the checks, counts and
-notes of a loop over its states; the functions under test that take one
-state or phase stay in loops.
+A suite hands each grid's checks to :meth:`_Tally.check` as the entries of
+one call, with the checks, counts and notes of a loop over the grid; the
+functions under test that take one state or phase stay in loops.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 from . import montecarlo
 from .duality import duality_arrays, family_arrays, visibility, visibility_oracle
 from .errors import ContractViolationError, ParameterError
-from .linalg import _mean_half_gap, trace_norm
+from .linalg import _mean_half_gap, _modulus, _square, trace_norm
 from .simultaneous import (
     entangle,
     entangled_arrays,
@@ -58,7 +58,6 @@ from .states import (
     _pure_amplitudes,
     complementary_matrices,
     complementary_observable,
-    complementary_triplet,
     density_matrix,
     density_params,
     pure_state,
@@ -149,22 +148,18 @@ class _Tally:
     def check(self, *entries: tuple) -> None:
         """Record one check per element of each ``(deviation, tolerance, label[, where])`` entry.
 
-        The arrays broadcast; an element passes where ``deviation <= tolerance``
-        (NaN fails) and counts where ``where`` holds. ``label`` is a failure's
-        note, or ``label(i)`` makes it for flat element ``i``. Notes come as a
-        loop over the elements would make them: by element, then by entry.
+        An entry's arrays broadcast, to as many elements as every other entry
+        of the call. An element passes where ``deviation <= tolerance`` (NaN
+        fails) and counts where ``where`` holds. ``label`` is a failure's note,
+        or ``label(i)`` makes it for flat element ``i``. Notes come as a loop
+        over the elements would make them: by element, then by entry.
         """
-        if all(len(e) == 3 and not isinstance(e[0], np.ndarray) and not isinstance(e[1], np.ndarray) for e in entries):
-            # Scalar entries, most calls, skip the array passes.
-            self.checks += len(entries)
-            failed = [(0, k) for k, (deviation, tolerance, _) in enumerate(entries) if not deviation <= tolerance]
-        else:
-            masks = []
-            for deviation, tolerance, _, *where in entries:
-                ok, applies = np.broadcast_arrays(np.less_equal(deviation, tolerance), where[0] if where else True)
-                self.checks += int(np.count_nonzero(applies))
-                masks.append((applies & ~ok).ravel())
-            failed = list(zip(*np.nonzero(np.stack(masks, axis=-1))))
+        masks = []
+        for deviation, tolerance, _, *where in entries:
+            ok, applies = np.broadcast_arrays(np.less_equal(deviation, tolerance), where[0] if where else True)
+            self.checks += int(np.count_nonzero(applies))
+            masks.append((applies & ~ok).ravel())
+        failed = list(zip(*np.nonzero(np.stack(masks, axis=-1))))
         self.failures += len(failed)
         for i, k in failed[: max(self._MAX_NOTES - len(self.notes), 0)]:
             label = entries[k][2]
@@ -249,10 +244,10 @@ def projected_readout_moments(psi: np.ndarray, c, varrho) -> tuple:
     p_a = _weight((psi[..., None, :, :] * m.conj()[..., :, None, :]).sum(axis=-1))
     p_b = _weight((vecs.conj()[..., :, :, None] * psi[..., None, :, :]).sum(axis=-2))
     mean_a = (values * p_a).sum(axis=-1)
-    var_a = (np.float_power(values, 2) * p_a).sum(axis=-1) - np.float_power(mean_a, 2)
+    var_a = (_square(values) * p_a).sum(axis=-1) - _square(mean_a)
     value = GAUGE / c
     mean_b = value * (p_b[..., 0] - p_b[..., 1])
-    var_b = value * value * p_b.sum(axis=-1) - np.float_power(mean_b, 2)
+    var_b = value * value * p_b.sum(axis=-1) - _square(mean_b)
     return (mean_a, var_a), (mean_b, var_b)
 
 
@@ -388,32 +383,35 @@ def _suite_complementary_family(t: _Tally, run: dict, rng: np.random.Generator) 
         _near(erased_v * erased_v, base, _ROUNDOFF, lambda i: f"erasure moves everything into V_B #{i}"),
     )
 
-    for i in range(50):
-        varrho = rng.uniform(0.0, TWO_PI)
-        member = complementary_observable(varrho)
-        vp, vm = member.vec_plus, member.vec_minus
-        t.check(
-            (np.abs(np.abs(vp) - math.sqrt(0.5)).max(), _ROUNDOFF, f"unbiased member magnitudes #{i}"),
-            _near(abs(np.vdot(vp, vm)), 0.0, _ROUNDOFF, f"member orthogonality #{i}"),
-        )
-        for handedness in (1, -1):
-            a_obs, b_obs, c_obs = complementary_triplet(varrho, handedness)
-            comm = a_obs.matrix @ b_obs.matrix - b_obs.matrix @ a_obs.matrix
-            miss = np.abs(comm - 1j * handedness * c_obs.matrix).max()
-            t.check((miss, _ROUNDOFF, f"triplet commutator handedness={handedness} #{i}"))
+    # 50 members B(varrho) and their quarter-turn partners: [REFERENCE, B(varrho)] = +-i B(varrho +- pi/2).
+    varrho = [rng.uniform(0.0, TWO_PI) for _ in range(50)]
+    members = [complementary_observable(x) for x in varrho]
+    vp = np.array([member.vec_plus for member in members])
+    orthogonality = np.array([abs(np.vdot(member.vec_plus, member.vec_minus)) for member in members])
+    b_m = np.array([member.matrix for member in members])
+    comm = REFERENCE.matrix @ b_m - b_m @ REFERENCE.matrix
+    partners = {h: np.array([complementary_observable(x + h * math.pi / 2.0).matrix for x in varrho]) for h in (1, -1)}
+    miss = {h: np.abs(comm - 1j * h * partner).max(axis=(-2, -1)) for h, partner in partners.items()}
+    t.check(
+        (np.abs(np.abs(vp) - math.sqrt(0.5)).max(axis=-1), _ROUNDOFF, lambda i: f"unbiased member magnitudes #{i}"),
+        _near(orthogonality, 0.0, _ROUNDOFF, lambda i: f"member orthogonality #{i}"),
+        *((miss[h], _ROUNDOFF, lambda i, h=h: f"triplet commutator handedness={h} #{i}") for h in miss),
+    )
 
 
 def _suite_fringe_oracle(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     grid = run["fringe_grid"]
-    step = TWO_PI / grid
+    angle_tol = TWO_PI / grid + _GRID_ANGLE  # one grid step, and round-off
     states = [pure_state(0.9), pure_state(0.5), DensityMatrix(0.7, 0.0)]
     states += [DensityMatrix(*params) for params in zip(*_random_states(rng, run["fringe_states"])[:3])]
-    frozen = {0: 0.6, 1: 1.0, 2: 0.0}
-    for i, rho in enumerate(states):
-        v_hat, xi_hat = visibility_oracle(rho, grid_n=grid)
-        t.check(_near(v_hat, frozen.get(i, visibility(rho)), run["fringe_tol"], f"oracle contrast state #{i}"))
-        if visibility(rho) > 1e-3:
-            t.check((abs(xi_hat - math.pi / 4.0), step + _GRID_ANGLE, f"oracle coupling angle state #{i}: {xi_hat!r}"))
+    v = np.array([visibility(rho) for rho in states])
+    target = np.array([0.6, 1.0, 0.0, *v[3:]])  # the first three are known exactly
+    v_hat, xi_hat = np.array([visibility_oracle(rho, grid_n=grid) for rho in states]).T
+    xi = xi_hat.tolist()
+    t.check(
+        _near(v_hat, target, run["fringe_tol"], lambda i: f"oracle contrast state #{i}"),
+        (np.abs(xi_hat - math.pi / 4.0), angle_tol, lambda i: f"oracle coupling angle state #{i}: {xi[i]!r}", v > 1e-3),
+    )
 
 
 def _suite_robertson(t: _Tally, run: dict, rng: np.random.Generator) -> None:
@@ -448,9 +446,9 @@ def _suite_intelligent_states(t: _Tally, run: dict, rng: np.random.Generator) ->
     # eigen-equation degenerates: that state is checked for Var(B) = 0
     # instead, and a zero stretch stands in for it in the arithmetic.
     lam = np.array([st.lam for st in states])
-    lam_abs = np.hypot(lam.real, lam.imag)  # rounds as the scalar abs does
+    lam_abs = _modulus(lam)
     finite = np.isfinite(lam_abs)
-    lam_sq = np.float_power(np.where(finite, lam_abs, 0.0), 2)
+    lam_sq = _square(np.where(finite, lam_abs, 0.0))
     res = _eigen_residuals(rho_m, _pure_amplitudes(w, theta), np.where(finite, lam, 0.0), REFERENCE.matrix, b_m)
     is1 = np.array(family) == "IS1"
     central = {("IS1", 0.5): "IS1 central point", ("IS2a", 0.0): "IS2a zero offset"}
@@ -493,14 +491,15 @@ def _suite_intelligent_states(t: _Tally, run: dict, rng: np.random.Generator) ->
 
 
 def _suite_product_bounds(t: _Tally, run: dict, rng: np.random.Generator) -> None:
-    for alpha in np.linspace(0.0, math.pi / 2.0, 201):
-        w = math.sin(float(alpha)) ** 2
-        k = w * (1.0 - w)
-        lo, hi = normalized_product_bounds(w)
-        p = abs(2.0 * w - 1.0)
-        v = 2.0 * math.sqrt(k)
-        t.check(_near(lo, p * p * v * v / 16.0, _ROUNDOFF, f"floor matches P^2 V^2 / 16 at w={w:.4f}"))
-        t.check(_near(hi, k / 4.0, _ROUNDOFF, f"ceiling matches K/4 at w={w:.4f}"))
+    w = np.array([math.sin(alpha) ** 2 for alpha in np.linspace(0.0, math.pi / 2.0, 201).tolist()])
+    k = w * (1.0 - w)
+    lo, hi = np.array([normalized_product_bounds(x) for x in w.tolist()]).T
+    p = np.abs(2.0 * w - 1.0)
+    v = 2.0 * np.sqrt(k)
+    t.check(
+        _near(lo, p * p * v * v / 16.0, _ROUNDOFF, lambda i: f"floor matches P^2 V^2 / 16 at w={w[i]:.4f}"),
+        _near(hi, k / 4.0, _ROUNDOFF, lambda i: f"ceiling matches K/4 at w={w[i]:.4f}"),
+    )
 
     # Every (w, delta) pair of pure states at theta = 0.6, and each w's erasure
     # member in the last column, in one kernel call over contiguous stacks.
@@ -594,28 +593,27 @@ def _suite_unbiasedness(t: _Tally, run: dict, rng: np.random.Generator) -> None:
 
 
 def _suite_minimum_product(t: _Tally, run: dict, rng: np.random.Generator) -> None:
-    for k in range(1, 52):
-        w = k / 53.0
-        value, long_form, numeric_min, compact_plus, compact_minus = minimum_product_routes(w)
-        routes = [value, numeric_min] + ([] if math.isnan(long_form) else [long_form])
-        spread = float(np.ptp(routes))
-        t.check(
-            (spread, ROUTE_AGREEMENT_TOL, f"routes agree at w={w:.4f}: spread {spread!r}"),
-            (abs(value - compact_plus), ROUTE_AGREEMENT_TOL, f"compact plus form matches at w={w:.4f}"),
-        )
-        vp = abs(2.0 * w - 1.0) * 2.0 * math.sqrt(w * (1.0 - w))
-        if vp > 1e-3:
-            minus = ROUTE_AGREEMENT_TOL - abs(value - compact_minus)
-            t.check((minus, _STRICT, f"compact minus form rejected at w={w:.4f}"))
-        if math.isfinite(long_form):
-            tol = ROUTE_AGREEMENT_TOL * max(1.0, abs(value))
-            t.check((abs(long_form - value), tol, f"long route agrees at w={w:.4f}"))
-    for w in (0.0, 0.5, 1.0):
-        value, _, _, compact_plus, _ = minimum_product_routes(w)
-        t.check(
-            (abs(value - 0.0625), _EXACT, f"limit value is exactly 1/16 at w={w}"),
-            (abs(compact_plus - value), _EXACT, f"compact form equals the limit at w={w}"),
-        )
+    w = np.arange(1, 52) / 53.0
+    routes = np.array([minimum_product_routes(x) for x in w.tolist()]).T
+    value, long_form, numeric_min, compact_plus, compact_minus = routes
+    # The spread leaves out only a NaN long form, where its representation is 0/0.
+    spread = np.ptp([value, numeric_min, np.where(np.isnan(long_form), value, long_form)], axis=0)
+    s, at = spread.tolist(), [f"at w={x:.4f}" for x in w.tolist()]
+    vp = np.abs(2.0 * w - 1.0) * 2.0 * np.sqrt(w * (1.0 - w))
+    tol = ROUTE_AGREEMENT_TOL
+    scaled = tol * np.maximum(1.0, np.abs(value))
+    t.check(
+        (spread, tol, lambda i: f"routes agree {at[i]}: spread {s[i]!r}"),
+        (np.abs(value - compact_plus), tol, lambda i: f"compact plus form matches {at[i]}"),
+        (tol - np.abs(value - compact_minus), _STRICT, lambda i: f"compact minus form rejected {at[i]}", vp > 1e-3),
+        (np.abs(long_form - value), scaled, lambda i: f"long route agrees {at[i]}", np.isfinite(long_form)),
+    )
+    limits = (0.0, 0.5, 1.0)
+    value, _, _, compact_plus, _ = np.array([minimum_product_routes(x) for x in limits]).T
+    t.check(
+        (np.abs(value - 0.0625), _EXACT, lambda i: f"limit value is exactly 1/16 at w={limits[i]}"),
+        (np.abs(compact_plus - value), _EXACT, lambda i: f"compact form equals the limit at w={limits[i]}"),
+    )
     t.check(_near(optimal_entanglement(0.9), math.sqrt(3.0 / 7.0), _ROUNDOFF, "optimal overlap at w=0.9"))
 
 
@@ -632,18 +630,20 @@ def _suite_monte_carlo(t: _Tally, run: dict, rng: np.random.Generator) -> None:
         montecarlo.sample_sharp(rho, b_obs, n, seed, stream=2),
         *montecarlo.sample_simultaneous(entangle(0.9, theta, math.sqrt(3.0 / 7.0)), theta, n, seed, stream=3),
     )
-    for name, rep in zip(("sharp reference", "sharp complementary", "meter", "system"), reports):
-        # A degenerate report has no standard error to scale its z-scores.
-        z = math.inf if rep.degenerate else max(abs(rep.z_mean), abs(rep.z_variance))
-        t.check((z, montecarlo.Z_FLAG_THRESHOLD, f"{name} readout z=({rep.z_mean:.2f},{rep.z_variance:.2f})"))
+    names = ("sharp reference", "sharp complementary", "meter", "system")
+    notes = [f"{name} readout z=({rep.z_mean:.2f},{rep.z_variance:.2f})" for name, rep in zip(names, reports)]
+    # A degenerate report has no standard error to scale its z-scores.
+    z = [math.inf if rep.degenerate else max(abs(rep.z_mean), abs(rep.z_variance)) for rep in reports]
+    t.check((np.array(z), montecarlo.Z_FLAG_THRESHOLD, notes.__getitem__))
 
-    v_hat = montecarlo.sample_fringe(pure_state(0.5), max(n // 20, 100), seed, stream=4)
-    t.check((abs(v_hat - 1.0), _EXACT, f"balanced pure state shows full contrast: {v_hat!r}"))
-    v_hat = montecarlo.sample_fringe(pure_state(0.9, 0.7), max(n // 20, 100), seed, stream=20)
-    t.check(_near(v_hat, 0.6, run["sampled_fringe_tol"], "sampled contrast tracks the coherence"))
-
+    balanced = montecarlo.sample_fringe(pure_state(0.5), max(n // 20, 100), seed, stream=4)
+    tracked = montecarlo.sample_fringe(pure_state(0.9, 0.7), max(n // 20, 100), seed, stream=20)
     rep = montecarlo.sample_sharp(DensityMatrix(1.0, 0.0), REFERENCE, 5, seed, stream=36)
-    t.check((abs(rep.empirical_variance) if rep.degenerate else math.inf, _EXACT, "eigenstate sampling is degenerate"))
+    t.check(
+        (abs(balanced - 1.0), _EXACT, f"balanced pure state shows full contrast: {balanced!r}"),
+        _near(tracked, 0.6, run["sampled_fringe_tol"], "sampled contrast tracks the coherence"),
+        (abs(rep.empirical_variance) if rep.degenerate else math.inf, _EXACT, "eigenstate sampling is degenerate"),
+    )
 
 
 _SUITES = {

@@ -308,6 +308,17 @@ def test_sizes_past_their_bound_raise_parameter_error(entry):
             call(value)
 
 
+@pytest.mark.parametrize("entry", sorted(SIZE_BOUNDS))
+def test_sizes_that_are_not_whole_raise_parameter_error(entry):
+    call, low, bound, name = SIZE_BOUNDS[entry]
+    for value in (low + 1.5, low + 0.999, bound - 0.5):
+        message = f"{name} = {value!r} violates the bound {name} in {{{low}, ..., {bound:g}}}"
+        with pytest.raises(ParameterError, match=re.escape(message) + "$"):
+            call(value)
+    # a whole float is the same count as the int
+    assert repr(call(float(low + 1))) == repr(call(low + 1))
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

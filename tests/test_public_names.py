@@ -37,7 +37,6 @@ PUBLIC_NAMES = [
     "assert_unitary",
     "complementary_matrices",
     "complementary_observable",
-    "complementary_triplet",
     "density_matrix",
     "density_params",
     "distinguishability",

@@ -13,7 +13,6 @@ from qudual import (
     ParameterError,
     complementary_matrices,
     complementary_observable,
-    complementary_triplet,
     density_matrix,
     density_params,
     pure_state,
@@ -210,15 +209,11 @@ def test_complementary_observable_matrix():
 
 @given(varrho=angles)
 def test_triplet_commutators_close(varrho):
-    for handedness in (1, -1):
-        a_obs, b_obs, c_obs = complementary_triplet(varrho, handedness)
-        comm = a_obs.matrix @ b_obs.matrix - b_obs.matrix @ a_obs.matrix
-        np.testing.assert_allclose(comm, 1j * handedness * c_obs.matrix, atol=1e-14)
-        # the triplet starts at the reference, and both partners carry its outcome values
-        assert a_obs is REFERENCE
-        assert [(obs.val_plus, obs.val_minus) for obs in (b_obs, c_obs)] == [(REFERENCE.val_plus, REFERENCE.val_minus)] * 2
-
-
-def test_triplet_rejects_bad_handedness():
-    with pytest.raises(ParameterError, match="handedness"):
-        complementary_triplet(0.0, 2)
+    # With A = REFERENCE, [A, B(varrho)] = +-i B(varrho +- pi/2): the quarter-turn partners close su(2).
+    b_obs = complementary_observable(varrho)
+    comm = REFERENCE.matrix @ b_obs.matrix - b_obs.matrix @ REFERENCE.matrix
+    for sign in (1, -1):
+        partner = complementary_observable(varrho + sign * math.pi / 2.0)
+        np.testing.assert_allclose(comm, 1j * sign * partner.matrix, atol=1e-14)
+        # both partners carry the reference's outcome values
+        assert (partner.val_plus, partner.val_minus) == (REFERENCE.val_plus, REFERENCE.val_minus)

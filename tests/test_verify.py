@@ -135,6 +135,29 @@ def test_batched_suites_make_one_kernel_call_each(count_calls):
     assert [np.broadcast(*call[1:]).size for call in scans] == [2 * 512] * 23
 
 
+def test_suites_hand_their_checks_to_the_tally_in_stacked_calls(count_calls):
+    """A grid's checks are one tally call, not one per element, and the family suite builds three members a phase."""
+    tally_calls = count_calls(verify._Tally, "check")
+    observables = count_calls(states.Observable, "__init__")
+    expected = {
+        "product_bounds": (1137, 2),
+        "minimum_product": (211, 3),
+        "complementary_family": (5200, 2),
+        "fringe_oracle": (45, 1),
+        "monte_carlo": (7, 2),
+    }
+    counted = {}
+    for name in expected:
+        tally_calls.clear()
+        observables.clear()
+        result = verify.run_suite(name, "full", 42)
+        assert result.failures == 0
+        counted[name] = (result.checks, len(tally_calls))
+        if name == "complementary_family":
+            assert len(observables) == 150
+    assert counted == expected
+
+
 def test_stacked_projection_matches_one_state_calls():
     psi = [entangle(w, theta, c) for w, theta, c in READOUT_GRID]
     varrho = [0.3 * k for k in range(len(psi))]  # a distinct member for every state
@@ -234,7 +257,9 @@ def _skewed_member(exact):
 
     def planted(varrho):
         member = exact(varrho)
-        return SimpleNamespace(vec_plus=member.vec_plus, vec_minus=member.vec_minus + 1e-9 * member.vec_plus)
+        return SimpleNamespace(
+            vec_plus=member.vec_plus, vec_minus=member.vec_minus + 1e-9 * member.vec_plus, matrix=member.matrix
+        )
 
     return planted
 
