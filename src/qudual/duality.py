@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, check_array, check_count
-from .linalg import _square
 from .states import TWO_PI, DensityMatrix, purity
 
 # Largest oracle grid. Past it a finer grid buys no accuracy a check can use:
@@ -65,8 +64,8 @@ def visibility(rho: DensityMatrix) -> float:
 
 
 def _phase_factor(m10, phi):
-    """``Im(m10 exp(i phi))``, the one phase-dependent factor of :func:`fringe_probability`."""
-    return (m10 * np.exp(1j * phi)).imag
+    """``Im(m10 exp(i phi))``, the one phase-dependent factor of :func:`fringe_probability`, in real parts."""
+    return m10.real * np.sin(phi) + m10.imag * np.cos(phi)
 
 
 def fringe_probability(rho: DensityMatrix, phi, xi):
@@ -145,7 +144,7 @@ def family_arrays(w_plus, rho12, theta, varrho) -> tuple[np.ndarray, np.ndarray]
     delta = t - check_array(varrho, "varrho")
     p = _imbalance(w)
     s = np.sin(delta)
-    return 2.0 * r * np.abs(np.cos(delta)), np.sqrt(p * p + 4.0 * _square(r) * s * s)
+    return 2.0 * r * np.abs(np.cos(delta)), np.sqrt(p * p + 4.0 * (r * r) * s * s)
 
 
 @dataclass(frozen=True)

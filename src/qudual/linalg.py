@@ -93,18 +93,114 @@ def assert_unitary(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-# A stack rounds as one value: NumPy's complex ``abs`` on arrays and its ``x ** 2`` do not always give the bits
-# of Python's scalar ``abs(z)`` and ``x ** 2``, and these two helpers do, element by element.
+# The stacked kernels of this package work on the entry parts of 2x2 matrices, in ``+ - * /`` and ``sqrt``
+# alone, with no BLAS product and no complex multiply: IEEE 754 rounds those operations correctly, so a kernel
+# gives the same bits on every host, whatever its BLAS kernel or SIMD level, and on a Python float as on each
+# element of an array. A Hermitian 2x2 is four reals ``(a, d, x, y)``: the diagonal ``a``, ``d`` and
+# the upper off-diagonal entry ``b = x + i y``. One matrix is read through ``m.tolist()``, so the kernels run on
+# Python floats there (a 0-d array would cost several times as much); a stack is read as arrays.
+
+
+def _entries(m: np.ndarray):
+    """Entries ``((m00, m01), (m10, m11))`` of a 2x2 matrix as Python numbers, or of a stack as arrays."""
+    if m.ndim == 2:
+        return m.tolist()
+    return (m[..., 0, 0], m[..., 0, 1]), (m[..., 1, 0], m[..., 1, 1])
+
+
+def _parts(m: np.ndarray):
+    """Parts ``(a, d, x, y)`` of Hermitian 2x2 matrices: floats for one matrix, arrays for a stack."""
+    (a, b), (_, d) = _entries(m)
+    return a.real, d.real, b.real, b.imag
+
+
+def _from_parts(a, d, x, y) -> np.ndarray:
+    """Hermitian matrices ``(..., 2, 2)`` with parts ``(a, d, x, y)``, which broadcast; no complex arithmetic."""
+    if not any(isinstance(part, np.ndarray) for part in (a, d, x, y)):  # one matrix, at a quarter of the cost
+        return np.array([[a, complex(x, y)], [complex(x, -y), d]], dtype=complex)
+    a, d, x, y = np.broadcast_arrays(a, d, x, y)
+    m = np.zeros(a.shape + (2, 2), dtype=complex)
+    re, im = m.real, m.imag
+    re[..., 0, 0] = a
+    re[..., 1, 1] = d
+    re[..., 0, 1] = re[..., 1, 0] = x
+    im[..., 0, 1] = y
+    im[..., 1, 0] = -y
+    return m
+
+
+def _split(z):
+    """``(z.real, z.imag)``: a complex number or array as the pair of parts that the kernels take."""
+    return z.real, z.imag
+
+
+def _times_conj(z, w):
+    """Parts ``(re, im)`` of ``z * conj(w)`` from the parts of ``z`` and ``w``, for floats or arrays alike."""
+    (zr, zi), (wr, wi) = z, w
+    return zr * wr + zi * wi, zi * wr - zr * wi
+
+
+def _times(z, w):
+    """Parts ``(re, im)`` of ``z * w`` from the parts of ``z`` and ``w``: Python's complex product, term for term."""
+    (zr, zi), (wr, wi) = z, w
+    return zr * wr - zi * wi, zr * wi + zi * wr
+
+
+def _projector(z0, z1):
+    """Parts of the Hermitian ``z z^dagger`` of the vector ``z = (z0, z1)``, given as parts."""
+    (r0, i0), (r1, i1) = z0, z1
+    return r0 * r0 + i0 * i0, r1 * r1 + i1 * i1, *_times_conj(z0, z1)
+
+
+_SPLITTER = 134217729.0  # 2**27 + 1: splits a double into two halves of 26 bits
+
+
+def _two_product(a, b):
+    """``(p, e)`` with ``p = fl(a b)`` and ``p + e = a b`` exactly (Dekker, Numer. Math. 18, 224, 1971).
+
+    Exact while nothing underflows; past ``|a|`` or ``|b|`` of about 2**996 the split overflows and ``e`` is NaN.
+    """
+    p = a * b
+    t = _SPLITTER * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLITTER * b
+    bh = t - (t - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dot(*pairs):
+    """``sum(a b for a, b in pairs)`` as if in twice the working precision, then rounded.
+
+    Ogita, Rump and Oishi's Dot2 (SIAM J. Sci. Comput. 26, 1955, 2005):
+    every product and partial sum carries its exact rounding error, from
+    ``+ - *`` alone, so the result does not depend on fused multiply-adds.
+    """
+    s, c = _two_product(*pairs[0])
+    for a, b in pairs[1:]:
+        p, q = _two_product(a, b)
+        t = s + p
+        z = t - s
+        c = c + (q + ((s - (t - z)) + (p - z)))
+        s = t
+    return s + c
+
+
+def _trace(h, k):
+    """``tr(h k)`` of Hermitian parts, which is real: ``a_h a_k + d_h d_k + 2 (x_h x_k + y_h y_k)``, by :func:`_dot`.
+
+    A trace against a state is a mean or a probability; :func:`_dot` keeps it
+    within about half an ulp where a plain sum loses up to two.
+    """
+    a, d, x, y = h
+    p, s, u, v = k
+    return _dot((a, p), (d, s), (2.0 * x, u), (2.0 * y, v))
 
 
 def _modulus(z):
-    """``abs(z)`` of complex values, elementwise: ``np.hypot`` of the parts."""
+    """``abs(z)`` of complex values, elementwise: ``np.hypot`` of the parts, which rounds a stack as its scalar."""
     return np.hypot(z.real, z.imag)
-
-
-def _square(x):
-    """``x ** 2`` elementwise, through C ``pow``."""
-    return np.float_power(x, 2)
 
 
 def _mean_half_gap(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

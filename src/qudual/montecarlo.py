@@ -24,7 +24,8 @@ import numpy as np
 
 from .duality import fringe_probability
 from .errors import ParameterError, check_count
-from .simultaneous import EntangledState, estimate_a, estimate_b, meter_projectors
+from .linalg import _parts, _projector, _split, _times_conj, _trace
+from .simultaneous import EntangledState, _rows, estimate_a, estimate_b, meter_projectors
 from .states import GAUGE, DensityMatrix, Observable, complementary_observable
 from .uncertainty import mean_var
 
@@ -57,12 +58,28 @@ __all__ = [
 ]
 
 
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands Philox its key as is.
+
+    ``Philox(_PhiloxKey(key))`` has the state of ``Philox(key=key)``: that
+    key, a zero counter and an empty buffer. ``Philox(key=key)`` also builds
+    a ``SeedSequence`` from OS entropy, which the key then overrides; that
+    costs more than the rest of the generator.
+    """
+
+    def __init__(self, key: np.ndarray) -> None:
+        self._key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self._key[:n_words].astype(dtype, copy=False)  # Philox asks for its two uint64 key words
+
+
 def _generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator keyed by (seed, stream), each an integer taken modulo 2**64; counter-based and splittable."""
     if not (isinstance(seed, (int, np.integer)) and isinstance(stream, (int, np.integer))):
         raise ParameterError(f"seed and stream must be integers, got seed = {seed!r}, stream = {stream!r}")
     key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 @dataclass(frozen=True)
@@ -142,7 +159,8 @@ def _two_outcome_report(
 
 
 def _outcome_probability(rho: DensityMatrix, vec: np.ndarray) -> float:
-    p = float(np.vdot(vec, rho.matrix @ vec).real)
+    """``tr(rho |vec><vec|)``, clipped to [0, 1], in the real parts of one state's Python floats."""
+    p = _trace(_parts(rho.matrix), _projector(*map(_split, vec.tolist())))
     return min(max(p, 0.0), 1.0)
 
 
@@ -203,23 +221,27 @@ def sample_simultaneous(
     """
     n = check_count(n, "n", 1, MAX_SHOTS)
     mp = meter_projectors(psi_e.c)
-    psi = psi_e.amplitudes
+    # Complex numbers as (re, im) parts of Python floats: amplitude rows by
+    # system state, and the meter and member vectors.
+    psi = _rows(psi_e.amplitudes)
+    meters = [[_split(z) for z in m_vec.tolist()] for m_vec in (mp.vec_plus, mp.vec_minus)]
+    v0, v1 = map(_split, complementary_observable(varrho).vec_plus.tolist())
 
-    # Meter stage: outcome probabilities and conditioned system vectors.
+    # Meter stage: outcome probabilities and the conditioned system vectors
+    # amp[s] = sum_m psi[s, m] conj(meter[m]).
     cond = []
-    for m_vec in (mp.vec_plus, mp.vec_minus):
-        amp = psi @ m_vec.conj()
-        p = float(np.vdot(amp, amp).real)
+    for m0, m1 in meters:
+        amp = [[x + y for x, y in zip(_times_conj(s0, m0), _times_conj(s1, m1))] for s0, s1 in psi]
+        p = sum(x * x + y * y for x, y in amp)
         cond.append((min(max(p, 0.0), 1.0), amp))
     p1 = cond[0][0]
 
     # System stage: conditional probability of the + outcome of the
-    # complementary member, given each meter outcome.
-    vec_plus = complementary_observable(varrho).vec_plus
+    # complementary member, |<v|amp>|^2 / p, given each meter outcome.
     q = np.empty(2)
-    for k, (p, amp) in enumerate(cond):
-        overlap = float(abs(np.vdot(vec_plus, amp)) ** 2)
-        q[k] = min(overlap / p, 1.0) if p > 0.0 else 0.0
+    for k, (p, (a0, a1)) in enumerate(cond):
+        x, y = (s + t for s, t in zip(_times_conj(a0, v0), _times_conj(a1, v1)))
+        q[k] = min((x * x + y * y) / p, 1.0) if p > 0.0 else 0.0
 
     rng = _generator(seed, stream)
     n_m1 = int(rng.binomial(n, p1))

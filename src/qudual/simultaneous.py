@@ -37,7 +37,7 @@ import numpy as np
 
 from .duality import _imbalance
 from .errors import ParameterError, SingularConfigurationError, check_array, check_scalar
-from .linalg import _modulus, trace_norm
+from .linalg import _entries, _from_parts, _modulus, _projector, _split, trace_norm
 from .states import GAUGE, TWO_PI, Observable, density_params, validate_density
 
 # Largest rescaled outcome value whose square is a finite double.
@@ -83,15 +83,25 @@ def _amplitudes(w, t, c) -> np.ndarray:
     return psi
 
 
+def _rows(psi: np.ndarray):
+    """Parts of the amplitudes ``psi[..., system, meter]``, as rows by system state: Python floats for one state."""
+    return [[_split(z) for z in row] for row in _entries(psi)]
+
+
 def _distinguishability(psi: np.ndarray):
     """Trace-norm distance of the meter blocks ``psi[..., s, :] psi[..., s, :]^dagger`` of the two system states."""
-    blocks = psi[..., :, :, None] * psi[..., :, None, :].conj()
-    return trace_norm(blocks[..., 0, :, :] - blocks[..., 1, :, :])
+    plus, minus = (_projector(*row) for row in _rows(psi))
+    return trace_norm(_from_parts(*(p - q for p, q in zip(plus, minus))))
 
 
 def _reduced(psi: np.ndarray) -> np.ndarray:
-    """System matrices ``(..., 2, 2)`` left by tracing the meter out of ``psi[..., system, meter]``."""
-    return np.einsum("...im,...jm->...ij", psi, psi.conj())
+    """System matrices ``(..., 2, 2)`` left by tracing the meter out of ``psi[..., system, meter]``.
+
+    The sum over meter states ``m`` of ``psi[..., :, m] psi[..., :, m]^dagger``, in real parts.
+    """
+    (s00, s01), (s10, s11) = _rows(psi)
+    first, second = _projector(s00, s10), _projector(s01, s11)
+    return _from_parts(*(p + q for p, q in zip(first, second)))
 
 
 def _visibility(m: np.ndarray):

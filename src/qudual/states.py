@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError, as_float, as_float_array, check_array, check_scalar
-from .linalg import _modulus, _square, assert_hermitian, assert_unitary
+from .linalg import _entries, _from_parts, _modulus, _projector, _split, assert_hermitian, assert_unitary
 
 TWO_PI = 2.0 * math.pi
 
@@ -169,7 +169,7 @@ def density_params(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def purity(w_plus, rho12):
     """Purity ``1 - 2 w+ w- + 2 rho12**2`` of valid state parameters, elementwise."""
-    return 1.0 - 2.0 * w_plus * (1.0 - w_plus) + 2.0 * _square(rho12)
+    return 1.0 - 2.0 * w_plus * (1.0 - w_plus) + 2.0 * (rho12 * rho12)
 
 
 def _pure_amplitudes(w_plus, theta) -> np.ndarray:
@@ -248,8 +248,14 @@ class Observable:
 
 
 def _spectral_matrix(basis: np.ndarray, val_plus: float, val_minus: float) -> np.ndarray:
-    """``basis @ diag(val_plus, val_minus) @ basis^dagger`` for a basis or a stack of bases."""
-    return basis @ np.diag([val_plus, val_minus]) @ basis.conj().swapaxes(-1, -2)
+    """``basis @ diag(val_plus, val_minus) @ basis^dagger`` for a basis or a stack of bases.
+
+    Entry by entry in real arithmetic: ``val_plus u u^dagger + val_minus w w^dagger``
+    for the columns ``u`` and ``w``; one basis is read as Python floats.
+    """
+    (u0, w0), (u1, w1) = _entries(basis)
+    u, w = _projector(_split(u0), _split(u1)), _projector(_split(w0), _split(w1))
+    return _from_parts(*(val_plus * p + val_minus * q for p, q in zip(u, w)))
 
 
 # Reference-basis observable with outcomes +GAUGE and -GAUGE, built and

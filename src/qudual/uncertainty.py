@@ -12,13 +12,17 @@ structure is the families of pure states whose eigen-equation parameter
 boundary of the reachable region of the normalized uncertainty product at
 fixed populations.
 
-The explicit route to both sides is one array kernel,
-:func:`robertson_arrays`. It takes state and observable matrices stacked as
-``(..., 2, 2)`` and returns the four fields of a :class:`RobertsonReport`
-(``var_a``, ``var_b``, ``c_mean``, ``f_mean``, ``slack``) as arrays, from
-batched products and traces. :func:`robertson` is that kernel on one state
-and pair, packed into a report. The kernel holds the contract: any element
-with ``slack < -INEQUALITY_SLACK`` raises.
+The explicit route to both sides is one kernel, :func:`robertson_arrays`. It
+takes state and observable matrices stacked as ``(..., 2, 2)`` and returns
+the five fields of a :class:`RobertsonReport` (``var_a``, ``var_b``,
+``c_mean``, ``f_mean``, ``slack``) as arrays. It is matrix algebra written
+out on the entry parts of each Hermitian 2x2: the products ``A B +- B A``
+and ``A^2`` entry by entry, then traces against the state, in ``+ - *``
+alone, so its bits do not depend on the BLAS kernel or the SIMD level of
+the host. :func:`robertson` runs the same expression on the Python floats
+of one state and pair and packs it into a report, with the bits of that
+element of a stack. Both hold the contract: any element with
+``slack < -INEQUALITY_SLACK`` raises.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError, as_float, check_scalar
-from .linalg import _square
+from .linalg import _parts, _split, _times, _trace
 from .states import DensityMatrix, Observable, pure_state
 
 INEQUALITY_SLACK = 1e-12
@@ -51,25 +55,36 @@ __all__ = [
 ]
 
 
-def _mean(rho_m: np.ndarray, op_m: np.ndarray) -> np.ndarray:
-    """``Re tr(rho op)`` of stacked ``(..., 2, 2)`` matrices: ``np.trace``'s sum, without its overhead."""
-    m = rho_m @ op_m
-    return (m[..., 0, 0] + m[..., 1, 1]).real
+def _anticommutator(h, k):
+    """Parts of ``h k + k h`` for Hermitian parts ``h`` and ``k``, entry by entry."""
+    a1, d1, x1, y1 = h
+    a2, d2, x2, y2 = k
+    t = x1 * x2 + y1 * y2  # Re(b_h conj(b_k)), in the diagonal of both h k and k h
+    return 2.0 * (a1 * a2 + t), 2.0 * (d1 * d2 + t), (a1 + d1) * x2 + (a2 + d2) * x1, (a1 + d1) * y2 + (a2 + d2) * y1
 
 
-def _moments(rho_m: np.ndarray, op_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and unclipped variance of stacked observables."""
-    mean = _mean(rho_m, op_m)
-    return mean, _mean(rho_m, op_m @ op_m) - _square(mean)
+def _commutator(h, k):
+    """Parts of the Hermitian ``-i (h k - k h)`` for Hermitian parts ``h`` and ``k``, entry by entry."""
+    a1, d1, x1, y1 = h
+    a2, d2, x2, y2 = k
+    s = y1 * x2 - x1 * y2  # Im(b_h conj(b_k)): h k - k h has 2 i s and -2 i s on its diagonal
+    g1, g2 = a1 - d1, a2 - d2  # its upper entry is g1 b_k - g2 b_h
+    return 2.0 * s, -2.0 * s, g1 * y2 - g2 * y1, g2 * x1 - g1 * x2
+
+
+def _moments(rho, op) -> tuple:
+    """Mean ``tr(rho O)`` and unclipped variance ``tr(rho O^2) - mean^2`` of parts, with ``O^2 = {O, O} / 2``."""
+    mean = _trace(rho, op)
+    return mean, 0.5 * _trace(rho, _anticommutator(op, op)) - mean * mean
 
 
 def mean_var(rho: DensityMatrix, obs: Observable) -> tuple[float, float]:
-    """Mean and variance of an observable: :func:`_moments` on one state.
+    """Mean and variance of an observable: :func:`_moments` on one state, in Python floats.
 
     The variance is clipped to 0 when rounding drives it within 1e-12 below
     zero; a larger negative value raises, since it signals corrupted inputs.
     """
-    mean, var = (float(x) for x in _moments(rho.matrix, obs.matrix))
+    mean, var = _moments(_parts(rho.matrix), _parts(obs.matrix))
     if var < -INEQUALITY_SLACK:
         raise ContractViolationError(f"variance evaluated to {var!r} < 0 beyond tolerance")
     return mean, max(var, 0.0)
@@ -99,7 +114,26 @@ class RobertsonReport:
 
     @property
     def rhs(self) -> float:
-        return 0.25 * (self.c_mean ** 2 + self.f_mean ** 2)
+        return 0.25 * (self.c_mean * self.c_mean + self.f_mean * self.f_mean)
+
+
+def _robertson(rho, a, b) -> tuple:
+    """The five fields of :class:`RobertsonReport` from the parts of a state and a pair: floats or arrays alike."""
+    mean_a, var_a = _moments(rho, a)
+    mean_b, var_b = _moments(rho, b)
+    c_mean = _trace(rho, _commutator(a, b))
+    f_mean = _trace(rho, _anticommutator(a, b)) - 2.0 * mean_a * mean_b
+    if isinstance(var_a, float) and isinstance(var_b, float):
+        var_a, var_b = max(var_a, 0.0), max(var_b, 0.0)
+    else:
+        var_a, var_b = np.maximum(var_a, 0.0), np.maximum(var_b, 0.0)
+    return var_a, var_b, c_mean, f_mean, var_a * var_b - 0.25 * (c_mean * c_mean + f_mean * f_mean)
+
+
+def _bound_violated(slack: float) -> ContractViolationError:
+    return ContractViolationError(
+        f"uncertainty bound violated: lhs - rhs = {slack!r}; this indicates corrupted operator or state input"
+    )
 
 
 def robertson_arrays(
@@ -110,33 +144,28 @@ def robertson_arrays(
     ``rho_m``, ``a_m`` and ``b_m`` are state and observable matrices of shape
     ``(..., 2, 2)`` that broadcast together. Returns ``(var_a, var_b, c_mean,
     f_mean, slack)``, the fields of :class:`RobertsonReport`, as float arrays
-    of the broadcast stack shape. ``slack`` rounds as the report's
-    ``lhs - rhs``. The first element with ``slack < -INEQUALITY_SLACK``
-    raises a :class:`ContractViolationError`.
+    of the broadcast stack shape. Each element has the bits of
+    :func:`robertson` on that one state and pair, and ``slack`` rounds as the
+    report's ``lhs - rhs``. The first element with
+    ``slack < -INEQUALITY_SLACK`` raises a :class:`ContractViolationError`.
     """
-    mean_a, var_a = _moments(rho_m, a_m)
-    mean_b, var_b = _moments(rho_m, b_m)
-    ab = a_m @ b_m
-    ba = b_m @ a_m
-    c_mean = _mean(rho_m, -1j * (ab - ba))
-    f_mean = _mean(rho_m, ab + ba) - 2.0 * mean_a * mean_b
-    var_a, var_b, c_mean, f_mean = np.broadcast_arrays(np.maximum(var_a, 0.0), np.maximum(var_b, 0.0), c_mean, f_mean)
-    slack = var_a * var_b - 0.25 * (_square(c_mean) + _square(f_mean))
+    fields = np.broadcast_arrays(*_robertson(_parts(rho_m), _parts(a_m), _parts(b_m)))
+    slack = fields[4]
     bad = np.flatnonzero(slack < -INEQUALITY_SLACK)
     if bad.size:
-        raise ContractViolationError(
-            f"uncertainty bound violated: lhs - rhs = {float(slack.flat[bad[0]])!r}; "
-            "this indicates corrupted operator or state input"
-        )
-    return var_a, var_b, c_mean, f_mean, slack
+        raise _bound_violated(float(slack.flat[bad[0]]))
+    return tuple(fields)
 
 
 def robertson(rho: DensityMatrix, a_obs: Observable, b_obs: Observable) -> RobertsonReport:
     """Evaluate the strengthened uncertainty bound by explicit matrix algebra.
 
-    :func:`robertson_arrays` on one state and pair.
+    The expression of :func:`robertson_arrays`, evaluated on Python floats.
     """
-    return RobertsonReport(*(float(x) for x in robertson_arrays(rho.matrix, a_obs.matrix, b_obs.matrix)))
+    fields = _robertson(_parts(rho.matrix), _parts(a_obs.matrix), _parts(b_obs.matrix))
+    if fields[4] < -INEQUALITY_SLACK:
+        raise _bound_violated(fields[4])
+    return RobertsonReport(*fields)
 
 
 def normalized_product_bounds(w_plus: float) -> tuple[float, float]:
@@ -222,23 +251,31 @@ def intelligent_state(family: str, param: float, varrho: float, branch: int = 1)
     return IntelligentState(state, lam)
 
 
-def _eigen_residuals(rho_m: np.ndarray, psi: np.ndarray, lam, a_m: np.ndarray, b_m: np.ndarray) -> np.ndarray:
+def _eigen_residuals(rho_m: np.ndarray, psi: np.ndarray, lam, a_m: np.ndarray, b_m: np.ndarray):
     """Norms of ``(A + i lam B) psi - (<A> + i lam <B>) psi`` for stacked pure states and finite ``lam``.
 
     ``rho_m`` ``(..., 2, 2)`` and ``psi`` ``(..., 2)`` are each state's
     matrix and amplitudes, ``lam`` has the stack shape, and ``a_m``, ``b_m``
-    broadcast with ``rho_m``. A squared norm is the dot product of the real
-    parts plus that of the imaginary parts, each a row times a column, which
-    NumPy computes with the BLAS dot that ``np.linalg.norm`` uses on one
-    vector; so every norm rounds as ``np.linalg.norm`` of that state's
-    defect, whether the state comes alone (:func:`is_residual`) or in a stack.
+    broadcast with ``rho_m``. The defect is ``K psi`` with
+    ``K = (A - <A>) + i lam (B - <B>)``, each entry of ``K`` and of the
+    product formed in real parts as Python's complex arithmetic forms it,
+    and the norm is ``sqrt((re0^2 + re1^2) + (im0^2 + im1^2))``. One state
+    (:func:`is_residual`) runs the same expression on Python floats, so it
+    rounds as its element of a stack.
     """
-    i_lam = 1j * np.asarray(lam, dtype=complex)
-    shift = _mean(rho_m, a_m) + i_lam * _mean(rho_m, b_m)
-    defect = ((a_m + i_lam[..., None, None] * b_m) @ psi[..., None])[..., 0] - shift[..., None] * psi
-    re = defect.real[..., None, :]
-    im = defect.imag[..., None, :]
-    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+    rho, a, b = _parts(rho_m), _parts(a_m), _parts(b_m)
+    (a_a, a_d, a_x, a_y), (b_a, b_d, b_x, b_y) = a, b
+    shift_a, shift_b = _trace(rho, a), _trace(rho, b)
+    lr, ni = lam.real, -lam.imag  # i lam = ni + i lr
+    g0, h0 = a_a - shift_a, b_a - shift_b
+    g1, h1 = a_d - shift_a, b_d - shift_b
+    k = (
+        ((g0 + ni * h0, lr * h0), (a_x + (ni * b_x - lr * b_y), a_y + (ni * b_y + lr * b_x))),
+        ((a_x + (ni * b_x + lr * b_y), (lr * b_x - ni * b_y) - a_y), (g1 + ni * h1, lr * h1)),
+    )
+    v0, v1 = map(_split, psi.tolist() if psi.ndim == 1 else (psi[..., 0], psi[..., 1]))
+    (re0, im0), (re1, im1) = ([p + q for p, q in zip(_times(k0, v0), _times(k1, v1))] for k0, k1 in k)
+    return np.sqrt((re0 * re0 + re1 * re1) + (im0 * im0 + im1 * im1))
 
 
 def is_residual(state: DensityMatrix, lam: complex, a_obs: Observable, b_obs: Observable) -> float:

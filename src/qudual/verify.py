@@ -40,7 +40,7 @@ import numpy as np
 from . import montecarlo
 from .duality import duality_arrays, family_arrays, visibility, visibility_oracle
 from .errors import ContractViolationError, ParameterError
-from .linalg import _mean_half_gap, _modulus, _square, trace_norm
+from .linalg import _mean_half_gap, _modulus, _split, _times_conj, trace_norm
 from .simultaneous import (
     entangle,
     entangled_arrays,
@@ -244,10 +244,10 @@ def projected_readout_moments(psi: np.ndarray, c, varrho) -> tuple:
     p_a = _weight((psi[..., None, :, :] * m.conj()[..., :, None, :]).sum(axis=-1))
     p_b = _weight((vecs.conj()[..., :, :, None] * psi[..., None, :, :]).sum(axis=-2))
     mean_a = (values * p_a).sum(axis=-1)
-    var_a = (_square(values) * p_a).sum(axis=-1) - _square(mean_a)
+    var_a = (values * values * p_a).sum(axis=-1) - mean_a * mean_a
     value = GAUGE / c
     mean_b = value * (p_b[..., 0] - p_b[..., 1])
-    var_b = value * value * p_b.sum(axis=-1) - _square(mean_b)
+    var_b = value * value * p_b.sum(axis=-1) - mean_b * mean_b
     return (mean_a, var_a), (mean_b, var_b)
 
 
@@ -387,7 +387,10 @@ def _suite_complementary_family(t: _Tally, run: dict, rng: np.random.Generator) 
     varrho = [rng.uniform(0.0, TWO_PI) for _ in range(50)]
     members = [complementary_observable(x) for x in varrho]
     vp = np.array([member.vec_plus for member in members])
-    orthogonality = np.array([abs(np.vdot(member.vec_plus, member.vec_minus)) for member in members])
+    vm = np.array([member.vec_minus for member in members])
+    # |<b+|b->| = |sum_i b-_i conj(b+_i)|, in real parts
+    overlap = (_times_conj(_split(vm[:, i]), _split(vp[:, i])) for i in range(2))
+    orthogonality = np.hypot(*(p + q for p, q in zip(*overlap)))
     b_m = np.array([member.matrix for member in members])
     comm = REFERENCE.matrix @ b_m - b_m @ REFERENCE.matrix
     partners = {h: np.array([complementary_observable(x + h * math.pi / 2.0).matrix for x in varrho]) for h in (1, -1)}
@@ -448,7 +451,8 @@ def _suite_intelligent_states(t: _Tally, run: dict, rng: np.random.Generator) ->
     lam = np.array([st.lam for st in states])
     lam_abs = _modulus(lam)
     finite = np.isfinite(lam_abs)
-    lam_sq = _square(np.where(finite, lam_abs, 0.0))
+    stretch = np.where(finite, lam_abs, 0.0)
+    lam_sq = stretch * stretch
     res = _eigen_residuals(rho_m, _pure_amplitudes(w, theta), np.where(finite, lam, 0.0), REFERENCE.matrix, b_m)
     is1 = np.array(family) == "IS1"
     central = {("IS1", 0.5): "IS1 central point", ("IS2a", 0.0): "IS2a zero offset"}

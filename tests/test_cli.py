@@ -1,6 +1,10 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from decimal import Context, Decimal, localcontext
+from pathlib import Path
 
 import pytest
 
@@ -413,3 +417,52 @@ def test_compute_sweep_and_mc_outputs_keep_their_pinned_digests(output_digests):
         code, digest = digest_tool.run(argv)
         lines.append(f"{digest}  {code}  {' '.join(argv)}")
     assert lines == [pinned[" ".join(argv)] for argv in argvs]
+
+
+# The digest lines of compute, sweep and mc, printed by a child process; the
+# tool's own path is the one argument.
+_DIGEST_CHILD = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("output_digest", sys.argv[1])
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+for argv in tool.calls():
+    if argv[0] != "verify":
+        code, digest = tool.run(argv)
+        print(f"{digest}  {code}  {' '.join(argv)}")
+"""
+
+# OpenBLAS kernels by CPU generation, and NumPy's dispatch cut back to its
+# X86_V2 baseline (no AVX2, FMA or AVX-512 loops).
+PORTABILITY_SETTINGS = {
+    "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "openblas-skylakex": {"OPENBLAS_CORETYPE": "SkylakeX"},
+    "numpy-x86-v2": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"},
+}
+
+
+@pytest.mark.parametrize("setting", list(PORTABILITY_SETTINGS.values()), ids=list(PORTABILITY_SETTINGS))
+def test_pinned_outputs_do_not_depend_on_the_blas_kernel_or_simd_level(output_digests, setting):
+    """Every compute, sweep and mc digest holds under another OpenBLAS kernel or NumPy SIMD level.
+
+    Each setting is an environment variable of a child process, so it acts on
+    that child alone. The kernels are ``+ - * / sqrt`` on entry parts, which
+    IEEE 754 rounds alike everywhere, and nothing on these paths calls a BLAS
+    product. The settings act on an x86-64 host with AVX-512 and NumPy's
+    scipy-openblas: there, the same calls through stacked complex ``@``
+    kernels move 140 to 154 of these lines under the OpenBLAS settings and 29
+    under the NumPy one. This cannot show how a setting behaves on a CPU that
+    lacks the kernel or the feature it names, nor with a NumPy built against
+    another BLAS, where ``OPENBLAS_CORETYPE`` does nothing.
+    """
+    digest_tool, pinned = output_digests
+    root = Path(digest_tool.__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items() if key != "QUDUAL_SEED"}
+    env.update(setting, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    child = subprocess.run(
+        [sys.executable, "-c", _DIGEST_CHILD, digest_tool.__file__],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    argvs = [argv for argv in digest_tool.calls() if argv[0] != "verify"]
+    assert child.stdout.splitlines() == [pinned[" ".join(argv)] for argv in argvs]

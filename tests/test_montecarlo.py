@@ -89,6 +89,20 @@ def test_integer_seeds_keep_their_64_bit_keys():
     assert montecarlo._generator(-1, 0).random() == montecarlo._generator(2**64 - 1, 0).random()
 
 
+@pytest.mark.parametrize("stream", [0, 1000, 2**63])
+@pytest.mark.parametrize("seed", [0, 1, -1, 2**64 - 1, 343578368])
+def test_generator_draws_the_bits_of_philox_keyed_directly(seed, stream):
+    # the generator skips the entropy SeedSequence of Philox(key=...), not a bit of its stream
+    ours = montecarlo._generator(seed, stream)
+    theirs = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)))
+    assert repr(ours.bit_generator.state) == repr(theirs.bit_generator.state)
+    draws = [
+        repr((rng.random(5), rng.binomial(10**6, 0.3, 16), rng.binomial(7, 0.5), rng.bit_generator.random_raw(9)))
+        for rng in (ours, theirs)
+    ]
+    assert draws[0] == draws[1]
+
+
 def test_balanced_pure_state_gives_exact_full_contrast():
     # the scan hits probabilities exactly 0 and 1, so the empirical contrast
     # is exactly 1 whatever the seed

@@ -1,4 +1,5 @@
 import math
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -97,25 +98,36 @@ def test_kernel_on_a_stack_matches_the_scalar_route():
     stack = robertson_arrays(density_matrix(w, rho12, theta), A.matrix, complementary_matrices(varrho))
     for i in range(n):
         rep = robertson(DensityMatrix(w[i], rho12[i], theta[i]), A, b_at(varrho[i]))
-        for value, x in zip(stack, (rep.var_a, rep.var_b, rep.c_mean, rep.f_mean, rep.slack)):
-            assert abs(value[i] - x) <= 1e-15 * max(1.0, abs(x))
+        # one state runs the stack's expression on Python floats: the same bits
+        assert [value[i] for value in stack] == [rep.var_a, rep.var_b, rep.c_mean, rep.f_mean, rep.slack]
         # the slack field is the report's own lhs - rhs, bit for bit
         assert rep.lhs - rep.rhs == rep.slack
 
 
+def _product(x, y):
+    """The 2x2 matrix product of nested lists, entry by entry."""
+    return [[x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)] for i in range(2)]
+
+
 def _loop_reference(rho, a_obs, b_obs):
-    """The explicit route for one state as a plain loop in Python floats: the reference arithmetic."""
+    """The explicit route for one state as plain Python complex arithmetic on the matrix entries: the reference.
+
+    No NumPy product: the matrices, products and traces of the textbook
+    formula, entry by entry, in Python's complex numbers.
+    """
+    r, a_m, b_m = rho.matrix.tolist(), a_obs.matrix.tolist(), b_obs.matrix.tolist()
 
     def real_trace(op):
-        return float(np.trace(rho.matrix @ op).real)
+        m = _product(r, op)
+        return (m[0][0] + m[1][1]).real
 
-    a_m, b_m = a_obs.matrix, b_obs.matrix
+    ab, ba = _product(a_m, b_m), _product(b_m, a_m)
     mean_a, mean_b = real_trace(a_m), real_trace(b_m)
-    var_a = max(real_trace(a_m @ a_m) - mean_a**2, 0.0)
-    var_b = max(real_trace(b_m @ b_m) - mean_b**2, 0.0)
-    c_mean = real_trace(-1j * (a_m @ b_m - b_m @ a_m))
-    f_mean = real_trace(a_m @ b_m + b_m @ a_m) - 2.0 * mean_a * mean_b
-    return var_a, var_b, c_mean, f_mean, var_a * var_b - 0.25 * (c_mean**2 + f_mean**2)
+    var_a = max(real_trace(_product(a_m, a_m)) - mean_a * mean_a, 0.0)
+    var_b = max(real_trace(_product(b_m, b_m)) - mean_b * mean_b, 0.0)
+    c_mean = real_trace([[-1j * (ab[i][j] - ba[i][j]) for j in range(2)] for i in range(2)])
+    f_mean = real_trace([[ab[i][j] + ba[i][j] for j in range(2)] for i in range(2)]) - 2.0 * mean_a * mean_b
+    return var_a, var_b, c_mean, f_mean, var_a * var_b - 0.25 * (c_mean * c_mean + f_mean * f_mean)
 
 
 def test_scalar_route_keeps_the_loop_arithmetic():
@@ -126,7 +138,11 @@ def test_scalar_route_keeps_the_loop_arithmetic():
         # a random member, and the proper one, whose mean is largest
         for b_obs in (b_at(rng.uniform(0.0, 7.0)), b_at(rho.theta)):
             rep = robertson(rho, A, b_obs)
-            assert (rep.var_a, rep.var_b, rep.c_mean, rep.f_mean, rep.slack) == _loop_reference(rho, A, b_obs)
+            # The kernel's traces are compensated dot products, the loop's are
+            # not: each route rounds a few values of magnitude at most 1/2, so
+            # they agree within 4 ulps of 1/4, the scale of every field.
+            for x, y in zip((rep.var_a, rep.var_b, rep.c_mean, rep.f_mean, rep.slack), _loop_reference(rho, A, b_obs)):
+                assert abs(x - y) <= 4.0 * math.ulp(0.25)
 
 
 def test_robertson_variances_are_the_mean_var_variances():
@@ -229,11 +245,18 @@ def test_families_pin_the_product_extremes():
 
 
 def _residual_reference(rho, lam, a_obs, b_obs):
-    """The eigen-equation defect's norm for one state as a plain computation: the reference arithmetic."""
-    psi = np.array([math.sqrt(rho.w_plus), np.exp(1j * rho.theta) * math.sqrt(rho.w_minus)])
-    mean_a, mean_b = mean_var(rho, a_obs)[0], mean_var(rho, b_obs)[0]
-    defect = (a_obs.matrix + 1j * lam * b_obs.matrix) @ psi - (mean_a + 1j * lam * mean_b) * psi
-    return float(np.linalg.norm(defect))
+    """The eigen-equation defect's norm for one state in plain Python complex arithmetic: the reference.
+
+    ``K = (A - <A>) + i lam (B - <B>)`` entry by entry, the defect ``K psi``
+    and the square root of its squared real and imaginary parts.
+    """
+    a_m, b_m, psi = a_obs.matrix.tolist(), b_obs.matrix.tolist(), rho.state_vector().tolist()
+    shift = mean_var(rho, a_obs)[0], mean_var(rho, b_obs)[0]
+    k = [[a_m[i][j] + 1j * lam * b_m[i][j] for j in range(2)] for i in range(2)]
+    for i in range(2):
+        k[i][i] = (a_m[i][i] - shift[0]) + 1j * lam * (b_m[i][i] - shift[1])
+    d0, d1 = (k[i][0] * psi[0] + k[i][1] * psi[1] for i in range(2))
+    return math.sqrt((d0.real * d0.real + d1.real * d1.real) + (d0.imag * d0.imag + d1.imag * d1.imag))
 
 
 def test_residual_keeps_the_loop_arithmetic():
@@ -267,3 +290,96 @@ def test_residual_rejects_bad_inputs():
         is_residual(pure_state(0.5), complex(0.0, math.inf), A, b_at(0.0))
     with pytest.raises(ParameterError, match="pure"):
         is_residual(DensityMatrix(0.5, 0.0), 1.0, A, b_at(0.0))
+
+
+def _decimal_product(x, y):
+    """The product of 2x2 matrices of ``(re, im)`` Decimal pairs."""
+
+    def times(p, q):
+        return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+    return [
+        [tuple(s + t for s, t in zip(times(x[i][0], y[0][j]), times(x[i][1], y[1][j]))) for j in range(2)]
+        for i in range(2)
+    ]
+
+
+def _exact_fields(rho_m, a_m, b_m):
+    """Every output of the Robertson route from the float entries, in 50-digit decimal matrix algebra.
+
+    Returns ``{var_a, var_b, c_mean, f_mean, slack, mean_a, mean_b}``; each is
+    exact to about 1e-48 relative to the entries, which only ``+ - *`` touch.
+    """
+    r, a, b = ([[(Decimal(z.real), Decimal(z.imag)) for z in row] for row in m.tolist()] for m in (rho_m, a_m, b_m))
+
+    def trace(op):
+        m = _decimal_product(r, op)
+        return m[0][0][0] + m[1][1][0]
+
+    ab, ba = _decimal_product(a, b), _decimal_product(b, a)
+    mean_a, mean_b = trace(a), trace(b)
+    var_a = max(trace(_decimal_product(a, a)) - mean_a * mean_a, Decimal(0))
+    var_b = max(trace(_decimal_product(b, b)) - mean_b * mean_b, Decimal(0))
+    c_mean = trace([[(ab[i][j][1] - ba[i][j][1], ba[i][j][0] - ab[i][j][0]) for j in range(2)] for i in range(2)])
+    f_mean = trace([[(ab[i][j][0] + ba[i][j][0], ab[i][j][1] + ba[i][j][1]) for j in range(2)] for i in range(2)])
+    f_mean -= 2 * mean_a * mean_b
+    slack = var_a * var_b - (c_mean * c_mean + f_mean * f_mean) / 4
+    return dict(var_a=var_a, var_b=var_b, c_mean=c_mean, f_mean=f_mean, slack=slack, mean_a=mean_a, mean_b=mean_b)
+
+
+def _ulps(x: float, exact: Decimal) -> float:
+    """``|x - exact|`` in ulps of the exact value, counted no finer than the ulp of 1/16, the largest slack."""
+    return float(abs(Decimal(x) - exact)) / math.ulp(max(float(abs(exact)), 0.0625))
+
+
+# Worst error in ulps of each output over the grid of the accuracy test below,
+# as measured and rounded up to a hundredth: a change that loses accuracy on
+# one of them fails. With plain sums in place of the compensated trace, mean,
+# c_mean, f_mean and slack measure 1.41, 1.28, 1.85 and 1.88.
+ACCURACY_ULPS = {
+    "var_a": 0.98,
+    "var_b": 3.27,
+    "c_mean": 0.5,
+    "f_mean": 0.99,
+    "slack": 0.94,
+    "mean_var mean": 0.5,
+    "mean_var var": 3.27,
+}
+
+
+def test_robertson_and_mean_var_are_accurate_to_pinned_ulps():
+    """Every field of robertson_arrays, and mean_var, within its pinned ulps of a 50-digit reference.
+
+    200 random states, alternately mixed and pure, with random members, then
+    the edges: w_plus in {0, 1/2 - ulp, 1/2, 1/2 + ulp, 1} at zero, full and
+    tiny coherence, and coherences down to the smallest subnormal, each with
+    the proper member, the erasure member and one more.
+    """
+    rng = np.random.default_rng(20261019)
+    n = 200
+    w = rng.uniform(0.0, 1.0, n)
+    rho12 = np.sqrt(w * (1.0 - w)) * np.where(np.arange(n) % 2, 1.0, rng.uniform(0.0, 0.99, n))
+    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    varrho = rng.uniform(0.0, 2.0 * math.pi, n)
+    half_ulp = (math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0))
+    edges = [(x, f * math.sqrt(x * (1.0 - x))) for x in (0.0, *half_ulp, 1.0) for f in (0.0, 1e-12, 1.0)]
+    edges += [(0.3, r) for r in (5e-324, 1e-300, 1e-150, 1e-20)]
+    for x, r in edges:
+        for phase in (0.3, 0.3 + math.pi / 2.0, 2.0):
+            w, rho12 = np.append(w, x), np.append(rho12, r)
+            theta, varrho = np.append(theta, 0.3), np.append(varrho, phase)
+    rho_m, b_m = density_matrix(w, rho12, theta), complementary_matrices(varrho)
+    stack = dict(zip(("var_a", "var_b", "c_mean", "f_mean", "slack"), robertson_arrays(rho_m, A.matrix, b_m)))
+    worst = dict.fromkeys(ACCURACY_ULPS, 0.0)
+    with localcontext(Context(prec=50)):
+        for i in range(w.size):
+            exact = _exact_fields(rho_m[i], A.matrix, b_m[i])
+            for name, values in stack.items():
+                worst[name] = max(worst[name], _ulps(float(values[i]), exact[name]))
+            rho = DensityMatrix(w[i], rho12[i], theta[i])
+            for obs, key in ((A, "a"), (b_at(varrho[i]), "b")):
+                exact = _exact_fields(rho.matrix, A.matrix, obs.matrix)
+                mean, var = mean_var(rho, obs)
+                worst["mean_var mean"] = max(worst["mean_var mean"], _ulps(mean, exact[f"mean_{key}"]))
+                worst["mean_var var"] = max(worst["mean_var var"], _ulps(var, exact[f"var_{key}"]))
+    assert all(worst[name] <= bound for name, bound in ACCURACY_ULPS.items()), worst
