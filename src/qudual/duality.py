@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, check_array, check_count
+from .errors import ContractViolationError, as_float_array, check_array, check_count
 from .states import TWO_PI, DensityMatrix, purity
 
 # Largest oracle grid. Past it a finer grid buys no accuracy a check can use:
@@ -165,21 +165,21 @@ def duality_arrays(w_plus, rho12) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
 
     Returns ``(p, v, sum_sq, purity)``, the fields of :class:`DualityReport`
     and the state purity, as float arrays of the broadcast shape. The first
-    element with ``P**2 + V**2 > 1`` or ``P**2 + V**2 != 2 purity - 1``
-    beyond 1e-12 raises a :class:`ContractViolationError`.
+    element with ``P**2 + V**2 > 1`` or NaN, and then the first with
+    ``P**2 + V**2 != 2 purity - 1``, beyond 1e-12 raises a :class:`ContractViolationError`.
     """
-    w, r = np.broadcast_arrays(np.asarray(w_plus, dtype=float), np.asarray(rho12, dtype=float))
+    w, r = np.broadcast_arrays(as_float_array(w_plus), as_float_array(rho12))
     p = _imbalance(w)
     v = 2.0 * r
     sum_sq = p * p + v * v
+    bad = np.flatnonzero(~(sum_sq <= 1.0 + 1e-12))  # NaN fails too
+    if bad.size:
+        raise ContractViolationError(f"P**2 + V**2 = {float(sum_sq.flat[bad[0]])!r} exceeds 1 beyond tolerance")
     pur = purity(w, r)
-    above = sum_sq > 1.0 + 1e-12
-    bad = np.flatnonzero(above | (np.abs(sum_sq - (2.0 * pur - 1.0)) > 1e-12))
+    bad = np.flatnonzero(~(np.abs(sum_sq - (2.0 * pur - 1.0)) <= 1e-12))
     if bad.size:
         i = bad[0]
         s = float(sum_sq.flat[i])
-        if above.flat[i]:
-            raise ContractViolationError(f"P**2 + V**2 = {s!r} exceeds 1 beyond tolerance")
         raise ContractViolationError(
             f"P**2 + V**2 must equal 2 * purity - 1; got {s!r} versus {2.0 * float(pur.flat[i]) - 1.0!r}"
         )

@@ -98,7 +98,8 @@ def assert_unitary(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 # gives the same bits on every host, whatever its BLAS kernel or SIMD level, and on a Python float as on each
 # element of an array. A Hermitian 2x2 is four reals ``(a, d, x, y)``: the diagonal ``a``, ``d`` and
 # the upper off-diagonal entry ``b = x + i y``. One matrix is read through ``m.tolist()``, so the kernels run on
-# Python floats there (a 0-d array would cost several times as much); a stack is read as arrays.
+# Python floats there (a 0-d array would cost several times as much); a stack is read as arrays. Every modulus is
+# :func:`_hypot`, the one kernel that rounds as ``math.hypot`` on a float and on each element of an array alike.
 
 
 def _entries(m: np.ndarray):
@@ -198,26 +199,36 @@ def _trace(h, k):
     return _dot((a, p), (d, s), (2.0 * x, u), (2.0 * y, v))
 
 
-def _modulus(z):
-    """``abs(z)`` of complex values, elementwise: ``np.hypot`` of the parts, which rounds a stack as its scalar."""
-    return np.hypot(z.real, z.imag)
+def _hypot(x, y):
+    """Modulus ``|x + i y|`` of finite parts, floats or arrays alike, with ``math.hypot``'s bits on a normal result.
 
-
-def _mean_half_gap(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and half gap of the two eigenvalues of stacked Hermitian 2x2 matrices ``(..., 2, 2)``.
-
-    The half gap is ``hypot((a - d) / 2, |b|)`` with ``b`` the upper
-    off-diagonal entry. ``|b|`` is :func:`_modulus`, and the outer ``hypot``
-    is ``math.hypot`` per element, which ``np.hypot`` does not always match
-    in the last bit; so a stack rounds as one matrix.
+    CPython's method (see also Borges, arXiv:1904.09481): ``h = sqrt(x*x + y*y)`` plus ``r / 2h``, with the exact
+    residual ``r = x*x + y*y - h*h`` from :func:`_dot`. Parts outside [2**-300, 2**500] are first scaled by 2**600
+    or 2**-600, exactly, so that no square or split overflows and no residual underflows: a tiny coherence keeps
+    its digits. A subnormal result rounds twice, to within one ulp.
     """
-    a = m[..., 0, 0].real
-    d = m[..., 1, 1].real
-    b = m[..., 0, 1]  # the upper triangle fixes the off-diagonal convention
+    if isinstance(x, np.ndarray):  # the parts of a stack are both arrays
+        m = np.maximum(abs(x), abs(y))
+        s, sqrt = np.where(m > 2.0**500, 2.0**-600, np.where(m < 2.0**-300, 2.0**600, 1.0)), np.sqrt
+    else:
+        m = max(abs(x), abs(y))
+        s, sqrt = 2.0**-600 if m > 2.0**500 else 2.0**600 if m < 2.0**-300 else 1.0, math.sqrt
+    x, y = x * s, y * s
+    h = sqrt(x * x + y * y)
+    return (h + _dot((x, x), (y, y), (-h, h)) / (2.0 * h + (h == 0.0))) / s  # r = 0 where h = 0: no 0 / 0
+
+
+def _eigenvalues(a, d, x, y):
+    """Eigenvalues ``mean +- half_gap`` of Hermitian parts, with ``half_gap = hypot((a - d) / 2, |x + i y|)``."""
     mean = 0.5 * (a + d)
-    legs = zip(np.ravel(0.5 * (a - d)).tolist(), np.ravel(_modulus(b)).tolist())
-    half_gap = np.reshape([math.hypot(x, y) for x, y in legs], np.shape(mean))
-    return mean, half_gap
+    half_gap = _hypot(0.5 * (a - d), _hypot(x, y))
+    return mean + half_gap, mean - half_gap
+
+
+def _trace_norm(a, d, x, y):
+    """Sum of the absolute :func:`_eigenvalues` of Hermitian parts: :func:`trace_norm` without its contract."""
+    big, small = _eigenvalues(a, d, x, y)
+    return abs(big) + abs(small)
 
 
 def trace_norm(m: np.ndarray):
@@ -227,11 +238,9 @@ def trace_norm(m: np.ndarray):
     :func:`assert_hermitian`, whose bound of ``sys.float_info.max / 8`` on
     every entry part keeps every intermediate and the result finite. Returns
     a float for one matrix and an array of the stack shape otherwise, from
-    the eigenvalues ``mean +- half_gap`` of :func:`_mean_half_gap`.
+    the :func:`_eigenvalues` of the parts of the upper triangle.
     """
     m = assert_hermitian(m)
     if m.shape[-2:] != (2, 2):
         raise ContractViolationError(f"trace_norm expects 2x2 matrices, got {m.shape}")
-    mean, half_gap = _mean_half_gap(m)
-    norm = np.abs(mean + half_gap) + np.abs(mean - half_gap)
-    return float(norm) if norm.ndim == 0 else norm
+    return _trace_norm(*_parts(m))

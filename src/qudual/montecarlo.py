@@ -141,8 +141,10 @@ def _two_outcome_report(
     emp_var = emp_second - emp_mean * emp_mean
 
     mean = p1 * v1 + p2 * v2
-    var = p1 * (v1 - mean) ** 2 + p2 * (v2 - mean) ** 2
-    mu4 = p1 * (v1 - mean) ** 4 + p2 * (v2 - mean) ** 4
+    d1, d2 = v1 - mean, v2 - mean
+    sq1, sq2 = d1 * d1, d2 * d2
+    var = p1 * sq1 + p2 * sq2
+    mu4 = p1 * (sq1 * sq1) + p2 * (sq2 * sq2)
     se_mean = math.sqrt(var / n)
     se_var = math.sqrt(max(mu4 - var * var, 0.0) / n)
     return SampleReport(

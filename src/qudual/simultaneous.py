@@ -17,7 +17,7 @@ over ``c``, reached at ``c**2 = V / (P + V)``.
 The which-way quantities come from one array kernel,
 :func:`entangled_arrays`, for stacked ``(w_plus, theta, c)``;
 :func:`entangle`, :func:`distinguishability` and :func:`entangled_visibility`
-run its steps on one state and round alike. The meter readout is an
+run its expressions on the Python floats of one state. The meter readout is an
 :class:`~qudual.states.Observable` on the meter qubit, built by
 :func:`meter_projectors`.
 
@@ -37,7 +37,7 @@ import numpy as np
 
 from .duality import _imbalance
 from .errors import ParameterError, SingularConfigurationError, check_array, check_scalar
-from .linalg import _entries, _from_parts, _modulus, _projector, _split, trace_norm
+from .linalg import _entries, _from_parts, _hypot, _projector, _split, _trace_norm
 from .states import GAUGE, TWO_PI, Observable, density_params, validate_density
 
 # Largest rescaled outcome value whose square is a finite double.
@@ -91,22 +91,22 @@ def _rows(psi: np.ndarray):
 def _distinguishability(psi: np.ndarray):
     """Trace-norm distance of the meter blocks ``psi[..., s, :] psi[..., s, :]^dagger`` of the two system states."""
     plus, minus = (_projector(*row) for row in _rows(psi))
-    return trace_norm(_from_parts(*(p - q for p, q in zip(plus, minus))))
+    return _trace_norm(*(p - q for p, q in zip(plus, minus)))
 
 
-def _reduced(psi: np.ndarray) -> np.ndarray:
-    """System matrices ``(..., 2, 2)`` left by tracing the meter out of ``psi[..., system, meter]``.
+def _reduced(psi: np.ndarray) -> tuple:
+    """Parts ``(a, d, x, y)`` of the system matrices left by tracing the meter out of ``psi[..., system, meter]``.
 
-    The sum over meter states ``m`` of ``psi[..., :, m] psi[..., :, m]^dagger``, in real parts.
+    The sum over meter states ``m`` of ``psi[..., :, m] psi[..., :, m]^dagger``.
     """
     (s00, s01), (s10, s11) = _rows(psi)
     first, second = _projector(s00, s10), _projector(s01, s11)
-    return _from_parts(*(p + q for p, q in zip(first, second)))
+    return tuple(p + q for p, q in zip(first, second))
 
 
-def _visibility(m: np.ndarray):
-    """Fringe visibility ``2 |m[..., 1, 0]|`` of system matrices."""
-    return 2.0 * _modulus(m[..., 1, 0])
+def _visibility(parts):
+    """Fringe visibility ``2 |x + i y|`` of system matrices given as parts ``(a, d, x, y)``."""
+    return 2.0 * _hypot(*parts[2:])
 
 
 def entangle(w_plus: float, theta: float, c: float) -> EntangledState:
@@ -135,7 +135,7 @@ def entangled_visibility(psi_e: EntangledState) -> float:
     Equals ``2 c sqrt(w+ w-)``; together with the distinguishability it
     saturates ``D**2 + V_e**2 = 1`` for every ``(w_plus, c)``.
     """
-    return float(_visibility(_reduced(psi_e.amplitudes)))
+    return _visibility(_reduced(psi_e.amplitudes))
 
 
 def entangled_arrays(
@@ -150,18 +150,18 @@ def entangled_arrays(
     state, and the fields of the system state left by tracing out the meter,
     which keeps the populations and shrinks the coherence to
     ``c sqrt(w+ w-)``. The amplitudes are :func:`entangle`'s, the
-    distinguishability is the stacked trace norm of the two meter blocks, and
-    the visibility and the marginal come from the stacked partial trace, the
-    marginal read by :func:`density_params` and checked by
-    :func:`validate_density`. Each element rounds as the scalar functions do
-    on that one state.
+    distinguishability is the trace norm of the difference of the two meter
+    blocks, and the visibility and the marginal come from the partial trace,
+    the marginal read by :func:`density_params` and checked by
+    :func:`validate_density`. Each element has the bits of the scalar
+    functions on that one state, which evaluate the same expressions.
     """
     w = check_array(w_plus, "w_plus", 0.0, 1.0)
     cc = check_array(c, "c", 0.0, 1.0)
     t = np.remainder(check_array(theta, "theta"), TWO_PI)
     psi = _amplitudes(*np.broadcast_arrays(w, t, cc))
-    m = _reduced(psi)
-    return _distinguishability(psi), _visibility(m), *validate_density(*density_params(m))
+    parts = _reduced(psi)
+    return _distinguishability(psi), _visibility(parts), *validate_density(*density_params(_from_parts(*parts)))
 
 
 def _readout_overlap(c: float) -> float:
@@ -240,8 +240,9 @@ def estimate_b(psi_e: EntangledState, varrho: float) -> tuple[float, float]:
     w = psi_e.w_plus
     delta = psi_e.theta - check_scalar(varrho, "varrho") % TWO_PI
     root = math.sqrt(w * (1.0 - w))
-    mean = 2.0 * b * root * math.cos(delta)
-    var = b * b * (1.0 / (cc * cc) - 4.0 * w * (1.0 - w) * math.cos(delta) ** 2)
+    cos = math.cos(delta)
+    mean = 2.0 * b * root * cos
+    var = b * b * (1.0 / (cc * cc) - 4.0 * w * (1.0 - w) * (cos * cos))
     return mean, var
 
 
@@ -268,7 +269,8 @@ def simultaneous_product(w_plus: float, c: float) -> float:
     # The factored form (c^2 + 4K(1-c^2)) ((1-c^2) + c^2 P^2) / (16 c^2 (1-c^2)) adds
     # only nonnegative terms; the direct brackets cancel catastrophically near c = 1.
     s = _one_minus_sq(cc)
-    return (c2 + 4.0 * k * s) * (s + c2 * _imbalance(w) ** 2) / (16.0 * c2 * s)
+    p = _imbalance(w)
+    return (c2 + 4.0 * k * s) * (s + c2 * (p * p)) / (16.0 * c2 * s)
 
 
 def optimal_entanglement(w_plus: float) -> float:

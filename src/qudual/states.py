@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError, as_float, as_float_array, check_array, check_scalar
-from .linalg import _entries, _from_parts, _modulus, _projector, _split, assert_hermitian, assert_unitary
+from .linalg import _entries, _from_parts, _hypot, _projector, _split, assert_hermitian, assert_unitary
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,6 +47,11 @@ POSITIVITY_TOL = 1e-12
 # from 1 the trace of a density matrix, may fall.
 PURITY_TOL = 1e-12
 TRACE_TOL = 1e-10
+
+# Largest outcome magnitude B of an Observable: its matrix parts are at most 2 B, the uncertainty kernels' products
+# of two such parts below 2**5 B**2 (Dot2 splits up to 2**996), their traces against a state below 2**7 B**2, and so
+# var_a var_b and c_mean**2 + f_mean**2 below 2**15 B**4 = 2**1015, which is finite.
+_MAX_OUTCOME_VALUE = 2.0**250
 
 __all__ = [
     "GAUGE",
@@ -162,8 +167,8 @@ def density_params(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ContractViolationError(
             f"density matrix trace = {float(tr[bad].flat[0])!r} differs from 1 beyond {TRACE_TOL:.1e}"
         )
-    off = m[..., 1, 0]
-    r = _modulus(off)
+    (_, _), (off, _) = _entries(m)
+    r = _hypot(*_split(off))
     return m[..., 0, 0].real, r, np.where(r > 0.0, np.remainder(np.angle(off), TWO_PI), 0.0)
 
 
@@ -208,7 +213,7 @@ class Observable:
 
     ``basis`` holds the orthonormal eigenvectors as columns, defaulting to the
     reference basis. ``val_plus`` belongs to the first column, ``val_minus``
-    to the second, and the two outcome values must be distinct.
+    to the second, and the two outcome values must be distinct and within ``+-2**250``.
     """
 
     val_plus: float
@@ -216,8 +221,8 @@ class Observable:
     basis: np.ndarray = field(default_factory=lambda: np.eye(2, dtype=complex))
 
     def __post_init__(self) -> None:
-        val_plus = check_scalar(self.val_plus, "val_plus")
-        val_minus = check_scalar(self.val_minus, "val_minus")
+        val_plus = check_scalar(self.val_plus, "val_plus", -_MAX_OUTCOME_VALUE, _MAX_OUTCOME_VALUE)
+        val_minus = check_scalar(self.val_minus, "val_minus", -_MAX_OUTCOME_VALUE, _MAX_OUTCOME_VALUE)
         if val_plus == val_minus:
             raise ParameterError(
                 f"outcome values must be distinct, got val_plus = val_minus = {self.val_plus!r}"

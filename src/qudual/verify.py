@@ -40,7 +40,7 @@ import numpy as np
 from . import montecarlo
 from .duality import duality_arrays, family_arrays, visibility, visibility_oracle
 from .errors import ContractViolationError, ParameterError
-from .linalg import _mean_half_gap, _modulus, _split, _times_conj, trace_norm
+from .linalg import _eigenvalues, _hypot, _parts, _split, _times_conj, trace_norm
 from .simultaneous import (
     entangle,
     entangled_arrays,
@@ -289,10 +289,11 @@ def minimum_product_routes(w_plus: float) -> tuple[float, float, float, float, f
     # Direct closed expression; its denominator vanishes at k = 1/8 (where
     # the form is 0/0 with a finite limit) and at k in {0, 1/4}, so it is
     # only evaluated where it is well-conditioned.
-    root = math.sqrt(max(k * (1.0 - 4.0 * k), 0.0))
-    den = 16.0 * (-4.0 * k * (1.0 - 4.0 * k) + root)
+    g = 1.0 - 4.0 * k
+    root = math.sqrt(max(k * g, 0.0))
+    den = 16.0 * (-4.0 * k * g + root)
     if abs(den) >= 1e-6:
-        num = -16.0 * k * k * (1.0 - 4.0 * k) ** 2 + (1.0 - 12.0 * k * (1.0 - 4.0 * k)) * root
+        num = -16.0 * k * k * (g * g) + (1.0 - 12.0 * k * g) * root
         long_form = num / den
     else:
         long_form = math.nan
@@ -305,8 +306,9 @@ def minimum_product_routes(w_plus: float) -> tuple[float, float, float, float, f
         numeric_min = value
 
     v = 2.0 * math.sqrt(k)
-    p = math.sqrt(max(1.0 - 4.0 * k, 0.0))
-    return value, long_form, numeric_min, (1.0 + v * p) ** 2 / 16.0, (1.0 - v * p) ** 2 / 16.0
+    p = math.sqrt(max(g, 0.0))
+    plus, minus = 1.0 + v * p, 1.0 - v * p
+    return value, long_form, numeric_min, plus * plus / 16.0, minus * minus / 16.0
 
 
 def _suite_linalg_core(t: _Tally, run: dict, rng: np.random.Generator) -> None:
@@ -321,8 +323,7 @@ def _suite_linalg_core(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     normals = rng.normal(size=(200, 2, 2, 2))
     m = normals[:, 0] + 1j * normals[:, 1]
     m = m + m.conj().swapaxes(-1, -2)
-    mean, half_gap = _mean_half_gap(m)
-    w = np.stack([mean + half_gap, mean - half_gap], axis=-1)
+    w = np.stack(_eigenvalues(*_parts(m)), axis=-1)
     tol = _LAPACK * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
     ref = np.linalg.eigvalsh(m)[:, ::-1]
     sv = np.linalg.svd(m, compute_uv=False).sum(axis=-1)
@@ -390,7 +391,7 @@ def _suite_complementary_family(t: _Tally, run: dict, rng: np.random.Generator) 
     vm = np.array([member.vec_minus for member in members])
     # |<b+|b->| = |sum_i b-_i conj(b+_i)|, in real parts
     overlap = (_times_conj(_split(vm[:, i]), _split(vp[:, i])) for i in range(2))
-    orthogonality = np.hypot(*(p + q for p, q in zip(*overlap)))
+    orthogonality = _hypot(*(p + q for p, q in zip(*overlap)))
     b_m = np.array([member.matrix for member in members])
     comm = REFERENCE.matrix @ b_m - b_m @ REFERENCE.matrix
     partners = {h: np.array([complementary_observable(x + h * math.pi / 2.0).matrix for x in varrho]) for h in (1, -1)}
@@ -449,11 +450,11 @@ def _suite_intelligent_states(t: _Tally, run: dict, rng: np.random.Generator) ->
     # eigen-equation degenerates: that state is checked for Var(B) = 0
     # instead, and a zero stretch stands in for it in the arithmetic.
     lam = np.array([st.lam for st in states])
-    lam_abs = _modulus(lam)
-    finite = np.isfinite(lam_abs)
-    stretch = np.where(finite, lam_abs, 0.0)
+    finite = np.isfinite(lam)
+    stand_in = np.where(finite, lam, 0.0)
+    stretch = _hypot(*_split(stand_in))
     lam_sq = stretch * stretch
-    res = _eigen_residuals(rho_m, _pure_amplitudes(w, theta), np.where(finite, lam, 0.0), REFERENCE.matrix, b_m)
+    res = _eigen_residuals(rho_m, _pure_amplitudes(w, theta), stand_in, REFERENCE.matrix, b_m)
     is1 = np.array(family) == "IS1"
     central = {("IS1", 0.5): "IS1 central point", ("IS2a", 0.0): "IS2a zero offset"}
     # IS1 runs along the floor of the normalized product, IS2b along its ceiling.
@@ -466,7 +467,7 @@ def _suite_intelligent_states(t: _Tally, run: dict, rng: np.random.Generator) ->
 
     t.check(
         (
-            -lam_abs,
+            np.where(np.isinf(lam), -math.inf, -stretch),
             -math.inf,
             lambda i: f"{central[family[i], param[i]]} has infinite stretch",
             np.array([key in central for key in zip(family, param)]),
@@ -495,7 +496,7 @@ def _suite_intelligent_states(t: _Tally, run: dict, rng: np.random.Generator) ->
 
 
 def _suite_product_bounds(t: _Tally, run: dict, rng: np.random.Generator) -> None:
-    w = np.array([math.sin(alpha) ** 2 for alpha in np.linspace(0.0, math.pi / 2.0, 201).tolist()])
+    w = np.array([s * s for s in map(math.sin, np.linspace(0.0, math.pi / 2.0, 201).tolist())])
     k = w * (1.0 - w)
     lo, hi = np.array([normalized_product_bounds(x) for x in w.tolist()]).T
     p = np.abs(2.0 * w - 1.0)

@@ -232,3 +232,7 @@ def test_kernel_keeps_the_report_contract():
     # rho12 = 0.9 at w_plus = 1/2 is past the positivity bound: P**2 + V**2 = 3.24.
     with pytest.raises(ContractViolationError, match=r"P\*\*2 \+ V\*\*2 = 3.24 exceeds 1"):
         duality_arrays([0.5, 0.5, 0.3], [0.1, 0.9, 0.0])
+    # a NaN, and an integer past the double range, fail the contract rather than leak out or overflow
+    for w_plus, rho12, shown in ((math.nan, 0.1, "nan"), (0.3, 10**400, "inf"), ([0.3, 10**400], 0.0, "inf")):
+        with pytest.raises(ContractViolationError, match=rf"P\*\*2 \+ V\*\*2 = {shown} exceeds 1"):
+            duality_arrays(w_plus, rho12)

@@ -90,3 +90,50 @@ def test_the_scan_sees_an_unread_parameter():
 @pytest.mark.parametrize("path", LIBRARY, ids=[str(p.relative_to(ROOT)) for p in LIBRARY])
 def test_no_unread_parameters(path):
     assert unread_parameters(path.read_text()) == []
+
+
+# A modulus is qudual.linalg._hypot and a square is x * x. np.hypot and x ** 2 round as the C library's hypot
+# and pow do, which may differ between hosts, and math.hypot takes no arrays, so a stack could not round as its
+# scalar. The sweep grid sin(alpha) ** 2 of cli._sweep_rows is the one exception: its pinned bytes depend on
+# math.sin, and so on the C library, anyway.
+LIBM_EXEMPT = {"cli.py": {"_sweep_rows"}}
+
+
+def libm_roundings(source: str, exempt=frozenset()) -> list[str]:
+    """Each ``hypot`` that ``source`` names and each ``x ** 2``, outside the functions named in ``exempt``."""
+    tree = ast.parse(source)
+    exempt_functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name in exempt]
+    skipped = {id(n) for f in exempt_functions for n in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if getattr(node, "attr", None) == "hypot" or (isinstance(node, ast.alias) and node.name == "hypot"):
+            found.append((node.lineno, "hypot"))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and getattr(node.right, "value", None) == 2:
+            found.append((node.lineno, "** 2"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_the_scan_sees_libm_roundings():
+    source = (
+        "import math\n"
+        "from numpy import hypot\n"
+        "r = math.hypot(x, y) + np.hypot(x, y) + x ** 2 + x ** 2.0 + 2.0 ** 500 + x * x\n"
+        "def grid(a):\n"
+        "    return a ** 2\n"
+    )
+    assert libm_roundings(source) == [
+        "line 2: hypot",
+        "line 3: ** 2",
+        "line 3: ** 2",
+        "line 3: hypot",
+        "line 3: hypot",
+        "line 5: ** 2",
+    ]
+    assert libm_roundings(source, {"grid"})[-1] == "line 3: hypot"
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=[str(p.relative_to(ROOT)) for p in LIBRARY])
+def test_no_libm_roundings(path):
+    assert libm_roundings(path.read_text(), LIBM_EXEMPT.get(path.name, frozenset())) == []

@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qudual import ContractViolationError, Observable, assert_hermitian, assert_unitary, trace_norm
-from qudual.linalg import _mean_half_gap
+from qudual.linalg import _eigenvalues, _hypot, _parts
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -30,10 +31,41 @@ def test_trace_norm_frozen_values():
 @given(a=finite, d=finite, br=finite, bi=finite)
 def test_eigenvalues_match_lapack(a, d, br, bi):
     m = hermitian(a, d, br, bi)
-    mean, half_gap = _mean_half_gap(m)
-    w = [mean + half_gap, mean - half_gap]
+    w = list(_eigenvalues(*_parts(m)))
     scale = max(1.0, float(np.abs(m).max()))
     np.testing.assert_allclose(w, np.linalg.eigvalsh(m)[::-1], atol=1e-12 * scale)
+
+
+def test_hypot_rounds_as_math_hypot():
+    # A random grid across exponents, legs up to 60 binades apart or unrelated, then the edges:
+    # 0, the smallest subnormal and normal, 1, max / 8, each scaling threshold and one ulp either
+    # side, each of these again 1e-8 larger, and every pair of them, equal legs included.
+    rng = np.random.default_rng(22)
+    exp_x = rng.integers(-1074, 1021, 20000)
+    exp_y = np.where(rng.random(20000) < 0.5, exp_x + rng.integers(-60, 61, 20000), rng.integers(-1074, 1021, 20000))
+    x = np.ldexp(rng.uniform(-1.0, 1.0, 20000), exp_x)
+    y = np.ldexp(rng.uniform(-1.0, 1.0, 20000), np.clip(exp_y, -1074, 1020))
+    edges = [0.0, 5e-324, sys.float_info.min, 1.0, sys.float_info.max / 8.0]
+    for limit in (2.0**-300, 2.0**500):
+        edges += [math.nextafter(limit, 0.0), limit, math.nextafter(limit, math.inf)]
+    edges += [e * (1.0 + 1e-8) for e in edges]
+    grid = np.array([(a, sign * b) for a in edges for b in edges for sign in (1.0, -1.0)]).T
+    # last, a pair whose subnormal modulus rounds one ulp away from math.hypot's
+    x, y = np.concatenate([x, grid[0], [-3.66544787819615e-309]]), np.concatenate([y, grid[1], [-5.9929995458e-313]])
+
+    stack = _hypot(x, y).tolist()
+    one = [_hypot(a, b) for a, b in zip(x.tolist(), y.tolist())]
+    assert all(type(h) is float for h in one)
+    assert stack == one  # a stack rounds as its scalar
+    reference = [math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())]  # the loop the kernel replaced
+    normal = [h for h, r in zip(one, reference) if r == 0.0 or r >= sys.float_info.min]
+    assert normal == [r for r in reference if r == 0.0 or r >= sys.float_info.min]
+    # A subnormal result rounds twice, so it is held to one ulp of the exact modulus instead.
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for a, b, h, r in zip(x.tolist(), y.tolist(), one, reference):
+            if 0.0 < r < sys.float_info.min:
+                assert abs(h - float((Decimal(a) ** 2 + Decimal(b) ** 2).sqrt())) <= 5e-324
 
 
 def test_subnormal_coherence_keeps_finite_trace_norm():

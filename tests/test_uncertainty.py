@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import re
+import warnings
 from decimal import Context, Decimal, localcontext
 
 import numpy as np
@@ -10,6 +13,7 @@ from qudual import (
     REFERENCE,
     ContractViolationError,
     DensityMatrix,
+    Observable,
     ParameterError,
     complementary_matrices,
     complementary_observable,
@@ -166,6 +170,23 @@ def test_kernel_keeps_the_report_contract():
         robertson_arrays(stack, A.matrix, b_m)
     assert str(stacked.value) == str(single.value)
     assert str(single.value).startswith("uncertainty bound violated: lhs - rhs = -0.1399")
+
+
+def test_outcome_values_at_their_bound_keep_every_moment_finite():
+    bound = 2.0**250
+    rho = DensityMatrix(0.3, 0.2, 1.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a_obs, b_obs = Observable(bound, -bound), Observable(-bound, bound, b_at(0.4).basis)
+        values = [*mean_var(rho, a_obs), *mean_var(rho, b_obs)]
+        for first, second in ((a_obs, a_obs), (a_obs, b_obs), (b_obs, b_obs)):
+            rep = robertson(rho, first, second)
+            values += [*dataclasses.astuple(rep), rep.lhs, rep.rhs]
+    assert all(math.isfinite(v) for v in values)
+    past = math.nextafter(bound, math.inf)
+    for outcomes, name in (((past, 0.0), "val_plus"), ((0.0, -past), "val_minus")):
+        with pytest.raises(ParameterError, match=re.escape(f"violates the bound -{bound:g} <= {name} <= {bound:g}")):
+            Observable(*outcomes)
 
 
 def test_product_bounds_frozen_values():

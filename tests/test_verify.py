@@ -171,7 +171,7 @@ def test_stacked_projection_matches_one_state_calls():
 
 
 def test_linalg_core_draws_reproduce_the_matrix_loop(count_calls):
-    halves = count_calls(linalg, "_mean_half_gap")
+    eigen = count_calls(linalg, "_eigenvalues")
     result = verify.run_suite("linalg_core", "full", 42)
     assert (result.checks, result.failures) == (402, 0)
 
@@ -180,9 +180,9 @@ def test_linalg_core_draws_reproduce_the_matrix_loop(count_calls):
     for _ in range(200):
         m = loop_rng.normal(size=(2, 2)) + 1j * loop_rng.normal(size=(2, 2))
         herm.append(m + m.conj().T)
-    # two frozen trace norms, then the drawn stack: its eigenvalues, then trace_norm
-    assert [np.shape(call[0]) for call in halves] == [(2, 2), (2, 2), (200, 2, 2), (200, 2, 2)]
-    assert all(np.array_equal(call[0], herm) for call in halves[2:])
+    # two frozen trace norms on float parts, then the drawn stack: its eigenvalues, then trace_norm
+    assert [[np.shape(part) for part in call] for call in eigen] == [[()] * 4] * 2 + [[(200,)] * 4] * 2
+    assert all(np.array_equal(linalg._from_parts(*call), herm) for call in eigen[2:])
 
 
 @pytest.mark.parametrize("faulty_c", [(0.3,), (0.3, 0.7)])

@@ -48,9 +48,10 @@ MC_SETTINGS = (
 # Three sizes for the readout counts, and so three n // 16 shots per fringe point.
 MC_SHOTS = ("100000", "65537", "200003")
 # (w_plus, theta, c) of pure states whose printed D or V_e changes in the last
-# digit if a stacked evaluation rounds differently from one state: the first
-# three where np.hypot differs from math.hypot in the half gap of D, the last
-# three where NumPy's complex abs on an array differs from the scalar abs in V_e.
+# digit if a modulus rounds otherwise than math.hypot: the first three in the
+# half gap of D, where np.hypot misses it, the last three in V_e, where NumPy's
+# complex abs on an array misses it. Every modulus is linalg._hypot, one kernel
+# for one state and a stack; these lines pin that a stack rounds as its scalar.
 ROUNDING_EDGES = (
     ("0.288792", "2.2086", "0.774382"),
     ("0.418558", "0.551", "0.747826"),
