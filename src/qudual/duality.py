@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, as_float_array, check_array, check_count
-from .states import TWO_PI, DensityMatrix, purity
+from .states import TWO_PI, DensityMatrix
 
 # Largest oracle grid. Past it a finer grid buys no accuracy a check can use:
 # here the contrast is within about 1e-6 of V. The scan is linear in grid_n,
@@ -133,18 +133,18 @@ def visibility_oracle(rho: DensityMatrix, grid_n: int = 512) -> tuple[float, flo
 def family_arrays(w_plus, rho12, theta, varrho) -> tuple[np.ndarray, np.ndarray]:
     """Predictability and visibility ``(P_B, V_B)`` of the family member at phase ``varrho``, elementwise.
 
-    Takes valid state parameters, as :func:`duality_arrays` does, and phases
-    that broadcast with them; a non-finite phase raises a :class:`ParameterError`.
+    The state is checked by :func:`duality_arrays`' bound, and the phases ``theta`` and
+    ``varrho`` broadcast with it; a non-finite phase raises a :class:`ParameterError`.
     ``P_B = 2 rho12 |cos(theta - varrho)|`` is largest for the proper member
     ``varrho = theta`` and zero at the erasure phases ``varrho = theta +- pi/2``;
     ``V_B = sqrt(P**2 + 4 rho12**2 sin(theta - varrho)**2)``, so ``(P_B, V_B)``
     carries the squared sum of ``(P, V)`` for every ``varrho``.
     """
-    w, r, t = (np.asarray(x, dtype=float) for x in (w_plus, rho12, theta))
-    delta = t - check_array(varrho, "varrho")
-    p = _imbalance(w)
+    p, v, _ = duality_arrays(w_plus, rho12)
+    delta = check_array(theta, "theta") - check_array(varrho, "varrho")
+    r = 0.5 * v  # rho12 itself: v = 2 rho12 is exact
     s = np.sin(delta)
-    return 2.0 * r * np.abs(np.cos(delta)), np.sqrt(p * p + 4.0 * (r * r) * s * s)
+    return v * np.abs(np.cos(delta)), np.sqrt(p * p + 4.0 * (r * r) * s * s)
 
 
 @dataclass(frozen=True)
@@ -160,13 +160,14 @@ class DualityReport:
     sum_sq: float
 
 
-def duality_arrays(w_plus, rho12) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The duality relation for stacked valid state parameters, elementwise.
+def duality_arrays(w_plus, rho12) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The duality relation for stacked state parameters, elementwise.
 
-    Returns ``(p, v, sum_sq, purity)``, the fields of :class:`DualityReport`
-    and the state purity, as float arrays of the broadcast shape. The first
-    element with ``P**2 + V**2 > 1`` or NaN, and then the first with
-    ``P**2 + V**2 != 2 purity - 1``, beyond 1e-12 raises a :class:`ContractViolationError`.
+    Returns ``(p, v, sum_sq)``, the fields of :class:`DualityReport`, as float
+    arrays of the broadcast shape. The first element with ``P**2 + V**2 > 1``
+    beyond 1e-12, or NaN, raises a :class:`ContractViolationError`. As
+    ``P**2 + V**2 = 1 - 4 w+ w- + 4 rho12**2``, that is the positivity bound ``rho12**2 <= w+ w-``,
+    and it rejects populations outside [0, 1] and NaN or overflowing input too.
     """
     w, r = np.broadcast_arrays(as_float_array(w_plus), as_float_array(rho12))
     p = _imbalance(w)
@@ -175,17 +176,9 @@ def duality_arrays(w_plus, rho12) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     bad = np.flatnonzero(~(sum_sq <= 1.0 + 1e-12))  # NaN fails too
     if bad.size:
         raise ContractViolationError(f"P**2 + V**2 = {float(sum_sq.flat[bad[0]])!r} exceeds 1 beyond tolerance")
-    pur = purity(w, r)
-    bad = np.flatnonzero(~(np.abs(sum_sq - (2.0 * pur - 1.0)) <= 1e-12))
-    if bad.size:
-        i = bad[0]
-        s = float(sum_sq.flat[i])
-        raise ContractViolationError(
-            f"P**2 + V**2 must equal 2 * purity - 1; got {s!r} versus {2.0 * float(pur.flat[i]) - 1.0!r}"
-        )
-    return p, v, sum_sq, pur
+    return p, v, sum_sq
 
 
 def duality_report(rho: DensityMatrix) -> DualityReport:
     """Evaluate the duality relation for one state: :func:`duality_arrays` on its parameters."""
-    return DualityReport(*(float(x) for x in duality_arrays(rho.w_plus, rho.rho12)[:3]))
+    return DualityReport(*(float(x) for x in duality_arrays(rho.w_plus, rho.rho12)))

@@ -26,10 +26,9 @@ UNITARITY_TOL = 1e-12
 # |mean| + half_gap <= B + hypot(B, sqrt(2) B) = (1 + sqrt(3)) B, and
 # |l1| + |l2| <= 2 (1 + sqrt(3)) B < 8 B.
 _HERMITIAN_MAX_PART = sys.float_info.max / 8.0
-# Unitary: an n x n matrix that fits in memory has n < 2**32, so every part of
-# m^dagger m is a sum of n products of parts and at most 2 n B**2 < 2**33 B**2,
-# which is max / 2 here; subtracting the identity and taking magnitudes stay
-# below sqrt(2) (max / 2 + 1) < max.
+# Unitary: every part of m^dagger m is a sum of two products of parts, at most
+# 4 B**2 = max / 2**32 here; subtracting the identity and taking magnitudes stay
+# far below max.
 _UNITARY_MAX_PART = math.sqrt(sys.float_info.max) / 2.0**17
 
 __all__ = [
@@ -41,15 +40,15 @@ __all__ = [
 ]
 
 
-def _finite_square(m: np.ndarray, name: str, contract: str, max_part: float) -> np.ndarray:
-    """``m`` as a complex array, raising before any arithmetic unless it is square with bounded entries.
+def _finite_2x2(m: np.ndarray, name: str, contract: str, max_part: float) -> np.ndarray:
+    """``m`` as a complex array, raising before any arithmetic unless it is ``(..., 2, 2)`` with bounded entries.
 
     Every entry must be finite, and its real and imaginary part at most
     ``max_part`` in magnitude; one pass over the parts reads both.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ContractViolationError(f"{name} must be square, got shape {m.shape}")
+    if m.shape[-2:] != (2, 2):
+        raise ContractViolationError(f"{name} must be a 2x2 matrix or a stack of them, got shape {m.shape}")
     peak = float(np.abs(np.ascontiguousarray(m).view(float)).max(initial=0.0))  # NaN propagates
     if not math.isfinite(peak):
         raise ContractViolationError(f"{name} is not {contract}: it has a NaN or infinite entry")
@@ -64,11 +63,11 @@ def _finite_square(m: np.ndarray, name: str, contract: str, max_part: float) -> 
 def assert_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Return ``m`` as a complex array, raising if it is not Hermitian within :data:`HERMITICITY_TOL`.
 
-    A stack of shape ``(..., n, n)`` is checked matrix by matrix; the message
+    A stack of shape ``(..., 2, 2)`` is checked matrix by matrix; the message
     reports the largest deviation in the stack. An entry part past
     ``sys.float_info.max / 8`` in magnitude raises before any arithmetic.
     """
-    m = _finite_square(m, name, "Hermitian", _HERMITIAN_MAX_PART)
+    m = _finite_2x2(m, name, "Hermitian", _HERMITIAN_MAX_PART)
     dev = float(np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0))
     if not dev <= HERMITICITY_TOL:  # NaN fails too
         raise ContractViolationError(
@@ -80,12 +79,12 @@ def assert_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 def assert_unitary(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Return ``m`` as a complex array, raising if it is not unitary within :data:`UNITARITY_TOL`.
 
-    A stack of shape ``(..., n, n)`` is checked matrix by matrix; the message
+    A stack of shape ``(..., 2, 2)`` is checked matrix by matrix; the message
     reports the largest deviation in the stack. An entry part past
     ``sqrt(sys.float_info.max) / 2**17`` in magnitude raises before any arithmetic.
     """
-    m = _finite_square(m, name, "unitary", _UNITARY_MAX_PART)
-    dev = float(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])), initial=0.0))
+    m = _finite_2x2(m, name, "unitary", _UNITARY_MAX_PART)
+    dev = float(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(2)), initial=0.0))
     if not dev <= UNITARITY_TOL:  # NaN fails too
         raise ContractViolationError(
             f"{name} is not unitary: max |m^dagger m - 1| = {dev:.3e} exceeds {UNITARITY_TOL:.1e}"
@@ -240,7 +239,4 @@ def trace_norm(m: np.ndarray):
     a float for one matrix and an array of the stack shape otherwise, from
     the :func:`_eigenvalues` of the parts of the upper triangle.
     """
-    m = assert_hermitian(m)
-    if m.shape[-2:] != (2, 2):
-        raise ContractViolationError(f"trace_norm expects 2x2 matrices, got {m.shape}")
-    return _trace_norm(*_parts(m))
+    return _trace_norm(*_parts(assert_hermitian(m)))

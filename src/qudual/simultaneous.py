@@ -37,8 +37,8 @@ import numpy as np
 
 from .duality import _imbalance
 from .errors import ParameterError, SingularConfigurationError, check_array, check_scalar
-from .linalg import _entries, _from_parts, _hypot, _projector, _split, _trace_norm
-from .states import GAUGE, TWO_PI, Observable, density_params, validate_density
+from .linalg import _entries, _hypot, _projector, _split, _trace_norm
+from .states import GAUGE, TWO_PI, Observable
 
 # Largest rescaled outcome value whose square is a finite double.
 MAX_RESCALED_VALUE = math.sqrt(sys.float_info.max)
@@ -151,17 +151,20 @@ def entangled_arrays(
     which keeps the populations and shrinks the coherence to
     ``c sqrt(w+ w-)``. The amplitudes are :func:`entangle`'s, the
     distinguishability is the trace norm of the difference of the two meter
-    blocks, and the visibility and the marginal come from the partial trace,
-    the marginal read by :func:`density_params` and checked by
-    :func:`validate_density`. Each element has the bits of the scalar
-    functions on that one state, which evaluate the same expressions.
+    blocks, and the visibility and the marginal come from the parts ``(a, d, x, y)``
+    of the partial trace: ``w_marg = a``, ``rho12_marg = |x + i y|`` held to its
+    positivity bound and ``theta_marg`` the wrapped phase of ``x - i y`` (0 where
+    ``rho12_marg = 0``). Each element has the bits of the scalar functions on
+    that one state, which evaluate the same expressions.
     """
     w = check_array(w_plus, "w_plus", 0.0, 1.0)
     cc = check_array(c, "c", 0.0, 1.0)
     t = np.remainder(check_array(theta, "theta"), TWO_PI)
     psi = _amplitudes(*np.broadcast_arrays(w, t, cc))
-    parts = _reduced(psi)
-    return _distinguishability(psi), _visibility(parts), *validate_density(*density_params(_from_parts(*parts)))
+    a, _, x, y = parts = _reduced(psi)
+    v_e = _visibility(parts)
+    r = np.minimum(0.5 * v_e, np.sqrt(a * (1.0 - a)))
+    return _distinguishability(psi), v_e, a, r, np.where(r > 0.0, np.remainder(np.arctan2(-y, x), TWO_PI), 0.0)
 
 
 def _readout_overlap(c: float) -> float:

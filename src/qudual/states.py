@@ -11,8 +11,9 @@ carry the outcome values ``+-GAUGE`` of the symmetric reference
 :data:`REFERENCE`, and every other two-outcome gauge is an affine
 relabelling of those.
 
-A state or observable computes its matrix once and returns it read-only.
-:func:`validate_density`, :func:`density_matrix` and
+A state or observable is checked once, where it is built, and computes its
+matrix once and returns it read-only; the functions that take one check it
+no further. :func:`validate_density`, :func:`density_matrix` and
 :func:`complementary_matrices` are the same rules and constructions applied
 elementwise to stacked parameters, for checks that sweep many states at once.
 :func:`density_params` reads the parameters off one matrix or a stack.
@@ -159,8 +160,6 @@ def density_params(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     or :func:`validate_density`'s for a stack.
     """
     m = assert_hermitian(m, name="density matrix")
-    if m.shape[-2:] != (2, 2):
-        raise ContractViolationError(f"density matrix must be 2x2, got {m.shape}")
     tr = m[..., 0, 0].real + m[..., 1, 1].real
     bad = ~(np.abs(tr - 1.0) <= TRACE_TOL)  # NaN fails too
     if bad.any():
@@ -193,12 +192,7 @@ def density_matrix(w_plus, rho12, theta) -> np.ndarray:
     parameters with :func:`validate_density` first.
     """
     off = rho12 * np.exp(-1j * np.asarray(theta))
-    m = np.empty(np.shape(off) + (2, 2), dtype=complex)
-    m[..., 0, 0] = w_plus
-    m[..., 0, 1] = off
-    m[..., 1, 0] = np.conj(off)
-    m[..., 1, 1] = 1.0 - w_plus
-    return m
+    return _from_parts(w_plus, 1.0 - w_plus, off.real, off.imag)
 
 
 def pure_state(w_plus: float, theta: float = 0.0) -> DensityMatrix:
@@ -228,8 +222,8 @@ class Observable:
                 f"outcome values must be distinct, got val_plus = val_minus = {self.val_plus!r}"
             )
         basis = assert_unitary(self.basis, name="eigenbasis")
-        if basis.shape != (2, 2):
-            raise ContractViolationError(f"eigenbasis must be 2x2, got {basis.shape}")
+        if basis.ndim != 2:
+            raise ContractViolationError(f"eigenbasis must be one matrix, not a stack, got shape {basis.shape}")
         basis = basis.copy()
         basis.setflags(write=False)
         object.__setattr__(self, "val_plus", val_plus)

@@ -21,8 +21,9 @@ and ``A^2`` entry by entry, then traces against the state, in ``+ - *``
 alone, so its bits do not depend on the BLAS kernel or the SIMD level of
 the host. :func:`robertson` runs the same expression on the Python floats
 of one state and pair and packs it into a report, with the bits of that
-element of a stack. Both hold the contract: any element with
-``slack < -INEQUALITY_SLACK`` raises.
+element of a stack. :func:`robertson_arrays` takes raw matrices and holds the
+contract: any element with ``slack < -INEQUALITY_SLACK`` raises. :func:`robertson`
+and :func:`mean_var` take a state and observables checked where they were built.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, ParameterError, as_float, check_scalar
+from .errors import ContractViolationError, ParameterError, check_scalar
 from .linalg import _parts, _split, _times, _trace
 from .states import DensityMatrix, Observable, pure_state
 
@@ -81,12 +82,9 @@ def _moments(rho, op) -> tuple:
 def mean_var(rho: DensityMatrix, obs: Observable) -> tuple[float, float]:
     """Mean and variance of an observable: :func:`_moments` on one state, in Python floats.
 
-    The variance is clipped to 0 when rounding drives it within 1e-12 below
-    zero; a larger negative value raises, since it signals corrupted inputs.
+    The variance is clipped to 0 where rounding drives it below zero.
     """
     mean, var = _moments(_parts(rho.matrix), _parts(obs.matrix))
-    if var < -INEQUALITY_SLACK:
-        raise ContractViolationError(f"variance evaluated to {var!r} < 0 beyond tolerance")
     return mean, max(var, 0.0)
 
 
@@ -97,9 +95,9 @@ class RobertsonReport:
     ``lhs = var_a * var_b`` and ``rhs = (c_mean**2 + f_mean**2) / 4``, where
     ``c_mean`` is the mean of ``-i [A, B]`` and ``f_mean`` the symmetrized
     covariance. ``slack`` is :func:`robertson_arrays`' ``lhs - rhs``, of the
-    same bits as ``lhs - rhs`` here; it is nonnegative for every valid state
-    and vanishes on pure states. :func:`robertson_arrays` enforces that, the
-    report itself does not.
+    same bits as ``lhs - rhs`` here; it is nonnegative for every valid state,
+    up to rounding, and vanishes on pure states. :func:`robertson_arrays`
+    enforces that on raw matrices; :func:`robertson` and the report do not.
     """
 
     var_a: float
@@ -130,12 +128,6 @@ def _robertson(rho, a, b) -> tuple:
     return var_a, var_b, c_mean, f_mean, var_a * var_b - 0.25 * (c_mean * c_mean + f_mean * f_mean)
 
 
-def _bound_violated(slack: float) -> ContractViolationError:
-    return ContractViolationError(
-        f"uncertainty bound violated: lhs - rhs = {slack!r}; this indicates corrupted operator or state input"
-    )
-
-
 def robertson_arrays(
     rho_m: np.ndarray, a_m: np.ndarray, b_m: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -153,7 +145,10 @@ def robertson_arrays(
     slack = fields[4]
     bad = np.flatnonzero(slack < -INEQUALITY_SLACK)
     if bad.size:
-        raise _bound_violated(float(slack.flat[bad[0]]))
+        raise ContractViolationError(
+            f"uncertainty bound violated: lhs - rhs = {float(slack.flat[bad[0]])!r}; "
+            "this indicates corrupted operator or state input"
+        )
     return tuple(fields)
 
 
@@ -162,10 +157,7 @@ def robertson(rho: DensityMatrix, a_obs: Observable, b_obs: Observable) -> Rober
 
     The expression of :func:`robertson_arrays`, evaluated on Python floats.
     """
-    fields = _robertson(_parts(rho.matrix), _parts(a_obs.matrix), _parts(b_obs.matrix))
-    if fields[4] < -INEQUALITY_SLACK:
-        raise _bound_violated(fields[4])
-    return RobertsonReport(*fields)
+    return RobertsonReport(*_robertson(_parts(rho.matrix), _parts(a_obs.matrix), _parts(b_obs.matrix)))
 
 
 def normalized_product_bounds(w_plus: float) -> tuple[float, float]:
@@ -223,9 +215,7 @@ def intelligent_state(family: str, param: float, varrho: float, branch: int = 1)
     varrho = check_scalar(varrho, "varrho")
 
     if family == "IS2a":
-        beta = as_float(param)
-        if math.isnan(beta) or beta < 0.0 or beta > math.pi / 2.0 + 1e-15:
-            raise ParameterError(f"beta = {beta!r} violates the bound 0 <= beta <= pi/2")
+        beta = check_scalar(param, "beta", 0.0, math.pi / 2.0, slack=1e-15)
         state = pure_state(0.5, varrho + branch * beta)
         if beta == 0.0:
             lam = complex(branch * math.inf, 0.0)

@@ -23,6 +23,7 @@ from qudual import (
     duality_report,
     entangle,
     estimate_b,
+    family_arrays,
     fringe_probability,
     intelligent_state,
     meter_projectors,
@@ -265,6 +266,7 @@ SCALAR_ENTRY_POINTS = {
     "complementary_observable.varrho": lambda x: complementary_observable(x),
     # the stacked family: each phase is checked
     "ComplementaryFamily.varrho": lambda x: complementary_matrices([0.0, x]),
+    "family_arrays.theta": lambda x: family_arrays(0.5, 0.1, x, 0.0),
     "entangle.w_plus": lambda x: entangle(x, 0.0, 0.5),
     "entangle.theta": lambda x: entangle(0.5, x, 0.5),
     "entangle.c": lambda x: entangle(0.5, 0.0, x),

@@ -17,6 +17,7 @@ from qudual import (
     fringe_probability,
     predictability,
     pure_state,
+    purity,
     validate_density,
     visibility,
     visibility_oracle,
@@ -196,6 +197,13 @@ def test_family_rejects_a_non_finite_phase(varrho):
         family_arrays([0.9, 0.5], [0.3, 0.5], [0.3, 1.0], [0.2, varrho])
 
 
+@pytest.mark.parametrize("w_plus, rho12, shown", [(math.nan, 0.1, "nan"), (2.0, 0.1, "9.04"), (0.3, 10**400, "inf")])
+def test_family_checks_its_state(w_plus, rho12, shown):
+    # the state meets duality_arrays' bound, so NaN, a population past 1 and an overflow raise no raw error
+    with pytest.raises(ContractViolationError, match=rf"P\*\*2 \+ V\*\*2 = {shown} exceeds 1"):
+        family_arrays(w_plus, rho12, 0.0, 0.0)
+
+
 @given(w=w_values, u=fractions, theta=angles)
 def test_report_bounds_and_purity_link(w, u, theta):
     rho = draw_state(w, u, theta)
@@ -220,12 +228,13 @@ def test_kernel_on_a_stack_matches_the_scalar_report():
     rng = np.random.default_rng(17)
     w = rng.uniform(0.0, 1.0, 500)
     rho12 = rng.uniform(0.0, 1.0, 500) * np.sqrt(w * (1.0 - w))
-    p, v, sum_sq, purity = duality_arrays(w, rho12)
+    p, v, sum_sq = duality_arrays(w, rho12)
+    pur = purity(w, rho12)
     for i in range(w.size):
         rho = DensityMatrix(w[i], rho12[i])
         rep = duality_report(rho)
         assert (rep.p, rep.v, rep.sum_sq) == (p[i], v[i], sum_sq[i])
-        assert (rep.p, rep.v, purity[i]) == (predictability(rho), visibility(rho), rho.purity)
+        assert (rep.p, rep.v, pur[i]) == (predictability(rho), visibility(rho), rho.purity)
 
 
 def test_kernel_keeps_the_report_contract():

@@ -137,3 +137,35 @@ def test_the_scan_sees_libm_roundings():
 @pytest.mark.parametrize("path", LIBRARY, ids=[str(p.relative_to(ROOT)) for p in LIBRARY])
 def test_no_libm_roundings(path):
     assert libm_roundings(path.read_text(), LIBM_EXEMPT.get(path.name, frozenset())) == []
+
+
+# Public float input enters through qudual.errors' check_scalar, check_array or as_float_array: they reject NaN and
+# out-of-range values as the caller asks and read an integer past the double range as an infinity, where a bare
+# np.asarray(x, dtype=float) passes NaN on and raises a raw OverflowError. verify draws its own inputs.
+FLOAT_READ_EXEMPT = {"errors.py", "verify.py"}
+
+
+def unchecked_float_reads(source: str) -> list[str]:
+    """Each ``asarray`` call of ``source`` that asks for a ``float`` dtype, by keyword or by position."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "asarray":
+            dtypes = [k.value for k in node.keywords if k.arg == "dtype"] + node.args[1:2]
+            if any(getattr(d, "id", None) == "float" for d in dtypes):
+                found.append(f"line {node.lineno}: asarray(..., float)")
+    return found
+
+
+def test_the_scan_sees_an_unchecked_float_read():
+    source = (
+        "import numpy as np\n"
+        "from numpy import asarray\n"
+        "w = np.asarray(x, dtype=float)\n"
+        "r = asarray(x, float) + np.asarray(x, dtype=complex) + np.asarray(x) + np.array(x, dtype=float)\n"
+    )
+    assert unchecked_float_reads(source) == ["line 3: asarray(..., float)", "line 4: asarray(..., float)"]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=[str(p.relative_to(ROOT)) for p in LIBRARY])
+def test_no_unchecked_float_reads(path):
+    assert path.name in FLOAT_READ_EXEMPT or unchecked_float_reads(path.read_text()) == []

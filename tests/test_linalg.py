@@ -163,5 +163,5 @@ def test_unitarity_guard_checks_every_matrix_of_a_stack():
     stack[4, 0, 0] = 1.0 + 1e-9
     with pytest.raises(ContractViolationError, match="not unitary: max .* = 2.000e-09"):
         assert_unitary(stack, name="probe")
-    with pytest.raises(ContractViolationError, match="square"):
+    with pytest.raises(ContractViolationError, match="probe must be a 2x2 matrix or a stack of them"):
         assert_unitary(np.ones((3, 2, 4)), name="probe")

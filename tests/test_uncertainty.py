@@ -159,6 +159,16 @@ def test_robertson_variances_are_the_mean_var_variances():
         assert (rep.var_a, rep.var_b) == (mean_var(rho, A)[1], mean_var(rho, b_obs)[1])
 
 
+def test_checked_inputs_never_raise_at_large_outcome_values():
+    """Rounding noise in a variance, and in lhs - rhs, grows with the squared outcome values; it raises nothing."""
+    rng = np.random.default_rng(20261020)
+    for w, theta, varrho in rng.uniform(0.0, [1.0, 2.0 * math.pi, 2.0 * math.pi], (2000, 3)).tolist():
+        basis = b_at(varrho).basis
+        rep = robertson(pure_state(w, theta), Observable(10.0, -10.0), Observable(10.0, -10.0, basis))
+        mean, var = mean_var(pure_state(0.5, varrho), Observable(1e3, -300.0, basis))  # an eigenstate: var = 0
+        assert all(math.isfinite(x) for x in (*dataclasses.astuple(rep), mean, var))
+
+
 def test_kernel_keeps_the_report_contract():
     # A unit-trace Hermitian matrix with a negative eigenvalue is no state.
     bad = np.array([[0.5, 0.9], [0.9, 0.5]], dtype=complex)

@@ -272,10 +272,10 @@ PLANTED_FAULTS = [
         [
             "trace norm diag: 1.000000001 vs 1.0",
             "trace norm of projector difference: 1.6000000016000002 vs 1.6",
-            "trace norm against svd #0: 3.741526240145674 vs 3.741526236404147",
-            "trace norm against svd #1: 3.210621993193396 vs 3.2106219899827737",
-            "trace norm against svd #2: 5.523417154210724 vs 5.523417148687306",
-            "trace norm against svd #3: 8.837885687078417 vs 8.83788567824053",
+            "trace norm against svd #0: 3.741526240145674 vs 3.7415262364",
+            "trace norm against svd #1: 3.210621993193396 vs 3.21062198998",
+            "trace norm against svd #2: 5.523417154210724 vs 5.52341714869",
+            "trace norm against svd #3: 8.837885687078417 vs 8.83788567824",
         ],
         id="linalg_core",
     ),
