@@ -15,7 +15,7 @@ import numpy as np
 from qudual import (
     REFERENCE,
     complementary_observable,
-    duality_report,
+    duality_arrays,
     family_arrays,
     pure_state,
 )
@@ -23,7 +23,7 @@ from qudual import (
 
 def main():
     rho = pure_state(0.8, theta=0.6)
-    base = duality_report(rho).sum_sq
+    base = duality_arrays(rho.w_plus, rho.rho12)[2]
     print(f"state: w+ = {rho.w_plus}, theta = {rho.theta}")
     print(f"invariant P_B^2 + V_B^2 = {base:.12f} for every family member")
     print()

@@ -13,7 +13,7 @@ import numpy as np
 
 from qudual import (
     DensityMatrix,
-    duality_report,
+    duality_arrays,
     fringe_probability,
     pure_state,
     visibility_oracle,
@@ -21,13 +21,13 @@ from qudual import (
 
 
 def show(label, rho):
-    rep = duality_report(rho)
+    p, v, sum_sq = duality_arrays(rho.w_plus, rho.rho12)
     print(f"{label}")
     print(f"  populations      w+ = {rho.w_plus:.4f}, w- = {rho.w_minus:.4f}")
     print(f"  coherence        rho12 = {rho.rho12:.4f}, theta = {rho.theta:.4f}")
-    print(f"  predictability   P = {rep.p:.6f}")
-    print(f"  visibility       V = {rep.v:.6f}")
-    print(f"  P^2 + V^2        = {rep.sum_sq:.12f}  (2 purity - 1 = {2.0 * rho.purity - 1.0:.12f})")
+    print(f"  predictability   P = {p:.6f}")
+    print(f"  visibility       V = {v:.6f}")
+    print(f"  P^2 + V^2        = {sum_sq:.12f}  (2 purity - 1 = {2.0 * rho.purity - 1.0:.12f})")
     print()
 
 
@@ -46,7 +46,7 @@ def main():
     print("brute-force check of the visibility on the pure state:")
     v_hat, xi_hat = visibility_oracle(pure, grid_n=512)
     print(f"  grid oracle      V = {v_hat:.6f} at beam-splitter angle xi = {xi_hat:.6f}")
-    print(f"  closed form      V = {duality_report(pure).v:.6f} at xi = {math.pi / 4.0:.6f}")
+    print(f"  closed form      V = {duality_arrays(pure.w_plus, pure.rho12)[1]:.6f} at xi = {math.pi / 4.0:.6f}")
     print()
 
     print("one cut through the fringe at the balanced splitter:")

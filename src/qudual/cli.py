@@ -32,7 +32,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import montecarlo, verify
-from .duality import duality_arrays, duality_report, family_arrays, visibility
+from .duality import duality_arrays, family_arrays, visibility
 from .errors import ParameterError, QudualError, check_scalar
 from .simultaneous import (
     distinguishability,
@@ -93,7 +93,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         raise ParameterError("one of --rho12 or --pure is required")
     varrho = rho.theta if args.varrho is None else args.varrho
 
-    rep = duality_report(rho)
+    p, v, sum_sq = duality_arrays(rho.w_plus, rho.rho12)
     b_obs = complementary_observable(varrho)
     p_b, v_b = family_arrays(rho.w_plus, rho.rho12, rho.theta, varrho)
     mean_a, var_a = mean_var(rho, REFERENCE)
@@ -106,9 +106,9 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         ("rho12", rho.rho12),
         ("theta", rho.theta),
         ("purity", rho.purity),
-        ("P", rep.p),
-        ("V", rep.v),
-        ("P2_plus_V2", rep.sum_sq),
+        ("P", p),
+        ("V", v),
+        ("P2_plus_V2", sum_sq),
         ("varrho", varrho),
         ("P_B", p_b),
         ("V_B", v_b),

@@ -19,11 +19,10 @@ factor is least and greatest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, as_float_array, check_array, check_count
+from .errors import ContractViolationError, as_float_array, check_array, check_count, check_scalar
 from .states import TWO_PI, DensityMatrix
 
 # Largest oracle grid. Past it a finer grid buys no accuracy a check can use:
@@ -32,15 +31,12 @@ from .states import TWO_PI, DensityMatrix
 MAX_GRID_N = 2048
 
 __all__ = [
-    "MAX_GRID_N",
     "predictability",
     "visibility",
     "fringe_probability",
     "visibility_oracle",
     "family_arrays",
-    "DualityReport",
     "duality_arrays",
-    "duality_report",
 ]
 
 
@@ -133,7 +129,7 @@ def visibility_oracle(rho: DensityMatrix, grid_n: int = 512) -> tuple[float, flo
 def family_arrays(w_plus, rho12, theta, varrho) -> tuple[np.ndarray, np.ndarray]:
     """Predictability and visibility ``(P_B, V_B)`` of the family member at phase ``varrho``, elementwise.
 
-    The state is checked by :func:`duality_arrays`' bound, and the phases ``theta`` and
+    The state is checked by :func:`duality_arrays`, and the phases ``theta`` and
     ``varrho`` broadcast with it; a non-finite phase raises a :class:`ParameterError`.
     ``P_B = 2 rho12 |cos(theta - varrho)|`` is largest for the proper member
     ``varrho = theta`` and zero at the erasure phases ``varrho = theta +- pi/2``;
@@ -147,38 +143,25 @@ def family_arrays(w_plus, rho12, theta, varrho) -> tuple[np.ndarray, np.ndarray]
     return v * np.abs(np.cos(delta)), np.sqrt(p * p + 4.0 * (r * r) * s * s)
 
 
-@dataclass(frozen=True)
-class DualityReport:
-    """Predictability, visibility and their squared sum.
-
-    :func:`duality_arrays` enforces the duality contract; the report itself
-    does not.
-    """
-
-    p: float
-    v: float
-    sum_sq: float
-
-
 def duality_arrays(w_plus, rho12) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The duality relation for stacked state parameters, elementwise.
 
-    Returns ``(p, v, sum_sq)``, the fields of :class:`DualityReport`, as float
-    arrays of the broadcast shape. The first element with ``P**2 + V**2 > 1``
-    beyond 1e-12, or NaN, raises a :class:`ContractViolationError`. As
-    ``P**2 + V**2 = 1 - 4 w+ w- + 4 rho12**2``, that is the positivity bound ``rho12**2 <= w+ w-``,
-    and it rejects populations outside [0, 1] and NaN or overflowing input too.
+    Returns ``(p, v, sum_sq)``, the predictability, the visibility and
+    ``P**2 + V**2``, as float arrays of the broadcast shape. The first failing
+    element raises. A population outside [0, 1] or a negative ``rho12``, NaN
+    and infinities included, raises a :class:`ParameterError` that names the
+    bound; an integer past the double range counts as an infinity. A state with
+    ``P**2 + V**2 > 1`` beyond 1e-12 raises a :class:`ContractViolationError`: as
+    ``P**2 + V**2 = 1 - 4 w+ w- + 4 rho12**2``, that is the positivity bound ``rho12**2 <= w+ w-``.
     """
     w, r = np.broadcast_arrays(as_float_array(w_plus), as_float_array(rho12))
     p = _imbalance(w)
     v = 2.0 * r
     sum_sq = p * p + v * v
-    bad = np.flatnonzero(~(sum_sq <= 1.0 + 1e-12))  # NaN fails too
+    bad = np.flatnonzero(~(sum_sq <= 1.0 + 1e-12) | (r < 0.0))  # NaN fails too
     if bad.size:
-        raise ContractViolationError(f"P**2 + V**2 = {float(sum_sq.flat[bad[0]])!r} exceeds 1 beyond tolerance")
+        i = bad[0]
+        check_scalar(w.flat[i], "w_plus", 0.0, 1.0)
+        check_scalar(r.flat[i], "rho12", 0.0)
+        raise ContractViolationError(f"P**2 + V**2 = {float(sum_sq.flat[i])!r} exceeds 1 beyond tolerance")
     return p, v, sum_sq
-
-
-def duality_report(rho: DensityMatrix) -> DualityReport:
-    """Evaluate the duality relation for one state: :func:`duality_arrays` on its parameters."""
-    return DualityReport(*(float(x) for x in duality_arrays(rho.w_plus, rho.rho12)))

@@ -32,8 +32,6 @@ _HERMITIAN_MAX_PART = sys.float_info.max / 8.0
 _UNITARY_MAX_PART = math.sqrt(sys.float_info.max) / 2.0**17
 
 __all__ = [
-    "HERMITICITY_TOL",
-    "UNITARITY_TOL",
     "assert_hermitian",
     "assert_unitary",
     "trace_norm",

@@ -48,9 +48,6 @@ _SCAN_PHI = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
 _SCAN_XI = math.pi / 4.0
 
 __all__ = [
-    "Z_FLAG_THRESHOLD",
-    "MAX_SAMPLED_VALUE",
-    "MAX_SHOTS",
     "SampleReport",
     "sample_sharp",
     "sample_fringe",

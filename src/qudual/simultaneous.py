@@ -44,7 +44,6 @@ from .states import GAUGE, TWO_PI, Observable
 MAX_RESCALED_VALUE = math.sqrt(sys.float_info.max)
 
 __all__ = [
-    "MAX_RESCALED_VALUE",
     "EntangledState",
     "entangle",
     "distinguishability",

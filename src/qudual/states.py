@@ -13,9 +13,9 @@ relabelling of those.
 
 A state or observable is checked once, where it is built, and computes its
 matrix once and returns it read-only; the functions that take one check it
-no further. :func:`validate_density`, :func:`density_matrix` and
-:func:`complementary_matrices` are the same rules and constructions applied
-elementwise to stacked parameters, for checks that sweep many states at once.
+no further. :func:`validate_density` and :func:`complementary_matrices` are
+the same rules and constructions applied elementwise to stacked parameters,
+for checks that sweep many states at once.
 :func:`density_params` reads the parameters off one matrix or a stack.
 
 Index 0 is ``|plus>`` and index 1 is ``|minus>`` everywhere.
@@ -56,12 +56,9 @@ _MAX_OUTCOME_VALUE = 2.0**250
 
 __all__ = [
     "GAUGE",
-    "POSITIVITY_TOL",
     "DensityMatrix",
     "validate_density",
     "density_params",
-    "purity",
-    "density_matrix",
     "Observable",
     "pure_state",
     "REFERENCE",
@@ -109,7 +106,7 @@ class DensityMatrix:
     @property
     def purity(self) -> float:
         """Trace of the squared matrix, in [1/2, 1]."""
-        return float(purity(self.w_plus, self.rho12))
+        return float(_purity(self.w_plus, self.rho12))
 
     def is_pure(self) -> bool:
         return self.purity >= 1.0 - PURITY_TOL
@@ -117,7 +114,7 @@ class DensityMatrix:
     @cached_property
     def matrix(self) -> np.ndarray:
         """The 2x2 matrix, computed on first access; read-only."""
-        m = density_matrix(self.w_plus, self.rho12, self.theta)
+        m = _density_matrix(self.w_plus, self.rho12, self.theta)
         m.setflags(write=False)
         return m
 
@@ -171,7 +168,7 @@ def density_params(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return m[..., 0, 0].real, r, np.where(r > 0.0, np.remainder(np.angle(off), TWO_PI), 0.0)
 
 
-def purity(w_plus, rho12):
+def _purity(w_plus, rho12):
     """Purity ``1 - 2 w+ w- + 2 rho12**2`` of valid state parameters, elementwise."""
     return 1.0 - 2.0 * w_plus * (1.0 - w_plus) + 2.0 * (rho12 * rho12)
 
@@ -185,7 +182,7 @@ def _pure_amplitudes(w_plus, theta) -> np.ndarray:
     return np.stack([np.sqrt(w_plus) + 0j, np.exp(1j * np.asarray(theta)) * np.sqrt(1.0 - w_plus)], axis=-1)
 
 
-def density_matrix(w_plus, rho12, theta) -> np.ndarray:
+def _density_matrix(w_plus, rho12, theta) -> np.ndarray:
     """Matrices ``(..., 2, 2)`` of valid state parameters, elementwise.
 
     :attr:`DensityMatrix.matrix` is this function on one state; check stacked

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, ParameterError, check_scalar
+from .errors import ContractViolationError, ParameterError, as_float, check_scalar
 from .linalg import _parts, _split, _times, _trace
 from .states import DensityMatrix, Observable, pure_state
 
@@ -43,7 +43,6 @@ INEQUALITY_SLACK = 1e-12
 IS_FAMILIES = ("IS1", "IS2a", "IS2b")
 
 __all__ = [
-    "INEQUALITY_SLACK",
     "IS_FAMILIES",
     "mean_var",
     "RobertsonReport",
@@ -275,9 +274,10 @@ def is_residual(state: DensityMatrix, lam: complex, a_obs: Observable, b_obs: Ob
     its norm. Zero (within round-off) exactly on intelligent states with
     their own ``lam``.
     """
-    if not cmath.isfinite(complex(lam)):
+    lam = complex(as_float(lam.real), as_float(lam.imag))  # an integer past the double range is an infinity
+    if not cmath.isfinite(lam):
         raise ParameterError(
             "lam must be finite; an infinite lam marks an eigenvector of the "
             "complementary observable, where the eigen-equation degenerates"
         )
-    return float(_eigen_residuals(state.matrix, state.state_vector(), complex(lam), a_obs.matrix, b_obs.matrix))
+    return float(_eigen_residuals(state.matrix, state.state_vector(), lam, a_obs.matrix, b_obs.matrix))

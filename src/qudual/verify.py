@@ -55,13 +55,13 @@ from .states import (
     REFERENCE,
     TWO_PI,
     DensityMatrix,
+    _density_matrix,
     _pure_amplitudes,
+    _purity,
     complementary_matrices,
     complementary_observable,
-    density_matrix,
     density_params,
     pure_state,
-    purity,
     validate_density,
 )
 from .uncertainty import (
@@ -337,7 +337,7 @@ def _suite_linalg_core(t: _Tally, run: dict, rng: np.random.Generator) -> None:
 
 def _suite_state_round_trip(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     w, rho12, theta, _ = _random_states(rng, 500)
-    m = density_matrix(w, rho12, theta)
+    m = _density_matrix(w, rho12, theta)
     back_w, back_rho12, back_theta = validate_density(*density_params(m))
     trace_squared = np.trace(m @ m, axis1=-2, axis2=-1).real
     phase_gap = np.abs(np.exp(1j * back_theta) - np.exp(1j * theta))
@@ -345,7 +345,7 @@ def _suite_state_round_trip(t: _Tally, run: dict, rng: np.random.Generator) -> N
         _near(back_w, w, _ROUNDOFF, lambda i: f"round trip w_plus #{i}"),
         _near(back_rho12, rho12, _ROUNDOFF, lambda i: f"round trip rho12 #{i}"),
         (phase_gap, _PHASE, lambda i: f"round trip theta #{i}", rho12 > 1e-9),
-        _near(trace_squared, purity(w, rho12), _ROUNDOFF, lambda i: f"purity trace identity #{i}"),
+        _near(trace_squared, _purity(w, rho12), _ROUNDOFF, lambda i: f"purity trace identity #{i}"),
     )
     t.raises(ParameterError, lambda: DensityMatrix(1.2, 0.0), "w_plus above 1 rejected")
     t.raises(ParameterError, lambda: DensityMatrix(0.5, 0.6), "coherence above bound rejected")
@@ -362,7 +362,7 @@ def _suite_duality(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     bound = -math.inf if run["corrupt"] else _BOUND
     w, rho12, _, _ = _random_states(rng, run["duality"])
     p, v, sum_sq = duality_arrays(w, rho12)
-    pure = purity(w, rho12) >= 1.0 - _PURE
+    pure = _purity(w, rho12) >= 1.0 - _PURE
     s = sum_sq.tolist()
     t.check(
         (sum_sq - 1.0, bound, lambda i: f"sum of squares bound #{i}: {s[i]!r}"),
@@ -423,7 +423,7 @@ def _suite_fringe_oracle(t: _Tally, run: dict, rng: np.random.Generator) -> None
 def _suite_robertson(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     w, rho12, theta, phases = _random_states(rng, run["robertson"], phases=1)
     b_m = complementary_matrices(phases[:, 0])
-    slack = robertson_arrays(density_matrix(w, rho12, theta), REFERENCE.matrix, b_m)[4]
+    slack = robertson_arrays(_density_matrix(w, rho12, theta), REFERENCE.matrix, b_m)[4]
     # Slack has a closed form of its own for this pair: the coherence
     # deficit (w+ w- - rho12^2) / 4 at unit eigenvalue gaps.
     target = (w * (1.0 - w) - rho12 * rho12) / 4.0
@@ -431,7 +431,7 @@ def _suite_robertson(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     t.check(
         (-slack, _BOUND, lambda i: f"robertson bound #{i}: {s[i]!r}"),
         _near(slack, target, _ROUNDOFF, lambda i: f"robertson slack identity #{i}"),
-        (np.abs(slack), _SATURATION, lambda i: f"pure state saturation #{i}: {s[i]!r}", purity(w, rho12) >= 1.0 - _PURE),
+        (np.abs(slack), _SATURATION, lambda i: f"pure state saturation #{i}: {s[i]!r}", _purity(w, rho12) >= 1.0 - _PURE),
     )
 
 
@@ -446,7 +446,7 @@ def _suite_intelligent_states(t: _Tally, run: dict, rng: np.random.Generator) ->
     tag = [f"{f} {grids[f][0]}={p:.2f} br={b}" for f, p, b in rows]
     states = [intelligent_state(f, p, varrho, b) for f, p, b in rows]
     w, rho12, theta = np.array([(st.state.w_plus, st.state.rho12, st.state.theta) for st in states]).T
-    rho_m = density_matrix(w, rho12, theta)
+    rho_m = _density_matrix(w, rho12, theta)
     var_a, var_b, _, _, slack = robertson_arrays(rho_m, REFERENCE.matrix, b_m)
     # An infinite stretch marks an eigenvector of the member, where the
     # eigen-equation degenerates: that state is checked for Var(B) = 0
@@ -514,7 +514,7 @@ def _suite_product_bounds(t: _Tally, run: dict, rng: np.random.Generator) -> Non
     deltas = np.linspace(0.0, math.pi / 2.0, 33).tolist()
     varrho = [0.6 - delta for delta in deltas] + [0.6 - math.pi / 2.0]
     w = np.repeat(ws, len(varrho))
-    rho_m = density_matrix(*validate_density(w, np.sqrt(w * (1.0 - w)), 0.6))
+    rho_m = _density_matrix(*validate_density(w, np.sqrt(w * (1.0 - w)), 0.6))
     b_m = complementary_matrices(np.tile(varrho, ws.size))
     var_a, var_b = robertson_arrays(rho_m, REFERENCE.matrix, b_m)[:2]
     prod = (var_a * var_b).reshape(ws.size, len(varrho))

@@ -8,24 +8,23 @@ from pathlib import Path
 
 import pytest
 
+import qudual
 from qudual import (
     GAUGE,
-    MAX_GRID_N,
-    MAX_RESCALED_VALUE,
-    MAX_SAMPLED_VALUE,
-    MAX_SHOTS,
     REFERENCE,
     DensityMatrix,
     Observable,
     ParameterError,
     complementary_matrices,
     complementary_observable,
-    duality_report,
+    duality_arrays,
     entangle,
+    entangled_arrays,
     estimate_b,
     family_arrays,
     fringe_probability,
     intelligent_state,
+    is_residual,
     meter_projectors,
     normalized_product_bounds,
     optimal_entanglement,
@@ -36,10 +35,14 @@ from qudual import (
     sample_simultaneous,
     simultaneous,
     simultaneous_product,
+    validate_density,
     verify,
     visibility_oracle,
 )
 from qudual.cli import CSV_HEADER, MAX_SWEEP_POINTS, _build_parser, main
+from qudual.duality import MAX_GRID_N
+from qudual.montecarlo import MAX_SAMPLED_VALUE, MAX_SHOTS
+from qudual.simultaneous import MAX_RESCALED_VALUE
 
 
 def run(capsys, *argv):
@@ -144,7 +147,7 @@ def sweep_rows(capsys, figure):
 def test_sweep_predictability_is_the_library_predictability(capsys, figure):
     for w, p, *_ in sweep_rows(capsys, figure):
         rho = pure_state(w)
-        assert p == predictability(rho) == duality_report(rho).p, w
+        assert p == predictability(rho) == duality_arrays(rho.w_plus, rho.rho12)[0], w
 
 
 def test_sweep_distinguishability_one_ulp_below_half(capsys):
@@ -259,17 +262,28 @@ SCALAR_ENTRY_POINTS = {
     "DensityMatrix.rho12": lambda x: DensityMatrix(0.5, x),
     "DensityMatrix.theta": lambda x: DensityMatrix(0.5, 0.5, x),
     "DensityMatrix.theta-incoherent": lambda x: DensityMatrix(0.5, 0.0, x),
+    # the stacked forms check every element, not only the first
+    "validate_density.w_plus": lambda x: validate_density([0.5, x], 0.0),
+    "validate_density.rho12": lambda x: validate_density(0.5, [0.1, x]),
+    "validate_density.theta": lambda x: validate_density(0.5, 0.1, [0.0, x]),
+    "duality_arrays.w_plus": lambda x: duality_arrays([0.5, x], 0.0),
+    "duality_arrays.rho12": lambda x: duality_arrays(0.5, [0.1, x]),
     "pure_state.w_plus": lambda x: pure_state(x),
     "pure_state.theta": lambda x: pure_state(0.5, x),
     "Observable.val_plus": lambda x: Observable(x, -0.5),
     "Observable.val_minus": lambda x: Observable(0.5, x),
     "complementary_observable.varrho": lambda x: complementary_observable(x),
-    # the stacked family: each phase is checked
-    "ComplementaryFamily.varrho": lambda x: complementary_matrices([0.0, x]),
+    "complementary_matrices.varrho": lambda x: complementary_matrices([0.0, x]),
+    "family_arrays.w_plus": lambda x: family_arrays(x, 0.0, 0.0, 0.0),
+    "family_arrays.rho12": lambda x: family_arrays(0.5, x, 0.0, 0.0),
     "family_arrays.theta": lambda x: family_arrays(0.5, 0.1, x, 0.0),
+    "family_arrays.varrho": lambda x: family_arrays(0.5, 0.1, 0.0, x),
     "entangle.w_plus": lambda x: entangle(x, 0.0, 0.5),
     "entangle.theta": lambda x: entangle(0.5, x, 0.5),
     "entangle.c": lambda x: entangle(0.5, 0.0, x),
+    "entangled_arrays.w_plus": lambda x: entangled_arrays([0.5, x], 0.0, 0.5),
+    "entangled_arrays.theta": lambda x: entangled_arrays(0.5, [0.0, x], 0.5),
+    "entangled_arrays.c": lambda x: entangled_arrays(0.5, 0.0, [0.5, x]),
     "meter_projectors.c": lambda x: meter_projectors(x),
     "estimate_b.varrho": lambda x: estimate_b(_PSI, x),
     "simultaneous_product.w_plus": lambda x: simultaneous_product(x, 0.5),
@@ -279,6 +293,7 @@ SCALAR_ENTRY_POINTS = {
     "intelligent_state.w_plus": lambda x: intelligent_state("IS1", x, 0.9),
     "intelligent_state.beta": lambda x: intelligent_state("IS2a", x, 0.9),
     "intelligent_state.varrho": lambda x: intelligent_state("IS2b", 0.3, x),
+    "is_residual.lam": lambda x: is_residual(pure_state(0.5), x, REFERENCE, complementary_observable(0.0)),
     "sample_simultaneous.varrho": lambda x: sample_simultaneous(_PSI, x, 10, 1),
     "fringe_probability.phi": lambda x: fringe_probability(pure_state(0.5), [0.0, x], 0.3),
     "fringe_probability.xi": lambda x: fringe_probability(pure_state(0.5), 0.3, x),
@@ -294,6 +309,28 @@ SCALAR_ENTRY_POINTS = {
 def test_non_finite_scalars_raise_parameter_error(entry, value):
     with pytest.raises(ParameterError):
         SCALAR_ENTRY_POINTS[entry](value)
+
+
+# The public functions and classes that take no float, so need no row above: they take matrices, or library objects
+# checked where they were built, or suite names, levels and integer seeds (any integer seed is taken modulo 2**64).
+TAKES_NO_FLOAT = {
+    "assert_hermitian", "assert_unitary", "density_params", "robertson_arrays", "trace_norm",
+    "distinguishability", "entangled_visibility", "estimate_a", "mean_var", "predictability", "robertson", "visibility",
+    "render_report", "run_suite", "run_suites",
+}
+# The types that public functions return, holding what those functions checked or computed.
+RETURN_TYPES = {"EntangledState", "IntelligentState", "RobertsonReport", "SampleReport", "SuiteResult"}
+
+
+def test_every_public_entry_point_of_a_float_has_a_row():
+    public = {name: getattr(qudual, name) for name in qudual.__all__}
+    entry_points = {
+        name for name, obj in public.items()
+        if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception))
+    }
+    assert TAKES_NO_FLOAT | RETURN_TYPES <= entry_points
+    rows = {entry.split(".")[0] for entry in SCALAR_ENTRY_POINTS}
+    assert sorted(entry_points - TAKES_NO_FLOAT - RETURN_TYPES) == sorted(rows)
 
 
 # Each value fails its bound before any draw or allocation.

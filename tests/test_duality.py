@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,21 +8,20 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qudual import (
-    MAX_GRID_N,
     ContractViolationError,
     DensityMatrix,
     ParameterError,
     duality_arrays,
-    duality_report,
     family_arrays,
     fringe_probability,
     predictability,
     pure_state,
-    purity,
     validate_density,
     visibility,
     visibility_oracle,
 )
+from qudual.duality import MAX_GRID_N
+from qudual.states import _purity
 
 w_values = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 fractions = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -36,8 +36,7 @@ def test_frozen_duality_values():
     rho = pure_state(0.9)
     assert predictability(rho) == pytest.approx(0.8, abs=1e-15)
     assert visibility(rho) == pytest.approx(0.6, abs=1e-15)
-    rep = duality_report(rho)
-    assert rep.sum_sq == pytest.approx(1.0, abs=1e-15)
+    assert duality_arrays(rho.w_plus, rho.rho12)[2] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_fringe_probability_frozen_points():
@@ -197,19 +196,27 @@ def test_family_rejects_a_non_finite_phase(varrho):
         family_arrays([0.9, 0.5], [0.3, 0.5], [0.3, 1.0], [0.2, varrho])
 
 
-@pytest.mark.parametrize("w_plus, rho12, shown", [(math.nan, 0.1, "nan"), (2.0, 0.1, "9.04"), (0.3, 10**400, "inf")])
+W_PLUS_BOUND = "violates the bound 0 <= w_plus <= 1"
+RHO12_BOUND = "violates the bound 0 <= rho12 < inf"
+
+
+@pytest.mark.parametrize(
+    "w_plus, rho12, shown", [(math.nan, 0.1, "nan"), (2.0, 0.1, "2.0"), (0.3, 10**400, "inf"), (0.5, -0.3, "-0.3")]
+)
 def test_family_checks_its_state(w_plus, rho12, shown):
-    # the state meets duality_arrays' bound, so NaN, a population past 1 and an overflow raise no raw error
-    with pytest.raises(ContractViolationError, match=rf"P\*\*2 \+ V\*\*2 = {shown} exceeds 1"):
+    # the state meets duality_arrays' input bounds: NaN, a population past 1, an overflow and a negative coherence
+    # each raise the error of the bound they violate, not a raw error or a negative P_B; only one input can show `shown`
+    with pytest.raises(ParameterError) as error:
         family_arrays(w_plus, rho12, 0.0, 0.0)
+    assert str(error.value) in (f"w_plus = {shown} {W_PLUS_BOUND}", f"rho12 = {shown} {RHO12_BOUND}")
 
 
 @given(w=w_values, u=fractions, theta=angles)
 def test_report_bounds_and_purity_link(w, u, theta):
     rho = draw_state(w, u, theta)
-    rep = duality_report(rho)
-    assert rep.sum_sq <= 1.0 + 1e-12
-    assert rep.sum_sq == pytest.approx(2.0 * rho.purity - 1.0, abs=1e-12)
+    sum_sq = duality_arrays(rho.w_plus, rho.rho12)[2]
+    assert sum_sq <= 1.0 + 1e-12
+    assert sum_sq == pytest.approx(2.0 * rho.purity - 1.0, abs=1e-12)
 
 
 def test_equality_exactly_for_pure_states():
@@ -217,11 +224,11 @@ def test_equality_exactly_for_pure_states():
     for _ in range(200):
         w = rng.uniform()
         rho = pure_state(w, rng.uniform(0.0, 2.0 * math.pi))
-        assert abs(duality_report(rho).sum_sq - 1.0) <= 1e-10
+        assert abs(duality_arrays(rho.w_plus, rho.rho12)[2] - 1.0) <= 1e-10
     for _ in range(200):
         w = rng.uniform(0.05, 0.95)
         rho = DensityMatrix(w, rng.uniform(0.0, 0.99) * math.sqrt(w * (1.0 - w)), 0.0)
-        assert duality_report(rho).sum_sq < 1.0 - 1e-10
+        assert duality_arrays(rho.w_plus, rho.rho12)[2] < 1.0 - 1e-10
 
 
 def test_kernel_on_a_stack_matches_the_scalar_report():
@@ -229,19 +236,25 @@ def test_kernel_on_a_stack_matches_the_scalar_report():
     w = rng.uniform(0.0, 1.0, 500)
     rho12 = rng.uniform(0.0, 1.0, 500) * np.sqrt(w * (1.0 - w))
     p, v, sum_sq = duality_arrays(w, rho12)
-    pur = purity(w, rho12)
+    pur = _purity(w, rho12)
     for i in range(w.size):
         rho = DensityMatrix(w[i], rho12[i])
-        rep = duality_report(rho)
-        assert (rep.p, rep.v, rep.sum_sq) == (p[i], v[i], sum_sq[i])
-        assert (rep.p, rep.v, pur[i]) == (predictability(rho), visibility(rho), rho.purity)
+        alone = tuple(float(x) for x in duality_arrays(rho.w_plus, rho.rho12))
+        assert alone == (p[i], v[i], sum_sq[i])
+        assert (alone[0], alone[1], pur[i]) == (predictability(rho), visibility(rho), rho.purity)
 
 
 def test_kernel_keeps_the_report_contract():
     # rho12 = 0.9 at w_plus = 1/2 is past the positivity bound: P**2 + V**2 = 3.24.
     with pytest.raises(ContractViolationError, match=r"P\*\*2 \+ V\*\*2 = 3.24 exceeds 1"):
         duality_arrays([0.5, 0.5, 0.3], [0.1, 0.9, 0.0])
-    # a NaN, and an integer past the double range, fail the contract rather than leak out or overflow
-    for w_plus, rho12, shown in ((math.nan, 0.1, "nan"), (0.3, 10**400, "inf"), ([0.3, 10**400], 0.0, "inf")):
-        with pytest.raises(ContractViolationError, match=rf"P\*\*2 \+ V\*\*2 = {shown} exceeds 1"):
+    # a NaN, an integer past the double range and a negative coherence fail their input bound rather than leak out,
+    # overflow or return a negative V
+    for w_plus, rho12, message in (
+        (math.nan, 0.1, f"w_plus = nan {W_PLUS_BOUND}"),
+        (0.3, 10**400, f"rho12 = inf {RHO12_BOUND}"),
+        ([0.3, 10**400], 0.0, f"w_plus = inf {W_PLUS_BOUND}"),
+        ([0.5, 0.5], [0.1, -0.3], f"rho12 = -0.3 {RHO12_BOUND}"),
+    ):
+        with pytest.raises(ParameterError, match=re.escape(message) + "$"):
             duality_arrays(w_plus, rho12)

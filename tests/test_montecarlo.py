@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from qudual import (
-    MAX_SHOTS,
     REFERENCE,
     DensityMatrix,
     ParameterError,
@@ -298,9 +297,9 @@ def test_sampler_memory_does_not_grow_with_n(sampler):
     }[sampler]
     run(1)  # warm any lazy set-up outside the measurement
     start = time.perf_counter()
-    run(MAX_SHOTS)
+    run(montecarlo.MAX_SHOTS)
     assert time.perf_counter() - start < 0.05
-    assert _allocation_peak(lambda: run(MAX_SHOTS)) < 2 * 2**20
+    assert _allocation_peak(lambda: run(montecarlo.MAX_SHOTS)) < 2 * 2**20
 
 
 def _generator_keys(monkeypatch, run) -> list:

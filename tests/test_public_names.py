@@ -9,19 +9,11 @@ import qudual
 PUBLIC_NAMES = [
     "ContractViolationError",
     "DensityMatrix",
-    "DualityReport",
     "EntangledState",
     "GAUGE",
-    "HERMITICITY_TOL",
-    "INEQUALITY_SLACK",
     "IS_FAMILIES",
     "IntelligentState",
-    "MAX_GRID_N",
-    "MAX_RESCALED_VALUE",
-    "MAX_SAMPLED_VALUE",
-    "MAX_SHOTS",
     "Observable",
-    "POSITIVITY_TOL",
     "ParameterError",
     "QudualError",
     "REFERENCE",
@@ -30,18 +22,14 @@ PUBLIC_NAMES = [
     "SampleReport",
     "SingularConfigurationError",
     "SuiteResult",
-    "UNITARITY_TOL",
-    "Z_FLAG_THRESHOLD",
     "__version__",
     "assert_hermitian",
     "assert_unitary",
     "complementary_matrices",
     "complementary_observable",
-    "density_matrix",
     "density_params",
     "distinguishability",
     "duality_arrays",
-    "duality_report",
     "entangle",
     "entangled_arrays",
     "entangled_visibility",
@@ -57,7 +45,6 @@ PUBLIC_NAMES = [
     "optimal_entanglement",
     "predictability",
     "pure_state",
-    "purity",
     "render_report",
     "robertson",
     "robertson_arrays",

@@ -13,11 +13,11 @@ from qudual import (
     ParameterError,
     complementary_matrices,
     complementary_observable,
-    density_matrix,
     density_params,
     pure_state,
     validate_density,
 )
+from qudual.states import _density_matrix
 
 w_values = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 fractions = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -104,7 +104,7 @@ def test_stacked_states_follow_the_scalar_rules():
     theta = np.append(rng.uniform(-10.0, 10.0, 200), [3.0, 8.0, 2.0, 1.0])
     stored = validate_density(w, rho12, theta)
     assert stored[1][-4:].tolist() == [0.0, 0.0, 0.0, 0.5]
-    stack = density_matrix(*stored)
+    stack = _density_matrix(*stored)
     for i in range(w.size):
         rho = DensityMatrix(w[i], rho12[i], theta[i])
         assert (rho.w_plus, rho.rho12, rho.theta) == tuple(float(x[i]) for x in stored)
@@ -154,7 +154,7 @@ def test_density_params_rejects_bad_input():
 def test_density_params_read_stacks_as_single_matrices():
     rng = np.random.default_rng(9)
     w = rng.uniform(0.0, 1.0, 100)
-    stack = density_matrix(*validate_density(w, rng.uniform(0.0, 1.0, 100) * np.sqrt(w * (1.0 - w)), rng.uniform(-9.0, 9.0, 100)))
+    stack = _density_matrix(*validate_density(w, rng.uniform(0.0, 1.0, 100) * np.sqrt(w * (1.0 - w)), rng.uniform(-9.0, 9.0, 100)))
     stored = [x.tolist() for x in validate_density(*density_params(stack))]
     for i, m in enumerate(stack):
         rho = DensityMatrix(*(float(x) for x in density_params(m)))

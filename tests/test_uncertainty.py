@@ -17,7 +17,6 @@ from qudual import (
     ParameterError,
     complementary_matrices,
     complementary_observable,
-    density_matrix,
     intelligent_state,
     is_residual,
     mean_var,
@@ -28,7 +27,7 @@ from qudual import (
     robertson_arrays,
     visibility,
 )
-from qudual.states import _pure_amplitudes
+from qudual.states import _density_matrix, _pure_amplitudes
 from qudual.uncertainty import _eigen_residuals
 
 w_values = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -99,7 +98,7 @@ def test_kernel_on_a_stack_matches_the_scalar_route():
     rho12 = np.sqrt(w * (1.0 - w)) * np.where(np.arange(n) % 2, 1.0, rng.uniform(0.0, 0.99, n))
     theta = rng.uniform(0.0, 2.0 * math.pi, n)
     varrho = rng.uniform(0.0, 2.0 * math.pi, n)
-    stack = robertson_arrays(density_matrix(w, rho12, theta), A.matrix, complementary_matrices(varrho))
+    stack = robertson_arrays(_density_matrix(w, rho12, theta), A.matrix, complementary_matrices(varrho))
     for i in range(n):
         rep = robertson(DensityMatrix(w[i], rho12[i], theta[i]), A, b_at(varrho[i]))
         # one state runs the stack's expression on Python floats: the same bits
@@ -399,7 +398,7 @@ def test_robertson_and_mean_var_are_accurate_to_pinned_ulps():
         for phase in (0.3, 0.3 + math.pi / 2.0, 2.0):
             w, rho12 = np.append(w, x), np.append(rho12, r)
             theta, varrho = np.append(theta, 0.3), np.append(varrho, phase)
-    rho_m, b_m = density_matrix(w, rho12, theta), complementary_matrices(varrho)
+    rho_m, b_m = _density_matrix(w, rho12, theta), complementary_matrices(varrho)
     stack = dict(zip(("var_a", "var_b", "c_mean", "f_mean", "slack"), robertson_arrays(rho_m, A.matrix, b_m)))
     worst = dict.fromkeys(ACCURACY_ULPS, 0.0)
     with localcontext(Context(prec=50)):

@@ -83,7 +83,6 @@ def test_batched_suites_make_one_kernel_call_each(count_calls):
     scalar_calls = [
         count_calls(uncertainty, "robertson"),
         count_calls(uncertainty, "mean_var"),
-        count_calls(duality, "duality_report"),
         count_calls(simultaneous, "entangle"),
         count_calls(simultaneous, "distinguishability"),
         count_calls(simultaneous, "entangled_visibility"),
@@ -94,7 +93,7 @@ def test_batched_suites_make_one_kernel_call_each(count_calls):
         result = verify.run_suite(name, "full", 42)
         assert (result.checks, result.failures) == (checks[name], 0)
         assert len(kernels[name]) == 1
-    assert scalar_calls == [[]] * 7
+    assert scalar_calls == [[]] * 6
 
     # The round trip reads all 500 matrices back in one call; the only
     # single-matrix read is the rejection check of a non-Hermitian matrix.
