@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractViolationError, as_float_array, check_array, check_count, check_scalar
+from .errors import ContractViolationError, as_float, as_float_array, check_array, check_count, check_scalar
 from .states import TWO_PI, DensityMatrix
 
 # Largest oracle grid. Past it a finer grid buys no accuracy a check can use:
@@ -38,6 +38,10 @@ __all__ = [
     "family_arrays",
     "duality_arrays",
 ]
+
+
+# What the one-state paths take: an int or a float (NumPy's float64 is one). Anything else is read as an array.
+_NUMBER = (int, float)
 
 
 def _imbalance(w):
@@ -131,37 +135,47 @@ def family_arrays(w_plus, rho12, theta, varrho) -> tuple[np.ndarray, np.ndarray]
 
     The state is checked by :func:`duality_arrays`, and the phases ``theta`` and
     ``varrho`` broadcast with it; a non-finite phase raises a :class:`ParameterError`.
+    Four ints or floats give two Python floats, with the bits of a stack's element.
     ``P_B = 2 rho12 |cos(theta - varrho)|`` is largest for the proper member
     ``varrho = theta`` and zero at the erasure phases ``varrho = theta +- pi/2``;
     ``V_B = sqrt(P**2 + 4 rho12**2 sin(theta - varrho)**2)``, so ``(P_B, V_B)``
     carries the squared sum of ``(P, V)`` for every ``varrho``.
     """
     p, v, _ = duality_arrays(w_plus, rho12)
-    delta = check_array(theta, "theta") - check_array(varrho, "varrho")
+    if isinstance(p, float) and isinstance(theta, _NUMBER) and isinstance(varrho, _NUMBER):
+        check, sin, cos, sqrt = check_scalar, math.sin, math.cos, math.sqrt
+    else:
+        check, sin, cos, sqrt = check_array, np.sin, np.cos, np.sqrt
+    delta = check(theta, "theta") - check(varrho, "varrho")
     r = 0.5 * v  # rho12 itself: v = 2 rho12 is exact
-    s = np.sin(delta)
-    return v * np.abs(np.cos(delta)), np.sqrt(p * p + 4.0 * (r * r) * s * s)
+    s = sin(delta)
+    return v * abs(cos(delta)), sqrt(p * p + 4.0 * (r * r) * s * s)
 
 
 def duality_arrays(w_plus, rho12) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The duality relation for stacked state parameters, elementwise.
 
     Returns ``(p, v, sum_sq)``, the predictability, the visibility and
-    ``P**2 + V**2``, as float arrays of the broadcast shape. The first failing
+    ``P**2 + V**2``, as float arrays of the broadcast shape, or as Python
+    floats, with the bits of a stack's element, for two ints or floats. The first failing
     element raises. A population outside [0, 1] or a negative ``rho12``, NaN
     and infinities included, raises a :class:`ParameterError` that names the
     bound; an integer past the double range counts as an infinity. A state with
     ``P**2 + V**2 > 1`` beyond 1e-12 raises a :class:`ContractViolationError`: as
     ``P**2 + V**2 = 1 - 4 w+ w- + 4 rho12**2``, that is the positivity bound ``rho12**2 <= w+ w-``.
     """
-    w, r = np.broadcast_arrays(as_float_array(w_plus), as_float_array(rho12))
+    if isinstance(w_plus, _NUMBER) and isinstance(rho12, _NUMBER):
+        w, r = as_float(w_plus), as_float(rho12)
+    else:
+        w, r = np.broadcast_arrays(as_float_array(w_plus), as_float_array(rho12))
     p = _imbalance(w)
     v = 2.0 * r
     sum_sq = p * p + v * v
-    bad = np.flatnonzero(~(sum_sq <= 1.0 + 1e-12) | (r < 0.0))  # NaN fails too
-    if bad.size:
-        i = bad[0]
-        check_scalar(w.flat[i], "w_plus", 0.0, 1.0)
-        check_scalar(r.flat[i], "rho12", 0.0)
-        raise ContractViolationError(f"P**2 + V**2 = {float(sum_sq.flat[i])!r} exceeds 1 beyond tolerance")
+    ok = (sum_sq <= 1.0 + 1e-12) & (r >= 0.0) & (w >= 0.0) & (w <= 1.0)  # NaN fails too
+    if ok is not True and not np.all(ok):  # one valid state is a plain True
+        i = np.argmin(ok)  # the first failing element
+        w, r, sum_sq = (np.ravel(x)[i] for x in (w, r, sum_sq))
+        check_scalar(w, "w_plus", 0.0, 1.0)
+        check_scalar(r, "rho12", 0.0)
+        raise ContractViolationError(f"P**2 + V**2 = {float(sum_sq)!r} exceeds 1 beyond tolerance")
     return p, v, sum_sq

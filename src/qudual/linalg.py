@@ -127,6 +127,20 @@ def _from_parts(a, d, x, y) -> np.ndarray:
     return m
 
 
+def _from_entries(m00, m01, m10, m11) -> np.ndarray:
+    """Complex matrices ``(..., 2, 2)`` with entries ``((m00, m01), (m10, m11))``, each given as parts ``(re, im)``.
+
+    :func:`_entries` and :func:`_split` in reverse, with no complex arithmetic: the eight parts are laid out
+    as the floats of the matrix, one matrix from Python floats and a stack from parts that broadcast.
+    """
+    parts = (*m00, *m01, *m10, *m11)
+    if np.ndarray in map(type, parts):
+        parts = np.stack(np.broadcast_arrays(*parts), axis=-1)
+    else:
+        parts = np.array(parts)
+    return parts.view(complex).reshape(parts.shape[:-1] + (2, 2))
+
+
 def _split(z):
     """``(z.real, z.imag)``: a complex number or array as the pair of parts that the kernels take."""
     return z.real, z.imag

@@ -29,6 +29,7 @@ columns ``m+, m_perp``.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass, field
@@ -37,7 +38,7 @@ import numpy as np
 
 from .duality import _imbalance
 from .errors import ParameterError, SingularConfigurationError, check_array, check_scalar
-from .linalg import _entries, _hypot, _projector, _split, _trace_norm
+from .linalg import _entries, _from_entries, _hypot, _projector, _split, _trace_norm
 from .states import GAUGE, TWO_PI, Observable
 
 # Largest rescaled outcome value whose square is a finite double.
@@ -59,12 +60,28 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class EntangledState:
-    """System-meter pure state with meter overlap ``c`` and read-only amplitudes ``psi[system, meter]``."""
+    """System-meter pure state with meter overlap ``c`` and read-only amplitudes ``psi[system, meter]``.
+
+    The parameters are checked where the state is built: ``0 <= w_plus <= 1``,
+    ``0 <= c <= 1`` and a finite ``theta``, which is stored wrapped to [0, 2 pi).
+    The amplitudes are computed from them, once.
+    """
 
     w_plus: float
     theta: float
     c: float
-    amplitudes: np.ndarray = field(repr=False)
+    amplitudes: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        w = check_scalar(self.w_plus, "w_plus", 0.0, 1.0)
+        cc = check_scalar(self.c, "c", 0.0, 1.0)
+        t = check_scalar(self.theta, "theta") % TWO_PI
+        amp = _amplitudes(w, t, cc)
+        amp.setflags(write=False)
+        object.__setattr__(self, "w_plus", w)
+        object.__setattr__(self, "theta", t)
+        object.__setattr__(self, "c", cc)
+        object.__setattr__(self, "amplitudes", amp)
 
 
 def _one_minus_sq(c):
@@ -72,14 +89,18 @@ def _one_minus_sq(c):
 
 
 def _amplitudes(w, t, c) -> np.ndarray:
-    """Amplitudes ``psi[..., system, meter]`` of valid stacked parameters, with ``t`` wrapped to [0, 2 pi)."""
-    phase = np.exp(1j * t)
-    root = np.sqrt(1.0 - w)
-    psi = np.zeros(np.shape(phase) + (2, 2), dtype=complex)
-    psi[..., 0, 0] = np.sqrt(w)
-    psi[..., 1, 0] = phase * root * c
-    psi[..., 1, 1] = phase * root * np.sqrt(_one_minus_sq(c))
-    return psi
+    """Amplitudes ``psi[..., system, meter]`` of valid parameters, with ``t`` wrapped to [0, 2 pi).
+
+    In real parts, from the parts of ``exp(i t)``: stacked parameters are
+    arrays of one shape, and one state's are Python floats, with the bits of
+    each element of a stack.
+    """
+    exp, sqrt = (np.exp, np.sqrt) if isinstance(t, np.ndarray) else (cmath.exp, math.sqrt)
+    root = sqrt(1.0 - w)
+    re, im = _split(exp(1j * t))
+    re, im = re * root, im * root  # exp(i t) sqrt(w-)
+    s = sqrt(_one_minus_sq(c))
+    return _from_entries((sqrt(w), 0.0), (0.0, 0.0), (re * c, im * c), (re * s, im * s))
 
 
 def _rows(psi: np.ndarray):
@@ -110,12 +131,7 @@ def _visibility(parts):
 
 def entangle(w_plus: float, theta: float, c: float) -> EntangledState:
     """Couple the pure system state ``(w_plus, theta)`` to a meter with overlap ``c``."""
-    w = check_scalar(w_plus, "w_plus", 0.0, 1.0)
-    cc = check_scalar(c, "c", 0.0, 1.0)
-    t = check_scalar(theta, "theta") % TWO_PI
-    amp = _amplitudes(w, t, cc)
-    amp.setflags(write=False)
-    return EntangledState(w_plus=w, theta=t, c=cc, amplitudes=amp)
+    return EntangledState(w_plus, theta, c)
 
 
 def distinguishability(psi_e: EntangledState) -> float:
@@ -196,7 +212,7 @@ def meter_projectors(c: float) -> Observable:
     gamma = 0.5 * (math.pi - math.asin(cc))
     a_prime = GAUGE / math.sqrt(_one_minus_sq(cc))
     cos, sin = math.cos(gamma), math.sin(gamma)
-    return Observable(-a_prime, a_prime, np.array([[cos, -sin], [sin, cos]], dtype=complex))
+    return Observable._from_checked(-a_prime, a_prime, np.array([[cos, -sin], [sin, cos]], dtype=complex))
 
 
 def estimate_a(psi_e: EntangledState) -> tuple[float, float]:

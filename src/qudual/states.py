@@ -13,9 +13,12 @@ relabelling of those.
 
 A state or observable is checked once, where it is built, and computes its
 matrix once and returns it read-only; the functions that take one check it
-no further. :func:`validate_density` and :func:`complementary_matrices` are
-the same rules and constructions applied elementwise to stacked parameters,
-for checks that sweep many states at once.
+no further. An observable the library builds from checked input, a family
+member or a meter readout, is unitary and has valid outcome values by
+construction, so its constructor checks nothing again.
+:func:`validate_density` and :func:`complementary_matrices` are the same
+rules and constructions applied elementwise to stacked parameters, for
+checks that sweep many states at once.
 :func:`density_params` reads the parameters off one matrix or a stack.
 
 Index 0 is ``|plus>`` and index 1 is ``|minus>`` everywhere.
@@ -23,6 +26,7 @@ Index 0 is ``|plus>`` and index 1 is ``|minus>`` everywhere.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError, as_float, as_float_array, check_array, check_scalar
-from .linalg import _entries, _from_parts, _hypot, _projector, _split, assert_hermitian, assert_unitary
+from .linalg import _entries, _from_entries, _from_parts, _hypot, _projector, _split, assert_hermitian, assert_unitary
 
 TWO_PI = 2.0 * math.pi
 
@@ -205,6 +209,8 @@ class Observable:
     ``basis`` holds the orthonormal eigenvectors as columns, defaulting to the
     reference basis. ``val_plus`` belongs to the first column, ``val_minus``
     to the second, and the two outcome values must be distinct and within ``+-2**250``.
+    ``Observable(...)`` checks all of that; :meth:`_from_checked`, for the
+    observables the library builds itself, checks none of it again.
     """
 
     val_plus: float
@@ -226,6 +232,21 @@ class Observable:
         object.__setattr__(self, "val_plus", val_plus)
         object.__setattr__(self, "val_minus", val_minus)
         object.__setattr__(self, "basis", basis)
+
+    @classmethod
+    def _from_checked(cls, val_plus: float, val_minus: float, basis: np.ndarray) -> Observable:
+        """The observable of outcome values and a fresh eigenbasis that the library built from checked input.
+
+        Nothing is checked again: the builders make distinct float values within ``+-2**250`` and a basis that is
+        unitary by construction, and :mod:`qudual.verify` and the tests hold them to that. ``basis`` is made
+        read-only in place, not copied.
+        """
+        obs = object.__new__(cls)
+        basis.setflags(write=False)
+        object.__setattr__(obs, "val_plus", val_plus)
+        object.__setattr__(obs, "val_minus", val_minus)
+        object.__setattr__(obs, "basis", basis)
+        return obs
 
     @property
     def vec_plus(self) -> np.ndarray:
@@ -260,15 +281,21 @@ def _spectral_matrix(basis: np.ndarray, val_plus: float, val_minus: float) -> np
 REFERENCE = Observable(GAUGE, -GAUGE)
 
 
-def _member_basis(varrho) -> np.ndarray:
-    """Eigenbases ``(..., 2, 2)`` of the family members at wrapped phases ``varrho``.
+_HALF_ROOT = 1.0 / math.sqrt(2.0)
 
-    Column 0 is ``|b+>`` and column 1 is ``|b->``.
+
+def _member_basis(varrho) -> np.ndarray:
+    """Eigenbases ``(..., 2, 2)`` of the family members at wrapped phases ``varrho``: one for a float.
+
+    Column 0 is ``|b+> = (1, phase) / sqrt(2)`` and column 1 is
+    ``|b-> = (1, -phase) / sqrt(2)``, with ``phase = exp(i varrho)``, in
+    real parts: one phase is a Python complex, with the bits of each element
+    of a stack.
     """
-    phase = np.exp(1j * np.asarray(varrho))[..., None]
-    a_plus = REFERENCE.vec_plus
-    a_minus = REFERENCE.vec_minus
-    return np.stack([a_plus + phase * a_minus, a_plus - phase * a_minus], axis=-1) / math.sqrt(2.0)
+    re, im = _split(np.exp(1j * varrho) if isinstance(varrho, np.ndarray) else cmath.exp(1j * varrho))
+    h = _HALF_ROOT
+    # 0 - x rather than -x keeps a zero part +0 (at varrho = 0), the sign NumPy's complex arithmetic gives it
+    return _from_entries((h, 0.0), (h, 0.0), (re * h, im * h), ((0.0 - re) * h, (0.0 - im) * h))
 
 
 def complementary_observable(varrho: float) -> Observable:
@@ -284,7 +311,7 @@ def complementary_observable(varrho: float) -> Observable:
     ``[REFERENCE, B(varrho)] = i B(varrho + pi/2)`` closes su(2).
     """
     varrho = check_scalar(varrho, "varrho") % TWO_PI
-    return Observable(REFERENCE.val_plus, REFERENCE.val_minus, _member_basis(varrho))
+    return Observable._from_checked(REFERENCE.val_plus, REFERENCE.val_minus, _member_basis(varrho))
 
 
 def complementary_matrices(varrho) -> np.ndarray:
@@ -293,8 +320,8 @@ def complementary_matrices(varrho) -> np.ndarray:
     The stacked form of ``complementary_observable(varrho).matrix``: each
     phase is checked and wrapped as that function does, and each member is
     built from its eigenbasis and the outcome values of :data:`REFERENCE`.
-    That basis is unitary by construction from the checked reference basis,
-    so it is not checked again.
+    That basis is unitary by construction, so, as for
+    :meth:`Observable._from_checked`, it is not checked again.
     """
     varrho = np.remainder(check_array(varrho, "varrho"), TWO_PI)
     return _spectral_matrix(_member_basis(varrho), REFERENCE.val_plus, REFERENCE.val_minus)

@@ -258,3 +258,18 @@ def test_kernel_keeps_the_report_contract():
     ):
         with pytest.raises(ParameterError, match=re.escape(message) + "$"):
             duality_arrays(w_plus, rho12)
+
+
+@pytest.mark.parametrize("w_plus", [1.0 + 2e-13, -1e-13], ids=["above-1", "below-0"])
+def test_a_population_just_outside_its_range_raises(w_plus):
+    # inside the 1e-12 tolerance of P**2 + V**2 <= 1, so only the population's own bound sees it: one state, a stack,
+    # and the family kernel that checks its state through duality_arrays
+    message = re.escape(f"w_plus = {w_plus!r} {W_PLUS_BOUND}") + "$"
+    for call in (
+        lambda: duality_arrays(w_plus, 0.0),
+        lambda: duality_arrays([0.5, w_plus], [0.1, 0.0]),
+        lambda: family_arrays(w_plus, 0.0, 0.0, 0.0),
+        lambda: family_arrays([0.5, w_plus], 0.0, 0.0, [0.0, 0.3]),
+    ):
+        with pytest.raises(ParameterError, match=message):
+            call()

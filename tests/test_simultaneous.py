@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qudual import (
     DensityMatrix,
+    EntangledState,
     Observable,
     ParameterError,
     SingularConfigurationError,
@@ -53,6 +54,18 @@ def test_entangle_rejects_bad_parameters():
         entangle(0.5, 0.0, 1.2)
     with pytest.raises(ParameterError, match=r"w_plus = -0\.1 violates"):
         entangle(-0.1, 0.0, 0.5)
+
+
+def test_entangled_state_checks_its_parameters_and_computes_its_amplitudes():
+    # built directly, a state is checked as entangle checks it; its amplitudes are computed, never passed in
+    with pytest.raises(ParameterError, match=r"w_plus = nan violates"):
+        EntangledState(math.nan, 0.0, 0.5)
+    with pytest.raises(TypeError):
+        EntangledState(0.5, 0.0, 0.5, np.eye(2))
+    assert EntangledState(0.9, -1.0, 0.6).theta == -1.0 % (2.0 * math.pi)
+    psi = EntangledState(0.9, 0.3, 0.6)
+    assert psi.amplitudes.tobytes() == entangle(0.9, 0.3, 0.6).amplitudes.tobytes()
+    assert not psi.amplitudes.flags.writeable
 
 
 @given(w=w_values, theta=angles, c=overlaps)

@@ -135,9 +135,14 @@ def test_batched_suites_make_one_kernel_call_each(count_calls):
 
 
 def test_suites_hand_their_checks_to_the_tally_in_stacked_calls(count_calls):
-    """A grid's checks are one tally call, not one per element, and the family suite builds three members a phase."""
+    """A grid's checks are one tally call, not one per element, and the family suite builds three members a phase.
+
+    The members are library-built observables: each goes through ``Observable._from_checked``, none through the
+    checking ``Observable(...)``.
+    """
     tally_calls = count_calls(verify._Tally, "check")
-    observables = count_calls(states.Observable, "__init__")
+    observables = count_calls(states.Observable, "_from_checked")
+    checked = count_calls(states.Observable, "__init__")
     expected = {
         "product_bounds": (1137, 2),
         "minimum_product": (211, 3),
@@ -149,11 +154,12 @@ def test_suites_hand_their_checks_to_the_tally_in_stacked_calls(count_calls):
     for name in expected:
         tally_calls.clear()
         observables.clear()
+        checked.clear()
         result = verify.run_suite(name, "full", 42)
         assert result.failures == 0
         counted[name] = (result.checks, len(tally_calls))
         if name == "complementary_family":
-            assert len(observables) == 150
+            assert (len(observables), len(checked)) == (150, 0)
     assert counted == expected
 
 

@@ -15,8 +15,8 @@ checkout proves byte identity on its own::
     python3 tools/output_digest.py | diff tools/output_digests.txt -
 
 The list: the first 5 rounds of the benchmark's seeded ``compute`` stream at
-seeds 1-3, the ``compute --c`` calls of ``ROUNDING_EDGES`` and
-``CONDITIONING_EDGES``, ``sweep`` of both figures at 2001 points, ``verify``
+seeds 1-3, the ``compute --c`` calls of ``ROUNDING_EDGES``,
+``CONDITIONING_EDGES`` and ``ZERO_SIGN_EDGES``, ``sweep`` of both figures at 2001 points, ``verify``
 at both levels for seeds 1-10, 42, 343578368, 11705 and 1796, ``verify --selftest-corrupt``
 at both levels, and ``mc`` at three settings for each of ``MC_SHOTS``. It
 takes a few seconds.
@@ -73,6 +73,24 @@ CONDITIONING_EDGES = (
 )
 
 
+# compute calls of pure states at the ends of each range, where a zero part of
+# a phase factor, a basis entry or an amplitude may carry either sign: w_plus
+# at 0, 1/2 and 1, theta and varrho at 0 and pi/2, and c at 0, 1e-150, one ulp
+# below 1 and 1. A one-state kernel on Python floats must round and sign its
+# zeros as the stacked kernel does on each element.
+HALF_PI = "1.5707963267948966"
+ZERO_SIGN_EDGES = (
+    ("0", "0", "0", "0"),
+    ("1", HALF_PI, "0", "1"),
+    ("0", HALF_PI, HALF_PI, "1e-150"),
+    ("1", "0", HALF_PI, "0.99999999999999989"),
+    ("0.5", "0", "0", "0"),
+    ("0.5", HALF_PI, "0", "1"),
+    ("0.5", "0", HALF_PI, "1e-150"),
+    ("0.5", HALF_PI, HALF_PI, "0.99999999999999989"),
+)
+
+
 def calls() -> list[tuple[str, ...]]:
     """The fixed list of argument vectors, in the order they run."""
     from benchmark import workloads
@@ -83,6 +101,10 @@ def calls() -> list[tuple[str, ...]]:
             argvs += [op.argv for op in ops]
     argvs += [("compute", "--w-plus", w, "--pure", "--theta", theta, "--c", c) for w, theta, c in ROUNDING_EDGES]
     argvs += CONDITIONING_EDGES
+    argvs += [
+        ("compute", "--w-plus", w, "--pure", "--theta", theta, "--varrho", varrho, "--c", c)
+        for w, theta, varrho, c in ZERO_SIGN_EDGES
+    ]
     argvs += [("sweep", "--figure", figure, "--points", "2001") for figure in ("1", "3")]
     for level in ("fast", "full"):
         argvs += [("verify", "--level", level, "--seed", str(seed)) for seed in VERIFY_SEEDS]
