@@ -63,16 +63,17 @@ def visibility(rho: DensityMatrix) -> float:
     return 2.0 * rho.rho12
 
 
-def _phase_factor(m10, phi):
-    """``Im(m10 exp(i phi))``, the one phase-dependent factor of :func:`fringe_probability`, in real parts."""
-    return m10.real * np.sin(phi) + m10.imag * np.cos(phi)
+def _phase_factor(parts, phi):
+    """``Im(m10 exp(i phi))``, ``m10 = x - i y`` for state parts ``(a, d, x, y)``: the phase factor of the fringe."""
+    _, _, x, y = parts
+    return x * np.sin(phi) - y * np.cos(phi)
 
 
 def fringe_probability(rho: DensityMatrix, phi, xi):
     """Detection probability for ``|plus>`` after a phase shift and a beam splitter.
 
     Computes ``<plus| U_bs(xi) U_ps(phi) rho U_ps(phi)^dagger U_bs(xi)^dagger |plus>``
-    by explicit conjugation of the entries ``m`` of ``rho.matrix`` with
+    by explicit conjugation of the entries ``m`` of the state's matrix with
     ``<plus| U_bs(xi) U_ps(phi) = (cos xi, i sin xi exp(i phi))``, the one
     row of the unitaries that the probability reads. Expanded term by term,
     ``p = cos(xi)**2 m00 + sin(xi)**2 m11 - 2 cos(xi) sin(xi) Im(m10 exp(i phi))``:
@@ -83,12 +84,12 @@ def fringe_probability(rho: DensityMatrix, phi, xi):
     """
     phi = check_array(phi, "phi")
     xi = check_array(xi, "xi")
-    m = rho.matrix
+    m00, m11, _, _ = rho._parts
     cos_xi = np.cos(xi)
     sin_xi = np.sin(xi)
-    p = np.asarray((2.0 * cos_xi * sin_xi) * _phase_factor(m[1, 0], phi))
+    p = np.asarray((2.0 * cos_xi * sin_xi) * _phase_factor(rho._parts, phi))
     # In place: a second temporary of the broadcast shape costs more than the arithmetic.
-    np.subtract(cos_xi * cos_xi * m[0, 0].real + sin_xi * sin_xi * m[1, 1].real, p, out=p)
+    np.subtract(cos_xi * cos_xi * m00 + sin_xi * sin_xi * m11, p, out=p)
     return float(p) if p.shape == () else p
 
 
@@ -116,7 +117,7 @@ def visibility_oracle(rho: DensityMatrix, grid_n: int = 512) -> tuple[float, flo
     """
     grid_n = check_count(grid_n, "grid_n", 8, MAX_GRID_N)
     grid = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)  # the phases, and the splitter angles
-    s = _phase_factor(rho.matrix[1, 0], grid)
+    s = _phase_factor(rho._parts, grid)
     p = fringe_probability(rho, grid[[np.argmin(s), np.argmax(s)]], grid[:, None])
     p_max = p.max(axis=1)
     p_min = p.min(axis=1)
@@ -134,7 +135,8 @@ def family_arrays(w_plus, rho12, theta, varrho) -> tuple[np.ndarray, np.ndarray]
     """Predictability and visibility ``(P_B, V_B)`` of the family member at phase ``varrho``, elementwise.
 
     The state is checked by :func:`duality_arrays`, and the phases ``theta`` and
-    ``varrho`` broadcast with it; a non-finite phase raises a :class:`ParameterError`.
+    ``varrho`` broadcast with it; a non-finite phase, or two whose difference
+    overflows, raises a :class:`ParameterError`.
     Four ints or floats give two Python floats, with the bits of a stack's element.
     ``P_B = 2 rho12 |cos(theta - varrho)|`` is largest for the proper member
     ``varrho = theta`` and zero at the erasure phases ``varrho = theta +- pi/2``;
@@ -144,9 +146,12 @@ def family_arrays(w_plus, rho12, theta, varrho) -> tuple[np.ndarray, np.ndarray]
     p, v, _ = duality_arrays(w_plus, rho12)
     if isinstance(p, float) and isinstance(theta, _NUMBER) and isinstance(varrho, _NUMBER):
         check, sin, cos, sqrt = check_scalar, math.sin, math.cos, math.sqrt
+        delta = check(theta, "theta") - check(varrho, "varrho")
     else:
         check, sin, cos, sqrt = check_array, np.sin, np.cos, np.sqrt
-    delta = check(theta, "theta") - check(varrho, "varrho")
+        with np.errstate(over="ignore"):  # an overflow is the infinity that the next check rejects
+            delta = check(theta, "theta") - check(varrho, "varrho")
+    delta = check(delta, "theta - varrho")
     r = 0.5 * v  # rho12 itself: v = 2 rho12 is exact
     s = sin(delta)
     return v * abs(cos(delta)), sqrt(p * p + 4.0 * (r * r) * s * s)

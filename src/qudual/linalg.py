@@ -94,8 +94,8 @@ def assert_unitary(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 # alone, with no BLAS product and no complex multiply: IEEE 754 rounds those operations correctly, so a kernel
 # gives the same bits on every host, whatever its BLAS kernel or SIMD level, and on a Python float as on each
 # element of an array. A Hermitian 2x2 is four reals ``(a, d, x, y)``: the diagonal ``a``, ``d`` and
-# the upper off-diagonal entry ``b = x + i y``. One matrix is read through ``m.tolist()``, so the kernels run on
-# Python floats there (a 0-d array would cost several times as much); a stack is read as arrays. Every modulus is
+# the upper off-diagonal entry ``b = x + i y``. A state or observable keeps those parts as Python floats and lays
+# out its matrix when first read; an explicit matrix or stack is read through :func:`_parts`. Every modulus is
 # :func:`_hypot`, the one kernel that rounds as ``math.hypot`` on a float and on each element of an array alike.
 
 
@@ -114,17 +114,7 @@ def _parts(m: np.ndarray):
 
 def _from_parts(a, d, x, y) -> np.ndarray:
     """Hermitian matrices ``(..., 2, 2)`` with parts ``(a, d, x, y)``, which broadcast; no complex arithmetic."""
-    if not any(isinstance(part, np.ndarray) for part in (a, d, x, y)):  # one matrix, at a quarter of the cost
-        return np.array([[a, complex(x, y)], [complex(x, -y), d]], dtype=complex)
-    a, d, x, y = np.broadcast_arrays(a, d, x, y)
-    m = np.zeros(a.shape + (2, 2), dtype=complex)
-    re, im = m.real, m.imag
-    re[..., 0, 0] = a
-    re[..., 1, 1] = d
-    re[..., 0, 1] = re[..., 1, 0] = x
-    im[..., 0, 1] = y
-    im[..., 1, 0] = -y
-    return m
+    return _from_entries((a, 0.0), (x, y), (x, -y), (d, 0.0))
 
 
 def _from_entries(m00, m01, m10, m11) -> np.ndarray:
@@ -139,6 +129,12 @@ def _from_entries(m00, m01, m10, m11) -> np.ndarray:
     else:
         parts = np.array(parts)
     return parts.view(complex).reshape(parts.shape[:-1] + (2, 2))
+
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    """``m``, made read-only in place: an array that a value lays out from its parts when first read."""
+    m.setflags(write=False)
+    return m
 
 
 def _split(z):

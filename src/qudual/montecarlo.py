@@ -24,8 +24,8 @@ import numpy as np
 
 from .duality import fringe_probability
 from .errors import ParameterError, check_count
-from .linalg import _parts, _projector, _split, _times_conj, _trace
-from .simultaneous import EntangledState, _rows, estimate_a, estimate_b, meter_projectors
+from .linalg import _projector, _times_conj, _trace
+from .simultaneous import EntangledState, estimate_a, estimate_b, meter_projectors
 from .states import GAUGE, DensityMatrix, Observable, complementary_observable
 from .uncertainty import mean_var
 
@@ -157,9 +157,9 @@ def _two_outcome_report(
     )
 
 
-def _outcome_probability(rho: DensityMatrix, vec: np.ndarray) -> float:
-    """``tr(rho |vec><vec|)``, clipped to [0, 1], in the real parts of one state's Python floats."""
-    p = _trace(_parts(rho.matrix), _projector(*map(_split, vec.tolist())))
+def _outcome_probability(rho: DensityMatrix, column: tuple) -> float:
+    """``tr(rho |vec><vec|)``, clipped to [0, 1], for an eigenbasis column ``vec`` given as parts: Python floats."""
+    p = _trace(rho._parts, _projector(*column))
     return min(max(p, 0.0), 1.0)
 
 
@@ -173,7 +173,7 @@ def sample_sharp(
     moments, so the two routes stay independent.
     """
     n = check_count(n, "n", 1, MAX_SHOTS)
-    p_plus = _outcome_probability(rho, obs.vec_plus)
+    p_plus = _outcome_probability(rho, obs._columns[0])
     k_plus = int(_generator(seed, stream).binomial(n, p_plus))
     return _two_outcome_report(
         quantity="sharp",
@@ -220,11 +220,9 @@ def sample_simultaneous(
     """
     n = check_count(n, "n", 1, MAX_SHOTS)
     mp = meter_projectors(psi_e.c)
-    # Complex numbers as (re, im) parts of Python floats: amplitude rows by
-    # system state, and the meter and member vectors.
-    psi = _rows(psi_e.amplitudes)
-    meters = [[_split(z) for z in m_vec.tolist()] for m_vec in (mp.vec_plus, mp.vec_minus)]
-    v0, v1 = map(_split, complementary_observable(varrho).vec_plus.tolist())
+    # (re, im) parts of Python floats: amplitude rows by system state, and the meter and member vectors.
+    psi, meters = psi_e._rows, mp._columns
+    v0, v1 = complementary_observable(varrho)._columns[0]
 
     # Meter stage: outcome probabilities and the conditioned system vectors
     # amp[s] = sum_m psi[s, m] conj(meter[m]).

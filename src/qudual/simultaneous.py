@@ -23,8 +23,8 @@ run its expressions on the Python floats of one state. The meter readout is an
 
 Every ``1 - c**2`` is evaluated as ``(1 - c)(1 + c)``, which keeps its
 relative accuracy as ``c -> 1`` where ``1 - c*c`` cancels. The composite
-amplitudes are stored as ``psi[system, meter]``: rows ``plus, minus``,
-columns ``m+, m_perp``.
+amplitudes ``psi[system, meter]`` are kept as parts, in rows ``plus, minus``
+of entries ``m+, m_perp``, and laid out as an array when first read.
 """
 
 from __future__ import annotations
@@ -32,13 +32,14 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .duality import _imbalance
 from .errors import ParameterError, SingularConfigurationError, check_array, check_scalar
-from .linalg import _entries, _from_entries, _hypot, _projector, _split, _trace_norm
+from .linalg import _from_entries, _hypot, _projector, _read_only, _split, _trace_norm
 from .states import GAUGE, TWO_PI, Observable
 
 # Largest rescaled outcome value whose square is a finite double.
@@ -64,62 +65,58 @@ class EntangledState:
 
     The parameters are checked where the state is built: ``0 <= w_plus <= 1``,
     ``0 <= c <= 1`` and a finite ``theta``, which is stored wrapped to [0, 2 pi).
-    The amplitudes are computed from them, once.
+    The parts of the amplitudes are computed from them, once.
     """
 
     w_plus: float
     theta: float
     c: float
-    amplitudes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         w = check_scalar(self.w_plus, "w_plus", 0.0, 1.0)
         cc = check_scalar(self.c, "c", 0.0, 1.0)
         t = check_scalar(self.theta, "theta") % TWO_PI
-        amp = _amplitudes(w, t, cc)
-        amp.setflags(write=False)
         object.__setattr__(self, "w_plus", w)
         object.__setattr__(self, "theta", t)
         object.__setattr__(self, "c", cc)
-        object.__setattr__(self, "amplitudes", amp)
+        object.__setattr__(self, "_rows", _amplitudes(w, t, cc))
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """The amplitudes ``psi[system, meter]``, laid out from the row parts on first access; read-only."""
+        return _read_only(_from_entries(*self._rows[0], *self._rows[1]))
 
 
 def _one_minus_sq(c):
     return (1.0 - c) * (1.0 + c)
 
 
-def _amplitudes(w, t, c) -> np.ndarray:
-    """Amplitudes ``psi[..., system, meter]`` of valid parameters, with ``t`` wrapped to [0, 2 pi).
+def _amplitudes(w, t, c) -> tuple:
+    """Parts ``(re, im)`` of the amplitudes ``psi[..., system, meter]`` of valid parameters, in rows by system state.
 
-    In real parts, from the parts of ``exp(i t)``: stacked parameters are
-    arrays of one shape, and one state's are Python floats, with the bits of
-    each element of a stack.
+    ``t`` is wrapped to [0, 2 pi). Stacked parameters are arrays of one shape, and one state's are Python floats,
+    with the bits of each element of a stack.
     """
     exp, sqrt = (np.exp, np.sqrt) if isinstance(t, np.ndarray) else (cmath.exp, math.sqrt)
     root = sqrt(1.0 - w)
     re, im = _split(exp(1j * t))
     re, im = re * root, im * root  # exp(i t) sqrt(w-)
     s = sqrt(_one_minus_sq(c))
-    return _from_entries((sqrt(w), 0.0), (0.0, 0.0), (re * c, im * c), (re * s, im * s))
+    return ((sqrt(w), 0.0), (0.0, 0.0)), ((re * c, im * c), (re * s, im * s))
 
 
-def _rows(psi: np.ndarray):
-    """Parts of the amplitudes ``psi[..., system, meter]``, as rows by system state: Python floats for one state."""
-    return [[_split(z) for z in row] for row in _entries(psi)]
-
-
-def _distinguishability(psi: np.ndarray):
+def _distinguishability(rows: tuple):
     """Trace-norm distance of the meter blocks ``psi[..., s, :] psi[..., s, :]^dagger`` of the two system states."""
-    plus, minus = (_projector(*row) for row in _rows(psi))
+    plus, minus = (_projector(*row) for row in rows)
     return _trace_norm(*(p - q for p, q in zip(plus, minus)))
 
 
-def _reduced(psi: np.ndarray) -> tuple:
+def _reduced(rows: tuple) -> tuple:
     """Parts ``(a, d, x, y)`` of the system matrices left by tracing the meter out of ``psi[..., system, meter]``.
 
-    The sum over meter states ``m`` of ``psi[..., :, m] psi[..., :, m]^dagger``.
+    The sum over meter states ``m`` of ``psi[..., :, m] psi[..., :, m]^dagger``, from the :func:`_amplitudes` rows.
     """
-    (s00, s01), (s10, s11) = _rows(psi)
+    (s00, s01), (s10, s11) = rows
     first, second = _projector(s00, s10), _projector(s01, s11)
     return tuple(p + q for p, q in zip(first, second))
 
@@ -141,7 +138,7 @@ def distinguishability(psi_e: EntangledState) -> float:
     space; equals ``sqrt(1 - 4 c**2 w+ w-)``, which never falls below the
     predictability of the system state.
     """
-    return _distinguishability(psi_e.amplitudes)
+    return _distinguishability(psi_e._rows)
 
 
 def entangled_visibility(psi_e: EntangledState) -> float:
@@ -150,7 +147,7 @@ def entangled_visibility(psi_e: EntangledState) -> float:
     Equals ``2 c sqrt(w+ w-)``; together with the distinguishability it
     saturates ``D**2 + V_e**2 = 1`` for every ``(w_plus, c)``.
     """
-    return _visibility(_reduced(psi_e.amplitudes))
+    return _visibility(_reduced(psi_e._rows))
 
 
 def entangled_arrays(
@@ -175,11 +172,11 @@ def entangled_arrays(
     w = check_array(w_plus, "w_plus", 0.0, 1.0)
     cc = check_array(c, "c", 0.0, 1.0)
     t = np.remainder(check_array(theta, "theta"), TWO_PI)
-    psi = _amplitudes(*np.broadcast_arrays(w, t, cc))
-    a, _, x, y = parts = _reduced(psi)
+    rows = _amplitudes(*np.broadcast_arrays(w, t, cc))
+    a, _, x, y = parts = _reduced(rows)
     v_e = _visibility(parts)
     r = np.minimum(0.5 * v_e, np.sqrt(a * (1.0 - a)))
-    return _distinguishability(psi), v_e, a, r, np.where(r > 0.0, np.remainder(np.arctan2(-y, x), TWO_PI), 0.0)
+    return _distinguishability(rows), v_e, a, r, np.where(r > 0.0, np.remainder(np.arctan2(-y, x), TWO_PI), 0.0)
 
 
 def _readout_overlap(c: float) -> float:
@@ -212,7 +209,7 @@ def meter_projectors(c: float) -> Observable:
     gamma = 0.5 * (math.pi - math.asin(cc))
     a_prime = GAUGE / math.sqrt(_one_minus_sq(cc))
     cos, sin = math.cos(gamma), math.sin(gamma)
-    return Observable._from_checked(-a_prime, a_prime, np.array([[cos, -sin], [sin, cos]], dtype=complex))
+    return Observable._from_checked(-a_prime, a_prime, (((cos, 0.0), (sin, 0.0)), ((-sin, 0.0), (cos, 0.0))))
 
 
 def estimate_a(psi_e: EntangledState) -> tuple[float, float]:

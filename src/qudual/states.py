@@ -11,11 +11,13 @@ carry the outcome values ``+-GAUGE`` of the symmetric reference
 :data:`REFERENCE`, and every other two-outcome gauge is an affine
 relabelling of those.
 
-A state or observable is checked once, where it is built, and computes its
-matrix once and returns it read-only; the functions that take one check it
-no further. An observable the library builds from checked input, a family
-member or a meter readout, is unitary and has valid outcome values by
-construction, so its constructor checks nothing again.
+A state or observable is checked once, where it is built, and keeps the real
+parts that the kernels read: a state those of its matrix, an observable those
+of its eigenbasis columns. Its ``matrix`` and ``basis`` are laid out from them
+when first read, read-only, and the functions that take one check it no
+further. An observable the library builds from checked input, a family member
+or a meter readout, is unitary and has valid outcome values by construction,
+so its constructor checks nothing again.
 :func:`validate_density` and :func:`complementary_matrices` are the same
 rules and constructions applied elementwise to stacked parameters, for
 checks that sweep many states at once.
@@ -34,7 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError, as_float, as_float_array, check_array, check_scalar
-from .linalg import _entries, _from_entries, _from_parts, _hypot, _projector, _split, assert_hermitian, assert_unitary
+from .linalg import _entries, _from_entries, _from_parts, _hypot, _projector, _read_only, _split, _times
+from .linalg import assert_hermitian, assert_unitary
 
 TWO_PI = 2.0 * math.pi
 
@@ -102,6 +105,7 @@ class DensityMatrix:
         object.__setattr__(self, "w_plus", w)
         object.__setattr__(self, "rho12", r)
         object.__setattr__(self, "theta", t % TWO_PI if r > 0.0 else 0.0)
+        object.__setattr__(self, "_parts", _density_parts(w, r, self.theta))
 
     @property
     def w_minus(self) -> float:
@@ -117,10 +121,8 @@ class DensityMatrix:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The 2x2 matrix, computed on first access; read-only."""
-        m = _density_matrix(self.w_plus, self.rho12, self.theta)
-        m.setflags(write=False)
-        return m
+        """The 2x2 matrix, laid out from the parts on first access; read-only."""
+        return _read_only(_from_parts(*self._parts))
 
     def state_vector(self) -> np.ndarray:
         """Amplitudes ``(sqrt(w_plus), exp(i theta) sqrt(w_minus))`` of a pure state."""
@@ -186,14 +188,18 @@ def _pure_amplitudes(w_plus, theta) -> np.ndarray:
     return np.stack([np.sqrt(w_plus) + 0j, np.exp(1j * np.asarray(theta)) * np.sqrt(1.0 - w_plus)], axis=-1)
 
 
-def _density_matrix(w_plus, rho12, theta) -> np.ndarray:
-    """Matrices ``(..., 2, 2)`` of valid state parameters, elementwise.
+def _density_parts(w_plus, rho12, theta) -> tuple:
+    """Parts ``(a, d, x, y)`` of valid state parameters, elementwise: what :class:`DensityMatrix` keeps for one.
 
-    :attr:`DensityMatrix.matrix` is this function on one state; check stacked
-    parameters with :func:`validate_density` first.
+    Check stacked parameters with :func:`validate_density` first.
     """
-    off = rho12 * np.exp(-1j * np.asarray(theta))
-    return _from_parts(w_plus, 1.0 - w_plus, off.real, off.imag)
+    phase = np.exp(-1j * theta) if isinstance(theta, np.ndarray) else cmath.exp(-1j * theta)
+    return w_plus, 1.0 - w_plus, *_times((rho12, 0.0), _split(phase))
+
+
+def _density_matrix(w_plus, rho12, theta) -> np.ndarray:
+    """Matrices ``(..., 2, 2)`` of valid state parameters, elementwise: :func:`_density_parts`, laid out."""
+    return _from_parts(*_density_parts(w_plus, rho12, theta))
 
 
 def pure_state(w_plus: float, theta: float = 0.0) -> DensityMatrix:
@@ -227,26 +233,32 @@ class Observable:
         basis = assert_unitary(self.basis, name="eigenbasis")
         if basis.ndim != 2:
             raise ContractViolationError(f"eigenbasis must be one matrix, not a stack, got shape {basis.shape}")
-        basis = basis.copy()
-        basis.setflags(write=False)
+        basis = _read_only(basis.copy())
         object.__setattr__(self, "val_plus", val_plus)
         object.__setattr__(self, "val_minus", val_minus)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_columns", tuple(tuple(map(_split, column)) for column in zip(*_entries(basis))))
 
     @classmethod
-    def _from_checked(cls, val_plus: float, val_minus: float, basis: np.ndarray) -> Observable:
-        """The observable of outcome values and a fresh eigenbasis that the library built from checked input.
+    def _from_checked(cls, val_plus: float, val_minus: float, columns: tuple) -> Observable:
+        """The observable of outcome values and eigenbasis ``columns``, each ``((re, im), (re, im))``, of checked input.
 
         Nothing is checked again: the builders make distinct float values within ``+-2**250`` and a basis that is
-        unitary by construction, and :mod:`qudual.verify` and the tests hold them to that. ``basis`` is made
-        read-only in place, not copied.
+        unitary by construction, and :mod:`qudual.verify` and the tests hold them to that.
         """
         obs = object.__new__(cls)
-        basis.setflags(write=False)
         object.__setattr__(obs, "val_plus", val_plus)
         object.__setattr__(obs, "val_minus", val_minus)
-        object.__setattr__(obs, "basis", basis)
+        object.__setattr__(obs, "_columns", columns)
         return obs
+
+    def __getattr__(self, name: str):
+        """Lay out the ``basis`` of an observable built by :meth:`_from_checked` when it is first read; read-only."""
+        if name != "basis":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        (u0, u1), (w0, w1) = self._columns
+        object.__setattr__(self, "basis", _read_only(_from_entries(u0, w0, u1, w1)))
+        return self.basis
 
     @property
     def vec_plus(self) -> np.ndarray:
@@ -257,22 +269,20 @@ class Observable:
         return self.basis[:, 1]
 
     @cached_property
+    def _parts(self) -> tuple:
+        """Parts ``(a, d, x, y)`` of the matrix, from the columns on first access."""
+        return _spectral_parts(self._columns, self.val_plus, self.val_minus)
+
+    @cached_property
     def matrix(self) -> np.ndarray:
-        """``basis @ diag(values) @ basis^dagger``, computed on first access; read-only."""
-        m = _spectral_matrix(self.basis, self.val_plus, self.val_minus)
-        m.setflags(write=False)
-        return m
+        """``basis @ diag(values) @ basis^dagger``, laid out from the parts on first access; read-only."""
+        return _read_only(_from_parts(*self._parts))
 
 
-def _spectral_matrix(basis: np.ndarray, val_plus: float, val_minus: float) -> np.ndarray:
-    """``basis @ diag(val_plus, val_minus) @ basis^dagger`` for a basis or a stack of bases.
-
-    Entry by entry in real arithmetic: ``val_plus u u^dagger + val_minus w w^dagger``
-    for the columns ``u`` and ``w``; one basis is read as Python floats.
-    """
-    (u0, w0), (u1, w1) = _entries(basis)
-    u, w = _projector(_split(u0), _split(u1)), _projector(_split(w0), _split(w1))
-    return _from_parts(*(val_plus * p + val_minus * q for p, q in zip(u, w)))
+def _spectral_parts(columns: tuple, val_plus: float, val_minus: float) -> tuple:
+    """Parts of ``val_plus u u^dagger + val_minus w w^dagger`` for basis ``columns`` ``(u, w)``: floats or arrays."""
+    u, w = (_projector(*column) for column in columns)
+    return tuple(val_plus * p + val_minus * q for p, q in zip(u, w))
 
 
 # Reference-basis observable with outcomes +GAUGE and -GAUGE, built and
@@ -284,18 +294,17 @@ REFERENCE = Observable(GAUGE, -GAUGE)
 _HALF_ROOT = 1.0 / math.sqrt(2.0)
 
 
-def _member_basis(varrho) -> np.ndarray:
-    """Eigenbases ``(..., 2, 2)`` of the family members at wrapped phases ``varrho``: one for a float.
+def _member_basis(varrho) -> tuple:
+    """Eigenbasis columns ``(|b+>, |b->)`` of the family members at wrapped phases ``varrho``, as parts.
 
-    Column 0 is ``|b+> = (1, phase) / sqrt(2)`` and column 1 is
-    ``|b-> = (1, -phase) / sqrt(2)``, with ``phase = exp(i varrho)``, in
-    real parts: one phase is a Python complex, with the bits of each element
-    of a stack.
+    ``|b+> = (1, phase) / sqrt(2)`` and ``|b-> = (1, -phase) / sqrt(2)``,
+    with ``phase = exp(i varrho)``, in real parts: one phase is a Python
+    complex, with the bits of each element of a stack.
     """
     re, im = _split(np.exp(1j * varrho) if isinstance(varrho, np.ndarray) else cmath.exp(1j * varrho))
     h = _HALF_ROOT
     # 0 - x rather than -x keeps a zero part +0 (at varrho = 0), the sign NumPy's complex arithmetic gives it
-    return _from_entries((h, 0.0), (h, 0.0), (re * h, im * h), ((0.0 - re) * h, (0.0 - im) * h))
+    return ((h, 0.0), (re * h, im * h)), ((h, 0.0), ((0.0 - re) * h, (0.0 - im) * h))
 
 
 def complementary_observable(varrho: float) -> Observable:
@@ -324,4 +333,4 @@ def complementary_matrices(varrho) -> np.ndarray:
     :meth:`Observable._from_checked`, it is not checked again.
     """
     varrho = np.remainder(check_array(varrho, "varrho"), TWO_PI)
-    return _spectral_matrix(_member_basis(varrho), REFERENCE.val_plus, REFERENCE.val_minus)
+    return _from_parts(*_spectral_parts(_member_basis(varrho), REFERENCE.val_plus, REFERENCE.val_minus))

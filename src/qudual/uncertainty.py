@@ -42,6 +42,11 @@ INEQUALITY_SLACK = 1e-12
 
 IS_FAMILIES = ("IS1", "IS2a", "IS2b")
 
+# Largest |lam| of is_residual. With observable parts at most B = 2**250 (the outcome bound of an Observable) and
+# |lam| <= L, every part of (A - <A>) + i lam (B - <B>) is below 5 B (1 + L), every part of the defect below
+# 2**5 B (1 + L), and the sum of its four squares below 2**12 B**2 (1 + L)**2 <= 2**1014: the norm is finite.
+_MAX_LAM = 2.0**250
+
 __all__ = [
     "IS_FAMILIES",
     "mean_var",
@@ -79,11 +84,11 @@ def _moments(rho, op) -> tuple:
 
 
 def mean_var(rho: DensityMatrix, obs: Observable) -> tuple[float, float]:
-    """Mean and variance of an observable: :func:`_moments` on one state, in Python floats.
+    """Mean and variance of an observable: :func:`_moments` on the parts of one state and observable, in Python floats.
 
     The variance is clipped to 0 where rounding drives it below zero.
     """
-    mean, var = _moments(_parts(rho.matrix), _parts(obs.matrix))
+    mean, var = _moments(rho._parts, obs._parts)
     return mean, max(var, 0.0)
 
 
@@ -154,9 +159,9 @@ def robertson_arrays(
 def robertson(rho: DensityMatrix, a_obs: Observable, b_obs: Observable) -> RobertsonReport:
     """Evaluate the strengthened uncertainty bound by explicit matrix algebra.
 
-    The expression of :func:`robertson_arrays`, evaluated on Python floats.
+    The expression of :func:`robertson_arrays`, evaluated on the parts of the state and the pair, Python floats.
     """
-    return RobertsonReport(*_robertson(_parts(rho.matrix), _parts(a_obs.matrix), _parts(b_obs.matrix)))
+    return RobertsonReport(*_robertson(rho._parts, a_obs._parts, b_obs._parts))
 
 
 def normalized_product_bounds(w_plus: float) -> tuple[float, float]:
@@ -272,12 +277,17 @@ def is_residual(state: DensityMatrix, lam: complex, a_obs: Observable, b_obs: Ob
 
     Evaluates ``(A + i lam B) |psi> - (<A> + i lam <B>) |psi>`` and returns
     its norm. Zero (within round-off) exactly on intelligent states with
-    their own ``lam``.
+    their own ``lam``. ``lam`` must be finite, and ``|lam| <= 2**250`` keeps
+    the norm finite for every pair of observables.
     """
     lam = complex(as_float(lam.real), as_float(lam.imag))  # an integer past the double range is an infinity
     if not cmath.isfinite(lam):
         raise ParameterError(
             "lam must be finite; an infinite lam marks an eigenvector of the "
             "complementary observable, where the eigen-equation degenerates"
+        )
+    if abs(lam) > _MAX_LAM:
+        raise ParameterError(
+            f"|lam| = {abs(lam)!r} violates the bound |lam| <= {_MAX_LAM!r}: the defect norm could overflow"
         )
     return float(_eigen_residuals(state.matrix, state.state_vector(), lam, a_obs.matrix, b_obs.matrix))

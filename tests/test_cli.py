@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -26,6 +27,7 @@ from qudual import (
     fringe_probability,
     intelligent_state,
     is_residual,
+    linalg,
     meter_projectors,
     normalized_product_bounds,
     optimal_entanglement,
@@ -398,6 +400,23 @@ def test_compute_and_meter_readout_skip_the_cross_check_routes(capsys, count_cal
     assert len(entangles) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--w-plus", "0.9", "--pure", "--theta", "0.3", "--c", "0.5"),
+        ("compute", "--w-plus", "0.7", "--rho12", "0.3", "--theta", "1.1"),
+        ("mc", "--n", "100000"),
+    ],
+    ids=["compute-pure-c", "compute-rho12", "mc"],
+)
+def test_one_state_commands_lay_out_no_array_and_read_none_back(capsys, count_calls, argv):
+    # states, observables and entangled states keep the parts their kernels read
+    calls = {name: count_calls(linalg, name) for name in ("_entries", "_parts", "_from_entries")}
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert calls == {"_entries": [], "_parts": [], "_from_entries": []}
+
+
 # The complementary readout's rescaled outcome value 0.5 / c is huge at an underflowing c;
 # the b_value rows put it just past its bound.
 _PAST_RESCALE_BOUND = entangle(0.9, 0.3, 0.99 * GAUGE / MAX_RESCALED_VALUE)
@@ -461,6 +480,19 @@ def test_compute_sweep_and_mc_outputs_keep_their_pinned_digests(output_digests):
         code, digest = digest_tool.run(argv)
         lines.append(f"{digest}  {code}  {' '.join(argv)}")
     assert lines == [pinned[" ".join(argv)] for argv in argvs]
+
+
+def test_python_dash_m_runs_the_command_line(output_digests):
+    digest_tool, pinned = output_digests
+    root = Path(digest_tool.__file__).resolve().parents[1]
+    argv = digest_tool.CONDITIONING_EDGES[1]
+    env = {key: value for key, value in os.environ.items() if key != "QUDUAL_SEED"}
+    env["PYTHONPATH"] = str(root / "src")
+    child = subprocess.run(
+        [sys.executable, "-m", "qudual", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    digest = hashlib.sha256(f"{child.returncode}\0{child.stdout}\0{child.stderr}".encode()).hexdigest()
+    assert f"{digest}  {child.returncode}  {' '.join(argv)}" == pinned[" ".join(argv)]
 
 
 # The digest lines of compute, sweep and mc, printed by a child process; the

@@ -196,6 +196,18 @@ def test_family_rejects_a_non_finite_phase(varrho):
         family_arrays([0.9, 0.5], [0.3, 0.5], [0.3, 1.0], [0.2, varrho])
 
 
+@pytest.mark.parametrize("theta, varrho", [(1e308, -1e308), (-1.5e308, 1e308)])
+def test_family_rejects_phases_whose_difference_overflows(theta, varrho):
+    # each phase is finite, their difference is not: one state and a stack raise the same error, with no warning
+    message = re.escape(f"theta - varrho = {theta - varrho!r} violates the bound -inf < theta - varrho < inf") + "$"
+    with pytest.raises(ParameterError, match=message):
+        family_arrays(0.3, 0.2, theta, varrho)
+    with pytest.raises(ParameterError, match=message):
+        family_arrays([0.3, 0.3], 0.2, [0.1, theta], [0.0, varrho])
+    # a finite difference of huge phases keeps its value on both paths
+    assert family_arrays(0.3, 0.2, theta, 0.0) == tuple(x[1] for x in family_arrays(0.3, 0.2, [0.1, theta], 0.0))
+
+
 W_PLUS_BOUND = "violates the bound 0 <= w_plus <= 1"
 RHO12_BOUND = "violates the bound 0 <= rho12 < inf"
 

@@ -233,7 +233,7 @@ COUNT_SIZES = [1, 5, 6, 7, 2**16 - 1, 2**16, 2**16 + 1, 2 * 2**16 + 3, 10**6 + 3
 def test_chunked_sharp_count_equals_one_shot_draw(n):
     # the count is one Bin(n, p+) draw from the (seed, stream) generator
     rho = pure_state(0.37, 1.1)
-    p_plus = montecarlo._outcome_probability(rho, A.vec_plus)
+    p_plus = montecarlo._outcome_probability(rho, A._columns[0])
     reference = int(montecarlo._generator(11, stream=2).binomial(n, p_plus))
     rep = sample_sharp(rho, A, n, seed=11, stream=2)
     assert _count(rep, A.val_plus, A.val_minus) == reference

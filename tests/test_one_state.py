@@ -1,9 +1,11 @@
 """One state on Python floats has the bits of its element in a stack, signed zeros included.
 
-The one-state paths of the family basis, the entangled amplitudes and the
-duality kernels evaluate their stacked expressions on Python floats; here
-each of them meets its stack element on random inputs and at the ends of
-every range, where a zero part may carry either sign.
+The one-state paths of the state parts, the family basis, the entangled
+amplitudes and the duality kernels evaluate their stacked expressions on
+Python floats; here each of them meets its stack element on random inputs
+and at the ends of every range, where a zero part may carry either sign.
+States, observables and entangled states keep those parts as Python floats
+and lay out their arrays from them, in the layout checked here.
 """
 
 import itertools
@@ -13,8 +15,19 @@ import numpy as np
 
 from qudual.duality import duality_arrays, family_arrays
 from qudual.linalg import assert_unitary
-from qudual.simultaneous import _amplitudes, meter_projectors
-from qudual.states import TWO_PI, _member_basis, complementary_observable
+from qudual.simultaneous import _amplitudes, entangle, meter_projectors
+from qudual.states import (
+    GAUGE,
+    TWO_PI,
+    DensityMatrix,
+    Observable,
+    _density_matrix,
+    _density_parts,
+    _member_basis,
+    _spectral_parts,
+    complementary_matrices,
+    complementary_observable,
+)
 
 W_EDGES = [0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0]
 C_EDGES = [0.0, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0]
@@ -31,6 +44,18 @@ def bits(x) -> list[int]:
     return np.atleast_1d(np.ascontiguousarray(x)).view(float).view(np.uint64).tolist()
 
 
+def at(parts, i):
+    """Element ``i`` of stacked ``parts`` nested in tuples; a float part is shared by every element."""
+    if isinstance(parts, tuple):
+        return tuple(at(part, i) for part in parts)
+    return parts[i] if isinstance(parts, np.ndarray) else parts
+
+
+def floats(parts) -> bool:
+    """Whether every part of ``parts`` nested in tuples is a Python float: one value holds no NumPy number."""
+    return all(map(floats, parts)) if isinstance(parts, tuple) else type(parts) is float
+
+
 def grid(*axes):
     """The edge grid of ``axes`` (each a list whose first five entries are edges), then the random rows, zipped."""
     edges = list(itertools.product(*(axis[:5] for axis in axes)))
@@ -40,14 +65,101 @@ def grid(*axes):
 def test_member_basis_of_one_phase_has_the_bits_of_its_stack_element():
     stack = _member_basis(np.array(PHASES))
     for i, varrho in enumerate(PHASES):
-        assert bits(_member_basis(varrho)) == bits(stack[i]), varrho
+        alone = _member_basis(varrho)
+        assert floats(alone)
+        assert bits(alone) == bits(at(stack, i)), varrho
 
 
 def test_amplitudes_of_one_state_have_the_bits_of_their_stack_element():
     rows = grid(W, PHASES, C)
     stack = _amplitudes(*(np.array(axis) for axis in zip(*rows)))
     for i, (w, theta, c) in enumerate(rows):
-        assert bits(_amplitudes(w, theta, c)) == bits(stack[i]), (w, theta, c)
+        alone = _amplitudes(w, theta, c)
+        assert floats(alone)
+        assert bits(alone) == bits(at(stack, i)), (w, theta, c)
+
+
+def _density_states():
+    """Checked states: no coherence, half and all of the positivity bound at every edge population and phase."""
+    edges = itertools.product(W_EDGES, PHASE_EDGES, (0.0, 0.5, 1.0))
+    rows = list(edges) + list(zip(W[5:], PHASES[5:], _RNG.uniform(0.0, 1.0, 200).tolist()))
+    return [DensityMatrix(w, u * math.sqrt(w * (1.0 - w)), theta) for w, theta, u in rows]
+
+
+def test_state_parts_have_the_bits_of_their_stack_element_and_of_numpy():
+    states = _density_states()
+    w, rho12, theta = (np.array(axis) for axis in zip(*((rho.w_plus, rho.rho12, rho.theta) for rho in states)))
+    stack, matrices = _density_parts(w, rho12, theta), _density_matrix(w, rho12, theta)
+    off = rho12 * np.exp(-1j * theta)  # NumPy's complex product, which the parts reproduce term for term
+    for i, rho in enumerate(states):
+        assert floats(rho._parts)
+        assert bits(rho._parts) == bits(at(stack, i)) == bits((w[i], 1.0 - w[i], off[i].real, off[i].imag)), rho
+        assert bits(rho.matrix) == bits(matrices[i]), rho
+
+
+def test_family_member_columns_and_parts_have_the_bits_of_their_stack_element():
+    wrapped = np.remainder(np.array(PHASES), TWO_PI)
+    columns = _member_basis(wrapped)
+    parts = _spectral_parts(columns, GAUGE, -GAUGE)
+    matrices = complementary_matrices(wrapped)
+    for i, varrho in enumerate(PHASES):
+        member = complementary_observable(varrho)
+        assert floats(member._columns) and floats(member._parts)
+        assert bits(member._columns) == bits(at(columns, i)), varrho
+        assert bits(member._parts) == bits(at(parts, i)), varrho
+        assert bits(member.matrix) == bits(matrices[i]), varrho
+
+
+def _readouts():
+    return [meter_projectors(c) for c in C if 0.0 < c < 1.0]  # the readout's domain
+
+
+def test_library_built_observables_have_the_parts_of_a_checked_one():
+    # a basis read once by the checked constructor gives the columns and parts the library built
+    for obs in [complementary_observable(varrho) for varrho in PHASES] + _readouts():
+        checked = Observable(obs.val_plus, obs.val_minus, obs.basis)
+        assert floats(checked._columns) and floats(obs._columns)
+        assert bits(checked._columns) == bits(obs._columns)
+        assert bits(checked._parts) == bits(obs._parts)
+
+
+def test_entangled_state_rows_have_the_bits_of_their_stack_element():
+    rows = grid(W, PHASES, C)
+    w, theta, c = (np.array(axis) for axis in zip(*rows))
+    stack = _amplitudes(w, np.remainder(theta, TWO_PI), c)
+    for i, row in enumerate(rows):
+        psi = entangle(*row)
+        assert floats(psi._rows)
+        assert bits(psi._rows) == bits(at(stack, i)), row
+
+
+def _layout(entries) -> np.ndarray:
+    """The complex 2x2 of ``entries``, rows of ``(re, im)`` parts, each entry made by ``complex(re, im)``."""
+    return np.array([[complex(*z) for z in row] for row in entries])
+
+
+def _assert_laid_out(array, entries):
+    assert array.shape == (2, 2) and array.dtype == complex and not array.flags.writeable
+    assert bits(array) == bits(_layout(entries))
+
+
+def test_arrays_are_laid_out_from_the_parts_when_first_read():
+    for rho in _density_states():
+        assert "matrix" not in vars(rho)
+        a, d, x, y = rho._parts
+        _assert_laid_out(rho.matrix, (((a, 0.0), (x, y)), ((x, -y), (d, 0.0))))
+    for obs in [complementary_observable(varrho) for varrho in PHASES] + _readouts():
+        assert "basis" not in vars(obs) and "matrix" not in vars(obs)
+        (u0, u1), (w0, w1) = obs._columns
+        _assert_laid_out(obs.basis, ((u0, w0), (u1, w1)))
+        assert obs.basis is obs.basis and bits(obs.vec_plus) == bits(obs.basis[:, 0])
+        a, d, x, y = obs._parts
+        _assert_laid_out(obs.matrix, (((a, 0.0), (x, y)), ((x, -y), (d, 0.0))))
+    for row in grid(W, PHASES, C):
+        psi = entangle(*row)
+        assert "amplitudes" not in vars(psi)
+        _assert_laid_out(psi.amplitudes, psi._rows)
+        assert psi.amplitudes is psi.amplitudes
 
 
 def _states():

@@ -322,6 +322,20 @@ def test_residual_rejects_bad_inputs():
         is_residual(DensityMatrix(0.5, 0.0), 1.0, A, b_at(0.0))
 
 
+def test_residual_of_a_finite_lam_is_finite_or_names_the_bound():
+    # the defect at lam = 1e155 is about 1e154, and its squares overflow: past the bound lam raises
+    message = re.escape("|lam| = 1e+155 violates the bound |lam| <= 1.8092513943330656e+75")
+    with pytest.raises(ParameterError, match=message):
+        is_residual(pure_state(0.3, 0.5), 1e155 + 0j, A, b_at(0.5))
+    # within it the norm is finite, even for the largest outcome values an Observable takes
+    bound = 2.0**250
+    pairs = [(A, b_at(0.5)), (Observable(bound, -bound), Observable(-bound, bound, b_at(0.4).basis))]
+    for lam in (complex(bound, 0.0), complex(0.0, -bound), complex(-0.5 * bound, 0.5 * bound)):
+        for a_obs, b_obs in pairs:
+            for rho in (pure_state(0.3, 0.5), pure_state(1.0), pure_state(0.5, 2.0)):
+                assert math.isfinite(is_residual(rho, lam, a_obs, b_obs)), (lam, rho)
+
+
 def _decimal_product(x, y):
     """The product of 2x2 matrices of ``(re, im)`` Decimal pairs."""
 
