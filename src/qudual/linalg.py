@@ -65,7 +65,12 @@ def assert_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     reports the largest deviation in the stack. An entry part past
     ``sys.float_info.max / 8`` in magnitude raises before any arithmetic.
     """
-    m = _finite_2x2(m, name, "Hermitian", _HERMITIAN_MAX_PART)
+    return _hermitian(m, name, _HERMITIAN_MAX_PART)
+
+
+def _hermitian(m: np.ndarray, name: str, max_part: float) -> np.ndarray:
+    """:func:`assert_hermitian` with the entry part bound ``max_part``, at most its own: a kernel's tighter bound."""
+    m = _finite_2x2(m, name, "Hermitian", max_part)
     dev = float(np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0))
     if not dev <= HERMITICITY_TOL:  # NaN fails too
         raise ContractViolationError(

@@ -24,12 +24,12 @@ run its expressions on the Python floats of one state. The meter readout is an
 Every ``1 - c**2`` is evaluated as ``(1 - c)(1 + c)``, which keeps its
 relative accuracy as ``c -> 1`` where ``1 - c*c`` cancels. The composite
 amplitudes ``psi[system, meter]`` are kept as parts, in rows ``plus, minus``
-of entries ``m+, m_perp``, and laid out as an array when first read.
+of entries ``m+, m_perp``, and laid out as an array when first read; the
+system state's amplitudes in them are :func:`qudual.states._pure_parts`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -39,8 +39,8 @@ import numpy as np
 
 from .duality import _imbalance
 from .errors import ParameterError, SingularConfigurationError, check_array, check_scalar
-from .linalg import _from_entries, _hypot, _projector, _read_only, _split, _trace_norm
-from .states import GAUGE, TWO_PI, Observable
+from .linalg import _from_entries, _hypot, _projector, _read_only, _trace_norm
+from .states import GAUGE, TWO_PI, Observable, _pure_parts
 
 # Largest rescaled outcome value whose square is a finite double.
 MAX_RESCALED_VALUE = math.sqrt(sys.float_info.max)
@@ -97,12 +97,9 @@ def _amplitudes(w, t, c) -> tuple:
     ``t`` is wrapped to [0, 2 pi). Stacked parameters are arrays of one shape, and one state's are Python floats,
     with the bits of each element of a stack.
     """
-    exp, sqrt = (np.exp, np.sqrt) if isinstance(t, np.ndarray) else (cmath.exp, math.sqrt)
-    root = sqrt(1.0 - w)
-    re, im = _split(exp(1j * t))
-    re, im = re * root, im * root  # exp(i t) sqrt(w-)
-    s = sqrt(_one_minus_sq(c))
-    return ((sqrt(w), 0.0), (0.0, 0.0)), ((re * c, im * c), (re * s, im * s))
+    plus, (re, im) = _pure_parts(w, t)  # the system state's amplitudes, the second exp(i t) sqrt(w-)
+    s = (np.sqrt if isinstance(c, np.ndarray) else math.sqrt)(_one_minus_sq(c))
+    return (plus, (0.0, 0.0)), ((re * c, im * c), (re * s, im * s))
 
 
 def _distinguishability(rows: tuple):

@@ -15,9 +15,12 @@ A state or observable is checked once, where it is built, and keeps the real
 parts that the kernels read: a state those of its matrix, an observable those
 of its eigenbasis columns. Its ``matrix`` and ``basis`` are laid out from them
 when first read, read-only, and the functions that take one check it no
-further. An observable the library builds from checked input, a family member
-or a meter readout, is unitary and has valid outcome values by construction,
-so its constructor checks nothing again.
+further. An observable the library builds from checked input, :data:`REFERENCE`,
+a family member or a meter readout, is unitary and has valid outcome values by
+construction, so its constructor checks nothing again. A pure state's amplitudes
+are parts too, from :func:`_pure_parts`, which the entangled meter state and the
+eigen-equation residual of :mod:`qudual.uncertainty` read, and which
+:meth:`DensityMatrix.state_vector` lays out.
 :func:`validate_density` and :func:`complementary_matrices` are the same
 rules and constructions applied elementwise to stacked parameters, for
 checks that sweep many states at once.
@@ -124,13 +127,17 @@ class DensityMatrix:
         """The 2x2 matrix, laid out from the parts on first access; read-only."""
         return _read_only(_from_parts(*self._parts))
 
-    def state_vector(self) -> np.ndarray:
-        """Amplitudes ``(sqrt(w_plus), exp(i theta) sqrt(w_minus))`` of a pure state."""
+    def _vector_parts(self) -> tuple:
+        """Parts ``((re, im), (re, im))`` of a pure state's amplitudes: :func:`_pure_parts`, after a purity check."""
         if not self.is_pure():
             raise ParameterError(
                 f"state_vector requires a pure state: purity = {self.purity!r} < 1 - {PURITY_TOL:.1e}"
             )
-        return _pure_amplitudes(self.w_plus, self.theta)
+        return _pure_parts(self.w_plus, self.theta)
+
+    def state_vector(self) -> np.ndarray:
+        """Amplitudes ``(sqrt(w_plus), exp(i theta) sqrt(w_minus))`` of a pure state."""
+        return np.array([complex(*z) for z in self._vector_parts()])
 
 
 def validate_density(w_plus, rho12, theta=0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -159,8 +166,9 @@ def density_params(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and have unit trace within :data:`TRACE_TOL`, or a
     :class:`ContractViolationError` names the first failure. Returns the
     populations and the magnitude and wrapped phase of the lower off-diagonal
-    entry, as float arrays; their range checks are :class:`DensityMatrix`'s,
-    or :func:`validate_density`'s for a stack.
+    entry: Python floats for one matrix, with the bits of its element in a
+    stack, and float arrays for a stack. Their range checks are
+    :class:`DensityMatrix`'s, or :func:`validate_density`'s for a stack.
     """
     m = assert_hermitian(m, name="density matrix")
     tr = m[..., 0, 0].real + m[..., 1, 1].real
@@ -169,9 +177,10 @@ def density_params(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ContractViolationError(
             f"density matrix trace = {float(tr[bad].flat[0])!r} differs from 1 beyond {TRACE_TOL:.1e}"
         )
-    (_, _), (off, _) = _entries(m)
+    (a, _), (off, _) = _entries(m)
     r = _hypot(*_split(off))
-    return m[..., 0, 0].real, r, np.where(r > 0.0, np.remainder(np.angle(off), TWO_PI), 0.0)
+    theta = np.where(r > 0.0, np.remainder(np.angle(off), TWO_PI), 0.0)
+    return a.real, r, theta if m.ndim > 2 else float(theta)
 
 
 def _purity(w_plus, rho12):
@@ -179,13 +188,17 @@ def _purity(w_plus, rho12):
     return 1.0 - 2.0 * w_plus * (1.0 - w_plus) + 2.0 * (rho12 * rho12)
 
 
-def _pure_amplitudes(w_plus, theta) -> np.ndarray:
-    """Amplitudes ``(..., 2)`` of the pure states with populations ``w_plus`` and phases ``theta``, elementwise.
+def _pure_parts(w_plus, theta) -> tuple:
+    """Parts ``((re, im), (re, im))`` of the amplitudes ``(sqrt(w+), exp(i theta) sqrt(w-))`` of pure states.
 
-    :meth:`DensityMatrix.state_vector` is this function on one state; it
-    checks purity first, this function does not.
+    One state's parameters are Python floats and give Python floats, with the
+    bits of each element of a stack, whose parameters are arrays of one shape.
+    :meth:`DensityMatrix.state_vector` lays these out for one state; it checks
+    purity first, this function does not.
     """
-    return np.stack([np.sqrt(w_plus) + 0j, np.exp(1j * np.asarray(theta)) * np.sqrt(1.0 - w_plus)], axis=-1)
+    exp, sqrt = (np.exp, np.sqrt) if isinstance(theta, np.ndarray) else (cmath.exp, math.sqrt)
+    (re, im), root = _split(exp(1j * theta)), sqrt(1.0 - w_plus)
+    return (sqrt(w_plus), 0.0), (re * root, im * root)
 
 
 def _density_parts(w_plus, rho12, theta) -> tuple:
@@ -285,10 +298,9 @@ def _spectral_parts(columns: tuple, val_plus: float, val_minus: float) -> tuple:
     return tuple(val_plus * p + val_minus * q for p, q in zip(u, w))
 
 
-# Reference-basis observable with outcomes +GAUGE and -GAUGE, built and
-# checked once: it is frozen and its basis and matrix are read-only, so every
-# caller shares this instance.
-REFERENCE = Observable(GAUGE, -GAUGE)
+# Reference-basis observable with outcomes +GAUGE and -GAUGE, built once from the identity's columns, which are
+# unitary: it is frozen and its basis and matrix are read-only, so every caller shares this instance.
+REFERENCE = Observable._from_checked(GAUGE, -GAUGE, (((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (1.0, 0.0))))
 
 
 _HALF_ROOT = 1.0 / math.sqrt(2.0)

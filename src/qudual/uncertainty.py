@@ -22,8 +22,14 @@ alone, so its bits do not depend on the BLAS kernel or the SIMD level of
 the host. :func:`robertson` runs the same expression on the Python floats
 of one state and pair and packs it into a report, with the bits of that
 element of a stack. :func:`robertson_arrays` takes raw matrices and holds the
-contract: any element with ``slack < -INEQUALITY_SLACK`` raises. :func:`robertson`
-and :func:`mean_var` take a state and observables checked where they were built.
+contract: each must be Hermitian with bounded entries, and any element with
+``slack < -INEQUALITY_SLACK`` raises. :func:`robertson` and :func:`mean_var` take
+a state and observables checked where they were built.
+
+:func:`is_residual` checks the eigen-equation of an intelligent state with the
+private kernel that the ``intelligent_states`` suite of :mod:`qudual.verify`
+runs on a stack. Like every private kernel here, it takes parts: the Hermitian
+parts of the state and the pair, and the amplitude parts of the state.
 """
 
 from __future__ import annotations
@@ -35,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError, as_float, check_scalar
-from .linalg import _parts, _split, _times, _trace
-from .states import DensityMatrix, Observable, pure_state
+from .linalg import _hermitian, _parts, _times, _trace
+from .states import _MAX_OUTCOME_VALUE, DensityMatrix, Observable, pure_state
 
 INEQUALITY_SLACK = 1e-12
 
@@ -142,10 +148,18 @@ def robertson_arrays(
     f_mean, slack)``, the fields of :class:`RobertsonReport`, as float arrays
     of the broadcast stack shape. Each element has the bits of
     :func:`robertson` on that one state and pair, and ``slack`` rounds as the
-    report's ``lhs - rhs``. The first element with
-    ``slack < -INEQUALITY_SLACK`` raises a :class:`ContractViolationError`.
+    report's ``lhs - rhs``. Every matrix must pass :func:`~qudual.linalg.assert_hermitian`
+    with entry parts at most 2 for a state and ``2**251`` for an observable,
+    within which every field is finite, and the first element with
+    ``slack < -INEQUALITY_SLACK`` raises; each failure is a
+    :class:`ContractViolationError` that names the argument and the bound.
     """
-    fields = np.broadcast_arrays(*_robertson(_parts(rho_m), _parts(a_m), _parts(b_m)))
+    # An Observable's matrix parts are at most P = 2 * 2**250, and a density matrix's at most 1, so 2 leaves room for
+    # rounding. With state parts at most 2, a mean is below 12 P and the trace of a product of two observables below
+    # 2**6 P**2, so var_a var_b, c_mean**2 and f_mean**2 are each below 2**1022 and every field is finite.
+    bound = 2.0 * _MAX_OUTCOME_VALUE
+    checked = _hermitian(rho_m, "rho_m", 2.0), _hermitian(a_m, "a_m", bound), _hermitian(b_m, "b_m", bound)
+    fields = np.broadcast_arrays(*_robertson(*map(_parts, checked)))
     slack = fields[4]
     bad = np.flatnonzero(slack < -INEQUALITY_SLACK)
     if bad.size:
@@ -245,19 +259,18 @@ def intelligent_state(family: str, param: float, varrho: float, branch: int = 1)
     return IntelligentState(state, lam)
 
 
-def _eigen_residuals(rho_m: np.ndarray, psi: np.ndarray, lam, a_m: np.ndarray, b_m: np.ndarray):
-    """Norms of ``(A + i lam B) psi - (<A> + i lam <B>) psi`` for stacked pure states and finite ``lam``.
+def _eigen_residuals(rho, psi, lam, a, b):
+    """Norms of ``(A + i lam B) psi - (<A> + i lam <B>) psi`` for pure states and finite ``lam``, on parts.
 
-    ``rho_m`` ``(..., 2, 2)`` and ``psi`` ``(..., 2)`` are each state's
-    matrix and amplitudes, ``lam`` has the stack shape, and ``a_m``, ``b_m``
-    broadcast with ``rho_m``. The defect is ``K psi`` with
+    ``rho``, ``a`` and ``b`` are Hermitian parts ``(a, d, x, y)`` and ``psi``
+    the amplitude parts ``((re, im), (re, im))`` of each state, from
+    :func:`qudual.states._pure_parts`: Python floats for one state, or arrays
+    that broadcast with ``lam`` for a stack. The defect is ``K psi`` with
     ``K = (A - <A>) + i lam (B - <B>)``, each entry of ``K`` and of the
     product formed in real parts as Python's complex arithmetic forms it,
     and the norm is ``sqrt((re0^2 + re1^2) + (im0^2 + im1^2))``. One state
-    (:func:`is_residual`) runs the same expression on Python floats, so it
-    rounds as its element of a stack.
+    (:func:`is_residual`) rounds as its element of a stack.
     """
-    rho, a, b = _parts(rho_m), _parts(a_m), _parts(b_m)
     (a_a, a_d, a_x, a_y), (b_a, b_d, b_x, b_y) = a, b
     shift_a, shift_b = _trace(rho, a), _trace(rho, b)
     lr, ni = lam.real, -lam.imag  # i lam = ni + i lr
@@ -267,7 +280,7 @@ def _eigen_residuals(rho_m: np.ndarray, psi: np.ndarray, lam, a_m: np.ndarray, b
         ((g0 + ni * h0, lr * h0), (a_x + (ni * b_x - lr * b_y), a_y + (ni * b_y + lr * b_x))),
         ((a_x + (ni * b_x + lr * b_y), (lr * b_x - ni * b_y) - a_y), (g1 + ni * h1, lr * h1)),
     )
-    v0, v1 = map(_split, psi.tolist() if psi.ndim == 1 else (psi[..., 0], psi[..., 1]))
+    v0, v1 = psi
     (re0, im0), (re1, im1) = ([p + q for p, q in zip(_times(k0, v0), _times(k1, v1))] for k0, k1 in k)
     return np.sqrt((re0 * re0 + re1 * re1) + (im0 * im0 + im1 * im1))
 
@@ -290,4 +303,4 @@ def is_residual(state: DensityMatrix, lam: complex, a_obs: Observable, b_obs: Ob
         raise ParameterError(
             f"|lam| = {abs(lam)!r} violates the bound |lam| <= {_MAX_LAM!r}: the defect norm could overflow"
         )
-    return float(_eigen_residuals(state.matrix, state.state_vector(), lam, a_obs.matrix, b_obs.matrix))
+    return float(_eigen_residuals(state._parts, state._vector_parts(), lam, a_obs._parts, b_obs._parts))

@@ -40,7 +40,7 @@ import numpy as np
 from . import montecarlo
 from .duality import duality_arrays, family_arrays, visibility, visibility_oracle
 from .errors import ContractViolationError, ParameterError
-from .linalg import _eigenvalues, _hypot, _parts, _split, _times_conj, trace_norm
+from .linalg import _eigenvalues, _from_parts, _hypot, _parts, _split, _times_conj, trace_norm
 from .simultaneous import (
     entangle,
     entangled_arrays,
@@ -56,7 +56,8 @@ from .states import (
     TWO_PI,
     DensityMatrix,
     _density_matrix,
-    _pure_amplitudes,
+    _density_parts,
+    _pure_parts,
     _purity,
     complementary_matrices,
     complementary_observable,
@@ -437,7 +438,7 @@ def _suite_robertson(t: _Tally, run: dict, rng: np.random.Generator) -> None:
 
 def _suite_intelligent_states(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     varrho = 0.9
-    b_m = complementary_observable(varrho).matrix
+    b_obs = complementary_observable(varrho)
     ws = np.linspace(0.0, 1.0, 21).tolist()
     grids = {"IS1": ("w", ws), "IS2a": ("beta", np.linspace(0.0, math.pi / 2.0, 21).tolist()), "IS2b": ("w", ws)}
     # One row per state, (family, parameter, branch), in the order of a loop over branches, then families.
@@ -446,8 +447,8 @@ def _suite_intelligent_states(t: _Tally, run: dict, rng: np.random.Generator) ->
     tag = [f"{f} {grids[f][0]}={p:.2f} br={b}" for f, p, b in rows]
     states = [intelligent_state(f, p, varrho, b) for f, p, b in rows]
     w, rho12, theta = np.array([(st.state.w_plus, st.state.rho12, st.state.theta) for st in states]).T
-    rho_m = _density_matrix(w, rho12, theta)
-    var_a, var_b, _, _, slack = robertson_arrays(rho_m, REFERENCE.matrix, b_m)
+    rho = _density_parts(w, rho12, theta)
+    var_a, var_b, _, _, slack = robertson_arrays(_from_parts(*rho), REFERENCE.matrix, b_obs.matrix)
     # An infinite stretch marks an eigenvector of the member, where the
     # eigen-equation degenerates: that state is checked for Var(B) = 0
     # instead, and a zero stretch stands in for it in the arithmetic.
@@ -456,7 +457,7 @@ def _suite_intelligent_states(t: _Tally, run: dict, rng: np.random.Generator) ->
     stand_in = np.where(finite, lam, 0.0)
     stretch = _hypot(*_split(stand_in))
     lam_sq = stretch * stretch
-    res = _eigen_residuals(rho_m, _pure_amplitudes(w, theta), stand_in, REFERENCE.matrix, b_m)
+    res = _eigen_residuals(rho, _pure_parts(w, theta), stand_in, REFERENCE._parts, b_obs._parts)
     is1 = np.array(family) == "IS1"
     central = {("IS1", 0.5): "IS1 central point", ("IS2a", 0.0): "IS2a zero offset"}
     # IS1 runs along the floor of the normalized product, IS2b along its ceiling.

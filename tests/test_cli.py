@@ -417,6 +417,14 @@ def test_one_state_commands_lay_out_no_array_and_read_none_back(capsys, count_ca
     assert calls == {"_entries": [], "_parts": [], "_from_entries": []}
 
 
+def test_residual_of_one_state_lays_out_no_array_and_reads_none_back(count_calls):
+    # is_residual hands the parts of the state, its amplitudes and the pair to the kernel
+    calls = {name: count_calls(linalg, name) for name in ("_entries", "_parts", "_from_entries")}
+    residual = is_residual(pure_state(0.3, 0.5), 0.3 + 0.1j, REFERENCE, complementary_observable(0.7))
+    assert type(residual) is float
+    assert calls == {"_entries": [], "_parts": [], "_from_entries": []}
+
+
 # The complementary readout's rescaled outcome value 0.5 / c is huge at an underflowing c;
 # the b_value rows put it just past its bound.
 _PAST_RESCALE_BOUND = entangle(0.9, 0.3, 0.99 * GAUGE / MAX_RESCALED_VALUE)

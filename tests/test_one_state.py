@@ -18,15 +18,18 @@ from qudual.linalg import assert_unitary
 from qudual.simultaneous import _amplitudes, entangle, meter_projectors
 from qudual.states import (
     GAUGE,
+    REFERENCE,
     TWO_PI,
     DensityMatrix,
     Observable,
     _density_matrix,
     _density_parts,
     _member_basis,
+    _pure_parts,
     _spectral_parts,
     complementary_matrices,
     complementary_observable,
+    pure_state,
 )
 
 W_EDGES = [0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0]
@@ -77,6 +80,26 @@ def test_amplitudes_of_one_state_have_the_bits_of_their_stack_element():
         alone = _amplitudes(w, theta, c)
         assert floats(alone)
         assert bits(alone) == bits(at(stack, i)), (w, theta, c)
+
+
+def test_pure_parts_of_one_state_have_the_bits_of_their_stack_element():
+    rows = grid(W, PHASES)
+    stack = _pure_parts(*(np.array(axis) for axis in zip(*rows)))
+    for i, (w, theta) in enumerate(rows):
+        alone = _pure_parts(w, theta)
+        assert floats(alone)
+        assert bits(alone) == bits(at(stack, i)), (w, theta)
+
+
+def test_state_vector_keeps_the_complex_product_layout():
+    # the amplitudes as NumPy's complex product forms them, zero signs included, on every pure state
+    for row in grid(W, PHASES):
+        rho = pure_state(*row)
+        w, theta = rho.w_plus, rho.theta  # theta is wrapped, and 0 without coherence
+        product = np.stack([np.sqrt(w) + 0j, np.exp(1j * np.asarray(theta)) * np.sqrt(1.0 - w)], axis=-1)
+        vector = rho.state_vector()
+        assert vector.shape == (2,) and vector.dtype == complex
+        assert bits(vector) == bits(product), (w, theta)
 
 
 def _density_states():
@@ -185,6 +208,19 @@ def test_family_of_one_state_has_the_bits_of_its_stack_element():
         alone = family_arrays(*row)
         assert all(isinstance(x, float) for x in alone)
         assert bits(alone) == bits([x[i] for x in stack]), row
+
+
+def test_reference_is_built_with_the_bits_of_a_checked_observable():
+    # REFERENCE does not check the identity basis it is built from; it has a checked observable's values all the same
+    checked = Observable(GAUGE, -GAUGE)
+    assert (REFERENCE.val_plus, REFERENCE.val_minus) == (checked.val_plus, checked.val_minus)
+    assert floats(REFERENCE._columns) and floats(REFERENCE._parts)
+    assert bits(REFERENCE._columns) == bits(checked._columns)
+    assert bits(REFERENCE._parts) == bits(checked._parts)
+    for name in ("basis", "matrix"):
+        array = getattr(REFERENCE, name)
+        assert bits(array) == bits(getattr(checked, name)) and not array.flags.writeable, name
+    assert_unitary(REFERENCE.basis)
 
 
 def test_family_members_built_without_a_check_pass_it():

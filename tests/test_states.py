@@ -167,6 +167,22 @@ def test_density_params_read_stacks_as_single_matrices():
         density_params(stack)
 
 
+def test_density_params_of_one_matrix_are_floats_with_the_bits_of_their_stack_element():
+    rng = np.random.default_rng(27)
+    w = np.concatenate([[0.0, 1.0, 0.5, 0.5], rng.uniform(0.0, 1.0, 200)])
+    rho12 = np.concatenate([[0.0, 0.0, 0.5, 0.0], rng.uniform(0.0, 1.0, 200) * np.sqrt(w[4:] * (1.0 - w[4:]))])
+    theta = np.concatenate([[0.0, 0.0, math.pi, 0.0], rng.uniform(0.0, 2.0 * math.pi, 200)])
+    stack = _density_matrix(w, rho12, theta)
+    stack[-1, 1, 0] += 1e-13  # nearly Hermitian: the lower entry is the one read
+    params = density_params(stack)
+    for i, m in enumerate(stack):
+        alone = density_params(m)
+        assert [type(x) for x in alone] == [float, float, float]
+        element = np.array([x[i] for x in params])
+        assert np.array(alone).view(np.uint64).tolist() == element.view(np.uint64).tolist()
+    assert density_params(stack[-1])[1] == abs(stack[-1, 1, 0]) != abs(stack[-1, 0, 1])
+
+
 def test_reference_matrix():
     obs = REFERENCE
     np.testing.assert_allclose(obs.matrix, np.diag([0.5, -0.5]), atol=1e-15)

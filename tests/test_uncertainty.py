@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 import warnings
@@ -27,8 +28,8 @@ from qudual import (
     robertson_arrays,
     visibility,
 )
-from qudual.states import _density_matrix, _pure_amplitudes
-from qudual.uncertainty import _eigen_residuals
+from qudual.states import _density_matrix, _density_parts, _pure_parts
+from qudual.uncertainty import _eigen_residuals, _robertson
 
 w_values = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 fractions = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -181,6 +182,47 @@ def test_kernel_keeps_the_report_contract():
     assert str(single.value).startswith("uncertainty bound violated: lhs - rhs = -0.1399")
 
 
+# robertson_arrays' arguments and the largest entry part each takes
+_ROBERTSON_BOUNDS = {"rho_m": 2.0, "a_m": 2.0**251, "b_m": 2.0**251}
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+@pytest.mark.parametrize("arg", list(_ROBERTSON_BOUNDS))
+@pytest.mark.parametrize("case", ["nan", "inf", "non-hermitian", "past-bound"])
+def test_kernel_checks_each_matrix_it_takes(arg, case, stacked):
+    bound = _ROBERTSON_BOUNDS[arg]
+    past = math.nextafter(bound, math.inf)
+    bad, message = {
+        "nan": ([[0.5, 0.0], [0.0, math.nan]], f"{arg} is not Hermitian: it has a NaN or infinite entry"),
+        "inf": ([[0.5, math.inf], [math.inf, 0.5]], f"{arg} is not Hermitian: it has a NaN or infinite entry"),
+        "non-hermitian": ([[0.5, 0.5], [0.0, 0.5]], f"{arg} is not Hermitian: max |m - m^dagger| = 5.000e-01"),
+        "past-bound": ([[0.5, 0.0], [0.0, -past]], f"{arg} has an entry part of magnitude {past!r}, past the bound "),
+    }[case]
+    inputs = {"rho_m": pure_state(0.3, 0.4).matrix, "a_m": A.matrix, "b_m": b_at(0.7).matrix}
+    bad = np.array(bad, dtype=complex)
+    inputs[arg] = np.stack([inputs[arg], bad, bad]) if stacked else bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolationError, match=re.escape(message)) as raised:
+            robertson_arrays(**inputs)
+    if case == "past-bound":
+        assert str(raised.value).endswith(f"|Re m|, |Im m| <= {bound!r} beyond which arithmetic on it overflows")
+
+
+def test_kernel_fields_stay_finite_at_the_entry_bounds():
+    # every sign of every entry part of the three matrices at their bounds, in one stack through the kernel
+    signs = list(itertools.product((-1.0, 1.0), repeat=4))
+    rows = list(itertools.product(signs, repeat=3))
+    rho, a, b = (
+        tuple(np.array([row[k][j] for row in rows]) * bound for j in range(4))
+        for k, bound in enumerate(_ROBERTSON_BOUNDS.values())
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fields = _robertson(rho, a, b)
+    assert all(np.isfinite(field).all() for field in fields)
+
+
 def test_outcome_values_at_their_bound_keep_every_moment_finite():
     bound = 2.0**250
     rho = DensityMatrix(0.3, 0.2, 1.1)
@@ -305,12 +347,13 @@ def test_residual_keeps_the_loop_arithmetic():
     want = [_residual_reference(rho, lam, A, b_obs) for rho, lam, b_obs in cases]
     assert [is_residual(rho, lam, A, b_obs) for rho, lam, b_obs in cases] == want
     rhos, lams, members = zip(*cases)
+    w, rho12, theta = (np.array(axis) for axis in zip(*((rho.w_plus, rho.rho12, rho.theta) for rho in rhos)))
     stacked = _eigen_residuals(
-        np.stack([rho.matrix for rho in rhos]),
-        _pure_amplitudes(np.array([rho.w_plus for rho in rhos]), np.array([rho.theta for rho in rhos])),
+        _density_parts(w, rho12, theta),
+        _pure_parts(w, theta),
         np.array(lams),
-        A.matrix,
-        np.stack([b_obs.matrix for b_obs in members]),
+        A._parts,
+        tuple(np.array(part) for part in zip(*(b_obs._parts for b_obs in members))),
     )
     assert stacked.tolist() == want
 
