@@ -23,6 +23,7 @@ import math
 import numpy as np
 
 from .errors import ContractViolationError, as_float, as_float_array, check_array, check_count, check_scalar
+from .linalg import _FLOAT_OPS, _ops
 from .states import TWO_PI, DensityMatrix
 
 # Largest oracle grid. Past it a finer grid buys no accuracy a check can use:
@@ -38,10 +39,6 @@ __all__ = [
     "family_arrays",
     "duality_arrays",
 ]
-
-
-# What the one-state paths take: an int or a float (NumPy's float64 is one). Anything else is read as an array.
-_NUMBER = (int, float)
 
 
 def _imbalance(w):
@@ -137,24 +134,23 @@ def family_arrays(w_plus, rho12, theta, varrho) -> tuple[np.ndarray, np.ndarray]
     The state is checked by :func:`duality_arrays`, and the phases ``theta`` and
     ``varrho`` broadcast with it; a non-finite phase, or two whose difference
     overflows, raises a :class:`ParameterError`.
-    Four ints or floats give two Python floats, with the bits of a stack's element.
+    Four ints or floats give two Python floats from ``math``'s sin, cos and sqrt, with the bits of a stack's
+    element from NumPy's: :func:`qudual.linalg._ops` picks the table.
     ``P_B = 2 rho12 |cos(theta - varrho)|`` is largest for the proper member
     ``varrho = theta`` and zero at the erasure phases ``varrho = theta +- pi/2``;
     ``V_B = sqrt(P**2 + 4 rho12**2 sin(theta - varrho)**2)``, so ``(P_B, V_B)``
     carries the squared sum of ``(P, V)`` for every ``varrho``.
     """
     p, v, _ = duality_arrays(w_plus, rho12)
-    if isinstance(p, float) and isinstance(theta, _NUMBER) and isinstance(varrho, _NUMBER):
-        check, sin, cos, sqrt = check_scalar, math.sin, math.cos, math.sqrt
-        delta = check(theta, "theta") - check(varrho, "varrho")
+    ops = _ops(p, theta, varrho)
+    if ops is _FLOAT_OPS:  # a float subtraction never warns
+        delta = check_scalar(check_scalar(theta, "theta") - check_scalar(varrho, "varrho"), "theta - varrho")
     else:
-        check, sin, cos, sqrt = check_array, np.sin, np.cos, np.sqrt
-        with np.errstate(over="ignore"):  # an overflow is the infinity that the next check rejects
-            delta = check(theta, "theta") - check(varrho, "varrho")
-    delta = check(delta, "theta - varrho")
+        with np.errstate(over="ignore"):  # an overflow is the infinity that the outer check rejects
+            delta = check_array(check_array(theta, "theta") - check_array(varrho, "varrho"), "theta - varrho")
     r = 0.5 * v  # rho12 itself: v = 2 rho12 is exact
-    s = sin(delta)
-    return v * abs(cos(delta)), sqrt(p * p + 4.0 * (r * r) * s * s)
+    s = ops.sin(delta)
+    return v * abs(ops.cos(delta)), ops.sqrt(p * p + 4.0 * (r * r) * s * s)
 
 
 def duality_arrays(w_plus, rho12) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -162,14 +158,15 @@ def duality_arrays(w_plus, rho12) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns ``(p, v, sum_sq)``, the predictability, the visibility and
     ``P**2 + V**2``, as float arrays of the broadcast shape, or as Python
-    floats, with the bits of a stack's element, for two ints or floats. The first failing
+    floats, with the bits of a stack's element, for two ints or floats, as
+    :func:`qudual.linalg._ops` tells them apart. The first failing
     element raises. A population outside [0, 1] or a negative ``rho12``, NaN
     and infinities included, raises a :class:`ParameterError` that names the
     bound; an integer past the double range counts as an infinity. A state with
     ``P**2 + V**2 > 1`` beyond 1e-12 raises a :class:`ContractViolationError`: as
     ``P**2 + V**2 = 1 - 4 w+ w- + 4 rho12**2``, that is the positivity bound ``rho12**2 <= w+ w-``.
     """
-    if isinstance(w_plus, _NUMBER) and isinstance(rho12, _NUMBER):
+    if _ops(w_plus, rho12) is _FLOAT_OPS:
         w, r = as_float(w_plus), as_float(rho12)
     else:
         w, r = np.broadcast_arrays(as_float_array(w_plus), as_float_array(rho12))

@@ -8,8 +8,10 @@ across runs.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -103,6 +105,25 @@ def assert_unitary(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 # out its matrix when first read; an explicit matrix or stack is read through :func:`_parts`. Every modulus is
 # :func:`_hypot`, the one kernel that rounds as ``math.hypot`` on a float and on each element of an array alike.
 
+# A kernel writes each expression once and takes its elementary functions from the table that :func:`_ops` picks:
+# ``cmath``, ``math`` and builtins for one state's Python floats, which read nothing of NumPy, and NumPy's for a
+# stack. Which of the two a value takes is decided there and nowhere else.
+_FLOAT_OPS = SimpleNamespace(
+    exp=cmath.exp, sqrt=math.sqrt, sin=math.sin, cos=math.cos, maximum=max, where=lambda c, a, b: a if c else b
+)
+_ARRAY_OPS = SimpleNamespace(exp=np.exp, sqrt=np.sqrt, sin=np.sin, cos=np.cos, maximum=np.maximum, where=np.where)
+
+
+def _ops(*values):
+    """The table of elementary functions for ``values``: :data:`_FLOAT_OPS` if each is an int or a float, else arrays'.
+
+    NumPy's float64 is a float. Any other value, an array among floats too, makes the values a stack.
+    """
+    for value in values:
+        if not isinstance(value, (int, float)):
+            return _ARRAY_OPS
+    return _FLOAT_OPS
+
 
 def _entries(m: np.ndarray):
     """Entries ``((m00, m01), (m10, m11))`` of a 2x2 matrix as Python numbers, or of a stack as arrays."""
@@ -129,10 +150,7 @@ def _from_entries(m00, m01, m10, m11) -> np.ndarray:
     as the floats of the matrix, one matrix from Python floats and a stack from parts that broadcast.
     """
     parts = (*m00, *m01, *m10, *m11)
-    if np.ndarray in map(type, parts):
-        parts = np.stack(np.broadcast_arrays(*parts), axis=-1)
-    else:
-        parts = np.array(parts)
+    parts = np.array(parts) if _ops(*parts) is _FLOAT_OPS else np.stack(np.broadcast_arrays(*parts), axis=-1)
     return parts.view(complex).reshape(parts.shape[:-1] + (2, 2))
 
 
@@ -219,14 +237,11 @@ def _hypot(x, y):
     or 2**-600, exactly, so that no square or split overflows and no residual underflows: a tiny coherence keeps
     its digits. A subnormal result rounds twice, to within one ulp.
     """
-    if isinstance(x, np.ndarray):  # the parts of a stack are both arrays
-        m = np.maximum(abs(x), abs(y))
-        s, sqrt = np.where(m > 2.0**500, 2.0**-600, np.where(m < 2.0**-300, 2.0**600, 1.0)), np.sqrt
-    else:
-        m = max(abs(x), abs(y))
-        s, sqrt = 2.0**-600 if m > 2.0**500 else 2.0**600 if m < 2.0**-300 else 1.0, math.sqrt
+    ops = _ops(x, y)
+    m = ops.maximum(abs(x), abs(y))
+    s = ops.where(m > 2.0**500, 2.0**-600, ops.where(m < 2.0**-300, 2.0**600, 1.0))
     x, y = x * s, y * s
-    h = sqrt(x * x + y * y)
+    h = ops.sqrt(x * x + y * y)
     return (h + _dot((x, x), (y, y), (-h, h)) / (2.0 * h + (h == 0.0))) / s  # r = 0 where h = 0: no 0 / 0
 
 

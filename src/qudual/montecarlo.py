@@ -235,10 +235,10 @@ def sample_simultaneous(
 
     # System stage: conditional probability of the + outcome of the
     # complementary member, |<v|amp>|^2 / p, given each meter outcome.
-    q = np.empty(2)
-    for k, (p, (a0, a1)) in enumerate(cond):
+    q = []
+    for p, (a0, a1) in cond:
         x, y = (s + t for s, t in zip(_times_conj(a0, v0), _times_conj(a1, v1)))
-        q[k] = min((x * x + y * y) / p, 1.0) if p > 0.0 else 0.0
+        q.append(min((x * x + y * y) / p, 1.0) if p > 0.0 else 0.0)
 
     rng = _generator(seed, stream)
     n_m1 = int(rng.binomial(n, p1))

@@ -39,7 +39,7 @@ import numpy as np
 
 from .duality import _imbalance
 from .errors import ParameterError, SingularConfigurationError, check_array, check_scalar
-from .linalg import _from_entries, _hypot, _projector, _read_only, _trace_norm
+from .linalg import _from_entries, _hypot, _ops, _projector, _read_only, _trace_norm
 from .states import GAUGE, TWO_PI, Observable, _pure_parts
 
 # Largest rescaled outcome value whose square is a finite double.
@@ -95,10 +95,11 @@ def _amplitudes(w, t, c) -> tuple:
     """Parts ``(re, im)`` of the amplitudes ``psi[..., system, meter]`` of valid parameters, in rows by system state.
 
     ``t`` is wrapped to [0, 2 pi). Stacked parameters are arrays of one shape, and one state's are Python floats,
-    with the bits of each element of a stack.
+    with the bits of each element of a stack: the root of ``1 - c**2`` is ``math.sqrt`` or NumPy's, by
+    :func:`qudual.linalg._ops`, as in :func:`qudual.states._pure_parts`.
     """
     plus, (re, im) = _pure_parts(w, t)  # the system state's amplitudes, the second exp(i t) sqrt(w-)
-    s = (np.sqrt if isinstance(c, np.ndarray) else math.sqrt)(_one_minus_sq(c))
+    s = _ops(c).sqrt(_one_minus_sq(c))
     return (plus, (0.0, 0.0)), ((re * c, im * c), (re * s, im * s))
 
 

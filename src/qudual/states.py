@@ -31,7 +31,6 @@ Index 0 is ``|plus>`` and index 1 is ``|minus>`` everywhere.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -39,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError, as_float, as_float_array, check_array, check_scalar
-from .linalg import _entries, _from_entries, _from_parts, _hypot, _projector, _read_only, _split, _times
+from .linalg import _entries, _from_entries, _from_parts, _hypot, _ops, _projector, _read_only, _split, _times
 from .linalg import assert_hermitian, assert_unitary
 
 TWO_PI = 2.0 * math.pi
@@ -191,14 +190,15 @@ def _purity(w_plus, rho12):
 def _pure_parts(w_plus, theta) -> tuple:
     """Parts ``((re, im), (re, im))`` of the amplitudes ``(sqrt(w+), exp(i theta) sqrt(w-))`` of pure states.
 
-    One state's parameters are Python floats and give Python floats, with the
-    bits of each element of a stack, whose parameters are arrays of one shape.
-    :meth:`DensityMatrix.state_vector` lays these out for one state; it checks
-    purity first, this function does not.
+    One state's parameters are Python floats and give Python floats, from
+    ``cmath.exp`` and ``math.sqrt``, with the bits of each element of a stack,
+    whose parameters are arrays of one shape and take NumPy's: the table of
+    :func:`qudual.linalg._ops`. :meth:`DensityMatrix.state_vector` lays these
+    out for one state; it checks purity first, this function does not.
     """
-    exp, sqrt = (np.exp, np.sqrt) if isinstance(theta, np.ndarray) else (cmath.exp, math.sqrt)
-    (re, im), root = _split(exp(1j * theta)), sqrt(1.0 - w_plus)
-    return (sqrt(w_plus), 0.0), (re * root, im * root)
+    ops = _ops(w_plus, theta)
+    (re, im), root = _split(ops.exp(1j * theta)), ops.sqrt(1.0 - w_plus)
+    return (ops.sqrt(w_plus), 0.0), (re * root, im * root)
 
 
 def _density_parts(w_plus, rho12, theta) -> tuple:
@@ -206,7 +206,7 @@ def _density_parts(w_plus, rho12, theta) -> tuple:
 
     Check stacked parameters with :func:`validate_density` first.
     """
-    phase = np.exp(-1j * theta) if isinstance(theta, np.ndarray) else cmath.exp(-1j * theta)
+    phase = _ops(theta).exp(-1j * theta)
     return w_plus, 1.0 - w_plus, *_times((rho12, 0.0), _split(phase))
 
 
@@ -311,9 +311,10 @@ def _member_basis(varrho) -> tuple:
 
     ``|b+> = (1, phase) / sqrt(2)`` and ``|b-> = (1, -phase) / sqrt(2)``,
     with ``phase = exp(i varrho)``, in real parts: one phase is a Python
-    complex, with the bits of each element of a stack.
+    complex from ``cmath.exp``, with the bits of each element of a stack from
+    ``np.exp``; :func:`qudual.linalg._ops` picks the function.
     """
-    re, im = _split(np.exp(1j * varrho) if isinstance(varrho, np.ndarray) else cmath.exp(1j * varrho))
+    re, im = _split(_ops(varrho).exp(1j * varrho))
     h = _HALF_ROOT
     # 0 - x rather than -x keeps a zero part +0 (at varrho = 0), the sign NumPy's complex arithmetic gives it
     return ((h, 0.0), (re * h, im * h)), ((h, 0.0), ((0.0 - re) * h, (0.0 - im) * h))

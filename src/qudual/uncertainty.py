@@ -23,8 +23,9 @@ the host. :func:`robertson` runs the same expression on the Python floats
 of one state and pair and packs it into a report, with the bits of that
 element of a stack. :func:`robertson_arrays` takes raw matrices and holds the
 contract: each must be Hermitian with bounded entries, and any element with
-``slack < -INEQUALITY_SLACK`` raises. :func:`robertson` and :func:`mean_var` take
-a state and observables checked where they were built.
+``slack < -INEQUALITY_SLACK * max(1, (||A|| ||B||)**2)`` raises, a tolerance
+that scales with the rounding noise of ``lhs - rhs``. :func:`robertson` and
+:func:`mean_var` take a state and observables checked where they were built.
 
 :func:`is_residual` checks the eigen-equation of an intelligent state with the
 private kernel that the ``intelligent_states`` suite of :mod:`qudual.verify`
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError, as_float, check_scalar
-from .linalg import _hermitian, _parts, _times, _trace
+from .linalg import _eigenvalues, _hermitian, _ops, _parts, _times, _trace
 from .states import _MAX_OUTCOME_VALUE, DensityMatrix, Observable, pure_state
 
 INEQUALITY_SLACK = 1e-12
@@ -131,10 +132,8 @@ def _robertson(rho, a, b) -> tuple:
     mean_b, var_b = _moments(rho, b)
     c_mean = _trace(rho, _commutator(a, b))
     f_mean = _trace(rho, _anticommutator(a, b)) - 2.0 * mean_a * mean_b
-    if isinstance(var_a, float) and isinstance(var_b, float):
-        var_a, var_b = max(var_a, 0.0), max(var_b, 0.0)
-    else:
-        var_a, var_b = np.maximum(var_a, 0.0), np.maximum(var_b, 0.0)
+    maximum = _ops(var_a, var_b).maximum
+    var_a, var_b = maximum(var_a, 0.0), maximum(var_b, 0.0)
     return var_a, var_b, c_mean, f_mean, var_a * var_b - 0.25 * (c_mean * c_mean + f_mean * f_mean)
 
 
@@ -151,7 +150,10 @@ def robertson_arrays(
     report's ``lhs - rhs``. Every matrix must pass :func:`~qudual.linalg.assert_hermitian`
     with entry parts at most 2 for a state and ``2**251`` for an observable,
     within which every field is finite, and the first element with
-    ``slack < -INEQUALITY_SLACK`` raises; each failure is a
+    ``slack < -INEQUALITY_SLACK * max(1, (||A|| ||B||)**2)`` raises, where
+    ``||A||`` is the largest eigenvalue magnitude of ``A``: the rounding noise
+    of ``slack`` scales as that square at any outcome scale, and the tolerance
+    is 1e-12 wherever ``||A|| ||B|| <= 1``. Each failure is a
     :class:`ContractViolationError` that names the argument and the bound.
     """
     # An Observable's matrix parts are at most P = 2 * 2**250, and a density matrix's at most 1, so 2 leaves room for
@@ -159,9 +161,14 @@ def robertson_arrays(
     # 2**6 P**2, so var_a var_b, c_mean**2 and f_mean**2 are each below 2**1022 and every field is finite.
     bound = 2.0 * _MAX_OUTCOME_VALUE
     checked = _hermitian(rho_m, "rho_m", 2.0), _hermitian(a_m, "a_m", bound), _hermitian(b_m, "b_m", bound)
-    fields = np.broadcast_arrays(*_robertson(*map(_parts, checked)))
+    rho, a, b = map(_parts, checked)
+    fields = np.broadcast_arrays(*_robertson(rho, a, b))
     slack = fields[4]
-    bad = np.flatnonzero(slack < -INEQUALITY_SLACK)
+    # The rounding noise of lhs - rhs grows as (||A|| ||B||)**2, the largest outcome magnitudes squared, and stays
+    # below 1e-15 of it at every scale; lhs + rhs is no measure of it, as near-equal outcome values make that tiny.
+    (a1, a2), (b1, b2) = _eigenvalues(*a), _eigenvalues(*b)
+    norms = np.maximum(abs(a1), abs(a2)) * np.maximum(abs(b1), abs(b2))
+    bad = np.flatnonzero(slack < -INEQUALITY_SLACK * np.maximum(1.0, norms * norms))
     if bad.size:
         raise ContractViolationError(
             f"uncertainty bound violated: lhs - rhs = {float(slack.flat[bad[0]])!r}; "
@@ -282,7 +289,7 @@ def _eigen_residuals(rho, psi, lam, a, b):
     )
     v0, v1 = psi
     (re0, im0), (re1, im1) = ([p + q for p, q in zip(_times(k0, v0), _times(k1, v1))] for k0, k1 in k)
-    return np.sqrt((re0 * re0 + re1 * re1) + (im0 * im0 + im1 * im1))
+    return _ops(re0, re1, im0, im1).sqrt((re0 * re0 + re1 * re1) + (im0 * im0 + im1 * im1))
 
 
 def is_residual(state: DensityMatrix, lam: complex, a_obs: Observable, b_obs: Observable) -> float:
@@ -303,4 +310,4 @@ def is_residual(state: DensityMatrix, lam: complex, a_obs: Observable, b_obs: Ob
         raise ParameterError(
             f"|lam| = {abs(lam)!r} violates the bound |lam| <= {_MAX_LAM!r}: the defect norm could overflow"
         )
-    return float(_eigen_residuals(state._parts, state._vector_parts(), lam, a_obs._parts, b_obs._parts))
+    return _eigen_residuals(state._parts, state._vector_parts(), lam, a_obs._parts, b_obs._parts)

@@ -2,6 +2,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -28,6 +29,23 @@ def count_calls(monkeypatch):
         return calls
 
     return count
+
+
+@pytest.fixture
+def numpy_reads(monkeypatch):
+    """The names qudual reads off NumPy from here on, in order: each loaded module's ``np`` records and forwards."""
+    reads = []
+
+    class Recorder:
+        def __getattr__(self, name):
+            reads.append(name)
+            return getattr(np, name)
+
+    recorder = Recorder()
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "qudual" and getattr(module, "np", None) is np:
+            monkeypatch.setattr(module, "np", recorder)
+    return reads
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from decimal import Context, Decimal, localcontext
 from pathlib import Path
 
@@ -550,3 +551,47 @@ def test_pinned_outputs_do_not_depend_on_the_blas_kernel_or_simd_level(output_di
     )
     argvs = [argv for argv in digest_tool.calls() if argv[0] != "verify"]
     assert child.stdout.splitlines() == [pinned[" ".join(argv)] for argv in argvs]
+
+
+# Every command exits 0, 1 or 2 at the edges of its arguments, raises and warns nothing, and prints no NaN when it
+# succeeds. Each edge is a string as a user types it.
+W_ARGV_EDGES = ["0", "5e-324", "1e-300", repr(0.5 - 2.0**-53), "0.5", repr(1.0 - 2.0**-53), "1", "-0.0", "nan", "inf",
+                "-1", "1.5"]
+THETA_ARGV_EDGES = ["0", repr(math.pi / 2.0), "1e308", "-1e308", "nan", "inf"]
+C_ARGV_EDGES = ["0", "5e-324", "1e-300", "0.5", repr(1.0 - 2.0**-53), "1", "-0.0", "nan", "inf", "-1", "1.5"]
+RHO12_ARGV_EDGES = ["0", "5e-324", "1e-300", "0.25", repr(0.5 - 2.0**-53), "0.5", "0.5000000000001", "0.50001",
+                    "-0.0", "-1e-300", "nan", "inf"]
+N_ARGV_EDGES = ["0", "1", "1000", str(10**12), str(10**12 + 1)]
+
+# Each value joins its option with "=", as a value that starts with "-" and holds an "e" would read as an option.
+ARGV_EDGE_GRIDS = {
+    "compute-pure-c": [
+        *(f"compute --w-plus={w} --pure --theta={t} --c={c}" for w in W_ARGV_EDGES for t in THETA_ARGV_EDGES
+          for c in C_ARGV_EDGES),
+        *(f"compute --w-plus=0.9 --pure --theta=0.3 --varrho={t} --c=0.5" for t in THETA_ARGV_EDGES),
+    ],
+    "compute-rho12": [
+        f"compute --w-plus={w} --rho12={r} --theta={t}" for w in W_ARGV_EDGES for r in RHO12_ARGV_EDGES
+        for t in THETA_ARGV_EDGES
+    ],
+    "mc": [
+        *(f"mc --w-plus={w} --c={c} --n=1000" for w in W_ARGV_EDGES for c in C_ARGV_EDGES),
+        *(f"mc --w-plus={w} --theta={t} --c=0.5 --n={n}" for w in [*W_ARGV_EDGES, "0.9"] for t in THETA_ARGV_EDGES
+          for n in N_ARGV_EDGES),
+        *(f"mc --theta={t} --varrho={t} --n=1000" for t in THETA_ARGV_EDGES),
+    ],
+    "sweep": [f"sweep --figure={figure} --points={n}" for figure in (1, 3) for n in N_ARGV_EDGES],
+}
+
+
+@pytest.mark.parametrize("command", list(ARGV_EDGE_GRIDS))
+def test_commands_at_their_argument_edges_exit_cleanly(capsys, command):
+    failures = []
+    for argv in ARGV_EDGE_GRIDS[command]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv.split())
+        out = capsys.readouterr().out
+        if code not in (0, 1, 2) or (code == 0 and "nan" in out.lower()):
+            failures.append((argv, code))
+    assert failures == []

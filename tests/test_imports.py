@@ -213,3 +213,63 @@ def test_the_scan_sees_an_unlisted_public_definition():
 def test_every_public_definition_is_listed_or_exempt():
     found = {(p.name, line.split(": ")[1]) for p in LIBRARY for line in unlisted_public_definitions(p.read_text())}
     assert found == {(module, name) for module, names in UNLISTED_EXEMPT.items() for name in names}
+
+
+# One state runs on Python floats and a stack on arrays. qudual.linalg._ops alone tells the two apart, and a kernel
+# takes its elementary functions from the table it returns, so no other function tests for a float or an array.
+FLOAT_OR_STACK_EXEMPT = {"linalg.py": {"_ops"}}
+
+
+def float_or_stack_tests(source: str, exempt=frozenset()) -> list[str]:
+    """Each ``isinstance`` of ``source`` that names ``float`` or ``ndarray``, and each ``in`` test naming ``ndarray``.
+
+    A name bound at module level, such as ``NUMBER = (int, float)``, is read through to its value. The functions
+    named in ``exempt`` are skipped.
+    """
+    tree = ast.parse(source)
+    bound = {t.id: n.value for n in tree.body if isinstance(n, ast.Assign) for t in n.targets if hasattr(t, "id")}
+    exempt_functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name in exempt]
+    skipped = {id(n) for f in exempt_functions for n in ast.walk(f)}
+
+    def named(node) -> set:
+        """The names and attributes that ``node`` reads, those of a module-level name's value included."""
+        nodes = [n for m in ast.walk(node) for n in ast.walk(bound.get(getattr(m, "id", None), m))]
+        return {getattr(n, "id", getattr(n, "attr", None)) for n in nodes}
+
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+            hits = sorted(named(node.args[1]) & {"float", "ndarray"})
+            found += [(node.lineno, f"isinstance of {name}") for name in hits]
+        elif isinstance(node, ast.Compare) and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops):
+            found += [(node.lineno, "in test of ndarray")] if "ndarray" in named(node) else []
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_the_scan_sees_a_float_or_stack_test():
+    source = (
+        "import numpy as np\n"
+        "NUMBER = (int, float)\n"
+        "a = isinstance(x, np.ndarray) or np.ndarray in map(type, parts)\n"
+        "b = isinstance(v, float) and isinstance(w, NUMBER)\n"
+        "c = isinstance(v, (int, float)) or np.ndarray not in kinds\n"
+        "d = isinstance(v, (int, np.integer)) or x in (1, 2) or type(v) is float\n"
+        "def _ops(v):\n"
+        "    return isinstance(v, float)\n"
+    )
+    assert float_or_stack_tests(source, {"_ops"}) == [
+        "line 3: in test of ndarray",
+        "line 3: isinstance of ndarray",
+        "line 4: isinstance of float",
+        "line 4: isinstance of float",
+        "line 5: in test of ndarray",
+        "line 5: isinstance of float",
+    ]
+    assert float_or_stack_tests(source)[-1] == "line 8: isinstance of float"
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=[str(p.relative_to(ROOT)) for p in LIBRARY])
+def test_only_linalg_ops_tells_a_float_from_a_stack(path):
+    assert float_or_stack_tests(path.read_text(), FLOAT_OR_STACK_EXEMPT.get(path.name, frozenset())) == []

@@ -5,17 +5,30 @@ amplitudes and the duality kernels evaluate their stacked expressions on
 Python floats; here each of them meets its stack element on random inputs
 and at the ends of every range, where a zero part may carry either sign.
 States, observables and entangled states keep those parts as Python floats
-and lay out their arrays from them, in the layout checked here.
+and lay out their arrays from them, in the layout checked here. The one-state
+public functions and commands read nothing of NumPy on the way.
 """
 
 import itertools
 import math
 
 import numpy as np
+import pytest
 
-from qudual.duality import duality_arrays, family_arrays
+from qudual.cli import main
+from qudual.duality import duality_arrays, family_arrays, predictability, visibility
 from qudual.linalg import assert_unitary
-from qudual.simultaneous import _amplitudes, entangle, meter_projectors
+from qudual.simultaneous import (
+    _amplitudes,
+    distinguishability,
+    entangle,
+    entangled_visibility,
+    estimate_a,
+    estimate_b,
+    meter_projectors,
+    optimal_entanglement,
+    simultaneous_product,
+)
 from qudual.states import (
     GAUGE,
     REFERENCE,
@@ -31,6 +44,7 @@ from qudual.states import (
     complementary_observable,
     pure_state,
 )
+from qudual.uncertainty import intelligent_state, is_residual, mean_var, normalized_product_bounds, robertson
 
 W_EDGES = [0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0]
 C_EDGES = [0.0, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0]
@@ -237,3 +251,56 @@ def test_meter_readouts_built_without_a_check_pass_it():
             basis = meter_projectors(c).basis
             assert_unitary(basis)
             assert not basis.flags.writeable
+
+
+def _one_state_calls(x):
+    """Each one-state public function by name, as a call on inputs that ``x`` makes of Python floats."""
+    rho, member = DensityMatrix(x(0.7), x(0.3), x(1.1)), complementary_observable(x(0.4))
+    psi = entangle(x(0.9), x(0.3), x(0.6))
+    return {
+        "pure_state": lambda: pure_state(x(0.3), x(0.4)),
+        "DensityMatrix": lambda: DensityMatrix(x(0.7), x(0.3), x(1.1)).purity,
+        "complementary_observable": lambda: complementary_observable(x(0.4)),
+        "predictability": lambda: predictability(rho),
+        "visibility": lambda: visibility(rho),
+        "duality_arrays": lambda: duality_arrays(x(0.7), x(0.3)),
+        "family_arrays": lambda: family_arrays(x(0.7), x(0.3), x(1.1), x(0.4)),
+        "mean_var": lambda: mean_var(rho, member),
+        "robertson": lambda: robertson(rho, REFERENCE, member),
+        "normalized_product_bounds": lambda: normalized_product_bounds(x(0.3)),
+        "intelligent_state": lambda: [intelligent_state(f, x(0.3), x(0.4), -1) for f in ("IS1", "IS2a", "IS2b")],
+        "is_residual": lambda: is_residual(pure_state(x(0.3), x(0.5)), x(0.3) + 0.1j, REFERENCE, member),
+        "entangle": lambda: entangle(x(0.9), x(0.3), x(0.6)),
+        "distinguishability": lambda: distinguishability(psi),
+        "entangled_visibility": lambda: entangled_visibility(psi),
+        "meter_projectors": lambda: meter_projectors(x(0.6)),
+        "estimate_a": lambda: estimate_a(psi),
+        "estimate_b": lambda: estimate_b(psi, x(0.4)),
+        "simultaneous_product": lambda: simultaneous_product(x(0.9), x(0.6)),
+        "optimal_entanglement": lambda: optimal_entanglement(x(0.9)),
+    }
+
+
+@pytest.mark.parametrize("x", [float, np.float64], ids=["float", "float64"])
+def test_one_state_functions_read_nothing_of_numpy(numpy_reads, x):
+    # linalg._ops alone tells one state from a stack, and one state's table is cmath, math and builtins
+    read = {}
+    for name, call in _one_state_calls(x).items():
+        numpy_reads.clear()
+        call()
+        read[name] = list(numpy_reads)
+    assert read == {name: [] for name in read}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--w-plus", "0.9", "--pure", "--theta", "0.3", "--c", "0.5"),
+        ("compute", "--w-plus", "0.7", "--rho12", "0.3", "--theta", "1.1"),
+    ],
+    ids=["compute-pure-c", "compute-rho12"],
+)
+def test_one_state_commands_read_nothing_of_numpy(capsys, numpy_reads, argv):
+    code = main(list(argv))
+    assert code == 0, capsys.readouterr().err
+    assert numpy_reads == []

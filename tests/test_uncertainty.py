@@ -182,6 +182,32 @@ def test_kernel_keeps_the_report_contract():
     assert str(single.value).startswith("uncertainty bound violated: lhs - rhs = -0.1399")
 
 
+def _bits(fields) -> list[int]:
+    return np.asarray(fields, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("near", [False, True], ids=["opposite", "near-equal"])
+@pytest.mark.parametrize("gauge", [1e3, 1e6, 2.0**100], ids=["1e3", "1e6", "2**100"])
+def test_kernel_accepts_valid_matrices_at_large_outcome_values(gauge, near):
+    # The rounding noise of lhs - rhs grows as the squared outcome magnitudes, and the kernel's tolerance with it.
+    # Near-equal outcome values make lhs + rhs tiny and leave that noise as it is.
+    second = gauge * (1.0 - 1e-9) if near else -gauge
+    a_obs, b_obs = Observable(gauge, second), Observable(gauge, -gauge, b_at(0.7).basis)
+    rng = np.random.default_rng(20261019)
+    states = [pure_state(0.3, 0.4)] + [pure_state(w, t) for w, t in rng.uniform(0.0, [1.0, 2.0 * math.pi], (200, 2))]
+    one = robertson_arrays(states[0].matrix, a_obs.matrix, b_obs.matrix)
+    stack = robertson_arrays(np.stack([rho.matrix for rho in states]), a_obs.matrix, b_obs.matrix)
+    for i, rho in enumerate(states):
+        assert _bits([field[i] for field in stack]) == _bits(dataclasses.astuple(robertson(rho, a_obs, b_obs)))
+    assert _bits(one) == _bits([field[0] for field in stack])
+    # A unit-trace Hermitian matrix with a negative eigenvalue is still no state, alone or in the stack. Against a
+    # near-equal pair, A is nearly a multiple of 1 and its violation is within rounding of ||A||**2 ||B||**2.
+    bad = np.array([[0.5, 0.9], [0.9, 0.5]], dtype=complex)
+    for rho_m in () if near else (bad, np.stack([states[0].matrix, bad])):
+        with pytest.raises(ContractViolationError, match="uncertainty bound violated: lhs - rhs = -"):
+            robertson_arrays(rho_m, a_obs.matrix, b_obs.matrix)
+
+
 # robertson_arrays' arguments and the largest entry part each takes
 _ROBERTSON_BOUNDS = {"rho_m": 2.0, "a_m": 2.0**251, "b_m": 2.0**251}
 
