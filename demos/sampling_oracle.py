@@ -9,8 +9,8 @@ means z-scores of order one; anything past |z| = 4 is flagged.
 
 from qudual import (
     REFERENCE,
+    EntangledState,
     complementary_observable,
-    entangle,
     optimal_entanglement,
     pure_state,
     sample_fringe,
@@ -50,7 +50,7 @@ def main():
 
     c_opt = optimal_entanglement(W_PLUS)
     print(f"simultaneous unsharp readouts at the optimal overlap c = {c_opt:.5f}:")
-    rep_a, rep_b = sample_simultaneous(entangle(W_PLUS, THETA, c_opt), THETA, N, SEED, stream=3)
+    rep_a, rep_b = sample_simultaneous(EntangledState(W_PLUS, THETA, c_opt), THETA, N, SEED, stream=3)
     show(rep_a)
     show(rep_b)
     print()

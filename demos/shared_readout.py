@@ -11,8 +11,8 @@ variance product and compares every route to the closed minimum.
 import numpy as np
 
 from qudual import (
+    EntangledState,
     distinguishability,
-    entangle,
     entangled_visibility,
     estimate_a,
     estimate_b,
@@ -30,13 +30,13 @@ def main():
     print("meter overlap c controls how much which-path data is extracted:")
     print("  c       D         V_e       D^2+V_e^2")
     for c in (0.0, 0.25, 0.5, 0.75, 1.0):
-        psi = entangle(W_PLUS, THETA, c)
+        psi = EntangledState(W_PLUS, THETA, c)
         d, ve = distinguishability(psi), entangled_visibility(psi)
         print(f"  {c:.2f}   {d:.6f}  {ve:.6f}  {d * d + ve * ve:.12f}")
     print()
 
     c_opt = optimal_entanglement(W_PLUS)
-    psi = entangle(W_PLUS, THETA, c_opt)
+    psi = EntangledState(W_PLUS, THETA, c_opt)
     mean_a, var_a = estimate_a(psi)
     mean_b, var_b = estimate_b(psi, varrho=THETA)
     print(f"optimal overlap c* = {c_opt:.6f}  (= sqrt(V / (P + V)))")

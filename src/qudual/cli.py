@@ -35,8 +35,8 @@ from . import montecarlo, verify
 from .duality import duality_arrays, family_arrays, visibility
 from .errors import ParameterError, QudualError, check_scalar
 from .simultaneous import (
+    EntangledState,
     distinguishability,
-    entangle,
     entangled_arrays,
     entangled_visibility,
     estimate_a,
@@ -126,7 +126,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     if args.c is not None:
         if not rho.is_pure():
             raise ParameterError("--c models meter entanglement of a pure state; drop --rho12 mixing or pass --pure")
-        psi = entangle(rho.w_plus, rho.theta, args.c)
+        psi = EntangledState(rho.w_plus, rho.theta, args.c)
         pairs += [
             ("c", args.c),
             ("D", distinguishability(psi)),
@@ -200,17 +200,17 @@ def _print_sample(rep: montecarlo.SampleReport) -> None:
 def _cmd_mc(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     varrho = args.theta if args.varrho is None else args.varrho
+    rho = pure_state(args.w_plus, args.theta)
     c = args.c
     if c is None:
-        c = optimal_entanglement(args.w_plus)
+        c = optimal_entanglement(rho.w_plus)
         if c in (0.0, 1.0):
             raise ParameterError(
-                f"--c defaults to the optimal overlap, c = {c!r} at w_plus = {args.w_plus!r}, "
+                f"--c defaults to the optimal overlap, c = {c!r} at w_plus = {rho.w_plus!r}, "
                 "where the meter readout is singular (it requires 0 < c < 1); pass --c"
             )
-    rho = pure_state(args.w_plus, args.theta)
     b_obs = complementary_observable(varrho)
-    psi = entangle(args.w_plus, args.theta, c)
+    psi = EntangledState(rho.w_plus, args.theta, c)
 
     # Draw every sample before printing, so a failed run writes no stdout; the
     # joint readout goes first because it rejects a singular overlap. Each
@@ -223,7 +223,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     ]
     v_hat = montecarlo.sample_fringe(rho, max(args.n // 16, 1), seed, stream=4)
 
-    print(f"sampling at w_plus={_fmt(args.w_plus)} theta={_fmt(args.theta)} varrho={_fmt(varrho)} c={_fmt(c)} seed={seed}")
+    print(f"sampling at w_plus={_fmt(rho.w_plus)} theta={_fmt(args.theta)} varrho={_fmt(varrho)} c={_fmt(c)} seed={seed}")
     for rep in reports:
         _print_sample(rep)
     print(f"fringe     contrast={_fmt(v_hat)} (analytic {_fmt(visibility(rho))})")

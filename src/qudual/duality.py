@@ -167,9 +167,9 @@ def duality_arrays(w_plus, rho12) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``P**2 + V**2 = 1 - 4 w+ w- + 4 rho12**2``, that is the positivity bound ``rho12**2 <= w+ w-``.
     """
     if _ops(w_plus, rho12) is _FLOAT_OPS:
-        w, r = as_float(w_plus), as_float(rho12)
+        w, r = as_float(w_plus, "w_plus"), as_float(rho12, "rho12")
     else:
-        w, r = np.broadcast_arrays(as_float_array(w_plus), as_float_array(rho12))
+        w, r = np.broadcast_arrays(as_float_array(w_plus, "w_plus"), as_float_array(rho12, "rho12"))
     p = _imbalance(w)
     v = 2.0 * r
     sum_sq = p * p + v * v

@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import reprlib
 
 import numpy as np
 
@@ -36,21 +37,33 @@ class SingularConfigurationError(QudualError):
     """
 
 
-def as_float(value) -> float:
-    """``float(value)``, with an integer beyond the double range taken as an infinity of its sign."""
+def _not_real(name: str, value) -> ParameterError:
+    return ParameterError(f"{name} = {reprlib.repr(value)} violates the bound: {name} must be a real number")
+
+
+def as_float(value, name: str) -> float:
+    """``float(value)``, with an integer beyond the double range taken as an infinity of its sign.
+
+    A value that is not a real number, such as ``None``, a string or a complex, raises a :class:`ParameterError`
+    that names the argument ``name``.
+    """
     try:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+    except (TypeError, ValueError) as exc:
+        raise _not_real(name, value) from exc
 
 
-def as_float_array(values) -> np.ndarray:
-    """:func:`as_float` elementwise: ``values`` as a float array."""
+def as_float_array(values, name: str) -> np.ndarray:
+    """:func:`as_float` elementwise: ``values`` as a float array; a ragged sequence is not real numbers either."""
     try:
         return np.asarray(values, dtype=float)
     except OverflowError:
         items = np.asarray(values, dtype=object)
-        return np.array([as_float(x) for x in items.flat], dtype=float).reshape(items.shape)
+        return np.array([as_float(x, name) for x in items.flat], dtype=float).reshape(items.shape)
+    except (TypeError, ValueError) as exc:
+        raise _not_real(name, values) from exc
 
 
 def check_scalar(
@@ -68,7 +81,7 @@ def check_scalar(
     beyond the double range counts as an infinity of its sign. The message
     names the bound and shows an integer as an integer.
     """
-    v = as_float(value)
+    v = as_float(value, name)
     if not math.isfinite(v) or v < lo - slack or v > hi + slack:
         left = "-inf <" if lo == -math.inf else f"{lo:g} <="
         right = "< inf" if hi == math.inf else f"<= {hi:g}"
@@ -98,7 +111,7 @@ def check_array(
     The first value that :func:`check_scalar` rejects raises its
     :class:`ParameterError`.
     """
-    v = as_float_array(values)
+    v = as_float_array(values, name)
     bad = ~np.isfinite(v) | (v < lo - slack) | (v > hi + slack)
     if bad.any():
         check_scalar(v[bad].flat[0], name, lo, hi, slack=slack)

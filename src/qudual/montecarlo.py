@@ -26,7 +26,7 @@ from .duality import fringe_probability
 from .errors import ParameterError, check_count
 from .linalg import _projector, _times_conj, _trace
 from .simultaneous import EntangledState, estimate_a, estimate_b, meter_projectors
-from .states import GAUGE, DensityMatrix, Observable, complementary_observable
+from .states import GAUGE, TWO_PI, DensityMatrix, Observable, complementary_observable
 from .uncertainty import mean_var
 
 Z_FLAG_THRESHOLD = 4.0
@@ -44,7 +44,7 @@ _MASK64 = (1 << 64) - 1
 
 # The phase scan of sample_fringe: 16 phases over [0, 2 pi) behind the
 # balanced splitter.
-_SCAN_PHI = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+_SCAN_PHI = np.linspace(0.0, TWO_PI, 16, endpoint=False)
 _SCAN_XI = math.pi / 4.0
 
 __all__ = [

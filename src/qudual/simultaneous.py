@@ -16,10 +16,10 @@ over ``c``, reached at ``c**2 = V / (P + V)``.
 
 The which-way quantities come from one array kernel,
 :func:`entangled_arrays`, for stacked ``(w_plus, theta, c)``;
-:func:`entangle`, :func:`distinguishability` and :func:`entangled_visibility`
-run its expressions on the Python floats of one state. The meter readout is an
-:class:`~qudual.states.Observable` on the meter qubit, built by
-:func:`meter_projectors`.
+:class:`EntangledState`, :func:`distinguishability` and
+:func:`entangled_visibility` run its expressions on the Python floats of one
+state. The meter readout is an :class:`~qudual.states.Observable` on the
+meter qubit, built by :func:`meter_projectors`.
 
 Every ``1 - c**2`` is evaluated as ``(1 - c)(1 + c)``, which keeps its
 relative accuracy as ``c -> 1`` where ``1 - c*c`` cancels. The composite
@@ -47,7 +47,6 @@ MAX_RESCALED_VALUE = math.sqrt(sys.float_info.max)
 
 __all__ = [
     "EntangledState",
-    "entangle",
     "distinguishability",
     "entangled_visibility",
     "entangled_arrays",
@@ -63,9 +62,11 @@ __all__ = [
 class EntangledState:
     """System-meter pure state with meter overlap ``c`` and read-only amplitudes ``psi[system, meter]``.
 
-    The parameters are checked where the state is built: ``0 <= w_plus <= 1``,
-    ``0 <= c <= 1`` and a finite ``theta``, which is stored wrapped to [0, 2 pi).
-    The parts of the amplitudes are computed from them, once.
+    ``EntangledState(w_plus, theta, c)`` couples the pure system state
+    ``(w_plus, theta)`` to the meter. The parameters are checked where the
+    state is built: ``0 <= w_plus <= 1``, ``0 <= c <= 1`` and a finite
+    ``theta``, which is stored wrapped to [0, 2 pi). The parts of the
+    amplitudes are computed from them, once.
     """
 
     w_plus: float
@@ -124,11 +125,6 @@ def _visibility(parts):
     return 2.0 * _hypot(*parts[2:])
 
 
-def entangle(w_plus: float, theta: float, c: float) -> EntangledState:
-    """Couple the pure system state ``(w_plus, theta)`` to a meter with overlap ``c``."""
-    return EntangledState(w_plus, theta, c)
-
-
 def distinguishability(psi_e: EntangledState) -> float:
     """Trace-norm distance of the meter states conditioned on the system basis.
 
@@ -154,12 +150,12 @@ def entangled_arrays(
     """Which-way quantities of stacked entangled states, elementwise.
 
     ``w_plus``, ``theta`` and ``c`` broadcast together; an element that
-    :func:`entangle` would reject raises the same :class:`ParameterError`.
+    :class:`EntangledState` would reject raises the same :class:`ParameterError`.
     Returns float arrays ``(d, v_e, w_marg, rho12_marg, theta_marg)``: the
     :func:`distinguishability` and :func:`entangled_visibility` of each
     state, and the fields of the system state left by tracing out the meter,
     which keeps the populations and shrinks the coherence to
-    ``c sqrt(w+ w-)``. The amplitudes are :func:`entangle`'s, the
+    ``c sqrt(w+ w-)``. The amplitudes are :class:`EntangledState`'s, the
     distinguishability is the trace norm of the difference of the two meter
     blocks, and the visibility and the marginal come from the parts ``(a, d, x, y)``
     of the partial trace: ``w_marg = a``, ``rho12_marg = |x + i y|`` held to its

@@ -95,7 +95,7 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         w = check_scalar(self.w_plus, "w_plus", 0.0, 1.0, slack=POSITIVITY_TOL)
-        r = as_float(self.rho12)
+        r = as_float(self.rho12, "rho12")
         bound = math.sqrt(w * (1.0 - w))
         if math.isnan(r) or r < -POSITIVITY_TOL or r > bound + POSITIVITY_TOL:
             raise ParameterError(
@@ -148,7 +148,7 @@ def validate_density(w_plus, rho12, theta=0.0) -> tuple[np.ndarray, np.ndarray, 
     :class:`ParameterError`.
     """
     w = check_array(w_plus, "w_plus", 0.0, 1.0, slack=POSITIVITY_TOL)
-    w, r, t = np.broadcast_arrays(w, as_float_array(rho12), check_array(theta, "theta"))
+    w, r, t = np.broadcast_arrays(w, as_float_array(rho12, "rho12"), check_array(theta, "theta"))
     bound = np.sqrt(w * (1.0 - w))
     bad = np.isnan(r) | (r < -POSITIVITY_TOL) | (r > bound + POSITIVITY_TOL)
     if bad.any():
@@ -229,7 +229,9 @@ class Observable:
     reference basis. ``val_plus`` belongs to the first column, ``val_minus``
     to the second, and the two outcome values must be distinct and within ``+-2**250``.
     ``Observable(...)`` checks all of that; :meth:`_from_checked`, for the
-    observables the library builds itself, checks none of it again.
+    observables the library builds itself, checks none of it again. Either
+    way the observable keeps the basis as the parts of its columns alone, and
+    lays out ``basis`` from them when it is first read.
     """
 
     val_plus: float
@@ -246,11 +248,10 @@ class Observable:
         basis = assert_unitary(self.basis, name="eigenbasis")
         if basis.ndim != 2:
             raise ContractViolationError(f"eigenbasis must be one matrix, not a stack, got shape {basis.shape}")
-        basis = _read_only(basis.copy())
         object.__setattr__(self, "val_plus", val_plus)
         object.__setattr__(self, "val_minus", val_minus)
-        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_columns", tuple(tuple(map(_split, column)) for column in zip(*_entries(basis))))
+        object.__delattr__(self, "basis")  # laid out again from the columns when first read
 
     @classmethod
     def _from_checked(cls, val_plus: float, val_minus: float, columns: tuple) -> Observable:
@@ -266,7 +267,7 @@ class Observable:
         return obs
 
     def __getattr__(self, name: str):
-        """Lay out the ``basis`` of an observable built by :meth:`_from_checked` when it is first read; read-only."""
+        """Lay out the ``basis`` from the ``_columns`` when it is first read; read-only."""
         if name != "basis":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         (u0, u1), (w0, w1) = self._columns

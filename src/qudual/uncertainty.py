@@ -300,7 +300,8 @@ def is_residual(state: DensityMatrix, lam: complex, a_obs: Observable, b_obs: Ob
     their own ``lam``. ``lam`` must be finite, and ``|lam| <= 2**250`` keeps
     the norm finite for every pair of observables.
     """
-    lam = complex(as_float(lam.real), as_float(lam.imag))  # an integer past the double range is an infinity
+    # an integer past the double range is an infinity; a value with no parts is read whole as the real part
+    lam = complex(as_float(getattr(lam, "real", lam), "lam.real"), as_float(getattr(lam, "imag", 0.0), "lam.imag"))
     if not cmath.isfinite(lam):
         raise ParameterError(
             "lam must be finite; an infinite lam marks an eigenvector of the "

@@ -42,7 +42,7 @@ from .duality import duality_arrays, family_arrays, visibility, visibility_oracl
 from .errors import ContractViolationError, ParameterError
 from .linalg import _eigenvalues, _from_parts, _hypot, _parts, _split, _times_conj, trace_norm
 from .simultaneous import (
-    entangle,
+    EntangledState,
     entangled_arrays,
     estimate_a,
     estimate_b,
@@ -560,7 +560,7 @@ def _suite_unbiasedness(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     closed = np.empty((len(grid), 4))
     sharp = np.empty((len(grid), 2))  # the sharp means of A and B
     for i, (w, theta, c) in enumerate(grid):
-        psi = entangle(w, theta, c)
+        psi = EntangledState(w, theta, c)
         amplitudes[i] = psi.amplitudes
         closed[i] = (*estimate_a(psi), *estimate_b(psi, varrho))
         sharp[i] = (GAUGE * (2.0 * w - 1.0), sharp_b[w, theta])
@@ -585,7 +585,7 @@ def _suite_unbiasedness(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     # c is one element.
     probes = [(w, theta) for w in _PROBE_W for theta in _PROBE_THETA]
     grid = [(w, theta, c) for c in _PROBE_C for w, theta in probes]
-    amplitudes = np.array([entangle(*point).amplitudes for point in grid])
+    amplitudes = np.array([EntangledState(*point).amplitudes for point in grid])
     (mean, _), _ = projected_readout_moments(amplitudes, [c for _, _, c in grid], [theta for _, theta, _ in grid])
     mean = mean.reshape(len(_PROBE_C), len(probes))
     sharp = np.array([GAUGE * (2.0 * w - 1.0) for w, _ in probes])
@@ -636,7 +636,7 @@ def _suite_monte_carlo(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     reports = (
         montecarlo.sample_sharp(rho, REFERENCE, n, seed, stream=1),
         montecarlo.sample_sharp(rho, b_obs, n, seed, stream=2),
-        *montecarlo.sample_simultaneous(entangle(0.9, theta, math.sqrt(3.0 / 7.0)), theta, n, seed, stream=3),
+        *montecarlo.sample_simultaneous(EntangledState(0.9, theta, math.sqrt(3.0 / 7.0)), theta, n, seed, stream=3),
     )
     names = ("sharp reference", "sharp complementary", "meter", "system")
     notes = [f"{name} readout z=({rep.z_mean:.2f},{rep.z_variance:.2f})" for name, rep in zip(names, reports)]
@@ -705,7 +705,7 @@ def run_suites(level: str = "fast", seed: int = 42, corrupt: bool = False) -> li
 def render_report(results: list[SuiteResult], level: str, seed: int) -> str:
     """Fixed-layout text report; byte-identical across runs with one seed."""
     lines = [f"self-check level={level} seed={seed}"]
-    width = max(len(r.name) for r in results)
+    width = max((len(r.name) for r in results), default=0)
     for r in results:
         lines.append(f"  {r.name:<{width}}  checks={r.checks:<6d} failures={r.failures}")
         for note in r.notes:

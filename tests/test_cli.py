@@ -21,7 +21,6 @@ from qudual import (
     complementary_matrices,
     complementary_observable,
     duality_arrays,
-    entangle,
     entangled_arrays,
     estimate_b,
     family_arrays,
@@ -37,7 +36,6 @@ from qudual import (
     sample_fringe,
     sample_sharp,
     sample_simultaneous,
-    simultaneous,
     simultaneous_product,
     validate_density,
     verify,
@@ -78,6 +76,11 @@ def test_compute_requires_a_coherence_choice(capsys):
     code, _, err = run(capsys, "compute", "--w-plus", "0.5")
     assert code == 2
     assert "--rho12 or --pure" in err
+
+
+def test_compute_takes_one_coherence_choice(capsys):
+    code, out, err = run(capsys, "compute", "--w-plus", "0.5", "--pure", "--rho12", "0.1")
+    assert (code, out, err) == (2, "", "error: give either --rho12 or --pure, not both\n")
 
 
 def test_compute_rejects_excess_coherence(capsys):
@@ -259,7 +262,16 @@ def test_mc_default_overlap_at_a_singular_population_asks_for_c(capsys, w_plus):
     assert "--c defaults to the optimal overlap" in err and "pass --c" in err
 
 
-_PSI = entangle(0.9, 0.3, 0.6)
+@pytest.mark.parametrize("argv", [("--c", "0.5"), ()], ids=["c", "default-c"])
+@pytest.mark.parametrize("w_plus, edge", [("1.0000000000005", "1"), ("-5e-13", "0")], ids=["above-1", "below-0"])
+def test_mc_reads_the_population_that_compute_reads(capsys, argv, w_plus, edge):
+    # pure_state clamps a population within POSITIVITY_TOL of [0, 1] onto it, for both commands alike
+    assert run(capsys, "compute", "--pure", f"--w-plus={w_plus}", "--c", "0.5")[0] == 0
+    clamped = run(capsys, "mc", "--n", "1000", f"--w-plus={edge}", *argv)
+    assert run(capsys, "mc", "--n", "1000", f"--w-plus={w_plus}", *argv) == clamped
+
+
+_PSI = EntangledState(0.9, 0.3, 0.6)
 
 SCALAR_ENTRY_POINTS = {
     "DensityMatrix.w_plus": lambda x: DensityMatrix(x, 0.0),
@@ -282,9 +294,6 @@ SCALAR_ENTRY_POINTS = {
     "family_arrays.rho12": lambda x: family_arrays(0.5, x, 0.0, 0.0),
     "family_arrays.theta": lambda x: family_arrays(0.5, 0.1, x, 0.0),
     "family_arrays.varrho": lambda x: family_arrays(0.5, 0.1, 0.0, x),
-    "entangle.w_plus": lambda x: entangle(x, 0.0, 0.5),
-    "entangle.theta": lambda x: entangle(0.5, x, 0.5),
-    "entangle.c": lambda x: entangle(0.5, 0.0, x),
     "EntangledState.w_plus": lambda x: EntangledState(x, 0.0, 0.5),
     "EntangledState.theta": lambda x: EntangledState(0.5, x, 0.5),
     "EntangledState.c": lambda x: EntangledState(0.5, 0.0, x),
@@ -311,11 +320,22 @@ SCALAR_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "+inf", "-inf", "10**400"])
-@pytest.mark.parametrize("entry", sorted(SCALAR_ENTRY_POINTS))
+BAD_SCALARS = {
+    "nan": math.nan, "+inf": math.inf, "-inf": -math.inf, "10**400": 10**400,
+    "None": None, "str": "abc", "1j": 1j, "ragged": [[0.1], [0.2, 0.3]], "object": object(),
+}
+# is_residual's lam is complex, so 1j is a lam it takes
+BAD_CALLS = [
+    (entry, value) for entry in sorted(SCALAR_ENTRY_POINTS) for value in BAD_SCALARS
+    if (entry, value) != ("is_residual.lam", "1j")
+]
+
+
+@pytest.mark.parametrize("entry, value", BAD_CALLS, ids=[f"{entry}-{value}" for entry, value in BAD_CALLS])
 def test_non_finite_scalars_raise_parameter_error(entry, value):
-    with pytest.raises(ParameterError):
-        SCALAR_ENTRY_POINTS[entry](value)
+    # the message names the argument: the row's name, up to a qualifier after "-"
+    with pytest.raises(ParameterError, match=re.escape(entry.split(".")[1].split("-")[0])):
+        SCALAR_ENTRY_POINTS[entry](BAD_SCALARS[value])
 
 
 # The public functions and classes that take no float, so need no row above: they take matrices, or library objects
@@ -390,7 +410,7 @@ def test_cli_sizes_past_their_bound_exit_2(capsys, argv, message):
 
 
 def test_compute_and_meter_readout_skip_the_cross_check_routes(capsys, count_calls):
-    entangles = count_calls(simultaneous, "entangle")
+    entangles = count_calls(EntangledState, "__init__")
     reports = count_calls(verify, "minimum_product_routes")
     searches = count_calls(verify, "_golden_minimize")
     code, _, err = run(capsys, "compute", "--w-plus", "0.9", "--pure", "--theta", "0.3", "--c", "0.5")
@@ -428,13 +448,15 @@ def test_residual_of_one_state_lays_out_no_array_and_reads_none_back(count_calls
 
 # The complementary readout's rescaled outcome value 0.5 / c is huge at an underflowing c;
 # the b_value rows put it just past its bound.
-_PAST_RESCALE_BOUND = entangle(0.9, 0.3, 0.99 * GAUGE / MAX_RESCALED_VALUE)
+_PAST_RESCALE_BOUND = EntangledState(0.9, 0.3, 0.99 * GAUGE / MAX_RESCALED_VALUE)
 
 HUGE_GAUGES = {
     "estimate_b.b_value": (lambda: estimate_b(_PAST_RESCALE_BOUND, 0.3), "0.5 / c"),
     "sample_simultaneous.b_value": (lambda: sample_simultaneous(_PAST_RESCALE_BOUND, 0.3, 10, 1), "0.5 / c"),
-    "estimate_b.underflowing_c": (lambda: estimate_b(entangle(0.9, 0.3, 1e-200), 0.3), "0.5 / c"),
-    "sample_simultaneous.underflowing_c": (lambda: sample_simultaneous(entangle(0.9, 0.3, 1e-200), 0.3, 10, 1), "0.5 / c"),
+    "estimate_b.underflowing_c": (lambda: estimate_b(EntangledState(0.9, 0.3, 1e-200), 0.3), "0.5 / c"),
+    "sample_simultaneous.underflowing_c": (
+        lambda: sample_simultaneous(EntangledState(0.9, 0.3, 1e-200), 0.3, 10, 1), "0.5 / c"
+    ),
 }
 
 
@@ -450,7 +472,7 @@ def test_huge_gauges_raise_parameter_error(entry):
 def test_sampled_outcome_values_keep_a_finite_fourth_moment(c):
     message = f"readout_b outcome value magnitude {GAUGE / c!r} violates the bound |value| <= 5.7896e+76"
     with pytest.raises(ParameterError, match=re.escape(message)):
-        sample_simultaneous(entangle(0.9, 0.3, c), 0.3, 10, 1)
+        sample_simultaneous(EntangledState(0.9, 0.3, c), 0.3, 10, 1)
 
 
 def test_product_at_an_underflowing_overlap_is_the_limit():

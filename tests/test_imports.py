@@ -273,3 +273,81 @@ def test_the_scan_sees_a_float_or_stack_test():
 @pytest.mark.parametrize("path", LIBRARY, ids=[str(p.relative_to(ROOT)) for p in LIBRARY])
 def test_only_linalg_ops_tells_a_float_from_a_stack(path):
     assert float_or_stack_tests(path.read_text(), FLOAT_OR_STACK_EXEMPT.get(path.name, frozenset())) == []
+
+
+# A public function that only hands its own parameters on to another public name is a second name for one path:
+# the library keeps one, and a caller calls the other directly. A wrapper over a private kernel is not one of them.
+
+
+def passed_through(arg) -> str | None:
+    """The parameter that the call argument ``arg`` passes on as is, spelled as in a signature, or ``None``."""
+    if isinstance(arg, ast.Starred):
+        return f"*{arg.value.id}" if isinstance(arg.value, ast.Name) else None
+    if isinstance(arg, ast.keyword):
+        if not isinstance(arg.value, ast.Name) or arg.arg not in (None, arg.value.id):
+            return None
+        return arg.arg or f"**{arg.value.id}"
+    return getattr(arg, "id", None)
+
+
+def public_aliases(source: str) -> list[str]:
+    """Each public function of ``source`` that only calls another public name on its own parameters, in order.
+
+    Its body, docstring aside, is one ``return`` of that call, and the call's arguments are the function's
+    parameters passed on as they are: ``*args`` and ``**kwargs`` as such, a keyword-only one as ``name=name``.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name.startswith("_"):
+            continue
+        body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+        call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+        if not isinstance(call, ast.Call):
+            continue
+        callee = getattr(call.func, "id", getattr(call.func, "attr", "_"))
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args)] + [f"*{p.arg}" for p in (a.vararg,) if p]
+        params += [p.arg for p in a.kwonlyargs] + [f"**{p.arg}" for p in (a.kwarg,) if p]
+        if not callee.startswith("_") and [*map(passed_through, call.args + call.keywords)] == params:
+            found.append((node.lineno, f"{node.name} -> {callee}"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_the_scan_sees_a_public_alias():
+    source = (
+        "def entangle(w_plus, theta, c):\n"
+        '    """Couple the state to a meter."""\n'
+        "    return EntangledState(w_plus, theta, c)\n"
+        "def zeros(*shape, order, **kwargs):\n"
+        "    return np.zeros(*shape, order=order, **kwargs)\n"
+        "class Meter:\n"
+        "    def readout(self, c):\n"
+        "        return meter_projectors(self, c)\n"
+        "def swapped(a, b):\n"
+        "    return g(b, a)\n"
+        "def dropped(a, b):\n"
+        "    return g(a)\n"
+        "def extra(a):\n"
+        "    return g(a, 1)\n"
+        "def renamed(a, b):\n"
+        "    return g(a, c=b)\n"
+        "def read(psi):\n"
+        "    return g(psi.rows)\n"
+        "def kernel(a):\n"
+        "    return _kernel(a)\n"
+        "def _private(a):\n"
+        "    return g(a)\n"
+        "def two_statements(a):\n"
+        "    check(a)\n"
+        "    return g(a)\n"
+    )
+    assert public_aliases(source) == [
+        "line 1: entangle -> EntangledState",
+        "line 4: zeros -> zeros",
+        "line 7: readout -> meter_projectors",
+    ]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=[str(p.relative_to(ROOT)) for p in LIBRARY])
+def test_no_public_aliases(path):
+    assert public_aliases(path.read_text()) == []

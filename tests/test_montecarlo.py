@@ -10,9 +10,9 @@ import pytest
 from qudual import (
     REFERENCE,
     DensityMatrix,
+    EntangledState,
     ParameterError,
     complementary_observable,
-    entangle,
     mean_var,
     meter_projectors,
     pure_state,
@@ -134,7 +134,7 @@ def test_complementary_sharp_sampling():
 
 
 def test_simultaneous_reports_match_closed_forms():
-    psi = entangle(0.9, 0.3, math.sqrt(3.0 / 7.0))
+    psi = EntangledState(0.9, 0.3, math.sqrt(3.0 / 7.0))
     rep_a, rep_b = sample_simultaneous(psi, 0.3, 200000, seed=42)
     assert rep_a.quantity == "readout_a" and rep_b.quantity == "readout_b"
     assert rep_a.analytic_mean == pytest.approx(0.4, abs=1e-12)
@@ -147,7 +147,7 @@ def test_simultaneous_reports_match_closed_forms():
 
 
 def test_simultaneous_multiple_seeds_stay_within_gates():
-    psi = entangle(0.75, 1.0, 0.5)
+    psi = EntangledState(0.75, 1.0, 0.5)
     for seed in range(5):
         rep_a, rep_b = sample_simultaneous(psi, 1.0, 20000, seed=seed)
         assert not rep_a.flagged
@@ -202,7 +202,7 @@ def test_joint_counts_follow_the_meter_by_system_table():
     # meter outcome by system outcome, with cell probabilities p1 q0, p1 (1 - q0),
     # (1 - p1) q1 and (1 - p1)(1 - q1) from explicit projections
     c, varrho, b = 0.5, 1.0, 0.5
-    psi_e = entangle(0.7, 1.0, c)
+    psi_e = EntangledState(0.7, 1.0, c)
     mp = meter_projectors(c)
     vec_plus = complementary_observable(varrho).vec_plus
     amps = [psi_e.amplitudes @ m.conj() for m in (mp.vec_plus, mp.vec_minus)]
@@ -255,7 +255,7 @@ def test_chunked_joint_counts_equal_one_shot_draws(n, monkeypatch):
     # the counts are Bin(n, p1), then Bin(n_m1, q0) + Bin(n - n_m1, q1), drawn
     # in that order from the one (seed, stream) generator
     c, varrho, b = 0.62, 1.3, 0.5
-    psi_e = entangle(0.8, 0.4, c)
+    psi_e = EntangledState(0.8, 0.4, c)
     log = []
     real = montecarlo._generator
     monkeypatch.setattr(montecarlo, "_generator", lambda seed, stream=0: _BinomialLog(real(seed, stream), log))
@@ -290,7 +290,7 @@ def _allocation_peak(call) -> int:
 def test_sampler_memory_does_not_grow_with_n(sampler):
     # at the largest n the call takes milliseconds and little memory: its
     # cost is flat in n
-    rho, psi = pure_state(0.9, 0.3), entangle(0.9, 0.3, 0.6)
+    rho, psi = pure_state(0.9, 0.3), EntangledState(0.9, 0.3, 0.6)
     run = {
         "sharp": lambda n: sample_sharp(rho, A, n, seed=3),
         "simultaneous": lambda n: sample_simultaneous(psi, 0.3, n, seed=3),

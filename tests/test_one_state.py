@@ -19,9 +19,9 @@ from qudual.cli import main
 from qudual.duality import duality_arrays, family_arrays, predictability, visibility
 from qudual.linalg import assert_unitary
 from qudual.simultaneous import (
+    EntangledState,
     _amplitudes,
     distinguishability,
-    entangle,
     entangled_visibility,
     estimate_a,
     estimate_b,
@@ -165,7 +165,7 @@ def test_entangled_state_rows_have_the_bits_of_their_stack_element():
     w, theta, c = (np.array(axis) for axis in zip(*rows))
     stack = _amplitudes(w, np.remainder(theta, TWO_PI), c)
     for i, row in enumerate(rows):
-        psi = entangle(*row)
+        psi = EntangledState(*row)
         assert floats(psi._rows)
         assert bits(psi._rows) == bits(at(stack, i)), row
 
@@ -193,10 +193,21 @@ def test_arrays_are_laid_out_from_the_parts_when_first_read():
         a, d, x, y = obs._parts
         _assert_laid_out(obs.matrix, (((a, 0.0), (x, y)), ((x, -y), (d, 0.0))))
     for row in grid(W, PHASES, C):
-        psi = entangle(*row)
+        psi = EntangledState(*row)
         assert "amplitudes" not in vars(psi)
         _assert_laid_out(psi.amplitudes, psi._rows)
         assert psi.amplitudes is psi.amplitudes
+
+
+def test_checked_observables_hold_what_library_built_ones_hold():
+    # Observable(...) keeps its basis only as the parts of its columns, and lays it out from them on first read
+    for varrho in PHASES:
+        basis = complementary_observable(varrho).basis
+        checked, built = Observable(GAUGE, -GAUGE, basis), complementary_observable(varrho)
+        assert vars(checked).keys() == vars(built).keys() == {"val_plus", "val_minus", "_columns"}
+        _assert_laid_out(checked.basis, zip(*checked._columns))
+        assert bits(checked.basis) == bits(built.basis) == bits(basis), varrho
+        assert vars(checked).keys() == vars(built).keys() == {"val_plus", "val_minus", "_columns", "basis"}
 
 
 def _states():
@@ -256,7 +267,7 @@ def test_meter_readouts_built_without_a_check_pass_it():
 def _one_state_calls(x):
     """Each one-state public function by name, as a call on inputs that ``x`` makes of Python floats."""
     rho, member = DensityMatrix(x(0.7), x(0.3), x(1.1)), complementary_observable(x(0.4))
-    psi = entangle(x(0.9), x(0.3), x(0.6))
+    psi = EntangledState(x(0.9), x(0.3), x(0.6))
     return {
         "pure_state": lambda: pure_state(x(0.3), x(0.4)),
         "DensityMatrix": lambda: DensityMatrix(x(0.7), x(0.3), x(1.1)).purity,
@@ -270,7 +281,7 @@ def _one_state_calls(x):
         "normalized_product_bounds": lambda: normalized_product_bounds(x(0.3)),
         "intelligent_state": lambda: [intelligent_state(f, x(0.3), x(0.4), -1) for f in ("IS1", "IS2a", "IS2b")],
         "is_residual": lambda: is_residual(pure_state(x(0.3), x(0.5)), x(0.3) + 0.1j, REFERENCE, member),
-        "entangle": lambda: entangle(x(0.9), x(0.3), x(0.6)),
+        "EntangledState": lambda: EntangledState(x(0.9), x(0.3), x(0.6)),
         "distinguishability": lambda: distinguishability(psi),
         "entangled_visibility": lambda: entangled_visibility(psi),
         "meter_projectors": lambda: meter_projectors(x(0.6)),

@@ -30,7 +30,6 @@ PUBLIC_NAMES = [
     "density_params",
     "distinguishability",
     "duality_arrays",
-    "entangle",
     "entangled_arrays",
     "entangled_visibility",
     "estimate_a",

@@ -16,7 +16,6 @@ from qudual import (
     complementary_observable,
     density_params,
     distinguishability,
-    entangle,
     entangled_arrays,
     entangled_visibility,
     estimate_a,
@@ -38,7 +37,7 @@ C_OPT_09 = math.sqrt(3.0 / 7.0)
 
 
 def test_entangled_amplitudes():
-    psi = entangle(0.9, 0.3, 0.6)
+    psi = EntangledState(0.9, 0.3, 0.6)
     phase = np.exp(0.3j)
     # psi[system, meter]
     target = np.array(
@@ -51,20 +50,21 @@ def test_entangled_amplitudes():
 
 def test_entangle_rejects_bad_parameters():
     with pytest.raises(ParameterError, match=r"c = 1\.2 violates"):
-        entangle(0.5, 0.0, 1.2)
+        EntangledState(0.5, 0.0, 1.2)
     with pytest.raises(ParameterError, match=r"w_plus = -0\.1 violates"):
-        entangle(-0.1, 0.0, 0.5)
+        EntangledState(-0.1, 0.0, 0.5)
 
 
 def test_entangled_state_checks_its_parameters_and_computes_its_amplitudes():
-    # built directly, a state is checked as entangle checks it; its amplitudes are computed, never passed in
+    # a state is checked where it is built; its amplitudes are computed, never passed in
     with pytest.raises(ParameterError, match=r"w_plus = nan violates"):
         EntangledState(math.nan, 0.0, 0.5)
     with pytest.raises(TypeError):
         EntangledState(0.5, 0.0, 0.5, np.eye(2))
     assert EntangledState(0.9, -1.0, 0.6).theta == -1.0 % (2.0 * math.pi)
     psi = EntangledState(0.9, 0.3, 0.6)
-    assert psi.amplitudes.tobytes() == entangle(0.9, 0.3, 0.6).amplitudes.tobytes()
+    minus = np.exp(0.3j) * math.sqrt(0.1)  # the system state's second amplitude, split over m+ and m_perp
+    np.testing.assert_allclose(psi.amplitudes, [[math.sqrt(0.9), 0.0], [0.6 * minus, 0.8 * minus]], rtol=0, atol=1e-15)
     assert not psi.amplitudes.flags.writeable
 
 
@@ -78,14 +78,14 @@ def test_marginal_coherence_is_scaled_by_overlap(w, theta, c):
 
 
 def test_which_path_frozen_values():
-    psi = entangle(0.5, 0.0, 0.6)
+    psi = EntangledState(0.5, 0.0, 0.6)
     assert distinguishability(psi) == pytest.approx(0.8, abs=1e-12)
     assert entangled_visibility(psi) == pytest.approx(0.6, abs=1e-12)
 
 
 @given(w=w_values, theta=angles, c=overlaps)
 def test_which_path_duality_is_tight(w, theta, c):
-    psi = entangle(w, theta, c)
+    psi = EntangledState(w, theta, c)
     d = distinguishability(psi)
     ve = entangled_visibility(psi)
     assert d * d + ve * ve == pytest.approx(1.0, abs=1e-12)
@@ -93,7 +93,7 @@ def test_which_path_duality_is_tight(w, theta, c):
 
 
 def _scalar_which_way(w, theta, c):
-    psi = entangle(w, theta, c)
+    psi = EntangledState(w, theta, c)
     marginal = (float(x) for x in entangled_arrays(w, theta, c)[2:])
     return distinguishability(psi), entangled_visibility(psi), *marginal
 
@@ -133,7 +133,7 @@ def test_stacked_which_way_rejects_as_entangle(slot, bad):
     args = [[0.3, 0.5, 0.7], [0.1, 0.2, 0.3], [0.2, 0.4, 0.6]]
     args[slot][1] = bad
     with pytest.raises(ParameterError) as scalar:
-        entangle(*(a[1] for a in args))
+        EntangledState(*(a[1] for a in args))
     with pytest.raises(ParameterError, match=re.escape(str(scalar.value)) + "$"):
         entangled_arrays(*args)
 
@@ -169,7 +169,7 @@ def test_meter_marginal_moments_match_estimate_a():
     # meter state left by tracing out the system are the readout moments.
     rng = np.random.default_rng(14)
     for w, theta, c in zip(rng.uniform(0.0, 1.0, 200), rng.uniform(0.0, 2.0 * math.pi, 200), rng.uniform(0.01, 0.99, 200)):
-        psi_e = entangle(w, theta, c)
+        psi_e = EntangledState(w, theta, c)
         psi = psi_e.amplitudes
         meter = DensityMatrix(*(float(x) for x in density_params(np.einsum("sm,sn->mn", psi, psi.conj()))))
         obs = meter_projectors(c)
@@ -198,7 +198,7 @@ def assert_matches_projection(psi, varrho):
 
 
 def test_readout_frozen_values():
-    psi = entangle(0.9, 0.3, C_OPT_09)
+    psi = EntangledState(0.9, 0.3, C_OPT_09)
     (mean_a, var_a), (mean_b, var_b) = assert_matches_projection(psi, 0.3)
     assert mean_a == pytest.approx(0.4, abs=1e-12)
     assert var_a == pytest.approx(0.2775, abs=1e-12)
@@ -209,7 +209,7 @@ def test_readout_frozen_values():
 
 def test_readout_erasure_phase_variance():
     # erasure phase choice: zero mean and variance (b / c)^2
-    psi = entangle(0.5, 0.0, 0.6)
+    psi = EntangledState(0.5, 0.0, 0.6)
     mean_b, var_b = estimate_b(psi, math.pi / 2.0)
     assert mean_b == pytest.approx(0.0, abs=1e-12)
     assert var_b == pytest.approx((0.5 / 0.6) ** 2, abs=1e-12)
@@ -217,7 +217,7 @@ def test_readout_erasure_phase_variance():
 
 @given(w=interior, theta=angles, c=st.floats(min_value=0.05, max_value=0.95), varrho=angles)
 def test_readouts_are_unbiased(w, theta, c, varrho):
-    psi = entangle(w, theta, c)
+    psi = EntangledState(w, theta, c)
     (mean_a, _), (mean_b, _) = assert_matches_projection(psi, varrho)
     assert mean_a == pytest.approx(0.5 * (2.0 * w - 1.0), abs=1e-12)
     b_obs = complementary_observable(varrho)
@@ -227,9 +227,9 @@ def test_readouts_are_unbiased(w, theta, c, varrho):
 
 def test_readout_requires_interior_overlap():
     with pytest.raises(SingularConfigurationError):
-        estimate_a(entangle(0.5, 0.0, 0.0))
+        estimate_a(EntangledState(0.5, 0.0, 0.0))
     with pytest.raises(SingularConfigurationError):
-        estimate_b(entangle(0.5, 0.0, 0.0), 0.0)
+        estimate_b(EntangledState(0.5, 0.0, 0.0), 0.0)
 
 
 def test_product_frozen_values():
@@ -239,14 +239,14 @@ def test_product_frozen_values():
     assert simultaneous_product(1.0, 0.0) == pytest.approx(0.0625, abs=0.0)
     assert simultaneous_product(0.9, 0.0) == math.inf
     # One part in 1e9 below c = 1, where 1 - c*c keeps only about half its digits.
-    psi = entangle(0.9, 0.3, 0.999999999)
+    psi = EntangledState(0.9, 0.3, 0.999999999)
     readouts = estimate_a(psi)[1] * estimate_b(psi, 0.3)[1]
     assert simultaneous_product(0.9, 0.999999999) == pytest.approx(readouts, rel=1e-15, abs=0.0)
 
 
 @given(w=interior, c=st.floats(min_value=0.05, max_value=0.95))
 def test_product_matches_readout_variances(w, c):
-    psi = entangle(w, 0.7, c)
+    psi = EntangledState(w, 0.7, c)
     (_, var_a), (_, var_b) = assert_matches_projection(psi, 0.7)
     assert simultaneous_product(w, c) == pytest.approx(var_a * var_b, rel=1e-12)
 

@@ -204,6 +204,10 @@ def test_observable_rejects_equal_values_and_bad_basis():
             Observable(0.5, -0.5, np.full((2, 2), bad))
         with pytest.raises(ContractViolationError, match="unitary"):
             Observable(0.5, -0.5, np.array([[1.0, 0.0], [0.0, bad]]))
+    stack = np.array([np.eye(2), complementary_observable(0.3).basis])  # unitary matrix by matrix
+    message = r"^eigenbasis must be one matrix, not a stack, got shape \(2, 2, 2\)$"
+    with pytest.raises(ContractViolationError, match=message):
+        Observable(0.5, -0.5, stack)
 
 
 def test_family_members_are_unbiased_superpositions():

@@ -298,6 +298,9 @@ def test_intelligent_state_singular_points():
     assert intelligent_state("IS2a", 5e-324, 0.0).lam == complex(math.inf, 0.0)
     with pytest.raises(ParameterError, match="family"):
         intelligent_state("IS9", 0.5, 0.0)
+    for branch in (0, 2, "1"):
+        with pytest.raises(ParameterError, match=f"^branch must be \\+1 or -1, got {branch!r}$"):
+            intelligent_state("IS1", 0.5, 0.0, branch)
 
 
 def _assert_intelligent(st_obj, varrho):

@@ -9,7 +9,7 @@ import pytest
 from qudual import DensityMatrix, duality, linalg, montecarlo, simultaneous, states, uncertainty, verify
 from qudual.cli import main
 from qudual.errors import ParameterError
-from qudual.simultaneous import entangle, estimate_a, estimate_b
+from qudual.simultaneous import EntangledState, estimate_a, estimate_b
 from qudual.states import REFERENCE, TWO_PI, complementary_observable, pure_state
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -83,7 +83,7 @@ def test_batched_suites_make_one_kernel_call_each(count_calls):
     scalar_calls = [
         count_calls(uncertainty, "robertson"),
         count_calls(uncertainty, "mean_var"),
-        count_calls(simultaneous, "entangle"),
+        count_calls(EntangledState, "__init__"),
         count_calls(simultaneous, "distinguishability"),
         count_calls(simultaneous, "entangled_visibility"),
         count_calls(states.DensityMatrix, "__init__"),
@@ -164,7 +164,7 @@ def test_suites_hand_their_checks_to_the_tally_in_stacked_calls(count_calls):
 
 
 def test_stacked_projection_matches_one_state_calls():
-    psi = [entangle(w, theta, c) for w, theta, c in READOUT_GRID]
+    psi = [EntangledState(w, theta, c) for w, theta, c in READOUT_GRID]
     varrho = [0.3 * k for k in range(len(psi))]  # a distinct member for every state
     stacked = verify.projected_readout_moments(np.stack([p.amplitudes for p in psi]), [p.c for p in psi], varrho)
     stacked = np.array(stacked).reshape(4, -1)
@@ -205,7 +205,7 @@ def test_planted_readout_fault_keeps_the_loop_notes(monkeypatch, faulty_c):
     notes = []
     for w, theta, c in READOUT_GRID:
         if c in faulty_c and len(notes) < 6:
-            psi = entangle(w, theta, c)
+            psi = EntangledState(w, theta, c)
             (_, var), (_, var_x) = planted(psi, varrho), verify.projected_readout_moments(psi.amplitudes, c, varrho)[1]
             notes.append(f"system readout variance by projection w={w} theta={theta:.2f} c={c}: {var!r} vs {float(var_x)!r}")
     assert (result.checks, result.failures) == (4008, 72 * len(faulty_c))
@@ -349,6 +349,18 @@ PLANTED_FAULTS = [
         id="intelligent_states",
     ),
     pytest.param(
+        "intelligent_states", "normalized_product_bounds", lambda exact: lambda w: _shift(exact(w), 0.0, 1e-3), 588, 42,
+        [
+            "IS2b product sits on the ceiling w=0.00: 0.0 vs 0.001",
+            "IS2b product sits on the ceiling w=0.05: 0.011875000000000004 vs 0.012875000000000001",
+            "IS2b product sits on the ceiling w=0.10: 0.02249999999999998 vs 0.023500000000000004",
+            "IS2b product sits on the ceiling w=0.15: 0.03187499999999998 vs 0.032875",
+            "IS2b product sits on the ceiling w=0.20: 0.03999999999999997 vs 0.04100000000000001",
+            "IS2b product sits on the ceiling w=0.25: 0.04687499999999997 vs 0.047875",
+        ],
+        id="intelligent_states-product",
+    ),
+    pytest.param(
         "entangled_duality", "entangled_arrays", lambda exact: lambda *a: _shift(exact(*a), -1e-9), 10404, 2751,
         [
             "erasure-free duality w=0.00 c=0.00: 0.9999999980000001 vs 1.0",
@@ -416,6 +428,19 @@ def test_verify_report_keeps_its_pinned_digest(output_digests, level, seed):
     argv = ("verify", "--level", level, "--seed", seed)
     code, digest = digest_tool.run(argv)
     assert f"{digest}  {code}  {' '.join(argv)}" == pinned[" ".join(argv)]
+
+
+def test_raises_notes_a_missing_and_a_wrong_exception():
+    t = verify._Tally("raises")
+    t.raises(ParameterError, lambda: pure_state(1.5), "population past 1")
+    t.raises(ParameterError, lambda: pure_state(0.5), "valid population")
+    t.raises(ParameterError, lambda: 1 / 0, "division by zero")
+    notes = ["valid population: no exception", "division by zero: wrong exception type"]
+    assert (t.checks, t.failures, t.notes) == (3, 2, notes)
+
+
+def test_report_of_no_suites_is_a_header_and_a_verdict():
+    assert verify.render_report([], "fast", 1) == "self-check level=fast seed=1\nresult: PASS checks=0 failures=0\n"
 
 
 def test_run_suite_names_the_allowed_suites_and_levels():
