@@ -153,11 +153,13 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _sweep_rows(figure: int, points: int) -> list[str]:
-    w = np.array([math.sin(float(alpha)) ** 2 for alpha in np.linspace(0.0, math.pi / 2.0, points)])
+    # Python floats for the per-row scalar calls, which take check_scalar's fast path; an array for the stacked ones
+    w = [math.sin(alpha) ** 2 for alpha in np.linspace(0.0, math.pi / 2.0, points).tolist()]
+    stack = np.array(w)
     c_opt = [optimal_entanglement(x) for x in w]
-    p, v = duality_arrays(w, np.sqrt(w * (1.0 - w)))[:2]
+    p, v = duality_arrays(stack, np.sqrt(stack * (1.0 - stack)))[:2]
     lo, hi = zip(*map(normalized_product_bounds, w))
-    d, ve = entangled_arrays(w, 0.0, 1.0 if figure == 1 else c_opt)[:2]
+    d, ve = entangled_arrays(stack, 0.0, 1.0 if figure == 1 else c_opt)[:2]
     sim_min = map(simultaneous_product, w, c_opt)
     return [",".join(map(_fmt, row)) for row in zip(w, p, v, lo, hi, d, ve, c_opt, sim_min)]
 

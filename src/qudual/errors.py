@@ -37,6 +37,11 @@ class SingularConfigurationError(QudualError):
     """
 
 
+# Python's complex and every NumPy complex scalar type, whose float() would drop the imaginary part; bound here so
+# that a one-state call reads nothing of NumPy.
+_COMPLEX = (complex, np.complexfloating)
+
+
 def _not_real(name: str, value) -> ParameterError:
     return ParameterError(f"{name} = {reprlib.repr(value)} violates the bound: {name} must be a real number")
 
@@ -45,8 +50,10 @@ def as_float(value, name: str) -> float:
     """``float(value)``, with an integer beyond the double range taken as an infinity of its sign.
 
     A value that is not a real number, such as ``None``, a string or a complex, raises a :class:`ParameterError`
-    that names the argument ``name``.
+    that names the argument ``name``, whatever the imaginary part.
     """
+    if isinstance(value, _COMPLEX):
+        raise _not_real(name, value)
     try:
         return float(value)
     except OverflowError:
@@ -56,14 +63,17 @@ def as_float(value, name: str) -> float:
 
 
 def as_float_array(values, name: str) -> np.ndarray:
-    """:func:`as_float` elementwise: ``values`` as a float array; a ragged sequence is not real numbers either."""
+    """:func:`as_float` elementwise: ``values`` as a float array; a ragged sequence or a complex array is not real."""
     try:
-        return np.asarray(values, dtype=float)
+        array = np.asarray(values)
+        if array.dtype.kind != "c":
+            return np.asarray(array, dtype=float)
     except OverflowError:
         items = np.asarray(values, dtype=object)
         return np.array([as_float(x, name) for x in items.flat], dtype=float).reshape(items.shape)
     except (TypeError, ValueError) as exc:
         raise _not_real(name, values) from exc
+    raise _not_real(name, values)
 
 
 def check_scalar(
@@ -80,7 +90,16 @@ def check_scalar(
     value accepted inside the slack is clamped onto ``[lo, hi]``. An integer
     beyond the double range counts as an infinity of its sign. The message
     names the bound and shows an integer as an integer.
+
+    A finite Python float already in ``[lo, hi]`` is returned as it is, before
+    any conversion. The clamp would return that same float: ``max`` and
+    ``min`` keep their first argument unless the other is strictly beyond it,
+    so the value comes back with its bits, zero sign included. Every other
+    input (an int, a bool, a NumPy float, which comes back as a Python float,
+    a value outside the bounds or inside the slack) takes the full path.
     """
+    if type(value) is float and lo <= value <= hi and math.isfinite(value):
+        return value
     v = as_float(value, name)
     if not math.isfinite(v) or v < lo - slack or v > hi + slack:
         left = "-inf <" if lo == -math.inf else f"{lo:g} <="

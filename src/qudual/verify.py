@@ -40,7 +40,7 @@ import numpy as np
 from . import montecarlo
 from .duality import duality_arrays, family_arrays, visibility, visibility_oracle
 from .errors import ContractViolationError, ParameterError
-from .linalg import _eigenvalues, _from_parts, _hypot, _parts, _split, _times_conj, trace_norm
+from .linalg import _eigenvalues, _from_entries, _from_parts, _hypot, _parts, _split, _times_conj, trace_norm
 from .simultaneous import (
     EntangledState,
     entangled_arrays,
@@ -231,17 +231,19 @@ def projected_readout_moments(psi: np.ndarray, c, varrho) -> tuple:
     and phases ``varrho`` broadcast to it. The meter readout projects on the
     eigenvectors of :func:`meter_projectors`, the system readout on the family
     member at ``varrho`` with outcome values ``+-GAUGE / c``; each is built
-    once per distinct ``c`` or ``varrho``. Returns ``((mean_a, var_a),
-    (mean_b, var_b))`` as arrays, the independent route to :func:`estimate_a`
-    and :func:`estimate_b`; an element rounds as that state alone does.
+    once per distinct ``c`` or ``varrho``, then indexed for every element.
+    Returns ``((mean_a, var_a), (mean_b, var_b))`` as arrays, the independent
+    route to :func:`estimate_a` and :func:`estimate_b`; an element rounds as
+    that state alone does.
     """
     c, varrho = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(varrho, dtype=float))
-    meters = {x: meter_projectors(x) for x in set(c.flat)}
-    members = {x: complementary_observable(x).basis.T for x in set(varrho.flat)}
+    overlaps, c_at = np.unique(c.ravel(), return_inverse=True)
+    phases, varrho_at = np.unique(varrho.ravel(), return_inverse=True)
+    meters = [meter_projectors(x) for x in overlaps.tolist()]
     # Outcome k of each readout: row k of the meter vectors, of the member vectors.
-    m = np.array([meters[x].basis.T for x in c.flat]).reshape(c.shape + (2, 2))
-    values = np.array([(meters[x].val_plus, meters[x].val_minus) for x in c.flat]).reshape(c.shape + (2,))
-    vecs = np.array([members[x] for x in varrho.flat]).reshape(c.shape + (2, 2))
+    m = np.array([mp.basis.T for mp in meters])[c_at].reshape(c.shape + (2, 2))
+    values = np.array([(mp.val_plus, mp.val_minus) for mp in meters])[c_at].reshape(c.shape + (2,))
+    vecs = np.array([complementary_observable(x).basis.T for x in phases.tolist()])[varrho_at].reshape(c.shape + (2, 2))
     p_a = _weight((psi[..., None, :, :] * m.conj()[..., :, None, :]).sum(axis=-1))
     p_b = _weight((vecs.conj()[..., :, :, None] * psi[..., None, :, :]).sum(axis=-2))
     mean_a = (values * p_a).sum(axis=-1)
@@ -549,6 +551,17 @@ def _suite_entangled_duality(t: _Tally, run: dict, rng: np.random.Generator) -> 
     )
 
 
+def _entry_parts(psi: EntangledState) -> tuple:
+    """The parts ``(re, im)`` of the amplitudes of ``psi``, entry by entry: eight floats, in the order of its rows."""
+    (m00, m01), (m10, m11) = psi._rows
+    return (*m00, *m01, *m10, *m11)
+
+
+def _amplitude_stack(parts: np.ndarray) -> np.ndarray:
+    """The :attr:`EntangledState.amplitudes` of the states whose :func:`_entry_parts` are the rows of ``parts``."""
+    return _from_entries(*zip(parts.T[0::2], parts.T[1::2]))
+
+
 def _suite_unbiasedness(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     varrho = math.pi / 5.0
     b_obs = complementary_observable(varrho)
@@ -556,14 +569,15 @@ def _suite_unbiasedness(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     thetas = [TWO_PI * j / 8.0 for j in range(8)]
     grid = [(w, theta, c) for w in tenths for theta in thetas for c in tenths]
     sharp_b = {(w, theta): mean_var(pure_state(w, theta), b_obs)[0] for w in tenths for theta in thetas}
-    amplitudes = np.empty((len(grid), 2, 2), dtype=complex)
-    closed = np.empty((len(grid), 4))
-    sharp = np.empty((len(grid), 2))  # the sharp means of A and B
+    # Rows of two arrays, so that no object of one state outlives its step and the memory stays flat.
+    parts, closed = np.empty((len(grid), 8)), np.empty((len(grid), 4))
     for i, (w, theta, c) in enumerate(grid):
         psi = EntangledState(w, theta, c)
-        amplitudes[i] = psi.amplitudes
+        parts[i] = _entry_parts(psi)
         closed[i] = (*estimate_a(psi), *estimate_b(psi, varrho))
-        sharp[i] = (GAUGE * (2.0 * w - 1.0), sharp_b[w, theta])
+    amplitudes = _amplitude_stack(parts)
+    # the sharp means of A and B
+    sharp = np.array([(GAUGE * (2.0 * w - 1.0), sharp_b[w, theta]) for w, theta, _ in grid])
     projected = np.ravel(projected_readout_moments(amplitudes, [c for _, _, c in grid], varrho)).reshape(4, -1)
 
     def at(i: int) -> str:
@@ -585,7 +599,7 @@ def _suite_unbiasedness(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     # c is one element.
     probes = [(w, theta) for w in _PROBE_W for theta in _PROBE_THETA]
     grid = [(w, theta, c) for c in _PROBE_C for w, theta in probes]
-    amplitudes = np.array([EntangledState(*point).amplitudes for point in grid])
+    amplitudes = _amplitude_stack(np.array([_entry_parts(EntangledState(*point)) for point in grid]))
     (mean, _), _ = projected_readout_moments(amplitudes, [c for _, _, c in grid], [theta for _, theta, _ in grid])
     mean = mean.reshape(len(_PROBE_C), len(probes))
     sharp = np.array([GAUGE * (2.0 * w - 1.0) for w, _ in probes])

@@ -8,6 +8,7 @@ import warnings
 from decimal import Context, Decimal, localcontext
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qudual
@@ -323,11 +324,14 @@ SCALAR_ENTRY_POINTS = {
 BAD_SCALARS = {
     "nan": math.nan, "+inf": math.inf, "-inf": -math.inf, "10**400": 10**400,
     "None": None, "str": "abc", "1j": 1j, "ragged": [[0.1], [0.2, 0.3]], "object": object(),
+    # NumPy complex values, whose float() would drop the imaginary part, zero or not
+    "complex128": np.complex128(0.5), "complex64": np.complex64(0.5), "complex-array": np.array(0.5 + 0j),
 }
-# is_residual's lam is complex, so 1j is a lam it takes
+COMPLEX = ("1j", "complex128", "complex64", "complex-array")
+# is_residual's lam is complex, so a complex is a lam it takes
 BAD_CALLS = [
     (entry, value) for entry in sorted(SCALAR_ENTRY_POINTS) for value in BAD_SCALARS
-    if (entry, value) != ("is_residual.lam", "1j")
+    if entry != "is_residual.lam" or value not in COMPLEX
 ]
 
 

@@ -134,6 +134,21 @@ def test_batched_suites_make_one_kernel_call_each(count_calls):
     assert [np.broadcast(*call[1:]).size for call in scans] == [2 * 512] * 23
 
 
+def test_unbiasedness_lays_out_each_amplitude_stack_once(count_calls):
+    """The grid and the probe amplitudes are one stack each, with the bytes of the states' own ``amplitudes``."""
+    projections = count_calls(verify, "projected_readout_moments")
+    layouts = count_calls(linalg, "_from_entries")
+    result = verify.run_suite("unbiasedness", "full", 42)
+    assert (result.checks, result.failures) == (4008, 0)
+    # Two stacks, and one meter or family basis for each distinct overlap and phase that a projection reads.
+    bases = sum(len(set(np.ravel(c))) + len(set(np.ravel(varrho))) for _, c, varrho in projections)
+    assert len(layouts) == 2 + bases == 27
+    probes = [(w, theta, c) for c in verify._PROBE_C for w in verify._PROBE_W for theta in verify._PROBE_THETA]
+    for (psi, _, _), points in zip(projections, (READOUT_GRID, probes), strict=True):
+        expected = np.array([EntangledState(*point).amplitudes for point in points])
+        assert (psi.dtype, psi.shape, psi.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+
+
 def test_suites_hand_their_checks_to_the_tally_in_stacked_calls(count_calls):
     """A grid's checks are one tally call, not one per element, and the family suite builds three members a phase.
 
