@@ -15,22 +15,24 @@ import numpy as np
 from qudual import (
     REFERENCE,
     complementary_observable,
-    duality_arrays,
-    family_arrays,
+    family_duality,
+    predictability,
     pure_state,
+    visibility,
 )
 
 
 def main():
     rho = pure_state(0.8, theta=0.6)
-    base = duality_arrays(rho.w_plus, rho.rho12)[2]
+    p, v = predictability(rho), visibility(rho)
+    base = p * p + v * v
     print(f"state: w+ = {rho.w_plus}, theta = {rho.theta}")
     print(f"invariant P_B^2 + V_B^2 = {base:.12f} for every family member")
     print()
 
     print(" varrho     P_B       V_B     P_B^2+V_B^2")
     phases = np.linspace(0.0, math.pi, 13)
-    for varrho, p_b, v_b in zip(phases, *family_arrays(rho.w_plus, rho.rho12, rho.theta, phases)):
+    for varrho, p_b, v_b in zip(phases, *family_duality(rho, phases)):
         mark = ""
         if abs(varrho - rho.theta) < 1e-9:
             mark = "  <- proper member (varrho = theta)"

@@ -13,15 +13,17 @@ import numpy as np
 
 from qudual import (
     DensityMatrix,
-    duality_arrays,
     fringe_probability,
+    predictability,
     pure_state,
+    visibility,
     visibility_oracle,
 )
 
 
 def show(label, rho):
-    p, v, sum_sq = duality_arrays(rho.w_plus, rho.rho12)
+    p, v = predictability(rho), visibility(rho)
+    sum_sq = p * p + v * v
     print(f"{label}")
     print(f"  populations      w+ = {rho.w_plus:.4f}, w- = {rho.w_minus:.4f}")
     print(f"  coherence        rho12 = {rho.rho12:.4f}, theta = {rho.theta:.4f}")
@@ -46,7 +48,7 @@ def main():
     print("brute-force check of the visibility on the pure state:")
     v_hat, xi_hat = visibility_oracle(pure, grid_n=512)
     print(f"  grid oracle      V = {v_hat:.6f} at beam-splitter angle xi = {xi_hat:.6f}")
-    print(f"  closed form      V = {duality_arrays(pure.w_plus, pure.rho12)[1]:.6f} at xi = {math.pi / 4.0:.6f}")
+    print(f"  closed form      V = {visibility(pure):.6f} at xi = {math.pi / 4.0:.6f}")
     print()
 
     print("one cut through the fringe at the balanced splitter:")

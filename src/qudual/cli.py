@@ -32,12 +32,11 @@ from dataclasses import replace
 import numpy as np
 
 from . import montecarlo, verify
-from .duality import duality_arrays, family_arrays, visibility
+from .duality import family_duality, predictability, visibility
 from .errors import ParameterError, QudualError, check_scalar
 from .simultaneous import (
     EntangledState,
     distinguishability,
-    entangled_arrays,
     entangled_visibility,
     estimate_a,
     estimate_b,
@@ -93,9 +92,9 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         raise ParameterError("one of --rho12 or --pure is required")
     varrho = rho.theta if args.varrho is None else args.varrho
 
-    p, v, sum_sq = duality_arrays(rho.w_plus, rho.rho12)
+    p, v = predictability(rho), visibility(rho)
     b_obs = complementary_observable(varrho)
-    p_b, v_b = family_arrays(rho.w_plus, rho.rho12, rho.theta, varrho)
+    p_b, v_b = family_duality(rho, varrho)
     mean_a, var_a = mean_var(rho, REFERENCE)
     mean_b, var_b = mean_var(rho, b_obs)
     bound = robertson(rho, REFERENCE, b_obs)
@@ -108,7 +107,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         ("purity", rho.purity),
         ("P", p),
         ("V", v),
-        ("P2_plus_V2", sum_sq),
+        ("P2_plus_V2", p * p + v * v),
         ("varrho", varrho),
         ("P_B", p_b),
         ("V_B", v_b),
@@ -153,13 +152,14 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _sweep_rows(figure: int, points: int) -> list[str]:
-    # Python floats for the per-row scalar calls, which take check_scalar's fast path; an array for the stacked ones
+    # Python floats for the per-row scalar calls, which take check_scalar's fast path; a stack of states for the rest
     w = [math.sin(alpha) ** 2 for alpha in np.linspace(0.0, math.pi / 2.0, points).tolist()]
     stack = np.array(w)
     c_opt = [optimal_entanglement(x) for x in w]
-    p, v = duality_arrays(stack, np.sqrt(stack * (1.0 - stack)))[:2]
+    rho = DensityMatrix(stack, np.sqrt(stack * (1.0 - stack)))
     lo, hi = zip(*map(normalized_product_bounds, w))
-    d, ve = entangled_arrays(stack, 0.0, 1.0 if figure == 1 else c_opt)[:2]
+    psi = EntangledState(stack, 0.0, 1.0 if figure == 1 else c_opt)
+    p, v, d, ve = predictability(rho), visibility(rho), distinguishability(psi), entangled_visibility(psi)
     sim_min = map(simultaneous_product, w, c_opt)
     return [",".join(map(_fmt, row)) for row in zip(w, p, v, lo, hi, d, ve, c_opt, sim_min)]
 

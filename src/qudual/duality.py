@@ -6,6 +6,10 @@ by a phase scan behind a balanced beam splitter. For any state the two obey
 ``P**2 + V**2 <= 1`` with equality exactly on pure states, and the sum is
 invariant under the choice of complementary family member.
 
+Each closed form takes one state or a stack, :class:`~qudual.states.DensityMatrix`
+built from arrays, and returns a float or an array, each element of a stack
+with the bits of its state alone.
+
 The grid oracle here deliberately avoids the closed forms: it scans explicit
 unitary transformations of the state and reads the fringe off the resulting
 detection probabilities, which is what an experiment would do. The
@@ -22,8 +26,8 @@ import math
 
 import numpy as np
 
-from .errors import ContractViolationError, as_float, as_float_array, check_array, check_count, check_scalar
-from .linalg import _FLOAT_OPS, _ops
+from .errors import check_array, check_count, check_scalar
+from .linalg import _FLOAT_OPS, _one_value, _ops
 from .states import TWO_PI, DensityMatrix
 
 # Largest oracle grid. Past it a finer grid buys no accuracy a check can use:
@@ -36,8 +40,7 @@ __all__ = [
     "visibility",
     "fringe_probability",
     "visibility_oracle",
-    "family_arrays",
-    "duality_arrays",
+    "family_duality",
 ]
 
 
@@ -47,7 +50,7 @@ def _imbalance(w):
 
 
 def predictability(rho: DensityMatrix) -> float:
-    """Population imbalance ``P = |w_plus - w_minus|``, evaluated as ``|2 w_plus - 1|``.
+    """Population imbalance ``P = |w_plus - w_minus|``, evaluated as ``|2 w_plus - 1|``, of one state or a stack.
 
     Doubling is exact and, for ``w_plus >= 1/4``, so is the subtraction (Sterbenz): one
     rounding at most, where ``sqrt(1 - 4 w+ w-)`` loses half its digits near ``w_plus = 1/2``.
@@ -56,7 +59,11 @@ def predictability(rho: DensityMatrix) -> float:
 
 
 def visibility(rho: DensityMatrix) -> float:
-    """Fringe contrast ``2 * rho12`` of the optimal phase scan."""
+    """Fringe contrast ``2 * rho12`` of the optimal phase scan, of one state or a stack.
+
+    With :func:`predictability`, ``P**2 + V**2 = 1 - 4 w+ w- + 4 rho12**2``, which the positivity bound
+    ``rho12**2 <= w+ w-`` of every state keeps at most 1; the ``duality`` suite of :mod:`qudual.verify` checks it.
+    """
     return 2.0 * rho.rho12
 
 
@@ -113,6 +120,7 @@ def visibility_oracle(rho: DensityMatrix, grid_n: int = 512) -> tuple[float, flo
     O(1/grid_n**2) and the folded angle lands within one grid step of pi/4.
     """
     grid_n = check_count(grid_n, "grid_n", 8, MAX_GRID_N)
+    _one_value(rho.w_plus, "visibility_oracle scans one state")
     grid = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)  # the phases, and the splitter angles
     s = _phase_factor(rho._parts, grid)
     p = fringe_probability(rho, grid[[np.argmin(s), np.argmax(s)]], grid[:, None])
@@ -128,56 +136,20 @@ def visibility_oracle(rho: DensityMatrix, grid_n: int = 512) -> tuple[float, flo
     return v_hat, xi_hat
 
 
-def family_arrays(w_plus, rho12, theta, varrho) -> tuple[np.ndarray, np.ndarray]:
-    """Predictability and visibility ``(P_B, V_B)`` of the family member at phase ``varrho``, elementwise.
+def family_duality(rho: DensityMatrix, varrho) -> tuple:
+    """Predictability and visibility ``(P_B, V_B)`` of the family member at phase ``varrho``.
 
-    The state is checked by :func:`duality_arrays`, and the phases ``theta`` and
-    ``varrho`` broadcast with it; a non-finite phase, or two whose difference
-    overflows, raises a :class:`ParameterError`.
-    Four ints or floats give two Python floats from ``math``'s sin, cos and sqrt, with the bits of a stack's
-    element from NumPy's: :func:`qudual.linalg._ops` picks the table.
     ``P_B = 2 rho12 |cos(theta - varrho)|`` is largest for the proper member
     ``varrho = theta`` and zero at the erasure phases ``varrho = theta +- pi/2``;
     ``V_B = sqrt(P**2 + 4 rho12**2 sin(theta - varrho)**2)``, so ``(P_B, V_B)``
-    carries the squared sum of ``(P, V)`` for every ``varrho``.
+    carries the squared sum of ``(P, V)`` for every ``varrho``. One state and
+    one phase give two Python floats, from ``math``'s sin, cos and sqrt; a
+    stacked state or an array of phases, which broadcast, gives arrays whose
+    elements have those bits, from NumPy's. A non-finite phase raises a
+    :class:`ParameterError`.
     """
-    p, v, _ = duality_arrays(w_plus, rho12)
-    ops = _ops(p, theta, varrho)
-    if ops is _FLOAT_OPS:  # a float subtraction never warns
-        delta = check_scalar(check_scalar(theta, "theta") - check_scalar(varrho, "varrho"), "theta - varrho")
-    else:
-        with np.errstate(over="ignore"):  # an overflow is the infinity that the outer check rejects
-            delta = check_array(check_array(theta, "theta") - check_array(varrho, "varrho"), "theta - varrho")
-    r = 0.5 * v  # rho12 itself: v = 2 rho12 is exact
-    s = ops.sin(delta)
-    return v * abs(ops.cos(delta)), ops.sqrt(p * p + 4.0 * (r * r) * s * s)
-
-
-def duality_arrays(w_plus, rho12) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The duality relation for stacked state parameters, elementwise.
-
-    Returns ``(p, v, sum_sq)``, the predictability, the visibility and
-    ``P**2 + V**2``, as float arrays of the broadcast shape, or as Python
-    floats, with the bits of a stack's element, for two ints or floats, as
-    :func:`qudual.linalg._ops` tells them apart. The first failing
-    element raises. A population outside [0, 1] or a negative ``rho12``, NaN
-    and infinities included, raises a :class:`ParameterError` that names the
-    bound; an integer past the double range counts as an infinity. A state with
-    ``P**2 + V**2 > 1`` beyond 1e-12 raises a :class:`ContractViolationError`: as
-    ``P**2 + V**2 = 1 - 4 w+ w- + 4 rho12**2``, that is the positivity bound ``rho12**2 <= w+ w-``.
-    """
-    if _ops(w_plus, rho12) is _FLOAT_OPS:
-        w, r = as_float(w_plus, "w_plus"), as_float(rho12, "rho12")
-    else:
-        w, r = np.broadcast_arrays(as_float_array(w_plus, "w_plus"), as_float_array(rho12, "rho12"))
-    p = _imbalance(w)
-    v = 2.0 * r
-    sum_sq = p * p + v * v
-    ok = (sum_sq <= 1.0 + 1e-12) & (r >= 0.0) & (w >= 0.0) & (w <= 1.0)  # NaN fails too
-    if ok is not True and not np.all(ok):  # one valid state is a plain True
-        i = np.argmin(ok)  # the first failing element
-        w, r, sum_sq = (np.ravel(x)[i] for x in (w, r, sum_sq))
-        check_scalar(w, "w_plus", 0.0, 1.0)
-        check_scalar(r, "rho12", 0.0)
-        raise ContractViolationError(f"P**2 + V**2 = {float(sum_sq)!r} exceeds 1 beyond tolerance")
-    return p, v, sum_sq
+    ops = _ops(rho.theta, varrho)
+    delta = rho.theta - (check_scalar if ops is _FLOAT_OPS else check_array)(varrho, "varrho")
+    r = rho.rho12
+    p, s = _imbalance(rho.w_plus), ops.sin(delta)
+    return 2.0 * r * abs(ops.cos(delta)), ops.sqrt(p * p + 4.0 * (r * r) * s * s)

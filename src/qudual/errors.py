@@ -63,17 +63,23 @@ def as_float(value, name: str) -> float:
 
 
 def as_float_array(values, name: str) -> np.ndarray:
-    """:func:`as_float` elementwise: ``values`` as a float array; a ragged sequence or a complex array is not real."""
+    """:func:`as_float` elementwise: ``values`` as a float array; a ragged sequence or a complex array is not real.
+
+    An array of Python objects, which mixed or huge numbers make, is read element by element through
+    :func:`as_float`, so that a complex element raises before any float cast could drop its imaginary part.
+    """
     try:
         array = np.asarray(values)
-        if array.dtype.kind != "c":
-            return np.asarray(array, dtype=float)
-    except OverflowError:
-        items = np.asarray(values, dtype=object)
-        return np.array([as_float(x, name) for x in items.flat], dtype=float).reshape(items.shape)
     except (TypeError, ValueError) as exc:
         raise _not_real(name, values) from exc
-    raise _not_real(name, values)
+    if array.dtype == object:
+        return np.array([as_float(x, name) for x in array.flat], dtype=float).reshape(array.shape)
+    if array.dtype.kind == "c":
+        raise _not_real(name, values)
+    try:
+        return np.asarray(array, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise _not_real(name, values) from exc
 
 
 def check_scalar(

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, ParameterError
 
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-12
@@ -67,12 +67,7 @@ def assert_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     reports the largest deviation in the stack. An entry part past
     ``sys.float_info.max / 8`` in magnitude raises before any arithmetic.
     """
-    return _hermitian(m, name, _HERMITIAN_MAX_PART)
-
-
-def _hermitian(m: np.ndarray, name: str, max_part: float) -> np.ndarray:
-    """:func:`assert_hermitian` with the entry part bound ``max_part``, at most its own: a kernel's tighter bound."""
-    m = _finite_2x2(m, name, "Hermitian", max_part)
+    m = _finite_2x2(m, name, "Hermitian", _HERMITIAN_MAX_PART)
     dev = float(np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0))
     if not dev <= HERMITICITY_TOL:  # NaN fails too
         raise ContractViolationError(
@@ -123,6 +118,26 @@ def _ops(*values):
         if not isinstance(value, (int, float)):
             return _ARRAY_OPS
     return _FLOAT_OPS
+
+
+def _one_value(value, what: str):
+    """``value`` if it is one value: an array of one or more dimensions, a stack, raises a :class:`ParameterError`.
+
+    ``what`` names the call that takes one value, and the message adds the shape of the stack.
+    """
+    if getattr(value, "ndim", 0) > 0:
+        raise ParameterError(f"{what}, not a stack of shape {value.shape}")
+    return value
+
+
+def _raise_first(bad, check, *stacks) -> None:
+    """Call ``check``, the test of one value, on the elements of ``stacks`` at the first element that ``bad`` marks.
+
+    ``stacks`` have the shape of ``bad``, and ``check`` raises on that element: a stack raises the error, message
+    and all, of its first failing element alone.
+    """
+    for i in np.flatnonzero(bad)[:1]:
+        check(*(x.flat[i] for x in stacks))
 
 
 def _entries(m: np.ndarray):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .duality import fringe_probability
 from .errors import ParameterError, check_count
-from .linalg import _projector, _times_conj, _trace
+from .linalg import _one_value, _projector, _times_conj, _trace
 from .simultaneous import EntangledState, estimate_a, estimate_b, meter_projectors
 from .states import GAUGE, TWO_PI, DensityMatrix, Observable, complementary_observable
 from .uncertainty import mean_var
@@ -173,6 +173,7 @@ def sample_sharp(
     moments, so the two routes stay independent.
     """
     n = check_count(n, "n", 1, MAX_SHOTS)
+    _one_value(rho.w_plus, "sample_sharp samples one state")
     p_plus = _outcome_probability(rho, obs._columns[0])
     k_plus = int(_generator(seed, stream).binomial(n, p_plus))
     return _two_outcome_report(
@@ -193,6 +194,7 @@ def sample_fringe(rho: DensityMatrix, n_per_point: int, seed: int, stream: int =
     their contrast ``(max - min) / (max + min)``, 0 when every count is 0.
     """
     n_per_point = check_count(n_per_point, "n_per_point", 1, MAX_SHOTS)
+    _one_value(rho.w_plus, "sample_fringe samples one state")
     p = np.clip(fringe_probability(rho, _SCAN_PHI, _SCAN_XI), 0.0, 1.0)
     k = _generator(seed, stream).binomial(n_per_point, p)
     top, bottom = int(k.max() - k.min()), int(k.max() + k.min())

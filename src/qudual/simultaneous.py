@@ -14,12 +14,13 @@ once, at the price of rescaled outcome values and hence inflated variances.
 The product of the two estimator variances has a state-dependent minimum
 over ``c``, reached at ``c**2 = V / (P + V)``.
 
-The which-way quantities come from one array kernel,
-:func:`entangled_arrays`, for stacked ``(w_plus, theta, c)``;
-:class:`EntangledState`, :func:`distinguishability` and
-:func:`entangled_visibility` run its expressions on the Python floats of one
-state. The meter readout is an :class:`~qudual.states.Observable` on the
-meter qubit, built by :func:`meter_projectors`.
+:class:`EntangledState` takes one ``(w_plus, theta, c)`` or stacks of them, as
+:class:`~qudual.states.DensityMatrix` does, and :func:`distinguishability` and
+:func:`entangled_visibility` return a float for one state and an array for a
+stack, whose elements have the bits of their states alone. The readouts,
+:func:`meter_projectors`, :func:`estimate_a` and :func:`estimate_b`, take one
+state; the meter readout is an :class:`~qudual.states.Observable` on the
+meter qubit.
 
 Every ``1 - c**2`` is evaluated as ``(1 - c)(1 + c)``, which keeps its
 relative accuracy as ``c -> 1`` where ``1 - c*c`` cancels. The composite
@@ -39,7 +40,7 @@ import numpy as np
 
 from .duality import _imbalance
 from .errors import ParameterError, SingularConfigurationError, check_array, check_scalar
-from .linalg import _from_entries, _hypot, _ops, _projector, _read_only, _trace_norm
+from .linalg import _FLOAT_OPS, _from_entries, _hypot, _one_value, _ops, _projector, _read_only, _trace_norm
 from .states import GAUGE, TWO_PI, Observable, _pure_parts
 
 # Largest rescaled outcome value whose square is a finite double.
@@ -49,7 +50,6 @@ __all__ = [
     "EntangledState",
     "distinguishability",
     "entangled_visibility",
-    "entangled_arrays",
     "meter_projectors",
     "estimate_a",
     "estimate_b",
@@ -66,7 +66,9 @@ class EntangledState:
     ``(w_plus, theta)`` to the meter. The parameters are checked where the
     state is built: ``0 <= w_plus <= 1``, ``0 <= c <= 1`` and a finite
     ``theta``, which is stored wrapped to [0, 2 pi). The parts of the
-    amplitudes are computed from them, once.
+    amplitudes are computed from them, once. Stacked parameters broadcast
+    together and make a stack, whose fields are arrays and whose
+    ``amplitudes`` are ``psi[..., system, meter]``.
     """
 
     w_plus: float
@@ -74,9 +76,13 @@ class EntangledState:
     c: float
 
     def __post_init__(self) -> None:
-        w = check_scalar(self.w_plus, "w_plus", 0.0, 1.0)
-        cc = check_scalar(self.c, "c", 0.0, 1.0)
-        t = check_scalar(self.theta, "theta") % TWO_PI
+        if _ops(self.w_plus, self.theta, self.c) is _FLOAT_OPS:
+            w = check_scalar(self.w_plus, "w_plus", 0.0, 1.0)
+            cc = check_scalar(self.c, "c", 0.0, 1.0)
+            t = check_scalar(self.theta, "theta") % TWO_PI
+        else:
+            w, cc = check_array(self.w_plus, "w_plus", 0.0, 1.0), check_array(self.c, "c", 0.0, 1.0)
+            w, t, cc = np.broadcast_arrays(w, np.remainder(check_array(self.theta, "theta"), TWO_PI), cc)
         object.__setattr__(self, "w_plus", w)
         object.__setattr__(self, "theta", t)
         object.__setattr__(self, "c", cc)
@@ -104,12 +110,6 @@ def _amplitudes(w, t, c) -> tuple:
     return (plus, (0.0, 0.0)), ((re * c, im * c), (re * s, im * s))
 
 
-def _distinguishability(rows: tuple):
-    """Trace-norm distance of the meter blocks ``psi[..., s, :] psi[..., s, :]^dagger`` of the two system states."""
-    plus, minus = (_projector(*row) for row in rows)
-    return _trace_norm(*(p - q for p, q in zip(plus, minus)))
-
-
 def _reduced(rows: tuple) -> tuple:
     """Parts ``(a, d, x, y)`` of the system matrices left by tracing the meter out of ``psi[..., system, meter]``.
 
@@ -120,61 +120,29 @@ def _reduced(rows: tuple) -> tuple:
     return tuple(p + q for p, q in zip(first, second))
 
 
-def _visibility(parts):
-    """Fringe visibility ``2 |x + i y|`` of system matrices given as parts ``(a, d, x, y)``."""
-    return 2.0 * _hypot(*parts[2:])
-
-
 def distinguishability(psi_e: EntangledState) -> float:
     """Trace-norm distance of the meter states conditioned on the system basis.
 
     Evaluates ``|| <plus|rho_e|plus> - <minus|rho_e|minus> ||_1`` on the meter
-    space; equals ``sqrt(1 - 4 c**2 w+ w-)``, which never falls below the
-    predictability of the system state.
+    space, from the meter blocks ``psi[..., s, :] psi[..., s, :]^dagger`` of the
+    two system states; equals ``sqrt(1 - 4 c**2 w+ w-)``, which never falls
+    below the predictability of the system state.
     """
-    return _distinguishability(psi_e._rows)
+    plus, minus = (_projector(*row) for row in psi_e._rows)
+    return _trace_norm(*(p - q for p, q in zip(plus, minus)))
 
 
 def entangled_visibility(psi_e: EntangledState) -> float:
     """Fringe visibility left to the system after the meter is traced out.
 
-    Equals ``2 c sqrt(w+ w-)``; together with the distinguishability it
-    saturates ``D**2 + V_e**2 = 1`` for every ``(w_plus, c)``.
+    Equals ``2 |x + i y|`` of the parts ``(a, d, x, y)`` of the reduced state, ``2 c sqrt(w+ w-)``; together with
+    the distinguishability it saturates ``D**2 + V_e**2 = 1`` for every ``(w_plus, c)``.
     """
-    return _visibility(_reduced(psi_e._rows))
+    return 2.0 * _hypot(*_reduced(psi_e._rows)[2:])
 
 
-def entangled_arrays(
-    w_plus, theta, c
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Which-way quantities of stacked entangled states, elementwise.
-
-    ``w_plus``, ``theta`` and ``c`` broadcast together; an element that
-    :class:`EntangledState` would reject raises the same :class:`ParameterError`.
-    Returns float arrays ``(d, v_e, w_marg, rho12_marg, theta_marg)``: the
-    :func:`distinguishability` and :func:`entangled_visibility` of each
-    state, and the fields of the system state left by tracing out the meter,
-    which keeps the populations and shrinks the coherence to
-    ``c sqrt(w+ w-)``. The amplitudes are :class:`EntangledState`'s, the
-    distinguishability is the trace norm of the difference of the two meter
-    blocks, and the visibility and the marginal come from the parts ``(a, d, x, y)``
-    of the partial trace: ``w_marg = a``, ``rho12_marg = |x + i y|`` held to its
-    positivity bound and ``theta_marg`` the wrapped phase of ``x - i y`` (0 where
-    ``rho12_marg = 0``). Each element has the bits of the scalar functions on
-    that one state, which evaluate the same expressions.
-    """
-    w = check_array(w_plus, "w_plus", 0.0, 1.0)
-    cc = check_array(c, "c", 0.0, 1.0)
-    t = np.remainder(check_array(theta, "theta"), TWO_PI)
-    rows = _amplitudes(*np.broadcast_arrays(w, t, cc))
-    a, _, x, y = parts = _reduced(rows)
-    v_e = _visibility(parts)
-    r = np.minimum(0.5 * v_e, np.sqrt(a * (1.0 - a)))
-    return _distinguishability(rows), v_e, a, r, np.where(r > 0.0, np.remainder(np.arctan2(-y, x), TWO_PI), 0.0)
-
-
-def _readout_overlap(c: float) -> float:
-    cc = check_scalar(c, "c")
+def _readout_overlap(c: float, what: str) -> float:
+    cc = check_scalar(_one_value(c, what), "c")
     if not 0.0 < cc < 1.0:
         raise SingularConfigurationError(
             f"meter readout requires 0 < c < 1, got c = {cc!r}: at c = 0 the rotation "
@@ -199,7 +167,7 @@ def meter_projectors(c: float) -> Observable:
     ``unbiasedness`` suite of :mod:`qudual.verify` checks that choice by
     explicit projection.
     """
-    cc = _readout_overlap(c)
+    cc = _readout_overlap(c, "meter_projectors takes one overlap c")
     gamma = 0.5 * (math.pi - math.asin(cc))
     a_prime = GAUGE / math.sqrt(_one_minus_sq(cc))
     cos, sin = math.cos(gamma), math.sin(gamma)
@@ -214,7 +182,7 @@ def estimate_a(psi_e: EntangledState) -> tuple[float, float]:
     Requires ``0 < c < 1``; both endpoints are singular for this readout.
     The explicit projection route to both moments runs in :mod:`qudual.verify`.
     """
-    cc = _readout_overlap(psi_e.c)
+    cc = _readout_overlap(psi_e.c, "estimate_a takes one entangled state")
     a = GAUGE
     w = psi_e.w_plus
     mean = a * (2.0 * w - 1.0)
@@ -234,7 +202,7 @@ def estimate_b(psi_e: EntangledState, varrho: float) -> tuple[float, float]:
     exceed :data:`MAX_RESCALED_VALUE`, which an underflowing ``c`` would. The
     explicit projection route to both moments runs in :mod:`qudual.verify`.
     """
-    cc = psi_e.c
+    cc = _one_value(psi_e.c, "estimate_b takes one entangled state")
     if cc <= 0.0:
         raise SingularConfigurationError(
             f"complementary readout requires c > 0, got c = {cc!r}: the rescaled "

@@ -21,10 +21,14 @@ construction, so its constructor checks nothing again. A pure state's amplitudes
 are parts too, from :func:`_pure_parts`, which the entangled meter state and the
 eigen-equation residual of :mod:`qudual.uncertainty` read, and which
 :meth:`DensityMatrix.state_vector` lays out.
-:func:`validate_density` and :func:`complementary_matrices` are the same
-rules and constructions applied elementwise to stacked parameters, for
-checks that sweep many states at once.
-:func:`density_params` reads the parameters off one matrix or a stack.
+
+:class:`DensityMatrix` and :func:`complementary_observable` take one value or
+a stack. Parameters that are all ints or floats make one value, which holds
+Python floats; any other parameter, an array above all, makes a stack, which
+holds arrays of the broadcast shape and is checked element by element by the
+same rules, the first failing element raising the error it would raise alone.
+:func:`qudual.linalg._ops` tells the two apart, once, where the value is built,
+and each element of a stack has the bits of that one value.
 
 Index 0 is ``|plus>`` and index 1 is ``|minus>`` everywhere.
 """
@@ -38,8 +42,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError, as_float, as_float_array, check_array, check_scalar
-from .linalg import _entries, _from_entries, _from_parts, _hypot, _ops, _projector, _read_only, _split, _times
-from .linalg import assert_hermitian, assert_unitary
+from .linalg import _FLOAT_OPS, _entries, _from_entries, _from_parts, _one_value, _ops, _projector, _raise_first
+from .linalg import _read_only, _split, _times, assert_unitary
 
 TWO_PI = 2.0 * math.pi
 
@@ -53,10 +57,8 @@ GAUGE = 0.5
 # range.
 POSITIVITY_TOL = 1e-12
 
-# Rounding allowances: how far below 1 the purity of a pure state, and how far
-# from 1 the trace of a density matrix, may fall.
+# Rounding allowance: how far below 1 the purity of a pure state may fall.
 PURITY_TOL = 1e-12
-TRACE_TOL = 1e-10
 
 # Largest outcome magnitude B of an Observable: its matrix parts are at most 2 B, the uncertainty kernels' products
 # of two such parts below 2**5 B**2 (Dot2 splits up to 2**996), their traces against a state below 2**7 B**2, and so
@@ -66,19 +68,16 @@ _MAX_OUTCOME_VALUE = 2.0**250
 __all__ = [
     "GAUGE",
     "DensityMatrix",
-    "validate_density",
-    "density_params",
     "Observable",
     "pure_state",
     "REFERENCE",
     "complementary_observable",
-    "complementary_matrices",
 ]
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Two-level density matrix in the ``(w_plus, rho12, theta)`` parameterization.
+    """Two-level density matrix in the ``(w_plus, rho12, theta)`` parameterization, or a stack of them.
 
     The matrix it represents is::
 
@@ -86,7 +85,10 @@ class DensityMatrix:
          [rho12 * exp(i theta),  1 - w_plus           ]]
 
     ``theta`` is stored wrapped to [0, 2 pi) and canonicalized to 0 when
-    ``rho12 = 0``, where the coherence phase carries no information.
+    ``rho12 = 0``, where the coherence phase carries no information. Stacked
+    parameters broadcast together and make a stack of states: its fields,
+    parts, ``purity`` and ``matrix`` are arrays, each element as the state of
+    that element's parameters holds it.
     """
 
     w_plus: float
@@ -94,20 +96,18 @@ class DensityMatrix:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        w = check_scalar(self.w_plus, "w_plus", 0.0, 1.0, slack=POSITIVITY_TOL)
-        r = as_float(self.rho12, "rho12")
-        bound = math.sqrt(w * (1.0 - w))
-        if math.isnan(r) or r < -POSITIVITY_TOL or r > bound + POSITIVITY_TOL:
-            raise ParameterError(
-                f"rho12 = {r!r} violates the positivity bound "
-                f"0 <= rho12 <= sqrt(w_plus * w_minus) = {bound!r}"
-            )
-        r = min(max(r, 0.0), bound)
-        t = check_scalar(self.theta, "theta")
-        object.__setattr__(self, "w_plus", w)
-        object.__setattr__(self, "rho12", r)
-        object.__setattr__(self, "theta", t % TWO_PI if r > 0.0 else 0.0)
-        object.__setattr__(self, "_parts", _density_parts(w, r, self.theta))
+        one = _ops(self.w_plus, self.rho12, self.theta) is _FLOAT_OPS
+        fields = (_state_fields if one else _stacked_state_fields)(self.w_plus, self.rho12, self.theta)
+        for name, value in zip(("w_plus", "rho12", "theta"), fields):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_parts", _density_parts(*fields))
+
+    def __eq__(self, other) -> bool:
+        """Equal stored fields, of one state each: comparing a stack raises a :class:`ParameterError`."""
+        if type(other) is not DensityMatrix:
+            return NotImplemented
+        fields = [(_one_value(rho.w_plus, "== compares one state"), rho.rho12, rho.theta) for rho in (self, other)]
+        return fields[0] == fields[1]
 
     @property
     def w_minus(self) -> float:
@@ -116,70 +116,56 @@ class DensityMatrix:
     @property
     def purity(self) -> float:
         """Trace of the squared matrix, in [1/2, 1]."""
-        return float(_purity(self.w_plus, self.rho12))
+        return _purity(self.w_plus, self.rho12)
 
     def is_pure(self) -> bool:
         return self.purity >= 1.0 - PURITY_TOL
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The 2x2 matrix, laid out from the parts on first access; read-only."""
+        """The 2x2 matrix, or the ``(..., 2, 2)`` stack, laid out from the parts on first access; read-only."""
         return _read_only(_from_parts(*self._parts))
 
     def _vector_parts(self) -> tuple:
-        """Parts ``((re, im), (re, im))`` of a pure state's amplitudes: :func:`_pure_parts`, after a purity check."""
-        if not self.is_pure():
+        """Parts ``((re, im), (re, im))`` of pure states' amplitudes: :func:`_pure_parts`, after a purity check."""
+        if _ops(self.w_plus) is not _FLOAT_OPS:
+            fields = self.w_plus, self.rho12, self.theta
+            _raise_first(~self.is_pure(), lambda *one: DensityMatrix(*one)._vector_parts(), *fields)
+        elif not self.is_pure():
             raise ParameterError(
                 f"state_vector requires a pure state: purity = {self.purity!r} < 1 - {PURITY_TOL:.1e}"
             )
         return _pure_parts(self.w_plus, self.theta)
 
     def state_vector(self) -> np.ndarray:
-        """Amplitudes ``(sqrt(w_plus), exp(i theta) sqrt(w_minus))`` of a pure state."""
+        """Amplitudes ``(sqrt(w_plus), exp(i theta) sqrt(w_minus))`` of one pure state."""
+        _one_value(self.w_plus, "state_vector takes one state")
         return np.array([complex(*z) for z in self._vector_parts()])
 
 
-def validate_density(w_plus, rho12, theta=0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Check and store stacked state parameters by the rules of :class:`DensityMatrix`.
+def _state_fields(w_plus, rho12, theta) -> tuple:
+    """The fields ``(w_plus, rho12, theta)`` that :class:`DensityMatrix` stores for one state's parameters."""
+    w = check_scalar(w_plus, "w_plus", 0.0, 1.0, slack=POSITIVITY_TOL)
+    r = as_float(rho12, "rho12")
+    bound = math.sqrt(w * (1.0 - w))
+    if math.isnan(r) or r < -POSITIVITY_TOL or r > bound + POSITIVITY_TOL:
+        raise ParameterError(
+            f"rho12 = {r!r} violates the positivity bound "
+            f"0 <= rho12 <= sqrt(w_plus * w_minus) = {bound!r}"
+        )
+    r = min(max(r, 0.0), bound)
+    t = check_scalar(theta, "theta")
+    return w, r, t % TWO_PI if r > 0.0 else 0.0
 
-    The arguments broadcast together. Returns float arrays
-    ``(w_plus, rho12, theta)`` holding, element by element, the fields that
-    ``DensityMatrix`` stores; an element it would reject raises the same
-    :class:`ParameterError`.
-    """
+
+def _stacked_state_fields(w_plus, rho12, theta) -> tuple:
+    """:func:`_state_fields` elementwise, for parameters that broadcast: float arrays of the broadcast shape."""
     w = check_array(w_plus, "w_plus", 0.0, 1.0, slack=POSITIVITY_TOL)
     w, r, t = np.broadcast_arrays(w, as_float_array(rho12, "rho12"), check_array(theta, "theta"))
     bound = np.sqrt(w * (1.0 - w))
-    bad = np.isnan(r) | (r < -POSITIVITY_TOL) | (r > bound + POSITIVITY_TOL)
-    if bad.any():
-        i = np.argmax(bad)
-        DensityMatrix(w.flat[i], r.flat[i])  # raises the positivity bound's error
+    _raise_first(np.isnan(r) | (r < -POSITIVITY_TOL) | (r > bound + POSITIVITY_TOL), _state_fields, w, r, t)
     r = np.clip(r, 0.0, bound)
     return w, r, np.where(r > 0.0, np.remainder(t, TWO_PI), 0.0)
-
-
-def density_params(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parameters ``(w_plus, rho12, theta)`` read off explicit density matrices ``(..., 2, 2)``.
-
-    Every matrix must be Hermitian within :data:`qudual.linalg.HERMITICITY_TOL`
-    and have unit trace within :data:`TRACE_TOL`, or a
-    :class:`ContractViolationError` names the first failure. Returns the
-    populations and the magnitude and wrapped phase of the lower off-diagonal
-    entry: Python floats for one matrix, with the bits of its element in a
-    stack, and float arrays for a stack. Their range checks are
-    :class:`DensityMatrix`'s, or :func:`validate_density`'s for a stack.
-    """
-    m = assert_hermitian(m, name="density matrix")
-    tr = m[..., 0, 0].real + m[..., 1, 1].real
-    bad = ~(np.abs(tr - 1.0) <= TRACE_TOL)  # NaN fails too
-    if bad.any():
-        raise ContractViolationError(
-            f"density matrix trace = {float(tr[bad].flat[0])!r} differs from 1 beyond {TRACE_TOL:.1e}"
-        )
-    (a, _), (off, _) = _entries(m)
-    r = _hypot(*_split(off))
-    theta = np.where(r > 0.0, np.remainder(np.angle(off), TWO_PI), 0.0)
-    return a.real, r, theta if m.ndim > 2 else float(theta)
 
 
 def _purity(w_plus, rho12):
@@ -202,17 +188,9 @@ def _pure_parts(w_plus, theta) -> tuple:
 
 
 def _density_parts(w_plus, rho12, theta) -> tuple:
-    """Parts ``(a, d, x, y)`` of valid state parameters, elementwise: what :class:`DensityMatrix` keeps for one.
-
-    Check stacked parameters with :func:`validate_density` first.
-    """
+    """Parts ``(a, d, x, y)`` of valid state parameters, elementwise: what :class:`DensityMatrix` keeps."""
     phase = _ops(theta).exp(-1j * theta)
     return w_plus, 1.0 - w_plus, *_times((rho12, 0.0), _split(phase))
-
-
-def _density_matrix(w_plus, rho12, theta) -> np.ndarray:
-    """Matrices ``(..., 2, 2)`` of valid state parameters, elementwise: :func:`_density_parts`, laid out."""
-    return _from_parts(*_density_parts(w_plus, rho12, theta))
 
 
 def pure_state(w_plus: float, theta: float = 0.0) -> DensityMatrix:
@@ -276,11 +254,11 @@ class Observable:
 
     @property
     def vec_plus(self) -> np.ndarray:
-        return self.basis[:, 0]
+        return self.basis[..., 0]
 
     @property
     def vec_minus(self) -> np.ndarray:
-        return self.basis[:, 1]
+        return self.basis[..., 1]
 
     @cached_property
     def _parts(self) -> tuple:
@@ -322,7 +300,7 @@ def _member_basis(varrho) -> tuple:
 
 
 def complementary_observable(varrho: float) -> Observable:
-    """The family member complementary to :data:`REFERENCE` at relative phase ``varrho``.
+    """The family member complementary to :data:`REFERENCE` at relative phase ``varrho``, or a stack of them.
 
     With the reference eigenvectors ``|a+>, |a->``, the member at phase
     ``varrho`` (wrapped to [0, 2 pi)) has eigenvectors::
@@ -331,20 +309,10 @@ def complementary_observable(varrho: float) -> Observable:
 
     and the outcome values ``+-GAUGE`` of the reference. Every member is
     mutually unbiased with respect to the reference basis, and
-    ``[REFERENCE, B(varrho)] = i B(varrho + pi/2)`` closes su(2).
+    ``[REFERENCE, B(varrho)] = i B(varrho + pi/2)`` closes su(2). An array of
+    phases makes an observable whose columns, parts, ``basis`` and ``matrix``
+    are stacks, each element that of its phase's member.
     """
-    varrho = check_scalar(varrho, "varrho") % TWO_PI
+    one = _ops(varrho) is _FLOAT_OPS
+    varrho = (check_scalar if one else check_array)(varrho, "varrho") % TWO_PI
     return Observable._from_checked(REFERENCE.val_plus, REFERENCE.val_minus, _member_basis(varrho))
-
-
-def complementary_matrices(varrho) -> np.ndarray:
-    """Matrices ``(..., 2, 2)`` of the family members at phases ``varrho``, elementwise.
-
-    The stacked form of ``complementary_observable(varrho).matrix``: each
-    phase is checked and wrapped as that function does, and each member is
-    built from its eigenbasis and the outcome values of :data:`REFERENCE`.
-    That basis is unitary by construction, so, as for
-    :meth:`Observable._from_checked`, it is not checked again.
-    """
-    varrho = np.remainder(check_array(varrho, "varrho"), TWO_PI)
-    return _from_parts(*_spectral_parts(_member_basis(varrho), REFERENCE.val_plus, REFERENCE.val_minus))

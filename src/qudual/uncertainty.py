@@ -12,40 +12,31 @@ structure is the families of pure states whose eigen-equation parameter
 boundary of the reachable region of the normalized uncertainty product at
 fixed populations.
 
-The explicit route to both sides is one kernel, :func:`robertson_arrays`. It
-takes state and observable matrices stacked as ``(..., 2, 2)`` and returns
-the five fields of a :class:`RobertsonReport` (``var_a``, ``var_b``,
-``c_mean``, ``f_mean``, ``slack``) as arrays. It is matrix algebra written
-out on the entry parts of each Hermitian 2x2: the products ``A B +- B A``
-and ``A^2`` entry by entry, then traces against the state, in ``+ - *``
-alone, so its bits do not depend on the BLAS kernel or the SIMD level of
-the host. :func:`robertson` runs the same expression on the Python floats
-of one state and pair and packs it into a report, with the bits of that
-element of a stack. :func:`robertson_arrays` takes raw matrices and holds the
-contract: each must be Hermitian with bounded entries, and any element with
-``slack < -INEQUALITY_SLACK * max(1, (||A|| ||B||)**2)`` raises, a tolerance
-that scales with the rounding noise of ``lhs - rhs``. :func:`robertson` and
-:func:`mean_var` take a state and observables checked where they were built.
+Both sides come from one kernel, :func:`_robertson`: matrix algebra written
+out on the entry parts of each Hermitian 2x2, the products ``A B +- B A`` and
+``A^2`` entry by entry, then traces against the state, in ``+ - *`` alone, so
+its bits do not depend on the BLAS kernel or the SIMD level of the host.
+:func:`robertson`, :func:`mean_var` and :func:`is_residual` take a state and
+observables checked where they were built, one of each or stacks that
+broadcast, and return floats or arrays; each element of a stack has the bits
+of its state alone. That the bound holds is a check, and it lives in the
+``robertson`` suite of :mod:`qudual.verify`, not in the call.
 
-:func:`is_residual` checks the eigen-equation of an intelligent state with the
-private kernel that the ``intelligent_states`` suite of :mod:`qudual.verify`
-runs on a stack. Like every private kernel here, it takes parts: the Hermitian
-parts of the state and the pair, and the amplitude parts of the state.
+Like every private kernel here, :func:`_eigen_residuals`, the eigen-equation
+defect behind :func:`is_residual`, takes parts: the Hermitian parts of the
+state and the pair, and the amplitude parts of the state.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, ParameterError, as_float, check_scalar
-from .linalg import _eigenvalues, _hermitian, _ops, _parts, _times, _trace
-from .states import _MAX_OUTCOME_VALUE, DensityMatrix, Observable, pure_state
-
-INEQUALITY_SLACK = 1e-12
+from .errors import ParameterError, as_float, as_float_array, check_scalar
+from .linalg import _FLOAT_OPS, _hypot, _ops, _raise_first, _times, _trace
+from .states import DensityMatrix, Observable, pure_state
 
 IS_FAMILIES = ("IS1", "IS2a", "IS2b")
 
@@ -58,7 +49,6 @@ __all__ = [
     "IS_FAMILIES",
     "mean_var",
     "RobertsonReport",
-    "robertson_arrays",
     "robertson",
     "normalized_product_bounds",
     "IntelligentState",
@@ -91,24 +81,26 @@ def _moments(rho, op) -> tuple:
 
 
 def mean_var(rho: DensityMatrix, obs: Observable) -> tuple[float, float]:
-    """Mean and variance of an observable: :func:`_moments` on the parts of one state and observable, in Python floats.
+    """Mean and variance of an observable: :func:`_moments` on the parts of a state and an observable.
 
-    The variance is clipped to 0 where rounding drives it below zero.
+    Python floats for one state and observable, arrays for stacks. The
+    variance is clipped to 0 where rounding drives it below zero.
     """
     mean, var = _moments(rho._parts, obs._parts)
-    return mean, max(var, 0.0)
+    return mean, _ops(var).maximum(var, 0.0)
 
 
 @dataclass(frozen=True)
 class RobertsonReport:
-    """Both sides of the strengthened uncertainty bound for one state and pair.
+    """Both sides of the strengthened uncertainty bound for one state and pair, or for stacks.
 
     ``lhs = var_a * var_b`` and ``rhs = (c_mean**2 + f_mean**2) / 4``, where
     ``c_mean`` is the mean of ``-i [A, B]`` and ``f_mean`` the symmetrized
-    covariance. ``slack`` is :func:`robertson_arrays`' ``lhs - rhs``, of the
-    same bits as ``lhs - rhs`` here; it is nonnegative for every valid state,
-    up to rounding, and vanishes on pure states. :func:`robertson_arrays`
-    enforces that on raw matrices; :func:`robertson` and the report do not.
+    covariance. ``slack`` is ``lhs - rhs``, of the same bits as ``lhs - rhs``
+    here; it is nonnegative for every valid state, up to rounding, and
+    vanishes on pure states. Neither :func:`robertson` nor the report enforces
+    that: the ``robertson`` suite of :mod:`qudual.verify` checks it. A field
+    is a float for one state and pair, and an array where an input is a stack.
     """
 
     var_a: float
@@ -137,51 +129,8 @@ def _robertson(rho, a, b) -> tuple:
     return var_a, var_b, c_mean, f_mean, var_a * var_b - 0.25 * (c_mean * c_mean + f_mean * f_mean)
 
 
-def robertson_arrays(
-    rho_m: np.ndarray, a_m: np.ndarray, b_m: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Both sides of the strengthened bound for stacked states and pairs, by explicit matrix algebra.
-
-    ``rho_m``, ``a_m`` and ``b_m`` are state and observable matrices of shape
-    ``(..., 2, 2)`` that broadcast together. Returns ``(var_a, var_b, c_mean,
-    f_mean, slack)``, the fields of :class:`RobertsonReport`, as float arrays
-    of the broadcast stack shape. Each element has the bits of
-    :func:`robertson` on that one state and pair, and ``slack`` rounds as the
-    report's ``lhs - rhs``. Every matrix must pass :func:`~qudual.linalg.assert_hermitian`
-    with entry parts at most 2 for a state and ``2**251`` for an observable,
-    within which every field is finite, and the first element with
-    ``slack < -INEQUALITY_SLACK * max(1, (||A|| ||B||)**2)`` raises, where
-    ``||A||`` is the largest eigenvalue magnitude of ``A``: the rounding noise
-    of ``slack`` scales as that square at any outcome scale, and the tolerance
-    is 1e-12 wherever ``||A|| ||B|| <= 1``. Each failure is a
-    :class:`ContractViolationError` that names the argument and the bound.
-    """
-    # An Observable's matrix parts are at most P = 2 * 2**250, and a density matrix's at most 1, so 2 leaves room for
-    # rounding. With state parts at most 2, a mean is below 12 P and the trace of a product of two observables below
-    # 2**6 P**2, so var_a var_b, c_mean**2 and f_mean**2 are each below 2**1022 and every field is finite.
-    bound = 2.0 * _MAX_OUTCOME_VALUE
-    checked = _hermitian(rho_m, "rho_m", 2.0), _hermitian(a_m, "a_m", bound), _hermitian(b_m, "b_m", bound)
-    rho, a, b = map(_parts, checked)
-    fields = np.broadcast_arrays(*_robertson(rho, a, b))
-    slack = fields[4]
-    # The rounding noise of lhs - rhs grows as (||A|| ||B||)**2, the largest outcome magnitudes squared, and stays
-    # below 1e-15 of it at every scale; lhs + rhs is no measure of it, as near-equal outcome values make that tiny.
-    (a1, a2), (b1, b2) = _eigenvalues(*a), _eigenvalues(*b)
-    norms = np.maximum(abs(a1), abs(a2)) * np.maximum(abs(b1), abs(b2))
-    bad = np.flatnonzero(slack < -INEQUALITY_SLACK * np.maximum(1.0, norms * norms))
-    if bad.size:
-        raise ContractViolationError(
-            f"uncertainty bound violated: lhs - rhs = {float(slack.flat[bad[0]])!r}; "
-            "this indicates corrupted operator or state input"
-        )
-    return tuple(fields)
-
-
 def robertson(rho: DensityMatrix, a_obs: Observable, b_obs: Observable) -> RobertsonReport:
-    """Evaluate the strengthened uncertainty bound by explicit matrix algebra.
-
-    The expression of :func:`robertson_arrays`, evaluated on the parts of the state and the pair, Python floats.
-    """
+    """Evaluate the strengthened uncertainty bound by explicit matrix algebra: :func:`_robertson` on the parts."""
     return RobertsonReport(*_robertson(rho._parts, a_obs._parts, b_obs._parts))
 
 
@@ -269,18 +218,19 @@ def intelligent_state(family: str, param: float, varrho: float, branch: int = 1)
 def _eigen_residuals(rho, psi, lam, a, b):
     """Norms of ``(A + i lam B) psi - (<A> + i lam <B>) psi`` for pure states and finite ``lam``, on parts.
 
-    ``rho``, ``a`` and ``b`` are Hermitian parts ``(a, d, x, y)`` and ``psi``
+    ``rho``, ``a`` and ``b`` are Hermitian parts ``(a, d, x, y)``, ``psi``
     the amplitude parts ``((re, im), (re, im))`` of each state, from
-    :func:`qudual.states._pure_parts`: Python floats for one state, or arrays
-    that broadcast with ``lam`` for a stack. The defect is ``K psi`` with
-    ``K = (A - <A>) + i lam (B - <B>)``, each entry of ``K`` and of the
-    product formed in real parts as Python's complex arithmetic forms it,
-    and the norm is ``sqrt((re0^2 + re1^2) + (im0^2 + im1^2))``. One state
-    (:func:`is_residual`) rounds as its element of a stack.
+    :func:`qudual.states._pure_parts`, and ``lam`` the parts ``(re, im)``:
+    Python floats for one state, or arrays that broadcast for a stack. The
+    defect is ``K psi`` with ``K = (A - <A>) + i lam (B - <B>)``, each entry of
+    ``K`` and of the product formed in real parts as Python's complex
+    arithmetic forms it, and the norm is
+    ``sqrt((re0^2 + re1^2) + (im0^2 + im1^2))``. One state rounds as its
+    element of a stack.
     """
     (a_a, a_d, a_x, a_y), (b_a, b_d, b_x, b_y) = a, b
     shift_a, shift_b = _trace(rho, a), _trace(rho, b)
-    lr, ni = lam.real, -lam.imag  # i lam = ni + i lr
+    lr, ni = lam[0], -lam[1]  # i lam = ni + i lr
     g0, h0 = a_a - shift_a, b_a - shift_b
     g1, h1 = a_d - shift_a, b_d - shift_b
     k = (
@@ -292,23 +242,40 @@ def _eigen_residuals(rho, psi, lam, a, b):
     return _ops(re0, re1, im0, im1).sqrt((re0 * re0 + re1 * re1) + (im0 * im0 + im1 * im1))
 
 
-def is_residual(state: DensityMatrix, lam: complex, a_obs: Observable, b_obs: Observable) -> float:
-    """Euclidean norm of the eigen-equation defect for a pure state.
+def _lam_parts(lam) -> tuple:
+    """Parts ``(re, im)`` of a finite ``lam`` with ``|lam| <= 2**250``, or a :class:`ParameterError`.
 
-    Evaluates ``(A + i lam B) |psi> - (<A> + i lam <B>) |psi>`` and returns
-    its norm. Zero (within round-off) exactly on intelligent states with
-    their own ``lam``. ``lam`` must be finite, and ``|lam| <= 2**250`` keeps
-    the norm finite for every pair of observables.
+    A complex number, or a real one read whole as the real part, gives Python floats; an array gives arrays, whose
+    first element that fails raises as that element alone. An integer past the double range is an infinity.
     """
-    # an integer past the double range is an infinity; a value with no parts is read whole as the real part
-    lam = complex(as_float(getattr(lam, "real", lam), "lam.real"), as_float(getattr(lam, "imag", 0.0), "lam.imag"))
-    if not cmath.isfinite(lam):
+    re, im = getattr(lam, "real", lam), getattr(lam, "imag", 0.0)
+    if _ops(re, im) is not _FLOAT_OPS:
+        re, im = np.broadcast_arrays(as_float_array(re, "lam.real"), as_float_array(im, "lam.imag"))
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite part fails the bound, and raises alone
+            _raise_first(~(_hypot(re, im) <= _MAX_LAM), lambda *z: _lam_parts(complex(*z)), re, im)
+        return re, im
+    re, im = as_float(re, "lam.real"), as_float(im, "lam.imag")
+    if not (math.isfinite(re) and math.isfinite(im)):
         raise ParameterError(
             "lam must be finite; an infinite lam marks an eigenvector of the "
             "complementary observable, where the eigen-equation degenerates"
         )
-    if abs(lam) > _MAX_LAM:
+    size = _hypot(re, im)
+    if size > _MAX_LAM:
         raise ParameterError(
-            f"|lam| = {abs(lam)!r} violates the bound |lam| <= {_MAX_LAM!r}: the defect norm could overflow"
+            f"|lam| = {size!r} violates the bound |lam| <= {_MAX_LAM!r}: the defect norm could overflow"
         )
+    return re, im
+
+
+def is_residual(state: DensityMatrix, lam: complex, a_obs: Observable, b_obs: Observable) -> float:
+    """Euclidean norm of the eigen-equation defect for a pure state, or for each of a stack.
+
+    Evaluates ``(A + i lam B) |psi> - (<A> + i lam <B>) |psi>`` and returns
+    its norm. Zero (within round-off) exactly on intelligent states with
+    their own ``lam``. ``lam`` must be finite, and ``|lam| <= 2**250`` keeps
+    the norm finite for every pair of observables; an array of ``lam``
+    broadcasts with a stacked state. Every state must be pure.
+    """
+    lam = _lam_parts(lam)
     return _eigen_residuals(state._parts, state._vector_parts(), lam, a_obs._parts, b_obs._parts)

@@ -38,40 +38,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import montecarlo
-from .duality import duality_arrays, family_arrays, visibility, visibility_oracle
+from .duality import family_duality, predictability, visibility, visibility_oracle
 from .errors import ContractViolationError, ParameterError
-from .linalg import _eigenvalues, _from_entries, _from_parts, _hypot, _parts, _split, _times_conj, trace_norm
+from .linalg import _eigenvalues, _entries, _hypot, _parts, _split, _times_conj, assert_hermitian, trace_norm
 from .simultaneous import (
     EntangledState,
-    entangled_arrays,
+    _reduced,
+    distinguishability,
+    entangled_visibility,
     estimate_a,
     estimate_b,
     meter_projectors,
     optimal_entanglement,
     simultaneous_product,
 )
-from .states import (
-    GAUGE,
-    REFERENCE,
-    TWO_PI,
-    DensityMatrix,
-    _density_matrix,
-    _density_parts,
-    _pure_parts,
-    _purity,
-    complementary_matrices,
-    complementary_observable,
-    density_params,
-    pure_state,
-    validate_density,
-)
-from .uncertainty import (
-    _eigen_residuals,
-    intelligent_state,
-    mean_var,
-    normalized_product_bounds,
-    robertson_arrays,
-)
+from .states import GAUGE, REFERENCE, TWO_PI, DensityMatrix, complementary_observable, pure_state
+from .uncertainty import intelligent_state, is_residual, mean_var, normalized_product_bounds, robertson
 
 __all__ = ["SuiteResult", "run_suite", "run_suites", "render_report", "SUITE_NAMES"]
 
@@ -92,7 +74,8 @@ _BOUND = 1e-12  # past a proven bound: P^2 + V^2 <= 1, Robertson slack >= 0, the
 _SATURATION = 1e-10  # |P^2 + V^2 - 1| of a pure state (a mixed one misses by more), the slack of a saturating state
 _PURE = 1e-12  # purity within this of 1 marks a pure state for the saturation checks
 _EIGEN = 1e-10  # an intelligent state's eigen-equation residual, and its stretch against the variance ratio, scaled
-_PHASE = 1e-9  # |exp(i theta') - exp(i theta)| of a phase read back by density_params
+_PHASE = 1e-9  # |exp(i theta') - exp(i theta)| of a phase read back by _density_params
+_TRACE = 1e-10  # |tr(m) - 1| of a matrix that _density_params reads as a state
 _GRID_ANGLE = 1e-9  # visibility_oracle's coupling angle, on top of one grid step
 ROUTE_AGREEMENT_TOL = 1e-9  # the minimum product's routes: compact form, golden search, long form scaled
 _EXACT = 0.0  # an identity that holds bit for bit
@@ -185,19 +168,16 @@ def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return lo + (hi - lo) * u
 
 
-def _random_states(
-    rng: np.random.Generator, n: int, phases: int = 0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``n`` random states, alternately clearly mixed (even index) and pure (odd index).
+def _random_states(rng: np.random.Generator, n: int, phases: int = 0) -> tuple[DensityMatrix, np.ndarray]:
+    """``n`` random states, alternately clearly mixed (even index) and pure (odd index), as one stacked state.
 
     A mixed state draws ``w_plus`` from [0.05, 0.95], its coherence as a
     fraction in [0, 0.99) of the positivity bound, and ``theta`` from
     [0, 2 pi); a pure state draws ``w_plus`` from [0, 1) and ``theta``. After
     each state, ``phases`` more phases are drawn from [0, 2 pi). Every value
     is one ``rng.uniform`` draw, in that order, so the batch consumes the
-    stream a loop over the states would. Returns the stored parameters
-    ``(w_plus, rho12, theta)``, checked by :func:`validate_density`, and the
-    phases as an ``(n, phases)`` array.
+    stream a loop over the states would. Returns the stacked
+    :class:`DensityMatrix` and the phases as an ``(n, phases)`` array.
     """
     pure = np.arange(n) % 2 == 1
     sizes = np.where(pure, 2, 3) + phases
@@ -208,7 +188,7 @@ def _random_states(
     rho12 = fraction * np.sqrt(w * (1.0 - w))
     after = start + np.where(pure, 1, 2)  # theta, then the extra phases
     draws = _uniform(u[after[:, None] + np.arange(1 + phases)], 0.0, TWO_PI)
-    return (*validate_density(w, rho12, draws[:, 0]), draws[:, 1:])
+    return DensityMatrix(w, rho12, draws[:, 0]), draws[:, 1:]
 
 
 def _near(value, target, tolerance, label) -> tuple:
@@ -314,6 +294,28 @@ def minimum_product_routes(w_plus: float) -> tuple[float, float, float, float, f
     return value, long_form, numeric_min, plus * plus / 16.0, minus * minus / 16.0
 
 
+def _density_params(m: np.ndarray) -> tuple:
+    """Parameters ``(w_plus, rho12, theta)`` read off explicit density matrices ``(..., 2, 2)``: the route back.
+
+    Every matrix must pass :func:`~qudual.linalg.assert_hermitian` and have
+    unit trace within 1e-10, or a :class:`ContractViolationError` names the
+    first failure. Returns the populations and the magnitude and wrapped
+    phase of the lower off-diagonal entry: Python floats for one matrix, with
+    the bits of its element in a stack, and float arrays for a stack.
+    """
+    m = assert_hermitian(m, name="density matrix")
+    tr = m[..., 0, 0].real + m[..., 1, 1].real
+    bad = ~(np.abs(tr - 1.0) <= _TRACE)  # NaN fails too
+    if bad.any():
+        raise ContractViolationError(
+            f"density matrix trace = {float(tr[bad].flat[0])!r} differs from 1 beyond {_TRACE:.1e}"
+        )
+    (a, _), (off, _) = _entries(m)
+    r = _hypot(*_split(off))
+    theta = np.where(r > 0.0, np.remainder(np.angle(off), TWO_PI), 0.0)
+    return a.real, r, theta if m.ndim > 2 else float(theta)
+
+
 def _suite_linalg_core(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     t.check(_near(trace_norm(np.diag([0.5, -0.5]).astype(complex)), 1.0, _DIAGONAL_TRACE_NORM, "trace norm diag"))
 
@@ -339,22 +341,22 @@ def _suite_linalg_core(t: _Tally, run: dict, rng: np.random.Generator) -> None:
 
 
 def _suite_state_round_trip(t: _Tally, run: dict, rng: np.random.Generator) -> None:
-    w, rho12, theta, _ = _random_states(rng, 500)
-    m = _density_matrix(w, rho12, theta)
-    back_w, back_rho12, back_theta = validate_density(*density_params(m))
+    rho, _ = _random_states(rng, 500)
+    m = rho.matrix
+    back = DensityMatrix(*_density_params(m))
     trace_squared = np.trace(m @ m, axis1=-2, axis2=-1).real
-    phase_gap = np.abs(np.exp(1j * back_theta) - np.exp(1j * theta))
+    phase_gap = np.abs(np.exp(1j * back.theta) - np.exp(1j * rho.theta))
     t.check(
-        _near(back_w, w, _ROUNDOFF, lambda i: f"round trip w_plus #{i}"),
-        _near(back_rho12, rho12, _ROUNDOFF, lambda i: f"round trip rho12 #{i}"),
-        (phase_gap, _PHASE, lambda i: f"round trip theta #{i}", rho12 > 1e-9),
-        _near(trace_squared, _purity(w, rho12), _ROUNDOFF, lambda i: f"purity trace identity #{i}"),
+        _near(back.w_plus, rho.w_plus, _ROUNDOFF, lambda i: f"round trip w_plus #{i}"),
+        _near(back.rho12, rho.rho12, _ROUNDOFF, lambda i: f"round trip rho12 #{i}"),
+        (phase_gap, _PHASE, lambda i: f"round trip theta #{i}", rho.rho12 > 1e-9),
+        _near(trace_squared, rho.purity, _ROUNDOFF, lambda i: f"purity trace identity #{i}"),
     )
     t.raises(ParameterError, lambda: DensityMatrix(1.2, 0.0), "w_plus above 1 rejected")
     t.raises(ParameterError, lambda: DensityMatrix(0.5, 0.6), "coherence above bound rejected")
     t.raises(
         ContractViolationError,
-        lambda: density_params(np.array([[0.5, 0.1j], [0.1j, 0.5]])),
+        lambda: _density_params(np.array([[0.5, 0.1j], [0.1j, 0.5]])),
         "non-hermitian matrix rejected",
     )
 
@@ -363,9 +365,10 @@ def _suite_duality(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     # The corrupt switch makes the upper bound impossible to meet; it exists
     # so the harness can confirm failures are actually reported.
     bound = -math.inf if run["corrupt"] else _BOUND
-    w, rho12, _, _ = _random_states(rng, run["duality"])
-    p, v, sum_sq = duality_arrays(w, rho12)
-    pure = _purity(w, rho12) >= 1.0 - _PURE
+    rho, _ = _random_states(rng, run["duality"])
+    p, v = predictability(rho), visibility(rho)
+    sum_sq = p * p + v * v
+    pure = rho.purity >= 1.0 - _PURE
     s = sum_sq.tolist()
     t.check(
         (sum_sq - 1.0, bound, lambda i: f"sum of squares bound #{i}: {s[i]!r}"),
@@ -376,11 +379,12 @@ def _suite_duality(t: _Tally, run: dict, rng: np.random.Generator) -> None:
 
 
 def _suite_complementary_family(t: _Tally, run: dict, rng: np.random.Generator) -> None:
-    w, rho12, theta, phases = _random_states(rng, 1000, phases=1)
-    p, v, base = duality_arrays(w, rho12)
-    p_b, v_b = family_arrays(w, rho12, theta, phases[:, 0])
-    proper_p, proper_v = family_arrays(w, rho12, theta, theta)
-    erased_p, erased_v = family_arrays(w, rho12, theta, theta + math.pi / 2.0)
+    rho, phases = _random_states(rng, 1000, phases=1)
+    p, v = predictability(rho), visibility(rho)
+    base = p * p + v * v
+    p_b, v_b = family_duality(rho, phases[:, 0])
+    proper_p, proper_v = family_duality(rho, rho.theta)
+    erased_p, erased_v = family_duality(rho, rho.theta + math.pi / 2.0)
     t.check(
         _near(p_b * p_b + v_b * v_b, base, _ROUNDOFF, lambda i: f"family invariance #{i}"),
         _near(proper_p, v, _ROUNDOFF, lambda i: f"proper choice swaps V into P_B #{i}"),
@@ -412,7 +416,8 @@ def _suite_fringe_oracle(t: _Tally, run: dict, rng: np.random.Generator) -> None
     grid = run["fringe_grid"]
     angle_tol = TWO_PI / grid + _GRID_ANGLE  # one grid step, and round-off
     states = [pure_state(0.9), pure_state(0.5), DensityMatrix(0.7, 0.0)]
-    states += [DensityMatrix(*params) for params in zip(*_random_states(rng, run["fringe_states"])[:3])]
+    drawn, _ = _random_states(rng, run["fringe_states"])
+    states += [DensityMatrix(*params) for params in zip(drawn.w_plus, drawn.rho12, drawn.theta)]
     v = np.array([visibility(rho) for rho in states])
     target = np.array([0.6, 1.0, 0.0, *v[3:]])  # the first three are known exactly
     v_hat, xi_hat = np.array([visibility_oracle(rho, grid_n=grid) for rho in states]).T
@@ -424,17 +429,16 @@ def _suite_fringe_oracle(t: _Tally, run: dict, rng: np.random.Generator) -> None
 
 
 def _suite_robertson(t: _Tally, run: dict, rng: np.random.Generator) -> None:
-    w, rho12, theta, phases = _random_states(rng, run["robertson"], phases=1)
-    b_m = complementary_matrices(phases[:, 0])
-    slack = robertson_arrays(_density_matrix(w, rho12, theta), REFERENCE.matrix, b_m)[4]
+    rho, phases = _random_states(rng, run["robertson"], phases=1)
+    slack = robertson(rho, REFERENCE, complementary_observable(phases[:, 0])).slack
     # Slack has a closed form of its own for this pair: the coherence
     # deficit (w+ w- - rho12^2) / 4 at unit eigenvalue gaps.
-    target = (w * (1.0 - w) - rho12 * rho12) / 4.0
+    target = (rho.w_plus * rho.w_minus - rho.rho12 * rho.rho12) / 4.0
     s = slack.tolist()
     t.check(
         (-slack, _BOUND, lambda i: f"robertson bound #{i}: {s[i]!r}"),
         _near(slack, target, _ROUNDOFF, lambda i: f"robertson slack identity #{i}"),
-        (np.abs(slack), _SATURATION, lambda i: f"pure state saturation #{i}: {s[i]!r}", _purity(w, rho12) >= 1.0 - _PURE),
+        (np.abs(slack), _SATURATION, lambda i: f"pure state saturation #{i}: {s[i]!r}", rho.purity >= 1.0 - _PURE),
     )
 
 
@@ -448,9 +452,9 @@ def _suite_intelligent_states(t: _Tally, run: dict, rng: np.random.Generator) ->
     family, param, _ = zip(*rows)
     tag = [f"{f} {grids[f][0]}={p:.2f} br={b}" for f, p, b in rows]
     states = [intelligent_state(f, p, varrho, b) for f, p, b in rows]
-    w, rho12, theta = np.array([(st.state.w_plus, st.state.rho12, st.state.theta) for st in states]).T
-    rho = _density_parts(w, rho12, theta)
-    var_a, var_b, _, _, slack = robertson_arrays(_from_parts(*rho), REFERENCE.matrix, b_obs.matrix)
+    rho = DensityMatrix(*np.array([(st.state.w_plus, st.state.rho12, st.state.theta) for st in states]).T)
+    report = robertson(rho, REFERENCE, b_obs)
+    var_a, var_b, slack = report.var_a, report.var_b, report.slack
     # An infinite stretch marks an eigenvector of the member, where the
     # eigen-equation degenerates: that state is checked for Var(B) = 0
     # instead, and a zero stretch stands in for it in the arithmetic.
@@ -459,7 +463,7 @@ def _suite_intelligent_states(t: _Tally, run: dict, rng: np.random.Generator) ->
     stand_in = np.where(finite, lam, 0.0)
     stretch = _hypot(*_split(stand_in))
     lam_sq = stretch * stretch
-    res = _eigen_residuals(rho, _pure_parts(w, theta), stand_in, REFERENCE._parts, b_obs._parts)
+    res = is_residual(rho, stand_in, REFERENCE, b_obs)
     is1 = np.array(family) == "IS1"
     central = {("IS1", 0.5): "IS1 central point", ("IS2a", 0.0): "IS2a zero offset"}
     # IS1 runs along the floor of the normalized product, IS2b along its ceiling.
@@ -517,10 +521,9 @@ def _suite_product_bounds(t: _Tally, run: dict, rng: np.random.Generator) -> Non
     deltas = np.linspace(0.0, math.pi / 2.0, 33).tolist()
     varrho = [0.6 - delta for delta in deltas] + [0.6 - math.pi / 2.0]
     w = np.repeat(ws, len(varrho))
-    rho_m = _density_matrix(*validate_density(w, np.sqrt(w * (1.0 - w)), 0.6))
-    b_m = complementary_matrices(np.tile(varrho, ws.size))
-    var_a, var_b = robertson_arrays(rho_m, REFERENCE.matrix, b_m)[:2]
-    prod = (var_a * var_b).reshape(ws.size, len(varrho))
+    rho = DensityMatrix(w, np.sqrt(w * (1.0 - w)), 0.6)
+    report = robertson(rho, REFERENCE, complementary_observable(np.tile(varrho, ws.size)))
+    prod = report.lhs.reshape(ws.size, len(varrho))
     lo, hi = np.array([normalized_product_bounds(x) for x in ws.tolist()]).T
 
     outside = np.maximum(lo[:, None] - prod, prod - hi[:, None])
@@ -536,7 +539,9 @@ def _suite_product_bounds(t: _Tally, run: dict, rng: np.random.Generator) -> Non
 def _suite_entangled_duality(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     grid = np.linspace(0.0, 1.0, 51)
     w, c = (x.ravel() for x in np.meshgrid(grid, grid, indexing="ij"))
-    d, ve, w_marg, rho12_marg, _ = entangled_arrays(w, 0.7, c)
+    psi = EntangledState(w, 0.7, c)
+    d, ve = distinguishability(psi), entangled_visibility(psi)
+    w_marg, _, x, y = _reduced(psi._rows)  # the system state left by tracing out the meter
     sum_sq = d * d + ve * ve
     coherence = c * np.sqrt(w * (1.0 - w))
 
@@ -547,19 +552,8 @@ def _suite_entangled_duality(t: _Tally, run: dict, rng: np.random.Generator) -> 
         _near(sum_sq, 1.0, _ROUNDOFF, lambda i: f"erasure-free duality {at(i)}"),
         (np.abs(2.0 * w - 1.0) - d, _BOUND, lambda i: f"predictability below distinguishability {at(i)}"),
         _near(w_marg, w, _ROUNDOFF, lambda i: f"marginal populations {at(i)}"),
-        _near(rho12_marg, coherence, _ROUNDOFF, lambda i: f"marginal coherence {at(i)}"),
+        _near(_hypot(x, y), coherence, _ROUNDOFF, lambda i: f"marginal coherence {at(i)}"),
     )
-
-
-def _entry_parts(psi: EntangledState) -> tuple:
-    """The parts ``(re, im)`` of the amplitudes of ``psi``, entry by entry: eight floats, in the order of its rows."""
-    (m00, m01), (m10, m11) = psi._rows
-    return (*m00, *m01, *m10, *m11)
-
-
-def _amplitude_stack(parts: np.ndarray) -> np.ndarray:
-    """The :attr:`EntangledState.amplitudes` of the states whose :func:`_entry_parts` are the rows of ``parts``."""
-    return _from_entries(*zip(parts.T[0::2], parts.T[1::2]))
 
 
 def _suite_unbiasedness(t: _Tally, run: dict, rng: np.random.Generator) -> None:
@@ -569,13 +563,12 @@ def _suite_unbiasedness(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     thetas = [TWO_PI * j / 8.0 for j in range(8)]
     grid = [(w, theta, c) for w in tenths for theta in thetas for c in tenths]
     sharp_b = {(w, theta): mean_var(pure_state(w, theta), b_obs)[0] for w in tenths for theta in thetas}
-    # Rows of two arrays, so that no object of one state outlives its step and the memory stays flat.
-    parts, closed = np.empty((len(grid), 8)), np.empty((len(grid), 4))
-    for i, (w, theta, c) in enumerate(grid):
-        psi = EntangledState(w, theta, c)
-        parts[i] = _entry_parts(psi)
+    # Rows of one array, so that no object of one state outlives its step and the memory stays flat.
+    closed = np.empty((len(grid), 4))
+    for i, point in enumerate(grid):
+        psi = EntangledState(*point)
         closed[i] = (*estimate_a(psi), *estimate_b(psi, varrho))
-    amplitudes = _amplitude_stack(parts)
+    amplitudes = EntangledState(*np.array(grid).T).amplitudes
     # the sharp means of A and B
     sharp = np.array([(GAUGE * (2.0 * w - 1.0), sharp_b[w, theta]) for w, theta, _ in grid])
     projected = np.ravel(projected_readout_moments(amplitudes, [c for _, _, c in grid], varrho)).reshape(4, -1)
@@ -599,7 +592,7 @@ def _suite_unbiasedness(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     # c is one element.
     probes = [(w, theta) for w in _PROBE_W for theta in _PROBE_THETA]
     grid = [(w, theta, c) for c in _PROBE_C for w, theta in probes]
-    amplitudes = _amplitude_stack(np.array([_entry_parts(EntangledState(*point)) for point in grid]))
+    amplitudes = EntangledState(*np.array(grid).T).amplitudes
     (mean, _), _ = projected_readout_moments(amplitudes, [c for _, _, c in grid], [theta for _, theta, _ in grid])
     mean = mean.reshape(len(_PROBE_C), len(probes))
     sharp = np.array([GAUGE * (2.0 * w - 1.0) for w, _ in probes])

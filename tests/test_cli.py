@@ -19,12 +19,11 @@ from qudual import (
     EntangledState,
     Observable,
     ParameterError,
-    complementary_matrices,
     complementary_observable,
-    duality_arrays,
-    entangled_arrays,
+    distinguishability,
+    entangled_visibility,
     estimate_b,
-    family_arrays,
+    family_duality,
     fringe_probability,
     intelligent_state,
     is_residual,
@@ -38,8 +37,8 @@ from qudual import (
     sample_sharp,
     sample_simultaneous,
     simultaneous_product,
-    validate_density,
     verify,
+    visibility,
     visibility_oracle,
 )
 from qudual.cli import CSV_HEADER, MAX_SWEEP_POINTS, _build_parser, main
@@ -155,7 +154,7 @@ def sweep_rows(capsys, figure):
 def test_sweep_predictability_is_the_library_predictability(capsys, figure):
     for w, p, *_ in sweep_rows(capsys, figure):
         rho = pure_state(w)
-        assert p == predictability(rho) == duality_arrays(rho.w_plus, rho.rho12)[0], w
+        assert p == predictability(rho) == predictability(DensityMatrix([w], rho.rho12))[0], w
 
 
 def test_sweep_distinguishability_one_ulp_below_half(capsys):
@@ -279,28 +278,29 @@ SCALAR_ENTRY_POINTS = {
     "DensityMatrix.rho12": lambda x: DensityMatrix(0.5, x),
     "DensityMatrix.theta": lambda x: DensityMatrix(0.5, 0.5, x),
     "DensityMatrix.theta-incoherent": lambda x: DensityMatrix(0.5, 0.0, x),
-    # the stacked forms check every element, not only the first
-    "validate_density.w_plus": lambda x: validate_density([0.5, x], 0.0),
-    "validate_density.rho12": lambda x: validate_density(0.5, [0.1, x]),
-    "validate_density.theta": lambda x: validate_density(0.5, 0.1, [0.0, x]),
-    "duality_arrays.w_plus": lambda x: duality_arrays([0.5, x], 0.0),
-    "duality_arrays.rho12": lambda x: duality_arrays(0.5, [0.1, x]),
+    # the stacked forms check every element, not only the first (see STACKED_ROWS)
+    "validate_density.w_plus": lambda x: DensityMatrix([0.5, x], 0.0),
+    "validate_density.rho12": lambda x: DensityMatrix(0.5, [0.1, x]),
+    "validate_density.theta": lambda x: DensityMatrix(0.5, 0.1, [0.0, x]),
+    "duality_arrays.w_plus": lambda x: predictability(DensityMatrix([0.5, x], 0.0)),
+    "duality_arrays.rho12": lambda x: visibility(DensityMatrix(0.5, [0.1, x])),
     "pure_state.w_plus": lambda x: pure_state(x),
     "pure_state.theta": lambda x: pure_state(0.5, x),
     "Observable.val_plus": lambda x: Observable(x, -0.5),
     "Observable.val_minus": lambda x: Observable(0.5, x),
     "complementary_observable.varrho": lambda x: complementary_observable(x),
-    "complementary_matrices.varrho": lambda x: complementary_matrices([0.0, x]),
-    "family_arrays.w_plus": lambda x: family_arrays(x, 0.0, 0.0, 0.0),
-    "family_arrays.rho12": lambda x: family_arrays(0.5, x, 0.0, 0.0),
-    "family_arrays.theta": lambda x: family_arrays(0.5, 0.1, x, 0.0),
-    "family_arrays.varrho": lambda x: family_arrays(0.5, 0.1, 0.0, x),
+    "complementary_matrices.varrho": lambda x: complementary_observable([0.0, x]).matrix,
+    "family_duality.varrho": lambda x: family_duality(DensityMatrix(0.5, 0.1), x),
+    "family_arrays.w_plus": lambda x: family_duality(DensityMatrix([0.5, x], 0.0), 0.0),
+    "family_arrays.rho12": lambda x: family_duality(DensityMatrix(0.5, [0.1, x]), 0.0),
+    "family_arrays.theta": lambda x: family_duality(DensityMatrix(0.5, 0.1, [0.0, x]), 0.0),
+    "family_arrays.varrho": lambda x: family_duality(DensityMatrix(0.5, 0.1), [0.0, x]),
     "EntangledState.w_plus": lambda x: EntangledState(x, 0.0, 0.5),
     "EntangledState.theta": lambda x: EntangledState(0.5, x, 0.5),
     "EntangledState.c": lambda x: EntangledState(0.5, 0.0, x),
-    "entangled_arrays.w_plus": lambda x: entangled_arrays([0.5, x], 0.0, 0.5),
-    "entangled_arrays.theta": lambda x: entangled_arrays(0.5, [0.0, x], 0.5),
-    "entangled_arrays.c": lambda x: entangled_arrays(0.5, 0.0, [0.5, x]),
+    "entangled_arrays.w_plus": lambda x: distinguishability(EntangledState([0.5, x], 0.0, 0.5)),
+    "entangled_arrays.theta": lambda x: entangled_visibility(EntangledState(0.5, [0.0, x], 0.5)),
+    "entangled_arrays.c": lambda x: distinguishability(EntangledState(0.5, 0.0, [0.5, x])),
     "meter_projectors.c": lambda x: meter_projectors(x),
     "estimate_b.varrho": lambda x: estimate_b(_PSI, x),
     "simultaneous_product.w_plus": lambda x: simultaneous_product(x, 0.5),
@@ -342,10 +342,13 @@ def test_non_finite_scalars_raise_parameter_error(entry, value):
         SCALAR_ENTRY_POINTS[entry](BAD_SCALARS[value])
 
 
+# The rows above that build stacked values, each named for the stacked form of the closed form it checks: a state,
+# its duality quantities, a family member, the family's duality quantities and an entangled state, each on arrays.
+STACKED_ROWS = {"validate_density", "duality_arrays", "complementary_matrices", "family_arrays", "entangled_arrays"}
 # The public functions and classes that take no float, so need no row above: they take matrices, or library objects
 # checked where they were built, or suite names, levels and integer seeds (any integer seed is taken modulo 2**64).
 TAKES_NO_FLOAT = {
-    "assert_hermitian", "assert_unitary", "density_params", "robertson_arrays", "trace_norm",
+    "assert_hermitian", "assert_unitary", "trace_norm",
     "distinguishability", "entangled_visibility", "estimate_a", "mean_var", "predictability", "robertson", "visibility",
     "render_report", "run_suite", "run_suites",
 }
@@ -362,7 +365,8 @@ def test_every_public_entry_point_of_a_float_has_a_row():
     }
     assert TAKES_NO_FLOAT | RETURN_TYPES <= entry_points
     rows = {entry.split(".")[0] for entry in SCALAR_ENTRY_POINTS}
-    assert sorted(entry_points - TAKES_NO_FLOAT - RETURN_TYPES) == sorted(rows)
+    assert STACKED_ROWS <= rows and not STACKED_ROWS & set(public)
+    assert sorted(entry_points - TAKES_NO_FLOAT - RETURN_TYPES) == sorted(rows - STACKED_ROWS)
 
 
 # Each value fails its bound before any draw or allocation.
@@ -607,17 +611,28 @@ ARGV_EDGE_GRIDS = {
         *(f"mc --theta={t} --varrho={t} --n=1000" for t in THETA_ARGV_EDGES),
     ],
     "sweep": [f"sweep --figure={figure} --points={n}" for figure in (1, 3) for n in N_ARGV_EDGES],
+    "verify": [
+        *(f"verify --level={level} --seed=42" for level in ("bad", "")),
+        *(f"verify --seed={seed}" for seed in ("-1", "0", str(2**63), str(2**64), "1.5", "nan", "inf")),
+        *(f"verify --level={level} --seed=42 --selftest-corrupt" for level in ("fast", "full")),
+    ],
 }
 
 
 @pytest.mark.parametrize("command", list(ARGV_EDGE_GRIDS))
-def test_commands_at_their_argument_edges_exit_cleanly(capsys, command):
+def test_commands_at_their_argument_edges_exit_cleanly(capsys, monkeypatch, command):
+    # An argument the parser refuses exits 2 through SystemExit, with the parser's "error: " message.
+    monkeypatch.delenv("QUDUAL_SEED", raising=False)
     failures = []
     for argv in ARGV_EDGE_GRIDS[command]:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(argv.split())
-        out = capsys.readouterr().out
-        if code not in (0, 1, 2) or (code == 0 and "nan" in out.lower()):
+            try:
+                code = main(argv.split())
+            except SystemExit as exc:
+                code = exc.code
+        out, err = capsys.readouterr()
+        clean = "Traceback" not in out + err and (code != 2 or "error: " in err)
+        if code not in (0, 1, 2) or (code == 0 and "nan" in out.lower()) or not clean:
             failures.append((argv, code))
     assert failures == []

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,20 +9,16 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qudual import (
-    ContractViolationError,
     DensityMatrix,
     ParameterError,
-    duality_arrays,
-    family_arrays,
+    family_duality,
     fringe_probability,
     predictability,
     pure_state,
-    validate_density,
     visibility,
     visibility_oracle,
 )
 from qudual.duality import MAX_GRID_N
-from qudual.states import _purity
 
 w_values = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 fractions = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -32,11 +29,17 @@ def draw_state(w, u, theta):
     return DensityMatrix(w, u * math.sqrt(w * (1.0 - w)), theta)
 
 
+def sum_of_squares(rho):
+    """``P**2 + V**2`` of one state or a stack."""
+    p, v = predictability(rho), visibility(rho)
+    return p * p + v * v
+
+
 def test_frozen_duality_values():
     rho = pure_state(0.9)
     assert predictability(rho) == pytest.approx(0.8, abs=1e-15)
     assert visibility(rho) == pytest.approx(0.6, abs=1e-15)
-    assert duality_arrays(rho.w_plus, rho.rho12)[2] == pytest.approx(1.0, abs=1e-15)
+    assert sum_of_squares(rho) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_fringe_probability_frozen_points():
@@ -160,11 +163,11 @@ def test_oracle_tracks_coherence(w, u, theta):
 def test_family_frozen_values():
     rho = pure_state(0.9, 0.3)
     # proper phase choice swaps the roles of P and V
-    p_b, v_b = family_arrays(rho.w_plus, rho.rho12, rho.theta, 0.3)
+    p_b, v_b = family_duality(rho, 0.3)
     assert p_b == pytest.approx(0.6, abs=1e-15)
     assert v_b == pytest.approx(0.8, abs=1e-15)
     # erasure choice erases all predictability of the member outcome
-    p_b, v_b = family_arrays(rho.w_plus, rho.rho12, rho.theta, 0.3 + math.pi / 2.0)
+    p_b, v_b = family_duality(rho, 0.3 + math.pi / 2.0)
     assert p_b == pytest.approx(0.0, abs=1e-15)
     assert v_b == pytest.approx(1.0, abs=1e-15)
 
@@ -173,60 +176,52 @@ def test_family_frozen_values():
 def test_family_rotation_preserves_the_sum(w, u, theta, varrho):
     rho = draw_state(w, u, theta)
     base = predictability(rho) ** 2 + visibility(rho) ** 2
-    p_b, v_b = family_arrays(rho.w_plus, rho.rho12, rho.theta, varrho)
+    p_b, v_b = family_duality(rho, varrho)
     assert p_b**2 + v_b**2 == pytest.approx(base, abs=1e-12)
 
 
 def test_family_stack_matches_each_state_alone():
     rng = np.random.default_rng(4)
     w = rng.uniform(0.0, 1.0, 300)
-    w, rho12, theta = validate_density(w, rng.uniform(0.0, 1.0, 300) * np.sqrt(w * (1.0 - w)), rng.uniform(0.0, 7.0, 300))
+    rho = DensityMatrix(w, rng.uniform(0.0, 1.0, 300) * np.sqrt(w * (1.0 - w)), rng.uniform(0.0, 7.0, 300))
     varrho = rng.uniform(-20.0, 20.0, 300)
-    stack = [x.tolist() for x in family_arrays(w, rho12, theta, varrho)]
+    varrho[:3] = 1e308, -1e308, -1.5e308  # a stored theta is wrapped, so theta - varrho stays finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack = [x.tolist() for x in family_duality(rho, varrho)]
     for i in range(w.size):
-        alone = family_arrays(float(w[i]), float(rho12[i]), float(theta[i]), float(varrho[i]))
-        assert tuple(float(x) for x in alone) == (stack[0][i], stack[1][i])
+        alone = family_duality(DensityMatrix(rho.w_plus[i], rho.rho12[i], rho.theta[i]), float(varrho[i]))
+        assert alone == (stack[0][i], stack[1][i])
 
 
 @pytest.mark.parametrize("varrho", [math.nan, math.inf, -math.inf])
 def test_family_rejects_a_non_finite_phase(varrho):
     with pytest.raises(ParameterError, match="varrho = "):
-        family_arrays(0.9, 0.3, 0.3, varrho)
+        family_duality(DensityMatrix(0.9, 0.3, 0.3), varrho)
     with pytest.raises(ParameterError, match="varrho = "):
-        family_arrays([0.9, 0.5], [0.3, 0.5], [0.3, 1.0], [0.2, varrho])
-
-
-@pytest.mark.parametrize("theta, varrho", [(1e308, -1e308), (-1.5e308, 1e308)])
-def test_family_rejects_phases_whose_difference_overflows(theta, varrho):
-    # each phase is finite, their difference is not: one state and a stack raise the same error, with no warning
-    message = re.escape(f"theta - varrho = {theta - varrho!r} violates the bound -inf < theta - varrho < inf") + "$"
-    with pytest.raises(ParameterError, match=message):
-        family_arrays(0.3, 0.2, theta, varrho)
-    with pytest.raises(ParameterError, match=message):
-        family_arrays([0.3, 0.3], 0.2, [0.1, theta], [0.0, varrho])
-    # a finite difference of huge phases keeps its value on both paths
-    assert family_arrays(0.3, 0.2, theta, 0.0) == tuple(x[1] for x in family_arrays(0.3, 0.2, [0.1, theta], 0.0))
+        family_duality(DensityMatrix([0.9, 0.5], [0.3, 0.5], [0.3, 1.0]), [0.2, varrho])
 
 
 W_PLUS_BOUND = "violates the bound 0 <= w_plus <= 1"
-RHO12_BOUND = "violates the bound 0 <= rho12 < inf"
+RHO12_BOUND = "violates the positivity bound 0 <= rho12 <= sqrt(w_plus * w_minus)"
 
 
 @pytest.mark.parametrize(
     "w_plus, rho12, shown", [(math.nan, 0.1, "nan"), (2.0, 0.1, "2.0"), (0.3, 10**400, "inf"), (0.5, -0.3, "-0.3")]
 )
 def test_family_checks_its_state(w_plus, rho12, shown):
-    # the state meets duality_arrays' input bounds: NaN, a population past 1, an overflow and a negative coherence
-    # each raise the error of the bound they violate, not a raw error or a negative P_B; only one input can show `shown`
-    with pytest.raises(ParameterError) as error:
-        family_arrays(w_plus, rho12, 0.0, 0.0)
-    assert str(error.value) in (f"w_plus = {shown} {W_PLUS_BOUND}", f"rho12 = {shown} {RHO12_BOUND}")
+    # the state is checked where it is built: NaN, a population past 1, an overflow and a negative coherence each
+    # raise the error of the bound they violate, not a raw error or a negative P_B; only one input can show `shown`
+    for state in (lambda: DensityMatrix(w_plus, rho12), lambda: DensityMatrix([0.5, w_plus], [0.1, rho12])):
+        with pytest.raises(ParameterError) as error:
+            family_duality(state(), 0.0)
+        assert str(error.value).startswith((f"w_plus = {shown} {W_PLUS_BOUND}", f"rho12 = {shown} {RHO12_BOUND}"))
 
 
 @given(w=w_values, u=fractions, theta=angles)
 def test_report_bounds_and_purity_link(w, u, theta):
     rho = draw_state(w, u, theta)
-    sum_sq = duality_arrays(rho.w_plus, rho.rho12)[2]
+    sum_sq = sum_of_squares(rho)
     assert sum_sq <= 1.0 + 1e-12
     assert sum_sq == pytest.approx(2.0 * rho.purity - 1.0, abs=1e-12)
 
@@ -236,30 +231,29 @@ def test_equality_exactly_for_pure_states():
     for _ in range(200):
         w = rng.uniform()
         rho = pure_state(w, rng.uniform(0.0, 2.0 * math.pi))
-        assert abs(duality_arrays(rho.w_plus, rho.rho12)[2] - 1.0) <= 1e-10
+        assert abs(sum_of_squares(rho) - 1.0) <= 1e-10
     for _ in range(200):
         w = rng.uniform(0.05, 0.95)
         rho = DensityMatrix(w, rng.uniform(0.0, 0.99) * math.sqrt(w * (1.0 - w)), 0.0)
-        assert duality_arrays(rho.w_plus, rho.rho12)[2] < 1.0 - 1e-10
+        assert sum_of_squares(rho) < 1.0 - 1e-10
 
 
 def test_kernel_on_a_stack_matches_the_scalar_report():
     rng = np.random.default_rng(17)
     w = rng.uniform(0.0, 1.0, 500)
-    rho12 = rng.uniform(0.0, 1.0, 500) * np.sqrt(w * (1.0 - w))
-    p, v, sum_sq = duality_arrays(w, rho12)
-    pur = _purity(w, rho12)
+    stack = DensityMatrix(w, rng.uniform(0.0, 1.0, 500) * np.sqrt(w * (1.0 - w)))
+    p, v, sum_sq, pur = predictability(stack), visibility(stack), sum_of_squares(stack), stack.purity
     for i in range(w.size):
-        rho = DensityMatrix(w[i], rho12[i])
-        alone = tuple(float(x) for x in duality_arrays(rho.w_plus, rho.rho12))
-        assert alone == (p[i], v[i], sum_sq[i])
-        assert (alone[0], alone[1], pur[i]) == (predictability(rho), visibility(rho), rho.purity)
+        rho = DensityMatrix(stack.w_plus[i], stack.rho12[i])
+        assert (predictability(rho), visibility(rho), sum_of_squares(rho), rho.purity) == (p[i], v[i], sum_sq[i], pur[i])
 
 
 def test_kernel_keeps_the_report_contract():
-    # rho12 = 0.9 at w_plus = 1/2 is past the positivity bound: P**2 + V**2 = 3.24.
-    with pytest.raises(ContractViolationError, match=r"P\*\*2 \+ V\*\*2 = 3.24 exceeds 1"):
-        duality_arrays([0.5, 0.5, 0.3], [0.1, 0.9, 0.0])
+    # P**2 + V**2 = 1 - 4 w+ w- + 4 rho12**2 exceeds 1 only past the positivity bound, which a state refuses where it
+    # is built: rho12 = 0.9 at w_plus = 1/2, alone or in a stack, where P**2 + V**2 would be 3.24
+    for rho12 in (0.9, [0.1, 0.9, 0.0]):
+        with pytest.raises(ParameterError, match=re.escape(f"rho12 = 0.9 {RHO12_BOUND} = 0.5") + "$"):
+            DensityMatrix(0.5, rho12)
     # a NaN, an integer past the double range and a negative coherence fail their input bound rather than leak out,
     # overflow or return a negative V
     for w_plus, rho12, message in (
@@ -268,20 +262,18 @@ def test_kernel_keeps_the_report_contract():
         ([0.3, 10**400], 0.0, f"w_plus = inf {W_PLUS_BOUND}"),
         ([0.5, 0.5], [0.1, -0.3], f"rho12 = -0.3 {RHO12_BOUND}"),
     ):
-        with pytest.raises(ParameterError, match=re.escape(message) + "$"):
-            duality_arrays(w_plus, rho12)
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            DensityMatrix(w_plus, rho12)
 
 
-@pytest.mark.parametrize("w_plus", [1.0 + 2e-13, -1e-13], ids=["above-1", "below-0"])
+@pytest.mark.parametrize("w_plus", [1.0 + 2e-12, -2e-12], ids=["above-1", "below-0"])
 def test_a_population_just_outside_its_range_raises(w_plus):
-    # inside the 1e-12 tolerance of P**2 + V**2 <= 1, so only the population's own bound sees it: one state, a stack,
-    # and the family kernel that checks its state through duality_arrays
+    # A state clamps a population within its slack of 1e-12 onto [0, 1], and refuses one just past the slack, alone
+    # or in a stack: P and V never read a population outside [0, 1].
     message = re.escape(f"w_plus = {w_plus!r} {W_PLUS_BOUND}") + "$"
-    for call in (
-        lambda: duality_arrays(w_plus, 0.0),
-        lambda: duality_arrays([0.5, w_plus], [0.1, 0.0]),
-        lambda: family_arrays(w_plus, 0.0, 0.0, 0.0),
-        lambda: family_arrays([0.5, w_plus], 0.0, 0.0, [0.0, 0.3]),
-    ):
+    for w in (w_plus, [0.5, w_plus]):
         with pytest.raises(ParameterError, match=message):
-            call()
+            DensityMatrix(w, 0.0)
+    inside = math.copysign(5e-13, w_plus) + (w_plus > 0.5)
+    assert predictability(DensityMatrix(inside, 0.0)) == 1.0
+    assert predictability(DensityMatrix([0.5, inside], 0.0)).tolist() == [0.0, 1.0]

@@ -11,13 +11,16 @@ public functions and commands read nothing of NumPy on the way.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qudual.cli import main
-from qudual.duality import duality_arrays, family_arrays, predictability, visibility
+from qudual.duality import family_duality, predictability, visibility, visibility_oracle
+from qudual.errors import ParameterError
 from qudual.linalg import assert_unitary
+from qudual.montecarlo import sample_fringe, sample_sharp, sample_simultaneous
 from qudual.simultaneous import (
     EntangledState,
     _amplitudes,
@@ -35,12 +38,10 @@ from qudual.states import (
     TWO_PI,
     DensityMatrix,
     Observable,
-    _density_matrix,
     _density_parts,
     _member_basis,
     _pure_parts,
     _spectral_parts,
-    complementary_matrices,
     complementary_observable,
     pure_state,
 )
@@ -126,7 +127,7 @@ def _density_states():
 def test_state_parts_have_the_bits_of_their_stack_element_and_of_numpy():
     states = _density_states()
     w, rho12, theta = (np.array(axis) for axis in zip(*((rho.w_plus, rho.rho12, rho.theta) for rho in states)))
-    stack, matrices = _density_parts(w, rho12, theta), _density_matrix(w, rho12, theta)
+    stack, matrices = _density_parts(w, rho12, theta), DensityMatrix(w, rho12, theta).matrix
     off = rho12 * np.exp(-1j * theta)  # NumPy's complex product, which the parts reproduce term for term
     for i, rho in enumerate(states):
         assert floats(rho._parts)
@@ -138,7 +139,7 @@ def test_family_member_columns_and_parts_have_the_bits_of_their_stack_element():
     wrapped = np.remainder(np.array(PHASES), TWO_PI)
     columns = _member_basis(wrapped)
     parts = _spectral_parts(columns, GAUGE, -GAUGE)
-    matrices = complementary_matrices(wrapped)
+    matrices = complementary_observable(wrapped).matrix
     for i, varrho in enumerate(PHASES):
         member = complementary_observable(varrho)
         assert floats(member._columns) and floats(member._parts)
@@ -216,11 +217,16 @@ def _states():
     return [(w, u * math.sqrt(w * (1.0 - w))) for w, u in rows]
 
 
+def _duality(rho):
+    p, v = predictability(rho), visibility(rho)
+    return p, v, p * p + v * v
+
+
 def test_duality_of_one_state_has_the_bits_of_its_stack_element():
     rows = _states()
-    stack = duality_arrays(*(np.array(axis) for axis in zip(*rows)))
+    stack = _duality(DensityMatrix(*(np.array(axis) for axis in zip(*rows))))
     for i, (w, rho12) in enumerate(rows):
-        alone = duality_arrays(w, rho12)
+        alone = _duality(DensityMatrix(w, rho12))
         assert all(isinstance(x, float) for x in alone)
         assert bits(alone) == bits([x[i] for x in stack]), (w, rho12)
 
@@ -228,11 +234,81 @@ def test_duality_of_one_state_has_the_bits_of_its_stack_element():
 def test_family_of_one_state_has_the_bits_of_its_stack_element():
     states = _states()
     rows = [(*states[k % len(states)], theta, varrho) for k, (theta, varrho) in enumerate(grid(PHASES, PHASES))]
-    stack = family_arrays(*(np.array(axis) for axis in zip(*rows)))
-    for i, row in enumerate(rows):
-        alone = family_arrays(*row)
+    w, rho12, theta, varrho = (np.array(axis) for axis in zip(*rows))
+    stack = family_duality(DensityMatrix(w, rho12, theta), varrho)
+    for i, (*state, phase) in enumerate(rows):
+        alone = family_duality(DensityMatrix(*state), phase)
         assert all(isinstance(x, float) for x in alone)
-        assert bits(alone) == bits([x[i] for x in stack]), row
+        assert bits(alone) == bits([x[i] for x in stack]), rows[i]
+
+
+# The edges of the stacked public forms: populations, a coherence of none or all of its bound, signed zero and top
+# phases, and overlaps at 0, tiny and 1; every combination, then random rows.
+EDGE_ROWS = list(itertools.product(W_EDGES, [0.0, 1.0], [0.0, -0.0, PHASE_EDGES[-1]], [0.0, -0.0, PHASE_EDGES[-1]],
+                                   [0.0, 1e-300, 1.0]))
+EDGE_ROWS += list(zip(W[5:], _RNG.uniform(0.0, 1.0, 200).tolist(), PHASES[5:], _RNG.uniform(-9.0, 9.0, 200).tolist(),
+                      C[5:]))
+
+
+def _public_forms(rho, varrho, psi, pure, lam) -> tuple:
+    """Every public closed form that takes a stack, on a state, a phase, an entangled state, a pure state and a lam."""
+    member = complementary_observable(varrho)
+    return (
+        rho._parts, rho.purity, predictability(rho), visibility(rho), family_duality(rho, varrho),
+        tuple(vars(robertson(rho, REFERENCE, member)).values()), member._columns, member._parts,
+        distinguishability(psi), entangled_visibility(psi), is_residual(pure, lam, REFERENCE, member),
+    )
+
+
+def _hexes(parts) -> list[str]:
+    """``float.hex`` of every float of ``parts`` nested in tuples: the bits, zero signs included."""
+    return [h for part in parts for h in _hexes(part)] if isinstance(parts, tuple) else [float.hex(float(parts))]
+
+
+def test_every_stacked_public_form_has_the_bits_of_each_state_alone():
+    w, u, theta, varrho, c = (np.array(axis) for axis in zip(*EDGE_ROWS))
+    rho12, bound = u * np.sqrt(w * (1.0 - w)), np.sqrt(w * (1.0 - w))
+    lam = (w - 0.5) * 3.0 + 1j * (c - u)
+    stack = _public_forms(
+        DensityMatrix(w, rho12, theta), varrho, EntangledState(w, theta, c), DensityMatrix(w, bound, theta), lam
+    )
+    rows = zip(*(x.tolist() for x in (w, rho12, bound, theta, varrho, c, lam)))
+    for i, (w_i, r_i, b_i, t_i, v_i, c_i, l_i) in enumerate(rows):
+        one, pure = DensityMatrix(w_i, r_i, t_i), DensityMatrix(w_i, b_i, t_i)
+        alone = _public_forms(one, v_i, EntangledState(w_i, t_i, c_i), pure, l_i)
+        assert floats(alone)
+        assert _hexes(alone) == _hexes(at(stack, i)), EDGE_ROWS[i]
+
+
+_STACK = DensityMatrix([0.3, 0.5], [0.1, 0.5], [1.0, 2.0])
+_ENTANGLED = EntangledState([0.3, 0.5], 0.2, [0.4, 0.6])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: estimate_a(_ENTANGLED),
+        lambda: estimate_b(_ENTANGLED, 0.3),
+        lambda: meter_projectors(np.array([0.4, 0.6])),
+        lambda: meter_projectors(np.array([0.4])),
+        lambda: _STACK.state_vector(),
+        lambda: _STACK == _STACK,
+        lambda: _STACK == DensityMatrix(0.3, 0.1, 1.0),
+        lambda: visibility_oracle(_STACK, 8),
+        lambda: sample_sharp(_STACK, REFERENCE, 10, 1),
+        lambda: sample_fringe(DensityMatrix(np.full(16, 0.5), 0.5), 10, 1),
+        lambda: sample_simultaneous(_ENTANGLED, 0.3, 10, 1),
+    ],
+    ids=[
+        "estimate_a", "estimate_b", "meter_projectors", "meter_projectors-1", "state_vector", "eq", "eq-one",
+        "visibility_oracle", "sample_sharp", "sample_fringe", "sample_simultaneous",
+    ],
+)
+def test_one_value_functions_refuse_a_stack_with_a_parameter_error(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=r", not a stack of shape \((1|2|16),\)$"):
+            call()
 
 
 def test_reference_is_built_with_the_bits_of_a_checked_observable():
@@ -274,8 +350,8 @@ def _one_state_calls(x):
         "complementary_observable": lambda: complementary_observable(x(0.4)),
         "predictability": lambda: predictability(rho),
         "visibility": lambda: visibility(rho),
-        "duality_arrays": lambda: duality_arrays(x(0.7), x(0.3)),
-        "family_arrays": lambda: family_arrays(x(0.7), x(0.3), x(1.1), x(0.4)),
+        "DensityMatrix.__eq__": lambda: rho == DensityMatrix(x(0.7), x(0.3), x(1.1)),
+        "family_duality": lambda: family_duality(rho, x(0.4)),
         "mean_var": lambda: mean_var(rho, member),
         "robertson": lambda: robertson(rho, REFERENCE, member),
         "normalized_product_bounds": lambda: normalized_product_bounds(x(0.3)),

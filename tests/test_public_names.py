@@ -25,16 +25,12 @@ PUBLIC_NAMES = [
     "__version__",
     "assert_hermitian",
     "assert_unitary",
-    "complementary_matrices",
     "complementary_observable",
-    "density_params",
     "distinguishability",
-    "duality_arrays",
-    "entangled_arrays",
     "entangled_visibility",
     "estimate_a",
     "estimate_b",
-    "family_arrays",
+    "family_duality",
     "fringe_probability",
     "intelligent_state",
     "is_residual",
@@ -46,7 +42,6 @@ PUBLIC_NAMES = [
     "pure_state",
     "render_report",
     "robertson",
-    "robertson_arrays",
     "run_suite",
     "run_suites",
     "sample_fringe",
@@ -54,7 +49,6 @@ PUBLIC_NAMES = [
     "sample_simultaneous",
     "simultaneous_product",
     "trace_norm",
-    "validate_density",
     "visibility",
     "visibility_oracle",
 ]
@@ -63,3 +57,21 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     assert sorted(qudual.__all__) == PUBLIC_NAMES
 
+
+
+def stacked_twins(names) -> list[str]:
+    """The names of ``names`` that end in ``_arrays`` or ``_matrices``: a second public path to a closed form.
+
+    Every closed form takes one value or a stack through one public function, so a raw-parameter or raw-matrix twin
+    of it has no place in the package namespace.
+    """
+    return sorted(name for name in names if name.endswith(("_arrays", "_matrices")))
+
+
+def test_the_scan_sees_a_stacked_twin():
+    names = ["robertson", "robertson_arrays", "complementary_matrices", "arrays_of", "matrices"]
+    assert stacked_twins(names) == ["complementary_matrices", "robertson_arrays"]
+
+
+def test_no_public_name_is_a_stacked_twin():
+    assert stacked_twins(qudual.__all__) == []

@@ -14,9 +14,7 @@ from qudual import (
     ParameterError,
     SingularConfigurationError,
     complementary_observable,
-    density_params,
     distinguishability,
-    entangled_arrays,
     entangled_visibility,
     estimate_a,
     estimate_b,
@@ -26,7 +24,9 @@ from qudual import (
     pure_state,
     simultaneous_product,
 )
-from qudual.verify import ROUTE_AGREEMENT_TOL, minimum_product_routes, projected_readout_moments
+from qudual.linalg import _hypot
+from qudual.simultaneous import _reduced
+from qudual.verify import ROUTE_AGREEMENT_TOL, _density_params, minimum_product_routes, projected_readout_moments
 
 w_values = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False)
@@ -68,9 +68,16 @@ def test_entangled_state_checks_its_parameters_and_computes_its_amplitudes():
     assert not psi.amplitudes.flags.writeable
 
 
+def marginal(psi):
+    """``(w_plus, rho12, theta)`` of the system state left by tracing the meter out of ``psi``, from its parts."""
+    a, _, x, y = _reduced(psi._rows)
+    r = _hypot(x, y)
+    return a, r, math.atan2(-y, x) % (2.0 * math.pi) if r > 0.0 else 0.0
+
+
 @given(w=w_values, theta=angles, c=overlaps)
 def test_marginal_coherence_is_scaled_by_overlap(w, theta, c):
-    w_marg, rho12_marg, theta_marg = (float(x) for x in entangled_arrays(w, theta, c)[2:])
+    w_marg, rho12_marg, theta_marg = marginal(EntangledState(w, theta, c))
     assert w_marg == pytest.approx(w, abs=1e-12)
     assert rho12_marg == pytest.approx(c * math.sqrt(w * (1.0 - w)), abs=1e-12)
     if rho12_marg > 1e-9:
@@ -92,18 +99,16 @@ def test_which_path_duality_is_tight(w, theta, c):
     assert abs(2.0 * w - 1.0) <= d + 1e-12
 
 
-def _scalar_which_way(w, theta, c):
-    psi = EntangledState(w, theta, c)
-    marginal = (float(x) for x in entangled_arrays(w, theta, c)[2:])
-    return distinguishability(psi), entangled_visibility(psi), *marginal
+def _which_way(psi):
+    return distinguishability(psi), entangled_visibility(psi), *_reduced(psi._rows)
 
 
 def assert_stack_matches_scalars(w, theta, c):
-    """Every element of ``entangled_arrays`` equals the scalar functions, and the kernel, on that one state, bit for bit."""
+    """Every element of the which-way quantities of a stacked state equals those of that one state, bit for bit."""
     w, theta, c = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (w, theta, c)))
-    stacked = [x.ravel().tolist() for x in entangled_arrays(w, theta, c)]
+    stacked = [np.broadcast_to(x, w.shape).ravel().tolist() for x in _which_way(EntangledState(w, theta, c))]
     for i, args in enumerate(zip(w.ravel().tolist(), theta.ravel().tolist(), c.ravel().tolist())):
-        assert tuple(x[i] for x in stacked) == _scalar_which_way(*args), args
+        assert tuple(x[i] for x in stacked) == _which_way(EntangledState(*args)), args
 
 
 def test_stacked_which_way_matches_scalars_on_the_suite_grid():
@@ -135,7 +140,7 @@ def test_stacked_which_way_rejects_as_entangle(slot, bad):
     with pytest.raises(ParameterError) as scalar:
         EntangledState(*(a[1] for a in args))
     with pytest.raises(ParameterError, match=re.escape(str(scalar.value)) + "$"):
-        entangled_arrays(*args)
+        EntangledState(*args)
 
 
 def test_meter_projector_geometry():
@@ -171,7 +176,7 @@ def test_meter_marginal_moments_match_estimate_a():
     for w, theta, c in zip(rng.uniform(0.0, 1.0, 200), rng.uniform(0.0, 2.0 * math.pi, 200), rng.uniform(0.01, 0.99, 200)):
         psi_e = EntangledState(w, theta, c)
         psi = psi_e.amplitudes
-        meter = DensityMatrix(*(float(x) for x in density_params(np.einsum("sm,sn->mn", psi, psi.conj()))))
+        meter = DensityMatrix(*_density_params(np.einsum("sm,sn->mn", psi, psi.conj())))
         obs = meter_projectors(c)
         mean, var = mean_var(meter, obs)
         mean_a, var_a = estimate_a(psi_e)

@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,13 +13,10 @@ from qudual import (
     DensityMatrix,
     Observable,
     ParameterError,
-    complementary_matrices,
     complementary_observable,
-    density_params,
     pure_state,
-    validate_density,
 )
-from qudual.states import _density_matrix
+from qudual.verify import _density_params as density_params
 
 w_values = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 fractions = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -102,9 +101,10 @@ def test_stacked_states_follow_the_scalar_rules():
     w = np.append(rng.uniform(0.0, 1.0, 200), [1.0 + 5e-13, -5e-13, 0.3, 0.5])
     rho12 = np.append(rng.uniform(0.0, 1.0, 200) * np.sqrt(w[:200] * (1.0 - w[:200])), [0.0, 1e-13, -1e-13, 0.5 + 5e-13])
     theta = np.append(rng.uniform(-10.0, 10.0, 200), [3.0, 8.0, 2.0, 1.0])
-    stored = validate_density(w, rho12, theta)
+    states = DensityMatrix(w, rho12, theta)
+    stored = states.w_plus, states.rho12, states.theta
     assert stored[1][-4:].tolist() == [0.0, 0.0, 0.0, 0.5]
-    stack = _density_matrix(*stored)
+    stack = states.matrix
     for i in range(w.size):
         rho = DensityMatrix(w[i], rho12[i], theta[i])
         assert (rho.w_plus, rho.rho12, rho.theta) == tuple(float(x[i]) for x in stored)
@@ -121,24 +121,28 @@ def test_stacked_states_follow_the_scalar_rules():
         ([0.5, 10**400], [0.1, 0.0], [0.0, 0.0], "w_plus = inf violates the bound 0 <= w_plus <= 1"),
         ([0.5, 0.5], [0.1, 10**400], [0.0, 0.0], r"rho12 = inf violates the positivity bound"),
         ([0.5, 0.5], [0.1, 0.1], [0.0, -(10**400)], "theta = -inf violates the bound"),
+        # an array of Python objects is read element by element: a complex one is not real, whatever its neighbours
+        ([np.complex128(0.5 + 1j), Fraction(1, 2)], 0.0, 0.0, r"w_plus = np.complex128\(0.5\+1j\) violates the bound"),
     ],
 )
 def test_stacked_states_raise_the_scalar_errors(w, rho12, theta, match):
-    with pytest.raises(ParameterError, match=match):
-        validate_density(w, rho12, theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=match):
+            DensityMatrix(w, rho12, theta)
 
 
 def test_stacked_family_members_match_the_scalar_observables():
     varrho = np.linspace(-7.0, 13.0, 101)
     # members carry the outcome values of the reference
-    stack = complementary_matrices(varrho)
+    stack = complementary_observable(varrho).matrix
     for i, phase in enumerate(varrho):
         np.testing.assert_array_equal(stack[i], complementary_observable(phase).matrix)
     np.testing.assert_allclose(np.linalg.eigvalsh(stack), np.tile([REFERENCE.val_minus, REFERENCE.val_plus], (varrho.size, 1)))
     with pytest.raises(ParameterError, match="varrho = nan"):
-        complementary_matrices([0.0, np.nan])
+        complementary_observable([0.0, np.nan])
     with pytest.raises(ParameterError, match="varrho = inf"):
-        complementary_matrices([0.0, 10**400])
+        complementary_observable([0.0, 10**400])
 
 
 def test_density_params_rejects_bad_input():
@@ -154,8 +158,10 @@ def test_density_params_rejects_bad_input():
 def test_density_params_read_stacks_as_single_matrices():
     rng = np.random.default_rng(9)
     w = rng.uniform(0.0, 1.0, 100)
-    stack = _density_matrix(*validate_density(w, rng.uniform(0.0, 1.0, 100) * np.sqrt(w * (1.0 - w)), rng.uniform(-9.0, 9.0, 100)))
-    stored = [x.tolist() for x in validate_density(*density_params(stack))]
+    rho12 = rng.uniform(0.0, 1.0, 100) * np.sqrt(w * (1.0 - w))
+    stack = DensityMatrix(w, rho12, rng.uniform(-9.0, 9.0, 100)).matrix.copy()
+    states = DensityMatrix(*density_params(stack))
+    stored = [x.tolist() for x in (states.w_plus, states.rho12, states.theta)]
     for i, m in enumerate(stack):
         rho = DensityMatrix(*(float(x) for x in density_params(m)))
         assert (rho.w_plus, rho.rho12, rho.theta) == tuple(x[i] for x in stored)
@@ -172,7 +178,7 @@ def test_density_params_of_one_matrix_are_floats_with_the_bits_of_their_stack_el
     w = np.concatenate([[0.0, 1.0, 0.5, 0.5], rng.uniform(0.0, 1.0, 200)])
     rho12 = np.concatenate([[0.0, 0.0, 0.5, 0.0], rng.uniform(0.0, 1.0, 200) * np.sqrt(w[4:] * (1.0 - w[4:]))])
     theta = np.concatenate([[0.0, 0.0, math.pi, 0.0], rng.uniform(0.0, 2.0 * math.pi, 200)])
-    stack = _density_matrix(w, rho12, theta)
+    stack = DensityMatrix(w, rho12, theta).matrix.copy()
     stack[-1, 1, 0] += 1e-13  # nearly Hermitian: the lower entry is the one read
     params = density_params(stack)
     for i, m in enumerate(stack):

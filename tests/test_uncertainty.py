@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 
 from qudual import (
     REFERENCE,
-    ContractViolationError,
     DensityMatrix,
     Observable,
     ParameterError,
-    complementary_matrices,
     complementary_observable,
     intelligent_state,
     is_residual,
@@ -25,11 +23,9 @@ from qudual import (
     predictability,
     pure_state,
     robertson,
-    robertson_arrays,
     visibility,
 )
-from qudual.states import _density_matrix, _density_parts, _pure_parts
-from qudual.uncertainty import _eigen_residuals, _robertson
+from qudual.uncertainty import _robertson
 
 w_values = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 fractions = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -99,7 +95,7 @@ def test_kernel_on_a_stack_matches_the_scalar_route():
     rho12 = np.sqrt(w * (1.0 - w)) * np.where(np.arange(n) % 2, 1.0, rng.uniform(0.0, 0.99, n))
     theta = rng.uniform(0.0, 2.0 * math.pi, n)
     varrho = rng.uniform(0.0, 2.0 * math.pi, n)
-    stack = robertson_arrays(_density_matrix(w, rho12, theta), A.matrix, complementary_matrices(varrho))
+    stack = dataclasses.astuple(robertson(DensityMatrix(w, rho12, theta), A, b_at(varrho)))
     for i in range(n):
         rep = robertson(DensityMatrix(w[i], rho12[i], theta[i]), A, b_at(varrho[i]))
         # one state runs the stack's expression on Python floats: the same bits
@@ -170,16 +166,14 @@ def test_checked_inputs_never_raise_at_large_outcome_values():
 
 
 def test_kernel_keeps_the_report_contract():
-    # A unit-trace Hermitian matrix with a negative eigenvalue is no state.
-    bad = np.array([[0.5, 0.9], [0.9, 0.5]], dtype=complex)
-    b_m = b_at(math.pi / 2.0).matrix
-    with pytest.raises(ContractViolationError) as single:
-        robertson_arrays(bad, A.matrix, b_m)
-    stack = np.stack([pure_state(0.3).matrix, bad, bad])
-    with pytest.raises(ContractViolationError) as stacked:
-        robertson_arrays(stack, A.matrix, b_m)
-    assert str(stacked.value) == str(single.value)
-    assert str(single.value).startswith("uncertainty bound violated: lhs - rhs = -0.1399")
+    # A unit-trace Hermitian matrix with a negative eigenvalue is no state: a state refuses it where it is built, alone
+    # or in a stack, and on its parts the kernel shows why, a negative slack, which the robertson suite checks for.
+    with pytest.raises(ParameterError, match="rho12 = 0.9 violates the positivity bound"):
+        DensityMatrix(0.5, 0.9)
+    with pytest.raises(ParameterError, match="rho12 = 0.9 violates the positivity bound"):
+        DensityMatrix([0.3, 0.5, 0.5], [0.0, 0.9, 0.9])
+    slack = _robertson((0.5, 0.5, 0.9, 0.0), A._parts, b_at(math.pi / 2.0)._parts)[4]
+    assert repr(slack).startswith("-0.1399")
 
 
 def _bits(fields) -> list[int]:
@@ -189,50 +183,48 @@ def _bits(fields) -> list[int]:
 @pytest.mark.parametrize("near", [False, True], ids=["opposite", "near-equal"])
 @pytest.mark.parametrize("gauge", [1e3, 1e6, 2.0**100], ids=["1e3", "1e6", "2**100"])
 def test_kernel_accepts_valid_matrices_at_large_outcome_values(gauge, near):
-    # The rounding noise of lhs - rhs grows as the squared outcome magnitudes, and the kernel's tolerance with it.
+    # The rounding noise of lhs - rhs grows as the squared outcome magnitudes, which robertson reports as it is.
     # Near-equal outcome values make lhs + rhs tiny and leave that noise as it is.
     second = gauge * (1.0 - 1e-9) if near else -gauge
     a_obs, b_obs = Observable(gauge, second), Observable(gauge, -gauge, b_at(0.7).basis)
     rng = np.random.default_rng(20261019)
-    states = [pure_state(0.3, 0.4)] + [pure_state(w, t) for w, t in rng.uniform(0.0, [1.0, 2.0 * math.pi], (200, 2))]
-    one = robertson_arrays(states[0].matrix, a_obs.matrix, b_obs.matrix)
-    stack = robertson_arrays(np.stack([rho.matrix for rho in states]), a_obs.matrix, b_obs.matrix)
-    for i, rho in enumerate(states):
-        assert _bits([field[i] for field in stack]) == _bits(dataclasses.astuple(robertson(rho, a_obs, b_obs)))
-    assert _bits(one) == _bits([field[0] for field in stack])
-    # A unit-trace Hermitian matrix with a negative eigenvalue is still no state, alone or in the stack. Against a
-    # near-equal pair, A is nearly a multiple of 1 and its violation is within rounding of ||A||**2 ||B||**2.
-    bad = np.array([[0.5, 0.9], [0.9, 0.5]], dtype=complex)
-    for rho_m in () if near else (bad, np.stack([states[0].matrix, bad])):
-        with pytest.raises(ContractViolationError, match="uncertainty bound violated: lhs - rhs = -"):
-            robertson_arrays(rho_m, a_obs.matrix, b_obs.matrix)
+    w, theta = np.concatenate([[[0.3, 0.4]], rng.uniform(0.0, [1.0, 2.0 * math.pi], (200, 2))]).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack = dataclasses.astuple(robertson(DensityMatrix(w, np.sqrt(w * (1.0 - w)), theta), a_obs, b_obs))
+    assert all(np.isfinite(field).all() for field in stack)
+    for i in range(w.size):
+        alone = robertson(pure_state(w[i], theta[i]), a_obs, b_obs)
+        assert _bits([field[i] for field in stack]) == _bits(dataclasses.astuple(alone))
 
 
-# robertson_arrays' arguments and the largest entry part each takes
+# The largest entry part of each value the kernel reads, with room: a state's parts are at most 1, an observable's
+# 2 * 2**250.
 _ROBERTSON_BOUNDS = {"rho_m": 2.0, "a_m": 2.0**251, "b_m": 2.0**251}
+
+# The kernel reads values checked where they were built. Each case plants a bad parameter in the value of one
+# argument, alone or in a stack: NaN, an infinity, a complex number (a non-real entry, so a non-Hermitian matrix)
+# and a value past the builder's bound. A stacked observable is a stack of family members, whose phase is checked.
+_BAD_PARAMETERS = {"nan": math.nan, "inf": math.inf, "non-hermitian": 0.5 + 0.5j}
+_PAST_OUTCOME = math.nextafter(2.0**250, math.inf)
+_MEMBERS = (lambda x: complementary_observable([0.7, x]), "varrho", 10**400)
+_BUILDERS = {
+    "rho_m": ((lambda x: DensityMatrix(x, 0.0), "w_plus", 1.5), (lambda x: DensityMatrix([0.3, x], 0), "w_plus", 1.5)),
+    "a_m": ((lambda x: Observable(x, -0.5), "val_plus", _PAST_OUTCOME), _MEMBERS),
+    "b_m": ((lambda x: Observable(0.5, x, b_at(0.7).basis), "val_minus", _PAST_OUTCOME), _MEMBERS),
+}
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
 @pytest.mark.parametrize("arg", list(_ROBERTSON_BOUNDS))
 @pytest.mark.parametrize("case", ["nan", "inf", "non-hermitian", "past-bound"])
 def test_kernel_checks_each_matrix_it_takes(arg, case, stacked):
-    bound = _ROBERTSON_BOUNDS[arg]
-    past = math.nextafter(bound, math.inf)
-    bad, message = {
-        "nan": ([[0.5, 0.0], [0.0, math.nan]], f"{arg} is not Hermitian: it has a NaN or infinite entry"),
-        "inf": ([[0.5, math.inf], [math.inf, 0.5]], f"{arg} is not Hermitian: it has a NaN or infinite entry"),
-        "non-hermitian": ([[0.5, 0.5], [0.0, 0.5]], f"{arg} is not Hermitian: max |m - m^dagger| = 5.000e-01"),
-        "past-bound": ([[0.5, 0.0], [0.0, -past]], f"{arg} has an entry part of magnitude {past!r}, past the bound "),
-    }[case]
-    inputs = {"rho_m": pure_state(0.3, 0.4).matrix, "a_m": A.matrix, "b_m": b_at(0.7).matrix}
-    bad = np.array(bad, dtype=complex)
-    inputs[arg] = np.stack([inputs[arg], bad, bad]) if stacked else bad
+    """Every value robertson takes refuses, where it is built, what a raw matrix could carry, and warns of nothing."""
+    build, name, past = _BUILDERS[arg][stacked]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ContractViolationError, match=re.escape(message)) as raised:
-            robertson_arrays(**inputs)
-    if case == "past-bound":
-        assert str(raised.value).endswith(f"|Re m|, |Im m| <= {bound!r} beyond which arithmetic on it overflows")
+        with pytest.raises(ParameterError, match=f"^{name} = "):
+            build(past if case == "past-bound" else _BAD_PARAMETERS[case])
 
 
 def test_kernel_fields_stay_finite_at_the_entry_bounds():
@@ -367,23 +359,17 @@ def test_residual_keeps_the_loop_arithmetic():
     for i in range(600):
         w = [0.0, 0.5, 1.0][i % 3] if i % 7 == 0 else rng.uniform()
         lam = complex(*(rng.normal(size=2) * 10.0 ** rng.uniform(-3.0, 3.0, size=2)))
-        cases.append((pure_state(w, rng.uniform(0.0, 7.0)), lam, b_at(rng.uniform(0.0, 7.0))))
+        cases.append((pure_state(w, rng.uniform(0.0, 7.0)), lam, rng.uniform(0.0, 7.0)))
     for family, grid in (("IS1", np.linspace(0.0, 1.0, 21)), ("IS2a", np.linspace(0.0, math.pi / 2.0, 21))):
         for param in grid:
             st_obj = intelligent_state(family, float(param), 0.9)
             if math.isfinite(abs(st_obj.lam)):
-                cases += [(st_obj.state, st_obj.lam, b_at(0.9)), (st_obj.state, st_obj.lam + 1e-9, b_at(0.9))]
-    want = [_residual_reference(rho, lam, A, b_obs) for rho, lam, b_obs in cases]
-    assert [is_residual(rho, lam, A, b_obs) for rho, lam, b_obs in cases] == want
-    rhos, lams, members = zip(*cases)
+                cases += [(st_obj.state, st_obj.lam, 0.9), (st_obj.state, st_obj.lam + 1e-9, 0.9)]
+    want = [_residual_reference(rho, lam, A, b_at(varrho)) for rho, lam, varrho in cases]
+    assert [is_residual(rho, lam, A, b_at(varrho)) for rho, lam, varrho in cases] == want
+    rhos, lams, phases = zip(*cases)
     w, rho12, theta = (np.array(axis) for axis in zip(*((rho.w_plus, rho.rho12, rho.theta) for rho in rhos)))
-    stacked = _eigen_residuals(
-        _density_parts(w, rho12, theta),
-        _pure_parts(w, theta),
-        np.array(lams),
-        A._parts,
-        tuple(np.array(part) for part in zip(*(b_obs._parts for b_obs in members))),
-    )
+    stacked = is_residual(DensityMatrix(w, rho12, theta), np.array(lams), A, b_at(np.array(phases)))
     assert stacked.tolist() == want
 
 
@@ -464,7 +450,7 @@ ACCURACY_ULPS = {
 
 
 def test_robertson_and_mean_var_are_accurate_to_pinned_ulps():
-    """Every field of robertson_arrays, and mean_var, within its pinned ulps of a 50-digit reference.
+    """Every field of robertson on a stack, and mean_var, within its pinned ulps of a 50-digit reference.
 
     200 random states, alternately mixed and pure, with random members, then
     the edges: w_plus in {0, 1/2 - ulp, 1/2, 1/2 + ulp, 1} at zero, full and
@@ -484,8 +470,10 @@ def test_robertson_and_mean_var_are_accurate_to_pinned_ulps():
         for phase in (0.3, 0.3 + math.pi / 2.0, 2.0):
             w, rho12 = np.append(w, x), np.append(rho12, r)
             theta, varrho = np.append(theta, 0.3), np.append(varrho, phase)
-    rho_m, b_m = _density_matrix(w, rho12, theta), complementary_matrices(varrho)
-    stack = dict(zip(("var_a", "var_b", "c_mean", "f_mean", "slack"), robertson_arrays(rho_m, A.matrix, b_m)))
+    states, members = DensityMatrix(w, rho12, theta), b_at(varrho)
+    rho_m, b_m = states.matrix, members.matrix
+    fields = dataclasses.astuple(robertson(states, A, members))
+    stack = dict(zip(("var_a", "var_b", "c_mean", "f_mean", "slack"), fields))
     worst = dict.fromkeys(ACCURACY_ULPS, 0.0)
     with localcontext(Context(prec=50)):
         for i in range(w.size):

@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -6,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import qudual
 from qudual import DensityMatrix, duality, linalg, montecarlo, simultaneous, states, uncertainty, verify
 from qudual.cli import main
 from qudual.errors import ParameterError
@@ -32,11 +34,11 @@ def _loop_state(rng, i):
 def test_batched_draw_reproduces_the_state_loop(n, phases):
     loop_rng = montecarlo._generator(42, stream=1005)
     batch_rng = montecarlo._generator(42, stream=1005)
-    w, rho12, theta, extra = verify._random_states(batch_rng, n, phases)
+    states, extra = verify._random_states(batch_rng, n, phases)
     assert extra.shape == (n, phases)
     for i in range(n):
         rho = _loop_state(loop_rng, i)
-        assert (rho.w_plus, rho.rho12, rho.theta) == (w[i], rho12[i], theta[i])
+        assert (rho.w_plus, rho.rho12, rho.theta) == (states.w_plus[i], states.rho12[i], states.theta[i])
         assert [loop_rng.uniform(0.0, TWO_PI) for _ in range(phases)] == extra[i].tolist()
     # both generators stop at the same point of the stream
     assert loop_rng.random() == batch_rng.random()
@@ -74,42 +76,39 @@ def test_selftest_corrupt_report_is_pinned(capsys, level):
 
 
 def test_batched_suites_make_one_kernel_call_each(count_calls):
+    """Each batched suite calls its closed form once, on one stacked value, and builds no state one at a time."""
     kernels = {
-        "robertson": count_calls(uncertainty, "robertson_arrays"),
-        "duality": count_calls(duality, "duality_arrays"),
-        "entangled_duality": count_calls(simultaneous, "entangled_arrays"),
-        "state_round_trip": count_calls(states, "density_params"),
+        "robertson": count_calls(uncertainty, "robertson"),
+        "duality": count_calls(duality, "predictability"),
+        "entangled_duality": count_calls(simultaneous, "distinguishability"),
+        "state_round_trip": count_calls(verify, "_density_params"),
     }
-    scalar_calls = [
-        count_calls(uncertainty, "robertson"),
-        count_calls(uncertainty, "mean_var"),
-        count_calls(EntangledState, "__init__"),
-        count_calls(simultaneous, "distinguishability"),
-        count_calls(simultaneous, "entangled_visibility"),
-        count_calls(states.DensityMatrix, "__init__"),
-    ]
+    builds = [count_calls(states.DensityMatrix, "__init__"), count_calls(EntangledState, "__init__")]
+    moments = count_calls(uncertainty, "mean_var")
+    sizes = {"robertson": 10000, "duality": 10000, "entangled_duality": 2601}
     checks = {"robertson": 25000, "duality": 30000, "entangled_duality": 10404}
-    for name in ("robertson", "duality", "entangled_duality"):
+    for name, size in sizes.items():
+        for calls in (*kernels.values(), *builds):
+            calls.clear()
         result = verify.run_suite(name, "full", 42)
         assert (result.checks, result.failures) == (checks[name], 0)
-        assert len(kernels[name]) == 1
-    assert scalar_calls == [[]] * 6
+        assert [np.shape(call[0].w_plus) for call in kernels[name]] == [(size,)]
+        # the one state built is the stack; its __init__ receives self, then the stacked populations
+        assert [np.shape(call[1]) for calls in builds for call in calls] == [(size,)]
+    assert moments == []
 
     # The round trip reads all 500 matrices back in one call; the only
     # single-matrix read is the rejection check of a non-Hermitian matrix.
-    for calls in kernels.values():
-        calls.clear()
     result = verify.run_suite("state_round_trip", "full", 42)
     assert (result.checks, result.failures) == (2003, 0)
     assert [np.shape(call[0]) for call in kernels["state_round_trip"]] == [(500, 2, 2), (2, 2)]
-    for calls in scalar_calls:
-        calls.clear()
 
-    # Every variance of the extremality grid comes from one kernel call.
+    # Every variance of the extremality grid comes from one call on a stack.
+    kernels["robertson"].clear()
     result = verify.run_suite("product_bounds", "full", 42)
     assert (result.checks, result.failures) == (1137, 0)
-    assert len(kernels["robertson"]) == 1
-    assert scalar_calls[1] == []
+    assert [np.shape(call[0].w_plus) for call in kernels["robertson"]] == [(21 * 34,)]
+    assert moments == []
 
     # Both projection routes run once each, over the grid and over the probes.
     projections = count_calls(verify, "projected_readout_moments")
@@ -117,14 +116,14 @@ def test_batched_suites_make_one_kernel_call_each(count_calls):
     assert (result.checks, result.failures) == (4008, 0)
     assert len(projections) == 2
 
-    # The 126 intelligent states take one kernel call, and their residuals one stacked pass.
+    # The 126 intelligent states take one call of robertson, and their residuals one of is_residual.
     residuals = count_calls(uncertainty, "is_residual")
-    for calls in (*kernels.values(), *scalar_calls):
-        calls.clear()
+    kernels["robertson"].clear()
+    moments.clear()
     result = verify.run_suite("intelligent_states", "full", 42)
     assert (result.checks, result.failures) == (588, 0)
-    assert [np.shape(call[0]) for call in kernels["robertson"]] == [(126, 2, 2)]
-    assert scalar_calls[:2] == [[], []] and residuals == []
+    assert [np.shape(call[0].w_plus) for call in (*kernels["robertson"], *residuals)] == [(126,)] * 2
+    assert moments == []
 
     # The fringe oracle scans one row of the unitaries per state, at two phases per
     # splitter angle: 2 * grid_n points a scan, never the grid_n**2 of the full grid.
@@ -132,6 +131,23 @@ def test_batched_suites_make_one_kernel_call_each(count_calls):
     result = verify.run_suite("fringe_oracle", "full", 42)
     assert (result.checks, result.failures) == (45, 0)
     assert [np.broadcast(*call[1:]).size for call in scans] == [2 * 512] * 23
+
+
+def test_verify_reaches_every_public_function_but_one_contract(capsys, count_calls, monkeypatch):
+    """``verify --level fast --seed 42`` calls every public function of qudual, the six closed forms below included.
+
+    The one it leaves unreached is ``assert_unitary``: it is a contract on a raw matrix, which only the checked
+    ``Observable(...)`` reads, and every observable of the suites is built by the library, unitary by construction.
+    """
+    functions = [name for name in qudual.__all__ if inspect.isfunction(getattr(qudual, name))]
+    calls = {name: count_calls(qudual, name) for name in functions}
+    monkeypatch.delenv("QUDUAL_SEED", raising=False)
+    assert main(["verify", "--level", "fast", "--seed", "42"]) == 0
+    capsys.readouterr()
+    reached = {name for name, made in calls.items() if made}
+    closed_forms = ["predictability", "visibility", "robertson", "distinguishability", "entangled_visibility"]
+    assert set(closed_forms + ["is_residual"]) <= reached
+    assert set(functions) - reached == {"assert_unitary"}
 
 
 def test_unbiasedness_lays_out_each_amplitude_stack_once(count_calls):
@@ -252,17 +268,18 @@ def test_planted_floor_fault_keeps_the_loop_notes(monkeypatch):
 
 def test_planted_round_trip_fault_keeps_the_loop_notes(monkeypatch):
     """Coherence read back 1e-9 short above w_plus = 0.9 fails there, noted by state index."""
-    exact = verify.density_params
+    exact = verify._density_params
 
     def planted(m):
         w, rho12, theta = exact(m)
         return w, np.where((w > 0.9) & (rho12 > 1e-9), rho12 - 1e-9, rho12), theta
 
-    monkeypatch.setattr(verify, "density_params", planted)
+    monkeypatch.setattr(verify, "_density_params", planted)
     result = verify.run_suite("state_round_trip", "full", 42)
     rng = montecarlo._generator(42, stream=1000 + verify.SUITE_NAMES.index("state_round_trip"))
-    w, rho12, _, _ = verify._random_states(rng, 500)
-    faulty = [(i, r) for i, (x, r) in enumerate(zip(w.tolist(), rho12.tolist())) if x > 0.9 and r > 1e-9]
+    drawn, _ = verify._random_states(rng, 500)
+    w, rho12 = drawn.w_plus.tolist(), drawn.rho12.tolist()
+    faulty = [(i, r) for i, (x, r) in enumerate(zip(w, rho12)) if x > 0.9 and r > 1e-9]
     assert (result.checks, result.failures) == (2003, len(faulty))
     assert list(result.notes) == [f"round trip rho12 #{i}: {r - 1e-9!r} vs {r!r}" for i, r in faulty[:6]]
 
@@ -312,7 +329,8 @@ PLANTED_FAULTS = [
         id="complementary_family-members",
     ),
     pytest.param(
-        "complementary_family", "family_arrays", lambda exact: lambda w, *a: _shift(exact(w, *a), 1e-9 * (w > 0.9)),
+        "complementary_family", "family_duality",
+        lambda exact: lambda rho, varrho: _shift(exact(rho, varrho), 1e-9 * (rho.w_plus > 0.9)),
         5200, 207,
         [
             "family invariance #21: 1.0000000001314702 vs 1.0",
@@ -338,7 +356,7 @@ PLANTED_FAULTS = [
         id="fringe_oracle",
     ),
     pytest.param(
-        "robertson", "robertson_arrays", lambda exact: lambda *a: _shift(exact(*a), 0.0, 0.0, 0.0, 0.0, -1e-9),
+        "robertson", "robertson", lambda exact: lambda *a: replace(exact(*a), slack=exact(*a).slack - 1e-9),
         25000, 20000,
         [
             "robertson slack identity #0: 0.050612339327984174 vs 0.0506123403279842",
@@ -376,7 +394,7 @@ PLANTED_FAULTS = [
         id="intelligent_states-product",
     ),
     pytest.param(
-        "entangled_duality", "entangled_arrays", lambda exact: lambda *a: _shift(exact(*a), -1e-9), 10404, 2751,
+        "entangled_duality", "distinguishability", lambda exact: lambda psi: exact(psi) - 1e-9, 10404, 2751,
         [
             "erasure-free duality w=0.00 c=0.00: 0.9999999980000001 vs 1.0",
             "predictability below distinguishability w=0.00 c=0.00",
