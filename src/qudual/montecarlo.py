@@ -221,7 +221,7 @@ def sample_simultaneous(
     :func:`estimate_b`.
     """
     n = check_count(n, "n", 1, MAX_SHOTS)
-    mp = meter_projectors(psi_e.c)
+    mp = meter_projectors(_one_value(psi_e.c, "sample_simultaneous takes one entangled state"))
     # (re, im) parts of Python floats: amplitude rows by system state, and the meter and member vectors.
     psi, meters = psi_e._rows, mp._columns
     v0, v1 = complementary_observable(varrho)._columns[0]

@@ -17,10 +17,14 @@ over ``c``, reached at ``c**2 = V / (P + V)``.
 :class:`EntangledState` takes one ``(w_plus, theta, c)`` or stacks of them, as
 :class:`~qudual.states.DensityMatrix` does, and :func:`distinguishability` and
 :func:`entangled_visibility` return a float for one state and an array for a
-stack, whose elements have the bits of their states alone. The readouts,
-:func:`meter_projectors`, :func:`estimate_a` and :func:`estimate_b`, take one
-state; the meter readout is an :class:`~qudual.states.Observable` on the
-meter qubit.
+stack, whose elements have the bits of their states alone. Both are closed
+forms in the predictability ``P`` and visibility ``V`` of the pure system
+state: ``D = hypot(P, V sqrt(1 - c**2))`` and ``V_e = c V``, so that
+``D**2 + V_e**2 = 1``. The matrix route to them, the trace norm of the meter
+blocks and the partial trace of the amplitudes, runs in :mod:`qudual.verify`.
+The readouts, :func:`meter_projectors`, :func:`estimate_a` and
+:func:`estimate_b`, take one state; the meter readout is an
+:class:`~qudual.states.Observable` on the meter qubit.
 
 Every ``1 - c**2`` is evaluated as ``(1 - c)(1 + c)``, which keeps its
 relative accuracy as ``c -> 1`` where ``1 - c*c`` cancels. The composite
@@ -40,7 +44,7 @@ import numpy as np
 
 from .duality import _imbalance
 from .errors import ParameterError, SingularConfigurationError, check_array, check_scalar
-from .linalg import _FLOAT_OPS, _from_entries, _hypot, _one_value, _ops, _projector, _read_only, _trace_norm
+from .linalg import _FLOAT_OPS, _from_entries, _hypot, _one_value, _ops, _read_only
 from .states import GAUGE, TWO_PI, Observable, _pure_parts
 
 # Largest rescaled outcome value whose square is a finite double.
@@ -77,16 +81,12 @@ class EntangledState:
 
     def __post_init__(self) -> None:
         if _ops(self.w_plus, self.theta, self.c) is _FLOAT_OPS:
-            w = check_scalar(self.w_plus, "w_plus", 0.0, 1.0)
-            cc = check_scalar(self.c, "c", 0.0, 1.0)
+            w, cc = check_scalar(self.w_plus, "w_plus", 0.0, 1.0), check_scalar(self.c, "c", 0.0, 1.0)
             t = check_scalar(self.theta, "theta") % TWO_PI
         else:
             w, cc = check_array(self.w_plus, "w_plus", 0.0, 1.0), check_array(self.c, "c", 0.0, 1.0)
             w, t, cc = np.broadcast_arrays(w, np.remainder(check_array(self.theta, "theta"), TWO_PI), cc)
-        object.__setattr__(self, "w_plus", w)
-        object.__setattr__(self, "theta", t)
-        object.__setattr__(self, "c", cc)
-        object.__setattr__(self, "_rows", _amplitudes(w, t, cc))
+        self.__dict__.update(w_plus=w, theta=t, c=cc, _rows=_amplitudes(w, t, cc))  # frozen: past __setattr__
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
@@ -110,35 +110,29 @@ def _amplitudes(w, t, c) -> tuple:
     return (plus, (0.0, 0.0)), ((re * c, im * c), (re * s, im * s))
 
 
-def _reduced(rows: tuple) -> tuple:
-    """Parts ``(a, d, x, y)`` of the system matrices left by tracing the meter out of ``psi[..., system, meter]``.
-
-    The sum over meter states ``m`` of ``psi[..., :, m] psi[..., :, m]^dagger``, from the :func:`_amplitudes` rows.
-    """
-    (s00, s01), (s10, s11) = rows
-    first, second = _projector(s00, s10), _projector(s01, s11)
-    return tuple(p + q for p, q in zip(first, second))
+def _pure_visibility(w):
+    """``V = 2 sqrt(w+ w-)``, with the bits of :func:`qudual.duality.visibility` of ``pure_state(w)``."""
+    return 2.0 * _ops(w).sqrt(w * (1.0 - w))
 
 
 def distinguishability(psi_e: EntangledState) -> float:
-    """Trace-norm distance of the meter states conditioned on the system basis.
+    """Trace-norm distance ``sqrt(1 - 4 c**2 w+ w-)`` of the meter states conditioned on the system basis.
 
-    Evaluates ``|| <plus|rho_e|plus> - <minus|rho_e|minus> ||_1`` on the meter
-    space, from the meter blocks ``psi[..., s, :] psi[..., s, :]^dagger`` of the
-    two system states; equals ``sqrt(1 - 4 c**2 w+ w-)``, which never falls
-    below the predictability of the system state.
+    Computed as ``hypot(P, V sqrt((1 - c)(1 + c)))`` from the predictability
+    ``P = |2 w+ - 1|`` and visibility ``V = 2 sqrt(w+ w-)`` of the pure system
+    state: ``1 - 4 c**2 w+ w- = P**2 + V**2 (1 - c**2)`` is a sum of squares,
+    which does not cancel where ``D`` is small and never falls below ``P``.
     """
-    plus, minus = (_projector(*row) for row in psi_e._rows)
-    return _trace_norm(*(p - q for p, q in zip(plus, minus)))
+    w, c = psi_e.w_plus, psi_e.c
+    return _hypot(_imbalance(w), _pure_visibility(w) * _ops(c).sqrt(_one_minus_sq(c)))
 
 
 def entangled_visibility(psi_e: EntangledState) -> float:
-    """Fringe visibility left to the system after the meter is traced out.
+    """Fringe visibility ``V_e = c V = 2 c sqrt(w+ w-)`` left to the system after the meter is traced out.
 
-    Equals ``2 |x + i y|`` of the parts ``(a, d, x, y)`` of the reduced state, ``2 c sqrt(w+ w-)``; together with
-    the distinguishability it saturates ``D**2 + V_e**2 = 1`` for every ``(w_plus, c)``.
+    Together with the distinguishability it saturates ``D**2 + V_e**2 = 1`` for every ``(w_plus, c)``.
     """
-    return 2.0 * _hypot(*_reduced(psi_e._rows)[2:])
+    return psi_e.c * _pure_visibility(psi_e.w_plus)
 
 
 def _readout_overlap(c: float, what: str) -> float:
@@ -264,5 +258,5 @@ def optimal_entanglement(w_plus: float) -> float:
     singular for one of the readouts.
     """
     w = check_scalar(w_plus, "w_plus", 0.0, 1.0)
-    v = 2.0 * math.sqrt(w * (1.0 - w))
+    v = _pure_visibility(w)
     return math.sqrt(v / (_imbalance(w) + v)) if v > 0.0 else 0.0

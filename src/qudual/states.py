@@ -23,10 +23,11 @@ eigen-equation residual of :mod:`qudual.uncertainty` read, and which
 :meth:`DensityMatrix.state_vector` lays out.
 
 :class:`DensityMatrix` and :func:`complementary_observable` take one value or
-a stack. Parameters that are all ints or floats make one value, which holds
-Python floats; any other parameter, an array above all, makes a stack, which
-holds arrays of the broadcast shape and is checked element by element by the
-same rules, the first failing element raising the error it would raise alone.
+a stack. Parameters that are all real scalars (ints and floats, NumPy's real
+scalars or a ``Fraction``) make one value, which holds Python floats; any
+other parameter, an array above all, makes a stack, which holds arrays of the
+broadcast shape and is checked element by element by the same rules, the
+first failing element raising the error it would raise alone.
 :func:`qudual.linalg._ops` tells the two apart, once, where the value is built,
 and each element of a stack has the bits of that one value.
 

@@ -23,7 +23,11 @@ live here. :func:`projected_readout_moments` reaches both readout moments by
 explicit projection, and :func:`minimum_product_routes` reaches the minimum
 simultaneous product through the long closed form, a golden-section search
 over ``c`` and the two compact candidates, each route one entry of its tuple
-for the ``minimum_product`` suite to check. Neither is in ``__all__``.
+for the ``minimum_product`` suite to check. :func:`which_way_routes` reaches
+the distinguishability through the trace norm of the meter blocks of
+:attr:`EntangledState.amplitudes`, and the entangled visibility through the
+partial trace of the same amplitudes, for the ``entangled_duality`` suite.
+None of the three is in ``__all__``.
 
 A suite hands each grid's checks to :meth:`_Tally.check` as the entries of
 one call, with the checks, counts and notes of a loop over the grid; the
@@ -43,7 +47,6 @@ from .errors import ContractViolationError, ParameterError
 from .linalg import _eigenvalues, _entries, _hypot, _parts, _split, _times_conj, assert_hermitian, trace_norm
 from .simultaneous import (
     EntangledState,
-    _reduced,
     distinguishability,
     entangled_visibility,
     estimate_a,
@@ -294,6 +297,23 @@ def minimum_product_routes(w_plus: float) -> tuple[float, float, float, float, f
     return value, long_form, numeric_min, plus * plus / 16.0, minus * minus / 16.0
 
 
+def which_way_routes(psi: np.ndarray) -> tuple:
+    """The distinguishability and the reduced coherence of amplitudes ``psi[..., system, meter]``, by matrices.
+
+    Returns the :func:`~qudual.linalg.trace_norm` of the difference of the
+    meter blocks ``psi[..., s, :] psi[..., s, :]^dagger`` of the two system
+    states, and the upper entry ``sum_m psi[..., 0, m] conj(psi[..., 1, m])``
+    of the system matrices that tracing the meter out leaves: the routes to
+    :func:`distinguishability` and, as twice its modulus, to
+    :func:`entangled_visibility`. Each product takes one entry of every
+    matrix, so that no temporary is the size of the whole stack.
+    """
+    (p0, p1), (q0, q1) = _entries(psi)  # the amplitudes of |plus>, p, and of |minus>, q, on the two meter states
+    bras = [(p.conjugate(), q.conjugate()) for p, q in ((p0, q0), (p1, q1))]
+    blocks = np.stack([p * pc - q * qc for p, q in ((p0, q0), (p1, q1)) for pc, qc in bras], axis=-1)
+    return trace_norm(blocks.reshape(np.shape(p0) + (2, 2))), p0 * bras[0][1] + p1 * bras[1][1]
+
+
 def _density_params(m: np.ndarray) -> tuple:
     """Parameters ``(w_plus, rho12, theta)`` read off explicit density matrices ``(..., 2, 2)``: the route back.
 
@@ -541,18 +561,16 @@ def _suite_entangled_duality(t: _Tally, run: dict, rng: np.random.Generator) -> 
     w, c = (x.ravel() for x in np.meshgrid(grid, grid, indexing="ij"))
     psi = EntangledState(w, 0.7, c)
     d, ve = distinguishability(psi), entangled_visibility(psi)
-    w_marg, _, x, y = _reduced(psi._rows)  # the system state left by tracing out the meter
-    sum_sq = d * d + ve * ve
-    coherence = c * np.sqrt(w * (1.0 - w))
+    d_route, coherence = which_way_routes(psi.amplitudes)
 
     def at(i: int) -> str:
         return f"w={w[i]:.2f} c={c[i]:.2f}"
 
     t.check(
-        _near(sum_sq, 1.0, _ROUNDOFF, lambda i: f"erasure-free duality {at(i)}"),
+        _near(d, d_route, _ROUNDOFF, lambda i: f"distinguishability by trace norm {at(i)}"),
+        _near(ve, 2.0 * np.abs(coherence), _ROUNDOFF, lambda i: f"visibility by partial trace {at(i)}"),
+        _near(d * d + ve * ve, 1.0, _ROUNDOFF, lambda i: f"erasure-free duality {at(i)}"),
         (np.abs(2.0 * w - 1.0) - d, _BOUND, lambda i: f"predictability below distinguishability {at(i)}"),
-        _near(w_marg, w, _ROUNDOFF, lambda i: f"marginal populations {at(i)}"),
-        _near(_hypot(x, y), coherence, _ROUNDOFF, lambda i: f"marginal coherence {at(i)}"),
     )
 
 

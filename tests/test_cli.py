@@ -157,6 +157,14 @@ def test_sweep_predictability_is_the_library_predictability(capsys, figure):
         assert p == predictability(rho) == predictability(DensityMatrix([w], rho.rho12))[0], w
 
 
+def test_sweep_at_full_overlap_prints_d_as_p_and_v_e_as_v(capsys):
+    # At c = 1, D = hypot(P, V * 0) is P and V_e = 1 * V is V, bit for bit, on every row.
+    code, out, _ = run(capsys, "sweep", "--figure", "1", "--points", "2001")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert code == 0 and len(rows) == 2001
+    assert [(row[5], row[6]) for row in rows] == [(row[1], row[2]) for row in rows]
+
+
 def test_sweep_distinguishability_one_ulp_below_half(capsys):
     w, _, _, _, _, d, _, c, _ = next(row for row in sweep_rows(capsys, "3") if row[0] == 0.49999999999999989)
     # Here P = |2 w+ - 1| = 2**-52, and c_opt = sqrt(V / (P + V)) = 1 - P/2 + O(P**2) rounds to

@@ -172,12 +172,12 @@ def test_no_unchecked_float_reads(path):
 
 
 # Names public by their spelling that their module's __all__ leaves out, each for a reason. The validation helpers of
-# errors are how every module of the package reads its input, not a part of the physics; verify's two independent
+# errors are how every module of the package reads its input, not a part of the physics; verify's three independent
 # routes are documented for direct use from qudual.verify but stay out of the package namespace, which holds the
 # closed forms they check.
 UNLISTED_EXEMPT = {
     "errors.py": {"as_float", "as_float_array", "check_scalar", "check_count", "check_array"},
-    "verify.py": {"projected_readout_moments", "minimum_product_routes"},
+    "verify.py": {"projected_readout_moments", "minimum_product_routes", "which_way_routes"},
 }
 
 

@@ -11,7 +11,9 @@ public functions and commands read nothing of NumPy on the way.
 
 import itertools
 import math
+import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -285,30 +287,72 @@ _ENTANGLED = EntangledState([0.3, 0.5], 0.2, [0.4, 0.6])
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, name",
     [
-        lambda: estimate_a(_ENTANGLED),
-        lambda: estimate_b(_ENTANGLED, 0.3),
-        lambda: meter_projectors(np.array([0.4, 0.6])),
-        lambda: meter_projectors(np.array([0.4])),
-        lambda: _STACK.state_vector(),
-        lambda: _STACK == _STACK,
-        lambda: _STACK == DensityMatrix(0.3, 0.1, 1.0),
-        lambda: visibility_oracle(_STACK, 8),
-        lambda: sample_sharp(_STACK, REFERENCE, 10, 1),
-        lambda: sample_fringe(DensityMatrix(np.full(16, 0.5), 0.5), 10, 1),
-        lambda: sample_simultaneous(_ENTANGLED, 0.3, 10, 1),
+        (lambda: estimate_a(_ENTANGLED), "estimate_a"),
+        (lambda: estimate_b(_ENTANGLED, 0.3), "estimate_b"),
+        (lambda: meter_projectors(np.array([0.4, 0.6])), "meter_projectors"),
+        (lambda: meter_projectors(np.array([0.4])), "meter_projectors"),
+        (lambda: _STACK.state_vector(), "state_vector"),
+        (lambda: _STACK == _STACK, "=="),
+        (lambda: _STACK == DensityMatrix(0.3, 0.1, 1.0), "=="),
+        (lambda: visibility_oracle(_STACK, 8), "visibility_oracle"),
+        (lambda: sample_sharp(_STACK, REFERENCE, 10, 1), "sample_sharp"),
+        (lambda: sample_fringe(DensityMatrix(np.full(16, 0.5), 0.5), 10, 1), "sample_fringe"),
+        (lambda: sample_simultaneous(_ENTANGLED, 0.3, 10, 1), "sample_simultaneous"),
     ],
     ids=[
         "estimate_a", "estimate_b", "meter_projectors", "meter_projectors-1", "state_vector", "eq", "eq-one",
         "visibility_oracle", "sample_sharp", "sample_fringe", "sample_simultaneous",
     ],
 )
-def test_one_value_functions_refuse_a_stack_with_a_parameter_error(call):
+def test_one_value_functions_refuse_a_stack_with_a_parameter_error(call, name):
+    # the message names the call that was made, not one that it makes
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ParameterError, match=r", not a stack of shape \((1|2|16),\)$"):
+        with pytest.raises(ParameterError, match=rf"^{re.escape(name)} .*, not a stack of shape \((1|2|16),\)$"):
             call()
+
+
+# Real scalars that are neither an int nor a float, each with arguments that it holds exactly. Each is one value,
+# which its constructor stores as Python floats: the fields and closed forms of the call on those floats, bit for bit.
+REAL_SCALARS = [np.float32, np.int64, Fraction]
+
+
+def _state_forms(rho):
+    return (rho.w_plus, rho.rho12, rho.theta, rho.w_minus, rho.purity, rho._parts, predictability(rho),
+            visibility(rho), family_duality(rho, 0.4))
+
+
+def _entangled_forms(psi):
+    forms = (psi.w_plus, psi.theta, psi.c, psi._rows, distinguishability(psi), entangled_visibility(psi))
+    return forms + (estimate_a(psi), estimate_b(psi, 0.4)) if 0.0 < psi.c < 1.0 else forms
+
+
+def _member_forms(obs):
+    return obs.val_plus, obs.val_minus, obs._columns, obs._parts
+
+
+# name: (constructor, its fields and closed forms, dyadic arguments, integer arguments)
+CONSTRUCTORS = {
+    "DensityMatrix": (DensityMatrix, _state_forms, (0.75, 0.25, 1.5), (1, 0, 3)),
+    "EntangledState": (EntangledState, _entangled_forms, (0.75, 1.5, 0.5), (1, 2, 1)),
+    "complementary_observable": (complementary_observable, _member_forms, (0.5,), (3,)),
+}
+
+
+@pytest.mark.parametrize("kind", REAL_SCALARS, ids=["float32", "int64", "Fraction"])
+@pytest.mark.parametrize("name", list(CONSTRUCTORS))
+def test_real_scalars_make_one_value_of_python_floats(kind, name):
+    build, forms, args, integers = CONSTRUCTORS[name]
+    args = integers if kind is np.int64 else args
+    alone = forms(build(*map(float, args)))
+    # every argument of the kind, then each one alone among floats
+    for mixed in [[kind(a) for a in args]] + [[kind(a) if j == k else float(a) for j, a in enumerate(args)]
+                                              for k in range(len(args))]:
+        value = forms(build(*mixed))
+        assert floats(value), mixed
+        assert _hexes(value) == _hexes(alone), mixed
 
 
 def test_reference_is_built_with_the_bits_of_a_checked_observable():

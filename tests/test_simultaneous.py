@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 from decimal import Context, Decimal, localcontext
@@ -24,9 +25,13 @@ from qudual import (
     pure_state,
     simultaneous_product,
 )
-from qudual.linalg import _hypot
-from qudual.simultaneous import _reduced
-from qudual.verify import ROUTE_AGREEMENT_TOL, _density_params, minimum_product_routes, projected_readout_moments
+from qudual.verify import (
+    ROUTE_AGREEMENT_TOL,
+    _density_params,
+    minimum_product_routes,
+    projected_readout_moments,
+    which_way_routes,
+)
 
 w_values = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False)
@@ -69,16 +74,14 @@ def test_entangled_state_checks_its_parameters_and_computes_its_amplitudes():
 
 
 def marginal(psi):
-    """``(w_plus, rho12, theta)`` of the system state left by tracing the meter out of ``psi``, from its parts."""
-    a, _, x, y = _reduced(psi._rows)
-    r = _hypot(x, y)
-    return a, r, math.atan2(-y, x) % (2.0 * math.pi) if r > 0.0 else 0.0
+    """``(rho12, theta)`` of the system state left by tracing the meter out of ``psi``, by the route in verify."""
+    coherence = complex(which_way_routes(psi.amplitudes)[1])  # rho12 exp(-i theta)
+    return abs(coherence), -cmath.phase(coherence) % (2.0 * math.pi)
 
 
 @given(w=w_values, theta=angles, c=overlaps)
 def test_marginal_coherence_is_scaled_by_overlap(w, theta, c):
-    w_marg, rho12_marg, theta_marg = marginal(EntangledState(w, theta, c))
-    assert w_marg == pytest.approx(w, abs=1e-12)
+    rho12_marg, theta_marg = marginal(EntangledState(w, theta, c))
     assert rho12_marg == pytest.approx(c * math.sqrt(w * (1.0 - w)), abs=1e-12)
     if rho12_marg > 1e-9:
         assert abs(np.exp(1j * theta_marg) - np.exp(1j * theta)) < 1e-9
@@ -99,8 +102,21 @@ def test_which_path_duality_is_tight(w, theta, c):
     assert abs(2.0 * w - 1.0) <= d + 1e-12
 
 
+@given(w=w_values, theta=angles, c=overlaps)
+def test_closed_forms_match_the_matrix_route(w, theta, c):
+    # the trace norm of the meter blocks and the partial trace of the amplitudes, for one state and as a stack
+    psi = EntangledState(w, theta, c)
+    trace_norm, coherence = which_way_routes(psi.amplitudes)
+    assert distinguishability(psi) == pytest.approx(trace_norm, abs=1e-12)
+    assert entangled_visibility(psi) == pytest.approx(2.0 * abs(coherence), abs=1e-12)
+    # a stack of the one state: NumPy's complex products, which may round otherwise than Python's
+    stacked_norm, stacked_coherence = which_way_routes(np.stack([psi.amplitudes] * 3))
+    assert stacked_norm.tolist() == pytest.approx([trace_norm] * 3, rel=1e-15, abs=1e-15)
+    assert stacked_coherence.tolist() == pytest.approx([coherence] * 3, rel=1e-15, abs=1e-15)
+
+
 def _which_way(psi):
-    return distinguishability(psi), entangled_visibility(psi), *_reduced(psi._rows)
+    return distinguishability(psi), entangled_visibility(psi)
 
 
 def assert_stack_matches_scalars(w, theta, c):

@@ -394,14 +394,14 @@ PLANTED_FAULTS = [
         id="intelligent_states-product",
     ),
     pytest.param(
-        "entangled_duality", "distinguishability", lambda exact: lambda psi: exact(psi) - 1e-9, 10404, 2751,
+        "entangled_duality", "distinguishability", lambda exact: lambda psi: exact(psi) - 1e-9, 10404, 5352,
         [
+            "distinguishability by trace norm w=0.00 c=0.00: 0.999999999 vs 1.0",
             "erasure-free duality w=0.00 c=0.00: 0.9999999980000001 vs 1.0",
             "predictability below distinguishability w=0.00 c=0.00",
-            "erasure-free duality w=0.00 c=0.02: 0.9999999980000005 vs 1.0",
+            "distinguishability by trace norm w=0.00 c=0.02: 0.999999999 vs 1.0000000000000002",
+            "erasure-free duality w=0.00 c=0.02: 0.9999999980000001 vs 1.0",
             "predictability below distinguishability w=0.00 c=0.02",
-            "erasure-free duality w=0.00 c=0.04: 0.9999999980000001 vs 1.0",
-            "predictability below distinguishability w=0.00 c=0.04",
         ],
         id="entangled_duality",
     ),

@@ -47,11 +47,13 @@ MC_SETTINGS = (
 )
 # Three sizes for the readout counts, and so three n // 16 shots per fringe point.
 MC_SHOTS = ("100000", "65537", "200003")
-# (w_plus, theta, c) of pure states whose printed D or V_e changes in the last
-# digit if a modulus rounds otherwise than math.hypot: the first three in the
-# half gap of D, where np.hypot misses it, the last three in V_e, where NumPy's
-# complex abs on an array misses it. Every modulus is linalg._hypot, one kernel
-# for one state and a stack; these lines pin that a stack rounds as its scalar.
+# (w_plus, theta, c) of pure states picked when D was the trace norm of the
+# meter blocks and V_e twice a modulus of the partial trace: there, a modulus
+# rounded otherwise than math.hypot (np.hypot in the half gap of D, NumPy's
+# complex abs in V_e) moved the last printed digit. D is now the closed form
+# hypot(P, V sqrt(1 - c**2)) through linalg._hypot and V_e = c V, with no
+# modulus; np.hypot gives the same D at all six. They stay as six more
+# compute --c outputs, pinned bit for bit.
 ROUNDING_EDGES = (
     ("0.288792", "2.2086", "0.774382"),
     ("0.418558", "0.551", "0.747826"),
