@@ -45,14 +45,12 @@ def _finite_2x2(m: np.ndarray, name: str, contract: str, max_part: float) -> np.
     """``m`` as a complex array, raising before any arithmetic unless it is ``(..., 2, 2)`` with bounded entries.
 
     Every entry must be finite, and its real and imaginary part at most
-    ``max_part`` in magnitude; the largest and the smallest part read both,
-    with no temporary the size of ``m``.
+    ``max_part`` in magnitude; one pass over the parts reads both.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape[-2:] != (2, 2):
         raise ContractViolationError(f"{name} must be a 2x2 matrix or a stack of them, got shape {m.shape}")
-    parts = np.ascontiguousarray(m).view(float)
-    peak = float(np.maximum(parts.max(initial=0.0), -parts.min(initial=0.0)))  # NaN propagates
+    peak = float(np.abs(np.ascontiguousarray(m).view(float)).max(initial=0.0))  # NaN propagates
     if not math.isfinite(peak):
         raise ContractViolationError(f"{name} is not {contract}: it has a NaN or infinite entry")
     if peak > max_part:
@@ -71,9 +69,7 @@ def assert_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     ``sys.float_info.max / 8`` in magnitude raises before any arithmetic.
     """
     m = _finite_2x2(m, name, "Hermitian", _HERMITIAN_MAX_PART)
-    # m - m^dagger holds 2 i Im a and 2 i Im d on its diagonal, b - conj(c) and minus its conjugate off it
-    (a, b), (c, d) = _entries(m)
-    dev = float(np.max(np.maximum(np.maximum(2.0 * abs(a.imag), 2.0 * abs(d.imag)), abs(b - c.conjugate())), initial=0))
+    dev = float(np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0))
     if not dev <= HERMITICITY_TOL:  # NaN fails too
         raise ContractViolationError(
             f"{name} is not Hermitian: max |m - m^dagger| = {dev:.3e} exceeds {HERMITICITY_TOL:.1e}"
@@ -212,30 +208,27 @@ def _two_product(a, b):
     """``(p, e)`` with ``p = fl(a b)`` and ``p + e = a b`` exactly (Dekker, Numer. Math. 18, 224, 1971).
 
     Exact while nothing underflows; past ``|a|`` or ``|b|`` of about 2**996 the split overflows and ``e`` is NaN.
-    A square, ``b is a``, splits ``a`` once.
     """
     p = a * b
     t = _SPLITTER * a
     ah = t - (t - a)
     al = a - ah
-    bh, bl = ah, al
-    if b is not a:
-        t = _SPLITTER * b
-        bh = t - (t - b)
-        bl = b - bh
+    t = _SPLITTER * b
+    bh = t - (t - b)
+    bl = b - bh
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _dot2(*products):
-    """``sum(p + e for p, e in products)`` as if in twice the working precision, then rounded.
+def _dot(*pairs):
+    """``sum(a b for a, b in pairs)`` as if in twice the working precision, then rounded.
 
-    Ogita, Rump and Oishi's Dot2 (SIAM J. Sci. Comput. 26, 1955, 2005) on
-    products of :func:`_two_product` and their exact rounding errors: every
-    partial sum carries its rounding error too, from ``+ - *`` alone, so the
-    result does not depend on fused multiply-adds.
+    Ogita, Rump and Oishi's Dot2 (SIAM J. Sci. Comput. 26, 1955, 2005):
+    every product and partial sum carries its exact rounding error, from
+    ``+ - *`` alone, so the result does not depend on fused multiply-adds.
     """
-    s, c = products[0]
-    for p, q in products[1:]:
+    s, c = _two_product(*pairs[0])
+    for a, b in pairs[1:]:
+        p, q = _two_product(a, b)
         t = s + p
         z = t - s
         c = c + (q + ((s - (t - z)) + (p - z)))
@@ -244,31 +237,30 @@ def _dot2(*products):
 
 
 def _trace(h, k):
-    """``tr(h k)`` of Hermitian parts, which is real: ``a_h a_k + d_h d_k + 2 (x_h x_k + y_h y_k)``, by :func:`_dot2`.
+    """``tr(h k)`` of Hermitian parts, which is real: ``a_h a_k + d_h d_k + 2 (x_h x_k + y_h y_k)``, by :func:`_dot`.
 
-    A trace against a state is a mean or a probability; :func:`_dot2` keeps it
+    A trace against a state is a mean or a probability; :func:`_dot` keeps it
     within about half an ulp where a plain sum loses up to two.
     """
-    (a, d, x, y), (p, s, u, v) = h, k
-    return _dot2(_two_product(a, p), _two_product(d, s), _two_product(2.0 * x, u), _two_product(2.0 * y, v))
+    a, d, x, y = h
+    p, s, u, v = k
+    return _dot((a, p), (d, s), (2.0 * x, u), (2.0 * y, v))
 
 
 def _hypot(x, y):
     """Modulus ``|x + i y|`` of finite parts, floats or arrays alike, with ``math.hypot``'s bits on a normal result.
 
     CPython's method (see also Borges, arXiv:1904.09481): ``h = sqrt(x*x + y*y)`` plus ``r / 2h``, with the exact
-    residual ``r = x*x + y*y - h*h`` from :func:`_dot2`, of the very squares that give ``h``. Parts outside
-    [2**-300, 2**500] are first scaled by 2**600 or 2**-600, exactly, so that no square or split overflows and no
-    residual underflows: a tiny coherence keeps its digits. A subnormal result rounds twice, to within one ulp.
+    residual ``r = x*x + y*y - h*h`` from :func:`_dot`. Parts outside [2**-300, 2**500] are first scaled by 2**600
+    or 2**-600, exactly, so that no square or split overflows and no residual underflows: a tiny coherence keeps
+    its digits. A subnormal result rounds twice, to within one ulp.
     """
     ops = _ops(x, y)
     m = ops.maximum(abs(x), abs(y))
     s = ops.where(m > 2.0**500, 2.0**-600, ops.where(m < 2.0**-300, 2.0**600, 1.0))
     x, y = x * s, y * s
-    xx, yy = _two_product(x, x), _two_product(y, y)
-    h = ops.sqrt(xx[0] + yy[0])
-    hh, e = _two_product(h, h)  # -h * h rounds to -hh, with the error -e
-    return (h + _dot2(xx, yy, (-hh, -e)) / (2.0 * h + (h == 0.0))) / s  # r = 0 where h = 0: no 0 / 0
+    h = ops.sqrt(x * x + y * y)
+    return (h + _dot((x, x), (y, y), (-h, h)) / (2.0 * h + (h == 0.0))) / s  # r = 0 where h = 0: no 0 / 0
 
 
 def _eigenvalues(a, d, x, y):

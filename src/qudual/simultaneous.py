@@ -81,12 +81,16 @@ class EntangledState:
 
     def __post_init__(self) -> None:
         if _ops(self.w_plus, self.theta, self.c) is _FLOAT_OPS:
-            w, cc = check_scalar(self.w_plus, "w_plus", 0.0, 1.0), check_scalar(self.c, "c", 0.0, 1.0)
+            w = check_scalar(self.w_plus, "w_plus", 0.0, 1.0)
+            cc = check_scalar(self.c, "c", 0.0, 1.0)
             t = check_scalar(self.theta, "theta") % TWO_PI
         else:
             w, cc = check_array(self.w_plus, "w_plus", 0.0, 1.0), check_array(self.c, "c", 0.0, 1.0)
             w, t, cc = np.broadcast_arrays(w, np.remainder(check_array(self.theta, "theta"), TWO_PI), cc)
-        self.__dict__.update(w_plus=w, theta=t, c=cc, _rows=_amplitudes(w, t, cc))  # frozen: past __setattr__
+        object.__setattr__(self, "w_plus", w)
+        object.__setattr__(self, "theta", t)
+        object.__setattr__(self, "c", cc)
+        object.__setattr__(self, "_rows", _amplitudes(w, t, cc))
 
     @cached_property
     def amplitudes(self) -> np.ndarray:

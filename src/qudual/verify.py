@@ -24,10 +24,10 @@ explicit projection, and :func:`minimum_product_routes` reaches the minimum
 simultaneous product through the long closed form, a golden-section search
 over ``c`` and the two compact candidates, each route one entry of its tuple
 for the ``minimum_product`` suite to check. :func:`which_way_routes` reaches
-the distinguishability through the trace norm of the meter blocks of
-:attr:`EntangledState.amplitudes`, and the entangled visibility through the
-partial trace of the same amplitudes, for the ``entangled_duality`` suite.
-None of the three is in ``__all__``.
+the distinguishability through the trace norm of the meter blocks of an
+:class:`EntangledState`, and the entangled visibility through the partial
+trace over the meter, both from the real parts of its amplitudes, for the
+``entangled_duality`` suite. None of the three is in ``__all__``.
 
 A suite hands each grid's checks to :meth:`_Tally.check` as the entries of
 one call, with the checks, counts and notes of a loop over the grid; the
@@ -44,7 +44,7 @@ import numpy as np
 from . import montecarlo
 from .duality import family_duality, predictability, visibility, visibility_oracle
 from .errors import ContractViolationError, ParameterError
-from .linalg import _eigenvalues, _entries, _hypot, _parts, _split, _times_conj, assert_hermitian, trace_norm
+from .linalg import _eigenvalues, _entries, _hypot, _parts, _projector, _split, _times_conj, assert_hermitian, trace_norm
 from .simultaneous import (
     EntangledState,
     distinguishability,
@@ -297,21 +297,21 @@ def minimum_product_routes(w_plus: float) -> tuple[float, float, float, float, f
     return value, long_form, numeric_min, plus * plus / 16.0, minus * minus / 16.0
 
 
-def which_way_routes(psi: np.ndarray) -> tuple:
-    """The distinguishability and the reduced coherence of amplitudes ``psi[..., system, meter]``, by matrices.
+def which_way_routes(psi_e: EntangledState) -> tuple:
+    """The distinguishability and the reduced system state of ``psi_e``, by its 2x2 matrices.
 
-    Returns the :func:`~qudual.linalg.trace_norm` of the difference of the
-    meter blocks ``psi[..., s, :] psi[..., s, :]^dagger`` of the two system
-    states, and the upper entry ``sum_m psi[..., 0, m] conj(psi[..., 1, m])``
-    of the system matrices that tracing the meter out leaves: the routes to
-    :func:`distinguishability` and, as twice its modulus, to
-    :func:`entangled_visibility`. Each product takes one entry of every
-    matrix, so that no temporary is the size of the whole stack.
+    From the real parts of the amplitudes ``psi[..., system, meter]`` that
+    :attr:`EntangledState.amplitudes` lays out, returns the trace norm (the
+    :func:`~qudual.linalg.trace_norm` sum of absolute eigenvalues, bit for bit,
+    with no matrix laid out) of the difference of the meter blocks ``psi[..., s, :] psi[..., s, :]^dagger`` of the two
+    system states, and the parts ``(a, d, x, y)`` of the system matrices
+    ``sum_m psi[..., :, m] psi[..., :, m]^dagger`` that tracing the meter out
+    leaves: the routes to :func:`distinguishability`, to the population
+    ``w_plus`` and, as ``2 |x + i y|``, to :func:`entangled_visibility`.
     """
-    (p0, p1), (q0, q1) = _entries(psi)  # the amplitudes of |plus>, p, and of |minus>, q, on the two meter states
-    bras = [(p.conjugate(), q.conjugate()) for p, q in ((p0, q0), (p1, q1))]
-    blocks = np.stack([p * pc - q * qc for p, q in ((p0, q0), (p1, q1)) for pc, qc in bras], axis=-1)
-    return trace_norm(blocks.reshape(np.shape(p0) + (2, 2))), p0 * bras[0][1] + p1 * bras[1][1]
+    (p0, p1), (q0, q1) = psi_e._rows  # the amplitudes of |plus>, p, and of |minus>, q, on the two meter states
+    big, small = _eigenvalues(*(u - v for u, v in zip(_projector(p0, p1), _projector(q0, q1))))
+    return abs(big) + abs(small), tuple(u + v for u, v in zip(_projector(p0, q0), _projector(p1, q1)))
 
 
 def _density_params(m: np.ndarray) -> tuple:
@@ -561,14 +561,14 @@ def _suite_entangled_duality(t: _Tally, run: dict, rng: np.random.Generator) -> 
     w, c = (x.ravel() for x in np.meshgrid(grid, grid, indexing="ij"))
     psi = EntangledState(w, 0.7, c)
     d, ve = distinguishability(psi), entangled_visibility(psi)
-    d_route, coherence = which_way_routes(psi.amplitudes)
+    d_route, (_, _, x, y) = which_way_routes(psi)
 
     def at(i: int) -> str:
         return f"w={w[i]:.2f} c={c[i]:.2f}"
 
     t.check(
         _near(d, d_route, _ROUNDOFF, lambda i: f"distinguishability by trace norm {at(i)}"),
-        _near(ve, 2.0 * np.abs(coherence), _ROUNDOFF, lambda i: f"visibility by partial trace {at(i)}"),
+        _near(ve, 2.0 * _hypot(x, y), _ROUNDOFF, lambda i: f"visibility by partial trace {at(i)}"),
         _near(d * d + ve * ve, 1.0, _ROUNDOFF, lambda i: f"erasure-free duality {at(i)}"),
         (np.abs(2.0 * w - 1.0) - d, _BOUND, lambda i: f"predictability below distinguishability {at(i)}"),
     )

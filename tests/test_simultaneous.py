@@ -1,4 +1,3 @@
-import cmath
 import math
 import re
 from decimal import Context, Decimal, localcontext
@@ -25,6 +24,7 @@ from qudual import (
     pure_state,
     simultaneous_product,
 )
+from qudual.linalg import _hypot
 from qudual.verify import (
     ROUTE_AGREEMENT_TOL,
     _density_params,
@@ -74,14 +74,16 @@ def test_entangled_state_checks_its_parameters_and_computes_its_amplitudes():
 
 
 def marginal(psi):
-    """``(rho12, theta)`` of the system state left by tracing the meter out of ``psi``, by the route in verify."""
-    coherence = complex(which_way_routes(psi.amplitudes)[1])  # rho12 exp(-i theta)
-    return abs(coherence), -cmath.phase(coherence) % (2.0 * math.pi)
+    """``(w_plus, rho12, theta)`` of the system state left by tracing the meter out of ``psi``, by the route in verify."""
+    a, _, x, y = which_way_routes(psi)[1]
+    r = _hypot(x, y)
+    return a, r, math.atan2(-y, x) % (2.0 * math.pi) if r > 0.0 else 0.0
 
 
 @given(w=w_values, theta=angles, c=overlaps)
 def test_marginal_coherence_is_scaled_by_overlap(w, theta, c):
-    rho12_marg, theta_marg = marginal(EntangledState(w, theta, c))
+    w_marg, rho12_marg, theta_marg = marginal(EntangledState(w, theta, c))
+    assert w_marg == pytest.approx(w, abs=1e-12)
     assert rho12_marg == pytest.approx(c * math.sqrt(w * (1.0 - w)), abs=1e-12)
     if rho12_marg > 1e-9:
         assert abs(np.exp(1j * theta_marg) - np.exp(1j * theta)) < 1e-9
@@ -104,19 +106,16 @@ def test_which_path_duality_is_tight(w, theta, c):
 
 @given(w=w_values, theta=angles, c=overlaps)
 def test_closed_forms_match_the_matrix_route(w, theta, c):
-    # the trace norm of the meter blocks and the partial trace of the amplitudes, for one state and as a stack
+    # the trace norm of the meter blocks and the coherence of the partial trace over the meter
     psi = EntangledState(w, theta, c)
-    trace_norm, coherence = which_way_routes(psi.amplitudes)
+    trace_norm, (_, _, x, y) = which_way_routes(psi)
     assert distinguishability(psi) == pytest.approx(trace_norm, abs=1e-12)
-    assert entangled_visibility(psi) == pytest.approx(2.0 * abs(coherence), abs=1e-12)
-    # a stack of the one state: NumPy's complex products, which may round otherwise than Python's
-    stacked_norm, stacked_coherence = which_way_routes(np.stack([psi.amplitudes] * 3))
-    assert stacked_norm.tolist() == pytest.approx([trace_norm] * 3, rel=1e-15, abs=1e-15)
-    assert stacked_coherence.tolist() == pytest.approx([coherence] * 3, rel=1e-15, abs=1e-15)
+    assert entangled_visibility(psi) == pytest.approx(2.0 * _hypot(x, y), abs=1e-12)
 
 
 def _which_way(psi):
-    return distinguishability(psi), entangled_visibility(psi)
+    trace_norm, reduced = which_way_routes(psi)
+    return distinguishability(psi), entangled_visibility(psi), trace_norm, *reduced
 
 
 def assert_stack_matches_scalars(w, theta, c):
