@@ -118,7 +118,7 @@ def _ops(*values):
     Any other value, an array among floats too, makes the values a stack.
     """
     for value in values:
-        if not isinstance(value, (int, float)) and not isinstance(value, numbers.Real):
+        if type(value) is not float and not isinstance(value, (int, float, numbers.Real)):  # a Python float first
             return _ARRAY_OPS
     return _FLOAT_OPS
 

@@ -22,8 +22,10 @@ forms in the predictability ``P`` and visibility ``V`` of the pure system
 state: ``D = hypot(P, V sqrt(1 - c**2))`` and ``V_e = c V``, so that
 ``D**2 + V_e**2 = 1``. The matrix route to them, the trace norm of the meter
 blocks and the partial trace of the amplitudes, runs in :mod:`qudual.verify`.
-The readouts, :func:`meter_projectors`, :func:`estimate_a` and
-:func:`estimate_b`, take one state; the meter readout is an
+The readout moments :func:`estimate_a` and :func:`estimate_b` take one state or
+a stack in the same way, and a stack raises the error of its first element
+outside the readout's domain, as that state alone would.
+:func:`meter_projectors` takes one overlap: the meter readout is an
 :class:`~qudual.states.Observable` on the meter qubit.
 
 Every ``1 - c**2`` is evaluated as ``(1 - c)(1 + c)``, which keeps its
@@ -43,8 +45,8 @@ from functools import cached_property
 import numpy as np
 
 from .duality import _imbalance
-from .errors import ParameterError, SingularConfigurationError, check_array, check_scalar
-from .linalg import _FLOAT_OPS, _from_entries, _hypot, _one_value, _ops, _read_only
+from .errors import ParameterError, SingularConfigurationError, as_float_array, check_array, check_scalar
+from .linalg import _FLOAT_OPS, _from_entries, _hypot, _one_value, _ops, _raise_first, _read_only
 from .states import GAUGE, TWO_PI, Observable, _pure_parts
 
 # Largest rescaled outcome value whose square is a finite double.
@@ -139,14 +141,19 @@ def entangled_visibility(psi_e: EntangledState) -> float:
     return psi_e.c * _pure_visibility(psi_e.w_plus)
 
 
-def _readout_overlap(c: float, what: str) -> float:
-    cc = check_scalar(_one_value(c, what), "c")
-    if not 0.0 < cc < 1.0:
+def _readout_overlap(c: float) -> float:
+    """``c``, valid overlaps that the meter readout takes, ``0 < c < 1``, else a :class:`SingularConfigurationError`.
+
+    A stack raises the error of its first element outside that range, as that element alone does.
+    """
+    if _ops(c) is not _FLOAT_OPS:
+        _raise_first(~((c > 0.0) & (c < 1.0)), lambda one: _readout_overlap(float(one)), c)
+    elif not 0.0 < c < 1.0:
         raise SingularConfigurationError(
-            f"meter readout requires 0 < c < 1, got c = {cc!r}: at c = 0 the rotation "
+            f"meter readout requires 0 < c < 1, got c = {c!r}: at c = 0 the rotation "
             "angle equation degenerates and at c = 1 the rescaled value diverges"
         )
-    return cc
+    return c
 
 
 def meter_projectors(c: float) -> Observable:
@@ -165,7 +172,7 @@ def meter_projectors(c: float) -> Observable:
     ``unbiasedness`` suite of :mod:`qudual.verify` checks that choice by
     explicit projection.
     """
-    cc = _readout_overlap(c, "meter_projectors takes one overlap c")
+    cc = _readout_overlap(check_scalar(_one_value(c, "meter_projectors takes one overlap c"), "c"))
     gamma = 0.5 * (math.pi - math.asin(cc))
     a_prime = GAUGE / math.sqrt(_one_minus_sq(cc))
     cos, sin = math.cos(gamma), math.sin(gamma)
@@ -176,15 +183,17 @@ def estimate_a(psi_e: EntangledState) -> tuple[float, float]:
     """Mean and variance of the rescaled first-observable readout.
 
     With outcome values ``+-a``, ``a = GAUGE``, returns the closed forms
-    ``mean = a (w+ - w-)`` and ``variance = a**2 (c**2 / (1 - c**2) + 4 w+ w-)``.
-    Requires ``0 < c < 1``; both endpoints are singular for this readout.
+    ``mean = a (w+ - w-)`` and ``variance = a**2 (c**2 / (1 - c**2) + 4 w+ w-)``:
+    floats for one state, and for a stack arrays of its shape, whose elements
+    have the bits of their states alone. Requires ``0 < c < 1``; both
+    endpoints are singular for this readout, and a stack raises the
+    :class:`SingularConfigurationError` of its first element at one.
     The explicit projection route to both moments runs in :mod:`qudual.verify`.
     """
-    cc = _readout_overlap(psi_e.c, "estimate_a takes one entangled state")
+    w, c = psi_e.w_plus, _readout_overlap(psi_e.c)
     a = GAUGE
-    w = psi_e.w_plus
     mean = a * (2.0 * w - 1.0)
-    var = a * a * (cc * cc / _one_minus_sq(cc) + 4.0 * w * (1.0 - w))
+    var = a * a * (c * c / _one_minus_sq(c) + 4.0 * w * (1.0 - w))
     return mean, var
 
 
@@ -195,29 +204,41 @@ def estimate_b(psi_e: EntangledState, varrho: float) -> tuple[float, float]:
     outcomes ``+-b``, ``b = GAUGE``, are rescaled to ``+-b / c``, which makes
     the mean equal to the sharp mean ``2 b sqrt(w+ w-) cos(theta - varrho)``
     of the initial pure state for every ``c``. Returns the closed forms of
-    that mean and of ``variance = b**2 (1 / c**2 - 4 w+ w- cos(theta - varrho)**2)``.
-    Requires ``c > 0``, and the rescaled outcome value ``b / c`` may not
-    exceed :data:`MAX_RESCALED_VALUE`, which an underflowing ``c`` would. The
-    explicit projection route to both moments runs in :mod:`qudual.verify`.
+    that mean and of ``variance = b**2 (1 / c**2 - 4 w+ w- cos(theta - varrho)**2)``:
+    floats for one state and phase, and arrays where the state is a stack or
+    ``varrho`` an array, which broadcast together, each element with the bits
+    of its state and phase alone. Requires ``c > 0``, and the rescaled outcome
+    value ``b / c`` may not exceed :data:`MAX_RESCALED_VALUE`, which an
+    underflowing ``c`` would. A stack raises the error of its first element
+    that breaks a bound, or whose ``varrho`` is not finite, as that element
+    alone does. The explicit projection route to both moments runs in
+    :mod:`qudual.verify`.
     """
-    cc = _one_value(psi_e.c, "estimate_b takes one entangled state")
-    if cc <= 0.0:
-        raise SingularConfigurationError(
-            f"complementary readout requires c > 0, got c = {cc!r}: the rescaled "
-            "outcome values +-b/c diverge"
-        )
+    w, t, c = psi_e.w_plus, psi_e.theta, psi_e.c
     b = GAUGE
-    if not b / cc <= MAX_RESCALED_VALUE:
-        raise ParameterError(
-            f"c = {cc!r} violates the bound {b} / c <= {MAX_RESCALED_VALUE:.6g}: "
-            "the rescaled outcome value or its square would not be finite"
-        )
-    w = psi_e.w_plus
-    delta = psi_e.theta - check_scalar(varrho, "varrho") % TWO_PI
-    root = math.sqrt(w * (1.0 - w))
-    cos = math.cos(delta)
+    ops = _ops(w, varrho)
+    if ops is _FLOAT_OPS:
+        if c <= 0.0:
+            raise SingularConfigurationError(
+                f"complementary readout requires c > 0, got c = {c!r}: the rescaled "
+                "outcome values +-b/c diverge"
+            )
+        if not b / c <= MAX_RESCALED_VALUE:
+            raise ParameterError(
+                f"c = {c!r} violates the bound {b} / c <= {MAX_RESCALED_VALUE:.6g}: "
+                "the rescaled outcome value or its square would not be finite"
+            )
+        varrho = check_scalar(varrho, "varrho")
+    else:
+        w, t, c, varrho = np.broadcast_arrays(w, t, c, as_float_array(varrho, "varrho"))
+        with np.errstate(divide="ignore", over="ignore"):  # b / c is inf at c = 0 or a tiny c: past the bound
+            bad = ~((c > 0.0) & (b / c <= MAX_RESCALED_VALUE) & np.isfinite(varrho))
+        _raise_first(bad, lambda w, t, c, v: estimate_b(EntangledState(w, t, c), v), w, t, c, varrho)
+    delta = t - varrho % TWO_PI
+    root = ops.sqrt(w * (1.0 - w))
+    cos = ops.cos(delta)
     mean = 2.0 * b * root * cos
-    var = b * b * (1.0 / (cc * cc) - 4.0 * w * (1.0 - w) * (cos * cos))
+    var = b * b * (1.0 / (c * c) - 4.0 * w * (1.0 - w) * (cos * cos))
     return mean, var
 
 

@@ -30,8 +30,14 @@ trace over the meter, both from the real parts of its amplitudes, for the
 ``entangled_duality`` suite. None of the three is in ``__all__``.
 
 A suite hands each grid's checks to :meth:`_Tally.check` as the entries of
-one call, with the checks, counts and notes of a loop over the grid; the
-functions under test that take one state or phase stay in loops.
+one call, with the checks, counts and notes of a loop over the grid, and
+calls each function under test once on the grid's stack. Those that take one
+value stay in loops: :func:`meter_projectors`, :func:`normalized_product_bounds`,
+:func:`intelligent_state`, :func:`visibility_oracle`, and the minimum
+product's :func:`simultaneous_product` and :func:`optimal_entanglement`. The
+routes here write every product of matrix entries in real parts, as the
+library's kernels do, so their bits do not depend on a BLAS kernel or a SIMD
+level.
 """
 
 from __future__ import annotations
@@ -44,7 +50,8 @@ import numpy as np
 from . import montecarlo
 from .duality import family_duality, predictability, visibility, visibility_oracle
 from .errors import ContractViolationError, ParameterError
-from .linalg import _eigenvalues, _entries, _hypot, _parts, _projector, _split, _times_conj, assert_hermitian, trace_norm
+from .linalg import _eigenvalues, _entries, _hypot, _parts, _projector, _split, _times, _times_conj, assert_hermitian
+from .linalg import trace_norm
 from .simultaneous import (
     EntangledState,
     distinguishability,
@@ -201,9 +208,21 @@ def _near(value, target, tolerance, label) -> tuple:
     )
 
 
-def _weight(amp: np.ndarray) -> np.ndarray:
-    """Squared norms of stacked vectors ``(..., 2)``."""
-    return (amp.real * amp.real + amp.imag * amp.imag).sum(axis=-1)
+def _matrix_parts(m: np.ndarray) -> tuple:
+    """Entries ``((m00, m01), (m10, m11))`` of a 2x2 matrix or a stack, each as parts ``(re, im)``."""
+    return tuple(tuple(map(_split, row)) for row in _entries(m))
+
+
+def _product(p: tuple, q: tuple) -> tuple:
+    """Entries of the matrix product ``p q`` as parts, from entries as parts: each a sum of two :func:`_times`."""
+    terms = [[(_times(p[i][0], q[0][j]), _times(p[i][1], q[1][j])) for j in range(2)] for i in range(2)]
+    return tuple(tuple((ar + br, ai + bi) for (ar, ai), (br, bi) in row) for row in terms)
+
+
+def _weight(z: tuple, u: tuple):
+    """``|<u|z>|**2 = |sum_j z_j conj(u_j)|**2`` of two vectors given as parts, by :func:`_times_conj`."""
+    re, im = (p + q for p, q in zip(*(_times_conj(x, y) for x, y in zip(z, u))))
+    return re * re + im * im
 
 
 def projected_readout_moments(psi: np.ndarray, c, varrho) -> tuple:
@@ -212,28 +231,30 @@ def projected_readout_moments(psi: np.ndarray, c, varrho) -> tuple:
     ``psi`` holds the amplitudes ``psi[..., system, meter]`` of one
     :attr:`EntangledState.amplitudes` or a stack, with meter overlaps ``c``
     and phases ``varrho`` broadcast to it. The meter readout projects on the
-    eigenvectors of :func:`meter_projectors`, the system readout on the family
-    member at ``varrho`` with outcome values ``+-GAUGE / c``; each is built
-    once per distinct ``c`` or ``varrho``, then indexed for every element.
+    eigenvectors of :func:`meter_projectors`, built once per distinct ``c``
+    and indexed for every element; the system readout projects on those of
+    the family member at each ``varrho``, with outcome values ``+-GAUGE / c``.
+    Every projection is a sum of :func:`_times_conj` products of the real
+    parts of the amplitudes and the eigenvectors, with no complex multiply.
     Returns ``((mean_a, var_a), (mean_b, var_b))`` as arrays, the independent
     route to :func:`estimate_a` and :func:`estimate_b`; an element rounds as
     that state alone does.
     """
-    c, varrho = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(varrho, dtype=float))
+    c = np.asarray(c, dtype=float)
     overlaps, c_at = np.unique(c.ravel(), return_inverse=True)
-    phases, varrho_at = np.unique(varrho.ravel(), return_inverse=True)
     meters = [meter_projectors(x) for x in overlaps.tolist()]
-    # Outcome k of each readout: row k of the meter vectors, of the member vectors.
-    m = np.array([mp.basis.T for mp in meters])[c_at].reshape(c.shape + (2, 2))
-    values = np.array([(mp.val_plus, mp.val_minus) for mp in meters])[c_at].reshape(c.shape + (2,))
-    vecs = np.array([complementary_observable(x).basis.T for x in phases.tolist()])[varrho_at].reshape(c.shape + (2, 2))
-    p_a = _weight((psi[..., None, :, :] * m.conj()[..., :, None, :]).sum(axis=-1))
-    p_b = _weight((vecs.conj()[..., :, :, None] * psi[..., None, :, :]).sum(axis=-2))
-    mean_a = (values * p_a).sum(axis=-1)
-    var_a = (values * values * p_a).sum(axis=-1) - mean_a * mean_a
+    # Outcome k of each readout: column k of the meter basis, of the member basis, entries as parts.
+    meter = np.moveaxis(np.array([mp._columns for mp in meters])[c_at], 0, -1).reshape((2, 2, 2) + c.shape)
+    values = np.array([(mp.val_plus, mp.val_minus) for mp in meters]).T[:, c_at].reshape((2,) + c.shape)
+    members = complementary_observable(varrho)._columns
+    rows = [[_split(psi[..., s, j]) for j in range(2)] for s in range(2)]  # system s, meter j
+    p_a = [sum(_weight(z, u) for z in rows) for u in meter]  # summed over the system states
+    p_b = [sum(_weight(z, u) for z in zip(*rows)) for u in members]  # summed over the meter states
+    mean_a = values[0] * p_a[0] + values[1] * p_a[1]
+    var_a = values[0] * values[0] * p_a[0] + values[1] * values[1] * p_a[1] - mean_a * mean_a
     value = GAUGE / c
-    mean_b = value * (p_b[..., 0] - p_b[..., 1])
-    var_b = value * value * p_b.sum(axis=-1) - mean_b * mean_b
+    mean_b = value * (p_b[0] - p_b[1])
+    var_b = value * value * (p_b[0] + p_b[1]) - mean_b * mean_b
     return (mean_a, var_a), (mean_b, var_b)
 
 
@@ -364,13 +385,13 @@ def _suite_state_round_trip(t: _Tally, run: dict, rng: np.random.Generator) -> N
     rho, _ = _random_states(rng, 500)
     m = rho.matrix
     back = DensityMatrix(*_density_params(m))
-    trace_squared = np.trace(m @ m, axis1=-2, axis2=-1).real
+    (square, _), (_, last) = _product(_matrix_parts(m), _matrix_parts(m))  # tr(m m) is square + last
     phase_gap = np.abs(np.exp(1j * back.theta) - np.exp(1j * rho.theta))
     t.check(
         _near(back.w_plus, rho.w_plus, _ROUNDOFF, lambda i: f"round trip w_plus #{i}"),
         _near(back.rho12, rho.rho12, _ROUNDOFF, lambda i: f"round trip rho12 #{i}"),
         (phase_gap, _PHASE, lambda i: f"round trip theta #{i}", rho.rho12 > 1e-9),
-        _near(trace_squared, rho.purity, _ROUNDOFF, lambda i: f"purity trace identity #{i}"),
+        _near(square[0] + last[0], rho.purity, _ROUNDOFF, lambda i: f"purity trace identity #{i}"),
     )
     t.raises(ParameterError, lambda: DensityMatrix(1.2, 0.0), "w_plus above 1 rejected")
     t.raises(ParameterError, lambda: DensityMatrix(0.5, 0.6), "coherence above bound rejected")
@@ -414,17 +435,18 @@ def _suite_complementary_family(t: _Tally, run: dict, rng: np.random.Generator) 
     )
 
     # 50 members B(varrho) and their quarter-turn partners: [REFERENCE, B(varrho)] = +-i B(varrho +- pi/2).
-    varrho = [rng.uniform(0.0, TWO_PI) for _ in range(50)]
-    members = [complementary_observable(x) for x in varrho]
-    vp = np.array([member.vec_plus for member in members])
-    vm = np.array([member.vec_minus for member in members])
+    varrho = rng.uniform(0.0, TWO_PI, 50)
+    member = complementary_observable(varrho)
+    vp, vm = member.vec_plus, member.vec_minus
     # |<b+|b->| = |sum_i b-_i conj(b+_i)|, in real parts
     overlap = (_times_conj(_split(vm[:, i]), _split(vp[:, i])) for i in range(2))
     orthogonality = _hypot(*(p + q for p, q in zip(*overlap)))
-    b_m = np.array([member.matrix for member in members])
-    comm = REFERENCE.matrix @ b_m - b_m @ REFERENCE.matrix
-    partners = {h: np.array([complementary_observable(x + h * math.pi / 2.0).matrix for x in varrho]) for h in (1, -1)}
-    miss = {h: np.abs(comm - 1j * h * partner).max(axis=(-2, -1)) for h, partner in partners.items()}
+    a, b = _matrix_parts(REFERENCE.matrix), _matrix_parts(member.matrix)
+    comm = [[(u - x, v - y) for (u, v), (x, y) in zip(*rows)] for rows in zip(_product(a, b), _product(b, a))]
+    partners = {h: _matrix_parts(complementary_observable(varrho + h * math.pi / 2.0).matrix) for h in (1, -1)}
+    # the largest |comm - i h partner| of the four entries, each (re, im) - i h (x, y) = (re + h y, im - h x)
+    miss = {h: np.sqrt(np.maximum.reduce([np.square(re + h * y) + np.square(im - h * x) for rows in zip(comm, partner)
+                                          for (re, im), (x, y) in zip(*rows)])) for h, partner in partners.items()}
     t.check(
         (np.abs(np.abs(vp) - math.sqrt(0.5)).max(axis=-1), _ROUNDOFF, lambda i: f"unbiased member magnitudes #{i}"),
         _near(orthogonality, 0.0, _ROUNDOFF, lambda i: f"member orthogonality #{i}"),
@@ -576,20 +598,14 @@ def _suite_entangled_duality(t: _Tally, run: dict, rng: np.random.Generator) -> 
 
 def _suite_unbiasedness(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     varrho = math.pi / 5.0
-    b_obs = complementary_observable(varrho)
     tenths = [k / 10.0 for k in range(1, 10)]
     thetas = [TWO_PI * j / 8.0 for j in range(8)]
     grid = [(w, theta, c) for w in tenths for theta in thetas for c in tenths]
-    sharp_b = {(w, theta): mean_var(pure_state(w, theta), b_obs)[0] for w in tenths for theta in thetas}
-    # Rows of one array, so that no object of one state outlives its step and the memory stays flat.
-    closed = np.empty((len(grid), 4))
-    for i, point in enumerate(grid):
-        psi = EntangledState(*point)
-        closed[i] = (*estimate_a(psi), *estimate_b(psi, varrho))
-    amplitudes = EntangledState(*np.array(grid).T).amplitudes
-    # the sharp means of A and B
-    sharp = np.array([(GAUGE * (2.0 * w - 1.0), sharp_b[w, theta]) for w, theta, _ in grid])
-    projected = np.ravel(projected_readout_moments(amplitudes, [c for _, _, c in grid], varrho)).reshape(4, -1)
+    w, theta, c = np.array(grid).T
+    psi = EntangledState(w, theta, c)
+    closed = (*estimate_a(psi), *estimate_b(psi, varrho))
+    sharp_b, _ = mean_var(DensityMatrix(w, np.sqrt(w * (1.0 - w)), theta), complementary_observable(varrho))
+    projected = np.ravel(projected_readout_moments(psi.amplitudes, c, varrho)).reshape(4, -1)
 
     def at(i: int) -> str:
         w, theta, c = grid[i]
@@ -597,11 +613,12 @@ def _suite_unbiasedness(t: _Tally, run: dict, rng: np.random.Generator) -> None:
 
     checks = []
     names = ("meter readout mean", "meter readout variance", "system readout mean", "system readout variance")
-    for name, x, y in zip(names, closed.T, projected):
+    for name, x, y in zip(names, closed, projected):
         tol = _ROUNDOFF * np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
         checks.append(_near(x, y, tol, lambda i, name=name: f"{name} by projection {at(i)}"))
-    checks.append(_near(closed[:, 0], sharp[:, 0], _ROUNDOFF, lambda i: f"meter readout unbiased {at(i)}"))
-    checks.append(_near(closed[:, 2], sharp[:, 1], _ROUNDOFF, lambda i: f"system readout unbiased {at(i)}"))
+    # the sharp means of A and B
+    checks.append(_near(closed[0], GAUGE * (2.0 * w - 1.0), _ROUNDOFF, lambda i: f"meter readout unbiased {at(i)}"))
+    checks.append(_near(closed[2], sharp_b, _ROUNDOFF, lambda i: f"system readout unbiased {at(i)}"))
     t.check(*checks)
 
     # The meter outcome signs: the assignment of meter_projectors (-a' on m1)

@@ -20,7 +20,7 @@ import pytest
 
 from qudual.cli import main
 from qudual.duality import family_duality, predictability, visibility, visibility_oracle
-from qudual.errors import ParameterError
+from qudual.errors import ParameterError, QudualError
 from qudual.linalg import assert_unitary
 from qudual.montecarlo import sample_fringe, sample_sharp, sample_simultaneous
 from qudual.simultaneous import (
@@ -281,6 +281,16 @@ def test_every_stacked_public_form_has_the_bits_of_each_state_alone():
         assert floats(alone)
         assert _hexes(alone) == _hexes(at(stack, i)), EDGE_ROWS[i]
 
+    # The readouts on the rows of their domains: 0 < c < 1, and for estimate_b a rescaled value 0.5 / c within its
+    # bound, which c = 1e-300 is past.
+    readouts = [(lambda psi, _: estimate_a(psi), (0.0 < c) & (c < 1.0)), (estimate_b, (1e-300 < c) & (c < 1.0))]
+    for readout, rows in readouts:
+        stack = readout(EntangledState(w[rows], theta[rows], c[rows]), varrho[rows])
+        for i, (w_i, t_i, c_i, v_i) in enumerate(zip(*(x[rows].tolist() for x in (w, theta, c, varrho)))):
+            alone = readout(EntangledState(w_i, t_i, c_i), v_i)
+            assert floats(alone)
+            assert _hexes(alone) == _hexes(at(stack, i)), (w_i, t_i, c_i, v_i)
+
 
 _STACK = DensityMatrix([0.3, 0.5], [0.1, 0.5], [1.0, 2.0])
 _ENTANGLED = EntangledState([0.3, 0.5], 0.2, [0.4, 0.6])
@@ -289,8 +299,6 @@ _ENTANGLED = EntangledState([0.3, 0.5], 0.2, [0.4, 0.6])
 @pytest.mark.parametrize(
     "call, name",
     [
-        (lambda: estimate_a(_ENTANGLED), "estimate_a"),
-        (lambda: estimate_b(_ENTANGLED, 0.3), "estimate_b"),
         (lambda: meter_projectors(np.array([0.4, 0.6])), "meter_projectors"),
         (lambda: meter_projectors(np.array([0.4])), "meter_projectors"),
         (lambda: _STACK.state_vector(), "state_vector"),
@@ -302,7 +310,7 @@ _ENTANGLED = EntangledState([0.3, 0.5], 0.2, [0.4, 0.6])
         (lambda: sample_simultaneous(_ENTANGLED, 0.3, 10, 1), "sample_simultaneous"),
     ],
     ids=[
-        "estimate_a", "estimate_b", "meter_projectors", "meter_projectors-1", "state_vector", "eq", "eq-one",
+        "meter_projectors", "meter_projectors-1", "state_vector", "eq", "eq-one",
         "visibility_oracle", "sample_sharp", "sample_fringe", "sample_simultaneous",
     ],
 )
@@ -312,6 +320,29 @@ def test_one_value_functions_refuse_a_stack_with_a_parameter_error(call, name):
         warnings.simplefilter("error")
         with pytest.raises(ParameterError, match=rf"^{re.escape(name)} .*, not a stack of shape \((1|2|16),\)$"):
             call()
+
+
+# A stack of readouts with one element outside its domain, at index 2 of 4, and the one-state call on that element.
+BAD_READOUTS = {
+    "estimate_a-c=0": (lambda c, v: estimate_a(EntangledState(0.3, 0.2, c)), 0.0, 0.1),
+    "estimate_a-c=1": (lambda c, v: estimate_a(EntangledState(0.3, 0.2, c)), 1.0, 0.1),
+    "estimate_b-c=0": (lambda c, v: estimate_b(EntangledState(0.3, 0.2, c), v), 0.0, 0.1),
+    "estimate_b-c=5e-324": (lambda c, v: estimate_b(EntangledState(0.3, 0.2, c), v), 5e-324, 0.1),
+    "estimate_b-varrho=nan": (lambda c, v: estimate_b(EntangledState(0.3, 0.2, c), v), 0.5, math.nan),
+}
+
+
+@pytest.mark.parametrize("entry", list(BAD_READOUTS))
+def test_a_stacked_readout_raises_the_error_of_its_bad_element_alone(entry):
+    call, bad_c, bad_varrho = BAD_READOUTS[entry]
+    with pytest.raises(QudualError) as alone:
+        call(bad_c, bad_varrho)
+    c, varrho = np.array([0.4, 0.6, bad_c, 0.7]), np.array([0.1, 0.2, bad_varrho, 0.3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(type(alone.value)) as stacked:
+            call(c, varrho)
+    assert (type(stacked.value), str(stacked.value)) == (type(alone.value), str(alone.value))
 
 
 # Real scalars that are neither an int nor a float, each with arguments that it holds exactly. Each is one value,

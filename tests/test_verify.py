@@ -1,5 +1,8 @@
 import inspect
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -110,11 +113,18 @@ def test_batched_suites_make_one_kernel_call_each(count_calls):
     assert [np.shape(call[0].w_plus) for call in kernels["robertson"]] == [(21 * 34,)]
     assert moments == []
 
-    # Both projection routes run once each, over the grid and over the probes.
+    # Both projection routes run once each, over the grid and over the probes; both readouts and the sharp means
+    # run once, on the grid's stack.
     projections = count_calls(verify, "projected_readout_moments")
+    readouts = [count_calls(simultaneous, "estimate_a"), count_calls(simultaneous, "estimate_b")]
+    for calls in (*builds, moments):
+        calls.clear()
     result = verify.run_suite("unbiasedness", "full", 42)
     assert (result.checks, result.failures) == (4008, 0)
     assert len(projections) == 2
+    assert [np.shape(call[0].w_plus) for call in (*readouts[0], *readouts[1], *moments)] == [(648,)] * 3
+    # the grid and the probes, then the pure states of the sharp means
+    assert [np.shape(call[1]) for calls in builds[::-1] for call in calls] == [(648,), (108,), (648,)]
 
     # The 126 intelligent states take one call of robertson, and their residuals one of is_residual.
     residuals = count_calls(uncertainty, "is_residual")
@@ -156,9 +166,8 @@ def test_unbiasedness_lays_out_each_amplitude_stack_once(count_calls):
     layouts = count_calls(linalg, "_from_entries")
     result = verify.run_suite("unbiasedness", "full", 42)
     assert (result.checks, result.failures) == (4008, 0)
-    # Two stacks, and one meter or family basis for each distinct overlap and phase that a projection reads.
-    bases = sum(len(set(np.ravel(c))) + len(set(np.ravel(varrho))) for _, c, varrho in projections)
-    assert len(layouts) == 2 + bases == 27
+    # The two stacks alone: a projection reads the parts of the meter and family bases, and lays out none.
+    assert len(layouts) == 2
     probes = [(w, theta, c) for c in verify._PROBE_C for w in verify._PROBE_W for theta in verify._PROBE_THETA]
     for (psi, _, _), points in zip(projections, (READOUT_GRID, probes), strict=True):
         expected = np.array([EntangledState(*point).amplitudes for point in points])
@@ -166,7 +175,7 @@ def test_unbiasedness_lays_out_each_amplitude_stack_once(count_calls):
 
 
 def test_suites_hand_their_checks_to_the_tally_in_stacked_calls(count_calls):
-    """A grid's checks are one tally call, not one per element, and the family suite builds three members a phase.
+    """A grid's checks are one tally call, not one per element, and the family suite builds its members in three calls.
 
     The members are library-built observables: each goes through ``Observable._from_checked``, none through the
     checking ``Observable(...)``.
@@ -190,7 +199,7 @@ def test_suites_hand_their_checks_to_the_tally_in_stacked_calls(count_calls):
         assert result.failures == 0
         counted[name] = (result.checks, len(tally_calls))
         if name == "complementary_family":
-            assert (len(observables), len(checked)) == (150, 0)
+            assert (len(observables), len(checked)) == (3, 0)
     assert counted == expected
 
 
@@ -204,6 +213,39 @@ def test_stacked_projection_matches_one_state_calls():
         assert stacked[:, i].tolist() == single.tolist()
         closed = (*estimate_a(p), *estimate_b(p, v))
         assert np.abs(single - closed).max() <= 1e-12 * max(1.0, *np.abs(closed))
+
+
+# The projected moments of the unbiasedness grid and probes, hashed by a child process.
+_MOMENTS_CHILD = """
+import hashlib, math
+import numpy as np
+from qudual import verify
+from qudual.simultaneous import EntangledState
+from qudual.states import TWO_PI
+tenths = [k / 10.0 for k in range(1, 10)]
+grid = np.array([(w, TWO_PI * j / 8.0, c) for w in tenths for j in range(8) for c in tenths]).T
+probes = np.array([(w, t, c) for c in verify._PROBE_C for w in verify._PROBE_W for t in verify._PROBE_THETA]).T
+moments = [verify.projected_readout_moments(EntangledState(*grid).amplitudes, grid[2], math.pi / 5.0),
+           verify.projected_readout_moments(EntangledState(*probes).amplitudes, probes[2], probes[1])]
+print(hashlib.sha256(b"".join(np.array(m).tobytes() for m in moments)).hexdigest())
+"""
+
+
+def test_projected_readout_moments_do_not_depend_on_the_simd_level():
+    """The projections have the same bits with NumPy's dispatch cut back to its X86_V2 baseline.
+
+    Each projection is a sum of real products, which IEEE 754 rounds alike at every SIMD level. On an x86-64 host
+    with AVX-512, the same projections through NumPy's complex multiply give other bits under this setting.
+    """
+    root = Path(__file__).resolve().parents[1]
+    digests = []
+    for setting in ({}, {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}):
+        env = {**os.environ, **setting, "PYTHONPATH": str(root / "src")}
+        child = subprocess.run(
+            [sys.executable, "-c", _MOMENTS_CHILD], env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        digests.append(child.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_linalg_core_draws_reproduce_the_matrix_loop(count_calls):
@@ -229,7 +271,7 @@ def test_planted_readout_fault_keeps_the_loop_notes(monkeypatch, faulty_c):
 
     def planted(psi, phase):
         mean, var = exact(psi, phase)
-        return mean, var + 1e-9 if psi.c in faulty_c else var
+        return mean, var + 1e-9 * np.isin(psi.c, faulty_c)
 
     monkeypatch.setattr(verify, "estimate_b", planted)
     result = verify.run_suite("unbiasedness", "full", 42)
@@ -237,7 +279,7 @@ def test_planted_readout_fault_keeps_the_loop_notes(monkeypatch, faulty_c):
     for w, theta, c in READOUT_GRID:
         if c in faulty_c and len(notes) < 6:
             psi = EntangledState(w, theta, c)
-            (_, var), (_, var_x) = planted(psi, varrho), verify.projected_readout_moments(psi.amplitudes, c, varrho)[1]
+            var, (_, var_x) = exact(psi, varrho)[1] + 1e-9, verify.projected_readout_moments(psi.amplitudes, c, varrho)[1]
             notes.append(f"system readout variance by projection w={w} theta={theta:.2f} c={c}: {var!r} vs {float(var_x)!r}")
     assert (result.checks, result.failures) == (4008, 72 * len(faulty_c))
     assert list(result.notes) == notes
