@@ -142,9 +142,10 @@ def entangled_visibility(psi_e: EntangledState) -> float:
 
 
 def _readout_overlap(c: float) -> float:
-    """``c``, valid overlaps that the meter readout takes, ``0 < c < 1``, else a :class:`SingularConfigurationError`.
+    """The valid overlap ``c``, or a stack of them, if the meter readout takes it: ``0 < c < 1``.
 
-    A stack raises the error of its first element outside that range, as that element alone does.
+    Otherwise a :class:`SingularConfigurationError`; a stack raises that of its first element outside the range, as
+    that element alone does.
     """
     if _ops(c) is not _FLOAT_OPS:
         _raise_first(~((c > 0.0) & (c < 1.0)), lambda one: _readout_overlap(float(one)), c)

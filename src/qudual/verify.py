@@ -36,8 +36,8 @@ value stay in loops: :func:`meter_projectors`, :func:`normalized_product_bounds`
 :func:`intelligent_state`, :func:`visibility_oracle`, and the minimum
 product's :func:`simultaneous_product` and :func:`optimal_entanglement`. The
 routes here write every product of matrix entries in real parts, as the
-library's kernels do, so their bits do not depend on a BLAS kernel or a SIMD
-level.
+library's kernels do, so that no BLAS kernel or SIMD level moves their bits;
+``linalg_core``'s LAPACK references are the exception, by design.
 """
 
 from __future__ import annotations
