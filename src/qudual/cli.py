@@ -152,16 +152,12 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _sweep_rows(figure: int, points: int) -> list[str]:
-    # Python floats for the per-row scalar calls, which take check_scalar's fast path; a stack of states for the rest
-    w = [math.sin(alpha) ** 2 for alpha in np.linspace(0.0, math.pi / 2.0, points).tolist()]
-    stack = np.array(w)
-    c_opt = [optimal_entanglement(x) for x in w]
-    rho = DensityMatrix(stack, np.sqrt(stack * (1.0 - stack)))
-    lo, hi = zip(*map(normalized_product_bounds, w))
-    psi = EntangledState(stack, 0.0, 1.0 if figure == 1 else c_opt)
+    w = np.array([math.sin(alpha) ** 2 for alpha in np.linspace(0.0, math.pi / 2.0, points).tolist()])
+    c_opt = optimal_entanglement(w)
+    rho, psi = pure_state(w), EntangledState(w, 0.0, 1.0 if figure == 1 else c_opt)
     p, v, d, ve = predictability(rho), visibility(rho), distinguishability(psi), entangled_visibility(psi)
-    sim_min = map(simultaneous_product, w, c_opt)
-    return [",".join(map(_fmt, row)) for row in zip(w, p, v, lo, hi, d, ve, c_opt, sim_min)]
+    columns = (w, p, v, *normalized_product_bounds(w), d, ve, c_opt, simultaneous_product(w, c_opt))
+    return [",".join(map(_fmt, row)) for row in zip(*(x.tolist() for x in columns))]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -26,8 +26,8 @@ import math
 
 import numpy as np
 
-from .errors import check_array, check_count, check_scalar
-from .linalg import _FLOAT_OPS, _one_value, _ops
+from .errors import check_array, check_count
+from .linalg import _one_value, _ops
 from .states import TWO_PI, DensityMatrix
 
 # Largest oracle grid. Past it a finer grid buys no accuracy a check can use:
@@ -149,7 +149,7 @@ def family_duality(rho: DensityMatrix, varrho) -> tuple:
     :class:`ParameterError`.
     """
     ops = _ops(rho.theta, varrho)
-    delta = rho.theta - (check_scalar if ops is _FLOAT_OPS else check_array)(varrho, "varrho")
+    delta = rho.theta - ops.check(varrho, "varrho")
     r = rho.rho12
     p, s = _imbalance(rho.w_plus), ops.sin(delta)
     return 2.0 * r * abs(ops.cos(delta)), ops.sqrt(p * p + 4.0 * (r * r) * s * s)

@@ -11,12 +11,13 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import operator
 import sys
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ContractViolationError, ParameterError
+from .errors import ContractViolationError, ParameterError, check_array, check_scalar
 
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-12
@@ -101,13 +102,22 @@ def assert_unitary(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 # out its matrix when first read; an explicit matrix or stack is read through :func:`_parts`. Every modulus is
 # :func:`_hypot`, the one kernel that rounds as ``math.hypot`` on a float and on each element of an array alike.
 
+
+def _quiet_divide(a, b):
+    """``a / b`` of arrays, with no NumPy warning where the quotient overflows to an infinity."""
+    with np.errstate(over="ignore"):
+        return a / b
+
+
 # A kernel writes each expression once and takes its elementary functions from the table that :func:`_ops` picks:
 # ``cmath``, ``math`` and builtins for one state's Python floats, which read nothing of NumPy, and NumPy's for a
-# stack. Which of the two a value takes is decided there and nowhere else.
-_FLOAT_OPS = SimpleNamespace(
-    exp=cmath.exp, sqrt=math.sqrt, sin=math.sin, cos=math.cos, maximum=max, where=lambda c, a, b: a if c else b
-)
-_ARRAY_OPS = SimpleNamespace(exp=np.exp, sqrt=np.sqrt, sin=np.sin, cos=np.cos, maximum=np.maximum, where=np.where)
+# stack. Which of the two a value takes is decided there and nowhere else, and ``check`` validates it:
+# :func:`~qudual.errors.check_scalar` for one value, its elementwise :func:`~qudual.errors.check_array` for a stack.
+# ``divide`` is ``/``, whose quotient past the doubles is an infinity without a word, for a stack as for floats.
+_FLOAT_OPS = SimpleNamespace(exp=cmath.exp, sqrt=math.sqrt, sin=math.sin, cos=math.cos, maximum=max,
+                             where=lambda c, a, b: a if c else b, check=check_scalar, divide=operator.truediv)
+_ARRAY_OPS = SimpleNamespace(exp=np.exp, sqrt=np.sqrt, sin=np.sin, cos=np.cos, maximum=np.maximum, where=np.where,
+                             check=check_array, divide=_quiet_divide)
 
 
 def _ops(*values):

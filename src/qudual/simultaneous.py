@@ -25,6 +25,9 @@ blocks and the partial trace of the amplitudes, runs in :mod:`qudual.verify`.
 The readout moments :func:`estimate_a` and :func:`estimate_b` take one state or
 a stack in the same way, and a stack raises the error of its first element
 outside the readout's domain, as that state alone would.
+:func:`simultaneous_product` and :func:`optimal_entanglement` take one
+population and overlap or arrays of them, and a stack raises the
+:class:`~qudual.errors.ParameterError` of its first value out of range.
 :func:`meter_projectors` takes one overlap: the meter readout is an
 :class:`~qudual.states.Observable` on the meter qubit.
 
@@ -45,11 +48,12 @@ from functools import cached_property
 import numpy as np
 
 from .duality import _imbalance
-from .errors import ParameterError, SingularConfigurationError, as_float_array, check_array, check_scalar
+from .errors import ParameterError, SingularConfigurationError, as_float_array, check_scalar
 from .linalg import _FLOAT_OPS, _from_entries, _hypot, _one_value, _ops, _raise_first, _read_only
 from .states import GAUGE, TWO_PI, Observable, _pure_parts
 
-# Largest rescaled outcome value whose square is a finite double.
+# Largest value whose square is a finite double: the bound on 1 / c of the complementary readout, whose variance
+# holds 1 / c**2, and so on its rescaled outcome value b / c too.
 MAX_RESCALED_VALUE = math.sqrt(sys.float_info.max)
 
 __all__ = [
@@ -82,13 +86,11 @@ class EntangledState:
     c: float
 
     def __post_init__(self) -> None:
-        if _ops(self.w_plus, self.theta, self.c) is _FLOAT_OPS:
-            w = check_scalar(self.w_plus, "w_plus", 0.0, 1.0)
-            cc = check_scalar(self.c, "c", 0.0, 1.0)
-            t = check_scalar(self.theta, "theta") % TWO_PI
-        else:
-            w, cc = check_array(self.w_plus, "w_plus", 0.0, 1.0), check_array(self.c, "c", 0.0, 1.0)
-            w, t, cc = np.broadcast_arrays(w, np.remainder(check_array(self.theta, "theta"), TWO_PI), cc)
+        ops = _ops(self.w_plus, self.theta, self.c)
+        w, cc = ops.check(self.w_plus, "w_plus", 0.0, 1.0), ops.check(self.c, "c", 0.0, 1.0)
+        t = ops.check(self.theta, "theta") % TWO_PI
+        if ops is not _FLOAT_OPS:
+            w, t, cc = np.broadcast_arrays(w, t, cc)
         object.__setattr__(self, "w_plus", w)
         object.__setattr__(self, "theta", t)
         object.__setattr__(self, "c", cc)
@@ -172,6 +174,12 @@ def meter_projectors(c: float) -> Observable:
     ``m1`` (``val_plus``) and ``+a_prime`` on ``m2`` (``val_minus``); the
     ``unbiasedness`` suite of :mod:`qudual.verify` checks that choice by
     explicit projection.
+
+    It takes one overlap, and ``asin`` is not in the tables of
+    :func:`qudual.linalg._ops`: NumPy's ``arcsin`` does not round as
+    ``math.asin`` does (on NumPy 2.4 with AVX-512 it differed on 16614 of
+    200000 uniform overlaps), so a stacked readout would not keep the bits of
+    each overlap alone.
     """
     cc = _readout_overlap(check_scalar(_one_value(c, "meter_projectors takes one overlap c"), "c"))
     gamma = 0.5 * (math.pi - math.asin(cc))
@@ -208,9 +216,10 @@ def estimate_b(psi_e: EntangledState, varrho: float) -> tuple[float, float]:
     that mean and of ``variance = b**2 (1 / c**2 - 4 w+ w- cos(theta - varrho)**2)``:
     floats for one state and phase, and arrays where the state is a stack or
     ``varrho`` an array, which broadcast together, each element with the bits
-    of its state and phase alone. Requires ``c > 0``, and the rescaled outcome
-    value ``b / c`` may not exceed :data:`MAX_RESCALED_VALUE`, which an
-    underflowing ``c`` would. A stack raises the error of its first element
+    of its state and phase alone. Requires ``c > 0``, and ``1 / c``, twice the
+    rescaled outcome value ``b / c``, may not exceed :data:`MAX_RESCALED_VALUE`,
+    which a ``c`` below about 7.46e-155 would: there the ``1 / c**2`` of the
+    variance is not finite. A stack raises the error of its first element
     that breaks a bound, or whose ``varrho`` is not finite, as that element
     alone does. The explicit projection route to both moments runs in
     :mod:`qudual.verify`.
@@ -224,16 +233,16 @@ def estimate_b(psi_e: EntangledState, varrho: float) -> tuple[float, float]:
                 f"complementary readout requires c > 0, got c = {c!r}: the rescaled "
                 "outcome values +-b/c diverge"
             )
-        if not b / c <= MAX_RESCALED_VALUE:
+        if not 1.0 / c <= MAX_RESCALED_VALUE:
             raise ParameterError(
-                f"c = {c!r} violates the bound {b} / c <= {MAX_RESCALED_VALUE:.6g}: "
-                "the rescaled outcome value or its square would not be finite"
+                f"c = {c!r} violates the bound 1 / c <= {MAX_RESCALED_VALUE:.6g}: "
+                "the 1 / c**2 of the variance would not be finite"
             )
         varrho = check_scalar(varrho, "varrho")
     else:
         w, t, c, varrho = np.broadcast_arrays(w, t, c, as_float_array(varrho, "varrho"))
-        with np.errstate(divide="ignore", over="ignore"):  # b / c is inf at c = 0 or a tiny c: past the bound
-            bad = ~((c > 0.0) & (b / c <= MAX_RESCALED_VALUE) & np.isfinite(varrho))
+        with np.errstate(divide="ignore", over="ignore"):  # 1 / c is inf at c = 0 or a tiny c: past the bound
+            bad = ~((c > 0.0) & (1.0 / c <= MAX_RESCALED_VALUE) & np.isfinite(varrho))
         _raise_first(bad, lambda w, t, c, v: estimate_b(EntangledState(w, t, c), v), w, t, c, varrho)
     delta = t - varrho % TWO_PI
     root = ops.sqrt(w * (1.0 - w))
@@ -252,22 +261,22 @@ def simultaneous_product(w_plus: float, c: float) -> float:
     the proper complementary phase ``varrho = theta``. At the endpoints the
     analytic limit is returned: ``math.inf`` where the product diverges, and
     1/16 in the two finite corner cases (``c -> 0`` on an eigenstate,
-    ``c -> 1`` at equal populations).
+    ``c -> 1`` at equal populations). A ``c`` whose square underflows takes
+    the ``c -> 0`` limit. One ``(w_plus, c)`` gives a float; arrays, which
+    broadcast, give an array whose elements have the bits of their values
+    alone, and raise the :class:`ParameterError` of the first value outside
+    [0, 1], as that value alone does.
     """
-    w = check_scalar(w_plus, "w_plus", 0.0, 1.0)
-    cc = check_scalar(c, "c", 0.0, 1.0)
-    k = w * (1.0 - w)
-    if cc * cc == 0.0:
-        # c = 0, or so small that c**2 underflows: the c -> 0 limit.
-        return 1.0 / 16.0 if k == 0.0 else math.inf
-    if cc == 1.0:
-        return 1.0 / 16.0 if k == 0.25 else math.inf
-    c2 = cc * cc
+    ops = _ops(w_plus, c)
+    w, cc = ops.check(w_plus, "w_plus", 0.0, 1.0), ops.check(c, "c", 0.0, 1.0)
+    k, p = w * (1.0 - w), _imbalance(w)
+    c2, s = cc * cc, _one_minus_sq(cc)
+    den = 16.0 * c2 * s  # 0 exactly where c**2 is 0 and where c is 1, the endpoints; subnormal below c ~ 1.5e-154
     # The factored form (c^2 + 4K(1-c^2)) ((1-c^2) + c^2 P^2) / (16 c^2 (1-c^2)) adds
     # only nonnegative terms; the direct brackets cancel catastrophically near c = 1.
-    s = _one_minus_sq(cc)
-    p = _imbalance(w)
-    return (c2 + 4.0 * k * s) * (s + c2 * (p * p)) / (16.0 * c2 * s)
+    value = ops.divide((c2 + 4.0 * k * s) * (s + c2 * (p * p)), den + (den == 0.0))  # den 1 at the endpoints
+    # The limit is finite where k = c**2 / 4: on an eigenstate as c**2 -> 0, at equal populations as c -> 1.
+    return ops.where(den > 0.0, value, ops.where(k == 0.25 * c2, 1.0 / 16.0, math.inf))
 
 
 def optimal_entanglement(w_plus: float) -> float:
@@ -281,8 +290,12 @@ def optimal_entanglement(w_plus: float) -> float:
     the long closed form and a golden-section search over ``c``. Returns 1
     at ``w_plus = 1/2`` and 0 at the boundary ``w_plus in {0, 1}``; both are
     limits where the minimum value is 1/16 but the configuration itself is
-    singular for one of the readouts.
+    singular for one of the readouts. ``P + V >= 1`` for every population, so
+    the ratio is never 0/0. One population gives a float; an array gives an
+    array whose elements have the bits of their populations alone, and raises
+    the :class:`ParameterError` of the first population outside [0, 1].
     """
-    w = check_scalar(w_plus, "w_plus", 0.0, 1.0)
+    ops = _ops(w_plus)
+    w = ops.check(w_plus, "w_plus", 0.0, 1.0)
     v = _pure_visibility(w)
-    return math.sqrt(v / (_imbalance(w) + v)) if v > 0.0 else 0.0
+    return ops.sqrt(v / (_imbalance(w) + v)) + 0.0  # + 0.0: a zero overlap is +0, at w_plus = -0.0 too

@@ -22,12 +22,12 @@ are parts too, from :func:`_pure_parts`, which the entangled meter state and the
 eigen-equation residual of :mod:`qudual.uncertainty` read, and which
 :meth:`DensityMatrix.state_vector` lays out.
 
-:class:`DensityMatrix` and :func:`complementary_observable` take one value or
-a stack. Parameters that are all real scalars (ints and floats, NumPy's real
-scalars or a ``Fraction``) make one value, which holds Python floats; any
-other parameter, an array above all, makes a stack, which holds arrays of the
-broadcast shape and is checked element by element by the same rules, the
-first failing element raising the error it would raise alone.
+:class:`DensityMatrix`, :func:`pure_state` and :func:`complementary_observable`
+take one value or a stack. Parameters that are all real scalars (ints and
+floats, NumPy's real scalars or a ``Fraction``) make one value, which holds
+Python floats; any other parameter, an array above all, makes a stack, which
+holds arrays of the broadcast shape and is checked element by element by the
+same rules, the first failing element raising the error it would raise alone.
 :func:`qudual.linalg._ops` tells the two apart, once, where the value is built,
 and each element of a stack has the bits of that one value.
 
@@ -195,9 +195,17 @@ def _density_parts(w_plus, rho12, theta) -> tuple:
 
 
 def pure_state(w_plus: float, theta: float = 0.0) -> DensityMatrix:
-    """The pure state with populations ``(w_plus, 1 - w_plus)`` and phase ``theta``."""
-    w = check_scalar(w_plus, "w_plus", 0.0, 1.0, slack=POSITIVITY_TOL)
-    return DensityMatrix(w, math.sqrt(w * (1.0 - w)), theta)
+    """The pure state with populations ``(w_plus, 1 - w_plus)`` and phase ``theta``, or a stack of them.
+
+    Its coherence is the whole positivity bound, ``rho12 = sqrt(w+ w-)``. An
+    array of populations or of phases makes a stacked :class:`DensityMatrix`,
+    each element with the bits of the pure state of its parameters; a stack
+    raises the :class:`ParameterError` of its first population or phase out
+    of range, as that element alone does.
+    """
+    ops = _ops(w_plus)
+    w = ops.check(w_plus, "w_plus", 0.0, 1.0, slack=POSITIVITY_TOL)
+    return DensityMatrix(w, ops.sqrt(w * (1.0 - w)), theta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,6 +322,5 @@ def complementary_observable(varrho: float) -> Observable:
     phases makes an observable whose columns, parts, ``basis`` and ``matrix``
     are stacks, each element that of its phase's member.
     """
-    one = _ops(varrho) is _FLOAT_OPS
-    varrho = (check_scalar if one else check_array)(varrho, "varrho") % TWO_PI
+    varrho = _ops(varrho).check(varrho, "varrho") % TWO_PI
     return Observable._from_checked(REFERENCE.val_plus, REFERENCE.val_minus, _member_basis(varrho))

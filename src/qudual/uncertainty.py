@@ -19,8 +19,11 @@ its bits do not depend on the BLAS kernel or the SIMD level of the host.
 :func:`robertson`, :func:`mean_var` and :func:`is_residual` take a state and
 observables checked where they were built, one of each or stacks that
 broadcast, and return floats or arrays; each element of a stack has the bits
-of its state alone. That the bound holds is a check, and it lives in the
-``robertson`` suite of :mod:`qudual.verify`, not in the call.
+of its state alone. :func:`normalized_product_bounds` takes one population or
+an array of them in the same way. :func:`intelligent_state` builds one state:
+its family is a string, with a parameterization of its own. That the bound
+holds is a check, and it lives in the ``robertson`` suite of
+:mod:`qudual.verify`, not in the call.
 
 Like every private kernel here, :func:`_eigen_residuals`, the eigen-equation
 defect behind :func:`is_residual`, takes parts: the Hermitian parts of the
@@ -142,8 +145,12 @@ def normalized_product_bounds(w_plus: float) -> tuple[float, float]:
     ``w+ w- (1 - 4 w+ w-) / 4`` (pure state, proper member, equal to
     ``P**2 V**2 / 16``) and ``w+ w- / 4`` (coherence invisible to the member,
     by erasure phase or by a fully dephased state).
+
+    One population gives two floats; an array gives two arrays of its shape,
+    each element with the bits of its population alone, and raises the
+    :class:`ParameterError` of its first population outside [0, 1].
     """
-    w = check_scalar(w_plus, "w_plus", 0.0, 1.0)
+    w = _ops(w_plus).check(w_plus, "w_plus", 0.0, 1.0)
     k = w * (1.0 - w)
     return k * (1.0 - 4.0 * k) / 4.0, k / 4.0
 

@@ -32,9 +32,11 @@ trace over the meter, both from the real parts of its amplitudes, for the
 A suite hands each grid's checks to :meth:`_Tally.check` as the entries of
 one call, with the checks, counts and notes of a loop over the grid, and
 calls each function under test once on the grid's stack. Those that take one
-value stay in loops: :func:`meter_projectors`, :func:`normalized_product_bounds`,
-:func:`intelligent_state`, :func:`visibility_oracle`, and the minimum
-product's :func:`simultaneous_product` and :func:`optimal_entanglement`. The
+value stay in loops: :func:`meter_projectors`, :func:`intelligent_state`,
+:func:`visibility_oracle`, and :func:`minimum_product_routes`, whose
+golden-section search calls :func:`simultaneous_product` one overlap at a
+time, and so takes :func:`optimal_entanglement` and the product one
+population at a time too. The
 routes here write every product of matrix entries in real parts, as the
 library's kernels do, so that no BLAS kernel or SIMD level moves their bits;
 ``linalg_core``'s LAPACK references are the exception, by design.
@@ -506,15 +508,15 @@ def _suite_intelligent_states(t: _Tally, run: dict, rng: np.random.Generator) ->
     stretch = _hypot(*_split(stand_in))
     lam_sq = stretch * stretch
     res = is_residual(rho, stand_in, REFERENCE, b_obs)
-    is1 = np.array(family) == "IS1"
+    is1, is2b = (np.array(family) == f for f in ("IS1", "IS2b"))
     central = {("IS1", 0.5): "IS1 central point", ("IS2a", 0.0): "IS2a zero offset"}
     # IS1 runs along the floor of the normalized product, IS2b along its ceiling.
-    side = {"IS1": (0, "floor"), "IS2b": (1, "ceiling")}
-    target = np.array([normalized_product_bounds(p)[side[f][0]] if f in side else math.nan for f, p, _ in rows])
+    side = {"IS1": "floor", "IS2b": "ceiling"}
+    target = np.select([is1, is2b], normalized_product_bounds(np.where(is1 | is2b, param, 0.0)), math.nan)
     s, vb, r = slack.tolist(), var_b.tolist(), res.tolist()
 
     def product_label(i: int) -> str:
-        return f"{family[i]} product sits on the {side[family[i]][1]} w={param[i]:.2f}"
+        return f"{family[i]} product sits on the {side[family[i]]} w={param[i]:.2f}"
 
     t.check(
         (
@@ -549,7 +551,7 @@ def _suite_intelligent_states(t: _Tally, run: dict, rng: np.random.Generator) ->
 def _suite_product_bounds(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     w = np.array([s * s for s in map(math.sin, np.linspace(0.0, math.pi / 2.0, 201).tolist())])
     k = w * (1.0 - w)
-    lo, hi = np.array([normalized_product_bounds(x) for x in w.tolist()]).T
+    lo, hi = normalized_product_bounds(w)
     p = np.abs(2.0 * w - 1.0)
     v = 2.0 * np.sqrt(k)
     t.check(
@@ -563,10 +565,9 @@ def _suite_product_bounds(t: _Tally, run: dict, rng: np.random.Generator) -> Non
     deltas = np.linspace(0.0, math.pi / 2.0, 33).tolist()
     varrho = [0.6 - delta for delta in deltas] + [0.6 - math.pi / 2.0]
     w = np.repeat(ws, len(varrho))
-    rho = DensityMatrix(w, np.sqrt(w * (1.0 - w)), 0.6)
-    report = robertson(rho, REFERENCE, complementary_observable(np.tile(varrho, ws.size)))
+    report = robertson(pure_state(w, 0.6), REFERENCE, complementary_observable(np.tile(varrho, ws.size)))
     prod = report.lhs.reshape(ws.size, len(varrho))
-    lo, hi = np.array([normalized_product_bounds(x) for x in ws.tolist()]).T
+    lo, hi = normalized_product_bounds(ws)
 
     outside = np.maximum(lo[:, None] - prod, prod - hi[:, None])
     checks = []
@@ -604,7 +605,7 @@ def _suite_unbiasedness(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     w, theta, c = np.array(grid).T
     psi = EntangledState(w, theta, c)
     closed = (*estimate_a(psi), *estimate_b(psi, varrho))
-    sharp_b, _ = mean_var(DensityMatrix(w, np.sqrt(w * (1.0 - w)), theta), complementary_observable(varrho))
+    sharp_b, _ = mean_var(pure_state(w, theta), complementary_observable(varrho))
     projected = np.ravel(projected_readout_moments(psi.amplitudes, c, varrho)).reshape(4, -1)
 
     def at(i: int) -> str:

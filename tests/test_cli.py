@@ -462,16 +462,16 @@ def test_residual_of_one_state_lays_out_no_array_and_reads_none_back(count_calls
     assert calls == {"_entries": [], "_parts": [], "_from_entries": []}
 
 
-# The complementary readout's rescaled outcome value 0.5 / c is huge at an underflowing c;
-# the b_value rows put it just past its bound.
-_PAST_RESCALE_BOUND = EntangledState(0.9, 0.3, 0.99 * GAUGE / MAX_RESCALED_VALUE)
+# The complementary readout's variance holds 1 / c**2, which overflows at an underflowing c;
+# the b_value rows put 1 / c just past its bound.
+_PAST_RESCALE_BOUND = EntangledState(0.9, 0.3, 0.99 / MAX_RESCALED_VALUE)
 
 HUGE_GAUGES = {
-    "estimate_b.b_value": (lambda: estimate_b(_PAST_RESCALE_BOUND, 0.3), "0.5 / c"),
-    "sample_simultaneous.b_value": (lambda: sample_simultaneous(_PAST_RESCALE_BOUND, 0.3, 10, 1), "0.5 / c"),
-    "estimate_b.underflowing_c": (lambda: estimate_b(EntangledState(0.9, 0.3, 1e-200), 0.3), "0.5 / c"),
+    "estimate_b.b_value": (lambda: estimate_b(_PAST_RESCALE_BOUND, 0.3), "1 / c"),
+    "sample_simultaneous.b_value": (lambda: sample_simultaneous(_PAST_RESCALE_BOUND, 0.3, 10, 1), "1 / c"),
+    "estimate_b.underflowing_c": (lambda: estimate_b(EntangledState(0.9, 0.3, 1e-200), 0.3), "1 / c"),
     "sample_simultaneous.underflowing_c": (
-        lambda: sample_simultaneous(EntangledState(0.9, 0.3, 1e-200), 0.3, 10, 1), "0.5 / c"
+        lambda: sample_simultaneous(EntangledState(0.9, 0.3, 1e-200), 0.3, 10, 1), "1 / c"
     ),
 }
 
@@ -491,6 +491,26 @@ def test_sampled_outcome_values_keep_a_finite_fourth_moment(c):
         sample_simultaneous(EntangledState(0.9, 0.3, c), 0.3, 10, 1)
 
 
+# Overlaps from 0.5 / MAX_RESCALED_VALUE up to the double below 1 / MAX_RESCALED_VALUE: there the rescaled value
+# 0.5 / c is finite, but the 1 / c**2 of the variance overflows. The bound's own edge passes with a finite variance.
+INVERSE_SQUARE_BAND = [GAUGE / MAX_RESCALED_VALUE, 5e-155, math.nextafter(1.0 / MAX_RESCALED_VALUE, 0.0)]
+
+
+@pytest.mark.parametrize("c", INVERSE_SQUARE_BAND, ids=["lowest", "5e-155", "highest"])
+def test_an_overlap_whose_inverse_square_overflows_raises_for_one_state_and_a_stack(capsys, c):
+    message = f"c = {c!r} violates the bound 1 / c <= 1.34078e+154: "
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}"):
+        estimate_b(EntangledState(0.9, 0.3, c), 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}"):
+            estimate_b(EntangledState(0.9, 0.3, np.array([0.5, 0.2, c, 0.7])), 0.3)
+    code, out, err = run(capsys, "compute", "--w-plus", "0.9", "--pure", "--theta", "0.3", "--c", repr(c))
+    assert (code, out) == (2, "") and err.startswith(f"error: {message}")
+    edge = 1.0 / MAX_RESCALED_VALUE
+    assert math.isfinite(estimate_b(EntangledState(0.9, 0.3, edge), 0.3)[1])
+
+
 def test_product_at_an_underflowing_overlap_is_the_limit():
     assert simultaneous_product(0.9, 1e-200) == math.inf
     assert simultaneous_product(1.0, 1e-200) == 0.0625
@@ -499,7 +519,7 @@ def test_product_at_an_underflowing_overlap_is_the_limit():
 def test_compute_at_an_underflowing_overlap_exits_2(capsys):
     code, out, err = run(capsys, "compute", "--w-plus", "0.9", "--pure", "--c", "1e-200")
     assert code == 2 and out == ""
-    assert err.startswith("error: c = 1e-200 violates the bound 0.5 / c <= 1.34078e+154: ")
+    assert err.startswith("error: c = 1e-200 violates the bound 1 / c <= 1.34078e+154: ")
 
 
 @pytest.mark.parametrize(
@@ -596,7 +616,7 @@ def test_pinned_outputs_do_not_depend_on_the_blas_kernel_or_simd_level(output_di
 W_ARGV_EDGES = ["0", "5e-324", "1e-300", repr(0.5 - 2.0**-53), "0.5", repr(1.0 - 2.0**-53), "1", "-0.0", "nan", "inf",
                 "-1", "1.5"]
 THETA_ARGV_EDGES = ["0", repr(math.pi / 2.0), "1e308", "-1e308", "nan", "inf"]
-C_ARGV_EDGES = ["0", "5e-324", "1e-300", "0.5", repr(1.0 - 2.0**-53), "1", "-0.0", "nan", "inf", "-1", "1.5"]
+C_ARGV_EDGES = ["0", "5e-324", "1e-300", "5e-155", "0.5", repr(1.0 - 2.0**-53), "1", "-0.0", "nan", "inf", "-1", "1.5"]
 RHO12_ARGV_EDGES = ["0", "5e-324", "1e-300", "0.25", repr(0.5 - 2.0**-53), "0.5", "0.5000000000001", "0.50001",
                     "-0.0", "-1e-300", "nan", "inf"]
 N_ARGV_EDGES = ["0", "1", "1000", str(10**12), str(10**12 + 1)]

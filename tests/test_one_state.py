@@ -6,7 +6,9 @@ Python floats; here each of them meets its stack element on random inputs
 and at the ends of every range, where a zero part may carry either sign.
 States, observables and entangled states keep those parts as Python floats
 and lay out their arrays from them, in the layout checked here. The one-state
-public functions and commands read nothing of NumPy on the way.
+public functions and commands read nothing of NumPy on the way. All of it
+rests on the elementary functions of the two tables of ``linalg._ops``,
+which agree bit for bit on a wide seeded sample checked here too.
 """
 
 import itertools
@@ -21,7 +23,7 @@ import pytest
 from qudual.cli import main
 from qudual.duality import family_duality, predictability, visibility, visibility_oracle
 from qudual.errors import ParameterError, QudualError
-from qudual.linalg import assert_unitary
+from qudual.linalg import _ARRAY_OPS, _FLOAT_OPS, assert_unitary
 from qudual.montecarlo import sample_fringe, sample_sharp, sample_simultaneous
 from qudual.simultaneous import (
     EntangledState,
@@ -80,6 +82,36 @@ def grid(*axes):
     """The edge grid of ``axes`` (each a list whose first five entries are edges), then the random rows, zipped."""
     edges = list(itertools.product(*(axis[:5] for axis in axes)))
     return edges + list(zip(*(axis[5:] for axis in axes)))
+
+
+# Arguments of the elementary functions: every edge below, then a seeded sample of phases, of magnitudes over the
+# whole double range, either sign, and of subnormals.
+_OPS_EDGES = [0.0, -0.0, 5e-324, 1e-300, 1e-155, 0.25, 0.5, 1.0 - 2.0**-53, 1.0, *PHASE_EDGES, 1e308,
+              1.7976931348623157e308]
+_OPS_RNG = np.random.default_rng(2024)
+OPS_ARGUMENTS = np.concatenate([
+    np.array(_OPS_EDGES + [-x for x in _OPS_EDGES]),
+    _OPS_RNG.uniform(-4.0 * TWO_PI, 4.0 * TWO_PI, 40000),
+    _OPS_RNG.choice([-1.0, 1.0], 40000) * 10.0 ** _OPS_RNG.uniform(-300.0, 300.0, 40000),
+    _OPS_RNG.choice([-1.0, 1.0], 20000) * _OPS_RNG.uniform(0.0, 2.0**-1022, 20000),
+])
+
+
+# Each elementary function as the kernels call it: exp of 1j x, and sqrt of a magnitude.
+OPS_CALLS = {
+    "exp": lambda ops, x: ops.exp(1j * x),
+    "sqrt": lambda ops, x: ops.sqrt(abs(x)),
+    "sin": lambda ops, x: ops.sin(x),
+    "cos": lambda ops, x: ops.cos(x),
+}
+
+
+@pytest.mark.parametrize("name", list(OPS_CALLS))
+def test_the_float_and_array_tables_agree_bit_for_bit(name):
+    # Every promise that a stack element has the bits of its value alone rests on this: one value takes cmath's or
+    # math's function, a stack NumPy's.
+    call = OPS_CALLS[name]
+    assert bits([call(_FLOAT_OPS, x) for x in OPS_ARGUMENTS.tolist()]) == bits(call(_ARRAY_OPS, OPS_ARGUMENTS))
 
 
 def test_member_basis_of_one_phase_has_the_bits_of_its_stack_element():
@@ -262,6 +294,18 @@ def _public_forms(rho, varrho, psi, pure, lam) -> tuple:
     )
 
 
+# Populations and overlaps at the ends of [0, 1], around 1/2, and where c**2 underflows (below about 1.5e-154) or
+# 16 c**2 (1 - c**2) is subnormal, so that the product overflows.
+POPULATION_EDGES = [0.0, 5e-324, 1e-300, 1e-155, 3.7e-155, 0.25, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53,
+                    1.0]
+
+
+def _population_forms(w, c, theta) -> tuple:
+    """The closed forms of a population ``w``, an overlap ``c`` and a phase: every one takes a value or a stack."""
+    bounds, overlap = normalized_product_bounds(w), optimal_entanglement(w)
+    return pure_state(w, theta)._parts, bounds, overlap, simultaneous_product(w, c)
+
+
 def _hexes(parts) -> list[str]:
     """``float.hex`` of every float of ``parts`` nested in tuples: the bits, zero signs included."""
     return [h for part in parts for h in _hexes(part)] if isinstance(parts, tuple) else [float.hex(float(parts))]
@@ -281,8 +325,8 @@ def test_every_stacked_public_form_has_the_bits_of_each_state_alone():
         assert floats(alone)
         assert _hexes(alone) == _hexes(at(stack, i)), EDGE_ROWS[i]
 
-    # The readouts on the rows of their domains: 0 < c < 1, and for estimate_b a rescaled value 0.5 / c within its
-    # bound, which c = 1e-300 is past.
+    # The readouts on the rows of their domains: 0 < c < 1, and for estimate_b a 1 / c within its bound, which
+    # c = 1e-300 is past.
     readouts = [(lambda psi, _: estimate_a(psi), (0.0 < c) & (c < 1.0)), (estimate_b, (1e-300 < c) & (c < 1.0))]
     for readout, rows in readouts:
         stack = readout(EntangledState(w[rows], theta[rows], c[rows]), varrho[rows])
@@ -290,6 +334,15 @@ def test_every_stacked_public_form_has_the_bits_of_each_state_alone():
             alone = readout(EntangledState(w_i, t_i, c_i), v_i)
             assert floats(alone)
             assert _hexes(alone) == _hexes(at(stack, i)), (w_i, t_i, c_i, v_i)
+
+    # The closed forms of populations and overlaps, on every pair of their edges and on random rows.
+    rows = list(itertools.product(POPULATION_EDGES, POPULATION_EDGES, PHASE_EDGES[::2]))
+    rows += list(zip(W[5:], C[5:], PHASES[5:]))
+    stack = _population_forms(*(np.array(axis) for axis in zip(*rows)))
+    for i, row in enumerate(rows):
+        alone = _population_forms(*row)
+        assert floats(alone)
+        assert _hexes(alone) == _hexes(at(stack, i)), row
 
 
 _STACK = DensityMatrix([0.3, 0.5], [0.1, 0.5], [1.0, 2.0])
@@ -322,6 +375,26 @@ def test_one_value_functions_refuse_a_stack_with_a_parameter_error(call, name):
             call()
 
 
+# One-value arguments that a stack or a list reaches before any _one_value guard: check_scalar reads each as one
+# value, and so refuses a stack as not a real number.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Observable(np.array([1.0, 2.0]), -1.0),
+        lambda: intelligent_state("IS1", np.array([0.2, 0.3]), 0.1),
+        lambda: meter_projectors([0.3, 0.4]),
+        lambda: visibility_oracle(pure_state(0.5), grid_n=np.array([8, 16])),
+        lambda: sample_sharp(pure_state(0.5), REFERENCE, n=np.array([10, 20]), seed=1),
+    ],
+    ids=["Observable", "intelligent_state", "meter_projectors-list", "visibility_oracle-grid_n", "sample_sharp-n"],
+)
+def test_one_value_arguments_refuse_a_stack_with_a_parameter_error(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=r" must be a real number$"):
+            call()
+
+
 # A stack of readouts with one element outside its domain, at index 2 of 4, and the one-state call on that element.
 BAD_READOUTS = {
     "estimate_a-c=0": (lambda c, v: estimate_a(EntangledState(0.3, 0.2, c)), 0.0, 0.1),
@@ -332,17 +405,42 @@ BAD_READOUTS = {
 }
 
 
-@pytest.mark.parametrize("entry", list(BAD_READOUTS))
-def test_a_stacked_readout_raises_the_error_of_its_bad_element_alone(entry):
-    call, bad_c, bad_varrho = BAD_READOUTS[entry]
+def _stacked_error_and_its_element_alone(call, bad_x, bad_y) -> tuple:
+    """``(type, message)`` of the errors of ``call`` on ``(bad_x, bad_y)`` alone and on stacks holding them at index 2.
+
+    The stacks have four elements each, and the stacked call runs with warnings as errors.
+    """
     with pytest.raises(QudualError) as alone:
-        call(bad_c, bad_varrho)
-    c, varrho = np.array([0.4, 0.6, bad_c, 0.7]), np.array([0.1, 0.2, bad_varrho, 0.3])
+        call(bad_x, bad_y)
+    x, y = np.array([0.4, 0.6, bad_x, 0.7]), np.array([0.1, 0.2, bad_y, 0.3])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(type(alone.value)) as stacked:
-            call(c, varrho)
-    assert (type(stacked.value), str(stacked.value)) == (type(alone.value), str(alone.value))
+            call(x, y)
+    return [(type(error.value), str(error.value)) for error in (alone, stacked)]
+
+
+@pytest.mark.parametrize("entry", list(BAD_READOUTS))
+def test_a_stacked_readout_raises_the_error_of_its_bad_element_alone(entry):
+    alone, stacked = _stacked_error_and_its_element_alone(*BAD_READOUTS[entry])
+    assert stacked == alone
+
+
+# A stack of populations, phases or overlaps with one value out of range, at index 2 of 4, and the one-value call.
+BAD_VALUES = {
+    "pure_state-w=1.5": (pure_state, 1.5, 0.1),
+    "pure_state-theta=nan": (pure_state, 0.5, math.nan),
+    "normalized_product_bounds-w=1.5": (lambda w, _: normalized_product_bounds(w), 1.5, 0.1),
+    "optimal_entanglement-w=-1": (lambda w, _: optimal_entanglement(w), -1.0, 0.1),
+    "simultaneous_product-w=1.5": (simultaneous_product, 1.5, 0.1),
+    "simultaneous_product-c=nan": (simultaneous_product, 0.3, math.nan),
+}
+
+
+@pytest.mark.parametrize("entry", list(BAD_VALUES))
+def test_a_stacked_closed_form_raises_the_error_of_its_bad_value_alone(entry):
+    alone, stacked = _stacked_error_and_its_element_alone(*BAD_VALUES[entry])
+    assert stacked == alone and alone[0] is ParameterError
 
 
 # Real scalars that are neither an int nor a float, each with arguments that it holds exactly. Each is one value,

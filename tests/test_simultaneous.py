@@ -276,6 +276,8 @@ def test_optimal_overlap_frozen_values():
     assert optimal_entanglement(0.5) == 1.0
     assert optimal_entanglement(0.0) == 0.0
     assert optimal_entanglement(1.0) == 0.0
+    # a zero overlap is +0, also at the population -0.0, one value or a stack
+    assert float.hex(optimal_entanglement(-0.0)) == float.hex(optimal_entanglement(np.array([-0.0]))[0]) == "0x0.0p+0"
     # populations with w+ w- = 1/8: the direct minimization is 0/0 there,
     # the regularized form gives overlap 1/sqrt(2)
     w_eighth = (1.0 + math.sqrt(0.5)) / 2.0

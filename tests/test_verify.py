@@ -288,22 +288,22 @@ def test_planted_readout_fault_keeps_the_loop_notes(monkeypatch, faulty_c):
 def test_planted_floor_fault_keeps_the_loop_notes(monkeypatch):
     """A floor raised by 1e-9 at four grid points fails two checks at each, noted in loop order."""
     grid = np.linspace(0.08, 0.92, 21).tolist()
-    faulty = {grid[2], grid[5], grid[9], grid[14]}
+    faulty = [grid[2], grid[5], grid[9], grid[14]]
     exact = verify.normalized_product_bounds
 
     def planted(w):
         lo, hi = exact(w)
-        return (lo + 1e-9 if w in faulty else lo), hi
+        return lo + 1e-9 * np.isin(w, faulty), hi
 
     monkeypatch.setattr(verify, "normalized_product_bounds", planted)
     result = verify.run_suite("product_bounds", "full", 42)
     b_obs = complementary_observable(0.6)
     notes = []
-    for w in sorted(faulty):
+    for w in faulty:
         rho = pure_state(w, 0.6)
         product = uncertainty.mean_var(rho, REFERENCE)[1] * uncertainty.mean_var(rho, b_obs)[1]
         notes.append(f"product within bounds w={w:.3f} d=0.000")
-        notes.append(f"proper choice reaches the floor w={w:.3f}: {product!r} vs {planted(w)[0]!r}")
+        notes.append(f"proper choice reaches the floor w={w:.3f}: {product!r} vs {exact(w)[0] + 1e-9!r}")
     assert (result.checks, result.failures) == (1137, 8)
     assert list(result.notes) == notes[:6]
 
