@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ContractViolationError, ParameterError, check_array, check_scalar
+from .errors import ContractViolationError, ParameterError, as_float, as_float_array, check_array, check_scalar
 
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-12
@@ -111,13 +111,41 @@ def _quiet_divide(a, b):
 
 # A kernel writes each expression once and takes its elementary functions from the table that :func:`_ops` picks:
 # ``cmath``, ``math`` and builtins for one state's Python floats, which read nothing of NumPy, and NumPy's for a
-# stack. Which of the two a value takes is decided there and nowhere else, and ``check`` validates it:
-# :func:`~qudual.errors.check_scalar` for one value, its elementwise :func:`~qudual.errors.check_array` for a stack.
+# stack. Which of the two a value takes is decided there and nowhere else. A validator writes each rule once too, in
+# the table's terms: ``real`` reads a value as floats and ``check`` bounds it too (:func:`~qudual.errors.check_scalar`
+# for one value, its elementwise :func:`~qudual.errors.check_array` for a stack), ``broadcast`` gives stacked values
+# one shape, and ``require`` raises where a rule fails. Rules run in the order one value takes them, so a stack raises
+# the first rule that any element breaks, at the first element that breaks it, with that element's own message.
 # ``divide`` is ``/``, whose quotient past the doubles is an infinity without a word, for a stack as for floats.
+
+
+def _require(ok, error, *values) -> None:
+    """Raise ``error(*values)`` unless ``ok``: a rule of one value, ``ok`` true where it holds, so NaN fails it."""
+    if not ok:
+        raise error(*values)
+
+
+def _require_each(ok, error, *values) -> None:
+    """:func:`_require` elementwise: raise ``error`` on the values of the first element where ``ok`` fails.
+
+    ``ok`` and ``values`` broadcast, and ``error`` takes that element's values as Python floats, so a stack raises
+    the error, message and all, of its first failing element alone. ``ok`` may be a Python bool, where only a
+    partner of the values is a stack.
+    """
+    bad = np.logical_not(ok)
+    if bad.any():
+        bad, *values = np.broadcast_arrays(bad, *values)
+        i = np.flatnonzero(bad)[0]
+        raise error(*(float(value.flat[i]) for value in values))
+
+
 _FLOAT_OPS = SimpleNamespace(exp=cmath.exp, sqrt=math.sqrt, sin=math.sin, cos=math.cos, maximum=max,
-                             where=lambda c, a, b: a if c else b, check=check_scalar, divide=operator.truediv)
+                             where=lambda c, a, b: a if c else b, divide=operator.truediv, isfinite=math.isfinite,
+                             clip=lambda x, lo, hi: min(max(x, lo), hi), real=as_float, check=check_scalar,
+                             broadcast=lambda *values: values, require=_require)
 _ARRAY_OPS = SimpleNamespace(exp=np.exp, sqrt=np.sqrt, sin=np.sin, cos=np.cos, maximum=np.maximum, where=np.where,
-                             check=check_array, divide=_quiet_divide)
+                             divide=_quiet_divide, isfinite=np.isfinite, clip=np.clip, real=as_float_array,
+                             check=check_array, broadcast=np.broadcast_arrays, require=_require_each)
 
 
 def _ops(*values):
@@ -141,16 +169,6 @@ def _one_value(value, what: str):
     if getattr(value, "ndim", 0) > 0:
         raise ParameterError(f"{what}, not a stack of shape {value.shape}")
     return value
-
-
-def _raise_first(bad, check, *stacks) -> None:
-    """Call ``check``, the test of one value, on the elements of ``stacks`` at the first element that ``bad`` marks.
-
-    ``stacks`` have the shape of ``bad``, and ``check`` raises on that element: a stack raises the error, message
-    and all, of its first failing element alone.
-    """
-    for i in np.flatnonzero(bad)[:1]:
-        check(*(x.flat[i] for x in stacks))
 
 
 def _entries(m: np.ndarray):
@@ -178,7 +196,7 @@ def _from_entries(m00, m01, m10, m11) -> np.ndarray:
     as the floats of the matrix, one matrix from Python floats and a stack from parts that broadcast.
     """
     parts = (*m00, *m01, *m10, *m11)
-    parts = np.array(parts) if _ops(*parts) is _FLOAT_OPS else np.stack(np.broadcast_arrays(*parts), axis=-1)
+    parts = np.stack(_ops(*parts).broadcast(*parts), axis=-1)
     return parts.view(complex).reshape(parts.shape[:-1] + (2, 2))
 
 

@@ -48,8 +48,8 @@ from functools import cached_property
 import numpy as np
 
 from .duality import _imbalance
-from .errors import ParameterError, SingularConfigurationError, as_float_array, check_scalar
-from .linalg import _FLOAT_OPS, _from_entries, _hypot, _one_value, _ops, _raise_first, _read_only
+from .errors import ParameterError, SingularConfigurationError, check_scalar
+from .linalg import _from_entries, _hypot, _one_value, _ops, _read_only
 from .states import GAUGE, TWO_PI, Observable, _pure_parts
 
 # Largest value whose square is a finite double: the bound on 1 / c of the complementary readout, whose variance
@@ -88,9 +88,7 @@ class EntangledState:
     def __post_init__(self) -> None:
         ops = _ops(self.w_plus, self.theta, self.c)
         w, cc = ops.check(self.w_plus, "w_plus", 0.0, 1.0), ops.check(self.c, "c", 0.0, 1.0)
-        t = ops.check(self.theta, "theta") % TWO_PI
-        if ops is not _FLOAT_OPS:
-            w, t, cc = np.broadcast_arrays(w, t, cc)
+        w, t, cc = ops.broadcast(w, ops.check(self.theta, "theta") % TWO_PI, cc)
         object.__setattr__(self, "w_plus", w)
         object.__setattr__(self, "theta", t)
         object.__setattr__(self, "c", cc)
@@ -149,13 +147,10 @@ def _readout_overlap(c: float) -> float:
     Otherwise a :class:`SingularConfigurationError`; a stack raises that of its first element outside the range, as
     that element alone does.
     """
-    if _ops(c) is not _FLOAT_OPS:
-        _raise_first(~((c > 0.0) & (c < 1.0)), lambda one: _readout_overlap(float(one)), c)
-    elif not 0.0 < c < 1.0:
-        raise SingularConfigurationError(
-            f"meter readout requires 0 < c < 1, got c = {c!r}: at c = 0 the rotation "
-            "angle equation degenerates and at c = 1 the rescaled value diverges"
-        )
+    _ops(c).require((c > 0.0) & (c < 1.0), lambda c: SingularConfigurationError(
+        f"meter readout requires 0 < c < 1, got c = {c!r}: at c = 0 the rotation "
+        "angle equation degenerates and at c = 1 the rescaled value diverges"
+    ), c)
     return c
 
 
@@ -219,32 +214,22 @@ def estimate_b(psi_e: EntangledState, varrho: float) -> tuple[float, float]:
     of its state and phase alone. Requires ``c > 0``, and ``1 / c``, twice the
     rescaled outcome value ``b / c``, may not exceed :data:`MAX_RESCALED_VALUE`,
     which a ``c`` below about 7.46e-155 would: there the ``1 / c**2`` of the
-    variance is not finite. A stack raises the error of its first element
-    that breaks a bound, or whose ``varrho`` is not finite, as that element
-    alone does. The explicit projection route to both moments runs in
-    :mod:`qudual.verify`.
+    variance is not finite. The rules on ``c`` come before ``varrho`` is
+    read, and a stack raises the first rule that any element breaks, at the
+    first element that breaks it, with the error that element raises alone.
+    The explicit projection route to both moments runs in :mod:`qudual.verify`.
     """
     w, t, c = psi_e.w_plus, psi_e.theta, psi_e.c
     b = GAUGE
     ops = _ops(w, varrho)
-    if ops is _FLOAT_OPS:
-        if c <= 0.0:
-            raise SingularConfigurationError(
-                f"complementary readout requires c > 0, got c = {c!r}: the rescaled "
-                "outcome values +-b/c diverge"
-            )
-        if not 1.0 / c <= MAX_RESCALED_VALUE:
-            raise ParameterError(
-                f"c = {c!r} violates the bound 1 / c <= {MAX_RESCALED_VALUE:.6g}: "
-                "the 1 / c**2 of the variance would not be finite"
-            )
-        varrho = check_scalar(varrho, "varrho")
-    else:
-        w, t, c, varrho = np.broadcast_arrays(w, t, c, as_float_array(varrho, "varrho"))
-        with np.errstate(divide="ignore", over="ignore"):  # 1 / c is inf at c = 0 or a tiny c: past the bound
-            bad = ~((c > 0.0) & (1.0 / c <= MAX_RESCALED_VALUE) & np.isfinite(varrho))
-        _raise_first(bad, lambda w, t, c, v: estimate_b(EntangledState(w, t, c), v), w, t, c, varrho)
-    delta = t - varrho % TWO_PI
+    ops.require(c > 0.0, lambda c: SingularConfigurationError(
+        f"complementary readout requires c > 0, got c = {c!r}: the rescaled outcome values +-b/c diverge"
+    ), c)
+    ops.require(ops.divide(1.0, c) <= MAX_RESCALED_VALUE, lambda c: ParameterError(
+        f"c = {c!r} violates the bound 1 / c <= {MAX_RESCALED_VALUE:.6g}: "
+        "the 1 / c**2 of the variance would not be finite"
+    ), c)
+    delta = t - ops.check(varrho, "varrho") % TWO_PI
     root = ops.sqrt(w * (1.0 - w))
     cos = ops.cos(delta)
     mean = 2.0 * b * root * cos

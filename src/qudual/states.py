@@ -26,8 +26,9 @@ eigen-equation residual of :mod:`qudual.uncertainty` read, and which
 take one value or a stack. Parameters that are all real scalars (ints and
 floats, NumPy's real scalars or a ``Fraction``) make one value, which holds
 Python floats; any other parameter, an array above all, makes a stack, which
-holds arrays of the broadcast shape and is checked element by element by the
-same rules, the first failing element raising the error it would raise alone.
+holds arrays of the broadcast shape and is checked by the same rules in the
+same order: it raises the first rule that any element breaks, at the first
+element that breaks it, with the error that element raises alone.
 :func:`qudual.linalg._ops` tells the two apart, once, where the value is built,
 and each element of a stack has the bits of that one value.
 
@@ -42,9 +43,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractViolationError, ParameterError, as_float, as_float_array, check_array, check_scalar
-from .linalg import _FLOAT_OPS, _entries, _from_entries, _from_parts, _one_value, _ops, _projector, _raise_first
-from .linalg import _read_only, _split, _times, assert_unitary
+from .errors import ContractViolationError, ParameterError, check_scalar
+from .linalg import _entries, _from_entries, _from_parts, _one_value, _ops, _projector, _read_only, _split, _times
+from .linalg import assert_unitary
 
 TWO_PI = 2.0 * math.pi
 
@@ -97,8 +98,7 @@ class DensityMatrix:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        one = _ops(self.w_plus, self.rho12, self.theta) is _FLOAT_OPS
-        fields = (_state_fields if one else _stacked_state_fields)(self.w_plus, self.rho12, self.theta)
+        fields = _state_fields(self.w_plus, self.rho12, self.theta)
         for name, value in zip(("w_plus", "rho12", "theta"), fields):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_parts", _density_parts(*fields))
@@ -129,13 +129,10 @@ class DensityMatrix:
 
     def _vector_parts(self) -> tuple:
         """Parts ``((re, im), (re, im))`` of pure states' amplitudes: :func:`_pure_parts`, after a purity check."""
-        if _ops(self.w_plus) is not _FLOAT_OPS:
-            fields = self.w_plus, self.rho12, self.theta
-            _raise_first(~self.is_pure(), lambda *one: DensityMatrix(*one)._vector_parts(), *fields)
-        elif not self.is_pure():
-            raise ParameterError(
-                f"state_vector requires a pure state: purity = {self.purity!r} < 1 - {PURITY_TOL:.1e}"
-            )
+        purity = self.purity
+        _ops(purity).require(purity >= 1.0 - PURITY_TOL, lambda p: ParameterError(
+            f"state_vector requires a pure state: purity = {p!r} < 1 - {PURITY_TOL:.1e}"
+        ), purity)
         return _pure_parts(self.w_plus, self.theta)
 
     def state_vector(self) -> np.ndarray:
@@ -145,28 +142,16 @@ class DensityMatrix:
 
 
 def _state_fields(w_plus, rho12, theta) -> tuple:
-    """The fields ``(w_plus, rho12, theta)`` that :class:`DensityMatrix` stores for one state's parameters."""
-    w = check_scalar(w_plus, "w_plus", 0.0, 1.0, slack=POSITIVITY_TOL)
-    r = as_float(rho12, "rho12")
-    bound = math.sqrt(w * (1.0 - w))
-    if math.isnan(r) or r < -POSITIVITY_TOL or r > bound + POSITIVITY_TOL:
-        raise ParameterError(
-            f"rho12 = {r!r} violates the positivity bound "
-            f"0 <= rho12 <= sqrt(w_plus * w_minus) = {bound!r}"
-        )
-    r = min(max(r, 0.0), bound)
-    t = check_scalar(theta, "theta")
-    return w, r, t % TWO_PI if r > 0.0 else 0.0
-
-
-def _stacked_state_fields(w_plus, rho12, theta) -> tuple:
-    """:func:`_state_fields` elementwise, for parameters that broadcast: float arrays of the broadcast shape."""
-    w = check_array(w_plus, "w_plus", 0.0, 1.0, slack=POSITIVITY_TOL)
-    w, r, t = np.broadcast_arrays(w, as_float_array(rho12, "rho12"), check_array(theta, "theta"))
-    bound = np.sqrt(w * (1.0 - w))
-    _raise_first(np.isnan(r) | (r < -POSITIVITY_TOL) | (r > bound + POSITIVITY_TOL), _state_fields, w, r, t)
-    r = np.clip(r, 0.0, bound)
-    return w, r, np.where(r > 0.0, np.remainder(t, TWO_PI), 0.0)
+    """The fields ``(w_plus, rho12, theta)`` that :class:`DensityMatrix` stores: floats, or arrays of one shape."""
+    ops = _ops(w_plus, rho12, theta)
+    w = ops.check(w_plus, "w_plus", 0.0, 1.0, slack=POSITIVITY_TOL)
+    r = ops.real(rho12, "rho12")
+    bound = ops.sqrt(w * (1.0 - w))
+    ops.require((r >= -POSITIVITY_TOL) & (r <= bound + POSITIVITY_TOL), lambda r, bound: ParameterError(
+        f"rho12 = {r!r} violates the positivity bound 0 <= rho12 <= sqrt(w_plus * w_minus) = {bound!r}"
+    ), r, bound)
+    w, r, t = ops.broadcast(w, ops.clip(r, 0.0, bound), ops.check(theta, "theta"))
+    return w, r, ops.where(r > 0.0, t % TWO_PI, 0.0)
 
 
 def _purity(w_plus, rho12):

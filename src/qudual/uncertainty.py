@@ -35,10 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ParameterError, as_float, as_float_array, check_scalar
-from .linalg import _FLOAT_OPS, _hypot, _ops, _raise_first, _times, _trace
+from .errors import ParameterError, check_scalar
+from .linalg import _hypot, _ops, _times, _trace
 from .states import DensityMatrix, Observable, pure_state
 
 IS_FAMILIES = ("IS1", "IS2a", "IS2b")
@@ -252,26 +250,21 @@ def _eigen_residuals(rho, psi, lam, a, b):
 def _lam_parts(lam) -> tuple:
     """Parts ``(re, im)`` of a finite ``lam`` with ``|lam| <= 2**250``, or a :class:`ParameterError`.
 
-    A complex number, or a real one read whole as the real part, gives Python floats; an array gives arrays, whose
-    first element that fails raises as that element alone. An integer past the double range is an infinity.
+    A complex number, or a real one read whole as the real part, gives Python floats; an array gives arrays. The
+    parts must be finite, then within the bound: a stack raises the first of the two rules that any element breaks,
+    at the first element that breaks it, as that element alone does. An integer past the double range is an infinity.
     """
     re, im = getattr(lam, "real", lam), getattr(lam, "imag", 0.0)
-    if _ops(re, im) is not _FLOAT_OPS:
-        re, im = np.broadcast_arrays(as_float_array(re, "lam.real"), as_float_array(im, "lam.imag"))
-        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite part fails the bound, and raises alone
-            _raise_first(~(_hypot(re, im) <= _MAX_LAM), lambda *z: _lam_parts(complex(*z)), re, im)
-        return re, im
-    re, im = as_float(re, "lam.real"), as_float(im, "lam.imag")
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise ParameterError(
-            "lam must be finite; an infinite lam marks an eigenvector of the "
-            "complementary observable, where the eigen-equation degenerates"
-        )
+    ops = _ops(re, im)
+    re, im = ops.real(re, "lam.real"), ops.real(im, "lam.imag")
+    ops.require(ops.isfinite(re) & ops.isfinite(im), lambda: ParameterError(
+        "lam must be finite; an infinite lam marks an eigenvector of the "
+        "complementary observable, where the eigen-equation degenerates"
+    ))
     size = _hypot(re, im)
-    if size > _MAX_LAM:
-        raise ParameterError(
-            f"|lam| = {size!r} violates the bound |lam| <= {_MAX_LAM!r}: the defect norm could overflow"
-        )
+    ops.require(size <= _MAX_LAM, lambda size: ParameterError(
+        f"|lam| = {size!r} violates the bound |lam| <= {_MAX_LAM!r}: the defect norm could overflow"
+    ), size)
     return re, im
 
 

@@ -216,12 +216,15 @@ def test_every_public_definition_is_listed_or_exempt():
 
 
 # One state runs on Python floats and a stack on arrays. qudual.linalg._ops alone tells the two apart, and a kernel
-# takes its elementary functions from the table it returns, so no other function tests for a float or an array.
+# or a validator takes its functions from the table it returns, so no other function tests for a float or an array,
+# or asks which of the two tables it was handed.
 FLOAT_OR_STACK_EXEMPT = {"linalg.py": {"_ops"}}
+TABLES = {"_FLOAT_OPS", "_ARRAY_OPS"}
 
 
 def float_or_stack_tests(source: str, exempt=frozenset()) -> list[str]:
-    """Each ``isinstance`` of ``source`` that names ``float`` or ``ndarray``, and each ``in`` test naming ``ndarray``.
+    """Each ``isinstance`` of ``source`` that names ``float`` or ``ndarray``, each ``in`` test naming ``ndarray``,
+    and each ``is`` or ``is not`` test naming a table of :func:`qudual.linalg._ops`.
 
     A name bound at module level, such as ``NUMBER = (int, float)``, is read through to its value. The functions
     named in ``exempt`` are skipped.
@@ -243,8 +246,12 @@ def float_or_stack_tests(source: str, exempt=frozenset()) -> list[str]:
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
             hits = sorted(named(node.args[1]) & {"float", "ndarray"})
             found += [(node.lineno, f"isinstance of {name}") for name in hits]
-        elif isinstance(node, ast.Compare) and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops):
-            found += [(node.lineno, "in test of ndarray")] if "ndarray" in named(node) else []
+        elif isinstance(node, ast.Compare):
+            ops = set(map(type, node.ops))
+            if {ast.In, ast.NotIn} & ops and "ndarray" in named(node):
+                found.append((node.lineno, "in test of ndarray"))
+            if {ast.Is, ast.IsNot} & ops:
+                found += [(node.lineno, f"is test of {name}") for name in sorted(named(node) & TABLES)]
     return [f"line {line}: {what}" for line, what in sorted(found)]
 
 
@@ -256,8 +263,10 @@ def test_the_scan_sees_a_float_or_stack_test():
         "b = isinstance(v, float) and isinstance(w, NUMBER)\n"
         "c = isinstance(v, (int, float)) or np.ndarray not in kinds\n"
         "d = isinstance(v, (int, np.integer)) or x in (1, 2) or type(v) is float\n"
+        "ONE = linalg._FLOAT_OPS\n"
+        "e = _ops(v) is _FLOAT_OPS or ops is not _ARRAY_OPS or ops is ONE or ops is None or ops == _FLOAT_OPS\n"
         "def _ops(v):\n"
-        "    return isinstance(v, float)\n"
+        "    return _FLOAT_OPS if isinstance(v, float) else _ARRAY_OPS\n"
     )
     assert float_or_stack_tests(source, {"_ops"}) == [
         "line 3: in test of ndarray",
@@ -266,8 +275,11 @@ def test_the_scan_sees_a_float_or_stack_test():
         "line 4: isinstance of float",
         "line 5: in test of ndarray",
         "line 5: isinstance of float",
+        "line 8: is test of _ARRAY_OPS",
+        "line 8: is test of _FLOAT_OPS",
+        "line 8: is test of _FLOAT_OPS",
     ]
-    assert float_or_stack_tests(source)[-1] == "line 8: isinstance of float"
+    assert float_or_stack_tests(source)[-1] == "line 10: isinstance of float"
 
 
 @pytest.mark.parametrize("path", LIBRARY, ids=[str(p.relative_to(ROOT)) for p in LIBRARY])

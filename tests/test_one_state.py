@@ -97,12 +97,18 @@ OPS_ARGUMENTS = np.concatenate([
 ])
 
 
-# Each elementary function as the kernels call it: exp of 1j x, and sqrt of a magnitude.
+# Each elementary function as the kernels call it: exp of 1j x, and sqrt of a magnitude; clip onto ranges whose ends
+# are zeros of either sign; a quotient past the doubles for |x| above about 5e8, and whether that is finite.
 OPS_CALLS = {
     "exp": lambda ops, x: ops.exp(1j * x),
     "sqrt": lambda ops, x: ops.sqrt(abs(x)),
     "sin": lambda ops, x: ops.sin(x),
     "cos": lambda ops, x: ops.cos(x),
+    "clip": lambda ops, x: ops.clip(x, 0.0, 1.0),
+    "clip-signed-zeros": lambda ops, x: ops.clip(x, -0.0, 0.0),
+    "clip-to-a-point": lambda ops, x: ops.clip(x, 0.5, 0.5),
+    "divide": lambda ops, x: ops.divide(x, 3e-300),
+    "isfinite": lambda ops, x: ops.isfinite(ops.divide(x, 3e-300)) + 0.0,
 }
 
 
@@ -112,6 +118,25 @@ def test_the_float_and_array_tables_agree_bit_for_bit(name):
     # math's function, a stack NumPy's.
     call = OPS_CALLS[name]
     assert bits([call(_FLOAT_OPS, x) for x in OPS_ARGUMENTS.tolist()]) == bits(call(_ARRAY_OPS, OPS_ARGUMENTS))
+
+
+@pytest.mark.parametrize("x", [math.nan, -math.inf, -1.7976931348623157e308, -5e-324, -0.0, 0.0])
+def test_the_tables_require_raises_the_error_of_one_value_at_its_element_in_a_stack(x):
+    # a rule that x breaks, with a partner value; a stack breaks it at index 2 and 4, and a stack of partners alone
+    def raised(ops, value, partner) -> tuple:
+        with pytest.raises(ParameterError) as error:
+            ops.require(value > 0.0, lambda v, p: ParameterError(f"x = {v!r} with p = {p!r}"), value, partner)
+        return type(error.value), str(error.value)
+
+    alone = raised(_FLOAT_OPS, x, 0.25)
+    assert alone == (ParameterError, f"x = {x!r} with p = 0.25")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert raised(_ARRAY_OPS, np.array([0.5, 1.0, x, 2.0, x]), np.array([0.0, 0.5, 0.25, 0.75, 1.0])) == alone
+        assert raised(_ARRAY_OPS, np.array([0.5, 1.0, x, 2.0, x]), 0.25) == alone
+        assert raised(_ARRAY_OPS, x, np.array([0.25, 0.5])) == alone
+    _FLOAT_OPS.require(0.5 > 0.0, None, 0.5)  # a rule that holds raises nothing
+    _ARRAY_OPS.require(np.array([0.5, 1.0]) > 0.0, None)
 
 
 def test_member_basis_of_one_phase_has_the_bits_of_its_stack_element():
@@ -441,6 +466,34 @@ BAD_VALUES = {
 def test_a_stacked_closed_form_raises_the_error_of_its_bad_value_alone(entry):
     alone, stacked = _stacked_error_and_its_element_alone(*BAD_VALUES[entry])
     assert stacked == alone and alone[0] is ParameterError
+
+
+# A stack with two bad elements raises the first rule that any element breaks, at the first element that breaks it, with
+# that element's one-value error: the rules run in the order that one value takes them.
+TWO_BAD = {
+    # rho12 past its bound at index 3 comes before a NaN theta at index 1
+    "DensityMatrix": (lambda w, r, t: DensityMatrix(w, r, t), [0.3] * 5, [0.1, 0.1, 0.1, 0.5, 0.1],
+                      [0.2, math.nan, 0.2, 0.2, 0.2], 3, 1),
+    # c = 0 at index 2 comes before a NaN varrho at index 0
+    "estimate_b": (lambda w, c, v: estimate_b(EntangledState(w, 0.2, c), v), [0.3] * 4, [0.4, 0.5, 0.0, 0.6],
+                   [math.nan, 0.1, 0.1, 0.1], 2, 0),
+}
+
+
+@pytest.mark.parametrize("entry", list(TWO_BAD))
+def test_a_stack_with_two_bad_elements_raises_the_first_rule_at_its_first_element(entry):
+    call, *stacks, first, other = TWO_BAD[entry]
+    errors = []
+    for i in (first, other):
+        with pytest.raises(QudualError) as alone:
+            call(*(stack[i] for stack in stacks))
+        errors.append((type(alone.value), str(alone.value)))
+    assert errors[0] != errors[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QudualError) as stacked:
+            call(*map(np.array, stacks))
+    assert (type(stacked.value), str(stacked.value)) == errors[0]
 
 
 # Real scalars that are neither an int nor a float, each with arguments that it holds exactly. Each is one value,
