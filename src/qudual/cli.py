@@ -28,10 +28,10 @@ import math
 import os
 import sys
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import montecarlo, verify
 from .duality import family_duality, predictability, visibility
 from .errors import ParameterError, QudualError, check_scalar
 from .simultaneous import (
@@ -45,6 +45,9 @@ from .simultaneous import (
 )
 from .states import REFERENCE, DensityMatrix, complementary_observable, pure_state
 from .uncertainty import mean_var, normalized_product_bounds, robertson
+
+if TYPE_CHECKING:
+    from .montecarlo import SampleReport
 
 CSV_HEADER = "w_plus,P,V,product_min,product_max,D,V_e,c_opt,sim_product_min"
 
@@ -179,14 +182,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import render_report, run_suites
+
     seed = _resolve_seed(args.seed)
-    results = verify.run_suites(args.level, seed, corrupt=args.selftest_corrupt)
-    sys.stdout.write(verify.render_report(results, args.level, seed))
+    results = run_suites(args.level, seed, corrupt=args.selftest_corrupt)
+    sys.stdout.write(render_report(results, args.level, seed))
     failures = sum(r.failures for r in results)
     return _EXIT_OK if failures == 0 else _EXIT_CHECK_FAILED
 
 
-def _print_sample(rep: montecarlo.SampleReport) -> None:
+def _print_sample(rep: SampleReport) -> None:
     print(
         f"{rep.quantity:<10} n={rep.n} "
         f"mean={_fmt(rep.empirical_mean)} (analytic {_fmt(rep.analytic_mean)}, z={rep.z_mean:+.3f}) "
@@ -196,6 +201,8 @@ def _print_sample(rep: montecarlo.SampleReport) -> None:
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
+    from .montecarlo import sample_fringe, sample_sharp, sample_simultaneous
+
     seed = _resolve_seed(args.seed)
     varrho = args.theta if args.varrho is None else args.varrho
     rho = pure_state(args.w_plus, args.theta)
@@ -213,13 +220,13 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     # Draw every sample before printing, so a failed run writes no stdout; the
     # joint readout goes first because it rejects a singular overlap. Each
     # sampler has its own stream of the seed: 1, 2, 3, and 4 for the scan.
-    joint = montecarlo.sample_simultaneous(psi, varrho, args.n, seed, stream=3)
+    joint = sample_simultaneous(psi, varrho, args.n, seed, stream=3)
     reports = [
-        replace(montecarlo.sample_sharp(rho, REFERENCE, args.n, seed, stream=1), quantity="sharp_a"),
-        replace(montecarlo.sample_sharp(rho, b_obs, args.n, seed, stream=2), quantity="sharp_b"),
+        replace(sample_sharp(rho, REFERENCE, args.n, seed, stream=1), quantity="sharp_a"),
+        replace(sample_sharp(rho, b_obs, args.n, seed, stream=2), quantity="sharp_b"),
         *joint,
     ]
-    v_hat = montecarlo.sample_fringe(rho, max(args.n // 16, 1), seed, stream=4)
+    v_hat = sample_fringe(rho, max(args.n // 16, 1), seed, stream=4)
 
     print(f"sampling at w_plus={_fmt(rho.w_plus)} theta={_fmt(args.theta)} varrho={_fmt(varrho)} c={_fmt(c)} seed={seed}")
     for rep in reports:

@@ -6,13 +6,26 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import qudual
+
 settings.register_profile("suite", deadline=None, max_examples=100)
 settings.load_profile("suite")
+
+
+def load_lazy_modules():
+    """Import the modules that ``qudual`` loads on first access, so that a spy set next reaches them too.
+
+    A lazy module imported after the spy was set would bind the spy by name and keep it after the test.
+    """
+    for name in qudual._LAZY:
+        importlib.import_module(f"qudual.{name}")
 
 
 @pytest.fixture
 def count_calls(monkeypatch):
     """``count_calls(owner, name)`` rebinds ``owner.<name>`` wherever qudual holds it; returns the list of calls."""
+
+    load_lazy_modules()
 
     def count(owner, name):
         original = getattr(owner, name)
@@ -34,6 +47,7 @@ def count_calls(monkeypatch):
 @pytest.fixture
 def numpy_reads(monkeypatch):
     """The names qudual reads off NumPy from here on, in order: each loaded module's ``np`` records and forwards."""
+    load_lazy_modules()
     reads = []
 
     class Recorder:
