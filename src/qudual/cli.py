@@ -15,7 +15,8 @@ Subcommands:
     Sampling oracle comparison for one configuration.
 
 Exit codes: 0 success, 1 failed checks or flagged samples, 2 invalid
-parameters, 3 unwritable output path. The seed for ``verify`` and ``mc``
+parameters, 3 unwritable output path, 4 standard output closed by its
+reader (a broken pipe). The seed for ``verify`` and ``mc``
 resolves from ``--seed``, then the ``QUDUAL_SEED`` environment variable,
 then 42.
 """
@@ -58,6 +59,7 @@ _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
 _EXIT_BAD_PARAMS = 2
 _EXIT_UNWRITABLE = 3
+_EXIT_CLOSED_PIPE = 4
 
 __all__ = ["main", "CSV_HEADER", "MAX_SWEEP_POINTS"]
 
@@ -283,10 +285,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except QudualError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_BAD_PARAMS
+    except BrokenPipeError:
+        # The reader is gone: point stdout at devnull, so that the interpreter's flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_CLOSED_PIPE
 
 
 if __name__ == "__main__":

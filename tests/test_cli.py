@@ -562,6 +562,27 @@ def test_python_dash_m_runs_the_command_line(output_digests):
     assert f"{digest}  {child.returncode}  {' '.join(argv)}" == pinned[" ".join(argv)]
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "--w-plus", "0.3", "--pure", "--c", "0.6"],
+    ["sweep", "--figure", "1", "--points", "2001"],
+    ["verify", "--level", "fast"],
+    ["mc", "--n", "1000"],
+], ids=lambda argv: argv[0])
+def test_a_closed_pipe_exits_4_without_a_traceback(argv):
+    # The read end closes before the child starts, so its first write always meets a broken pipe.
+    root = Path(__file__).resolve().parents[1]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "qudual", *argv], env={**os.environ, "PYTHONPATH": str(root / "src")},
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (4, "")
+
+
 # The digest lines of compute, sweep and mc, printed by a child process; the
 # tool's own path is the one argument.
 _DIGEST_CHILD = """
