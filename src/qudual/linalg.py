@@ -114,8 +114,9 @@ def _quiet_divide(a, b):
 # stack. Which of the two a value takes is decided there and nowhere else. A validator writes each rule once too, in
 # the table's terms: ``real`` reads a value as floats and ``check`` bounds it too (:func:`~qudual.errors.check_scalar`
 # for one value, its elementwise :func:`~qudual.errors.check_array` for a stack), ``broadcast`` gives stacked values
-# one shape, and ``require`` raises where a rule fails. Rules run in the order one value takes them, so a stack raises
-# the first rule that any element breaks, at the first element that breaks it, with that element's own message.
+# one shape, or names their shapes in a ParameterError, before any rule compares them, and ``require`` raises where
+# a rule fails. Rules run in the order one value takes them, so a stack raises the first rule that any element
+# breaks, at the first element that breaks it, with that element's own message.
 # ``divide`` is ``/``, whose quotient past the doubles is an infinity without a word, for a stack as for floats.
 
 
@@ -139,13 +140,23 @@ def _require_each(ok, error, *values) -> None:
         raise error(*(float(value.flat[i]) for value in values))
 
 
+def _broadcast_each(*values) -> list:
+    """``np.broadcast_arrays`` of stacked values, or a :class:`ParameterError` that names their shapes."""
+    try:
+        return np.broadcast_arrays(*values)
+    except ValueError:
+        *shapes, last = (str(np.shape(value)) for value in values)
+        shapes = f"{', '.join(shapes)} and {last}"
+        raise ParameterError(f"stacked values of shapes {shapes} do not broadcast together") from None
+
+
 _FLOAT_OPS = SimpleNamespace(exp=cmath.exp, sqrt=math.sqrt, sin=math.sin, cos=math.cos, maximum=max,
                              where=lambda c, a, b: a if c else b, divide=operator.truediv, isfinite=math.isfinite,
                              clip=lambda x, lo, hi: min(max(x, lo), hi), real=as_float, check=check_scalar,
                              broadcast=lambda *values: values, require=_require)
 _ARRAY_OPS = SimpleNamespace(exp=np.exp, sqrt=np.sqrt, sin=np.sin, cos=np.cos, maximum=np.maximum, where=np.where,
                              divide=_quiet_divide, isfinite=np.isfinite, clip=np.clip, real=as_float_array,
-                             check=check_array, broadcast=np.broadcast_arrays, require=_require_each)
+                             check=check_array, broadcast=_broadcast_each, require=_require_each)
 
 
 def _ops(*values):

@@ -229,7 +229,8 @@ def estimate_b(psi_e: EntangledState, varrho: float) -> tuple[float, float]:
         f"c = {c!r} violates the bound 1 / c <= {MAX_RESCALED_VALUE:.6g}: "
         "the 1 / c**2 of the variance would not be finite"
     ), c)
-    delta = t - ops.check(varrho, "varrho") % TWO_PI
+    t, v = ops.broadcast(t, ops.check(varrho, "varrho") % TWO_PI)
+    delta = t - v
     root = ops.sqrt(w * (1.0 - w))
     cos = ops.cos(delta)
     mean = 2.0 * b * root * cos
@@ -253,7 +254,7 @@ def simultaneous_product(w_plus: float, c: float) -> float:
     [0, 1], as that value alone does.
     """
     ops = _ops(w_plus, c)
-    w, cc = ops.check(w_plus, "w_plus", 0.0, 1.0), ops.check(c, "c", 0.0, 1.0)
+    w, cc = ops.broadcast(ops.check(w_plus, "w_plus", 0.0, 1.0), ops.check(c, "c", 0.0, 1.0))
     k, p = w * (1.0 - w), _imbalance(w)
     c2, s = cc * cc, _one_minus_sq(cc)
     den = 16.0 * c2 * s  # 0 exactly where c**2 is 0 and where c is 1, the endpoints; subnormal below c ~ 1.5e-154

@@ -145,7 +145,7 @@ def _state_fields(w_plus, rho12, theta) -> tuple:
     """The fields ``(w_plus, rho12, theta)`` that :class:`DensityMatrix` stores: floats, or arrays of one shape."""
     ops = _ops(w_plus, rho12, theta)
     w = ops.check(w_plus, "w_plus", 0.0, 1.0, slack=POSITIVITY_TOL)
-    r = ops.real(rho12, "rho12")
+    w, r = ops.broadcast(w, ops.real(rho12, "rho12"))
     bound = ops.sqrt(w * (1.0 - w))
     ops.require((r >= -POSITIVITY_TOL) & (r <= bound + POSITIVITY_TOL), lambda r, bound: ParameterError(
         f"rho12 = {r!r} violates the positivity bound 0 <= rho12 <= sqrt(w_plus * w_minus) = {bound!r}"

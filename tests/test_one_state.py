@@ -496,6 +496,25 @@ def test_a_stack_with_two_bad_elements_raises_the_first_rule_at_its_first_elemen
     assert (type(stacked.value), str(stacked.value)) == errors[0]
 
 
+# Stacks whose shapes do not broadcast, (2,) against (3,), and the shapes that each call's error names. Every value
+# is valid, so no rule of one value fails first.
+UNBROADCAST = {
+    "DensityMatrix": (lambda: DensityMatrix(np.full(2, 0.5), np.full(3, 0.1), 0.0), "(2,) and (3,)"),
+    "EntangledState": (lambda: EntangledState(np.full(2, 0.5), 0.0, np.full(3, 0.5)), "(2,), () and (3,)"),
+    "simultaneous_product": (lambda: simultaneous_product(np.full(2, 0.5), np.full(3, 0.5)), "(2,) and (3,)"),
+    "estimate_b": (lambda: estimate_b(EntangledState(np.full(2, 0.5), 0.0, 0.5), np.zeros(3)), "(2,) and (3,)"),
+}
+
+
+@pytest.mark.parametrize("entry", list(UNBROADCAST))
+def test_stacks_that_do_not_broadcast_raise_a_parameter_error_naming_their_shapes(entry):
+    call, shapes = UNBROADCAST[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=re.escape(f"stacked values of shapes {shapes} do not broadcast")):
+            call()
+
+
 # Real scalars that are neither an int nor a float, each with arguments that it holds exactly. Each is one value,
 # which its constructor stores as Python floats: the fields and closed forms of the call on those floats, bit for bit.
 REAL_SCALARS = [np.float32, np.int64, Fraction]
