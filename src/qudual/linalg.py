@@ -145,8 +145,7 @@ def _broadcast_each(*values) -> list:
     try:
         return np.broadcast_arrays(*values)
     except ValueError:
-        *shapes, last = (str(np.shape(value)) for value in values)
-        shapes = f"{', '.join(shapes)} and {last}"
+        shapes = ", ".join(str(np.shape(value)) for value in values)
         raise ParameterError(f"stacked values of shapes {shapes} do not broadcast together") from None
 
 

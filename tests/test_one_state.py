@@ -499,10 +499,10 @@ def test_a_stack_with_two_bad_elements_raises_the_first_rule_at_its_first_elemen
 # Stacks whose shapes do not broadcast, (2,) against (3,), and the shapes that each call's error names. Every value
 # is valid, so no rule of one value fails first.
 UNBROADCAST = {
-    "DensityMatrix": (lambda: DensityMatrix(np.full(2, 0.5), np.full(3, 0.1), 0.0), "(2,) and (3,)"),
-    "EntangledState": (lambda: EntangledState(np.full(2, 0.5), 0.0, np.full(3, 0.5)), "(2,), () and (3,)"),
-    "simultaneous_product": (lambda: simultaneous_product(np.full(2, 0.5), np.full(3, 0.5)), "(2,) and (3,)"),
-    "estimate_b": (lambda: estimate_b(EntangledState(np.full(2, 0.5), 0.0, 0.5), np.zeros(3)), "(2,) and (3,)"),
+    "DensityMatrix": (lambda: DensityMatrix(np.full(2, 0.5), np.full(3, 0.1), 0.0), "(2,), (3,)"),
+    "EntangledState": (lambda: EntangledState(np.full(2, 0.5), 0.0, np.full(3, 0.5)), "(2,), (), (3,)"),
+    "simultaneous_product": (lambda: simultaneous_product(np.full(2, 0.5), np.full(3, 0.5)), "(2,), (3,)"),
+    "estimate_b": (lambda: estimate_b(EntangledState(np.full(2, 0.5), 0.0, 0.5), np.zeros(3)), "(2,), (3,)"),
 }
 
 
