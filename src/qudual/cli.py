@@ -16,9 +16,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 failed checks or flagged samples, 2 invalid
 parameters, 3 unwritable output path, 4 standard output closed by its
-reader (a broken pipe). The seed for ``verify`` and ``mc``
-resolves from ``--seed``, then the ``QUDUAL_SEED`` environment variable,
-then 42.
+reader (a broken pipe; a command that finished and returned 1 still exits
+1). The seed for ``verify`` and ``mc`` resolves from ``--seed``, then the
+``QUDUAL_SEED`` environment variable, then 42.
 """
 
 from __future__ import annotations
@@ -284,6 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    code = _EXIT_OK
     try:
         code = args.fn(args)
         sys.stdout.flush()
@@ -294,7 +295,8 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # The reader is gone: point stdout at devnull, so that the interpreter's flush at exit cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return _EXIT_CLOSED_PIPE
+        # A command that finished and found a failure keeps its code; the pipe only cut its output short.
+        return code or _EXIT_CLOSED_PIPE
 
 
 if __name__ == "__main__":

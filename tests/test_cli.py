@@ -569,18 +569,30 @@ def test_python_dash_m_runs_the_command_line(output_digests):
     ["mc", "--n", "1000"],
 ], ids=lambda argv: argv[0])
 def test_a_closed_pipe_exits_4_without_a_traceback(argv):
+    assert _run_into_a_closed_pipe(argv) == (4, "")
+
+
+def test_a_closed_pipe_keeps_the_exit_code_of_a_failed_check():
+    # The corrupted suite's report fits in stdout's buffer, so the pipe breaks only at main's flush, after the code is known.
+    assert _run_into_a_closed_pipe(["verify", "--level", "fast", "--selftest-corrupt"]) == (1, "")
+
+
+def _run_into_a_closed_pipe(argv):
+    """The exit code and stderr of ``qudual argv`` whose stdout is a pipe with no reader."""
     # The read end closes before the child starts, so its first write always meets a broken pipe.
+    # Stdout is block-buffered, as for any pipe unless PYTHONUNBUFFERED is set.
     root = Path(__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         child = subprocess.run(
-            [sys.executable, "-m", "qudual", *argv], env={**os.environ, "PYTHONPATH": str(root / "src")},
+            [sys.executable, "-m", "qudual", *argv], env={**env, "PYTHONPATH": str(root / "src")},
             stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
         )
     finally:
         os.close(write_end)
-    assert (child.returncode, child.stderr) == (4, "")
+    return child.returncode, child.stderr
 
 
 # The digest lines of compute, sweep and mc, printed by a child process; the
