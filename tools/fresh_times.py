@@ -4,15 +4,15 @@ Each run is a new interpreter that imports ``qudual`` from a copy of one
 checkout's ``src/``, and its wall time runs from spawn to exit. The pairs
 alternate which side runs first. Usage::
 
-    python3 tools/fresh_times.py BASE NEW [--pairs N] [--commands NAME ...]
+    python3 tools/fresh_times.py BASE NEW [--pairs N]
 
 ``BASE`` and ``NEW`` are checkout roots. The commands are ``import``
 (``-c "import qudual.cli"``), ``compute``, ``sweep`` (``--points 2001``),
-``mc`` and ``verify`` (``--level fast``), all by default. Each runs twice
-over: with bytecode writing off (``PYTHONDONTWRITEBYTECODE=1`` and no
-``__pycache__``, as in a fresh checkout, so every run compiles ``qudual``)
-and on (after one unmeasured run has written the bytecode). Each setting
-and command prints one line::
+``mc`` and ``verify`` (``--level fast``). Each runs twice over: with
+bytecode writing off (``PYTHONDONTWRITEBYTECODE=1`` and no ``__pycache__``,
+as in a fresh checkout, so every run compiles ``qudual``) and on (after one
+unmeasured run has written the bytecode). Each setting and command prints
+one line::
 
     <bytecode> <command> base <median> [<q1>, <q3>] new <median> [<q1>, <q3>] <change> % won <k>/<pairs>
 
@@ -91,10 +91,9 @@ def main(argv: list[str]) -> None:
     parser.add_argument("base", type=Path)
     parser.add_argument("new", type=Path)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--commands", nargs="+", choices=list(COMMANDS), default=list(COMMANDS))
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="fresh_times-") as scratch:
-        for line in compare((args.base, args.new), args.pairs, args.commands, Path(scratch)):
+        for line in compare((args.base, args.new), args.pairs, list(COMMANDS), Path(scratch)):
             print(line, flush=True)
 
 
