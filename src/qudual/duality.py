@@ -88,6 +88,7 @@ def fringe_probability(rho: DensityMatrix, phi, xi):
     """
     phi = check_array(phi, "phi")
     xi = check_array(xi, "xi")
+    _ops(rho.w_plus).broadcast(rho.w_plus, phi, xi)  # a stacked state's check: one state's scan pays nothing
     m00, m11, _, _ = rho._parts
     cos_xi = np.cos(xi)
     sin_xi = np.sin(xi)
@@ -149,7 +150,8 @@ def family_duality(rho: DensityMatrix, varrho) -> tuple:
     :class:`ParameterError`.
     """
     ops = _ops(rho.theta, varrho)
-    delta = rho.theta - ops.check(varrho, "varrho")
+    theta, varrho = ops.broadcast(rho.theta, ops.check(varrho, "varrho"))
+    delta = theta - varrho
     r = rho.rho12
     p, s = _imbalance(rho.w_plus), ops.sin(delta)
     return 2.0 * r * abs(ops.cos(delta)), ops.sqrt(p * p + 4.0 * (r * r) * s * s)

@@ -149,6 +149,14 @@ def _broadcast_each(*values) -> list:
         raise ParameterError(f"stacked values of shapes {shapes} do not broadcast together") from None
 
 
+def _broadcastable(*values) -> None:
+    """Raise :func:`_broadcast_each`'s :class:`ParameterError` unless stacked ``values`` broadcast together.
+
+    The table's ``broadcast``, its result dropped: Python floats alone are one value each and pay no NumPy call.
+    """
+    _ops(*values).broadcast(*values)
+
+
 _FLOAT_OPS = SimpleNamespace(exp=cmath.exp, sqrt=math.sqrt, sin=math.sin, cos=math.cos, maximum=max,
                              where=lambda c, a, b: a if c else b, divide=operator.truediv, isfinite=math.isfinite,
                              clip=lambda x, lo, hi: min(max(x, lo), hi), real=as_float, check=check_scalar,

@@ -19,7 +19,10 @@ its bits do not depend on the BLAS kernel or the SIMD level of the host.
 :func:`robertson`, :func:`mean_var` and :func:`is_residual` take a state and
 observables checked where they were built, one of each or stacks that
 broadcast, and return floats or arrays; each element of a stack has the bits
-of its state alone. :func:`normalized_product_bounds` takes one population or
+of its state alone. Stacks that do not broadcast raise a ParameterError that
+names their shapes, before any arithmetic: a state's is that of its fields,
+an observable's that of its off-diagonal part ``x``, which holds a family
+member's phases. :func:`normalized_product_bounds` takes one population or
 an array of them in the same way. :func:`intelligent_state` builds one state:
 its family is a string, with a parameterization of its own. That the bound
 holds is a check, and it lives in the ``robertson`` suite of
@@ -36,7 +39,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError, check_scalar
-from .linalg import _hypot, _ops, _times, _trace, _two_product
+from .linalg import _broadcastable, _hypot, _ops, _times, _trace, _two_product
 from .states import DensityMatrix, Observable, pure_state
 
 IS_FAMILIES = ("IS1", "IS2a", "IS2b")
@@ -87,6 +90,7 @@ def mean_var(rho: DensityMatrix, obs: Observable) -> tuple[float, float]:
     Python floats for one state and observable, arrays for stacks. The
     variance is clipped to 0 where rounding drives it below zero.
     """
+    _broadcastable(rho.w_plus, obs._parts[2])
     mean, var = _moments(rho._parts, obs._parts)
     return mean, _ops(var).maximum(var, 0.0)
 
@@ -100,8 +104,11 @@ class RobertsonReport:
     covariance. ``slack`` is ``lhs - rhs``, of the same bits as ``lhs - rhs``
     here; it is nonnegative for every valid state, up to rounding, and
     vanishes on pure states. Neither :func:`robertson` nor the report enforces
-    that: the ``robertson`` suite of :mod:`qudual.verify` checks it. A field
-    is a float for one state and pair, and an array where an input is a stack.
+    that: the ``robertson`` suite of :mod:`qudual.verify` checks it.
+    ``mean_a`` and ``mean_b`` are the means that ``f_mean`` subtracts; with
+    ``var_a`` and ``var_b`` they are the bits of :func:`mean_var` of each
+    observable. A field is a float for one state and pair, and an array
+    where an input is a stack.
     """
 
     var_a: float
@@ -109,6 +116,8 @@ class RobertsonReport:
     c_mean: float
     f_mean: float
     slack: float
+    mean_a: float
+    mean_b: float
 
     @property
     def lhs(self) -> float:
@@ -120,18 +129,19 @@ class RobertsonReport:
 
 
 def _robertson(rho, a, b) -> tuple:
-    """The five fields of :class:`RobertsonReport` from the parts of a state and a pair: floats or arrays alike."""
+    """The seven fields of :class:`RobertsonReport` from the parts of a state and a pair: floats or arrays alike."""
     mean_a, var_a = _moments(rho, a)
     mean_b, var_b = _moments(rho, b)
     c_mean = _trace(rho, _commutator(a, b))
     f_mean = _trace(rho, _anticommutator(a, b)) - 2.0 * mean_a * mean_b
     maximum = _ops(var_a, var_b).maximum
     var_a, var_b = maximum(var_a, 0.0), maximum(var_b, 0.0)
-    return var_a, var_b, c_mean, f_mean, var_a * var_b - 0.25 * (c_mean * c_mean + f_mean * f_mean)
+    return var_a, var_b, c_mean, f_mean, var_a * var_b - 0.25 * (c_mean * c_mean + f_mean * f_mean), mean_a, mean_b
 
 
 def robertson(rho: DensityMatrix, a_obs: Observable, b_obs: Observable) -> RobertsonReport:
     """Evaluate the strengthened uncertainty bound by explicit matrix algebra: :func:`_robertson` on the parts."""
+    _broadcastable(rho.w_plus, a_obs._parts[2], b_obs._parts[2])
     return RobertsonReport(*_robertson(rho._parts, a_obs._parts, b_obs._parts))
 
 
@@ -285,4 +295,5 @@ def is_residual(state: DensityMatrix, lam: complex, a_obs: Observable, b_obs: Ob
     broadcasts with a stacked state. Every state must be pure.
     """
     lam = _lam_parts(lam)
+    _broadcastable(state.w_plus, lam[0], a_obs._parts[2], b_obs._parts[2])
     return _eigen_residuals(state._parts, state._vector_parts(), lam, a_obs._parts, b_obs._parts)

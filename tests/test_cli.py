@@ -522,9 +522,10 @@ def test_compute_at_an_underflowing_overlap_exits_2(capsys):
     assert err.startswith("error: c = 1e-200 violates the bound 1 / c <= 1.34078e+154: ")
 
 
-@pytest.mark.parametrize(
-    "argv", [["--help"], ["compute", "--help"], ["compute"], ["sweep", "--figure", "2"], ["bogus"]]
-)
+PARSER_ARGVS = [["--help"], ["compute", "--help"], ["compute"], ["sweep", "--figure", "2"], ["bogus"]]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS)
 def test_parser_is_built_once_and_answers_alike(capsys, argv):
     texts = []
     for _ in range(2):
@@ -697,3 +698,37 @@ def test_commands_at_their_argument_edges_exit_cleanly(capsys, monkeypatch, comm
         if code not in (0, 1, 2) or (code == 0 and "nan" in out.lower()) or not clean:
             failures.append((argv, code))
     assert failures == []
+
+
+# Beyond the edge grids and the parser's own argument vectors, three that the top-level parse answers: an argument
+# the command leaves over, a "--" before the command name, and a command's help.
+ROUTE_ARGVS = [
+    *(argv.split() for grid in ARGV_EDGE_GRIDS.values() for argv in grid),
+    *PARSER_ARGVS,
+    ["compute", "--w-plus", "0.3", "--pure", "extra"],
+    ["--", "compute", "--w-plus", "0.3", "--pure"],
+    ["compute", "-h"],
+]
+
+
+def _answer(capsys, argv):
+    """The exit code, stdout and stderr of ``main(argv)``, whether it returns or exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_a_command_parser_answers_as_the_top_level_parse(capsys, monkeypatch):
+    # main hands a command's arguments to that command's parser; with no command to look up, every argument vector
+    # takes the top-level parse, and each must answer alike, byte for byte.
+    monkeypatch.delenv("QUDUAL_SEED", raising=False)
+    answers = [_answer(capsys, argv) for argv in ROUTE_ARGVS]
+    _, commands = _build_parser()
+    for name in list(commands):
+        monkeypatch.delitem(commands, name)
+    mismatches = [argv for argv, answer in zip(ROUTE_ARGVS, answers) if _answer(capsys, argv) != answer]
+    assert mismatches == []
+    assert len(ROUTE_ARGVS) == 2303 and {code for code, _, _ in answers} == {0, 1, 2}

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from qudual.cli import main
-from qudual.duality import family_duality, predictability, visibility, visibility_oracle
+from qudual.duality import family_duality, fringe_probability, predictability, visibility, visibility_oracle
 from qudual.errors import ParameterError, QudualError
 from qudual.linalg import _ARRAY_OPS, _FLOAT_OPS, assert_unitary
 from qudual.montecarlo import sample_fringe, sample_sharp, sample_simultaneous
@@ -503,6 +503,17 @@ UNBROADCAST = {
     "EntangledState": (lambda: EntangledState(np.full(2, 0.5), 0.0, np.full(3, 0.5)), "(2,), (), (3,)"),
     "simultaneous_product": (lambda: simultaneous_product(np.full(2, 0.5), np.full(3, 0.5)), "(2,), (3,)"),
     "estimate_b": (lambda: estimate_b(EntangledState(np.full(2, 0.5), 0.0, 0.5), np.zeros(3)), "(2,), (3,)"),
+    "family_duality": (lambda: family_duality(pure_state(np.full(2, 0.3)), np.zeros(3)), "(2,), (3,)"),
+    "mean_var": (lambda: mean_var(pure_state(np.full(2, 0.3)), complementary_observable(np.zeros(3))), "(2,), (3,)"),
+    "robertson": (
+        lambda: robertson(pure_state(np.full(2, 0.3)), REFERENCE, complementary_observable(np.zeros(3))),
+        "(2,), (), (3,)",
+    ),
+    "is_residual": (
+        lambda: is_residual(pure_state(np.full(2, 0.3)), np.full(3, 0.5), REFERENCE, complementary_observable(0.3)),
+        "(2,), (3,), (), ()",
+    ),
+    "fringe_probability": (lambda: fringe_probability(pure_state(np.full(2, 0.3)), np.zeros(3), 0.0), "(2,), (3,), ()"),
 }
 
 

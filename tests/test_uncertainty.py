@@ -100,7 +100,8 @@ def test_kernel_on_a_stack_matches_the_scalar_route():
     for i in range(n):
         rep = robertson(DensityMatrix(w[i], rho12[i], theta[i]), A, b_at(varrho[i]))
         # one state runs the stack's expression on Python floats: the same bits
-        assert [value[i] for value in stack] == [rep.var_a, rep.var_b, rep.c_mean, rep.f_mean, rep.slack]
+        fields = [rep.var_a, rep.var_b, rep.c_mean, rep.f_mean, rep.slack, rep.mean_a, rep.mean_b]
+        assert [value[i] for value in stack] == fields
         # the slack field is the report's own lhs - rhs, bit for bit
         assert rep.lhs - rep.rhs == rep.slack
 
@@ -147,13 +148,14 @@ def test_scalar_route_keeps_the_loop_arithmetic():
 
 
 def test_robertson_variances_are_the_mean_var_variances():
-    # Both read the one moments routine, so the report's lhs is var_A * var_B of the same bits.
+    # Both read the one moments routine, so the report's lhs is var_A * var_B of the same bits, and its means and
+    # variances are mean_var's, which compute prints from the report.
     rng = np.random.default_rng(20261018)
     for w, theta in zip(rng.uniform(0.0, 1.0, 20000), rng.uniform(0.0, 2.0 * math.pi, 20000)):
         rho = pure_state(w, theta)
         b_obs = b_at(rho.theta)
         rep = robertson(rho, A, b_obs)
-        assert (rep.var_a, rep.var_b) == (mean_var(rho, A)[1], mean_var(rho, b_obs)[1])
+        assert (rep.mean_a, rep.var_a, rep.mean_b, rep.var_b) == (*mean_var(rho, A), *mean_var(rho, b_obs))
 
 
 def test_checked_inputs_never_raise_at_large_outcome_values():
