@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import check_array, check_count
-from .linalg import _one_value, _ops
+from .linalg import _broadcastable, _one_value, _ops
 from .states import TWO_PI, DensityMatrix
 
 # Largest oracle grid. Past it a finer grid buys no accuracy a check can use:
@@ -88,7 +88,7 @@ def fringe_probability(rho: DensityMatrix, phi, xi):
     """
     phi = check_array(phi, "phi")
     xi = check_array(xi, "xi")
-    _ops(rho.w_plus).broadcast(rho.w_plus, phi, xi)  # a stacked state's check: one state's scan pays nothing
+    _broadcastable(rho.w_plus, phi, xi)
     m00, m11, _, _ = rho._parts
     cos_xi = np.cos(xi)
     sin_xi = np.sin(xi)

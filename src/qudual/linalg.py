@@ -114,9 +114,10 @@ def _quiet_divide(a, b):
 # stack. Which of the two a value takes is decided there and nowhere else. A validator writes each rule once too, in
 # the table's terms: ``real`` reads a value as floats and ``check`` bounds it too (:func:`~qudual.errors.check_scalar`
 # for one value, its elementwise :func:`~qudual.errors.check_array` for a stack), ``broadcast`` gives stacked values
-# one shape, or names their shapes in a ParameterError, before any rule compares them, and ``require`` raises where
-# a rule fails. Rules run in the order one value takes them, so a stack raises the first rule that any element
-# breaks, at the first element that breaks it, with that element's own message.
+# one shape, or names their shapes in a ParameterError, before any rule compares them, ``fits`` raises NumPy's
+# ValueError where they would not, with no array made, and ``require`` raises where a rule fails. Rules run in the
+# order one value takes them, so a stack raises the first rule that any element breaks, at the first element that
+# breaks it, with that element's own message.
 # ``divide`` is ``/``, whose quotient past the doubles is an infinity without a word, for a stack as for floats.
 
 
@@ -152,18 +153,22 @@ def _broadcast_each(*values) -> list:
 def _broadcastable(*values) -> None:
     """Raise :func:`_broadcast_each`'s :class:`ParameterError` unless stacked ``values`` broadcast together.
 
-    The table's ``broadcast``, its result dropped: Python floats alone are one value each and pay no NumPy call.
+    The table's ``fits`` checks: nothing for Python floats, and ``np.broadcast`` for arrays, which reads their
+    shapes and makes no array.
     """
-    _ops(*values).broadcast(*values)
+    try:
+        _ops(*values).fits(*values)
+    except ValueError:
+        _broadcast_each(*values)
 
 
 _FLOAT_OPS = SimpleNamespace(exp=cmath.exp, sqrt=math.sqrt, sin=math.sin, cos=math.cos, maximum=max,
                              where=lambda c, a, b: a if c else b, divide=operator.truediv, isfinite=math.isfinite,
                              clip=lambda x, lo, hi: min(max(x, lo), hi), real=as_float, check=check_scalar,
-                             broadcast=lambda *values: values, require=_require)
+                             broadcast=lambda *values: values, fits=lambda *values: values, require=_require)
 _ARRAY_OPS = SimpleNamespace(exp=np.exp, sqrt=np.sqrt, sin=np.sin, cos=np.cos, maximum=np.maximum, where=np.where,
                              divide=_quiet_divide, isfinite=np.isfinite, clip=np.clip, real=as_float_array,
-                             check=check_array, broadcast=_broadcast_each, require=_require_each)
+                             check=check_array, broadcast=_broadcast_each, fits=np.broadcast, require=_require_each)
 
 
 def _ops(*values):

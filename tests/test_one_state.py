@@ -514,6 +514,9 @@ UNBROADCAST = {
         "(2,), (3,), (), ()",
     ),
     "fringe_probability": (lambda: fringe_probability(pure_state(np.full(2, 0.3)), np.zeros(3), 0.0), "(2,), (3,), ()"),
+    "fringe_probability, one state": (
+        lambda: fringe_probability(pure_state(0.3), np.zeros(2), np.zeros(3)), "(), (2,), (3,)"
+    ),
 }
 
 
