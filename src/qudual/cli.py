@@ -28,9 +28,9 @@ those of the two-level parse, byte for byte. Each command builds its whole
 output and writes it with one ``sys.stdout.write`` inside :func:`main`'s
 ``try``, where a closed pipe is caught. In process, on a shared 2-vCPU
 machine (Python 3.11, NumPy 2.4), ``compute --w-plus 0.3 --pure --theta 0.4
---c 0.6`` takes about 120 us, against 157 us with the two-level parse, 29
+--c 0.6`` takes about 132 us, against 170 us with the two-level parse, 29
 ``print`` calls and ``mean_var`` beside ``robertson``; ``mc --n 10000000``
-takes about 231 us, against 258 us.
+takes about 264 us, against 284 us.
 """
 
 from __future__ import annotations
