@@ -131,13 +131,20 @@ def check_array(
     *,
     slack: float = 0.0,
 ) -> np.ndarray:
-    """:func:`check_scalar` applied elementwise: ``values`` as a float array clamped onto ``[lo, hi]``.
+    """:func:`check_scalar` applied elementwise: ``values`` as a fresh float array clamped onto ``[lo, hi]``.
 
     The first value that :func:`check_scalar` rejects raises its
-    :class:`ParameterError`.
+    :class:`ParameterError`. One pass reads the bounds, which NaN fails and
+    an infinity fails where the bound is finite, so ``isfinite`` runs only
+    where a bound is infinite. With no slack every accepted value is in
+    ``[lo, hi]``, and ``np.positive`` copies it with the bits that
+    ``np.clip`` would return, zero sign included, without ``clip``'s
+    wrapper. 0-d input gives a ``np.float64`` either way.
     """
     v = as_float_array(values, name)
-    bad = ~np.isfinite(v) | (v < lo - slack) | (v > hi + slack)
-    if bad.any():
-        check_scalar(v[bad].flat[0], name, lo, hi, slack=slack)
-    return np.clip(v, lo, hi)
+    ok = (v >= lo - slack) & (v <= hi + slack)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        ok &= np.isfinite(v)
+    if not ok.all():
+        check_scalar(v[~ok].flat[0], name, lo, hi, slack=slack)
+    return np.clip(v, lo, hi) if slack else np.positive(v)

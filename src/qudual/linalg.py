@@ -117,7 +117,8 @@ def _quiet_divide(a, b):
 # one shape, or names their shapes in a ParameterError, before any rule compares them, ``fits`` raises NumPy's
 # ValueError where they would not, with no array made, and ``require`` raises where a rule fails. Rules run in the
 # order one value takes them, so a stack raises the first rule that any element breaks, at the first element that
-# breaks it, with that element's own message.
+# breaks it, with that element's own message. ``any`` tells whether a condition holds at some element: a loop over
+# a stack runs while one element is left.
 # ``divide`` is ``/``, whose quotient past the doubles is an infinity without a word, for a stack as for floats.
 
 
@@ -165,10 +166,12 @@ def _broadcastable(*values) -> None:
 _FLOAT_OPS = SimpleNamespace(exp=cmath.exp, sqrt=math.sqrt, sin=math.sin, cos=math.cos, maximum=max,
                              where=lambda c, a, b: a if c else b, divide=operator.truediv, isfinite=math.isfinite,
                              clip=lambda x, lo, hi: min(max(x, lo), hi), real=as_float, check=check_scalar,
-                             broadcast=lambda *values: values, fits=lambda *values: values, require=_require)
+                             broadcast=lambda *values: values, fits=lambda *values: values, require=_require,
+                             any=bool)
 _ARRAY_OPS = SimpleNamespace(exp=np.exp, sqrt=np.sqrt, sin=np.sin, cos=np.cos, maximum=np.maximum, where=np.where,
                              divide=_quiet_divide, isfinite=np.isfinite, clip=np.clip, real=as_float_array,
-                             check=check_array, broadcast=_broadcast_each, fits=np.broadcast, require=_require_each)
+                             check=check_array, broadcast=_broadcast_each, fits=np.broadcast, require=_require_each,
+                             any=operator.methodcaller("any"))
 
 
 def _ops(*values):

@@ -31,12 +31,12 @@ trace over the meter, both from the real parts of its amplitudes, for the
 
 A suite hands each grid's checks to :meth:`_Tally.check` as the entries of
 one call, with the checks, counts and notes of a loop over the grid, and
-calls each function under test once on the grid's stack. Those that take one
-value stay in loops: :func:`meter_projectors`, :func:`intelligent_state`,
-:func:`visibility_oracle`, and :func:`minimum_product_routes`, whose
-golden-section search calls :func:`simultaneous_product` one overlap at a
-time, and so takes :func:`optimal_entanglement` and the product one
-population at a time too. The
+calls each function under test once on the grid's stack:
+:func:`visibility_oracle` scans every state of ``fringe_oracle`` in one
+call, and :func:`minimum_product_routes` runs the golden-section searches of
+its populations in lockstep, one :func:`simultaneous_product` call per step
+over the stack. Those that take one value stay in loops:
+:func:`meter_projectors` and :func:`intelligent_state`. The
 routes here write every product of matrix entries in real parts, as the
 library's kernels do, so that no BLAS kernel or SIMD level moves their bits;
 ``linalg_core``'s LAPACK references are the exception, by design.
@@ -53,7 +53,7 @@ from . import montecarlo
 from .duality import family_duality, predictability, visibility, visibility_oracle
 from .errors import ContractViolationError, ParameterError
 from .linalg import _eigenvalues, _entries, _hypot, _parts, _projector, _split, _times, _times_conj, assert_hermitian
-from .linalg import trace_norm
+from .linalg import _ops, trace_norm
 from .simultaneous import (
     EntangledState,
     distinguishability,
@@ -260,26 +260,30 @@ def projected_readout_moments(psi: np.ndarray, c, varrho) -> tuple:
     return (mean_a, var_a), (mean_b, var_b)
 
 
-def _golden_minimize(f, lo: float, hi: float) -> float:
-    """Golden-section minimum value of a unimodal scalar function on [lo, hi]."""
+def _golden_minimize(f, lo, hi):
+    """Golden-section minimum value of a unimodal function on ``[lo, hi]``, or of each of a stack, in lockstep.
+
+    ``lo`` and ``hi`` are floats, or arrays of one shape with one search per element, and ``f`` takes points of that
+    kind. Each step makes one ``f`` call, at every search's new point. A search whose bracket is no wider than
+    :data:`_GOLDEN_XTOL` is frozen while the others go on, so each ends where it would alone, with its bits.
+    """
+    ops = _ops(lo, hi)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
+    a, b = lo, hi
+    x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > _GOLDEN_XTOL:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
+    while ops.any(moving := b - a > _GOLDEN_XTOL):
+        left = f1 <= f2  # keep [a, x2] and set x1 afresh, else keep [x1, b] and set x2 afresh
+        a, b = ops.where(moving, ops.where(left, a, x1), a), ops.where(moving, ops.where(left, x2, b), b)
+        step = invphi * (b - a)
+        x = ops.where(left, b - step, a + step)
+        fx = f(x)
+        x1, x2 = ops.where(left, x, x2), ops.where(left, x1, x)
+        f1, f2 = ops.where(left, fx, f2), ops.where(left, f1, fx)
     return f(0.5 * (a + b))
 
 
-def minimum_product_routes(w_plus: float) -> tuple[float, float, float, float, float]:
+def minimum_product_routes(w_plus) -> tuple:
     """Every route to the minimum over ``c`` of the simultaneous product at fixed populations.
 
     Returns ``(value, long_form, numeric_min, compact_plus, compact_minus)``:
@@ -288,34 +292,38 @@ def minimum_product_routes(w_plus: float) -> tuple[float, float, float, float, f
     ill-conditioned; a golden-section minimization of the product over
     ``c``; and the two compact candidates ``(1 +- V P)**2 / 16``. Nothing
     is compared here: the ``minimum_product`` suite checks each route
-    against the others within :data:`ROUTE_AGREEMENT_TOL`.
+    against the others within :data:`ROUTE_AGREEMENT_TOL`. One population
+    gives five Python floats; a stack gives five arrays of its shape, whose
+    elements have the bits of their populations alone, from one lockstep
+    search, which runs only if some optimal overlap is interior.
     """
-    w = float(w_plus)
+    ops = _ops(w_plus)
+    w = ops.real(w_plus, "w_plus")
     k = w * (1.0 - w)
     c_opt = optimal_entanglement(w)
     value = simultaneous_product(w, c_opt)
 
     # Direct closed expression; its denominator vanishes at k = 1/8 (where
     # the form is 0/0 with a finite limit) and at k in {0, 1/4}, so it is
-    # only evaluated where it is well-conditioned.
+    # only evaluated where it is well-conditioned, over a denominator of 1 elsewhere.
     g = 1.0 - 4.0 * k
-    root = math.sqrt(max(k * g, 0.0))
+    root = ops.sqrt(ops.maximum(k * g, 0.0))
     den = 16.0 * (-4.0 * k * g + root)
-    if abs(den) >= 1e-6:
-        num = -16.0 * k * k * (g * g) + (1.0 - 12.0 * k * g) * root
-        long_form = num / den
-    else:
-        long_form = math.nan
+    ill = abs(den) < 1e-6
+    num = -16.0 * k * k * (g * g) + (1.0 - 12.0 * k * g) * root
+    long_form = ops.where(ill, math.nan, num / (den + ill))
 
-    if 0.0 < c_opt < 1.0:
-        numeric_min = _golden_minimize(lambda c: simultaneous_product(w, c), 1e-9, 1.0 - 1e-9)
-    else:
-        # Boundary populations: the optimum sits at an endpoint of c where the
-        # finite limit is known exactly, so the numeric route collapses to it.
-        numeric_min = value
+    # Boundary populations: the optimum sits at an endpoint of c where the
+    # finite limit is known exactly, so the numeric route collapses to it;
+    # in a stack, their brackets are closed from the start.
+    interior = (c_opt > 0.0) & (c_opt < 1.0)
+    numeric_min = value
+    if ops.any(interior):
+        lo, hi = ops.where(interior, 1e-9, 0.5), ops.where(interior, 1.0 - 1e-9, 0.5)
+        numeric_min = ops.where(interior, _golden_minimize(lambda c: simultaneous_product(w, c), lo, hi), value)
 
-    v = 2.0 * math.sqrt(k)
-    p = math.sqrt(max(g, 0.0))
+    v = 2.0 * ops.sqrt(k)
+    p = ops.sqrt(ops.maximum(g, 0.0))
     plus, minus = 1.0 + v * p, 1.0 - v * p
     return value, long_form, numeric_min, plus * plus / 16.0, minus * minus / 16.0
 
@@ -459,12 +467,13 @@ def _suite_complementary_family(t: _Tally, run: dict, rng: np.random.Generator) 
 def _suite_fringe_oracle(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     grid = run["fringe_grid"]
     angle_tol = TWO_PI / grid + _GRID_ANGLE  # one grid step, and round-off
-    states = [pure_state(0.9), pure_state(0.5), DensityMatrix(0.7, 0.0)]
+    known = [pure_state(0.9), pure_state(0.5), DensityMatrix(0.7, 0.0)]  # contrasts 0.6, 1 and 0, exactly
     drawn, _ = _random_states(rng, run["fringe_states"])
-    states += [DensityMatrix(*params) for params in zip(drawn.w_plus, drawn.rho12, drawn.theta)]
-    v = np.array([visibility(rho) for rho in states])
-    target = np.array([0.6, 1.0, 0.0, *v[3:]])  # the first three are known exactly
-    v_hat, xi_hat = np.array([visibility_oracle(rho, grid_n=grid) for rho in states]).T
+    fields = ("w_plus", "rho12", "theta")
+    rho = DensityMatrix(*(np.concatenate([[getattr(state, f) for state in known], getattr(drawn, f)]) for f in fields))
+    v = visibility(rho)
+    target = np.array([0.6, 1.0, 0.0, *v[3:]])
+    v_hat, xi_hat = visibility_oracle(rho, grid_n=grid)
     xi = xi_hat.tolist()
     t.check(
         _near(v_hat, target, run["fringe_tol"], lambda i: f"oracle contrast state #{i}"),
@@ -645,8 +654,7 @@ def _suite_unbiasedness(t: _Tally, run: dict, rng: np.random.Generator) -> None:
 
 def _suite_minimum_product(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     w = np.arange(1, 52) / 53.0
-    routes = np.array([minimum_product_routes(x) for x in w.tolist()]).T
-    value, long_form, numeric_min, compact_plus, compact_minus = routes
+    value, long_form, numeric_min, compact_plus, compact_minus = minimum_product_routes(w)
     # The spread leaves out only a NaN long form, where its representation is 0/0.
     spread = np.ptp([value, numeric_min, np.where(np.isnan(long_form), value, long_form)], axis=0)
     s, at = spread.tolist(), [f"at w={x:.4f}" for x in w.tolist()]
@@ -660,7 +668,7 @@ def _suite_minimum_product(t: _Tally, run: dict, rng: np.random.Generator) -> No
         (np.abs(long_form - value), scaled, lambda i: f"long route agrees {at[i]}", np.isfinite(long_form)),
     )
     limits = (0.0, 0.5, 1.0)
-    value, _, _, compact_plus, _ = np.array([minimum_product_routes(x) for x in limits]).T
+    value, _, _, compact_plus, _ = minimum_product_routes(np.array(limits))
     t.check(
         (np.abs(value - 0.0625), _EXACT, lambda i: f"limit value is exactly 1/16 at w={limits[i]}"),
         (np.abs(compact_plus - value), _EXACT, lambda i: f"compact form equals the limit at w={limits[i]}"),

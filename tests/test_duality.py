@@ -138,17 +138,47 @@ def test_oracle_matches_the_full_grid_scan_bit_for_bit(kind, w, u, theta, grid_n
     assert got.tobytes() == want.tobytes(), (got, want)
 
 
-def test_oracle_memory_stays_linear_in_the_grid():
-    rho = pure_state(0.9, 0.3)
-    visibility_oracle(rho, MAX_GRID_N)  # first call: caches the state's matrix
+_KINDS = st.sampled_from(["pure", "mixed", "diagonal"])
+_ORACLE_ROWS = st.tuples(_KINDS, st.one_of(st.sampled_from([0.0, 0.5, 1.0]), w_values), fractions, angles)
+
+
+@given(
+    rows=st.lists(_ORACLE_ROWS, min_size=6, max_size=6),
+    shape=st.sampled_from([(1,), (3,), (6,), (2, 3)]),
+    grid_n=st.sampled_from([8, 96, 97, 512]),
+)
+def test_oracle_of_a_stack_has_the_bits_of_each_state_alone(rows, shape, grid_n):
+    states = [draw_state(w, {"pure": 1.0, "mixed": u, "diagonal": 0.0}[kind], theta) for kind, w, u, theta in rows]
+    states = states[: math.prod(shape)]
+    fields = ("w_plus", "rho12", "theta")
+    stack = DensityMatrix(*(np.reshape([getattr(rho, f) for rho in states], shape) for f in fields))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v_hat, xi_hat = visibility_oracle(stack, grid_n)
+        alone = [visibility_oracle(rho, grid_n) for rho in states]
+    assert all(type(x) is float for pair in alone for x in pair)
+    assert v_hat.shape == xi_hat.shape == shape
+    # the bytes compare the sign of a zero too
+    assert np.stack([v_hat.ravel(), xi_hat.ravel()], axis=-1).tobytes() == np.array(alone).tobytes()
+
+
+def _oracle_peak(rho) -> int:
+    """The tracemalloc peak of a ``MAX_GRID_N`` scan of ``rho``, after a first scan has cached what the state caches."""
+    visibility_oracle(rho, MAX_GRID_N)
     tracemalloc.start()
     try:
         visibility_oracle(rho, MAX_GRID_N)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_oracle_memory_stays_linear_in_the_grid():
     # the full MAX_GRID_N**2 grid alone would take 32 MiB
-    assert peak < 1_000_000
+    assert _oracle_peak(pure_state(0.9, 0.3)) < 1_000_000
+    # a stack scans every state in one call, and holds no more than 23 scans of one state would
+    w = np.linspace(0.05, 0.95, 23)
+    assert _oracle_peak(DensityMatrix(w, 0.5 * np.sqrt(w * (1.0 - w)), np.linspace(0.0, 6.0, 23))) < 23 * 1_000_000
 
 
 @given(w=w_values, u=fractions, theta=angles)

@@ -7,7 +7,7 @@ import numbers
 import numpy as np
 import pytest
 
-from qudual.errors import ParameterError, as_float, check_scalar
+from qudual.errors import ParameterError, as_float, as_float_array, check_array, check_scalar
 
 
 def full_path(value, name, lo=-math.inf, hi=math.inf, *, slack=0.0):
@@ -53,3 +53,38 @@ CASES = [(lo, hi, slack) for (lo, hi), slack in itertools.product(BOUNDS, SLACKS
 def test_check_scalar_returns_and_raises_what_the_full_path_does(lo, hi, slack):
     for value in edge_values(lo, hi, slack):
         assert outcome(check_scalar, value, lo, hi, slack) == outcome(full_path, value, lo, hi, slack), repr(value)
+
+
+def clip_path(values, name, lo=-math.inf, hi=math.inf, *, slack=0.0):
+    """``check_array`` in three passes: every value checked for NaN, infinity and both bounds, then ``np.clip``."""
+    v = as_float_array(values, name)
+    bad = ~np.isfinite(v) | (v < lo - slack) | (v > hi + slack)
+    if bad.any():
+        check_scalar(v[bad].flat[0], name, lo, hi, slack=slack)
+    return np.clip(v, lo, hi)
+
+
+def array_outcome(check, values, lo, hi, slack):
+    """The result's type, dtype, shape and bytes, or the raised error's type and message."""
+    try:
+        r = check(values, "x", lo, hi, slack=slack)
+    except ParameterError as exc:
+        return "raises", str(exc)
+    return type(r), r.dtype, r.shape, r.tobytes()
+
+
+@pytest.mark.parametrize("lo, hi, slack", CASES, ids=[f"[{lo},{hi}]+{slack}" for lo, hi, slack in CASES])
+def test_check_array_returns_and_raises_what_the_clip_path_does(lo, hi, slack):
+    values = edge_values(lo, hi, slack)
+    accepted = [v for v in values if outcome(check_scalar, v, lo, hi, slack)[0] != "raises"]
+    # each value alone, as a 0-d array and in a list, then every value and the accepted ones, each as one array
+    inputs = [(v,) for v in values] + [(np.array(v, dtype=object),) for v in values] + [([v],) for v in values]
+    inputs += [(values,), (accepted,), (np.array(accepted, dtype=float).reshape(-1, 1),)]
+    for (value,) in inputs:
+        assert array_outcome(check_array, value, lo, hi, slack) == array_outcome(clip_path, value, lo, hi, slack), value
+    # the result is a fresh array: writing to the input afterwards leaves it as it was
+    given = np.array(accepted, dtype=float)
+    result = check_array(given, "x", lo, hi, slack=slack)
+    before = result.tobytes()
+    given[:] = 0.25
+    assert result.tobytes() == before

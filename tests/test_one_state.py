@@ -382,14 +382,13 @@ _ENTANGLED = EntangledState([0.3, 0.5], 0.2, [0.4, 0.6])
         (lambda: _STACK.state_vector(), "state_vector"),
         (lambda: _STACK == _STACK, "=="),
         (lambda: _STACK == DensityMatrix(0.3, 0.1, 1.0), "=="),
-        (lambda: visibility_oracle(_STACK, 8), "visibility_oracle"),
         (lambda: sample_sharp(_STACK, REFERENCE, 10, 1), "sample_sharp"),
         (lambda: sample_fringe(DensityMatrix(np.full(16, 0.5), 0.5), 10, 1), "sample_fringe"),
         (lambda: sample_simultaneous(_ENTANGLED, 0.3, 10, 1), "sample_simultaneous"),
     ],
     ids=[
         "meter_projectors", "meter_projectors-1", "state_vector", "eq", "eq-one",
-        "visibility_oracle", "sample_sharp", "sample_fringe", "sample_simultaneous",
+        "sample_sharp", "sample_fringe", "sample_simultaneous",
     ],
 )
 def test_one_value_functions_refuse_a_stack_with_a_parameter_error(call, name):

@@ -26,8 +26,10 @@ from qudual import (
 )
 from qudual.linalg import _hypot
 from qudual.verify import (
+    _GOLDEN_XTOL,
     ROUTE_AGREEMENT_TOL,
     _density_params,
+    _golden_minimize,
     minimum_product_routes,
     projected_readout_moments,
     which_way_routes,
@@ -324,6 +326,51 @@ def test_minimum_routes_limits_are_exact():
     for w in (0.0, 0.5, 1.0):
         value, _, numeric_min, compact_plus, _ = minimum_product_routes(w)
         assert value == numeric_min == compact_plus == 0.0625
+
+
+def test_minimum_routes_of_a_stack_have_the_bits_of_each_population_alone():
+    # the minimum_product suite's populations and limits, and both populations with w+ w- = 1/8, whose long form is NaN
+    w_eighth = (1.0 + math.sqrt(0.5)) / 2.0
+    for w in (np.arange(1, 52) / 53.0, np.array([0.0, 0.5, 1.0]), np.array([w_eighth, 1.0 - w_eighth])):
+        stacked = minimum_product_routes(w)
+        alone = [minimum_product_routes(x) for x in w.tolist()]
+        assert all(type(route) is float for routes in alone for route in routes)
+        assert [route.shape for route in stacked] == [w.shape] * 5
+        # the bytes compare NaN long forms too
+        assert np.array(stacked).T.tobytes() == np.array(alone).tobytes()
+    assert np.isnan(stacked[1]).all()
+
+
+def one_golden_search(f, lo, hi):
+    """Golden-section minimum value of a unimodal function on [lo, hi], one bracket in Python floats."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > _GOLDEN_XTOL:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = f(x2)
+    return f(0.5 * (a + b))
+
+
+def test_lockstep_searches_end_where_each_search_alone_ends():
+    # |x - m| reads the last bracket to its last bit, where the product's flat floor hides it; brackets of different
+    # widths close at different steps, and a closed one must stay as it is while the others go on
+    rng = np.random.default_rng(38)
+    lo, hi, m = rng.uniform(0.0, 0.2, 40), rng.uniform(0.8, 1.0, 40), rng.uniform(0.2, 0.8, 40)
+    got = _golden_minimize(lambda x: abs(x - m), lo, hi)
+    rows = list(zip(lo.tolist(), hi.tolist(), m.tolist()))
+    want = [one_golden_search(lambda x, m_i=m_i: abs(x - m_i), a, b) for a, b, m_i in rows]
+    assert got.tobytes() == np.array(want).tobytes()
+    # one search of Python floats runs the same loop in Python floats
+    alone = [_golden_minimize(lambda x, m_i=m_i: abs(x - m_i), a, b) for a, b, m_i in rows]
+    assert all(type(x) is float for x in alone) and alone == want
 
 
 def _vp(w):

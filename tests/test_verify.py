@@ -136,11 +136,20 @@ def test_batched_suites_make_one_kernel_call_each(count_calls):
     assert moments == []
 
     # The fringe oracle scans one row of the unitaries per state, at two phases per
-    # splitter angle: 2 * grid_n points a scan, never the grid_n**2 of the full grid.
+    # splitter angle: 2 * grid_n points a state, never the grid_n**2 of the full grid,
+    # and all 23 states in one scan.
     scans = count_calls(duality, "fringe_probability")
     result = verify.run_suite("fringe_oracle", "full", 42)
     assert (result.checks, result.failures) == (45, 0)
-    assert [np.broadcast(*call[1:]).size for call in scans] == [2 * 512] * 23
+    assert [np.broadcast(*call[1:]).size for call in scans] == [2 * 512 * 23]
+
+    # The 51 populations take one call of the routes and one lockstep search; the three limits, one call and none.
+    routes = count_calls(verify, "minimum_product_routes")
+    searches = count_calls(verify, "_golden_minimize")
+    result = verify.run_suite("minimum_product", "full", 42)
+    assert (result.checks, result.failures) == (211, 0)
+    assert [np.shape(call[0]) for call in routes] == [(51,), (3,)]
+    assert [np.shape(call[1]) for call in searches] == [(51,)]
 
 
 def test_verify_reaches_every_public_function_but_one_contract(capsys, count_calls, monkeypatch):
