@@ -17,10 +17,9 @@ commands load neither, nor ``numpy.random``.
 
 import importlib
 
-from . import duality, errors, linalg, simultaneous, states, uncertainty
+from . import duality, errors, simultaneous, states, uncertainty
 from .duality import *  # noqa: F403
 from .errors import *  # noqa: F403
-from .linalg import *  # noqa: F403
 from .simultaneous import *  # noqa: F403
 from .states import *  # noqa: F403
 from .uncertainty import *  # noqa: F403
@@ -34,7 +33,7 @@ _LAZY = {
 }
 
 __all__ = ["__version__"] + [
-    name for module in (errors, linalg, states, duality, uncertainty, simultaneous) for name in module.__all__
+    name for module in (errors, states, duality, uncertainty, simultaneous) for name in module.__all__
 ] + [name for names in _LAZY.values() for name in names]
 
 

@@ -97,7 +97,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         rho = DensityMatrix(args.w_plus, args.rho12, args.theta)
     else:
         raise ParameterError("one of --rho12 or --pure is required")
-    varrho = rho.theta if args.varrho is None else args.varrho
+    varrho = rho.theta if args.varrho is None else check_scalar(args.varrho, "varrho")
 
     p, v = predictability(rho), visibility(rho)
     b_obs = complementary_observable(varrho)
@@ -132,11 +132,11 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             raise ParameterError("--c models meter entanglement of a pure state; drop --rho12 mixing or pass --pure")
         psi = EntangledState(rho.w_plus, rho.theta, args.c)
         pairs += [
-            ("c", args.c),
+            ("c", psi.c),
             ("D", distinguishability(psi)),
             ("V_e", entangled_visibility(psi)),
         ]
-        if 0.0 < args.c < 1.0:
+        if 0.0 < psi.c < 1.0:
             mean_ar, var_ar = estimate_a(psi)
             mean_br, var_br = estimate_b(psi, varrho)
             pairs += [
@@ -147,7 +147,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             ]
         c_opt = optimal_entanglement(rho.w_plus)
         pairs += [
-            ("sim_product", simultaneous_product(rho.w_plus, args.c)),
+            ("sim_product", simultaneous_product(rho.w_plus, psi.c)),
             ("c_opt", c_opt),
             ("sim_product_min", simultaneous_product(rho.w_plus, c_opt)),
         ]
@@ -198,8 +198,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     from .montecarlo import sample_fringe, sample_sharp, sample_simultaneous
 
     seed = _resolve_seed(args.seed)
-    varrho = args.theta if args.varrho is None else args.varrho
     rho = pure_state(args.w_plus, args.theta)
+    theta = check_scalar(args.theta, "theta")  # as pure_state checked it, not wrapped
     c = args.c
     if c is None:
         c = optimal_entanglement(rho.w_plus)
@@ -208,8 +208,9 @@ def _cmd_mc(args: argparse.Namespace) -> int:
                 f"--c defaults to the optimal overlap, c = {c!r} at w_plus = {rho.w_plus!r}, "
                 "where the meter readout is singular (it requires 0 < c < 1); pass --c"
             )
+    varrho = theta if args.varrho is None else check_scalar(args.varrho, "varrho")
     b_obs = complementary_observable(varrho)
-    psi = EntangledState(rho.w_plus, args.theta, c)
+    psi = EntangledState(rho.w_plus, theta, c)
 
     # Draw every sample before writing, so a failed run writes no stdout; the
     # joint readout goes first because it rejects a singular overlap. Each
@@ -223,7 +224,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     v_hat = sample_fringe(rho, max(args.n // 16, 1), seed, stream=4)
 
     lines = [
-        f"sampling at w_plus={_fmt(rho.w_plus)} theta={_fmt(args.theta)} varrho={_fmt(varrho)} c={_fmt(c)} seed={seed}",
+        f"sampling at w_plus={_fmt(rho.w_plus)} theta={_fmt(theta)} varrho={_fmt(varrho)} c={_fmt(psi.c)} seed={seed}",
         *(
             f"{rep.quantity:<10} n={rep.n} "
             f"mean={_fmt(rep.empirical_mean)} (analytic {_fmt(rep.analytic_mean)}, z={rep.z_mean:+.3f}) "

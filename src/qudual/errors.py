@@ -95,24 +95,26 @@ def check_scalar(
     NaN and infinities are always rejected. ``slack`` widens both ends, and a
     value accepted inside the slack is clamped onto ``[lo, hi]``. An integer
     beyond the double range counts as an infinity of its sign. The message
-    names the bound and shows an integer as an integer.
+    names the bound and shows an integer as an integer. A zero comes back as
+    ``+0.0``: both paths add ``0.0``, which turns ``-0.0`` into ``+0.0`` and
+    leaves every other value with its bits.
 
-    A finite Python float already in ``[lo, hi]`` is returned as it is, before
+    A finite Python float already in ``[lo, hi]`` is returned at once, before
     any conversion. The clamp would return that same float: ``max`` and
-    ``min`` keep their first argument unless the other is strictly beyond it,
-    so the value comes back with its bits, zero sign included. Every other
-    input (an int, a bool, a NumPy float, which comes back as a Python float,
-    a value outside the bounds or inside the slack) takes the full path.
+    ``min`` keep their first argument unless the other is strictly beyond it.
+    Every other input (an int, a bool, a NumPy float, which comes back as a
+    Python float, a value outside the bounds or inside the slack) takes the
+    full path.
     """
     if type(value) is float and lo <= value <= hi and math.isfinite(value):
-        return value
+        return value + 0.0
     v = as_float(value, name)
     if not math.isfinite(v) or v < lo - slack or v > hi + slack:
         left = "-inf <" if lo == -math.inf else f"{lo:g} <="
         right = "< inf" if hi == math.inf else f"<= {hi:g}"
         shown = int(value) if isinstance(value, numbers.Integral) and math.isfinite(v) else v
         raise ParameterError(f"{name} = {shown!r} violates the bound {left} {name} {right}")
-    return min(max(v, lo), hi)
+    return min(max(v, lo), hi) + 0.0
 
 
 def check_count(value, name: str, lo: int, hi: int) -> int:
@@ -137,9 +139,10 @@ def check_array(
     :class:`ParameterError`. One pass reads the bounds, which NaN fails and
     an infinity fails where the bound is finite, so ``isfinite`` runs only
     where a bound is infinite. With no slack every accepted value is in
-    ``[lo, hi]``, and ``np.positive`` copies it with the bits that
-    ``np.clip`` would return, zero sign included, without ``clip``'s
-    wrapper. 0-d input gives a ``np.float64`` either way.
+    ``[lo, hi]``, so adding ``0.0`` alone makes the fresh array, with the bits
+    that ``np.clip`` would return, without ``clip``'s wrapper. A zero comes
+    back as ``+0.0``, as from :func:`check_scalar`. 0-d input gives a
+    ``np.float64`` either way.
     """
     v = as_float_array(values, name)
     ok = (v >= lo - slack) & (v <= hi + slack)
@@ -147,4 +150,4 @@ def check_array(
         ok &= np.isfinite(v)
     if not ok.all():
         check_scalar(v[~ok].flat[0], name, lo, hi, slack=slack)
-    return np.clip(v, lo, hi) if slack else np.positive(v)
+    return (np.clip(v, lo, hi) if slack else v) + 0.0

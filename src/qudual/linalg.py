@@ -1,9 +1,12 @@
-"""Small dense linear algebra for two-level problems.
+"""Small dense linear algebra for two-level problems: the private kernels of the package.
 
 Every operator in this package is 2x2, so its two eigenvalues come in
 closed form from the quadratic formula, as ``mean +- half_gap``. No
 iterative solver is used anywhere; results are reproducible to the last bit
-across runs.
+across runs. Nothing here is public. The two contracts on a raw matrix live
+with their callers, the Hermitian one in :mod:`qudual.verify`, beside the
+trace norm, and the unitary one in :class:`qudual.states.Observable`; both
+begin with :func:`_finite_2x2`.
 """
 
 from __future__ import annotations
@@ -12,34 +15,11 @@ import cmath
 import math
 import numbers
 import operator
-import sys
 from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError, as_float, as_float_array, check_array, check_scalar
-
-HERMITICITY_TOL = 1e-12
-UNITARITY_TOL = 1e-12
-
-# Largest real or imaginary part of an entry that each contract accepts: past
-# it, the arithmetic of the check could overflow before it could fail.
-# Hermitian (and trace_norm): with every part at most B, m - m^dagger has parts
-# at most 2 B and entries of magnitude at most 2 sqrt(2) B; the largest
-# intermediate of trace_norm is an eigenvalue magnitude
-# |mean| + half_gap <= B + hypot(B, sqrt(2) B) = (1 + sqrt(3)) B, and
-# |l1| + |l2| <= 2 (1 + sqrt(3)) B < 8 B.
-_HERMITIAN_MAX_PART = sys.float_info.max / 8.0
-# Unitary: every part of m^dagger m is a sum of two products of parts, at most
-# 4 B**2 = max / 2**32 here; subtracting the identity and taking magnitudes stay
-# far below max.
-_UNITARY_MAX_PART = math.sqrt(sys.float_info.max) / 2.0**17
-
-__all__ = [
-    "assert_hermitian",
-    "assert_unitary",
-    "trace_norm",
-]
 
 
 def _finite_2x2(m: np.ndarray, name: str, contract: str, max_part: float) -> np.ndarray:
@@ -58,38 +38,6 @@ def _finite_2x2(m: np.ndarray, name: str, contract: str, max_part: float) -> np.
         raise ContractViolationError(
             f"{name} has an entry part of magnitude {peak!r}, past the bound "
             f"|Re m|, |Im m| <= {max_part!r} beyond which arithmetic on it overflows"
-        )
-    return m
-
-
-def assert_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Return ``m`` as a complex array, raising if it is not Hermitian within :data:`HERMITICITY_TOL`.
-
-    A stack of shape ``(..., 2, 2)`` is checked matrix by matrix; the message
-    reports the largest deviation in the stack. An entry part past
-    ``sys.float_info.max / 8`` in magnitude raises before any arithmetic.
-    """
-    m = _finite_2x2(m, name, "Hermitian", _HERMITIAN_MAX_PART)
-    dev = float(np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0))
-    if not dev <= HERMITICITY_TOL:  # NaN fails too
-        raise ContractViolationError(
-            f"{name} is not Hermitian: max |m - m^dagger| = {dev:.3e} exceeds {HERMITICITY_TOL:.1e}"
-        )
-    return m
-
-
-def assert_unitary(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Return ``m`` as a complex array, raising if it is not unitary within :data:`UNITARITY_TOL`.
-
-    A stack of shape ``(..., 2, 2)`` is checked matrix by matrix; the message
-    reports the largest deviation in the stack. An entry part past
-    ``sqrt(sys.float_info.max) / 2**17`` in magnitude raises before any arithmetic.
-    """
-    m = _finite_2x2(m, name, "unitary", _UNITARY_MAX_PART)
-    dev = float(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(2)), initial=0.0))
-    if not dev <= UNITARITY_TOL:  # NaN fails too
-        raise ContractViolationError(
-            f"{name} is not unitary: max |m^dagger m - 1| = {dev:.3e} exceeds {UNITARITY_TOL:.1e}"
         )
     return m
 
@@ -322,16 +270,3 @@ def _eigenvalues(a, d, x, y):
     mean = 0.5 * (a + d)
     half_gap = _hypot(0.5 * (a - d), _hypot(x, y))
     return mean + half_gap, mean - half_gap
-
-
-def trace_norm(m: np.ndarray):
-    """Trace norm (sum of absolute eigenvalues) of a Hermitian 2x2 matrix, or of each in a stack.
-
-    ``m`` has shape ``(..., 2, 2)``; every matrix must pass
-    :func:`assert_hermitian`, whose bound of ``sys.float_info.max / 8`` on
-    every entry part keeps every intermediate and the result finite. Returns
-    a float for one matrix and an array of the stack shape otherwise, from
-    the :func:`_eigenvalues` of the parts of the upper triangle.
-    """
-    big, small = _eigenvalues(*_parts(assert_hermitian(m)))
-    return abs(big) + abs(small)

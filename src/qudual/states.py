@@ -15,8 +15,10 @@ A state or observable is checked once, where it is built, and keeps the real
 parts that the kernels read: a state those of its matrix, an observable those
 of its eigenbasis columns. Its ``matrix`` and ``basis`` are laid out from them
 when first read, read-only, and the functions that take one check it no
-further. An observable the library builds from checked input, :data:`REFERENCE`,
-a family member or a meter readout, is unitary and has valid outcome values by
+further. The eigenbasis given to ``Observable(...)`` must be one unitary
+matrix, which :func:`_unitary_columns` checks on the parts of its columns. An
+observable the library builds from checked input, :data:`REFERENCE`, a family
+member or a meter readout, is unitary and has valid outcome values by
 construction, so its constructor checks nothing again. A pure state's amplitudes
 are parts too, from :func:`_pure_parts`, which the entangled meter state and the
 eigen-equation residual of :mod:`qudual.uncertainty` read, and which
@@ -38,14 +40,15 @@ Index 0 is ``|plus>`` and index 1 is ``|minus>`` everywhere.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError, check_scalar
-from .linalg import _entries, _from_entries, _from_parts, _one_value, _ops, _projector, _read_only, _split, _times
-from .linalg import assert_unitary
+from .linalg import _entries, _finite_2x2, _from_entries, _from_parts, _hypot, _one_value, _ops, _projector
+from .linalg import _read_only, _split, _times, _times_conj
 
 TWO_PI = 2.0 * math.pi
 
@@ -66,6 +69,11 @@ PURITY_TOL = 1e-12
 # of two such parts below 2**5 B**2 (Dot2 splits up to 2**996), their traces against a state below 2**7 B**2, and so
 # var_a var_b and c_mean**2 + f_mean**2 below 2**15 B**4 = 2**1015, which is finite.
 _MAX_OUTCOME_VALUE = 2.0**250
+
+_UNITARITY_TOL = 1e-12  # the largest |basis^dagger basis - 1| of an eigenbasis given to Observable(...)
+# Largest real or imaginary part B of an entry of that eigenbasis: every part of basis^dagger basis is a sum of two
+# products of parts, at most 4 B**2 = max / 2**32 here; subtracting the identity and taking moduli stay far below max.
+_UNITARY_MAX_PART = math.sqrt(sys.float_info.max) / 2.0**17
 
 __all__ = [
     "GAUGE",
@@ -150,7 +158,8 @@ def _state_fields(w_plus, rho12, theta) -> tuple:
     ops.require((r >= -POSITIVITY_TOL) & (r <= bound + POSITIVITY_TOL), lambda r, bound: ParameterError(
         f"rho12 = {r!r} violates the positivity bound 0 <= rho12 <= sqrt(w_plus * w_minus) = {bound!r}"
     ), r, bound)
-    w, r, t = ops.broadcast(w, ops.clip(r, 0.0, bound), ops.check(theta, "theta"))
+    # + 0.0 makes a zero coherence +0.0, as ops.check makes a zero
+    w, r, t = ops.broadcast(w, ops.clip(r, 0.0, bound) + 0.0, ops.check(theta, "theta"))
     return w, r, ops.where(r > 0.0, t % TWO_PI, 0.0)
 
 
@@ -217,12 +226,9 @@ class Observable:
             raise ParameterError(
                 f"outcome values must be distinct, got val_plus = val_minus = {self.val_plus!r}"
             )
-        basis = assert_unitary(self.basis, name="eigenbasis")
-        if basis.ndim != 2:
-            raise ContractViolationError(f"eigenbasis must be one matrix, not a stack, got shape {basis.shape}")
         object.__setattr__(self, "val_plus", val_plus)
         object.__setattr__(self, "val_minus", val_minus)
-        object.__setattr__(self, "_columns", tuple(tuple(map(_split, column)) for column in zip(*_entries(basis))))
+        object.__setattr__(self, "_columns", _unitary_columns(self.basis))
         object.__delattr__(self, "basis")  # laid out again from the columns when first read
 
     @classmethod
@@ -261,8 +267,27 @@ class Observable:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """``basis @ diag(values) @ basis^dagger``, laid out from the parts on first access; read-only."""
+        """``basis diag(values) basis^dagger``, laid out from the parts on first access; read-only."""
         return _read_only(_from_parts(*self._parts))
+
+
+def _unitary_columns(basis) -> tuple:
+    """The columns ``((re, im), (re, im))`` of one eigenbasis, raising unless it is one matrix, unitary within 1e-12.
+
+    An entry part past ``sqrt(sys.float_info.max) / 2**17`` in magnitude raises before any arithmetic.
+    """
+    basis = _finite_2x2(basis, "eigenbasis", "unitary", _UNITARY_MAX_PART)
+    if basis.ndim != 2:
+        raise ContractViolationError(f"eigenbasis must be one matrix, not a stack, got shape {basis.shape}")
+    columns = tuple(tuple(map(_split, column)) for column in zip(*_entries(basis)))
+    # basis^dagger basis - 1 entry by entry: <u|w> of two columns, as the terms w_k conj(u_k), less 1 where u is w
+    gram = ((i == j, *map(_times_conj, w, u)) for i, u in enumerate(columns) for j, w in enumerate(columns))
+    dev = max(_hypot(r0 + r1 - one, i0 + i1) for one, (r0, i0), (r1, i1) in gram)
+    if not dev <= _UNITARITY_TOL:
+        raise ContractViolationError(
+            f"eigenbasis is not unitary: max |m^dagger m - 1| = {dev:.3e} exceeds {_UNITARITY_TOL:.1e}"
+        )
+    return columns
 
 
 def _spectral_parts(columns: tuple, val_plus: float, val_minus: float) -> tuple:

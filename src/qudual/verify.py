@@ -27,7 +27,9 @@ for the ``minimum_product`` suite to check. :func:`which_way_routes` reaches
 the distinguishability through the trace norm of the meter blocks of an
 :class:`EntangledState`, and the entangled visibility through the partial
 trace over the meter, both from the real parts of its amplitudes, for the
-``entangled_duality`` suite. None of the three is in ``__all__``.
+``entangled_duality`` suite. None of the three is in ``__all__``, nor are the
+checks on raw matrices here: :func:`_assert_hermitian`, for the matrices that
+:func:`_density_params` reads, and :func:`_trace_norm` of Hermitian parts.
 
 A suite hands each grid's checks to :meth:`_Tally.check` as the entries of
 one call, with the checks, counts and notes of a loop over the grid, and
@@ -45,6 +47,7 @@ library's kernels do, so that no BLAS kernel or SIMD level moves their bits;
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +55,7 @@ import numpy as np
 from . import montecarlo
 from .duality import family_duality, predictability, visibility, visibility_oracle
 from .errors import ContractViolationError, ParameterError
-from .linalg import _eigenvalues, _entries, _hypot, _parts, _projector, _split, _times, _times_conj, assert_hermitian
-from .linalg import _ops, trace_norm
+from .linalg import _eigenvalues, _entries, _finite_2x2, _hypot, _ops, _parts, _projector, _split, _times, _times_conj
 from .simultaneous import (
     EntangledState,
     distinguishability,
@@ -80,7 +82,7 @@ _PROBE_C = (0.01, *(k / 10.0 for k in range(1, 10)), 0.99, 0.99999)
 # are keys of its _SIZES row: fringe_tol (visibility_oracle's contrast against
 # visibility) and sampled_fringe_tol (sample_fringe's contrast against the coherence).
 _ROUNDOFF = 1e-12  # two routes to one unit-scale value: round trips, identities, readout moments scaled
-_DIAGONAL_TRACE_NORM = 1e-14  # trace_norm of a diagonal matrix against its exact value
+_DIAGONAL_TRACE_NORM = 1e-14  # _trace_norm of a diagonal matrix against its exact value
 _LAPACK = 1e-10  # eigenvalues and trace norms against LAPACK, scaled by the largest entry
 _BOUND = 1e-12  # past a proven bound: P^2 + V^2 <= 1, Robertson slack >= 0, the product bounds, P <= D
 _SATURATION = 1e-10  # |P^2 + V^2 - 1| of a pure state (a mixed one misses by more), the slack of a saturating state
@@ -88,11 +90,18 @@ _PURE = 1e-12  # purity within this of 1 marks a pure state for the saturation c
 _EIGEN = 1e-10  # an intelligent state's eigen-equation residual, and its stretch against the variance ratio, scaled
 _PHASE = 1e-9  # |exp(i theta') - exp(i theta)| of a phase read back by _density_params
 _TRACE = 1e-10  # |tr(m) - 1| of a matrix that _density_params reads as a state
+_HERMITIAN = 1e-12  # max |m - m^dagger| of a matrix that _assert_hermitian passes
 _GRID_ANGLE = 1e-9  # visibility_oracle's coupling angle, on top of one grid step
 ROUTE_AGREEMENT_TOL = 1e-9  # the minimum product's routes: compact form, golden search, long form scaled
 _EXACT = 0.0  # an identity that holds bit for bit
 _STRICT = -math.ulp(0.0)  # a strict check, or a value that must miss its target: the deviation is negative
 _GOLDEN_XTOL = 1e-10  # not a check: the bracket width at which the golden-section search stops
+
+# Largest real or imaginary part B of an entry that _assert_hermitian accepts: past it, the arithmetic of the check
+# could overflow before it could fail. With every part at most B, m - m^dagger has parts at most 2 B and entries of
+# magnitude at most 2 sqrt(2) B; the largest intermediate of _trace_norm on the parts of such a matrix is an eigenvalue
+# magnitude |mean| + half_gap <= B + hypot(B, sqrt(2) B) = (1 + sqrt(3)) B, and |l1| + |l2| <= 2 (1 + sqrt(3)) B < 8 B.
+_HERMITIAN_MAX_PART = sys.float_info.max / 8.0
 
 # Sweep sizes per level. fast keeps each suite under a second; full uses the
 # sign-off sizes.
@@ -332,29 +341,53 @@ def which_way_routes(psi_e: EntangledState) -> tuple:
     """The distinguishability and the reduced system state of ``psi_e``, by its 2x2 matrices.
 
     From the real parts of the amplitudes ``psi[..., system, meter]`` that
-    :attr:`EntangledState.amplitudes` lays out, returns the trace norm (the
-    :func:`~qudual.linalg.trace_norm` sum of absolute eigenvalues, bit for bit,
-    with no matrix laid out) of the difference of the meter blocks ``psi[..., s, :] psi[..., s, :]^dagger`` of the two
+    :attr:`EntangledState.amplitudes` lays out, returns the :func:`_trace_norm`,
+    with no matrix laid out, of the difference of the meter blocks ``psi[..., s, :] psi[..., s, :]^dagger`` of the two
     system states, and the parts ``(a, d, x, y)`` of the system matrices
     ``sum_m psi[..., :, m] psi[..., :, m]^dagger`` that tracing the meter out
     leaves: the routes to :func:`distinguishability`, to the population
     ``w_plus`` and, as ``2 |x + i y|``, to :func:`entangled_visibility`.
     """
     (p0, p1), (q0, q1) = psi_e._rows  # the amplitudes of |plus>, p, and of |minus>, q, on the two meter states
-    big, small = _eigenvalues(*(u - v for u, v in zip(_projector(p0, p1), _projector(q0, q1))))
-    return abs(big) + abs(small), tuple(u + v for u, v in zip(_projector(p0, q0), _projector(p1, q1)))
+    difference = (u - v for u, v in zip(_projector(p0, p1), _projector(q0, q1)))
+    return _trace_norm(*difference), tuple(u + v for u, v in zip(_projector(p0, q0), _projector(p1, q1)))
+
+
+def _assert_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Return ``m`` as a complex array, raising if it is not Hermitian within :data:`_HERMITIAN`.
+
+    A stack of shape ``(..., 2, 2)`` is checked matrix by matrix; the message
+    reports the largest deviation in the stack. An entry part past
+    ``sys.float_info.max / 8`` in magnitude raises before any arithmetic.
+    """
+    m = _finite_2x2(m, name, "Hermitian", _HERMITIAN_MAX_PART)
+    dev = float(np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0))
+    if not dev <= _HERMITIAN:  # NaN fails too
+        raise ContractViolationError(
+            f"{name} is not Hermitian: max |m - m^dagger| = {dev:.3e} exceeds {_HERMITIAN:.1e}"
+        )
+    return m
+
+
+def _trace_norm(a, d, x, y):
+    """Trace norm ``|l1| + |l2|`` of Hermitian parts ``(a, d, x, y)`` from their :func:`_eigenvalues`, floats or arrays.
+
+    On the parts of a matrix that passes :func:`_assert_hermitian`, every intermediate and the result are finite.
+    """
+    big, small = _eigenvalues(a, d, x, y)
+    return abs(big) + abs(small)
 
 
 def _density_params(m: np.ndarray) -> tuple:
     """Parameters ``(w_plus, rho12, theta)`` read off explicit density matrices ``(..., 2, 2)``: the route back.
 
-    Every matrix must pass :func:`~qudual.linalg.assert_hermitian` and have
+    Every matrix must pass :func:`_assert_hermitian` and have
     unit trace within 1e-10, or a :class:`ContractViolationError` names the
     first failure. Returns the populations and the magnitude and wrapped
     phase of the lower off-diagonal entry: Python floats for one matrix, with
     the bits of its element in a stack, and float arrays for a stack.
     """
-    m = assert_hermitian(m, name="density matrix")
+    m = _assert_hermitian(m, name="density matrix")
     tr = m[..., 0, 0].real + m[..., 1, 1].real
     bad = ~(np.abs(tr - 1.0) <= _TRACE)  # NaN fails too
     if bad.any():
@@ -368,12 +401,12 @@ def _density_params(m: np.ndarray) -> tuple:
 
 
 def _suite_linalg_core(t: _Tally, run: dict, rng: np.random.Generator) -> None:
-    t.check(_near(trace_norm(np.diag([0.5, -0.5]).astype(complex)), 1.0, _DIAGONAL_TRACE_NORM, "trace norm diag"))
+    t.check(_near(_trace_norm(0.5, -0.5, 0.0, 0.0), 1.0, _DIAGONAL_TRACE_NORM, "trace norm diag"))
 
     psi0 = np.array([1.0, 0.0], dtype=complex)
     psi1 = np.array([0.6, 0.8], dtype=complex)
     diff = np.outer(psi0, psi0.conj()) - np.outer(psi1, psi1.conj())
-    t.check(_near(trace_norm(diff), 1.6, _ROUNDOFF, "trace norm of projector difference"))
+    t.check(_near(_trace_norm(*_parts(diff)), 1.6, _ROUNDOFF, "trace norm of projector difference"))
 
     # Real parts, then imaginary parts, of 200 random Hermitian matrices.
     normals = rng.normal(size=(200, 2, 2, 2))
@@ -383,7 +416,7 @@ def _suite_linalg_core(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     tol = _LAPACK * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
     ref = np.linalg.eigvalsh(m)[:, ::-1]
     sv = np.linalg.svd(m, compute_uv=False).sum(axis=-1)
-    norms = trace_norm(m)
+    norms = _trace_norm(*_parts(m))
     t.check(
         (np.abs(w - ref).max(axis=-1), tol, lambda i: f"eig against lapack #{i}"),
         # LAPACK's last bits differ between BLAS kernels, so its sum is noted to 12 digits.

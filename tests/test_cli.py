@@ -279,6 +279,24 @@ def test_mc_reads_the_population_that_compute_reads(capsys, argv, w_plus, edge):
     assert run(capsys, "mc", "--n", "1000", f"--w-plus={w_plus}", *argv) == clamped
 
 
+# Every float flag of both commands given as zero, the coherence both ways, and mc's overlap given and defaulted: each
+# command runs to the same bytes from -0.0 as from 0.0, mc's messages on its singular overlap included.
+ZERO_FLAGS = {
+    "compute-pure": ("compute", "--w-plus={}", "--pure", "--theta={}", "--varrho={}", "--c={}"),
+    "compute-mixed": ("compute", "--w-plus={}", "--rho12={}", "--theta={}", "--varrho={}", "--c={}"),
+    "mc": ("mc", "--n", "1000", "--theta={}", "--varrho={}"),
+    "mc-singular-c": ("mc", "--n", "1000", "--w-plus={}", "--theta={}", "--varrho={}", "--c={}"),
+    "mc-default-c": ("mc", "--n", "1000", "--w-plus={}", "--theta={}", "--varrho={}"),
+}
+
+
+@pytest.mark.parametrize("argv", ZERO_FLAGS.values(), ids=ZERO_FLAGS)
+def test_a_negative_zero_flag_prints_the_bytes_of_zero(capsys, argv):
+    negative = run(capsys, *(arg.format("-0.0") for arg in argv))
+    assert negative == run(capsys, *(arg.format("0.0") for arg in argv))
+    assert re.search(r"-0(?![.\d])", negative[1] + negative[2]) is None, negative
+
+
 _PSI = EntangledState(0.9, 0.3, 0.6)
 
 SCALAR_ENTRY_POINTS = {
@@ -353,10 +371,9 @@ def test_non_finite_scalars_raise_parameter_error(entry, value):
 # The rows above that build stacked values, each named for the stacked form of the closed form it checks: a state,
 # its duality quantities, a family member, the family's duality quantities and an entangled state, each on arrays.
 STACKED_ROWS = {"validate_density", "duality_arrays", "complementary_matrices", "family_arrays", "entangled_arrays"}
-# The public functions and classes that take no float, so need no row above: they take matrices, or library objects
-# checked where they were built, or suite names, levels and integer seeds (any integer seed is taken modulo 2**64).
+# The public functions and classes that take no float, so need no row above: they take library objects checked where
+# they were built, or suite names, levels and integer seeds (any integer seed is taken modulo 2**64).
 TAKES_NO_FLOAT = {
-    "assert_hermitian", "assert_unitary", "trace_norm",
     "distinguishability", "entangled_visibility", "estimate_a", "mean_var", "predictability", "robertson", "visibility",
     "render_report", "run_suite", "run_suites",
 }

@@ -11,14 +11,14 @@ from qudual.errors import ParameterError, as_float, as_float_array, check_array,
 
 
 def full_path(value, name, lo=-math.inf, hi=math.inf, *, slack=0.0):
-    """``check_scalar`` with no fast path: every input converted, bounded and clamped."""
+    """``check_scalar`` with no fast path: every input converted, bounded and clamped, and a zero made ``+0.0``."""
     v = as_float(value, name)
     if not math.isfinite(v) or v < lo - slack or v > hi + slack:
         left = "-inf <" if lo == -math.inf else f"{lo:g} <="
         right = "< inf" if hi == math.inf else f"<= {hi:g}"
         shown = int(value) if isinstance(value, numbers.Integral) and math.isfinite(v) else v
         raise ParameterError(f"{name} = {shown!r} violates the bound {left} {name} {right}")
-    return min(max(v, lo), hi)
+    return min(max(v, lo), hi) + 0.0
 
 
 def outcome(check, value, lo, hi, slack):
@@ -56,12 +56,12 @@ def test_check_scalar_returns_and_raises_what_the_full_path_does(lo, hi, slack):
 
 
 def clip_path(values, name, lo=-math.inf, hi=math.inf, *, slack=0.0):
-    """``check_array`` in three passes: every value checked for NaN, infinity and both bounds, then ``np.clip``."""
+    """``check_array`` in three passes: every value checked for NaN, infinity and both bounds, then clipped, plus 0."""
     v = as_float_array(values, name)
     bad = ~np.isfinite(v) | (v < lo - slack) | (v > hi + slack)
     if bad.any():
         check_scalar(v[bad].flat[0], name, lo, hi, slack=slack)
-    return np.clip(v, lo, hi)
+    return np.clip(v, lo, hi) + 0.0
 
 
 def array_outcome(check, values, lo, hi, slack):

@@ -363,3 +363,33 @@ def test_the_scan_sees_a_public_alias():
 @pytest.mark.parametrize("path", LIBRARY, ids=[str(p.relative_to(ROOT)) for p in LIBRARY])
 def test_no_public_aliases(path):
     assert public_aliases(path.read_text()) == []
+
+
+# Every product of matrix entries in the library is written in real parts, through qudual.linalg's kernels, so that no
+# BLAS kernel or SIMD level moves its bits; a matrix product ``@`` would hand it to whichever the host has.
+
+
+def matrix_products(source: str) -> list[str]:
+    """Each ``@`` and ``@=`` of ``source``: a matrix product, which a decorator's ``@`` is not."""
+    found = [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
+    return [f"line {line}: @" for line in sorted(found)]
+
+
+def test_the_scan_sees_a_matrix_product():
+    source = (
+        "@functools.cache\n"
+        "def gram(m):\n"
+        '    """``m^dagger @ m``, in a docstring."""\n'
+        "    g = m.conj().T @ m\n"
+        "    g @= m\n"
+        "    return np.matmul(g, m)  # @ in a comment\n"
+    )
+    assert matrix_products(source) == ["line 4: @", "line 5: @"]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=[str(p.relative_to(ROOT)) for p in LIBRARY])
+def test_no_matrix_products(path):
+    assert matrix_products(path.read_text()) == []

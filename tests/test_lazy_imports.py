@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qudual
-from qudual import duality, errors, linalg, montecarlo, simultaneous, states, uncertainty, verify
+from qudual import duality, errors, montecarlo, simultaneous, states, uncertainty, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 LAZY = {"qudual.montecarlo", "qudual.verify", "numpy.random"}
@@ -58,9 +58,9 @@ def test_the_scan_sees_the_lazy_modules_load():
 
 
 def test_all_keeps_its_names_and_order():
-    modules = (errors, linalg, states, duality, uncertainty, simultaneous, montecarlo, verify)
+    modules = (errors, states, duality, uncertainty, simultaneous, montecarlo, verify)
     assert qudual.__all__ == ["__version__"] + [name for module in modules for name in module.__all__]
-    assert len(qudual.__all__) == 44
+    assert len(qudual.__all__) == 41
 
 
 def test_the_lazy_names_are_their_modules_all():

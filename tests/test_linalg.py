@@ -1,3 +1,9 @@
+"""The kernels of ``qudual.linalg``, and the two contracts on a raw matrix that start from its ``_finite_2x2``.
+
+The Hermitian contract and the trace norm live in ``qudual.verify``, the unitary one in ``Observable``'s
+``qudual.states._unitary_columns``.
+"""
+
 import math
 import re
 import sys
@@ -9,14 +15,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qudual import ContractViolationError, Observable, assert_hermitian, assert_unitary, trace_norm
+from qudual import ContractViolationError, Observable
 from qudual.linalg import _eigenvalues, _hypot, _parts
+from qudual.states import _unitary_columns
+from qudual.verify import _assert_hermitian, _trace_norm
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
 
 def hermitian(a, d, br, bi):
     return np.array([[a, br - 1j * bi], [br + 1j * bi, d]], dtype=complex)
+
+
+def trace_norm(m):
+    """The trace norm of a Hermitian matrix or stack: ``verify``'s contract on it, then its route on the parts."""
+    return _trace_norm(*_parts(_assert_hermitian(m)))
 
 
 def test_trace_norm_frozen_values():
@@ -104,19 +117,19 @@ def test_trace_norm_takes_stacks():
 
 def test_contract_guards_raise_with_deviation():
     with pytest.raises(ContractViolationError, match="Hermitian"):
-        assert_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), name="probe")
+        _assert_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), name="probe")
     with pytest.raises(ContractViolationError, match="unitary"):
-        assert_unitary(2.0 * np.eye(2, dtype=complex), name="probe")
+        _unitary_columns(2.0 * np.eye(2, dtype=complex))
     # a non-finite entry fails the contract before any arithmetic, so NumPy warns of nothing
     for bad in (np.nan, np.inf):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ContractViolationError, match="probe is not Hermitian: it has a NaN or infinite entry"):
-                assert_hermitian(np.array([[bad, 0.0], [0.0, 0.5]]), name="probe")
+                _assert_hermitian(np.array([[bad, 0.0], [0.0, 0.5]]), name="probe")
             with pytest.raises(ContractViolationError, match="Hermitian"):
                 trace_norm(np.full((2, 2), bad))
-            with pytest.raises(ContractViolationError, match="probe is not unitary: it has a NaN or infinite entry"):
-                assert_unitary(np.array([[1.0, 0.0], [0.0, bad]]), name="probe")
+            with pytest.raises(ContractViolationError, match="eigenbasis is not unitary: it has a NaN or infinite entry"):
+                _unitary_columns(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 def test_trace_norm_rejects_entries_past_its_overflow_bound():
@@ -142,26 +155,32 @@ def test_contract_guards_reject_entries_past_their_overflow_bounds():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for check, m, bound in (
-            (assert_hermitian, [[0.0, 1e308], [-1e308, 0.0]], hermitian_bound),
-            (assert_hermitian, hermitian(0.0, 0.0, 0.0, math.nextafter(hermitian_bound, math.inf)), hermitian_bound),
-            (assert_unitary, np.diag([1e200, 1.0]), unitary_bound),
-            (assert_unitary, np.diag([1.0, 1j * math.nextafter(unitary_bound, math.inf)]), unitary_bound),
+            (_assert_hermitian, [[0.0, 1e308], [-1e308, 0.0]], hermitian_bound),
+            (_assert_hermitian, hermitian(0.0, 0.0, 0.0, math.nextafter(hermitian_bound, math.inf)), hermitian_bound),
+            (_unitary_columns, np.diag([1e200, 1.0]), unitary_bound),
+            (_unitary_columns, np.diag([1.0, 1j * math.nextafter(unitary_bound, math.inf)]), unitary_bound),
             (lambda m: Observable(1.0, -1.0, m), np.diag([1e200, 1.0]), unitary_bound),
         ):
             with pytest.raises(ContractViolationError, match=re.escape(f"past the bound |Re m|, |Im m| <= {bound!r}")):
                 check(m)
         # at the bound each check runs its arithmetic to a finite deviation, and fails on it
         with pytest.raises(ContractViolationError, match=re.escape(f"= {math.sqrt(8.0) * hermitian_bound:.3e} exceeds")):
-            assert_hermitian(hermitian_bound * np.array([[0.0, 1.0 + 1j], [-1.0 + 1j, 0.0]]))
+            _assert_hermitian(hermitian_bound * np.array([[0.0, 1.0 + 1j], [-1.0 + 1j, 0.0]]))
         with pytest.raises(ContractViolationError, match=re.escape(f"= {4.0 * unitary_bound**2:.3e} exceeds")):
-            assert_unitary(np.full((2, 2), unitary_bound * (1.0 - 1j)))
+            _unitary_columns(np.full((2, 2), unitary_bound * (1.0 - 1j)))
 
 
-def test_unitarity_guard_checks_every_matrix_of_a_stack():
+def test_unitarity_guard_checks_one_matrix_and_refuses_a_stack():
     stack = np.stack([np.eye(2, dtype=complex), np.array([[0.0, 1j], [1j, 0.0]])] * 3)
-    assert assert_unitary(stack).shape == (6, 2, 2)
+    # each matrix alone passes, and comes back as the parts of its columns
+    identity = (((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (1.0, 0.0)))
+    flip = (((0.0, 0.0), (0.0, 1.0)), ((0.0, 1.0), (0.0, 0.0)))
+    assert [_unitary_columns(m) for m in stack] == [identity, flip] * 3
     stack[4, 0, 0] = 1.0 + 1e-9
     with pytest.raises(ContractViolationError, match="not unitary: max .* = 2.000e-09"):
-        assert_unitary(stack, name="probe")
-    with pytest.raises(ContractViolationError, match="probe must be a 2x2 matrix or a stack of them"):
-        assert_unitary(np.ones((3, 2, 4)), name="probe")
+        _unitary_columns(stack[4])
+    # a stack is refused whole, each matrix unitary or not, before any arithmetic
+    with pytest.raises(ContractViolationError, match=r"must be one matrix, not a stack, got shape \(6, 2, 2\)"):
+        _unitary_columns(stack)
+    with pytest.raises(ContractViolationError, match="eigenbasis must be a 2x2 matrix or a stack of them"):
+        _unitary_columns(np.ones((3, 2, 4)))

@@ -23,7 +23,7 @@ import pytest
 from qudual.cli import main
 from qudual.duality import family_duality, fringe_probability, predictability, visibility, visibility_oracle
 from qudual.errors import ParameterError, QudualError
-from qudual.linalg import _ARRAY_OPS, _FLOAT_OPS, assert_unitary
+from qudual.linalg import _ARRAY_OPS, _FLOAT_OPS
 from qudual.montecarlo import sample_fringe, sample_sharp, sample_simultaneous
 from qudual.simultaneous import (
     EntangledState,
@@ -46,6 +46,7 @@ from qudual.states import (
     _member_basis,
     _pure_parts,
     _spectral_parts,
+    _unitary_columns,
     complementary_observable,
     pure_state,
 )
@@ -579,14 +580,14 @@ def test_reference_is_built_with_the_bits_of_a_checked_observable():
     for name in ("basis", "matrix"):
         array = getattr(REFERENCE, name)
         assert bits(array) == bits(getattr(checked, name)) and not array.flags.writeable, name
-    assert_unitary(REFERENCE.basis)
+    _unitary_columns(REFERENCE.basis)
 
 
 def test_family_members_built_without_a_check_pass_it():
-    # complementary_observable does not check the basis it builds; the contract holds all the same
+    # complementary_observable does not check the basis it builds; Observable(...)'s check passes it all the same
     for varrho in PHASES:
         basis = complementary_observable(varrho).basis
-        assert_unitary(basis)
+        _unitary_columns(basis)
         assert not basis.flags.writeable
 
 
@@ -594,7 +595,7 @@ def test_meter_readouts_built_without_a_check_pass_it():
     for c in C:
         if 0.0 < c < 1.0:  # the readout's domain
             basis = meter_projectors(c).basis
-            assert_unitary(basis)
+            _unitary_columns(basis)
             assert not basis.flags.writeable
 
 

@@ -23,8 +23,6 @@ PUBLIC_NAMES = [
     "SingularConfigurationError",
     "SuiteResult",
     "__version__",
-    "assert_hermitian",
-    "assert_unitary",
     "complementary_observable",
     "distinguishability",
     "entangled_visibility",
@@ -48,7 +46,6 @@ PUBLIC_NAMES = [
     "sample_sharp",
     "sample_simultaneous",
     "simultaneous_product",
-    "trace_norm",
     "visibility",
     "visibility_oracle",
 ]

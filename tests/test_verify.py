@@ -152,12 +152,8 @@ def test_batched_suites_make_one_kernel_call_each(count_calls):
     assert [np.shape(call[1]) for call in searches] == [(51,)]
 
 
-def test_verify_reaches_every_public_function_but_one_contract(capsys, count_calls, monkeypatch):
-    """``verify --level fast --seed 42`` calls every public function of qudual, the six closed forms below included.
-
-    The one it leaves unreached is ``assert_unitary``: it is a contract on a raw matrix, which only the checked
-    ``Observable(...)`` reads, and every observable of the suites is built by the library, unitary by construction.
-    """
+def test_verify_reaches_every_public_function(capsys, count_calls, monkeypatch):
+    """``verify --level fast --seed 42`` calls every public function of qudual, the six closed forms below included."""
     functions = [name for name in qudual.__all__ if inspect.isfunction(getattr(qudual, name))]
     calls = {name: count_calls(qudual, name) for name in functions}
     monkeypatch.delenv("QUDUAL_SEED", raising=False)
@@ -166,7 +162,7 @@ def test_verify_reaches_every_public_function_but_one_contract(capsys, count_cal
     reached = {name for name, made in calls.items() if made}
     closed_forms = ["predictability", "visibility", "robertson", "distinguishability", "entangled_visibility"]
     assert set(closed_forms + ["is_residual"]) <= reached
-    assert set(functions) - reached == {"assert_unitary"}
+    assert set(functions) - reached == set()
 
 
 def test_unbiasedness_lays_out_each_amplitude_stack_once(count_calls):
@@ -267,7 +263,7 @@ def test_linalg_core_draws_reproduce_the_matrix_loop(count_calls):
     for _ in range(200):
         m = loop_rng.normal(size=(2, 2)) + 1j * loop_rng.normal(size=(2, 2))
         herm.append(m + m.conj().T)
-    # two frozen trace norms on float parts, then the drawn stack: its eigenvalues, then trace_norm
+    # two frozen trace norms on float parts, then the drawn stack: its eigenvalues, then _trace_norm
     assert [[np.shape(part) for part in call] for call in eigen] == [[()] * 4] * 2 + [[(200,)] * 4] * 2
     assert all(np.array_equal(linalg._from_parts(*call), herm) for call in eigen[2:])
 
@@ -356,7 +352,7 @@ def _skewed_member(exact):
 # from the exact function, checks, failures, notes of verify at full, seed 42).
 PLANTED_FAULTS = [
     pytest.param(
-        "linalg_core", "trace_norm", lambda exact: lambda m: exact(m) * (1.0 + 1e-9), 402, 202,
+        "linalg_core", "_trace_norm", lambda exact: lambda *parts: exact(*parts) * (1.0 + 1e-9), 402, 202,
         [
             "trace norm diag: 1.000000001 vs 1.0",
             "trace norm of projector difference: 1.6000000016000002 vs 1.6",
