@@ -49,6 +49,9 @@ def _finite_2x2(m: np.ndarray, name: str, contract: str, max_part: float) -> np.
 # the upper off-diagonal entry ``b = x + i y``. A state or observable keeps those parts as Python floats and lays
 # out its matrix when first read; an explicit matrix or stack is read through :func:`_parts`. Every modulus is
 # :func:`_hypot`, the one kernel that rounds as ``math.hypot`` on a float and on each element of an array alike.
+# Every trace against a state is :func:`_traces`, which splits the state's parts once for all the traces it is
+# asked for: a state's mean, variance and probabilities, and the six traces of a Robertson report, in one call.
+# It and :func:`_hypot` sum by :func:`_dot`, the one Dot2 loop of the package, in place on the arrays it makes.
 
 
 def _quiet_divide(a, b):
@@ -221,32 +224,69 @@ def _two_product(a, b):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _dot(*pairs):
-    """``sum(a b for a, b in pairs)`` as if in twice the working precision, then rounded.
+def _halves(*values):
+    """Yield ``(a, high, low)``: Veltkamp's split of each value ``a`` into ``high + low = a`` exactly, 26 bits each.
 
-    Ogita, Rump and Oishi's Dot2 (SIAM J. Sci. Comput. 26, 1955, 2005):
-    every product and partial sum carries its exact rounding error, from
-    ``+ - *`` alone, so the result does not depend on fused multiply-adds.
+    One value at a time, as :func:`_dot` reads them, so that a sum over stacks
+    holds the halves of one product at a time; :func:`_traces` keeps a state's
+    for all its traces. Past ``|a|`` of about 2**996 the split overflows, and
+    a product of the halves is NaN.
     """
-    s, c = _two_product(*pairs[0])
-    for a, b in pairs[1:]:
-        p, q = _two_product(a, b)
-        t = s + p
+    for a in values:
+        t = _SPLITTER * a
+        high = t - (t - a)
+        yield a, high, a - high
+
+
+def _dot(left, right):
+    """``sum(a b)`` over ``a`` of ``left``, given as their :func:`_halves`, and ``b`` of ``right``, then rounded.
+
+    Ogita, Rump and Oishi's Dot2 (SIAM J. Sci. Comput. 26, 1955, 2005), as
+    if in twice the working precision: every product, as in
+    :func:`_two_product`, and every partial sum carries its exact rounding
+    error, from ``+ - *`` alone, so the result does not depend on fused
+    multiply-adds. Each ``b`` is split here, as the loop reaches it: one value
+    runs the loop in Python floats, with no call and no NumPy. On arrays the
+    error terms add up in place, but only in arrays made here with the shape
+    of the sum so far, so the factors may be floats or arrays of any shapes
+    that broadcast; an addition turned round for that keeps its bits, as
+    IEEE addition commutes. On floats an augmented operator makes a new float.
+    """
+    s = None
+    for (a, ah, al), b in zip(left, right):
+        p = a * b
+        bh = _SPLITTER * b
+        bh -= bh - b
+        bl = b - bh
+        q = ah * bh
+        q -= p
+        q += ah * bl
+        q += al * bh
+        q += al * bl
+        if s is None:
+            s, c = p, q
+            continue
+        t = s + p  # Knuth's TwoSum: s + p = t + (s - (t - z)) + (p - z) exactly
         z = t - s
-        c = c + (q + ((s - (t - z)) + (p - z)))
-        s = t
+        e = p - z  # the error of t, (s - (t - z)) + (p - z), in an array of t's shape
+        e += s - (t - z)
+        e += q
+        e += c  # c + (q + e)
+        s, c = t, e
     return s + c
 
 
-def _trace(h, k):
-    """``tr(h k)`` of Hermitian parts, which is real: ``a_h a_k + d_h d_k + 2 (x_h x_k + y_h y_k)``, by :func:`_dot`.
+def _traces(h, *ks):
+    """``[tr(h k) for k in ks]`` of Hermitian parts, each real: ``a_h a_k + d_h d_k + 2 (x_h x_k + y_h y_k)``.
 
-    A trace against a state is a mean or a probability; :func:`_dot` keeps it
-    within about half an ulp where a plain sum loses up to two.
+    Each trace is one :func:`_dot`, after ``h``'s parts, ``x`` and ``y``
+    doubled, are split once for all of them. A trace against a state is a
+    mean or a probability; :func:`_dot` keeps it within about half an ulp
+    where a plain sum loses up to two.
     """
     a, d, x, y = h
-    p, s, u, v = k
-    return _dot((a, p), (d, s), (2.0 * x, u), (2.0 * y, v))
+    halves = [*_halves(a, d, 2.0 * x, 2.0 * y)]
+    return [_dot(halves, k) for k in ks]
 
 
 def _hypot(x, y):
@@ -262,7 +302,8 @@ def _hypot(x, y):
     s = ops.where(m > 2.0**500, 2.0**-600, ops.where(m < 2.0**-300, 2.0**600, 1.0))
     x, y = x * s, y * s
     h = ops.sqrt(x * x + y * y)
-    return (h + _dot((x, x), (y, y), (-h, h)) / (2.0 * h + (h == 0.0))) / s  # r = 0 where h = 0: no 0 / 0
+    # the residual r = x*x + y*y - h*h is 0 where h is, over a divisor of 1 there: no 0 / 0
+    return (h + _dot(_halves(x, y, -h), (x, y, h)) / (2.0 * h + (h == 0.0))) / s
 
 
 def _eigenvalues(a, d, x, y):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .duality import fringe_probability
 from .errors import ParameterError, check_count
-from .linalg import _one_value, _projector, _times_conj, _trace
+from .linalg import _one_value, _projector, _times_conj, _traces
 from .simultaneous import EntangledState, estimate_a, estimate_b, meter_projectors
 from .states import GAUGE, TWO_PI, DensityMatrix, Observable, complementary_observable
 from .uncertainty import mean_var
@@ -159,7 +159,7 @@ def _two_outcome_report(
 
 def _outcome_probability(rho: DensityMatrix, column: tuple) -> float:
     """``tr(rho |vec><vec|)``, clipped to [0, 1], for an eigenbasis column ``vec`` given as parts: Python floats."""
-    p = _trace(rho._parts, _projector(*column))
+    (p,) = _traces(rho._parts, _projector(*column))
     return min(max(p, 0.0), 1.0)
 
 

@@ -255,8 +255,17 @@ def simultaneous_product(w_plus: float, c: float) -> float:
     """
     ops = _ops(w_plus, c)
     w, cc = ops.broadcast(ops.check(w_plus, "w_plus", 0.0, 1.0), ops.check(c, "c", 0.0, 1.0))
-    k, p = w * (1.0 - w), _imbalance(w)
-    c2, s = cc * cc, _one_minus_sq(cc)
+    return _variance_product(w * (1.0 - w), _imbalance(w), cc)
+
+
+def _variance_product(k, p, c):
+    """:func:`simultaneous_product` of checked values: ``k = w (1 - w)``, ``p = |2 w - 1|`` and ``c``, which broadcast.
+
+    The search of :func:`qudual.verify.minimum_product_routes` calls it at each step, with ``k`` and ``p`` of its
+    populations computed once.
+    """
+    ops = _ops(k, c)
+    c2, s = c * c, _one_minus_sq(c)
     den = 16.0 * c2 * s  # 0 exactly where c**2 is 0 and where c is 1, the endpoints; subnormal below c ~ 1.5e-154
     # The factored form (c^2 + 4K(1-c^2)) ((1-c^2) + c^2 P^2) / (16 c^2 (1-c^2)) adds
     # only nonnegative terms; the direct brackets cancel catastrophically near c = 1.

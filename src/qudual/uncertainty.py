@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError, check_scalar
-from .linalg import _broadcastable, _hypot, _ops, _times, _trace, _two_product
+from .linalg import _broadcastable, _hypot, _ops, _times, _traces, _two_product
 from .states import DensityMatrix, Observable, pure_state
 
 IS_FAMILIES = ("IS1", "IS2a", "IS2b")
@@ -78,20 +78,20 @@ def _commutator(h, k):
     return 2.0 * s, -2.0 * s, g1 * y2 - g2 * y1, g2 * x1 - g1 * x2
 
 
-def _moments(rho, op) -> tuple:
-    """Mean ``tr(rho O)`` and unclipped variance ``tr(rho O^2) - mean^2`` of parts, with ``O^2 = {O, O} / 2``."""
-    mean = _trace(rho, op)
-    return mean, 0.5 * _trace(rho, _anticommutator(op, op)) - mean * mean
+def _variance(mean, square):
+    """Unclipped variance ``tr(rho O^2) - mean^2`` from the traces ``mean = tr(rho O)``, ``square = tr(rho {O, O})``."""
+    return 0.5 * square - mean * mean
 
 
 def mean_var(rho: DensityMatrix, obs: Observable) -> tuple[float, float]:
-    """Mean and variance of an observable: :func:`_moments` on the parts of a state and an observable.
+    """Mean and variance of an observable: :func:`_variance` of two traces on the parts of a state and an observable.
 
     Python floats for one state and observable, arrays for stacks. The
     variance is clipped to 0 where rounding drives it below zero.
     """
     _broadcastable(rho.w_plus, obs._parts[2])
-    mean, var = _moments(rho._parts, obs._parts)
+    mean, square = _traces(rho._parts, obs._parts, _anticommutator(obs._parts, obs._parts))
+    var = _variance(mean, square)
     return mean, _ops(var).maximum(var, 0.0)
 
 
@@ -130,12 +130,12 @@ class RobertsonReport:
 
 def _robertson(rho, a, b) -> tuple:
     """The seven fields of :class:`RobertsonReport` from the parts of a state and a pair: floats or arrays alike."""
-    mean_a, var_a = _moments(rho, a)
-    mean_b, var_b = _moments(rho, b)
-    c_mean = _trace(rho, _commutator(a, b))
-    f_mean = _trace(rho, _anticommutator(a, b)) - 2.0 * mean_a * mean_b
-    maximum = _ops(var_a, var_b).maximum
-    var_a, var_b = maximum(var_a, 0.0), maximum(var_b, 0.0)
+    mean_a, square_a, mean_b, square_b, c_mean, f_mean = _traces(
+        rho, a, _anticommutator(a, a), b, _anticommutator(b, b), _commutator(a, b), _anticommutator(a, b)
+    )
+    f_mean = f_mean - 2.0 * mean_a * mean_b
+    maximum = _ops(mean_a, mean_b).maximum
+    var_a, var_b = maximum(_variance(mean_a, square_a), 0.0), maximum(_variance(mean_b, square_b), 0.0)
     return var_a, var_b, c_mean, f_mean, var_a * var_b - 0.25 * (c_mean * c_mean + f_mean * f_mean), mean_a, mean_b
 
 
@@ -251,7 +251,7 @@ def _eigen_residuals(rho, psi, lam, a, b):
     element of a stack.
     """
     (a_a, a_d, a_x, a_y), (b_a, b_d, b_x, b_y) = a, b
-    shift_a, shift_b = _trace(rho, a), _trace(rho, b)
+    shift_a, shift_b = _traces(rho, a, b)
     lr, ni = lam[0], -lam[1]  # i lam = ni + i lr
     g0, h0 = a_a - shift_a, b_a - shift_b
     g1, h1 = a_d - shift_a, b_d - shift_b

@@ -35,9 +35,11 @@ A suite hands each grid's checks to :meth:`_Tally.check` as the entries of
 one call, with the checks, counts and notes of a loop over the grid, and
 calls each function under test once on the grid's stack:
 :func:`visibility_oracle` scans every state of ``fringe_oracle`` in one
-call, and :func:`minimum_product_routes` runs the golden-section searches of
-its populations in lockstep, one :func:`simultaneous_product` call per step
-over the stack. Those that take one value stay in loops:
+call, and :func:`minimum_product_routes` checks its populations in one
+:func:`simultaneous_product` call, then runs their golden-section searches in
+lockstep, each step one evaluation of the product's kernel over the stack of
+checked populations. A tally call counts its checks and returns at once when
+none fails; only a failure builds notes. Those that take one value stay in loops:
 :func:`meter_projectors` and :func:`intelligent_state`. The
 routes here write every product of matrix entries in real parts, as the
 library's kernels do, so that no BLAS kernel or SIMD level moves their bits;
@@ -53,11 +55,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import montecarlo
-from .duality import family_duality, predictability, visibility, visibility_oracle
+from .duality import _imbalance, family_duality, predictability, visibility, visibility_oracle
 from .errors import ContractViolationError, ParameterError
 from .linalg import _eigenvalues, _entries, _finite_2x2, _hypot, _ops, _parts, _projector, _split, _times, _times_conj
 from .simultaneous import (
     EntangledState,
+    _variance_product,
     distinguishability,
     entangled_visibility,
     estimate_a,
@@ -157,14 +160,19 @@ class _Tally:
         of the call. An element passes where ``deviation <= tolerance`` (NaN
         fails) and counts where ``where`` holds. ``label`` is a failure's note,
         or ``label(i)`` makes it for flat element ``i``. Notes come as a loop
-        over the elements would make them: by element, then by entry.
+        over the elements would make them: by element, then by entry. A call
+        in which no element fails counts its checks and returns; the masks are
+        stacked, and labels read, only where one does.
         """
-        masks = []
+        failing = []
         for deviation, tolerance, _, *where in entries:
-            ok, applies = np.broadcast_arrays(np.less_equal(deviation, tolerance), where[0] if where else True)
-            self.checks += int(np.count_nonzero(applies))
-            masks.append((applies & ~ok).ravel())
-        failed = list(zip(*np.nonzero(np.stack(masks, axis=-1))))
+            applies = where[0] if where else True
+            failed = np.logical_and(applies, np.logical_not(np.less_equal(deviation, tolerance)))
+            self.checks += int(np.count_nonzero(np.logical_or(failed, applies)))  # applies, of the entry's shape
+            failing.append(failed)
+        if not any(map(np.any, failing)):
+            return
+        failed = list(zip(*np.nonzero(np.stack([np.ravel(mask) for mask in failing], axis=-1))))
         self.failures += len(failed)
         for i, k in failed[: max(self._MAX_NOTES - len(self.notes), 0)]:
             label = entries[k][2]
@@ -273,8 +281,9 @@ def _golden_minimize(f, lo, hi):
     """Golden-section minimum value of a unimodal function on ``[lo, hi]``, or of each of a stack, in lockstep.
 
     ``lo`` and ``hi`` are floats, or arrays of one shape with one search per element, and ``f`` takes points of that
-    kind. Each step makes one ``f`` call, at every search's new point. A search whose bracket is no wider than
-    :data:`_GOLDEN_XTOL` is frozen while the others go on, so each ends where it would alone, with its bits.
+    kind, with no check of its own to repeat: each step makes one ``f`` call, at every search's new point. A search
+    whose bracket is no wider than :data:`_GOLDEN_XTOL` is frozen while the others go on, so each ends where it would
+    alone, with its bits.
     """
     ops = _ops(lo, hi)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -304,7 +313,11 @@ def minimum_product_routes(w_plus) -> tuple:
     against the others within :data:`ROUTE_AGREEMENT_TOL`. One population
     gives five Python floats; a stack gives five arrays of its shape, whose
     elements have the bits of their populations alone, from one lockstep
-    search, which runs only if some optimal overlap is interior.
+    search, which runs only if some optimal overlap is interior. The one
+    :func:`simultaneous_product` call, at the optimal overlaps, checks the
+    populations; the search then evaluates the product's kernel,
+    ``simultaneous._variance_product``, on them, with ``k = w (1 - w)`` and
+    ``P`` computed once, and keeps the public function's bits at every point.
     """
     ops = _ops(w_plus)
     w = ops.real(w_plus, "w_plus")
@@ -329,7 +342,8 @@ def minimum_product_routes(w_plus) -> tuple:
     numeric_min = value
     if ops.any(interior):
         lo, hi = ops.where(interior, 1e-9, 0.5), ops.where(interior, 1.0 - 1e-9, 0.5)
-        numeric_min = ops.where(interior, _golden_minimize(lambda c: simultaneous_product(w, c), lo, hi), value)
+        imbalance = _imbalance(w)
+        numeric_min = ops.where(interior, _golden_minimize(lambda c: _variance_product(k, imbalance, c), lo, hi), value)
 
     v = 2.0 * ops.sqrt(k)
     p = ops.sqrt(ops.maximum(g, 0.0))
@@ -453,12 +467,11 @@ def _suite_duality(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     p, v = predictability(rho), visibility(rho)
     sum_sq = p * p + v * v
     pure = rho.purity >= 1.0 - _PURE
-    s = sum_sq.tolist()
     t.check(
-        (sum_sq - 1.0, bound, lambda i: f"sum of squares bound #{i}: {s[i]!r}"),
+        (sum_sq - 1.0, bound, lambda i: f"sum of squares bound #{i}: {sum_sq.item(i)!r}"),
         (np.maximum.reduce([-p, p - 1.0, -v, v - 1.0]), _EXACT, lambda i: f"P,V range #{i}"),
-        (np.abs(sum_sq - 1.0), _SATURATION, lambda i: f"pure saturation #{i}: {s[i]!r}", pure),
-        (sum_sq - (1.0 - _SATURATION), _STRICT, lambda i: f"mixed strict inequality #{i}: {s[i]!r}", ~pure),
+        (np.abs(sum_sq - 1.0), _SATURATION, lambda i: f"pure saturation #{i}: {sum_sq.item(i)!r}", pure),
+        (sum_sq - (1.0 - _SATURATION), _STRICT, lambda i: f"mixed strict inequality #{i}: {sum_sq.item(i)!r}", ~pure),
     )
 
 
@@ -520,11 +533,11 @@ def _suite_robertson(t: _Tally, run: dict, rng: np.random.Generator) -> None:
     # Slack has a closed form of its own for this pair: the coherence
     # deficit (w+ w- - rho12^2) / 4 at unit eigenvalue gaps.
     target = (rho.w_plus * rho.w_minus - rho.rho12 * rho.rho12) / 4.0
-    s = slack.tolist()
+    pure = rho.purity >= 1.0 - _PURE
     t.check(
-        (-slack, _BOUND, lambda i: f"robertson bound #{i}: {s[i]!r}"),
+        (-slack, _BOUND, lambda i: f"robertson bound #{i}: {slack.item(i)!r}"),
         _near(slack, target, _ROUNDOFF, lambda i: f"robertson slack identity #{i}"),
-        (np.abs(slack), _SATURATION, lambda i: f"pure state saturation #{i}: {s[i]!r}", rho.purity >= 1.0 - _PURE),
+        (np.abs(slack), _SATURATION, lambda i: f"pure state saturation #{i}: {slack.item(i)!r}", pure),
     )
 
 

@@ -559,7 +559,7 @@ def test_compute_sweep_and_mc_outputs_keep_their_pinned_digests(output_digests):
     # every call of tools/output_digest.py but verify, whose reports test_verify pins
     digest_tool, pinned = output_digests
     argvs = [argv for argv in digest_tool.calls() if argv[0] != "verify"]
-    assert len(argvs) == 328
+    assert len(argvs) == 334
     lines = []
     for argv in argvs:
         code, digest = digest_tool.run(argv)

@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qudual import ContractViolationError, Observable
-from qudual.linalg import _eigenvalues, _hypot, _parts
+from qudual.linalg import _dot, _eigenvalues, _halves, _hypot, _parts, _traces
 from qudual.states import _unitary_columns
 from qudual.verify import _assert_hermitian, _trace_norm
 
@@ -30,6 +30,111 @@ def hermitian(a, d, br, bi):
 def trace_norm(m):
     """The trace norm of a Hermitian matrix or stack: ``verify``'s contract on it, then its route on the parts."""
     return _trace_norm(*_parts(_assert_hermitian(m)))
+
+
+# Dot2 as one trace at a time: each call splits both factors of each product and sums out of place. The kernels
+# that split a state's parts once for all its traces, and sum in place, must give these bytes.
+_SPLITTER = 134217729.0
+
+
+def reference_two_product(a, b):
+    p = a * b
+    t = _SPLITTER * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLITTER * b
+    bh = t - (t - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def reference_dot(*pairs):
+    s, c = reference_two_product(*pairs[0])
+    for a, b in pairs[1:]:
+        p, q = reference_two_product(a, b)
+        t = s + p
+        z = t - s
+        c = c + (q + ((s - (t - z)) + (p - z)))
+        s = t
+    return s + c
+
+
+def reference_trace(h, k):
+    a, d, x, y = h
+    p, s, u, v = k
+    return reference_dot((a, p), (d, s), (2.0 * x, u), (2.0 * y, v))
+
+
+# Parts of every kind: ordinary, +-0.0, subnormal, near 2**996, where a split overflows and the error term is NaN.
+part_values = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 2.0**996, -(2.0**996) * 1.5, 2.0**1000, 1e308]),
+)
+# Shapes of the parts of a state and of an operand: None is a Python float; the others broadcast, (3, 1) with (4,)
+# too, and each part of one value draws its own, so that floats and arrays of several shapes mix in one trace.
+SHAPES = [None, (), (5,), (3, 1), (4,), (1,), (2, 5)]
+
+
+def draw_part(data, shape):
+    """A part of ``shape``, or a Python float where it is None."""
+    if shape is None:
+        return data.draw(part_values)
+    size = math.prod(shape)
+    return np.array(data.draw(st.lists(part_values, min_size=size, max_size=size))).reshape(shape)
+
+
+def broadcast(*shapes):
+    try:
+        return np.broadcast_shapes(*(s for s in shapes if s is not None))
+    except ValueError:
+        return None
+
+
+def draw_parts(data, n, *parts):
+    """``n`` parts, each of its own shape, that broadcast with one another and with ``parts``."""
+    drawn = []
+    for _ in range(n):
+        shapes = [np.shape(part) if isinstance(part, np.ndarray) else None for part in (*parts, *drawn)]
+        shape = data.draw(st.sampled_from([s for s in SHAPES if broadcast(*shapes, s) is not None]))
+        drawn.append(draw_part(data, shape))
+    return tuple(drawn)
+
+
+def same_bytes(x, y):
+    return type(x) is type(y) and np.shape(x) == np.shape(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def array_bytes(*parts):
+    return [part.tobytes() for part in parts if isinstance(part, np.ndarray)]
+
+
+@given(data=st.data(), n=st.integers(1, 6))
+def test_traces_keep_the_bytes_of_one_trace_at_a_time(data, n):
+    # one state or a stack, and operands each of whose parts is a float or a stack that broadcasts with the others
+    h = draw_parts(data, 4)
+    ks = [draw_parts(data, 4, *h) for _ in range(n)]
+    before = array_bytes(*h, *(part for k in ks for part in k))
+    with np.errstate(all="ignore"):
+        expected = [reference_trace(h, k) for k in ks]
+        traces = _traces(h, *ks)
+    assert len(traces) == n
+    assert all(same_bytes(t, e) for t, e in zip(traces, expected)), (traces, expected)
+    # the sums ran in place on the kernel's own arrays only
+    assert array_bytes(*h, *(part for k in ks for part in k)) == before
+
+
+@given(data=st.data(), n=st.integers(1, 5))
+def test_dot_keeps_the_bytes_of_a_dot_of_two_products(data, n):
+    # _hypot's residual, among others: each factor a float or a stack that broadcasts with the others
+    factors = draw_parts(data, 2 * n)
+    left, right = factors[:n], factors[n:]
+    before = array_bytes(*factors)
+    with np.errstate(all="ignore"):
+        expected = reference_dot(*zip(left, right))
+        got = _dot(_halves(*left), right)
+    assert same_bytes(got, expected), (got, expected)
+    assert array_bytes(*factors) == before
 
 
 def test_trace_norm_frozen_values():

@@ -104,6 +104,17 @@ def test_kernel_on_a_stack_matches_the_scalar_route():
         assert [value[i] for value in stack] == fields
         # the slack field is the report's own lhs - rhs, bit for bit
         assert rep.lhs - rep.rhs == rep.slack
+    # States of shape (25, 1) against members of shape (40,): each field takes the shape of what it reads, and
+    # each element the bits of its state and member alone.
+    rho, b_obs = DensityMatrix(w[:25, None], rho12[:25, None], theta[:25, None]), b_at(varrho[:40])
+    stack = dataclasses.astuple(robertson(rho, A, b_obs))
+    assert [np.shape(value) for value in stack] == [(25, 1)] + [(25, 40)] * 4 + [(25, 1), (25, 40)]
+    moments = mean_var(rho, b_obs)
+    for i, j in itertools.product(range(25), range(0, 40, 3)):
+        state, member = DensityMatrix(w[i], rho12[i], theta[i]), b_at(varrho[j])
+        fields = list(dataclasses.astuple(robertson(state, A, member)))
+        assert [np.broadcast_to(value, (25, 40))[i, j] for value in stack] == fields
+        assert (moments[0][i, j], moments[1][i, j]) == mean_var(state, member)
 
 
 def _product(x, y):

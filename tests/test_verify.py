@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qudual
 from qudual import DensityMatrix, duality, linalg, montecarlo, simultaneous, states, uncertainty, verify
@@ -71,6 +73,52 @@ def test_batch_tally_matches_a_loop_over_the_elements():
     assert len(batch.notes) == verify._Tally._MAX_NOTES
 
 
+def reference_check(tally, *entries):
+    """``_Tally.check`` with no early return: every mask broadcast and stacked, and notes read off, on each call."""
+    masks = []
+    for deviation, tolerance, _, *where in entries:
+        ok, applies = np.broadcast_arrays(np.less_equal(deviation, tolerance), where[0] if where else True)
+        tally.checks += int(np.count_nonzero(applies))
+        masks.append((applies & ~ok).ravel())
+    failed = list(zip(*np.nonzero(np.stack(masks, axis=-1))))
+    tally.failures += len(failed)
+    for i, k in failed[: max(tally._MAX_NOTES - len(tally.notes), 0)]:
+        label = entries[k][2]
+        tally.notes.append(label(int(i)) if callable(label) else label)
+
+
+deviations = st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0, math.nan, math.inf, -math.inf])
+
+
+@given(data=st.data(), calls=st.integers(1, 4))
+def test_tally_returns_at_once_with_the_counts_and_notes_of_the_full_tally(data, calls):
+    """NaN deviations, ``where`` masks, scalar entries and failures in several entries of a call, past the note cap."""
+    fast, full = verify._Tally("fast"), verify._Tally("full")
+    for call in range(calls):
+        n = data.draw(st.integers(1, 8))
+        entries = []
+        for k in range(data.draw(st.integers(1, 4))):
+            where = data.draw(st.sampled_from(["none", "mask", "flag"]))
+            scalar = (n == 1 or where == "mask") and data.draw(st.booleans())
+            draws = st.lists(deviations, min_size=n, max_size=n)
+            deviation = data.draw(deviations) if scalar else np.array(data.draw(draws))
+            tolerance = data.draw(st.sampled_from([0.0, 0.5, -math.inf, np.full(n, 0.25)]))
+            if data.draw(st.booleans()):
+                label = lambda i, call=call, k=k: f"call {call} entry {k} element {i}"  # noqa: E731
+            else:
+                label = f"call {call} entry {k}"
+            entry = (deviation, tolerance, label)
+            if where == "mask":
+                entry += (np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))),)
+            elif where == "flag":
+                entry += (data.draw(st.booleans()),)
+            entries.append(entry)
+        fast.check(*entries)
+        reference_check(full, *entries)
+        assert (fast.checks, fast.failures, fast.notes) == (full.checks, full.failures, full.notes)
+    assert len(fast.notes) <= verify._Tally._MAX_NOTES
+
+
 @pytest.mark.parametrize("level", ["fast", "full"])
 def test_selftest_corrupt_report_is_pinned(capsys, level):
     code = main(["verify", "--level", level, "--selftest-corrupt"])
@@ -105,6 +153,15 @@ def test_batched_suites_make_one_kernel_call_each(count_calls):
     result = verify.run_suite("state_round_trip", "full", 42)
     assert (result.checks, result.failures) == (2003, 0)
     assert [np.shape(call[0]) for call in kernels["state_round_trip"]] == [(500, 2, 2), (2, 2)]
+
+    # The one robertson call splits the state's parts once for its six traces: one _traces call, and one Veltkamp
+    # split of the state's four stacked parts.
+    traces, splits = count_calls(linalg, "_traces"), count_calls(linalg, "_halves")
+    result = verify.run_suite("robertson", "full", 42)
+    assert (result.checks, result.failures) == (25000, 0)
+    assert [(np.shape(call[0][0]), len(call) - 1) for call in traces] == [((10000,), 6)]
+    assert [[np.shape(part) for part in call] for call in splits] == [[(10000,)] * 4]
+    assert splits[0][0] is traces[0][0][0] and splits[0][1] is traces[0][0][1]  # a and d as held; x and y doubled
 
     # Every variance of the extremality grid comes from one call on a stack.
     kernels["robertson"].clear()
@@ -144,12 +201,16 @@ def test_batched_suites_make_one_kernel_call_each(count_calls):
     assert [np.broadcast(*call[1:]).size for call in scans] == [2 * 512 * 23]
 
     # The 51 populations take one call of the routes and one lockstep search; the three limits, one call and none.
+    # Each call of the routes checks its populations in one public simultaneous_product call, at the optimal
+    # overlaps; the search's steps evaluate the product's kernel on the checked populations.
     routes = count_calls(verify, "minimum_product_routes")
     searches = count_calls(verify, "_golden_minimize")
+    products = count_calls(simultaneous, "simultaneous_product")
     result = verify.run_suite("minimum_product", "full", 42)
     assert (result.checks, result.failures) == (211, 0)
     assert [np.shape(call[0]) for call in routes] == [(51,), (3,)]
     assert [np.shape(call[1]) for call in searches] == [(51,)]
+    assert [np.shape(call[0]) for call in products] == [(51,), (3,)]
 
 
 def test_verify_reaches_every_public_function(capsys, count_calls, monkeypatch):

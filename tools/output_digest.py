@@ -47,13 +47,15 @@ MC_SETTINGS = (
 )
 # Three sizes for the readout counts, and so three n // 16 shots per fringe point.
 MC_SHOTS = ("100000", "65537", "200003")
-# (w_plus, theta, c) of pure states picked when D was the trace norm of the
-# meter blocks and V_e twice a modulus of the partial trace: there, a modulus
-# rounded otherwise than math.hypot (np.hypot in the half gap of D, NumPy's
-# complex abs in V_e) moved the last printed digit. D is now the closed form
-# hypot(P, V sqrt(1 - c**2)) through linalg._hypot and V_e = c V, with no
-# modulus; np.hypot gives the same D at all six. They stay as six more
-# compute --c outputs, pinned bit for bit.
+# (w_plus, theta, c) of compute --c calls whose printed D pins linalg._hypot's
+# rounding. The first six were picked when D was the trace norm of the meter
+# blocks and V_e twice a modulus of the partial trace, where np.hypot or
+# NumPy's complex abs moved the last printed digit; D is now the closed form
+# hypot(P, V sqrt(1 - c**2)) through linalg._hypot and V_e = c V, and at those
+# six np.hypot and a plain sqrt(P*P + y*y) print the same D as _hypot. The last
+# six come from a seeded scan of 20000 states: at each, the D of np.hypot and
+# that of the plain root both print otherwise than _hypot's, so a _hypot or
+# _dot that loses a term of the residual r / 2h changes their digests.
 ROUNDING_EDGES = (
     ("0.288792", "2.2086", "0.774382"),
     ("0.418558", "0.551", "0.747826"),
@@ -61,6 +63,12 @@ ROUNDING_EDGES = (
     ("0.178935", "3.9675", "0.467268"),
     ("0.277899", "1.4033", "0.525817"),
     ("0.430912", "4.1117", "0.01284"),
+    ("0.299693", "5.9041", "0.41138"),
+    ("0.946905", "2.9974", "0.816248"),
+    ("0.408875", "1.3504", "0.481923"),
+    ("0.396733", "1.875", "0.935829"),
+    ("0.031992", "4.0765", "0.979562"),
+    ("0.962266", "0.2953", "0.624517"),
 )
 # compute calls whose printed digits depend on the form of a closed form:
 # w_plus one ulp below 1/2, where sqrt(1 - 4 w+ w-) cancels to 0 but
